@@ -8,7 +8,7 @@
 //! throughput should be modest — the paper treats α as a tuning knob.
 
 use arrow_bench::{banner, setup_by_name, summary};
-use arrow_te::Arrow;
+use arrow_te::{Arrow, ArrowOnline};
 
 fn main() {
     banner(
@@ -22,7 +22,7 @@ fn main() {
     let mut values = Vec::new();
     for alpha in [0.2, 0.1, 0.05] {
         let arrow = Arrow { tickets: s.tickets.clone(), alpha, solver: Default::default() };
-        let outcome = arrow.solve_detailed(&inst);
+        let outcome = ArrowOnline::new(arrow, &inst).solve(&inst);
         let thr = outcome.output.alloc.throughput(&inst);
         let nonnaive = outcome.winning.iter().filter(|&&w| w != 0).count();
         println!("{:>8.2} {:>12.4} {:>16}", alpha, thr, nonnaive);

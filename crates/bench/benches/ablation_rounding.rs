@@ -28,7 +28,7 @@ fn main() {
     let mut kept: Vec<(usize, bool, f64)> = Vec::new();
     for delta in [1usize, 2, 4] {
         for filter in [true, false] {
-            let tickets = generate_tickets(
+            let (tickets, _) = generate_tickets(
                 &s.wan,
                 &inst.scenarios,
                 &LotteryConfig {

@@ -21,7 +21,7 @@ fn main() {
     // Two rounding seeds illustrate the fluctuation at small |Z|.
     let jobs: Vec<(usize, u64)> = counts.iter().flat_map(|&z| [(z, 41u64), (z, 43u64)]).collect();
     let results = parallel_map(jobs.clone(), |&(z, seed)| {
-        let tickets = generate_tickets(
+        let (tickets, _) = generate_tickets(
             &s.wan,
             &inst.scenarios,
             &LotteryConfig { num_tickets: z, seed, ..Default::default() },

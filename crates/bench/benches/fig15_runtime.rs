@@ -9,7 +9,7 @@
 
 use arrow_bench::{banner, setup_by_name, summary};
 use arrow_core::{generate_tickets, LotteryConfig};
-use arrow_te::Arrow;
+use arrow_te::{Arrow, ArrowOnline};
 
 fn main() {
     banner(
@@ -28,12 +28,12 @@ fn main() {
         println!("\n[{topo}] {} scenarios", inst.scenarios.len());
         println!("{:>6} {:>12} {:>12} {:>12}", "|Z|", "phase I (s)", "phase II (s)", "total (s)");
         for &z in &counts {
-            let tickets = generate_tickets(
+            let (tickets, _) = generate_tickets(
                 &s.wan,
                 &inst.scenarios,
                 &LotteryConfig { num_tickets: z, ..Default::default() },
             );
-            let outcome = Arrow::new(tickets).solve_detailed(&inst);
+            let outcome = ArrowOnline::new(Arrow::new(tickets), &inst).solve(&inst);
             let total = outcome.phase1_seconds + outcome.phase2_seconds;
             println!(
                 "{:>6} {:>12.3} {:>12.3} {:>12.3}",

@@ -75,7 +75,7 @@ fn bench_arrow_two_phase(c: &mut Criterion) {
         failures.failure_scenarios(),
         &TunnelConfig { tunnels_per_flow: 4, ..Default::default() },
     );
-    let tickets = generate_tickets(
+    let (tickets, _) = generate_tickets(
         &wan,
         &inst.scenarios,
         &LotteryConfig { num_tickets: 8, ..Default::default() },

@@ -155,7 +155,7 @@ pub fn setup(wan: Wan, cfg: &SetupConfig) -> Setup {
     let instances: Vec<TeInstance> =
         tms.iter().map(|tm| base.with_demands(tm).scaled(norm)).collect();
     let lottery = LotteryConfig { num_tickets: cfg.num_tickets, ..Default::default() };
-    let tickets = generate_tickets(&wan, &scenarios, &lottery);
+    let (tickets, _) = generate_tickets(&wan, &scenarios, &lottery);
     let naive: Vec<RestorationTicket> =
         scenarios.iter().map(|s| naive_ticket(&wan, s, &lottery.rwa)).collect();
     Setup { wan, instances, tickets, naive }

@@ -13,7 +13,7 @@
 //! fibers) ready to install so the network reacts in seconds when a cut
 //! actually happens (§5).
 
-use crate::lottery::{generate_tickets_with_stats, LotteryConfig, OfflineStats};
+use crate::lottery::{generate_tickets, LotteryConfig, OfflineStats};
 use crate::par::parallel_map;
 use arrow_optical::rwa::greedy_assign;
 use arrow_optical::FiberPath;
@@ -127,13 +127,14 @@ pub struct TePlan {
     pub instance: TeInstance,
 }
 
-/// Cached online-stage state for [`ArrowController::plan_warm`]: the
+/// Cached online-stage state for [`ArrowController::plan_epoch`]: the
 /// expensive tunnel computation and Phase I skeleton are built on the
-/// first call and re-used (with patched demands) on every later one.
+/// first (cold) epoch and re-used (with patched demands) on every later
+/// one.
 #[derive(Debug, Clone)]
 struct OnlineCache {
-    /// Instance built on the first warm call; later calls only swap
-    /// demands via [`TeInstance::with_demands`].
+    /// Instance built on the cold epoch; later epochs only swap demands
+    /// via [`TeInstance::with_demands`].
     instance: TeInstance,
     /// Incremental two-phase solver carrying warm starts across epochs.
     online: ArrowOnline,
@@ -169,7 +170,7 @@ fn epoch_metrics() -> &'static EpochMetrics {
         arrow_obs::metrics::describe("epoch.warm", "warm-start TE epochs planned");
         arrow_obs::metrics::describe(
             "epoch.seconds",
-            "wall-clock seconds per online TE epoch (plan or plan_warm)",
+            "wall-clock seconds per online TE epoch (cold or warm)",
         );
         EpochMetrics {
             cold: arrow_obs::metrics::counter("epoch.cold"),
@@ -188,7 +189,9 @@ fn epoch_metrics() -> &'static EpochMetrics {
 /// to install or the previous plan must be reused.
 #[derive(Debug, Clone, Copy)]
 pub struct EpochReport {
-    /// Whether the warm (cached) online path served this epoch.
+    /// Whether the epoch found cached online state (tunnels, Phase I
+    /// skeleton, warm starts) — `false` for the first epoch after
+    /// [`ArrowController::new`] or [`ArrowController::reset_online_cache`].
     pub warm: bool,
     /// Wall-clock seconds the epoch took, including any hook work.
     pub seconds: f64,
@@ -219,7 +222,7 @@ impl ArrowController {
     /// scenarios (see [`crate::par`]), keeping the per-scenario
     /// [`OfflineStats`] in [`OfflineState::stats`].
     pub fn new(wan: Wan, scenarios: Vec<FailureScenario>, config: ControllerConfig) -> Self {
-        let (tickets, stats) = generate_tickets_with_stats(&wan, &scenarios, &config.lottery);
+        let (tickets, stats) = generate_tickets(&wan, &scenarios, &config.lottery);
         ArrowController {
             offline: OfflineState { scenarios, tickets, stats },
             wan,
@@ -251,58 +254,43 @@ impl ArrowController {
         &self.offline
     }
 
-    /// Runs one online TE epoch for the current traffic matrix.
+    /// Runs one online TE epoch for the current traffic matrix — the one
+    /// way to plan.
+    ///
+    /// The first epoch (and the first after
+    /// [`ArrowController::reset_online_cache`]) is *cold*: it builds
+    /// tunnels and the Phase I skeleton. Every later one is *warm*: it
+    /// re-uses them, patching demands in place and warm-starting both LP
+    /// phases from the previous interval's optimum — what makes the
+    /// five-minute deadline (§5) comfortable when consecutive traffic
+    /// matrices are close. A warm plan is equivalent to a cold one for the
+    /// same traffic matrix (identical winning tickets; Phase II objective
+    /// equal up to solver tolerance).
     ///
     /// Fails with [`PlanError`] when the offline state cannot support a
     /// solve — a ticketless scenario or a scenario/ticket-set mismatch —
     /// rather than panicking inside the TE scheme.
-    pub fn plan(&self, tm: &TrafficMatrix) -> Result<TePlan, PlanError> {
-        let _span = arrow_obs::span!("epoch", "mode" => "cold");
-        // arrow-lint: allow(wall-clock-in-core) — measures epoch wall time for the metrics registry only; no solver decision reads it
-        let t0 = std::time::Instant::now();
-        self.validate_offline()?;
-        let instance = build_instance(&self.wan, tm, &self.offline.scenarios, &self.config.tunnels);
-        let outcome = self.arrow_scheme().solve_detailed(&instance);
-        let plan = self.finish_plan(outcome, instance);
-        epoch_metrics().record(false, t0.elapsed().as_secs_f64());
-        plan
-    }
-
-    /// [`ArrowController::plan`] with cross-epoch caching: the first call
-    /// builds tunnels and the Phase I skeleton; every later call re-uses
-    /// them, patching demands in place and warm-starting both LP phases
-    /// from the previous interval's optimum. Intended for diurnal sweeps
-    /// where consecutive traffic matrices are close and the five-minute
-    /// deadline (§5) is tight.
     ///
-    /// The plan produced is equivalent to [`ArrowController::plan`] for
-    /// the same traffic matrix (identical winning tickets; Phase II
-    /// objective equal up to solver tolerance).
-    pub fn plan_warm(&mut self, tm: &TrafficMatrix) -> Result<TePlan, PlanError> {
-        self.plan_epoch(tm, None).map(|(plan, _)| plan)
-    }
-
-    /// The daemon-facing epoch entry point: [`ArrowController::plan_warm`]
-    /// plus the measured [`EpochReport`] (wall seconds and the SLO
-    /// verdict), and an optional pre-solve [`EpochHook`] that runs inside
-    /// the epoch's span and deadline window.
-    ///
-    /// The verdict is computed from the same wall clock the `epoch` span
-    /// and `epoch.seconds` histogram see, so a deadline miss reported here
-    /// is exactly the miss the flight recorder captures.
+    /// Returns the plan with the measured [`EpochReport`] (wall seconds
+    /// and the SLO verdict); the optional pre-solve [`EpochHook`] runs
+    /// inside the epoch's span and deadline window. The verdict is
+    /// computed from the same wall clock the `epoch` span and
+    /// `epoch.seconds` histogram see, so a deadline miss reported here is
+    /// exactly the miss the flight recorder captures.
     pub fn plan_epoch(
         &mut self,
         tm: &TrafficMatrix,
         hook: Option<EpochHook<'_>>,
     ) -> Result<(TePlan, EpochReport), PlanError> {
-        let _span = arrow_obs::span!("epoch", "mode" => "warm");
+        let warm = self.online.is_some();
+        let _span = arrow_obs::span!("epoch", "mode" => if warm { "warm" } else { "cold" });
         // arrow-lint: allow(wall-clock-in-core) — measures epoch wall time for the metrics registry only; no solver decision reads it
         let t0 = std::time::Instant::now();
         self.validate_offline()?;
         if let Some(hook) = hook {
             hook();
         }
-        let warm_cache = match self.online.take() {
+        let cache = match self.online.take() {
             Some(cache) => cache,
             None => {
                 let instance =
@@ -311,18 +299,18 @@ impl ArrowController {
                 OnlineCache { instance, online }
             }
         };
-        let cache = self.online.insert(warm_cache);
+        let cache = self.online.insert(cache);
         let instance = cache.instance.with_demands(tm);
         let outcome = cache.online.solve(&instance);
         let plan = self.finish_plan(outcome, instance);
         let seconds = t0.elapsed().as_secs_f64();
-        let verdict = epoch_metrics().record(true, seconds);
-        plan.map(|p| (p, EpochReport { warm: true, seconds, verdict }))
+        let verdict = epoch_metrics().record(warm, seconds);
+        plan.map(|p| (p, EpochReport { warm, seconds, verdict }))
     }
 
     /// Drops the cached online state (tunnels, LP skeleton, warm starts).
     /// Call after mutating `wan`, `config`, or the offline state in place;
-    /// the next [`ArrowController::plan_warm`] rebuilds from scratch.
+    /// the next [`ArrowController::plan_epoch`] rebuilds from scratch.
     pub fn reset_online_cache(&mut self) {
         self.online = None;
     }
@@ -428,10 +416,14 @@ mod tests {
         (ArrowController::new(wan, failures.failure_scenarios().to_vec(), cfg), tms[0].clone())
     }
 
+    fn plan(ctl: &mut ArrowController, tm: &TrafficMatrix) -> TePlan {
+        ctl.plan_epoch(tm, None).expect("valid offline state plans cleanly").0
+    }
+
     #[test]
     fn end_to_end_plan_is_consistent() {
-        let (ctl, tm) = controller();
-        let plan = ctl.plan(&tm.scaled(2.0)).expect("valid offline state plans cleanly");
+        let (mut ctl, tm) = controller();
+        let plan = plan(&mut ctl, &tm.scaled(2.0));
         // Winning tickets exist for every scenario.
         assert_eq!(plan.outcome.winning.len(), ctl.offline().scenarios.len());
         // Splitting ratios normalize per flow.
@@ -456,9 +448,9 @@ mod tests {
 
     #[test]
     fn offline_state_reused_across_epochs() {
-        let (ctl, tm) = controller();
-        let p1 = ctl.plan(&tm).unwrap();
-        let p2 = ctl.plan(&tm.scaled(1.5)).unwrap();
+        let (mut ctl, tm) = controller();
+        let p1 = plan(&mut ctl, &tm);
+        let p2 = plan(&mut ctl, &tm.scaled(1.5));
         // Same scenarios and tickets; different demands may change winners.
         assert_eq!(p1.outcome.winning.len(), p2.outcome.winning.len());
         assert!(p1.outcome.output.alloc.total_admitted() > 0.0);
@@ -468,10 +460,12 @@ mod tests {
     #[test]
     fn warm_plan_matches_cold_plan_across_epochs() {
         let (mut ctl, tm) = controller();
+        let mut fresh = ctl.clone();
         for scale in [1.0, 1.4, 0.7] {
             let shifted = tm.scaled(scale);
-            let cold = ctl.plan(&shifted).expect("cold plan");
-            let warm = ctl.plan_warm(&shifted).expect("warm plan");
+            fresh.reset_online_cache();
+            let cold = plan(&mut fresh, &shifted);
+            let warm = plan(&mut ctl, &shifted);
             assert_eq!(warm.outcome.winning, cold.outcome.winning, "scale {scale}");
             let (tw, tc) = (
                 warm.outcome.output.alloc.total_admitted(),
@@ -484,21 +478,41 @@ mod tests {
             assert_eq!(warm.reconfig_rules.len(), cold.reconfig_rules.len());
         }
         // Later epochs reuse the cached skeleton and start warm.
-        let again = ctl.plan_warm(&tm.scaled(1.2)).unwrap();
+        let again = plan(&mut ctl, &tm.scaled(1.2));
         assert_ne!(
             again.outcome.phase1_stats.warm,
             arrow_lp::WarmEvent::Cold,
             "cached online state should warm-start Phase I"
         );
         ctl.reset_online_cache();
-        let reset = ctl.plan_warm(&tm).unwrap();
+        let reset = plan(&mut ctl, &tm);
         assert_eq!(reset.outcome.phase1_stats.warm, arrow_lp::WarmEvent::Cold);
     }
 
     #[test]
+    fn first_epoch_is_cold_and_the_next_is_warm() {
+        // Other tests plan epochs concurrently, so the global counters can
+        // only be required to move by at least what this test did.
+        let count = |name: &str| arrow_obs::metrics::snapshot().counter(name);
+        let (cold0, warm0) = (count("epoch.cold"), count("epoch.warm"));
+        let (mut ctl, tm) = controller();
+        let mut warm_flags = Vec::new();
+        for reset in [false, false, true, false] {
+            if reset {
+                ctl.reset_online_cache();
+            }
+            let (_, report) = ctl.plan_epoch(&tm, None).expect("valid offline state");
+            warm_flags.push(report.warm);
+        }
+        assert_eq!(warm_flags, [false, true, false, true]);
+        assert!(count("epoch.cold") >= cold0 + 2, "two cold epochs must be counted cold");
+        assert!(count("epoch.warm") >= warm0 + 2, "two warm epochs must be counted warm");
+    }
+
+    #[test]
     fn rules_respect_wavelength_counts() {
-        let (ctl, tm) = controller();
-        let plan = ctl.plan(&tm.scaled(3.0)).unwrap();
+        let (mut ctl, tm) = controller();
+        let plan = plan(&mut ctl, &tm.scaled(3.0));
         for rule in &plan.reconfig_rules {
             let assigned: usize = rule.routes.iter().map(|(_, s)| s.len()).sum();
             let lost = ctl.wan.optical.lightpath(rule.lightpath).wavelength_count();
@@ -523,25 +537,25 @@ mod tests {
         // Phase I would have nothing to choose from there.
         let mut tickets = ctl.offline().tickets.clone();
         tickets.per_scenario[2].clear();
-        let hollow = ArrowController::with_tickets(
+        let mut hollow = ArrowController::with_tickets(
             ctl.wan.clone(),
             ctl.offline().scenarios.clone(),
             tickets,
             ctl.config.clone(),
         );
-        assert!(matches!(hollow.plan(&tm), Err(PlanError::NoTickets { scenario: 2 })));
+        assert!(matches!(hollow.plan_epoch(&tm, None), Err(PlanError::NoTickets { scenario: 2 })));
 
         // And with a ticket set that covers too few scenarios.
         let mut truncated = ctl.offline().tickets.clone();
         truncated.per_scenario.pop();
-        let short = ArrowController::with_tickets(
+        let mut short = ArrowController::with_tickets(
             ctl.wan.clone(),
             ctl.offline().scenarios.clone(),
             truncated,
             ctl.config.clone(),
         );
         assert!(matches!(
-            short.plan(&tm),
+            short.plan_epoch(&tm, None),
             Err(PlanError::ScenarioMismatch { expected: 5, actual: 4 })
         ));
     }

@@ -31,8 +31,7 @@ pub use controller::{
 };
 pub use lottery::{
     derive_seed, fractional_seed, generate_tickets, generate_tickets_serial,
-    generate_tickets_shard, generate_tickets_shard_with_threads, generate_tickets_universe,
-    generate_tickets_with_stats, generate_tickets_with_threads, naive_ticket, realize_ticket,
+    generate_tickets_shard, generate_tickets_with_threads, naive_ticket, realize_ticket,
     FractionalRestoration, LotteryConfig, OfflineStats, ScenarioStats, ShardSpec,
 };
 pub use par::{default_threads, parallel_map, parallel_map_with};

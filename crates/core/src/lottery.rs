@@ -48,14 +48,6 @@ pub struct LotteryConfig {
     /// a fallback when the feasibility filter rejects every rounded
     /// ticket (the paper leaves that corner case unspecified).
     pub include_naive: bool,
-    /// Scenario LPs per batched solve in the sharded offline path
-    /// ([`generate_tickets_shard`]): chunks of this many scenarios submit
-    /// their relaxed RWA LPs as one [`arrow_lp::solve_batch`] call, so
-    /// structurally identical LPs share a multi-RHS panel. `<= 1` keeps
-    /// the legacy one-LP-per-scenario path. Ticket bytes are identical
-    /// either way (the batch layer's bitwise contract —
-    /// `crates/core/tests/batch_lp.rs` pins it); only throughput changes.
-    pub batch_lanes: usize,
     /// RWA settings (surrogate paths, retuning, modulation).
     pub rwa: RwaConfig,
     /// Master RNG seed for ticket generation.
@@ -78,7 +70,6 @@ impl Default for LotteryConfig {
             feasibility_filter: true,
             dedupe: true,
             include_naive: false,
-            batch_lanes: 16,
             // Per Appendix A.1 the RWA keeps the current modulation when
             // the surrogate path's length permits and otherwise steps down
             // to the best alternative — without this, high-rate links
@@ -252,7 +243,7 @@ pub fn derive_seed(seed: u64, scenario_index: u64) -> u64 {
 
 /// Per-scenario offline-stage measurements (one entry of
 /// [`OfflineStats`]).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ScenarioStats {
     /// Index of the scenario in the input slice.
     pub scenario: usize,
@@ -330,23 +321,6 @@ impl OfflineStats {
     }
 }
 
-/// Algorithm 1 for a single scenario, on its own derived RNG stream.
-///
-/// This is the unit of work both the serial reference and the parallel
-/// pool execute; it depends only on `(wan, scen, index, cfg)`.
-fn scenario_tickets(
-    wan: &Wan,
-    scen: &FailureScenario,
-    index: usize,
-    cfg: &LotteryConfig,
-) -> (Vec<RestorationTicket>, ScenarioStats) {
-    // arrow-lint: allow(wall-clock-in-core) — RWA timing feeds ScenarioStats reporting; ticket contents never depend on it
-    let t_rwa = std::time::Instant::now();
-    let seed = fractional_seed(wan, scen, &cfg.rwa);
-    let rwa_seconds = t_rwa.elapsed().as_secs_f64();
-    round_and_filter(wan, scen, index, cfg, &seed, rwa_seconds)
-}
-
 /// The rounding/filtering half of Algorithm 1 for one scenario, given its
 /// fractional seed and the seconds spent producing it.
 ///
@@ -370,16 +344,7 @@ fn round_and_filter(
     // arrow-lint: allow(wall-clock-in-core) — rounding timing feeds ScenarioStats reporting; ticket contents never depend on it
     let t_round = std::time::Instant::now();
     let mut rng = StdRng::seed_from_u64(derive_seed(cfg.seed, index as u64));
-    let mut stats = ScenarioStats {
-        scenario: index,
-        rwa_seconds,
-        seconds: 0.0,
-        rounds: 0,
-        infeasible: 0,
-        duplicates: 0,
-        kept: 0,
-        naive_fallback: false,
-    };
+    let mut stats = ScenarioStats { scenario: index, rwa_seconds, ..Default::default() };
     let mut tickets: Vec<RestorationTicket> = Vec::new();
     if cfg.include_naive {
         tickets.push(naive_ticket(wan, scen, &cfg.rwa));
@@ -463,9 +428,69 @@ fn offline_metrics() -> &'static OfflineMetrics {
     })
 }
 
+/// Most scenarios whose relaxed RWA LPs go into one batched solve: wide
+/// enough for structurally identical LPs to share a multi-RHS panel, small
+/// enough that a shard still splits into many units of work.
+const MAX_CHUNK: usize = 16;
+
+/// Algorithm 1 over `(global index, scenario)` pairs on `threads` workers
+/// — the one body behind every generator except the serial oracle.
+///
+/// Scenarios are cut into chunks; a chunk submits its relaxed RWA LPs as
+/// one batched solve ([`fractional_seed_batch`]), then rounds and filters
+/// per scenario. The chunk width is worked out from the inputs: at most
+/// [`MAX_CHUNK`], and narrower when that would leave a worker without a
+/// chunk (a controller's handful of scenarios still fans out). Neither the
+/// chunk layout nor the worker count changes ticket bytes — the batch
+/// layer is bitwise identical to per-scenario solves and every RNG stream
+/// derives from the scenario's global index ([`derive_seed`]).
+fn generate_chunked(
+    wan: &Wan,
+    work: Vec<(usize, &FailureScenario)>,
+    cfg: &LotteryConfig,
+    threads: usize,
+) -> (Vec<Vec<RestorationTicket>>, OfflineStats) {
+    let threads = threads.max(1);
+    let _span = arrow_obs::span!(
+        "offline",
+        "scenarios" => work.len(),
+        "threads" => threads,
+        "num_tickets" => cfg.num_tickets,
+    );
+    // arrow-lint: allow(wall-clock-in-core) — offline-stage wall time feeds OfflineStats reporting; ticket contents never depend on it
+    let t0 = std::time::Instant::now();
+    let width = work.len().div_ceil(threads).clamp(1, MAX_CHUNK);
+    let per_chunk = crate::par::parallel_map_with(threads, work.chunks(width).collect(), |chunk| {
+        let scens: Vec<&FailureScenario> = chunk.iter().map(|&(_, scen)| scen).collect();
+        let seeds = fractional_seed_batch(wan, &scens, &cfg.rwa);
+        chunk
+            .iter()
+            .zip(seeds)
+            .map(|(&(g, scen), (seed, rwa_seconds))| {
+                round_and_filter(wan, scen, g, cfg, &seed, rwa_seconds)
+            })
+            .collect::<Vec<_>>()
+    });
+    let mut tickets = Vec::with_capacity(work.len());
+    let mut stats = OfflineStats {
+        per_scenario: Vec::with_capacity(work.len()),
+        threads,
+        ..Default::default()
+    };
+    for (scenario_tickets, s) in per_chunk.into_iter().flatten() {
+        stats.work_seconds += s.seconds;
+        stats.per_scenario.push(s);
+        tickets.push(scenario_tickets);
+    }
+    stats.wall_seconds = t0.elapsed().as_secs_f64();
+    offline_metrics().wall_seconds.set(stats.wall_seconds);
+    (tickets, stats)
+}
+
 /// Generates the LotteryTicket set for every scenario (Algorithm 1 applied
-/// per scenario, plus the always-feasible naive fallback), fanned out over
-/// [`crate::par::default_threads`] worker threads.
+/// per scenario, plus the always-feasible naive fallback) on
+/// [`crate::par::default_threads`] workers, with the [`OfflineStats`]
+/// report of the run.
 ///
 /// Output is identical for every thread count — see
 /// [`LotteryConfig::seed`] and [`generate_tickets_serial`].
@@ -473,54 +498,21 @@ pub fn generate_tickets(
     wan: &Wan,
     scenarios: &[FailureScenario],
     cfg: &LotteryConfig,
-) -> TicketSet {
-    generate_tickets_with_stats(wan, scenarios, cfg).0
-}
-
-/// [`generate_tickets`] plus the [`OfflineStats`] report.
-pub fn generate_tickets_with_stats(
-    wan: &Wan,
-    scenarios: &[FailureScenario],
-    cfg: &LotteryConfig,
 ) -> (TicketSet, OfflineStats) {
     generate_tickets_with_threads(wan, scenarios, cfg, crate::par::default_threads())
 }
 
-/// [`generate_tickets_with_stats`] with an explicit worker count (the
-/// determinism regression tests pin 1/2/N threads through this).
+/// [`generate_tickets`] with an explicit worker count (the determinism
+/// regression tests and the offline sweep pin 1/2/N threads through this).
 pub fn generate_tickets_with_threads(
     wan: &Wan,
     scenarios: &[FailureScenario],
     cfg: &LotteryConfig,
     threads: usize,
 ) -> (TicketSet, OfflineStats) {
-    let _span = arrow_obs::span!(
-        "offline",
-        "scenarios" => scenarios.len(),
-        "threads" => threads,
-        "num_tickets" => cfg.num_tickets,
-    );
-    // arrow-lint: allow(wall-clock-in-core) — offline-stage wall time feeds OfflineStats reporting; ticket contents never depend on it
-    let t0 = std::time::Instant::now();
-    let indices: Vec<usize> = (0..scenarios.len()).collect();
-    let results = crate::par::parallel_map_with(threads, indices, |&i| {
-        scenario_tickets(wan, &scenarios[i], i, cfg)
-    });
-    let mut per_scenario = Vec::with_capacity(results.len());
-    let mut stats = OfflineStats {
-        per_scenario: Vec::with_capacity(results.len()),
-        wall_seconds: 0.0,
-        work_seconds: 0.0,
-        threads: threads.max(1),
-    };
-    for (tickets, s) in results {
-        stats.work_seconds += s.seconds;
-        stats.per_scenario.push(s);
-        per_scenario.push(tickets);
-    }
-    stats.wall_seconds = t0.elapsed().as_secs_f64();
-    offline_metrics().wall_seconds.set(stats.wall_seconds);
-    (TicketSet::full(per_scenario), stats)
+    let (tickets, stats) =
+        generate_chunked(wan, scenarios.iter().enumerate().collect(), cfg, threads);
+    (TicketSet::full(tickets), stats)
 }
 
 /// One deterministic slice of a scenario universe: shard `index` of `of`
@@ -557,12 +549,13 @@ impl ShardSpec {
     }
 }
 
-/// Generates tickets for one shard of a compiled scenario universe.
+/// Generates tickets for one shard of a compiled scenario universe
+/// ([`ShardSpec::whole`] for all of it).
 ///
 /// The returned [`TicketSet`] covers exactly the universe indices in
 /// [`ShardSpec::indices`], carries them in `scenario_indices`, and digests
 /// deterministically; merging every shard of any `of`-way split
-/// reproduces the [`generate_tickets_universe`] result byte-for-byte
+/// reproduces the single-shard result byte-for-byte
 /// (`crates/core/tests/determinism.rs` pins this).
 pub fn generate_tickets_shard(
     wan: &Wan,
@@ -570,84 +563,19 @@ pub fn generate_tickets_shard(
     cfg: &LotteryConfig,
     shard: ShardSpec,
 ) -> (TicketSet, OfflineStats) {
-    generate_tickets_shard_with_threads(wan, universe, cfg, shard, crate::par::default_threads())
-}
-
-/// [`generate_tickets_shard`] with an explicit worker count.
-pub fn generate_tickets_shard_with_threads(
-    wan: &Wan,
-    universe: &ScenarioUniverse,
-    cfg: &LotteryConfig,
-    shard: ShardSpec,
-    threads: usize,
-) -> (TicketSet, OfflineStats) {
     let globals = shard.indices(universe.len());
-    let _span = arrow_obs::span!(
-        "offline",
-        "scenarios" => globals.len(),
-        "shard.index" => shard.index,
-        "shard.of" => shard.of,
-        "threads" => threads,
-        "num_tickets" => cfg.num_tickets,
-    );
-    // arrow-lint: allow(wall-clock-in-core) — offline-stage wall time feeds OfflineStats reporting; ticket contents never depend on it
-    let t0 = std::time::Instant::now();
-    let results: Vec<(Vec<RestorationTicket>, ScenarioStats)> = if cfg.batch_lanes >= 2 {
-        // Batched path: chunks of `batch_lanes` scenarios submit their
-        // relaxed RWA LPs as one multi-RHS solve, then round per scenario.
-        // Chunking happens after the strided shard selection, so the
-        // chunk layout (like the thread count) never changes ticket bytes.
-        let chunks: Vec<Vec<usize>> = globals.chunks(cfg.batch_lanes).map(|c| c.to_vec()).collect();
-        let per_chunk = crate::par::parallel_map_with(threads, chunks, |chunk| {
-            let scens: Vec<&FailureScenario> =
-                chunk.iter().map(|&g| universe.scenario(g)).collect();
-            let seeds = fractional_seed_batch(wan, &scens, &cfg.rwa);
-            chunk
-                .iter()
-                .zip(scens.iter().zip(seeds))
-                .map(|(&g, (scen, (seed, rwa_seconds)))| {
-                    round_and_filter(wan, scen, g, cfg, &seed, rwa_seconds)
-                })
-                .collect::<Vec<_>>()
-        });
-        per_chunk.into_iter().flatten().collect()
-    } else {
-        crate::par::parallel_map_with(threads, globals.clone(), |&g| {
-            scenario_tickets(wan, universe.scenario(g), g, cfg)
-        })
-    };
-    let mut entries = Vec::with_capacity(results.len());
-    let mut stats = OfflineStats {
-        per_scenario: Vec::with_capacity(results.len()),
-        wall_seconds: 0.0,
-        work_seconds: 0.0,
-        threads: threads.max(1),
-    };
-    for (&g, (tickets, s)) in globals.iter().zip(results) {
-        stats.work_seconds += s.seconds;
-        stats.per_scenario.push(s);
-        entries.push((g, tickets));
-    }
-    stats.wall_seconds = t0.elapsed().as_secs_f64();
-    offline_metrics().wall_seconds.set(stats.wall_seconds);
-    (TicketSet::sharded(entries), stats)
-}
-
-/// Algorithm 1 over a whole compiled universe — the single-shard
-/// reference every sharded run must merge back to.
-pub fn generate_tickets_universe(
-    wan: &Wan,
-    universe: &ScenarioUniverse,
-    cfg: &LotteryConfig,
-) -> (TicketSet, OfflineStats) {
-    generate_tickets_shard(wan, universe, cfg, ShardSpec::whole())
+    let work = globals.iter().map(|&g| (g, universe.scenario(g))).collect();
+    let (tickets, stats) = generate_chunked(wan, work, cfg, crate::par::default_threads());
+    (TicketSet::sharded(globals.into_iter().zip(tickets).collect()), stats)
 }
 
 /// The documented serial reference for the determinism contract: plain
-/// `iter().map()` over [`scenario_tickets`] with no thread pool at all.
+/// `iter().map()` — one unbatched [`solve_relaxed`] per scenario
+/// ([`fractional_seed`]), no thread pool, no chunks.
 ///
-/// `generate_tickets` (any thread count) must produce a `TicketSet` equal
-/// to this — `crates/core/tests/determinism.rs` enforces it.
+/// Every generator (any thread count, any sharding) must produce a
+/// `TicketSet` equal to this — `crates/core/tests/determinism.rs` and
+/// `batch_lp.rs` enforce it.
 pub fn generate_tickets_serial(
     wan: &Wan,
     scenarios: &[FailureScenario],
@@ -657,7 +585,12 @@ pub fn generate_tickets_serial(
         scenarios
             .iter()
             .enumerate()
-            .map(|(i, scen)| scenario_tickets(wan, scen, i, cfg).0)
+            .map(|(i, scen)| {
+                // arrow-lint: allow(wall-clock-in-core) — RWA timing feeds ScenarioStats reporting; ticket contents never depend on it
+                let t_rwa = std::time::Instant::now();
+                let seed = fractional_seed(wan, scen, &cfg.rwa);
+                round_and_filter(wan, scen, i, cfg, &seed, t_rwa.elapsed().as_secs_f64()).0
+            })
             .collect(),
     )
 }
@@ -677,7 +610,7 @@ mod tests {
     #[test]
     fn every_scenario_gets_at_least_the_naive_ticket() {
         let (wan, scens) = setup();
-        let set = generate_tickets(&wan, &scens, &LotteryConfig::default());
+        let (set, _) = generate_tickets(&wan, &scens, &LotteryConfig::default());
         assert_eq!(set.per_scenario.len(), scens.len());
         for tickets in &set.per_scenario {
             assert!(!tickets.is_empty());
@@ -688,7 +621,7 @@ mod tests {
     fn tickets_respect_gamma_bounds() {
         let (wan, scens) = setup();
         let cfg = LotteryConfig { num_tickets: 30, ..Default::default() };
-        let set = generate_tickets(&wan, &scens, &cfg);
+        let (set, _) = generate_tickets(&wan, &scens, &cfg);
         for (scen, tickets) in scens.iter().zip(&set.per_scenario) {
             for t in tickets {
                 for &(link, gbps) in &t.restored {
@@ -706,7 +639,7 @@ mod tests {
         let (wan, scens) = setup();
         let cfg =
             LotteryConfig { num_tickets: 40, feasibility_filter: false, ..Default::default() };
-        let set = generate_tickets(&wan, &scens, &cfg);
+        let (set, _) = generate_tickets(&wan, &scens, &cfg);
         // At least one scenario with a fractional/partial seed should
         // produce several distinct tickets.
         let max_distinct = set.per_scenario.iter().map(|t| t.len()).max().unwrap();
@@ -717,7 +650,7 @@ mod tests {
     fn filtered_tickets_are_realizable() {
         let (wan, scens) = setup();
         let cfg = LotteryConfig { num_tickets: 25, ..Default::default() };
-        let set = generate_tickets(&wan, &scens, &cfg);
+        let (set, _) = generate_tickets(&wan, &scens, &cfg);
         for (scen, tickets) in scens.iter().zip(&set.per_scenario) {
             for t in tickets {
                 // Re-check realizability via the same filter.
@@ -742,8 +675,8 @@ mod tests {
     fn generation_is_deterministic() {
         let (wan, scens) = setup();
         let cfg = LotteryConfig::default();
-        let a = generate_tickets(&wan, &scens, &cfg);
-        let b = generate_tickets(&wan, &scens, &cfg);
+        let (a, _) = generate_tickets(&wan, &scens, &cfg);
+        let (b, _) = generate_tickets(&wan, &scens, &cfg);
         for (ta, tb) in a.per_scenario.iter().zip(&b.per_scenario) {
             assert_eq!(ta, tb);
         }

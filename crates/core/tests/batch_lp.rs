@@ -10,15 +10,17 @@
 //! * A true multi-RHS family (one RWA model with per-lane gamma caps)
 //!   solved as one PDHG panel matches lane-by-lane sequential solves to
 //!   the bit.
-//! * Offline ticket generation produces byte-identical `TicketSet` digests
-//!   with batching on (`batch_lanes: 16`), off (`batch_lanes: 1`), and
-//!   under sharding — the PR 6 sequential path and the batched path are
-//!   indistinguishable in output.
+//! * Offline ticket generation — chunked, batched, on any worker count and
+//!   under sharding — produces `TicketSet`s byte-identical to the serial
+//!   oracle `generate_tickets_serial` (one unbatched LP per scenario).
+//! * A handful of scenarios still fans out: the chunk width shrinks until
+//!   every worker has a chunk.
 
 use std::sync::OnceLock;
 
 use arrow_core::lottery::{
-    generate_tickets_shard, generate_tickets_universe, LotteryConfig, ShardSpec,
+    generate_tickets_serial, generate_tickets_shard, generate_tickets_with_threads, LotteryConfig,
+    ShardSpec,
 };
 use arrow_lp::{Backend, SolverConfig};
 use arrow_optical::rwa::{build_relaxed, solve_relaxed, solve_relaxed_batch, RwaConfig};
@@ -144,33 +146,32 @@ fn small_universe() -> (Wan, arrow_topology::ScenarioUniverse) {
     (wan, uni)
 }
 
-/// Ticket digests are unchanged by batching: `batch_lanes: 16` (default),
-/// `batch_lanes: 1` (the PR 6 sequential path), and odd lane widths all
-/// produce byte-identical `TicketSet`s.
+/// Ticket digests are unchanged by batching: every worker count cuts the
+/// universe into chunks of a different width (10 scenarios: 10, 5, 4, 3, 2,
+/// 1 lanes), and each must reproduce the unbatched serial oracle.
 #[test]
 fn ticket_digests_unchanged_by_batching() {
     let (wan, uni) = small_universe();
-    let sequential = LotteryConfig { num_tickets: 6, batch_lanes: 1, ..Default::default() };
-    let (reference, _) = generate_tickets_universe(&wan, &uni, &sequential);
-    for lanes in [2usize, 3, 16] {
-        let cfg = LotteryConfig { batch_lanes: lanes, ..sequential.clone() };
-        let (set, _) = generate_tickets_universe(&wan, &uni, &cfg);
-        assert_eq!(set, reference, "TicketSet diverged at batch_lanes={lanes}");
-        assert_eq!(set.digest(), reference.digest(), "digest diverged at batch_lanes={lanes}");
+    let cfg = LotteryConfig { num_tickets: 6, ..Default::default() };
+    let scens = uni.failure_scenarios();
+    let reference = generate_tickets_serial(&wan, &scens, &cfg);
+    for threads in [1usize, 2, 3, 4, 8, 32] {
+        let (set, _) = generate_tickets_with_threads(&wan, &scens, &cfg, threads);
+        assert_eq!(set, reference, "TicketSet diverged on {threads} workers");
+        assert_eq!(set.digest(), reference.digest(), "digest diverged on {threads} workers");
     }
 }
 
-/// Sharded generation with batching merges back to the sequential
-/// single-shard reference, byte for byte.
+/// Sharded, batched generation merges back to the serial oracle, byte for
+/// byte.
 #[test]
 fn batched_shards_merge_to_sequential_reference() {
     let (wan, uni) = small_universe();
-    let sequential = LotteryConfig { num_tickets: 5, batch_lanes: 1, ..Default::default() };
-    let batched = LotteryConfig { batch_lanes: 4, ..sequential.clone() };
-    let (reference, _) = generate_tickets_universe(&wan, &uni, &sequential);
-    for of in [2usize, 3] {
+    let cfg = LotteryConfig { num_tickets: 5, ..Default::default() };
+    let reference = generate_tickets_serial(&wan, &uni.failure_scenarios(), &cfg);
+    for of in [1usize, 2, 3] {
         let shards: Vec<TicketSet> = (0..of)
-            .map(|index| generate_tickets_shard(&wan, &uni, &batched, ShardSpec { index, of }).0)
+            .map(|index| generate_tickets_shard(&wan, &uni, &cfg, ShardSpec { index, of }).0)
             .collect();
         let merged = TicketSet::merge_all(shards).expect("honest shards must merge");
         assert_eq!(merged, reference, "batched {of}-way shards diverged from sequential");
@@ -194,13 +195,13 @@ fn zero_cut_lane_in_batch_is_clean() {
 }
 
 /// Pinning the PDHG backend end-to-end through ticket generation still
-/// yields identical digests batched vs sequential — the strongest form of
-/// the contract, since the panel kernel (not the simplex fallback) carries
-/// the scenario LPs.
+/// yields identical digests batched vs the serial oracle — the strongest
+/// form of the contract, since the panel kernel (not the simplex fallback)
+/// carries the scenario LPs.
 #[test]
 fn pdhg_pinned_pipeline_digests_match() {
     let (wan, uni) = small_universe();
-    let base = LotteryConfig {
+    let cfg = LotteryConfig {
         num_tickets: 4,
         rwa: RwaConfig {
             solver: SolverConfig { backend: Backend::Pdhg, ..SolverConfig::default() },
@@ -209,10 +210,8 @@ fn pdhg_pinned_pipeline_digests_match() {
         },
         ..Default::default()
     };
-    let sequential = LotteryConfig { batch_lanes: 1, ..base.clone() };
-    let batched = LotteryConfig { batch_lanes: 8, ..base };
-    let (a, _) = generate_tickets_universe(&wan, &uni, &sequential);
-    let (b, _) = generate_tickets_universe(&wan, &uni, &batched);
+    let a = generate_tickets_serial(&wan, &uni.failure_scenarios(), &cfg);
+    let (b, _) = generate_tickets_shard(&wan, &uni, &cfg, ShardSpec::whole());
     assert_eq!(a, b, "PDHG-pinned pipeline diverged under batching");
     assert_eq!(a.digest(), b.digest());
 }

@@ -3,12 +3,13 @@
 //! The contract (see `LotteryConfig::seed` and `par`): ticket generation
 //! depends only on `(seed, scenario, scenario_index, config)` — never on
 //! the worker-thread count or scheduling. These tests pin
-//! `generate_tickets` at 1, 2, and N threads against each other and
-//! against the documented serial reference `generate_tickets_serial`.
+//! `generate_tickets` at 1, 2, and N threads — each of which also cuts the
+//! scenarios into chunks of a different width — against the documented
+//! serial reference `generate_tickets_serial`.
 
 use arrow_core::lottery::{
     derive_seed, generate_tickets, generate_tickets_serial, generate_tickets_shard,
-    generate_tickets_universe, generate_tickets_with_threads, LotteryConfig, ShardSpec,
+    generate_tickets_with_threads, LotteryConfig, ShardSpec,
 };
 use arrow_te::TicketSet;
 use arrow_topology::{
@@ -41,7 +42,7 @@ fn ticket_sets_identical_across_thread_counts() {
     }
 
     // The default entry point (pool sized by the environment) agrees too.
-    assert_eq!(generate_tickets(&wan, &scens, &cfg), reference);
+    assert_eq!(generate_tickets(&wan, &scens, &cfg).0, reference);
 }
 
 #[test]
@@ -66,8 +67,8 @@ fn ticket_sets_identical_across_thread_counts_on_ibm() {
 fn repeated_runs_are_bitwise_stable() {
     let (wan, scens) = setup(5);
     let cfg = LotteryConfig { num_tickets: 6, ..Default::default() };
-    let a = generate_tickets(&wan, &scens, &cfg);
-    let b = generate_tickets(&wan, &scens, &cfg);
+    let (a, _) = generate_tickets(&wan, &scens, &cfg);
+    let (b, _) = generate_tickets(&wan, &scens, &cfg);
     assert_eq!(a, b);
     assert_eq!(a.digest(), b.digest());
 }
@@ -77,8 +78,8 @@ fn seed_changes_the_tickets() {
     let (wan, scens) = setup(5);
     let base = LotteryConfig { num_tickets: 10, feasibility_filter: false, ..Default::default() };
     let other = LotteryConfig { seed: base.seed + 1, ..base.clone() };
-    let a = generate_tickets(&wan, &scens, &base);
-    let b = generate_tickets(&wan, &scens, &other);
+    let (a, _) = generate_tickets(&wan, &scens, &base);
+    let (b, _) = generate_tickets(&wan, &scens, &other);
     assert_ne!(a.digest(), b.digest(), "different master seeds should explore differently");
 }
 
@@ -152,14 +153,16 @@ fn ibm_universe() -> (Wan, arrow_topology::ScenarioUniverse) {
 #[test]
 fn sharded_generation_merges_to_unsharded_bitwise_on_ibm() {
     // The shard/merge contract: for any shard count, generating each
-    // shard independently and merging reproduces the single-shard run
+    // shard independently and merging reproduces the serial reference
     // byte for byte (same TicketSet, same digest) — scenario RNG streams
     // key off *global* universe indices, so the shard layout is
     // invisible in the output.
     let (wan, uni) = ibm_universe();
     let cfg = LotteryConfig { num_tickets: 6, ..Default::default() };
-    let (full, _) = generate_tickets_universe(&wan, &uni, &cfg);
-    assert!(full.is_full(), "single-shard run must cover 0..n in order");
+    let full = generate_tickets_serial(&wan, &uni.failure_scenarios(), &cfg);
+    let (whole, _) = generate_tickets_shard(&wan, &uni, &cfg, ShardSpec::whole());
+    assert!(whole.is_full(), "single-shard run must cover 0..n in order");
+    assert_eq!(whole, full, "single-shard run diverged from the serial reference");
     assert_eq!(full.per_scenario.len(), uni.len());
 
     for of in [1usize, 2, 3, 7] {

@@ -31,8 +31,6 @@ use std::collections::VecDeque;
 /// qualified names; extend with `--entry`).
 pub const DEFAULT_ENTRIES: &[&str] = &[
     "ArrowController::plan_epoch",
-    "ArrowController::plan",
-    "ArrowController::plan_warm",
     "solver::solve_batch",
     "daemon::serve",
     "lottery::generate_tickets",
@@ -48,8 +46,6 @@ pub const DEFAULT_SINKS: &[&str] = &[
     "lottery::generate_tickets",
     "telemetry::generate_tickets",
     "failures::compile_universe",
-    "ArrowController::plan",
-    "ArrowController::plan_warm",
     "ArrowController::plan_epoch",
 ];
 

@@ -22,7 +22,7 @@
 //! let y = m.add_nonneg("y");
 //! m.add_con(LinExpr::new().add(x, 3.0).add(y, 2.0), Sense::Le, 18.0, "cap");
 //! m.set_objective(LinExpr::new().add(x, 3.0).add(y, 5.0), Objective::Maximize);
-//! let sol = arrow_lp::solver::solve_default(&m);
+//! let sol = arrow_lp::solve(&m, &arrow_lp::SolverConfig::default());
 //! assert!(sol.status.is_optimal());
 //! ```
 
@@ -44,5 +44,5 @@ pub mod warm;
 pub use batch::{BatchError, BatchedModel};
 pub use model::{ConId, LinExpr, Model, Objective, Sense, VarId, INF};
 pub use solution::{Solution, SolveStats, Status};
-pub use solver::{solve, solve_batch, solve_default, solve_with, Backend, SolverConfig};
+pub use solver::{solve, solve_batch, solve_with, Backend, SolverConfig};
 pub use warm::{BackendKind, Basis, ColStatus, PrimalDual, WarmEvent, WarmStart};

@@ -284,11 +284,6 @@ fn solve_inner(
     }
 }
 
-/// Solves with default configuration.
-pub fn solve_default(model: &Model) -> Solution {
-    solve(model, &SolverConfig::default())
-}
-
 /// Solves a family of models as one batch, sharing panel work where the
 /// structure allows.
 ///
@@ -415,7 +410,7 @@ mod tests {
 
     #[test]
     fn auto_picks_simplex_for_tiny_model() {
-        let s = solve_default(&tiny_model());
+        let s = solve(&tiny_model(), &SolverConfig::default());
         assert_eq!(s.status, Status::Optimal);
         assert!((s.objective - 10.0).abs() < 1e-6);
     }
@@ -436,7 +431,7 @@ mod tests {
         let x = m.add_int_var(0.0, 9.0, "x");
         m.add_con(LinExpr::term(x, 2.0), Sense::Le, 7.0, "cap");
         m.set_objective(LinExpr::term(x, 1.0), Objective::Maximize);
-        let s = solve_default(&m);
+        let s = solve(&m, &SolverConfig::default());
         assert_eq!(s.status, Status::Optimal);
         assert!((s.objective - 3.0).abs() < 1e-6);
         assert!(s.stats.nodes >= 1);
@@ -444,7 +439,7 @@ mod tests {
 
     #[test]
     fn solve_records_wall_time() {
-        let s = solve_default(&tiny_model());
+        let s = solve(&tiny_model(), &SolverConfig::default());
         assert!(s.stats.solve_seconds >= 0.0);
     }
 

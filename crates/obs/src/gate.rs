@@ -92,7 +92,6 @@ pub fn default_specs() -> Vec<MetricSpec> {
         // scenario_sweep → BENCH_batch.json: the batched-LP numbers.
         spec("BENCH_batch.json", "panel[*].speedup", HigherIsBetter, 0.35),
         spec("BENCH_batch.json", "panel[*].bitwise_identical", Equal, 0.0),
-        spec("BENCH_batch.json", "pipeline[*].speedup", HigherIsBetter, 0.35),
         spec("BENCH_batch.json", "pipeline[*].digests_equal", Equal, 0.0),
         spec("BENCH_batch.json", "pipeline[*].ticket_set_digest", Equal, 0.0),
         spec("BENCH_batch.json", "pipeline[*].scenarios", Equal, 0.0),

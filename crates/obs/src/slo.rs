@@ -18,7 +18,7 @@
 //!   are arriving exactly as fast as the objective tolerates; above 1.0
 //!   the SLO is being burned down.
 //!
-//! The controller (`ArrowController::plan` / `plan_warm` in `arrow-core`)
+//! The controller (`ArrowController::plan_epoch` in `arrow-core`)
 //! calls [`record_epoch`] once per epoch; a deadline miss additionally
 //! emits a `slo.deadline.miss` warn event so trace subscribers see it in
 //! context. Configuration is process-global ([`configure`]) because the
@@ -160,7 +160,7 @@ fn exact_quantile(samples: &VecDeque<f64>, q: f64) -> f64 {
 
 /// Records one epoch's wall-clock duration against the configured budget,
 /// updating every SLO metric, and returns the verdict. Called by the
-/// controller once per `plan`/`plan_warm` epoch.
+/// controller once per `plan_epoch`.
 pub fn record_epoch(seconds: f64) -> EpochVerdict {
     let engine = engine();
     let mut state = lock_state();

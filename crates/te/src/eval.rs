@@ -141,6 +141,11 @@ pub fn play_scenario(
 /// (use [`availability_with_healthy`] for the blended variant).
 pub fn availability(inst: &TeInstance, out: &SchemeOutput, cfg: &PlaybackConfig) -> f64 {
     let failure_mass: f64 = inst.scenarios.iter().map(|s| s.probability).sum();
+    if failure_mass <= 0.0 {
+        // Nothing can fail, so nothing is ever lost — like the empty
+        // traffic matrix in `play_scenario`, trivially 1 rather than 0/ε.
+        return 1.0;
+    }
     let mut acc = 0.0;
     for (qi, q) in inst.scenarios.iter().enumerate() {
         let ticket = out.restoration.as_ref().map(|r| &r[qi]);
@@ -339,6 +344,14 @@ mod tests {
             assert_eq!(d.satisfaction, 1.0, "zero demand must be satisfied under failures too");
         }
         assert!((availability(&inst, &out, &cfg) - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn no_failure_scenarios_is_fully_available() {
+        let mut inst = instance(2.0);
+        inst.scenarios.clear();
+        let out = MaxFlow::default().solve(&inst);
+        assert_eq!(availability(&inst, &out, &PlaybackConfig::default()), 1.0);
     }
 
     #[test]

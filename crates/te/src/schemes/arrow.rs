@@ -99,15 +99,89 @@ pub(crate) struct Phase1Model {
     m_rows: Vec<(ConId, usize, usize)>,
 }
 
-impl Arrow {
-    /// Phase I: selects the winning LotteryTicket per scenario.
-    pub fn phase1(&self, inst: &TeInstance) -> (Vec<usize>, f64) {
-        let p1 = self.build_phase1(inst);
-        let sol = arrow_lp::solve(&p1.base.model, &self.solver);
-        assert!(sol.status.is_usable(), "ARROW Phase I LP failed: {:?}", sol.status);
-        (self.select_winning(inst, &p1.base, &sol), sol.stats.solve_seconds)
+/// Emits the rows one `(scenario, ticket)` pair contributes to either
+/// phase: with `cover`, one row per affected flow saying residual plus
+/// restorable tunnels cover `b_f` (constraint 4 in Phase I, 10 in Phase
+/// II); then one restored-capacity row per used `(link, direction)`
+/// (constraint 5 / 11).
+///
+/// With a slack sink (Phase I) every capacity row gets its own `Δ ≥ 0`
+/// column subtracted from the load, and `(row, index into
+/// ticket.restored, Δ)` goes to the sink; without one (Phase II) the row
+/// is hard. `tag` is the `q…[_z…]` suffix of the row and column names.
+fn ticket_rows(
+    base: &mut BaseModel,
+    inst: &TeInstance,
+    qi: usize,
+    ticket: &RestorationTicket,
+    tag: &str,
+    cover: bool,
+    mut slack: Option<&mut Vec<(ConId, usize, VarId)>>,
+) {
+    let scen = &inst.scenarios[qi];
+    let (cover_row, capacity_row) =
+        if slack.is_some() { ("arw4", "arw5") } else { ("arw10", "arw11") };
+    let y = restorable_tunnels(inst, qi, ticket);
+    if cover {
+        for (fi, flow) in inst.flows.iter().enumerate() {
+            // Skip flows untouched by this scenario: the row collapses
+            // to constraint (1).
+            let affected = flow.tunnels.iter().any(|&t| !inst.tunnel_survives(t, scen));
+            if !affected {
+                continue;
+            }
+            let covered: Vec<_> = flow
+                .tunnels
+                .iter()
+                .filter(|&&t| inst.tunnel_survives(t, scen) || y.contains(&t))
+                .collect();
+            if covered.is_empty() {
+                // Nothing survives or restores: the flow is best-effort
+                // under this scenario (the loss is accounted during
+                // playback, not by zeroing b).
+                continue;
+            }
+            let mut e = LinExpr::term(base.b[fi], -1.0);
+            for &&t in &covered {
+                e.add_term(base.a[t.0], 1.0);
+            }
+            base.model.add_con(e, Sense::Ge, 0.0, format!("{cover_row}_f{fi}_{tag}"));
+        }
     }
+    // Like healthy capacity, restored capacity is per direction.
+    for (ri, &(link, r)) in ticket.restored.iter().enumerate() {
+        for fwd in [true, false] {
+            // Load of restorable tunnels crossing (link, dir).
+            let mut e = LinExpr::sum_vars(
+                inst.tunnels_on(link, fwd).filter(|t| y.contains(t)).map(|t| base.a[t.0]),
+            );
+            if e.terms.is_empty() {
+                continue;
+            }
+            let name = format!("{capacity_row}_e{}_{fwd}_{tag}", link.0);
+            match slack.as_deref_mut() {
+                Some(sink) => {
+                    // Δ ≥ 0 measures how far traffic *wants* to exceed the
+                    // ticket's restored capacity; a tiny objective penalty
+                    // (added by Phase I) pins it to that minimum so the
+                    // post-processing comparison is meaningful.
+                    let delta = base.model.add_var(
+                        0.0,
+                        arrow_lp::INF,
+                        format!("d_e{}_{fwd}_{tag}", link.0),
+                    );
+                    e.add_term(delta, -1.0);
+                    sink.push((base.model.add_con(e, Sense::Le, r, name), ri, delta));
+                }
+                None => {
+                    base.model.add_con(e, Sense::Le, r, name);
+                }
+            }
+        }
+    }
+}
 
+impl Arrow {
     /// Builds the Phase I model (Table 2) without solving it.
     pub(crate) fn build_phase1(&self, inst: &TeInstance) -> Phase1Model {
         assert_eq!(
@@ -118,103 +192,38 @@ impl Arrow {
         let mut base = base_model(inst);
         let mut r_rows = Vec::new();
         let mut m_rows = Vec::new();
-        // Slack variables per (q, z, failed link e).
-        let mut slack_vars: Vec<Vec<Vec<(usize, VarId)>>> = Vec::new(); // [q][z] -> (link, Δ)
-        for (qi, scen) in inst.scenarios.iter().enumerate() {
-            let mut per_ticket = Vec::new();
-            for (zi, ticket) in self.tickets.for_scenario(qi).iter().enumerate() {
-                // Restorable tunnels for this (q, z).
-                let y: Vec<TunnelId> = restorable_tunnels(inst, qi, ticket);
-                // Constraint (4): residual + restorable tunnels cover b_f.
-                // Deduplicated by ticket support (same support => same Y).
-                let is_first_with_support = self.tickets.for_scenario(qi)[..zi]
-                    .iter()
-                    .all(|prev| prev.support() != ticket.support());
-                if is_first_with_support {
-                    for (fi, flow) in inst.flows.iter().enumerate() {
-                        // Skip flows untouched by this scenario: constraint
-                        // (4) collapses to constraint (1).
-                        let affected = flow.tunnels.iter().any(|&t| !inst.tunnel_survives(t, scen));
-                        if !affected {
-                            continue;
-                        }
-                        let covered: Vec<_> = flow
-                            .tunnels
-                            .iter()
-                            .filter(|&&t| inst.tunnel_survives(t, scen) || y.contains(&t))
-                            .collect();
-                        if covered.is_empty() {
-                            // Nothing survives or restores: the flow is
-                            // best-effort under this scenario (the loss is
-                            // accounted during playback, not by zeroing b).
-                            continue;
-                        }
-                        let mut e = LinExpr::term(base.b[fi], -1.0);
-                        for &&t in &covered {
-                            e.add_term(base.a[t.0], 1.0);
-                        }
-                        base.model.add_con(e, Sense::Ge, 0.0, format!("arw4_f{fi}_q{qi}_z{zi}"));
-                    }
-                }
-                // Constraints (5)+(6): restored capacity with slack. Like
-                // healthy capacity, restored capacity is per direction.
-                let mut slacks = Vec::new();
-                let mut m_bound = LinExpr::new();
-                for (ri, &(link, r)) in ticket.restored.iter().enumerate() {
-                    for fwd in [true, false] {
-                        // Load of restorable tunnels crossing (link, dir).
-                        let users: Vec<VarId> = y
-                            .iter()
-                            .filter(|&&t| {
-                                inst.tunnels[t.0]
-                                    .hops
-                                    .iter()
-                                    .any(|h| h.link == link && h.forward == fwd)
-                            })
-                            .map(|&t| base.a[t.0])
-                            .collect();
-                        if users.is_empty() {
-                            continue;
-                        }
-                        // Δ ≥ 0 measures how far traffic *wants* to exceed
-                        // the ticket's restored capacity; a tiny objective
-                        // penalty (added below) pins it to that minimum so
-                        // the post-processing comparison is meaningful.
-                        let delta = base.model.add_var(
-                            0.0,
-                            arrow_lp::INF,
-                            format!("d_e{}_{fwd}_q{qi}_z{zi}", link.0),
-                        );
-                        let mut e = LinExpr::sum_vars(users);
-                        e.add_term(delta, -1.0);
-                        let con = base.model.add_con(
-                            e,
-                            Sense::Le,
-                            r,
-                            format!("arw5_e{}_{fwd}_q{qi}_z{zi}", link.0),
-                        );
-                        r_rows.push((con, qi, zi, ri));
-                        m_bound.add_term(delta, 1.0);
-                        slacks.push((link.0, delta));
-                    }
-                }
-                if !slacks.is_empty() {
-                    let m = self.alpha * ticket.total_gbps();
-                    let con =
-                        base.model.add_con(m_bound, Sense::Le, m, format!("arw6_q{qi}_z{zi}"));
-                    m_rows.push((con, qi, zi));
-                }
-                per_ticket.push(slacks);
-            }
-            slack_vars.push(per_ticket);
-        }
         // Objective: max Σ b_f minus a tiny slack penalty that pins each
         // Δ to exactly max(0, load − r) without perturbing throughput.
         let mut obj = LinExpr::sum_vars(base.b.iter().copied());
-        for per_ticket in &slack_vars {
-            for slacks in per_ticket {
-                for &(_, v) in slacks {
-                    obj.add_term(v, -1e-4);
+        for qi in 0..inst.scenarios.len() {
+            let tickets = self.tickets.for_scenario(qi);
+            for (zi, ticket) in tickets.iter().enumerate() {
+                // Constraint (4) is deduplicated by ticket support (same
+                // support => same restorable set Y).
+                let is_first_with_support =
+                    tickets[..zi].iter().all(|prev| prev.support() != ticket.support());
+                // Constraints (5)+(6): restored capacity with slack.
+                let mut slacks = Vec::new();
+                let tag = format!("q{qi}_z{zi}");
+                ticket_rows(
+                    &mut base,
+                    inst,
+                    qi,
+                    ticket,
+                    &tag,
+                    is_first_with_support,
+                    Some(&mut slacks),
+                );
+                if slacks.is_empty() {
+                    continue;
+                }
+                let m = self.alpha * ticket.total_gbps();
+                let budget = LinExpr::sum_vars(slacks.iter().map(|&(_, _, delta)| delta));
+                let con = base.model.add_con(budget, Sense::Le, m, format!("arw6_{tag}"));
+                m_rows.push((con, qi, zi));
+                for (con, ri, delta) in slacks {
+                    r_rows.push((con, qi, zi, ri));
+                    obj.add_term(delta, -1e-4);
                 }
             }
         }
@@ -239,8 +248,7 @@ impl Arrow {
         //   overflow = max(0, restorable-tunnel load − r_e) per direction
         //              (the minimal feasible Δ).
         // Ties still break toward the ticket restoring the most capacity.
-        let winning: Vec<usize> = inst
-            .scenarios
+        inst.scenarios
             .iter()
             .enumerate()
             .map(|(qi, scen)| {
@@ -263,21 +271,19 @@ impl Arrow {
                     let mut overflow = 0.0f64;
                     for &(link, r) in &ticket.restored {
                         for fwd in [true, false] {
-                            let load: f64 = y
-                                .iter()
-                                .filter(|&&t| {
-                                    inst.tunnels[t.0]
-                                        .hops
-                                        .iter()
-                                        .any(|h| h.link == link && h.forward == fwd)
-                                })
-                                .map(|&t| sol.value(base.a[t.0]).max(0.0))
+                            let load: f64 = inst
+                                .tunnels_on(link, fwd)
+                                .filter(|t| y.contains(t))
+                                .map(|t| sol.value(base.a[t.0]).max(0.0))
                                 .sum();
                             overflow += (load - r).max(0.0);
                         }
                     }
                     ((stranded + overflow) * 100.0).round() as i64
                 };
+                // Scored once per ticket: a score walks every tunnel, and
+                // the comparator runs twice per comparison.
+                let scores: Vec<i64> = tickets.iter().map(score).collect();
                 // Total order even for pathological (NaN) capacities:
                 // integer score ascending, then restored capacity
                 // descending via total_cmp, then first index.
@@ -285,135 +291,34 @@ impl Arrow {
                     .iter()
                     .enumerate()
                     .min_by(|(za, ta), (zb, tb)| {
-                        score(ta)
-                            .cmp(&score(tb))
+                        scores[*za]
+                            .cmp(&scores[*zb])
                             .then(tb.total_gbps().total_cmp(&ta.total_gbps()))
                             .then(za.cmp(zb))
                     })
                     .map(|(i, _)| i)
                     .unwrap_or(0)
             })
-            .collect();
-        winning
+            .collect()
     }
 
-    /// Phase II: final allocation under the winning tickets.
-    pub fn phase2(&self, inst: &TeInstance, winning: &[usize]) -> (SchemeOutput, f64) {
-        let (base, plan) = self.build_phase2(inst, winning);
-        let sol = arrow_lp::solve(&base.model, &self.solver);
-        assert!(sol.status.is_usable(), "ARROW Phase II LP failed: {:?}", sol.status);
-        (
-            SchemeOutput {
-                alloc: extract_alloc(inst, &base, &sol, "ARROW"),
-                restoration: Some(plan),
-            },
-            sol.stats.solve_seconds,
-        )
-    }
-
-    /// Builds the Phase II model (Table 3) without solving it.
+    /// Builds the Phase II model (Table 3) without solving it: the hard
+    /// rows (10) and (11) of the winning tickets only.
     pub(crate) fn build_phase2(
         &self,
         inst: &TeInstance,
         winning: &[usize],
     ) -> (BaseModel, Vec<RestorationTicket>) {
         let mut base = base_model(inst);
-        let mut plan = Vec::new();
-        for (qi, scen) in inst.scenarios.iter().enumerate() {
-            let ticket = &self.tickets.for_scenario(qi)[winning[qi]];
-            plan.push(ticket.clone());
-            let y = restorable_tunnels(inst, qi, ticket);
-            // Constraint (10): residual + winning restorable tunnels.
-            for (fi, flow) in inst.flows.iter().enumerate() {
-                let affected = flow.tunnels.iter().any(|&t| !inst.tunnel_survives(t, scen));
-                if !affected {
-                    continue;
-                }
-                let covered: Vec<_> = flow
-                    .tunnels
-                    .iter()
-                    .filter(|&&t| inst.tunnel_survives(t, scen) || y.contains(&t))
-                    .collect();
-                if covered.is_empty() {
-                    continue; // best-effort flow under this scenario
-                }
-                let mut e = LinExpr::term(base.b[fi], -1.0);
-                for &&t in &covered {
-                    e.add_term(base.a[t.0], 1.0);
-                }
-                base.model.add_con(e, Sense::Ge, 0.0, format!("arw10_f{fi}_q{qi}"));
-            }
-            // Constraint (11): restorable-tunnel load ≤ winning r (hard,
-            // per direction like healthy capacity).
-            for &(link, r) in &ticket.restored {
-                for fwd in [true, false] {
-                    let users: Vec<VarId> = y
-                        .iter()
-                        .filter(|&&t| {
-                            inst.tunnels[t.0]
-                                .hops
-                                .iter()
-                                .any(|h| h.link == link && h.forward == fwd)
-                        })
-                        .map(|&t| base.a[t.0])
-                        .collect();
-                    if users.is_empty() {
-                        continue;
-                    }
-                    base.model.add_con(
-                        LinExpr::sum_vars(users),
-                        Sense::Le,
-                        r,
-                        format!("arw11_e{}_{fwd}_q{qi}", link.0),
-                    );
-                }
-            }
+        let plan: Vec<RestorationTicket> = winning
+            .iter()
+            .enumerate()
+            .map(|(qi, &zi)| self.tickets.for_scenario(qi)[zi].clone())
+            .collect();
+        for (qi, ticket) in plan.iter().enumerate() {
+            ticket_rows(&mut base, inst, qi, ticket, &format!("q{qi}"), true, None);
         }
         (base, plan)
-    }
-
-    /// Full two-phase solve with timing and solver-observability detail.
-    pub fn solve_detailed(&self, inst: &TeInstance) -> ArrowOutcome {
-        let (p1, sol1) = {
-            let _span = arrow_obs::span!(
-                "te.phase1",
-                "flows" => inst.flows.len(),
-                "scenarios" => inst.scenarios.len(),
-                "warm" => false,
-            );
-            let p1 = self.build_phase1(inst);
-            let sol1 = arrow_lp::solve(&p1.base.model, &self.solver);
-            (p1, sol1)
-        };
-        assert!(sol1.status.is_usable(), "ARROW Phase I LP failed: {:?}", sol1.status);
-        let winning = {
-            let _span = arrow_obs::span!("te.select", "scenarios" => inst.scenarios.len());
-            self.select_winning(inst, &p1.base, &sol1)
-        };
-        let (base2, plan, sol2) = {
-            let _span = arrow_obs::span!(
-                "te.phase2",
-                "flows" => inst.flows.len(),
-                "cached" => false,
-            );
-            let (base2, plan) = self.build_phase2(inst, &winning);
-            let sol2 = arrow_lp::solve(&base2.model, &self.solver);
-            (base2, plan, sol2)
-        };
-        assert!(sol2.status.is_usable(), "ARROW Phase II LP failed: {:?}", sol2.status);
-        let mut output = SchemeOutput {
-            alloc: extract_alloc(inst, &base2, &sol2, "ARROW"),
-            restoration: Some(plan),
-        };
-        output.alloc.solve_seconds = sol1.stats.solve_seconds + sol2.stats.solve_seconds;
-        ArrowOutcome {
-            output,
-            winning,
-            phase1_seconds: sol1.stats.solve_seconds,
-            phase2_seconds: sol2.stats.solve_seconds,
-            phase1_stats: sol1.stats,
-            phase2_stats: sol2.stats,
-        }
     }
 }
 
@@ -422,16 +327,18 @@ impl TeScheme for Arrow {
         "ARROW".into()
     }
 
+    /// A one-shot solve is the first interval of a fresh [`ArrowOnline`].
     fn solve(&self, inst: &TeInstance) -> SchemeOutput {
-        self.solve_detailed(inst).output
+        ArrowOnline::new(self.clone(), inst).solve(inst).output
     }
 }
 
-/// Incremental two-phase solver for consecutive online intervals.
+/// The two-phase solver: one implementation for a one-shot solve and for
+/// consecutive online intervals.
 ///
 /// The online stage runs every TE epoch against the same topology,
 /// tunnels, scenarios, and tickets — only the traffic matrix changes. This
-/// wrapper exploits that:
+/// solver exploits that:
 ///
 /// * the Phase I constraint skeleton is built **once** and demand enters
 ///   it only through the `b_f` upper bounds, which are patched in place;
@@ -462,6 +369,51 @@ struct Phase2Cache {
     base: BaseModel,
     plan: Vec<RestorationTicket>,
     warm: Option<WarmStart>,
+}
+
+/// Phase II build → solve → extract, the one place a Phase II LP is
+/// solved ([`ArrowOnline::solve`] and [`ArrowNaive`] both end here).
+///
+/// `slot` carries the model across calls: it is re-solved warm while the
+/// winners repeat and rebuilt when they change. A rebuilt model starts
+/// from `seed` — the Phase I solution, when there was a Phase I — and
+/// cold otherwise.
+fn solve_phase2(
+    arrow: &Arrow,
+    slot: &mut Option<Phase2Cache>,
+    inst: &TeInstance,
+    winning: &[usize],
+    seed: Option<&Solution>,
+) -> (SchemeOutput, SolveStats) {
+    let cached = slot.as_ref().is_some_and(|c| c.winning == winning);
+    let _span = arrow_obs::span!(
+        "te.phase2",
+        "flows" => inst.flows.len(),
+        "cached" => cached,
+    );
+    let cache = match slot.take() {
+        Some(c) if cached => c,
+        _ => {
+            let (base, plan) = arrow.build_phase2(inst, winning);
+            // Seed Phase II from the Phase I allocation: both models
+            // allocate b then a first, so the variable prefix is shared.
+            // (No basis: the row sets differ, so only the point maps.)
+            let ncols = base.model.num_vars();
+            let warm = seed.map(|sol1| {
+                WarmStart::from_point(PrimalDual { x: sol1.x[..ncols].to_vec(), y: Vec::new() })
+            });
+            Phase2Cache { winning: winning.to_vec(), base, plan, warm }
+        }
+    };
+    let cache = slot.insert(cache);
+    for (fi, f) in inst.flows.iter().enumerate() {
+        cache.base.model.set_bounds(cache.base.b[fi], 0.0, f.demand_gbps);
+    }
+    let sol2 = arrow_lp::solve_with(&cache.base.model, &arrow.solver, cache.warm.as_ref());
+    assert!(sol2.status.is_usable(), "ARROW Phase II LP failed: {:?}", sol2.status);
+    cache.warm = sol2.warm_start();
+    let alloc = extract_alloc(inst, &cache.base, &sol2, "ARROW");
+    (SchemeOutput { alloc, restoration: Some(cache.plan.clone()) }, sol2.stats)
 }
 
 impl ArrowOnline {
@@ -516,8 +468,8 @@ impl ArrowOnline {
         self.phase2 = None;
     }
 
-    /// One online interval: patch demands, warm-solve Phase I, pick the
-    /// winners, warm-solve Phase II.
+    /// One interval: patch demands, solve Phase I (warm after the first
+    /// interval), pick the winners, solve Phase II.
     ///
     /// `inst` must share the structure of the instance this solver was
     /// built from — typically produced by
@@ -551,49 +503,16 @@ impl ArrowOnline {
             let _span = arrow_obs::span!("te.select", "scenarios" => inst.scenarios.len());
             self.arrow.select_winning(inst, &self.phase1.base, &sol1)
         };
-        let cache_valid = self.phase2.as_ref().is_some_and(|c| c.winning == winning);
-        let (sol2, alloc, plan) = {
-            let _span = arrow_obs::span!(
-                "te.phase2",
-                "flows" => inst.flows.len(),
-                "cached" => cache_valid,
-            );
-            let warm_cache = match self.phase2.take() {
-                Some(c) if c.winning == winning => c,
-                _ => {
-                    let (base, plan) = self.arrow.build_phase2(inst, &winning);
-                    // Seed Phase II from the Phase I allocation: both models
-                    // allocate b then a first, so the variable prefix is shared.
-                    // (No basis: the row sets differ, so only the point maps.)
-                    let ncols = base.model.num_vars();
-                    let warm = Some(WarmStart::from_point(PrimalDual {
-                        x: sol1.x[..ncols].to_vec(),
-                        y: Vec::new(),
-                    }));
-                    Phase2Cache { winning: winning.clone(), base, plan, warm }
-                }
-            };
-            let cache = self.phase2.insert(warm_cache);
-            for (fi, f) in inst.flows.iter().enumerate() {
-                cache.base.model.set_bounds(cache.base.b[fi], 0.0, f.demand_gbps);
-            }
-            let sol2 =
-                arrow_lp::solve_with(&cache.base.model, &self.arrow.solver, cache.warm.as_ref());
-            assert!(sol2.status.is_usable(), "ARROW Phase II LP failed: {:?}", sol2.status);
-            cache.warm = sol2.warm_start();
-            let alloc = extract_alloc(inst, &cache.base, &sol2, "ARROW");
-            let plan = cache.plan.clone();
-            (sol2, alloc, plan)
-        };
-        let mut output = SchemeOutput { alloc, restoration: Some(plan) };
-        output.alloc.solve_seconds = sol1.stats.solve_seconds + sol2.stats.solve_seconds;
+        let (mut output, phase2_stats) =
+            solve_phase2(&self.arrow, &mut self.phase2, inst, &winning, Some(&sol1));
+        output.alloc.solve_seconds = sol1.stats.solve_seconds + phase2_stats.solve_seconds;
         ArrowOutcome {
             output,
             winning,
             phase1_seconds: sol1.stats.solve_seconds,
-            phase2_seconds: sol2.stats.solve_seconds,
+            phase2_seconds: phase2_stats.solve_seconds,
             phase1_stats: sol1.stats,
-            phase2_stats: sol2.stats,
+            phase2_stats,
         }
     }
 }
@@ -619,9 +538,8 @@ impl TeScheme for ArrowNaive {
             solver: self.solver.clone(),
         };
         let winning = vec![0; inst.scenarios.len()];
-        let (mut output, secs) = arrow.phase2(inst, &winning);
+        let (mut output, _) = solve_phase2(&arrow, &mut None, inst, &winning, None);
         output.alloc.scheme = self.name();
-        output.alloc.solve_seconds = secs;
         output
     }
 }
@@ -732,7 +650,7 @@ mod tests {
             RestorationTicket { restored: vec![(link, cap)] },
         ];
         let arrow = Arrow::new(TicketSet::full(per_scenario));
-        let outcome = arrow.solve_detailed(&inst.scaled(4.0));
+        let outcome = ArrowOnline::new(arrow, &inst).solve(&inst.scaled(4.0));
         // The full-restoration candidate must win scenario 0.
         assert_eq!(outcome.winning[0], 1, "full-restoration ticket should win");
     }
@@ -809,19 +727,33 @@ mod tests {
         )
     }
 
+    /// `(structure_digest, FNV-1a fold of the lb/ub/rhs/obj/offset bit
+    /// patterns)` — together every number a solver reads from the model.
+    fn model_digests(model: &arrow_lp::Model) -> (u64, u64) {
+        let lp = model.to_standard();
+        let values = lp
+            .lb
+            .iter()
+            .chain(&lp.ub)
+            .chain(&lp.rhs)
+            .chain(&lp.obj)
+            .chain([&lp.obj_offset])
+            .fold(0xcbf2_9ce4_8422_2325u64, |h, v| (h ^ v.to_bits()).wrapping_mul(0x100_0000_01b3));
+        (lp.structure_digest(), values)
+    }
+
     #[test]
-    fn online_first_solve_matches_cold_exactly() {
-        // The first ArrowOnline solve has no warm state: it must agree
-        // with the one-shot path on winners and allocation.
+    fn phase_models_are_pinned_bit_for_bit() {
+        // `playback_b4` and `epoch_b4_cold` hash PDHG output, which follows
+        // row order, coefficients, senses, bounds and rhs exactly — any
+        // rewrite of the builders must leave these constants alone.
         let inst = instance(4.0, 6);
         let arrow = Arrow::new(half_or_nothing_tickets(&inst));
-        let cold = arrow.solve_detailed(&inst);
-        let mut online = ArrowOnline::new(arrow, &inst);
-        let first = online.solve(&inst);
-        assert_eq!(first.winning, cold.winning, "winning tickets must match cold");
-        let (ta, tb) = (cold.output.alloc.throughput(&inst), first.output.alloc.throughput(&inst));
-        assert!((ta - tb).abs() < 1e-9, "throughput {tb} != cold {ta}");
-        assert_eq!(first.phase1_stats.warm, arrow_lp::WarmEvent::Cold);
+        let winning: Vec<usize> = (0..inst.scenarios.len()).map(|q| q % 2).collect();
+        let p1 = model_digests(&arrow.build_phase1(&inst).base.model);
+        let p2 = model_digests(&arrow.build_phase2(&inst, &winning).0.model);
+        assert_eq!(p1, (0x1b14_9c07_95dc_fc5a, 0xa532_625b_69ec_6d66), "Phase I model moved");
+        assert_eq!(p2, (0x0b74_000b_bef7_77b2, 0xa510_786c_598b_c978), "Phase II model moved");
     }
 
     #[test]
@@ -834,7 +766,8 @@ mod tests {
         for scale in [1.0, 1.25, 0.8] {
             let shifted = inst.scaled(scale);
             let warm = online.solve(&shifted);
-            let cold = arrow.solve_detailed(&shifted);
+            let cold = ArrowOnline::new(arrow.clone(), &shifted).solve(&shifted);
+            assert_eq!(cold.phase1_stats.warm, arrow_lp::WarmEvent::Cold);
             assert_eq!(warm.winning, cold.winning, "scale {scale}: winners diverged");
             let (tw, tc) =
                 (warm.output.alloc.throughput(&shifted), cold.output.alloc.throughput(&shifted));
@@ -865,7 +798,7 @@ mod tests {
         let _ = online.solve(&inst);
         online.update_tickets(richer.clone());
         let patched = online.solve(&inst);
-        let fresh = Arrow::new(richer).solve_detailed(&inst);
+        let fresh = ArrowOnline::new(Arrow::new(richer), &inst).solve(&inst);
         assert_eq!(patched.winning, fresh.winning);
         let (tp, tf) =
             (patched.output.alloc.throughput(&inst), fresh.output.alloc.throughput(&inst));
@@ -886,7 +819,7 @@ mod tests {
     fn mismatched_ticket_set_panics() {
         let inst = instance(1.0, 5);
         let bad = TicketSet::none(inst.scenarios.len() + 1);
-        let _ = Arrow::new(bad).phase1(&inst);
+        let _ = ArrowOnline::new(Arrow::new(bad), &inst);
     }
 
     #[test]
@@ -903,7 +836,8 @@ mod tests {
             RestorationTicket { restored: vec![(link, 0.25 * cap)] },
             RestorationTicket { restored: vec![(link, cap)] }, // same support
         ];
-        let outcome = Arrow::new(TicketSet::full(per_scenario)).solve_detailed(&inst);
+        let outcome =
+            ArrowOnline::new(Arrow::new(TicketSet::full(per_scenario)), &inst).solve(&inst);
         assert_eq!(outcome.winning[0], 1, "larger-capacity ticket should win");
     }
 }

@@ -124,15 +124,10 @@ pub fn binary_ticket_selection(
             // (32): restorable-tunnel load ≤ r + M(1−x), per direction.
             for &(link, r) in &ticket.restored {
                 for fwd in [true, false] {
-                    let users: Vec<VarId> = y
-                        .iter()
-                        .filter(|&&t| {
-                            inst.tunnels[t.0]
-                                .hops
-                                .iter()
-                                .any(|h| h.link == link && h.forward == fwd)
-                        })
-                        .map(|&t| base.a[t.0])
+                    let users: Vec<VarId> = inst
+                        .tunnels_on(link, fwd)
+                        .filter(|t| y.contains(t))
+                        .map(|t| base.a[t.0])
                         .collect();
                     if users.is_empty() {
                         continue;
@@ -172,7 +167,7 @@ pub fn binary_ticket_selection(
 mod tests {
     use super::*;
     use crate::restoration::RestorationTicket;
-    use crate::schemes::arrow::Arrow;
+    use crate::schemes::arrow::{Arrow, ArrowOnline};
     use crate::tunnels::{build_instance, TunnelConfig};
     use arrow_topology::{b4, generate_failures, gravity_matrices, FailureConfig, TrafficConfig};
 
@@ -239,7 +234,7 @@ mod tests {
         let (ilp_obj, ilp_winning) =
             binary_ticket_selection(&inst, &tickets, &SolverConfig::default())
                 .expect("tiny ILP must solve");
-        let outcome = Arrow::new(tickets).solve_detailed(&inst);
+        let outcome = ArrowOnline::new(Arrow::new(tickets), &inst).solve(&inst);
         // The exact ILP picks full restoration everywhere; the LP two-phase
         // must match both the selection and (approximately) the objective.
         assert_eq!(ilp_winning, outcome.winning);

@@ -75,16 +75,9 @@ pub(crate) fn base_model(inst: &TeInstance) -> BaseModel {
     // (2) per directed link: Σ a_{f,t} L[t,e] ≤ c_e
     for key in inst.used_dir_links() {
         let DirLink(link, fwd) = key;
-        let users: Vec<VarId> = inst
-            .tunnels
-            .iter()
-            .enumerate()
-            .filter(|(_, t)| t.hops.iter().any(|h| h.link == link && h.forward == fwd))
-            .map(|(i, _)| a[i])
-            .collect();
         let cap = inst.wan.link(link).capacity_gbps;
         model.add_con(
-            LinExpr::sum_vars(users),
+            LinExpr::sum_vars(inst.tunnels_on(link, fwd).map(|t| a[t.0])),
             Sense::Le,
             cap,
             format!("cap_e{}_{}", link.0, if fwd { "fwd" } else { "rev" }),
@@ -129,13 +122,7 @@ impl TeAllocation {
         let mut rho: f64 = 1.0;
         for key in inst.used_dir_links() {
             let DirLink(link, fwd) = key;
-            let load: f64 = inst
-                .tunnels
-                .iter()
-                .enumerate()
-                .filter(|(_, t)| t.hops.iter().any(|h| h.link == link && h.forward == fwd))
-                .map(|(i, _)| self.a[i])
-                .sum();
+            let load: f64 = inst.tunnels_on(link, fwd).map(|t| self.a[t.0]).sum();
             let cap = inst.wan.link(link).capacity_gbps;
             if cap > 0.0 {
                 rho = rho.max(load / cap);

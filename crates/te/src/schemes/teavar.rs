@@ -56,15 +56,8 @@ impl TeScheme for TeaVar {
         // Healthy capacity constraints.
         for key in inst.used_dir_links() {
             let DirLink(link, fwd) = key;
-            let users: Vec<VarId> = inst
-                .tunnels
-                .iter()
-                .enumerate()
-                .filter(|(_, t)| t.hops.iter().any(|h| h.link == link && h.forward == fwd))
-                .map(|(i, _)| a[i])
-                .collect();
             model.add_con(
-                LinExpr::sum_vars(users),
+                LinExpr::sum_vars(inst.tunnels_on(link, fwd).map(|t| a[t.0])),
                 Sense::Le,
                 inst.wan.link(link).capacity_gbps,
                 format!("cap_{}_{}", link.0, fwd),

@@ -400,6 +400,17 @@ impl TeInstance {
         keys
     }
 
+    /// Tunnels traversing `link` in direction `forward`, in ascending
+    /// [`TunnelId`] order — the column order of every per-direction
+    /// capacity row, so LP builders that share it emit identical rows.
+    pub fn tunnels_on(&self, link: IpLinkId, forward: bool) -> impl Iterator<Item = TunnelId> + '_ {
+        self.tunnels
+            .iter()
+            .enumerate()
+            .filter(move |(_, t)| t.hops.iter().any(|h| h.link == link && h.forward == forward))
+            .map(|(i, _)| TunnelId(i))
+    }
+
     /// Returns a clone with demands replaced from another traffic matrix
     /// (tunnels are demand-independent, so they are reused).
     pub fn with_demands(&self, tm: &TrafficMatrix) -> TeInstance {

@@ -25,7 +25,7 @@ fn main() {
         ..Default::default()
     };
     let delta = config.lottery.delta;
-    let controller = ArrowController::new(wan, failures.failure_scenarios().to_vec(), config);
+    let mut controller = ArrowController::new(wan, failures.failure_scenarios().to_vec(), config);
     println!("offline: {} failure scenarios considered", controller.offline().scenarios.len());
     println!("offline: {}", controller.offline().stats.summary());
     for (qi, (scen, tickets)) in controller
@@ -62,7 +62,8 @@ fn main() {
 
     // ---- Online stage (one epoch per traffic matrix) ----------------------
     for (epoch, tm) in tms.iter().enumerate() {
-        let plan = controller.plan(&tm.scaled(2.0)).expect("offline state is complete");
+        let (plan, _) =
+            controller.plan_epoch(&tm.scaled(2.0), None).expect("offline state is complete");
         let alloc = &plan.outcome.output.alloc;
         println!(
             "\nepoch {epoch}: admitted {:.0} Gbps ({:.1}% of demand), \

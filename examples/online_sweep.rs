@@ -4,11 +4,11 @@
 //! replays a day of B4 traffic (scaled gravity matrices tracing a diurnal
 //! curve) twice through the same controller:
 //!
-//! * **cold** — `ArrowController::plan`, which rebuilds tunnels and both
-//!   LP models from scratch every interval, and
-//! * **warm** — `ArrowController::plan_warm`, which caches the Phase I
-//!   skeleton, patches demand bounds in place, and warm-starts each LP
-//!   from the previous interval's optimum.
+//! * **cold** — `reset_online_cache()` before every `plan_epoch`, so each
+//!   interval rebuilds tunnels and both LP models from scratch, and
+//! * **warm** — `plan_epoch` on the kept cache: after the first interval
+//!   it re-uses the Phase I skeleton, patches demand bounds in place, and
+//!   warm-starts each LP from the previous interval's optimum.
 //!
 //! Both paths must agree exactly — identical winning tickets, Phase II
 //! objectives within 1e-6 relative — while the warm path runs faster.
@@ -43,10 +43,14 @@ fn run_sweep(
 ) -> (Vec<Interval>, f64) {
     ring.clear();
     let mut out = Vec::new();
-    for &scale in &DIURNAL {
+    for (i, &scale) in DIURNAL.iter().enumerate() {
         let shifted = tm.scaled(scale);
-        let plan = if warm { ctl.plan_warm(&shifted) } else { ctl.plan(&shifted) }
-            .expect("valid offline state plans cleanly");
+        // The cold sweep empties the cache before every interval, the warm
+        // one only before its first.
+        if !warm || i == 0 {
+            ctl.reset_online_cache();
+        }
+        let (plan, _) = ctl.plan_epoch(&shifted, None).expect("valid offline state plans cleanly");
         out.push(Interval {
             scale,
             seconds: 0.0,
@@ -60,11 +64,10 @@ fn run_sweep(
     // trace spans rather than bespoke Instant bookkeeping around the call.
     let epochs = ring.finished_spans("epoch");
     assert_eq!(epochs.len(), out.len(), "one epoch span per diurnal interval");
-    let expected_mode = if warm { "warm" } else { "cold" };
-    for (iv, span) in out.iter_mut().zip(&epochs) {
+    for (i, (iv, span)) in out.iter_mut().zip(&epochs).enumerate() {
         assert_eq!(
             span.field("mode").and_then(FieldValue::as_str),
-            Some(expected_mode),
+            Some(if warm && i > 0 { "warm" } else { "cold" }),
             "epoch span mode matches the sweep variant"
         );
         iv.seconds = span.duration_seconds().expect("span end carries a duration");

@@ -11,11 +11,12 @@
 //! per-shard `offline.scenario` spans) and writes `BENCH_scenarios.json`
 //! (scenarios/sec, kept/dedup/infeasible counts, per-shard digests).
 //!
-//! Also races the batched LP path against the sequential one: ticket
-//! generation with `batch_lanes: 1` must be byte-identical to the batched
-//! default, and a multi-RHS PDHG panel (one scenario LP cloned into many
-//! gamma-budget lanes) must beat lane-by-lane solves by ≥ 3× while staying
-//! bitwise equal. Writes `BENCH_batch.json` with both comparisons.
+//! Also checks the batched LP path against the sequential one: chunked
+//! ticket generation must be byte-identical to the serial oracle
+//! (`generate_tickets_serial`, one unbatched LP per scenario), and a
+//! multi-RHS PDHG panel (one scenario LP cloned into many gamma-budget
+//! lanes) must beat lane-by-lane solves by ≥ 3× while staying bitwise
+//! equal. Writes `BENCH_batch.json` with both comparisons.
 //!
 //! Run: `cargo run --release --example scenario_sweep` — or with
 //! `-- --smoke` for the small CI universe (2 shards, B4 only).
@@ -26,8 +27,8 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 
 /// Floor on the universe size for the pipeline comparison — below this,
-/// the batched/sequential wall-clock ratio in `BENCH_batch.json` measures
-/// fixed costs, not the batch path.
+/// the batched throughput in `BENCH_batch.json` measures fixed costs, not
+/// the batch path.
 const MIN_PIPELINE_SCENARIOS: usize = 64;
 
 struct TopologyReport {
@@ -36,7 +37,6 @@ struct TopologyReport {
     compile_seconds: f64,
     unsharded_digest: u64,
     unsharded_wall: f64,
-    sequential_wall: f64,
     offline: OfflineStats,
     shard_runs: Vec<ShardRun>,
     pool_tickets: usize,
@@ -95,9 +95,9 @@ fn sweep_topology(
     );
 
     // Warm the process once (first-touch page faults and lazy allocator
-    // growth dominate a cold first run) so the batched/sequential wall
-    // clocks below compare steady states, not who ran first.
-    let _ = generate_tickets_universe(wan, &universe, lcfg);
+    // growth dominate a cold first run) so the wall clocks below measure
+    // the steady state.
+    let _ = generate_tickets_shard(wan, &universe, lcfg, ShardSpec::whole());
 
     // Single-shard reference run. Timed as the min over three repeats —
     // the universes here finish in tens of milliseconds, where scheduler
@@ -106,7 +106,7 @@ fn sweep_topology(
     let mut reference = None;
     for _ in 0..3 {
         ring.clear();
-        let (set, stats) = generate_tickets_universe(wan, &universe, lcfg);
+        let (set, stats) = generate_tickets_shard(wan, &universe, lcfg, ShardSpec::whole());
         let reference_spans = ring.finished_spans("offline.scenario").len();
         assert_eq!(reference_spans, universe.len(), "one offline.scenario span per scenario");
         unsharded_wall = unsharded_wall.min(stats.wall_seconds);
@@ -122,31 +122,20 @@ fn sweep_topology(
         full_digest
     );
 
-    // Same universe with the batched LP path disabled (`batch_lanes: 1`,
-    // the pre-batching sequential code path). The multi-RHS panel is an
+    // Same universe through the serial oracle: one unbatched LP per
+    // scenario, no pool, no chunks. The multi-RHS panel is an
     // implementation detail: output must be byte-identical, and the
-    // sequential path must emit the same one-span-per-scenario trace.
-    let seq_cfg = LotteryConfig { batch_lanes: 1, ..lcfg.clone() };
-    let mut sequential_wall = f64::INFINITY;
-    for _ in 0..3 {
-        ring.clear();
-        let (seq_set, seq_stats) = generate_tickets_universe(wan, &universe, &seq_cfg);
-        assert_eq!(
-            ring.finished_spans("offline.scenario").len(),
-            universe.len(),
-            "sequential path must emit one offline.scenario span per scenario"
-        );
-        assert_eq!(seq_set, full, "batch_lanes=1 run is not byte-identical to the batched default");
-        assert_eq!(seq_set.digest(), full_digest, "sequential/batched digest mismatch");
-        sequential_wall = sequential_wall.min(seq_stats.wall_seconds);
-    }
-    println!(
-        "sequential (batch_lanes=1): {:.1} scenarios/s vs batched {:.1} scenarios/s \
-         ({:.2}x wall) | digests equal ✓",
-        universe.len() as f64 / sequential_wall.max(1e-9),
-        universe.len() as f64 / unsharded_wall.max(1e-9),
-        sequential_wall / unsharded_wall.max(1e-9)
+    // oracle must emit the same one-span-per-scenario trace.
+    ring.clear();
+    let serial = generate_tickets_serial(wan, &universe.failure_scenarios(), lcfg);
+    assert_eq!(
+        ring.finished_spans("offline.scenario").len(),
+        universe.len(),
+        "serial oracle must emit one offline.scenario span per scenario"
     );
+    assert_eq!(serial, full, "batched run is not byte-identical to the serial oracle");
+    assert_eq!(serial.digest(), full_digest, "serial/batched digest mismatch");
+    println!("serial oracle: digests equal ✓");
 
     // Sharded runs: generate each shard independently, merge, compare.
     let mut shard_runs = Vec::new();
@@ -198,7 +187,6 @@ fn sweep_topology(
         compile_seconds,
         unsharded_digest: full_digest,
         unsharded_wall,
-        sequential_wall,
         offline,
         shard_runs,
         pool_tickets: pool.len(),
@@ -329,16 +317,12 @@ fn batch_report_json(reports: &[TopologyReport], panels: &[PanelBench], threads:
         let _ = writeln!(
             out,
             "    {{\"name\":\"{}\",\"scenarios\":{},\
-             \"sequential_wall_seconds\":{:.6},\"batched_wall_seconds\":{:.6},\
-             \"sequential_scenarios_per_sec\":{:.1},\"batched_scenarios_per_sec\":{:.1},\
-             \"speedup\":{:.3},\"digests_equal\":true,\"ticket_set_digest\":\"{:016x}\"}}{}",
+             \"batched_wall_seconds\":{:.6},\"batched_scenarios_per_sec\":{:.1},\
+             \"digests_equal\":true,\"ticket_set_digest\":\"{:016x}\"}}{}",
             r.name,
             r.universe.len(),
-            r.sequential_wall,
             r.unsharded_wall,
-            n / r.sequential_wall.max(1e-9),
             n / r.unsharded_wall.max(1e-9),
-            r.sequential_wall / r.unsharded_wall.max(1e-9),
             r.unsharded_digest,
             if i + 1 < reports.len() { "," } else { "" }
         );
@@ -417,10 +401,10 @@ fn main() {
     arrow_wan::obs::trace::install(ring.clone());
 
     // Both modes compile at least MIN_PIPELINE_SCENARIOS scenarios: the
-    // batched-vs-sequential pipeline comparison in BENCH_batch.json is
-    // meaningless on a handful of LPs (fixed costs dominate), so even the
-    // CI smoke universe is sized to something the batch path can sink its
-    // teeth into. Smoke stays cheap by keeping num_tickets low instead.
+    // pipeline throughput in BENCH_batch.json is meaningless on a handful
+    // of LPs (fixed costs dominate), so even the CI smoke universe is sized
+    // to something the batch path can sink its teeth into. Smoke stays
+    // cheap by keeping num_tickets low instead.
     let (ucfg, lcfg, shard_counts): (UniverseConfig, LotteryConfig, Vec<usize>) = if smoke {
         (
             UniverseConfig {
@@ -466,9 +450,9 @@ fn main() {
     arrow_wan::obs::trace::uninstall();
 
     // Multi-RHS panel bench: the tentpole's headline number. 16 lanes of
-    // one structure (the default `batch_lanes`, and the width where the
-    // panel working set stays cache-resident), sequential loop vs one SoA
-    // PDHG panel.
+    // one structure (the offline stage's widest chunk, and the width where
+    // the panel working set stays cache-resident), sequential loop vs one
+    // SoA PDHG panel.
     let lanes = 16;
     let mut panels = vec![panel_bench("B4", &b4_wan, &reports[0].universe, lanes)];
     if let Some(wan) = &ibm_wan {

@@ -28,7 +28,7 @@ fn main() {
 
     // Offline: LotteryTickets for ARROW; naive single candidates.
     let lottery = LotteryConfig { num_tickets: 10, ..Default::default() };
-    let tickets = generate_tickets(&wan, &scenarios, &lottery);
+    let (tickets, _) = generate_tickets(&wan, &scenarios, &lottery);
     let naive: Vec<RestorationTicket> =
         scenarios.iter().map(|s| naive_ticket(&wan, s, &lottery.rwa)).collect();
 

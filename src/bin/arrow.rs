@@ -70,6 +70,18 @@ fn flag<T: std::str::FromStr>(
     }
 }
 
+/// `--scale X`: a demand multiplier, so it must be finite and non-negative
+/// (`f64::from_str` accepts `nan`, `inf` and `-1`, which would otherwise
+/// reach `TrafficMatrix::scaled`'s assertion or negative LP bounds).
+fn scale_flag(flags: &HashMap<String, String>, default: f64) -> Result<f64, String> {
+    let scale: f64 = flag(flags, "scale", default)?;
+    if scale.is_finite() && scale >= 0.0 {
+        Ok(scale)
+    } else {
+        Err(format!("invalid value for --scale: {scale} (expected a finite number >= 0)"))
+    }
+}
+
 fn build_wan(name: &str, seed: u64) -> Result<Wan, String> {
     match name {
         "b4" => Ok(b4(seed)),
@@ -149,13 +161,14 @@ fn cmd_plan(args: &[String]) -> Result<(), String> {
     let name = args.first().ok_or("topology name required")?;
     let flags = parse_flags(args, 1)?;
     let seed = flag(&flags, "seed", 17u64)?;
+    let scale = scale_flag(&flags, 1.0)?;
     let wan = build_wan(name, seed)?;
     let failures = generate_failures(
         &wan,
         &FailureConfig { max_scenarios: flag(&flags, "scenarios", 6usize)?, ..Default::default() },
     );
     let tms = gravity_matrices(&wan, &TrafficConfig { num_matrices: 1, ..Default::default() });
-    let controller = ArrowController::new(
+    let mut controller = ArrowController::new(
         wan,
         failures.failure_scenarios().to_vec(),
         ControllerConfig {
@@ -167,8 +180,8 @@ fn cmd_plan(args: &[String]) -> Result<(), String> {
             ..Default::default()
         },
     );
-    let scale: f64 = flag(&flags, "scale", 1.0f64)?;
-    let plan = controller.plan(&tms[0].scaled(scale)).map_err(|e| e.to_string())?;
+    let (plan, _) =
+        controller.plan_epoch(&tms[0].scaled(scale), None).map_err(|e| e.to_string())?;
     let alloc = &plan.outcome.output.alloc;
     println!("offline: {}", controller.offline().stats.summary());
     println!(
@@ -196,6 +209,7 @@ fn cmd_availability(args: &[String]) -> Result<(), String> {
     let name = args.first().ok_or("topology name required")?;
     let flags = parse_flags(args, 1)?;
     let seed = flag(&flags, "seed", 17u64)?;
+    let scale = scale_flag(&flags, 1.0)?;
     let wan = build_wan(name, seed)?;
     let failures = generate_failures(
         &wan,
@@ -208,11 +222,11 @@ fn cmd_availability(args: &[String]) -> Result<(), String> {
         failures.failure_scenarios(),
         &TunnelConfig { tunnels_per_flow: 4, ..Default::default() },
     )
-    .scaled(flag(&flags, "scale", 1.0f64)?);
+    .scaled(scale);
     let scheme_name: String = flag(&flags, "scheme", "arrow".to_string())?;
     let out = match scheme_name.as_str() {
         "arrow" => {
-            let tickets = generate_tickets(
+            let (tickets, _) = generate_tickets(
                 &wan,
                 &inst.scenarios,
                 &LotteryConfig { num_tickets: 8, ..Default::default() },
@@ -294,15 +308,8 @@ fn cmd_mps(args: &[String]) -> Result<(), String> {
         model.add_con(e, Sense::Ge, 0.0, format!("cover{i}"));
     }
     for key in inst.used_dir_links() {
-        let users: Vec<_> = inst
-            .tunnels
-            .iter()
-            .enumerate()
-            .filter(|(_, t)| t.hops.iter().any(|h| h.link == key.0 && h.forward == key.1))
-            .map(|(i, _)| a[i])
-            .collect();
         model.add_con(
-            LinExpr::sum_vars(users),
+            LinExpr::sum_vars(inst.tunnels_on(key.0, key.1).map(|t| a[t.0])),
             Sense::Le,
             inst.wan.link(key.0).capacity_gbps,
             "cap",
@@ -340,7 +347,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         budget_seconds: flag(&flags, "budget", ServeConfig::default().budget_seconds)?,
         scenarios: flag(&flags, "scenarios", 4usize)?,
         tickets: flag(&flags, "tickets", 8usize)?,
-        demand_scale: flag(&flags, "scale", 2.0f64)?,
+        demand_scale: scale_flag(&flags, 2.0)?,
         addr: flag(&flags, "addr", "127.0.0.1:0".to_string())?,
         incident_dir: std::path::PathBuf::from(flag(
             &flags,

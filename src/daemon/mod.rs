@@ -33,7 +33,7 @@ pub mod recorder;
 
 use std::path::PathBuf;
 
-use arrow_core::{ArrowController, ControllerConfig, EpochHook, LotteryConfig, PlanError, TePlan};
+use arrow_core::{ArrowController, ControllerConfig, EpochHook, LotteryConfig, TePlan};
 use arrow_obs::incident::IncidentDump;
 use arrow_obs::slo::SloConfig;
 use arrow_obs::{event, export, metrics, slo};
@@ -121,15 +121,16 @@ impl Default for ServeConfig {
 pub enum ServeError {
     /// The exporter could not bind, or an incident dump failed to write.
     Io(std::io::Error),
-    /// The offline state was unusable before the loop even started.
-    Plan(PlanError),
+    /// The [`ServeConfig`] cannot be served (e.g. a negative or non-finite
+    /// `demand_scale`); nothing was started.
+    Config(String),
 }
 
 impl std::fmt::Display for ServeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ServeError::Io(e) => write!(f, "daemon i/o: {e}"),
-            ServeError::Plan(e) => write!(f, "daemon offline state: {e}"),
+            ServeError::Config(e) => write!(f, "daemon config: {e}"),
         }
     }
 }
@@ -266,6 +267,12 @@ fn status_of(response: &str) -> u16 {
 /// the previous one (fallback + incident dump); a `PlanError` keeps the
 /// previous plan too (incident dump, no fallback count).
 pub fn serve(wan: Wan, config: &ServeConfig) -> Result<ServeReport, ServeError> {
+    if !(config.demand_scale.is_finite() && config.demand_scale >= 0.0) {
+        return Err(ServeError::Config(format!(
+            "demand_scale must be finite and >= 0, got {}",
+            config.demand_scale
+        )));
+    }
     // SLO budget for this run; also resets the rolling window so the
     // verdicts below start clean.
     let budget = if config.budget_seconds.is_finite() && config.budget_seconds > 0.0 {

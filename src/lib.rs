@@ -34,7 +34,7 @@
 //! let failures = generate_failures(&wan, &FailureConfig { max_scenarios: 4, ..Default::default() });
 //!
 //! // Offline: LotteryTickets; online: restoration-aware TE.
-//! let controller = ArrowController::new(
+//! let mut controller = ArrowController::new(
 //!     wan,
 //!     failures.failure_scenarios().to_vec(),
 //!     ControllerConfig {
@@ -43,7 +43,8 @@
 //!         ..Default::default()
 //!     },
 //! );
-//! let plan = controller.plan(&tms[0]).expect("every scenario has tickets");
+//! let (plan, report) = controller.plan_epoch(&tms[0], None).expect("every scenario has tickets");
+//! assert!(!report.warm, "the first epoch builds tunnels and the Phase I skeleton");
 //! assert!(plan.outcome.output.alloc.total_admitted() > 0.0);
 //! ```
 
@@ -65,8 +66,7 @@ pub mod prelude {
     pub use crate::daemon::{serve, ChaosConfig, ServeConfig, ServeError, ServeReport};
     pub use arrow_core::{
         derive_seed, fractional_seed, generate_tickets, generate_tickets_serial,
-        generate_tickets_shard, generate_tickets_shard_with_threads, generate_tickets_universe,
-        generate_tickets_with_stats, generate_tickets_with_threads, kappa, naive_ticket,
+        generate_tickets_shard, generate_tickets_with_threads, kappa, naive_ticket,
         optimality_probability, realize_ticket, tickets_for_target, ArrowController,
         ControllerConfig, LinkRounding, LotteryConfig, OfflineStats, PlanError, ReconfigRule,
         RoundDirection, ScenarioStats, ShardSpec, TePlan,

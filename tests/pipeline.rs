@@ -23,7 +23,7 @@ fn full_pipeline_on_b4() {
     // Operate well below the saturation scale: the over-provisioned regime the
     // paper's scale-1.0 baseline represents.
     let inst = raw.scaled(0.1 * normalize_demand_scale(&raw));
-    let tickets = generate_tickets(
+    let (tickets, _) = generate_tickets(
         &wan,
         &inst.scenarios,
         &LotteryConfig { num_tickets: 8, ..Default::default() },
@@ -43,7 +43,7 @@ fn full_pipeline_on_ibm() {
     let wan = ibm(17);
     let raw = make_instance(&wan, 6, 4);
     let inst = raw.scaled(0.1 * normalize_demand_scale(&raw));
-    let tickets = generate_tickets(
+    let (tickets, _) = generate_tickets(
         &wan,
         &inst.scenarios,
         &LotteryConfig { num_tickets: 6, ..Default::default() },
@@ -97,7 +97,7 @@ fn controller_pipeline_on_ibm() {
     let failures =
         generate_failures(&wan, &FailureConfig { max_scenarios: 4, ..Default::default() });
     let tms = gravity_matrices(&wan, &TrafficConfig { num_matrices: 1, ..Default::default() });
-    let controller = ArrowController::new(
+    let mut controller = ArrowController::new(
         wan,
         failures.failure_scenarios().to_vec(),
         ControllerConfig {
@@ -106,7 +106,7 @@ fn controller_pipeline_on_ibm() {
             ..Default::default()
         },
     );
-    let plan = controller.plan(&tms[0]).expect("complete offline state");
+    let (plan, _) = controller.plan_epoch(&tms[0], None).expect("complete offline state");
     assert_eq!(plan.outcome.winning.len(), 4);
     // Reconfig rules must not oversubscribe spectrum: every (fiber, slot)
     // appears at most once per scenario.
@@ -151,7 +151,7 @@ fn facebook_like_pipeline_smoke() {
         failures.failure_scenarios(),
         &TunnelConfig { tunnels_per_flow: 3, ..Default::default() },
     );
-    let tickets = generate_tickets(
+    let (tickets, _) = generate_tickets(
         &wan,
         &inst.scenarios,
         &LotteryConfig { num_tickets: 4, ..Default::default() },

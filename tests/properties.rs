@@ -57,7 +57,7 @@ proptest! {
         let wan = b4(17);
         let failures = generate_failures(&wan, &FailureConfig { max_scenarios: 3, ..Default::default() });
         let scens = failures.failure_scenarios();
-        let set = generate_tickets(&wan, scens, &LotteryConfig {
+        let (set, _) = generate_tickets(&wan, scens, &LotteryConfig {
             num_tickets: n_tickets,
             delta,
             seed,

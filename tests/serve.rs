@@ -4,7 +4,7 @@
 //! tracer, the SLO window, the exporter readiness flag), so every test
 //! here serializes on one mutex rather than racing over the globals.
 
-use arrow_wan::daemon::{serve, ChaosConfig, ServeConfig};
+use arrow_wan::daemon::{serve, ChaosConfig, ServeConfig, ServeError};
 use arrow_wan::prelude::b4;
 use std::path::PathBuf;
 use std::sync::Mutex;
@@ -30,6 +30,30 @@ fn base_config(tag: &str) -> ServeConfig {
         scrape_every: 0,
         incident_dir: scratch_dir(tag),
         ..Default::default()
+    }
+}
+
+/// A negative or non-finite demand scale is user input, not a bug: the
+/// daemon answers with a typed error and the CLI with its usage-error exit
+/// code — neither reaches `TrafficMatrix::scaled`'s assertion.
+#[test]
+fn bad_demand_scale_is_rejected_without_a_panic() {
+    let _guard = SERVE_LOCK.lock().expect("serve lock");
+    for scale in [-1.0, f64::NAN, f64::INFINITY] {
+        let config = ServeConfig { demand_scale: scale, ..base_config("bad-scale") };
+        let err = serve(b4(17), &config).expect_err("bad demand_scale must be rejected");
+        assert!(matches!(err, ServeError::Config(_)), "scale {scale}: {err}");
+    }
+    for (cmd, scale) in
+        [("plan", "-1"), ("plan", "nan"), ("availability", "-0.5"), ("serve", "inf")]
+    {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_arrow"))
+            .args([cmd, "b4", "--scale", scale])
+            .output()
+            .expect("run the arrow binary");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "arrow {cmd} --scale {scale}: {stderr}");
+        assert!(stderr.contains("invalid value for --scale"), "{stderr}");
     }
 }
 
