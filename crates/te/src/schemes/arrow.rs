@@ -756,6 +756,43 @@ mod tests {
         assert_eq!(p2, (0x0b74_000b_bef7_77b2, 0xa510_786c_598b_c978), "Phase II model moved");
     }
 
+    /// FNV-1a fold of what a consumer reads from a simplex solve: status,
+    /// pivot and refactorization counts, `x` and dual bits (`-0.0` folded
+    /// as `+0.0`) and the basis snapshot.
+    fn solution_digest(sol: &Solution) -> u64 {
+        let fold = |h: u64, v: u64| (h ^ v).wrapping_mul(0x100_0000_01b3);
+        let mut h = fold(0xcbf2_9ce4_8422_2325, sol.status as u64);
+        h = fold(h, sol.stats.iterations as u64);
+        h = fold(h, sol.stats.refactors as u64);
+        for values in [&sol.x, &sol.duals] {
+            h = values
+                .iter()
+                .fold(fold(h, values.len() as u64), |h, v| fold(h, (v + 0.0).to_bits()));
+        }
+        let cols = sol.basis.as_ref().map_or(&[][..], |b| &b.cols);
+        cols.iter().fold(fold(h, cols.len() as u64), |h, &c| fold(h, c as u64))
+    }
+
+    #[test]
+    fn phase1_simplex_solution_is_pinned_bit_for_bit() {
+        // The exact-simplex audit of `epoch_b4_cold` compares winners picked
+        // from this solve; a basis-kernel rewrite must leave the pivot path
+        // and every output bit alone, cold and restarted from its own basis.
+        let inst = instance(4.0, 6);
+        let model = Arrow::new(half_or_nothing_tickets(&inst)).build_phase1(&inst).base.model;
+        let cfg = SolverConfig::exact();
+        let cold = arrow_lp::solve(&model, &cfg);
+        let basis = cold.basis.clone().expect("optimal Phase I records a basis");
+        let warm = arrow_lp::solve_with(&model, &cfg, Some(&WarmStart::from_basis(basis)));
+        assert_eq!(
+            (solution_digest(&cold), solution_digest(&warm)),
+            (0x58ec_28e0_796a_c201, 0x4ae0_9d5b_2a10_3249),
+            "Phase I simplex bits moved ({} rows, {} pivots)",
+            model.num_cons(),
+            cold.stats.iterations
+        );
+    }
+
     #[test]
     fn online_warm_resolve_matches_cold_across_demand_sweep() {
         // B4 Phase II warm-start regression: re-solving shifted demand
