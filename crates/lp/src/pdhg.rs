@@ -2,7 +2,7 @@
 //! PDLP, with Ruiz equilibration, iterate averaging, adaptive restarts, and
 //! primal-weight balancing.
 //!
-//! The simplex backend ([`crate::simplex`]) keeps a dense `m × m` basis
+//! The simplex backend ([`crate::simplex`]) keeps an explicit `m × m` basis
 //! inverse, which stops scaling around a few thousand rows. ARROW's Phase-I
 //! formulation multiplies scenarios × LotteryTickets × links, easily reaching
 //! tens of thousands of rows, so large instances are solved here: every

@@ -3,7 +3,7 @@
 //! ARROW's Phase-I LP contains many rows that a solver need never see:
 //! empty rows (constraints whose every variable was fixed), singleton rows
 //! (a single variable — really a bound), and fixed variables (`l = u`).
-//! Removing them shrinks the dense simplex's basis and the PDHG matrix.
+//! Removing them shrinks the simplex's basis and the PDHG matrix.
 //!
 //! Implemented reductions, applied to fixpoint:
 //! 1. **Fixed-variable substitution** — variables with `l = u` move into

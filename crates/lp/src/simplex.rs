@@ -3,16 +3,30 @@
 //! This is the exact solver backend: it handles general bounds `l ≤ x ≤ u`
 //! natively (no bound rows are added), runs a phase-1 with artificial
 //! variables to find a basic feasible solution, and then optimizes the real
-//! objective. The basis inverse is kept explicitly as a dense `m × m` matrix
-//! and updated with product-form pivots, which keeps the implementation
-//! simple and robust (the design priority here, per the networking guides)
-//! at the cost of `O(m²)` work per iteration. It is intended for problems up
-//! to a few thousand rows; larger instances should use [`crate::pdhg`].
+//! objective. The basis inverse is kept explicitly as an `m × m` matrix and
+//! updated with product-form pivots, which keeps the implementation simple
+//! and robust (the design priority here, per the networking guides).
+//!
+//! **Active-set kernel.** The solve starts from a diagonal basis (slacks
+//! and artificials), and a pivot at basis position `p` can only put
+//! off-diagonal entries of `B⁻¹` into column `p`. So every row of `B⁻¹` is
+//! zero outside a sorted set of *active* columns plus its own diagonal,
+//! and every loop over a row of the inverse runs over that support only:
+//! an iteration costs `O(m · a)` for `a` active columns, not `O(m²)`.
+//! Refactorization (Gauss–Jordan with partial pivoting, in place) returns
+//! the columns of the fresh inverse that are not a lone diagonal entry as
+//! the new active set; after a warm start from a recorded basis that is
+//! nearly every column, and the same loops then run dense. Skipped work is
+//! multiplication by exact zero only, so pivots, iterates and duals are
+//! those of the dense kernel bit for bit (up to the sign of zero). It is
+//! intended for problems up to a few thousand rows; larger instances
+//! should use [`crate::pdhg`].
 //!
 //! Implemented: Dantzig pricing with a Bland anti-cycling fallback, bound
 //! flips, periodic basis refactorization, infeasibility/unboundedness
-//! detection, and dual values. Deliberately omitted: steepest-edge pricing,
-//! sparse LU basis updates, and presolve.
+//! detection, and dual values. Deliberately omitted: steepest-edge pricing
+//! and sparse LU basis updates. Presolve is a separate, optional pass
+//! ([`crate::presolve`], enabled by `SolverConfig::presolve`).
 
 use crate::model::{Sense, StandardLp};
 use crate::solution::{Solution, SolveStats, Status};
@@ -61,7 +75,8 @@ enum VarState {
 
 /// Column classes: structurals come from the model, slacks encode row
 /// senses, artificials exist only to build the phase-1 starting basis.
-struct Columns<'a> {
+#[derive(Debug, Default)]
+struct Columns {
     a: CscMatrix,
     n: usize,
     m: usize,
@@ -69,10 +84,9 @@ struct Columns<'a> {
     art_rows: Vec<usize>,
     /// Sign of each artificial column's single entry.
     art_signs: Vec<f64>,
-    lp: &'a StandardLp,
 }
 
-impl Columns<'_> {
+impl Columns {
     fn total(&self) -> usize {
         self.n + self.m + self.art_rows.len()
     }
@@ -103,10 +117,52 @@ impl Columns<'_> {
     }
 }
 
+/// Marks "no row" / "no column" in the refactorization's bookkeeping.
+const NONE: usize = usize::MAX;
+
+/// Every buffer of a solve whose size follows the problem, kept between
+/// solves so a worker that solves a chunk of LPs allocates them once.
+/// Each solve overwrites all of it; nothing is read across solves.
+#[derive(Debug, Default)]
+pub(crate) struct Workspace {
+    cols: Columns,
+    /// Explicit inverse of the basis matrix, row-major `m × m`. Row `r` is
+    /// zero outside the `active` columns and its own diagonal.
+    binv: Vec<f64>,
+    /// Sorted basis positions whose column of `binv` may hold an
+    /// off-diagonal entry.
+    active: Vec<usize>,
+    /// Dual prices and the entering column's direction.
+    y: Vec<f64>,
+    w: Vec<f64>,
+    /// Cost and "can never improve" flag of every column for the running
+    /// phase (bounds are fixed while a phase runs).
+    cost: Vec<f64>,
+    fixed: Vec<bool>,
+    /// The `(column, value)` entries of the pivot row an update or an
+    /// elimination step subtracts from the other rows.
+    pivot_row: Vec<(usize, f64)>,
+    /// Refactorization scratch: for a column with a single nonzero that no
+    /// elimination touched yet, the row it sits in (`row_of`) and the
+    /// inverse map (`home`); and the row exchanges made so far.
+    row_of: Vec<usize>,
+    home: Vec<usize>,
+    swaps: Vec<(usize, usize)>,
+}
+
+/// The columns where row `pos` of the inverse can be nonzero, ascending:
+/// the active set plus the row's own diagonal.
+fn row_support(active: &[usize], pos: usize) -> impl Iterator<Item = usize> + '_ {
+    let split = active.partition_point(|&k| k < pos);
+    let own = (active.get(split) != Some(&pos)).then_some(pos);
+    active[..split].iter().copied().chain(own).chain(active[split..].iter().copied())
+}
+
 /// Solver state for one solve call.
 struct Simplex<'a> {
     cfg: &'a SimplexConfig,
-    cols: Columns<'a>,
+    lp: &'a StandardLp,
+    ws: &'a mut Workspace,
     /// Lower/upper bounds for every column (structural, slack, artificial).
     lb: Vec<f64>,
     ub: Vec<f64>,
@@ -115,16 +171,11 @@ struct Simplex<'a> {
     state: Vec<VarState>,
     /// Basis: column index occupying each of the `m` basis positions.
     basis: Vec<usize>,
-    /// Explicit dense inverse of the basis matrix, row-major `m × m`.
-    binv: Vec<f64>,
     m: usize,
     iterations: usize,
     refactors: usize,
     pivots_since_refactor: usize,
     degenerate_streak: usize,
-    /// Scratch vectors reused across iterations.
-    y: Vec<f64>,
-    w: Vec<f64>,
 }
 
 /// Outcome of one inner simplex phase.
@@ -158,9 +209,25 @@ fn push_slack_bounds(lp: &StandardLp, lb: &mut Vec<f64>, ub: &mut Vec<f64>) {
 }
 
 impl<'a> Simplex<'a> {
-    fn new(lp: &'a StandardLp, cfg: &'a SimplexConfig) -> Self {
+    /// Loads `lp`'s columns into the workspace and sizes its `m`-length
+    /// buffers; `binv` and `active` are left to the caller.
+    fn load(lp: &StandardLp, ws: &mut Workspace) {
+        let m = lp.num_cons();
+        lp.a.to_csc_into(&mut ws.cols.a);
+        ws.cols.n = lp.num_vars();
+        ws.cols.m = m;
+        ws.cols.art_rows.clear();
+        ws.cols.art_signs.clear();
+        for v in [&mut ws.y, &mut ws.w] {
+            v.clear();
+            v.resize(m, 0.0);
+        }
+    }
+
+    fn new(lp: &'a StandardLp, cfg: &'a SimplexConfig, ws: &'a mut Workspace) -> Self {
         let n = lp.num_vars();
         let m = lp.num_cons();
+        Self::load(lp, ws);
         // Slack bounds encode the row sense: Ax + s = rhs.
         let mut lb = lp.lb.clone();
         let mut ub = lp.ub.clone();
@@ -212,40 +279,37 @@ impl<'a> Simplex<'a> {
         ub.resize(total, f64::INFINITY);
         x.resize(total, 0.0);
         state.resize(total, VarState::AtLower);
-        let mut art_rows = Vec::with_capacity(gaps.len());
-        let mut art_signs = Vec::with_capacity(gaps.len());
+        // Initial basis matrix is diagonal (±1), so its inverse is too, and
+        // no column is active yet.
+        ws.active.clear();
+        ws.binv.clear();
+        ws.binv.resize(m * m, 0.0);
+        for i in 0..m {
+            ws.binv[i * m + i] = 1.0;
+        }
         for (k, &(i, gap)) in gaps.iter().enumerate() {
             let j = n + m + k;
-            art_rows.push(i);
-            art_signs.push(gap.signum());
+            ws.cols.art_rows.push(i);
+            ws.cols.art_signs.push(gap.signum());
             x[j] = gap.abs();
             state[j] = VarState::Basic(i);
             basis[i] = j;
-        }
-
-        // Initial basis matrix is diagonal (±1), so its inverse is too.
-        let mut binv = vec![0.0; m * m];
-        for i in 0..m {
-            let j = basis[i];
-            let d = if j >= n + m { art_signs[j - n - m] } else { 1.0 };
-            binv[i * m + i] = 1.0 / d;
+            ws.binv[i * m + i] = 1.0 / gap.signum();
         }
         Simplex {
             cfg,
-            cols: Columns { a: lp.a.to_csc(), n, m, art_rows, art_signs, lp },
+            lp,
+            ws,
             lb,
             ub,
             x,
             state,
             basis,
-            binv,
             m,
             iterations: 0,
             refactors: 0,
             pivots_since_refactor: 0,
             degenerate_streak: 0,
-            y: vec![0.0; m],
-            w: vec![0.0; m],
         }
     }
 
@@ -255,7 +319,12 @@ impl<'a> Simplex<'a> {
     /// factorization. Returns `None` when the snapshot does not fit the
     /// problem (wrong size, wrong basic count, singular basis) — the caller
     /// then falls back to a cold start.
-    fn from_basis(lp: &'a StandardLp, cfg: &'a SimplexConfig, basis: &Basis) -> Option<Self> {
+    fn from_basis(
+        lp: &'a StandardLp,
+        cfg: &'a SimplexConfig,
+        basis: &Basis,
+        ws: &'a mut Workspace,
+    ) -> Option<Self> {
         let n = lp.num_vars();
         let m = lp.num_cons();
         if basis.cols.len() != n + m {
@@ -297,29 +366,21 @@ impl<'a> Simplex<'a> {
         if basis_vec.len() != m {
             return None;
         }
+        Self::load(lp, ws);
         let mut s = Simplex {
             cfg,
-            cols: Columns {
-                a: lp.a.to_csc(),
-                n,
-                m,
-                art_rows: Vec::new(),
-                art_signs: Vec::new(),
-                lp,
-            },
+            lp,
+            ws,
             lb,
             ub,
             x,
             state,
             basis: basis_vec,
-            binv: vec![0.0; m * m],
             m,
             iterations: 0,
             refactors: 0,
             pivots_since_refactor: 0,
             degenerate_streak: 0,
-            y: vec![0.0; m],
-            w: vec![0.0; m],
         };
         if !s.refactorize() {
             return None;
@@ -332,8 +393,9 @@ impl<'a> Simplex<'a> {
     /// recorded as their row's slack — the slack column spans the same
     /// single row, so the recorded basis stays nonsingular.
     fn snapshot_basis(&self) -> Basis {
-        let nm = self.cols.n + self.cols.m;
-        let mut cols: Vec<ColStatus> = self.state[..nm]
+        let cols = &self.ws.cols;
+        let nm = cols.n + cols.m;
+        let mut status: Vec<ColStatus> = self.state[..nm]
             .iter()
             .map(|st| match st {
                 VarState::Basic(_) => ColStatus::Basic,
@@ -344,101 +406,167 @@ impl<'a> Simplex<'a> {
             .collect();
         for &j in &self.basis {
             if j >= nm {
-                let row = self.cols.art_rows[j - nm];
-                cols[self.cols.n + row] = ColStatus::Basic;
+                let row = cols.art_rows[j - nm];
+                status[cols.n + row] = ColStatus::Basic;
             }
         }
-        Basis { cols }
+        Basis { cols: status }
     }
 
-    /// `y = Binv' c_B` — dual prices for the given basic costs.
-    fn compute_duals(&mut self, cost: &dyn Fn(&Self, usize) -> f64) {
-        let m = self.m;
-        self.y.fill(0.0);
-        for i in 0..m {
-            let cb = cost(self, self.basis[i]);
+    /// Fixes the column costs for the phase about to run, and which
+    /// columns are boxed too tightly to ever improve the objective.
+    fn load_phase(&mut self, cost: impl Fn(usize) -> f64) {
+        let total = self.ws.cols.total();
+        self.ws.cost.clear();
+        self.ws.cost.extend((0..total).map(cost));
+        self.ws.fixed.clear();
+        self.ws.fixed.extend(
+            self.lb.iter().zip(&self.ub).map(|(l, u)| u - l <= self.cfg.feas_tol && u.is_finite()),
+        );
+    }
+
+    /// `y = Binv' c_B` — dual prices for the running phase's basic costs.
+    fn compute_duals(&mut self) {
+        let Workspace { binv, active, y, cost, .. } = &mut *self.ws;
+        y.fill(0.0);
+        for (i, row) in binv.chunks_exact(self.m).enumerate() {
+            let cb = cost[self.basis[i]];
             if cb == 0.0 {
                 continue;
             }
-            for k in 0..m {
-                self.y[k] += cb * self.binv[i * m + k];
-            }
+            row_support(active, i).for_each(|k| y[k] += cb * row[k]);
         }
     }
 
-    /// `w = Binv a_j` for the entering column.
+    /// `w = Binv a_j` for the entering column. An inactive column of the
+    /// inverse is its diagonal entry alone.
     fn compute_direction(&mut self, j: usize) {
         let m = self.m;
-        self.w.fill(0.0);
-        // Borrow-splitting: collect the column once (columns are tiny).
-        let mut entries: Vec<(usize, f64)> = Vec::new();
-        self.cols.for_each_entry(j, |i, v| entries.push((i, v)));
-        for (i, v) in entries {
-            for k in 0..m {
-                self.w[k] += v * self.binv[k * m + i];
+        let Workspace { binv, active, w, cols, .. } = &mut *self.ws;
+        w.fill(0.0);
+        cols.for_each_entry(j, |i, v| {
+            if active.binary_search(&i).is_ok() {
+                for (wk, row) in w.iter_mut().zip(binv.chunks_exact(m)) {
+                    *wk += v * row[i];
+                }
+            } else {
+                w[i] += v * binv[i * m + i];
             }
-        }
+        });
     }
 
-    /// Recomputes `binv` by Gauss–Jordan elimination of the current basis and
-    /// refreshes the basic variable values. Returns `false` if the basis is
-    /// numerically singular.
+    /// Recomputes `binv` by Gauss–Jordan elimination of the current basis
+    /// and refreshes the basic variable values. Returns `false` if the
+    /// basis is numerically singular; `binv` is then unusable.
+    ///
+    /// The elimination runs in place on the one `m × m` buffer: before step
+    /// `c`, columns `c..` hold what is left of the basis matrix and columns
+    /// `..c` the inverse built so far (the other halves are identity
+    /// columns). Rows are exchanged for partial pivoting as they would be
+    /// on the two-matrix form `[B | I]`, and undoing the exchanges on the
+    /// columns at the end yields `B⁻¹`; every stored entry goes through the
+    /// same divisions and subtractions in the same order either way.
+    ///
+    /// Work is skipped only where an operand is exactly zero. A column
+    /// whose single nonzero no elimination has touched (`row_of`) needs no
+    /// column scan, and no elimination at all when its turn comes; most
+    /// columns of a basis grown from the slack start stay that way.
     fn refactorize(&mut self) -> bool {
         self.refactors += 1;
         let m = self.m;
-        // Build the dense basis matrix.
-        let mut mat = vec![0.0; m * m];
+        let Workspace { binv, active, cols, pivot_row, row_of, home, swaps, .. } = &mut *self.ws;
+        binv.clear();
+        binv.resize(m * m, 0.0);
+        row_of.clear();
+        row_of.resize(m, NONE);
+        home.clear();
+        home.resize(m, NONE);
+        swaps.clear();
         for (pos, &j) in self.basis.iter().enumerate() {
-            self.cols.for_each_entry(j, |i, v| mat[i * m + pos] = v);
+            let (mut entries, mut row) = (0, NONE);
+            cols.for_each_entry(j, |i, v| {
+                binv[i * m + pos] = v;
+                entries += 1;
+                row = i;
+            });
+            if entries == 1 && home[row] == NONE {
+                home[row] = pos;
+                row_of[pos] = row;
+            }
         }
-        let mut inv = vec![0.0; m * m];
-        for i in 0..m {
-            inv[i * m + i] = 1.0;
-        }
-        for col in 0..m {
-            // Partial pivoting.
-            let mut best = col;
-            let mut best_val = mat[col * m + col].abs();
-            for r in col + 1..m {
-                let v = mat[r * m + col].abs();
-                if v > best_val {
-                    best = r;
-                    best_val = v;
+        for c in 0..m {
+            // Partial pivoting: the first row at or below `c` holding the
+            // largest magnitude of column `c`.
+            let mut best = row_of[c];
+            if best == NONE {
+                best = c;
+                let mut best_val = binv[c * m + c].abs();
+                for r in c + 1..m {
+                    let v = binv[r * m + c].abs();
+                    if v > best_val {
+                        best = r;
+                        best_val = v;
+                    }
                 }
             }
-            if best_val < 1e-12 {
+            debug_assert!(best >= c, "a lone entry above the diagonal was never eliminated");
+            if binv[best * m + c].abs() < 1e-12 {
                 return false;
             }
-            if best != col {
-                for k in 0..m {
-                    mat.swap(col * m + k, best * m + k);
-                    inv.swap(col * m + k, best * m + k);
+            if best != c {
+                let (upper, lower) = binv.split_at_mut(best * m);
+                upper[c * m..(c + 1) * m].swap_with_slice(&mut lower[..m]);
+                home.swap(c, best);
+                for r in [c, best] {
+                    if home[r] != NONE {
+                        row_of[home[r]] = r;
+                    }
                 }
+                swaps.push((c, best));
             }
-            let piv = mat[col * m + col];
-            for k in 0..m {
-                mat[col * m + k] /= piv;
-                inv[col * m + k] /= piv;
+            let pivot = &mut binv[c * m..(c + 1) * m];
+            let piv = std::mem::replace(&mut pivot[c], 1.0);
+            if row_of[c] != NONE {
+                // No other row holds anything in column `c`.
+                if piv != 1.0 {
+                    pivot.iter_mut().for_each(|v| *v /= piv);
+                }
+                continue;
             }
-            for r in 0..m {
-                if r == col {
+            pivot_row.clear();
+            for (k, v) in pivot.iter_mut().enumerate() {
+                if *v == 0.0 {
                     continue;
                 }
-                let f = mat[r * m + col];
-                if f == 0.0 {
+                *v /= piv;
+                pivot_row.push((k, *v));
+                if row_of[k] != NONE {
+                    // This elimination fills the column in.
+                    home[c] = NONE;
+                    row_of[k] = NONE;
+                }
+            }
+            for (r, row) in binv.chunks_exact_mut(m).enumerate() {
+                let f = row[c];
+                if r == c || f == 0.0 {
                     continue;
                 }
-                for k in 0..m {
-                    mat[r * m + k] -= f * mat[col * m + k];
-                    inv[r * m + k] -= f * inv[col * m + k];
+                row[c] = 0.0;
+                for &(k, p) in pivot_row.iter() {
+                    row[k] -= f * p;
                 }
             }
         }
-        // inv now maps: row-permuted... Gauss-Jordan applied to [B | I]
-        // yields [I | B^{ -1 }] with consistent row ordering, but our basis
-        // inverse must satisfy x_B[pos] ordering. `mat` became the identity,
-        // so `inv` is B^{-1} directly.
-        self.binv = inv;
+        for row in binv.chunks_exact_mut(m) {
+            for &(c, p) in swaps.iter().rev() {
+                row.swap(c, p);
+            }
+        }
+        for &(c, p) in swaps.iter().rev() {
+            row_of.swap(c, p);
+        }
+        active.clear();
+        active.extend((0..m).filter(|&k| row_of[k] != k));
         self.refresh_basic_values();
         self.pivots_since_refactor = 0;
         true
@@ -446,9 +574,9 @@ impl<'a> Simplex<'a> {
 
     /// Recomputes basic values `x_B = Binv (rhs - N x_N)` from scratch.
     fn refresh_basic_values(&mut self) {
-        let m = self.m;
-        let mut resid = self.cols.lp.rhs.clone();
-        for j in 0..self.cols.total() {
+        let Workspace { binv, active, cols, .. } = &*self.ws;
+        let mut resid = self.lp.rhs.clone();
+        for j in 0..cols.total() {
             if matches!(self.state[j], VarState::Basic(_)) {
                 continue;
             }
@@ -456,13 +584,11 @@ impl<'a> Simplex<'a> {
             if xj == 0.0 {
                 continue;
             }
-            self.cols.for_each_entry(j, |i, v| resid[i] -= v * xj);
+            cols.for_each_entry(j, |i, v| resid[i] -= v * xj);
         }
-        for pos in 0..m {
+        for (pos, row) in binv.chunks_exact(self.m).enumerate() {
             let mut acc = 0.0;
-            for (k, &rk) in resid.iter().enumerate().take(m) {
-                acc += self.binv[pos * m + k] * rk;
-            }
+            row_support(active, pos).for_each(|k| acc += row[k] * resid[k]);
             self.x[self.basis[pos]] = acc;
         }
     }
@@ -481,9 +607,9 @@ impl<'a> Simplex<'a> {
         total
     }
 
-    /// Runs one simplex phase to optimality under the supplied cost
-    /// function. `cost(j)` must be cheap; it is called during pricing.
-    fn run_phase(&mut self, cost: &dyn Fn(&Self, usize) -> f64, max_iters: usize) -> PhaseEnd {
+    /// Runs one simplex phase to optimality under the costs
+    /// [`Simplex::load_phase`] fixed.
+    fn run_phase(&mut self, max_iters: usize) -> PhaseEnd {
         loop {
             if self.iterations >= max_iters {
                 return PhaseEnd::IterLimit;
@@ -492,19 +618,17 @@ impl<'a> Simplex<'a> {
             if self.pivots_since_refactor >= self.cfg.refactor_every && !self.refactorize() {
                 return PhaseEnd::Stalled;
             }
-            self.compute_duals(cost);
+            self.compute_duals();
             let use_bland = self.degenerate_streak >= self.cfg.degenerate_before_bland;
             // --- Pricing: pick the entering column. ---
             let mut enter: Option<(usize, f64, f64)> = None; // (col, reduced cost, score)
-            for j in 0..self.cols.total() {
+            let Workspace { cols, y, cost, fixed, .. } = &*self.ws;
+            for j in 0..cols.total() {
                 let st = self.state[j];
-                if matches!(st, VarState::Basic(_)) {
+                if matches!(st, VarState::Basic(_)) || fixed[j] {
                     continue;
                 }
-                if self.ub[j] - self.lb[j] <= self.cfg.feas_tol && self.ub[j].is_finite() {
-                    continue; // fixed column can never improve
-                }
-                let d = cost(self, j) - self.cols.dot_with(j, &self.y);
+                let d = cost[j] - cols.dot_with(j, y);
                 let score = match st {
                     VarState::AtLower if d < -self.cfg.opt_tol => -d,
                     VarState::AtUpper if d > self.cfg.opt_tol => d,
@@ -545,7 +669,7 @@ impl<'a> Simplex<'a> {
             let mut t_max = if own_range.is_finite() { own_range } else { f64::INFINITY };
             let mut leave: Option<(usize, bool)> = None; // (basis pos, hits_upper)
             for pos in 0..self.m {
-                let wj = sigma * self.w[pos];
+                let wj = sigma * self.ws.w[pos];
                 let bj = self.basis[pos];
                 let xb = self.x[bj];
                 if wj > self.cfg.pivot_tol {
@@ -577,7 +701,7 @@ impl<'a> Simplex<'a> {
             // --- Apply the step. ---
             for pos in 0..self.m {
                 let bj = self.basis[pos];
-                self.x[bj] -= sigma * t * self.w[pos];
+                self.x[bj] -= sigma * t * self.ws.w[pos];
             }
             match leave {
                 None => {
@@ -590,7 +714,7 @@ impl<'a> Simplex<'a> {
                     };
                 }
                 Some((pos, hits_upper)) => {
-                    let piv = self.w[pos];
+                    let piv = self.ws.w[pos];
                     if piv.abs() < self.cfg.pivot_tol {
                         // Numerically unusable pivot: refactorize and retry.
                         if !self.refactorize() {
@@ -607,25 +731,34 @@ impl<'a> Simplex<'a> {
                     self.state[j_leave] =
                         if hits_upper { VarState::AtUpper } else { VarState::AtLower };
                     self.basis[pos] = j_enter;
-                    // Product-form update of the explicit inverse.
-                    let m = self.m;
-                    for k in 0..m {
-                        self.binv[pos * m + k] /= piv;
-                    }
-                    for r in 0..m {
-                        if r == pos {
-                            continue;
-                        }
-                        let f = self.w[r];
-                        if f == 0.0 {
-                            continue;
-                        }
-                        for k in 0..m {
-                            self.binv[r * m + k] -= f * self.binv[pos * m + k];
-                        }
-                    }
+                    self.update_inverse(pos, piv);
                     self.pivots_since_refactor += 1;
                 }
+            }
+        }
+    }
+
+    /// Product-form update of the explicit inverse for a pivot at `pos`.
+    /// Row `pos` lives on the active columns and its own diagonal, so once
+    /// `pos` is active every row the update writes does too.
+    fn update_inverse(&mut self, pos: usize, piv: f64) {
+        let m = self.m;
+        let Workspace { binv, active, w, pivot_row, .. } = &mut *self.ws;
+        if let Err(at) = active.binary_search(&pos) {
+            active.insert(at, pos);
+        }
+        pivot_row.clear();
+        for &k in active.iter() {
+            binv[pos * m + k] /= piv;
+            pivot_row.push((k, binv[pos * m + k]));
+        }
+        for (r, row) in binv.chunks_exact_mut(m).enumerate() {
+            let f = w[r];
+            if r == pos || f == 0.0 {
+                continue;
+            }
+            for &(k, p) in pivot_row.iter() {
+                row[k] -= f * p;
             }
         }
     }
@@ -649,6 +782,17 @@ pub fn solve(lp: &StandardLp, cfg: &SimplexConfig) -> Solution {
 /// singular after the data change, primal infeasible under the new
 /// bounds) is reported as [`WarmEvent::Miss`] and solved cold.
 pub fn solve_warm(lp: &StandardLp, cfg: &SimplexConfig, warm: Option<&Basis>) -> Solution {
+    solve_warm_in(lp, cfg, warm, &mut Workspace::default())
+}
+
+/// [`solve_warm`] on the caller's [`Workspace`]; the result does not
+/// depend on what the workspace held before.
+pub(crate) fn solve_warm_in(
+    lp: &StandardLp,
+    cfg: &SimplexConfig,
+    warm: Option<&Basis>,
+    ws: &mut Workspace,
+) -> Solution {
     // Row equilibration. Scaling rows does not change which columns form a
     // nonsingular basis, so the warm basis passes through unchanged.
     let row_norms = lp.a.row_inf_norms();
@@ -662,16 +806,21 @@ pub fn solve_warm(lp: &StandardLp, cfg: &SimplexConfig, warm: Option<&Basis>) ->
         for (r, s) in scaled.rhs.iter_mut().zip(&scale) {
             *r *= s;
         }
-        let mut sol = solve_unscaled(&scaled, cfg, warm);
+        let mut sol = solve_unscaled(&scaled, cfg, warm, ws);
         for (d, s) in sol.duals.iter_mut().zip(&scale) {
             *d *= s;
         }
         return sol;
     }
-    solve_unscaled(lp, cfg, warm)
+    solve_unscaled(lp, cfg, warm, ws)
 }
 
-fn solve_unscaled(lp: &StandardLp, cfg: &SimplexConfig, warm: Option<&Basis>) -> Solution {
+fn solve_unscaled(
+    lp: &StandardLp,
+    cfg: &SimplexConfig,
+    warm: Option<&Basis>,
+    ws: &mut Workspace,
+) -> Solution {
     let n = lp.num_vars();
     let m = lp.num_cons();
     let max_iters = if cfg.max_iters == 0 { 200 + 20 * (n + m) } else { cfg.max_iters };
@@ -709,10 +858,10 @@ fn solve_unscaled(lp: &StandardLp, cfg: &SimplexConfig, warm: Option<&Basis>) ->
     // when it comes up primal feasible (phase 1 cannot repair an
     // artificial-free start, so feasibility is the admission ticket).
     if let Some(basis) = warm {
-        if let Some(s) = Simplex::from_basis(lp, cfg, basis) {
+        if let Some(s) = Simplex::from_basis(lp, cfg, basis, ws) {
             let rhs_max = lp.rhs.iter().fold(0.0f64, |a, &b| a.max(b.abs()));
             if s.infeasibility() <= cfg.feas_tol * (1.0 + rhs_max) {
-                let mut sol = solve_prepared(lp, cfg, s, max_iters);
+                let mut sol = solve_prepared(s, max_iters);
                 // Numerical trouble from a warm basis is recoverable: retry
                 // cold rather than surfacing the failure.
                 if sol.status != Status::NumericalTrouble {
@@ -721,11 +870,11 @@ fn solve_unscaled(lp: &StandardLp, cfg: &SimplexConfig, warm: Option<&Basis>) ->
                 }
             }
         }
-        let mut sol = solve_prepared(lp, cfg, Simplex::new(lp, cfg), max_iters);
+        let mut sol = solve_prepared(Simplex::new(lp, cfg, ws), max_iters);
         sol.stats.warm = WarmEvent::Miss;
         return sol;
     }
-    solve_prepared(lp, cfg, Simplex::new(lp, cfg), max_iters)
+    solve_prepared(Simplex::new(lp, cfg, ws), max_iters)
 }
 
 /// Baseline stats describing the problem; counters are filled by the solve.
@@ -742,25 +891,17 @@ fn base_stats(lp: &StandardLp) -> SolveStats {
 /// Runs both phases on an already-constructed solver state and extracts the
 /// solution. Phase 1 runs only when the starting point is infeasible or
 /// carries artificial columns (a feasible warm basis skips it entirely).
-fn solve_prepared<'a>(
-    lp: &'a StandardLp,
-    cfg: &'a SimplexConfig,
-    mut s: Simplex<'a>,
-    max_iters: usize,
-) -> Solution {
+fn solve_prepared(mut s: Simplex<'_>, max_iters: usize) -> Solution {
+    let (lp, cfg) = (s.lp, s.cfg);
     let n = lp.num_vars();
     let m = lp.num_cons();
     // Phase 1: minimize total infeasibility via artificial costs plus
     // penalties on any basic variable that starts outside its bounds.
-    if s.infeasibility() > cfg.feas_tol || !s.cols.art_rows.is_empty() {
-        let phase1_cost = |s: &Simplex, j: usize| -> f64 {
-            if j >= s.cols.n + s.cols.m {
-                1.0
-            } else {
-                0.0
-            }
-        };
-        match s.run_phase(&phase1_cost, max_iters) {
+    let nm = n + m;
+    let arts = nm..nm + s.ws.cols.art_rows.len();
+    if s.infeasibility() > cfg.feas_tol || !arts.is_empty() {
+        s.load_phase(|j| if j >= nm { 1.0 } else { 0.0 });
+        match s.run_phase(max_iters) {
             PhaseEnd::Optimal => {}
             PhaseEnd::Unbounded => {
                 // Phase-1 objective is bounded below by zero; an "unbounded"
@@ -770,15 +911,14 @@ fn solve_prepared<'a>(
             PhaseEnd::IterLimit => return Solution::failed(Status::IterationLimit, n, m),
             PhaseEnd::Stalled => return Solution::failed(Status::NumericalTrouble, n, m),
         }
-        let art_total: f64 = (0..s.cols.art_rows.len()).map(|k| s.x[s.cols.n + s.cols.m + k]).sum();
+        let art_total: f64 = s.x[arts.clone()].iter().sum();
         if art_total
             > cfg.feas_tol * 10.0 * (1.0 + lp.rhs.iter().map(|r| r.abs()).fold(0.0, f64::max))
         {
             return Solution::failed(Status::Infeasible, n, m);
         }
         // Pin artificials to zero for phase 2.
-        for k in 0..s.cols.art_rows.len() {
-            let j = s.cols.n + s.cols.m + k;
+        for j in arts {
             s.lb[j] = 0.0;
             s.ub[j] = 0.0;
             if !matches!(s.state[j], VarState::Basic(_)) {
@@ -789,19 +929,18 @@ fn solve_prepared<'a>(
     }
 
     // Phase 2: the real objective (structural columns only).
-    let phase2_cost = |s: &Simplex, j: usize| -> f64 {
-        if j < s.cols.n {
-            s.cols.lp.obj[j]
-        } else {
-            0.0
-        }
-    };
-    let end = s.run_phase(&phase2_cost, max_iters);
+    s.load_phase(|j| if j < n { lp.obj[j] } else { 0.0 });
+    let end = s.run_phase(max_iters);
     let status = match end {
         PhaseEnd::Optimal => Status::Optimal,
         PhaseEnd::Unbounded => Status::Unbounded,
         PhaseEnd::IterLimit => Status::IterationLimit,
         PhaseEnd::Stalled => Status::NumericalTrouble,
+    };
+    let stats = |s: &Simplex<'_>| SolveStats {
+        iterations: s.iterations,
+        refactors: s.refactors,
+        ..base_stats(lp)
     };
     if !matches!(status, Status::Optimal) {
         // On an iteration limit the current (feasible) iterate is still a
@@ -821,26 +960,27 @@ fn solve_prepared<'a>(
         } else {
             Solution::failed(status, n, m)
         };
-        sol.stats.iterations = s.iterations;
-        sol.stats.refactors = s.refactors;
-        sol.stats.backend = BackendKind::Simplex;
-        sol.stats.rows = m;
-        sol.stats.cols = n;
-        sol.stats.nnz = lp.a.nnz();
+        sol.stats = stats(&s);
         return sol;
     }
-    // Final cleanup: refresh values through one refactorization for accuracy.
-    s.refactorize();
-    s.compute_duals(&phase2_cost);
+    // Final cleanup: refresh values through one refactorization for
+    // accuracy. The in-place elimination leaves no inverse behind when it
+    // meets a singular pivot, so there is nothing to price the duals with.
+    if !s.refactorize() {
+        let mut sol = Solution::failed(Status::NumericalTrouble, n, m);
+        sol.stats = stats(&s);
+        return sol;
+    }
+    s.compute_duals();
     let x: Vec<f64> = s.x[..n].to_vec();
     let min_obj: f64 = lp.obj_offset + x.iter().zip(&lp.obj).map(|(a, b)| a * b).sum::<f64>();
     Solution {
         status: Status::Optimal,
         objective: lp.user_objective(min_obj),
-        duals: s.y.iter().map(|&v| lp.obj_sign * v).collect(),
+        duals: s.ws.y.iter().map(|&v| lp.obj_sign * v).collect(),
         basis: Some(s.snapshot_basis()),
         x,
-        stats: SolveStats { iterations: s.iterations, refactors: s.refactors, ..base_stats(lp) },
+        stats: stats(&s),
     }
 }
 

@@ -9,9 +9,10 @@ use crate::batch::BatchedModel;
 use crate::milp::{self, MilpConfig};
 use crate::model::{Model, StandardLp};
 use crate::pdhg::{self, PdhgConfig};
-use crate::simplex::{self, SimplexConfig};
-use crate::solution::{Solution, SolveStats};
+use crate::simplex::{self, SimplexConfig, Workspace};
+use crate::solution::{Solution, SolveStats, Status};
 use crate::warm::{BackendKind, WarmEvent, WarmStart};
+use std::borrow::Borrow;
 
 /// Which algorithm executes the solve.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -20,7 +21,7 @@ pub enum Backend {
     /// PDHG above. Models with integer variables always use branch & bound.
     #[default]
     Auto,
-    /// Dense two-phase simplex (exact; small/medium problems).
+    /// Two-phase revised simplex (exact; small/medium problems).
     Simplex,
     /// Restarted averaged PDHG (approximate to tolerance; large problems).
     Pdhg,
@@ -95,7 +96,7 @@ pub fn solve_with(model: &Model, cfg: &SolverConfig, warm: Option<&WarmStart>) -
         "warm" => warm.is_some(),
         "backend" => backend_label(model, cfg),
     );
-    let sol = solve_timed(model, cfg, warm, None);
+    let sol = solve_timed(model, cfg, warm, None, &mut Workspace::default());
     lp_metrics().record(&sol.stats);
     sol
 }
@@ -103,16 +104,18 @@ pub fn solve_with(model: &Model, cfg: &SolverConfig, warm: Option<&WarmStart>) -
 /// [`solve_with`] minus the span and metrics flush: runs the backend and
 /// stamps `solve_seconds`. The batch path reuses this for lanes that solve
 /// sequentially — the results are bitwise identical to [`solve_with`]'s
-/// while the batch stays in charge of its own metrics accounting.
+/// while the batch stays in charge of its own metrics accounting, and
+/// hands one simplex [`Workspace`] from lane to lane.
 fn solve_timed(
     model: &Model,
     cfg: &SolverConfig,
     warm: Option<&WarmStart>,
     pre: Option<StandardLp>,
+    ws: &mut Workspace,
 ) -> Solution {
     // arrow-lint: allow(wall-clock-in-core) — solve wall time reported in SolveStats; iteration counts, not time, bound the solve
     let start = std::time::Instant::now();
-    let mut sol = solve_inner(model, cfg, warm, pre, start);
+    let mut sol = solve_inner(model, cfg, warm, pre, start, ws);
     sol.stats.solve_seconds = start.elapsed().as_secs_f64();
     sol
 }
@@ -228,7 +231,12 @@ fn solve_inner(
     pre: Option<StandardLp>,
     // arrow-lint: allow(wall-clock-in-core) — carries the caller's stats timestamp through; never branches on elapsed time
     start: std::time::Instant,
+    ws: &mut Workspace,
 ) -> Solution {
+    let full = pre.unwrap_or_else(|| model.to_standard());
+    if let Some(status) = data_defect(&full) {
+        return Solution::failed(status, full.num_vars(), full.num_cons());
+    }
     if model.num_int_vars() > 0 {
         let mut s = milp::solve(model, &cfg.milp);
         s.stats.backend = BackendKind::Milp;
@@ -237,18 +245,14 @@ fn solve_inner(
         s.stats.nnz = model.nnz();
         s
     } else {
-        let full = pre.unwrap_or_else(|| model.to_standard());
         // Optional presolve: solve the reduced problem, expand the answer.
         // Presolve renumbers rows/columns, so warm starts are dropped here.
         let warm = if cfg.presolve { None } else { warm };
         let (lp, reduction) = if cfg.presolve {
             match crate::presolve::presolve(&full) {
                 crate::presolve::PresolveResult::Infeasible => {
-                    let mut s = Solution::failed(
-                        crate::solution::Status::Infeasible,
-                        full.num_vars(),
-                        full.num_cons(),
-                    );
+                    let mut s =
+                        Solution::failed(Status::Infeasible, full.num_vars(), full.num_cons());
                     s.stats.solve_seconds = start.elapsed().as_secs_f64();
                     return s;
                 }
@@ -265,13 +269,13 @@ fn solve_inner(
         let sol = if backend == Backend::Pdhg {
             pdhg::solve_warm(&lp, &cfg.pdhg, warm.and_then(|w| w.point.as_ref()))
         } else {
-            simplex::solve_warm(&lp, &cfg.simplex, warm.and_then(|w| w.basis.as_ref()))
+            simplex::solve_warm_in(&lp, &cfg.simplex, warm.and_then(|w| w.basis.as_ref()), ws)
         };
         // Auto mode falls back to the first-order method when the simplex
         // loses numerical accuracy (rare, but recoverable).
         let sol = if cfg.backend == Backend::Auto
             && backend == Backend::Simplex
-            && sol.status == crate::solution::Status::NumericalTrouble
+            && sol.status == Status::NumericalTrouble
         {
             pdhg::solve_warm(&lp, &cfg.pdhg, warm.and_then(|w| w.point.as_ref()))
         } else {
@@ -282,6 +286,28 @@ fn solve_inner(
             _ => sol,
         }
     }
+}
+
+/// Why no backend can be trusted with `lp`'s numbers, if anything: a
+/// non-finite coefficient, right-hand side or objective entry, or a bound
+/// that is NaN or pins its variable at an infinity, is
+/// [`Status::NumericalTrouble`]; crossed bounds are [`Status::Infeasible`].
+/// (Left alone, the simplex calls such a model optimal with NaN in `x`.)
+fn data_defect(lp: &StandardLp) -> Option<Status> {
+    let finite = |v: &[f64]| v.iter().all(|x| x.is_finite());
+    let coefficients = (0..lp.num_cons()).all(|i| lp.a.row(i).all(|(_, v)| v.is_finite()));
+    if !(coefficients && finite(&lp.rhs) && finite(&lp.obj) && lp.obj_offset.is_finite()) {
+        return Some(Status::NumericalTrouble);
+    }
+    for (&l, &u) in lp.lb.iter().zip(&lp.ub) {
+        if l.is_nan() || u.is_nan() || l == f64::INFINITY || u == f64::NEG_INFINITY {
+            return Some(Status::NumericalTrouble);
+        }
+        if l > u {
+            return Some(Status::Infeasible);
+        }
+    }
+    None
 }
 
 /// Solves a family of models as one batch, sharing panel work where the
@@ -299,11 +325,15 @@ fn solve_inner(
 /// width, batched lanes report an amortized [`SolveStats::solve_seconds`],
 /// and `lp.solve.seconds` is sampled once for the whole batch.
 ///
+/// Simplex-routed lanes share one set of solver buffers, so a chunk of
+/// same-sized LPs allocates its basis inverse once.
+///
 /// An empty slice returns an empty vec.
-pub fn solve_batch(models: &[Model], cfg: &SolverConfig) -> Vec<Solution> {
+pub fn solve_batch<M: Borrow<Model>>(models: &[M], cfg: &SolverConfig) -> Vec<Solution> {
     if models.is_empty() {
         return Vec::new();
     }
+    let models: Vec<&Model> = models.iter().map(Borrow::borrow).collect();
     let _span = arrow_obs::span!(
         "lp.solve_batch",
         "lanes" => models.len(),
@@ -321,7 +351,9 @@ pub fn solve_batch(models: &[Model], cfg: &SolverConfig) -> Vec<Solution> {
     // Group batchable lanes by structure: digest prefilter, exact confirm.
     let mut groups: Vec<(u64, Vec<usize>)> = Vec::new();
     for (i, lp) in standards.iter().enumerate() {
-        let Some(lp) = lp else { continue };
+        // A lane with bad numbers stays out of every panel: the sequential
+        // path below turns it away in `solve_inner`.
+        let Some(lp) = lp.as_ref().filter(|lp| data_defect(lp).is_none()) else { continue };
         let digest = lp.structure_digest();
         let mut placed = false;
         for (d, lanes) in groups.iter_mut() {
@@ -366,9 +398,10 @@ pub fn solve_batch(models: &[Model], cfg: &SolverConfig) -> Vec<Solution> {
         }
     }
     // Everything not solved by a panel runs the exact sequential path.
+    let mut ws = Workspace::default();
     for (i, slot) in out.iter_mut().enumerate() {
         if slot.is_none() {
-            let mut s = solve_timed(&models[i], cfg, None, standards[i].take());
+            let mut s = solve_timed(models[i], cfg, None, standards[i].take(), &mut ws);
             s.stats.lanes = 1;
             *slot = Some(s);
         }
@@ -383,7 +416,7 @@ pub fn solve_batch(models: &[Model], cfg: &SolverConfig) -> Vec<Solution> {
         .into_iter()
         .map(|s| match s {
             Some(s) => s,
-            None => Solution::failed(crate::solution::Status::NumericalTrouble, 0, 0),
+            None => Solution::failed(Status::NumericalTrouble, 0, 0),
         })
         .collect();
     for s in &sols {
@@ -448,7 +481,8 @@ mod tests {
         let before = arrow_obs::metrics::snapshot();
         let s = solve(&tiny_model(), &SolverConfig::exact());
         let after = arrow_obs::metrics::snapshot();
-        // The simplex always refactorizes at least once (initial basis).
+        // An optimal simplex solve refactorizes at least once (the final
+        // cleanup that refreshes the basic values).
         assert!(s.stats.refactors >= 1);
         assert!(after.counter("lp.solves") > before.counter("lp.solves"));
         assert!(after.counter("lp.warm.cold") > before.counter("lp.warm.cold"));
@@ -487,6 +521,8 @@ mod batch_tests {
 
     fn assert_bitwise(a: &Solution, b: &Solution) {
         assert_eq!(a.status, b.status);
+        assert_eq!(a.stats.iterations, b.stats.iterations);
+        assert_eq!(a.basis, b.basis);
         assert_eq!(a.objective.to_bits(), b.objective.to_bits(), "objective bits differ");
         assert_eq!(a.x.len(), b.x.len());
         for (i, (xa, xb)) in a.x.iter().zip(&b.x).enumerate() {
@@ -500,7 +536,7 @@ mod batch_tests {
 
     #[test]
     fn empty_batch_returns_empty() {
-        assert!(solve_batch(&[], &SolverConfig::default()).is_empty());
+        assert!(solve_batch::<Model>(&[], &SolverConfig::default()).is_empty());
     }
 
     #[test]
@@ -528,6 +564,49 @@ mod batch_tests {
                 assert_bitwise(&seq, b);
             }
         }
+    }
+
+    /// `rows` rows over `rows + 2` boxed variables with coefficients from a
+    /// small LCG; every third row is a `>=` row, so phase 1 needs
+    /// artificial columns whenever there are three rows or more.
+    fn ragged_model(rows: usize, seed: u64) -> Model {
+        let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+        let mut draw = move || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (state >> 33) as f64 / (1u64 << 31) as f64
+        };
+        let mut m = Model::new();
+        let vars: Vec<_> = (0..rows + 2).map(|j| m.add_var(0.0, 4.0, format!("x{j}"))).collect();
+        for i in 0..rows {
+            let e = LinExpr::sum(vars.iter().map(|&v| (v, (4.0 * draw()).floor() - 1.0)));
+            if i % 3 == 2 {
+                m.add_con(e, Sense::Ge, -1.0 - draw(), format!("g{i}"));
+            } else {
+                m.add_con(e, Sense::Le, 3.0 + 5.0 * draw(), format!("l{i}"));
+            }
+        }
+        m.set_objective(LinExpr::sum(vars.iter().map(|&v| (v, draw()))), Objective::Maximize);
+        m
+    }
+
+    #[test]
+    fn simplex_lanes_sharing_a_workspace_match_standalone_solves_bitwise() {
+        // Lane sizes go up and down, so every buffer the lanes hand on is
+        // at some point larger than, smaller than, and the size of what the
+        // next lane needs; anything read before it is written shows here.
+        let rows = [7, 2, 12, 1, 9, 3, 15, 0, 15, 4, 11, 11, 6, 14, 5, 8];
+        let models: Vec<Model> =
+            rows.iter().enumerate().map(|(i, &r)| ragged_model(r, i as u64)).collect();
+        let cfg = SolverConfig::exact();
+        let batched = solve_batch(&models, &cfg);
+        assert_eq!(batched.len(), 16);
+        let mut optimal = 0;
+        for (model, b) in models.iter().zip(&batched) {
+            assert_eq!(b.stats.backend, BackendKind::Simplex);
+            assert_bitwise(&solve(model, &cfg), b);
+            optimal += usize::from(b.status == Status::Optimal);
+        }
+        assert!(optimal >= 12, "only {optimal} of 16 lanes are optimal: the family is too hard");
     }
 
     #[test]
@@ -567,6 +646,98 @@ mod batch_tests {
         assert!(after.counter("lp.solves") >= before.counter("lp.solves") + 4);
         let hist = after.histogram("lp.solve.seconds").expect("registered");
         assert!(hist.count > before.histogram("lp.solve.seconds").map_or(0, |h| h.count));
+    }
+}
+
+#[cfg(test)]
+mod validation_tests {
+    use super::*;
+    use crate::model::{LinExpr, Objective, Sense, INF};
+    use crate::sparse::CsrMatrix;
+
+    /// max x + `cost`·y  s.t.  x <= 4,  x + `coeff`·y <= `rhs`,  y <= 9.
+    fn two_var(rhs: f64, coeff: f64, cost: f64) -> Model {
+        let mut m = Model::new();
+        let x = m.add_nonneg("x");
+        let y = m.add_var(0.0, 9.0, "y");
+        m.add_con(LinExpr::term(x, 1.0), Sense::Le, 4.0, "cap");
+        m.add_con(LinExpr::new().add(x, 1.0).add(y, coeff), Sense::Le, rhs, "mix");
+        m.set_objective(LinExpr::new().add(x, 1.0).add(y, cost), Objective::Maximize);
+        m
+    }
+
+    fn assert_rejected(sol: &Solution, what: &str) {
+        assert_eq!(sol.status, Status::NumericalTrouble, "{what}");
+        assert!(sol.objective.is_nan(), "{what}: objective {}", sol.objective);
+        assert!(sol.warm_start().is_none(), "{what}: a rejected model yields no point");
+    }
+
+    #[test]
+    fn non_finite_data_is_rejected_by_every_entry_point_on_both_backends() {
+        let good = two_var(6.0, 1.0, 1.0);
+        let bad = [
+            ("NaN rhs", two_var(f64::NAN, 1.0, 1.0)),
+            ("+inf rhs", two_var(INF, 1.0, 1.0)),
+            ("NaN coefficient", two_var(6.0, f64::NAN, 1.0)),
+            ("-inf coefficient", two_var(6.0, -INF, 1.0)),
+            ("NaN objective", two_var(6.0, 1.0, f64::NAN)),
+            ("+inf objective", two_var(6.0, 1.0, INF)),
+        ];
+        for cfg in [SolverConfig::exact(), SolverConfig::first_order(1e-7)] {
+            let reference = solve(&good, &cfg);
+            assert_eq!(reference.status, Status::Optimal);
+            let warm = reference.warm_start();
+            for (what, model) in &bad {
+                assert_rejected(&solve(model, &cfg), what);
+                assert_rejected(&solve_with(model, &cfg, warm.as_ref()), what);
+            }
+            // In a batch the bad lanes are turned away one by one; the good
+            // lanes around them (a PDHG panel under `first_order`) solve
+            // exactly as they do alone.
+            let lanes: Vec<&Model> =
+                [&good, &bad[0].1, &good, &bad[2].1, &bad[4].1, &good].into_iter().collect();
+            let sols = solve_batch(&lanes, &cfg);
+            for (i, sol) in sols.iter().enumerate() {
+                if std::ptr::eq(lanes[i], &good) {
+                    assert_eq!(sol.status, Status::Optimal);
+                    assert_eq!(sol.objective.to_bits(), reference.objective.to_bits());
+                } else {
+                    assert_rejected(sol, &format!("batch lane {i}"));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn integer_models_are_validated_before_branch_and_bound() {
+        let mut m = Model::new();
+        let x = m.add_int_var(0.0, 9.0, "x");
+        m.add_con(LinExpr::term(x, 2.0), Sense::Le, f64::NAN, "cap");
+        m.set_objective(LinExpr::term(x, 1.0), Objective::Maximize);
+        assert_rejected(&solve(&m, &SolverConfig::default()), "MILP with NaN rhs");
+    }
+
+    #[test]
+    fn bad_bounds_are_a_defect_of_the_standard_form() {
+        // `Model::add_var` refuses these outright, so they can only arrive
+        // in a hand-built standard form.
+        let with_bounds = |lb: f64, ub: f64| StandardLp {
+            a: CsrMatrix::from_triplets(1, 1, &[(0, 0, 1.0)]),
+            senses: vec![Sense::Le],
+            rhs: vec![1.0],
+            lb: vec![lb],
+            ub: vec![ub],
+            obj: vec![1.0],
+            obj_offset: 0.0,
+            obj_sign: 1.0,
+        };
+        assert_eq!(data_defect(&with_bounds(0.0, 1.0)), None);
+        assert_eq!(data_defect(&with_bounds(-INF, INF)), None);
+        assert_eq!(data_defect(&with_bounds(f64::NAN, 1.0)), Some(Status::NumericalTrouble));
+        assert_eq!(data_defect(&with_bounds(0.0, f64::NAN)), Some(Status::NumericalTrouble));
+        assert_eq!(data_defect(&with_bounds(INF, INF)), Some(Status::NumericalTrouble));
+        assert_eq!(data_defect(&with_bounds(-INF, -INF)), Some(Status::NumericalTrouble));
+        assert_eq!(data_defect(&with_bounds(2.0, 1.0)), Some(Status::Infeasible));
     }
 }
 

@@ -205,34 +205,45 @@ impl CsrMatrix {
 
     /// Converts to column-major storage.
     pub fn to_csc(&self) -> CscMatrix {
-        let mut counts = vec![0usize; self.cols + 1];
+        let mut out = CscMatrix::default();
+        self.to_csc_into(&mut out);
+        out
+    }
+
+    /// [`CsrMatrix::to_csc`] into an existing matrix, reusing its storage.
+    pub(crate) fn to_csc_into(&self, out: &mut CscMatrix) {
+        out.rows = self.rows;
+        out.cols = self.cols;
+        let col_ptr = &mut out.col_ptr;
+        col_ptr.clear();
+        col_ptr.resize(self.cols + 1, 0);
         for &c in &self.col_idx {
-            counts[c + 1] += 1;
+            col_ptr[c + 1] += 1;
         }
         for j in 0..self.cols {
-            counts[j + 1] += counts[j];
+            col_ptr[j + 1] += col_ptr[j];
         }
-        let col_ptr = counts.clone();
-        let mut row_idx = vec![0usize; self.nnz()];
-        let mut values = vec![0f64; self.nnz()];
-        let mut cursor = counts;
+        out.row_idx.clear();
+        out.row_idx.resize(self.nnz(), 0);
+        out.values.clear();
+        out.values.resize(self.nnz(), 0.0);
+        let mut cursor = col_ptr.clone();
         for i in 0..self.rows {
             for p in self.row_ptr[i]..self.row_ptr[i + 1] {
                 let c = self.col_idx[p];
                 let q = cursor[c];
-                row_idx[q] = i;
-                values[q] = self.values[p];
+                out.row_idx[q] = i;
+                out.values[q] = self.values[p];
                 cursor[c] += 1;
             }
         }
-        CscMatrix { rows: self.rows, cols: self.cols, col_ptr, row_idx, values }
     }
 }
 
 /// A sparse matrix in compressed-sparse-column format.
 ///
 /// Used by the simplex solver, which prices one column at a time.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CscMatrix {
     rows: usize,
     cols: usize,

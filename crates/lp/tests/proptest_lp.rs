@@ -1,7 +1,7 @@
 //! Property-based tests of the LP toolkit on randomly generated programs.
 
 use arrow_lp::model::{LinExpr, Model, Objective, Sense};
-use arrow_lp::{Backend, SolverConfig, Status};
+use arrow_lp::{Backend, ColStatus, Solution, SolverConfig, Status, WarmStart};
 use proptest::prelude::*;
 
 /// A random box-constrained LP with `m` dense `<=` rows built so that the
@@ -27,8 +27,146 @@ fn random_lp(
     (model, vars)
 }
 
+/// A feasible, bounded LP with mixed row senses: every row is anchored at
+/// the point `x0` inside the `[0, 10]` box (`=` rows hold there exactly,
+/// `>=` and `<=` rows with `slack` to spare), so phase 1 has real work —
+/// the `>=` and `=` rows start on artificial columns.
+fn anchored_lp(n: usize, coeffs: &[f64], x0: &[f64], slack: &[f64], costs: &[f64]) -> Model {
+    let mut model = Model::new();
+    let vars: Vec<_> = (0..n).map(|j| model.add_var(0.0, 10.0, format!("x{j}"))).collect();
+    for (i, &s) in slack.iter().enumerate() {
+        let row = &coeffs[i * n..(i + 1) * n];
+        let at_x0: f64 = row.iter().zip(x0).map(|(a, x)| a * x).sum();
+        let e = LinExpr::sum(vars.iter().copied().zip(row.iter().copied()));
+        match i % 3 {
+            0 => model.add_con(e, Sense::Le, at_x0 + s, format!("l{i}")),
+            1 => model.add_con(e, Sense::Ge, at_x0 - s, format!("g{i}")),
+            _ => model.add_con(e, Sense::Eq, at_x0, format!("e{i}")),
+        };
+    }
+    model.set_objective(
+        LinExpr::sum(vars.iter().copied().zip(costs.iter().copied())),
+        Objective::Maximize,
+    );
+    model
+}
+
+/// `‖B·x_B − (rhs − N·x_N)‖∞` of a returned basis. Nonbasic structurals
+/// must sit exactly on the bound the snapshot names and a nonbasic slack is
+/// always zero; a basic slack takes up its row's residual, so what is
+/// measured is every row whose slack is nonbasic. Also checks the
+/// snapshot's shape: `n + m` columns, `m` of them basic.
+fn basis_residual(model: &Model, sol: &Solution) -> Result<f64, String> {
+    let lp = model.to_standard();
+    let (n, m) = (lp.num_vars(), lp.num_cons());
+    let basis = sol.basis.as_ref().ok_or("optimal simplex solve returned no basis")?;
+    if basis.cols.len() != n + m || basis.num_basic() != m {
+        return Err(format!(
+            "{} columns, {} basic for {n}+{m}",
+            basis.cols.len(),
+            basis.num_basic()
+        ));
+    }
+    for (j, &xj) in sol.x.iter().enumerate() {
+        let on_bound = match basis.cols[j] {
+            ColStatus::Basic => continue,
+            ColStatus::AtLower => lp.lb[j],
+            ColStatus::AtUpper => lp.ub[j],
+            ColStatus::Free => 0.0,
+        };
+        if xj != on_bound {
+            return Err(format!("nonbasic x[{j}] = {xj} is off its bound {on_bound}"));
+        }
+    }
+    let mut ax = vec![0.0; m];
+    lp.a.mul_vec(&sol.x, &mut ax);
+    Ok((0..m)
+        .filter(|&i| basis.cols[n + i] != ColStatus::Basic)
+        .map(|i| (ax[i] - lp.rhs[i]).abs())
+        .fold(0.0, f64::max))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
+
+    /// Both ends of the active set against each other: the default config
+    /// (the set grows from empty, one refactorization at the end), a
+    /// refactorization before every pivot (the set is rebuilt each time)
+    /// and a restart from the returned basis (the set starts near full)
+    /// must agree, and every basis they return must solve its own system.
+    #[test]
+    fn active_set_ends_agree_and_bases_are_consistent(
+        n in 2usize..7,
+        m in 1usize..7,
+        seed_coeffs in proptest::collection::vec(-2.0f64..2.0, 42),
+        seed_x0 in proptest::collection::vec(0.5f64..9.5, 7),
+        seed_slack in proptest::collection::vec(0.0f64..3.0, 7),
+        seed_costs in proptest::collection::vec(-1.0f64..3.0, 7),
+    ) {
+        let model = anchored_lp(n, &seed_coeffs[..n * m], &seed_x0[..n], &seed_slack[..m], &seed_costs[..n]);
+        let sparse = arrow_lp::solve(&model, &SolverConfig::exact());
+        prop_assert_eq!(sparse.status, Status::Optimal);
+        let mut every_pivot = SolverConfig::exact();
+        every_pivot.simplex.refactor_every = 1;
+        let dense = arrow_lp::solve(&model, &every_pivot);
+        let basis = sparse.basis.clone().expect("optimal solve records a basis");
+        let warm = arrow_lp::solve_with(&model, &SolverConfig::exact(), Some(&WarmStart::from_basis(basis)));
+        prop_assert_eq!(warm.stats.warm, arrow_lp::WarmEvent::Hit);
+        for (what, sol) in [("default", &sparse), ("refactor_every = 1", &dense), ("warm", &warm)] {
+            prop_assert_eq!(sol.status, Status::Optimal, "{}", what);
+            prop_assert!(
+                (sol.objective - sparse.objective).abs() <= 1e-9 * (1.0 + sparse.objective.abs()),
+                "{}: objective {} vs {}", what, sol.objective, sparse.objective
+            );
+            prop_assert!(sol.violation(&model) < 1e-6, "{}: infeasible point", what);
+            let residual = basis_residual(&model, sol);
+            prop_assert!(matches!(residual, Ok(r) if r <= 1e-9), "{}: basis {:?}", what, residual);
+        }
+    }
+
+    /// A chain `x_j <= w_j · x_{j+1}` pins every variable but the last to
+    /// zero at the starting vertex, and `x_0` carries the largest cost, so
+    /// Dantzig opens with a degenerate pivot (`copies` rescaled duplicates
+    /// of each row tie the ratio test); the other costs rise with the
+    /// index, so Bland's lowest-index choice is not Dantzig's. Whatever the
+    /// pivot rule — Dantzig throughout, Bland after the first degenerate
+    /// pivot, or Bland from the start — it must end at the same optimum
+    /// with a consistent basis.
+    #[test]
+    fn degenerate_family_reaches_the_optimum_through_the_bland_fallback(
+        n in 3usize..8,
+        copies in 1usize..4,
+        seed_weights in proptest::collection::vec(0.25f64..2.0, 7),
+        seed_scales in proptest::collection::vec(0.5f64..4.0, 21),
+    ) {
+        let mut model = Model::new();
+        let vars: Vec<_> = (0..n).map(|j| model.add_var(0.0, 10.0, format!("x{j}"))).collect();
+        for j in 0..n - 1 {
+            for c in 0..copies {
+                let s = seed_scales[j * 3 + c];
+                let e = LinExpr::new().add(vars[j], s).add(vars[j + 1], -s * seed_weights[j]);
+                model.add_con(e, Sense::Le, 0.0, format!("chain{j}_{c}"));
+            }
+        }
+        let cost = |j: usize| if j == 0 { (n + 1) as f64 } else { j as f64 };
+        let obj = LinExpr::sum(vars.iter().enumerate().map(|(j, &v)| (v, cost(j))));
+        model.set_objective(obj, Objective::Maximize);
+        let dantzig = arrow_lp::solve(&model, &SolverConfig::exact());
+        prop_assert_eq!(dantzig.status, Status::Optimal);
+        for before_bland in [1usize, 0] {
+            let mut cfg = SolverConfig::exact();
+            cfg.simplex.degenerate_before_bland = before_bland;
+            let bland = arrow_lp::solve(&model, &cfg);
+            prop_assert_eq!(bland.status, Status::Optimal);
+            prop_assert!(bland.stats.iterations > 0);
+            prop_assert!(
+                (bland.objective - dantzig.objective).abs() <= 1e-9 * (1.0 + dantzig.objective.abs()),
+                "Bland after {} degenerate pivots: {} vs {}", before_bland, bland.objective, dantzig.objective
+            );
+            let residual = basis_residual(&model, &bland);
+            prop_assert!(matches!(residual, Ok(r) if r <= 1e-9), "basis {:?}", residual);
+        }
+    }
 
     /// The simplex always terminates with an optimal, feasible point on
     /// feasible bounded LPs, and PDHG agrees with it.

@@ -305,7 +305,7 @@ pub fn solve_relaxed_batch(
     cfg: &RwaConfig,
 ) -> Vec<RwaSolution> {
     let lps: Vec<RelaxedRwaLp> = cuts.iter().map(|cut| build_relaxed(net, cut, cfg)).collect();
-    let models: Vec<Model> = lps.iter().map(|lp| lp.model.clone()).collect();
+    let models: Vec<&Model> = lps.iter().map(|lp| &lp.model).collect();
     let sols = arrow_lp::solve_batch(&models, &cfg.solver);
     lps.into_iter().zip(&sols).map(|(lp, sol)| lp.extract(net, sol)).collect()
 }
