@@ -26,8 +26,8 @@ use arrow_lp::{Backend, SolverConfig};
 use arrow_optical::rwa::{build_relaxed, solve_relaxed, solve_relaxed_batch, RwaConfig};
 use arrow_te::TicketSet;
 use arrow_topology::{
-    b4, compile_universe, generate_failures, ibm, FailureConfig, FailureScenario, UniverseConfig,
-    Wan,
+    b4, compile_universe, facebook_like, generate_failures, ibm, FailureConfig, FailureScenario,
+    UniverseConfig, Wan,
 };
 use proptest::prelude::*;
 
@@ -52,12 +52,32 @@ fn pdhg_rwa() -> RwaConfig {
     RwaConfig { solver: SolverConfig::first_order(1e-7), ..RwaConfig::default() }
 }
 
+/// `solve_relaxed_batch` over `cuts` equals per-cut `solve_relaxed`.
+/// `Debug` for `f64` round-trips, so equal renderings mean bitwise-equal
+/// solutions.
+fn batch_matches_sequential(
+    wan: &Wan,
+    cuts: &[&[arrow_optical::FiberId]],
+    rwa: &RwaConfig,
+) -> Result<(), String> {
+    let batched = solve_relaxed_batch(&wan.optical, cuts, rwa);
+    if batched.len() != cuts.len() {
+        return Err(format!("{} solutions for {} cuts", batched.len(), cuts.len()));
+    }
+    for (i, (cut, b)) in cuts.iter().zip(&batched).enumerate() {
+        let seq = solve_relaxed(&wan.optical, cut, rwa);
+        if format!("{seq:?}") != format!("{b:?}") {
+            return Err(format!("lane {i} differs:\n{seq:?}\nvs\n{b:?}"));
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
 
     /// Batched relaxed RWA is bitwise identical to sequential solves for
-    /// random scenario slices and 1/2/7-lane batches. `Debug` for `f64`
-    /// round-trips, so equal renderings mean bitwise-equal solutions.
+    /// random scenario slices and 1/2/7-lane batches.
     #[test]
     fn batched_rwa_bitwise_matches_sequential(
         use_ibm in any::<bool>(),
@@ -68,16 +88,34 @@ proptest! {
         let lanes = [1usize, 2, 7][lane_pick];
         let (wan, scens) = fixture(use_ibm);
         let rwa = if pin_pdhg { pdhg_rwa() } else { RwaConfig::default() };
-        let picked: Vec<&FailureScenario> =
-            (0..lanes).map(|i| &scens[(start + i) % scens.len()]).collect();
-        let cuts: Vec<_> = picked.iter().map(|s| s.cut_fibers.as_slice()).collect();
-        let batched = solve_relaxed_batch(&wan.optical, &cuts, &rwa);
-        prop_assert_eq!(batched.len(), lanes);
-        for (cut, b) in cuts.iter().zip(&batched) {
-            let seq = solve_relaxed(&wan.optical, cut, &rwa);
-            prop_assert_eq!(format!("{seq:?}"), format!("{b:?}"));
-        }
+        let cuts: Vec<_> =
+            (0..lanes).map(|i| scens[(start + i) % scens.len()].cut_fibers.as_slice()).collect();
+        let outcome = batch_matches_sequential(wan, &cuts, &rwa);
+        prop_assert!(outcome.is_ok(), "{:?}", outcome);
     }
+}
+
+/// The one real chunk that mixes backends: among the first 16
+/// `facebook_like` scenarios one RWA LP crosses `auto_threshold` and goes
+/// to PDHG beside fifteen simplex lanes (B4 and IBM never cross it).
+#[test]
+fn facebook_chunk_mixing_backends_matches_sequential() {
+    let wan = facebook_like(17);
+    let failures = generate_failures(
+        &wan,
+        &FailureConfig { cutoff: 1e-5, max_scenarios: 16, ..Default::default() },
+    );
+    let scens = failures.failure_scenarios();
+    let cuts: Vec<_> = scens.iter().map(|s| s.cut_fibers.as_slice()).collect();
+    assert_eq!(cuts.len(), 16);
+    let rwa = RwaConfig::default();
+    let threshold = rwa.solver.auto_threshold;
+    let over = cuts
+        .iter()
+        .filter(|cut| build_relaxed(&wan.optical, cut, &rwa).model.num_cons() > threshold)
+        .count();
+    assert!(0 < over && over < cuts.len(), "{over} of 16 LPs route to PDHG: not a mixed chunk");
+    batch_matches_sequential(&wan, &cuts, &rwa).expect("mixed-backend chunk");
 }
 
 /// One RWA model cloned into a multi-RHS family — per-lane gamma caps

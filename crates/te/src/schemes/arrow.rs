@@ -794,6 +794,39 @@ mod tests {
     }
 
     #[test]
+    fn phase1_pdhg_solution_is_pinned_bit_for_bit() {
+        // The same model under the first-order backend every serve epoch
+        // runs: iteration and restart counts, `x` and dual bits, cold and
+        // restarted from the returned point.
+        let digest = |sol: &Solution| {
+            let fold = |h: u64, v: u64| (h ^ v).wrapping_mul(0x100_0000_01b3);
+            let mut h = fold(0xcbf2_9ce4_8422_2325, sol.status as u64);
+            h = fold(h, sol.stats.iterations as u64);
+            h = fold(h, sol.stats.restarts as u64);
+            for values in [&sol.x, &sol.duals] {
+                h = values
+                    .iter()
+                    .fold(fold(h, values.len() as u64), |h, v| fold(h, (v + 0.0).to_bits()));
+            }
+            h
+        };
+        let inst = instance(4.0, 6);
+        let model = Arrow::new(half_or_nothing_tickets(&inst)).build_phase1(&inst).base.model;
+        let cfg = SolverConfig::first_order(1e-7);
+        let cold = arrow_lp::solve(&model, &cfg);
+        let point = cold.warm_start().expect("a converged Phase I returns its point");
+        let warm = arrow_lp::solve_with(&model, &cfg, Some(&point));
+        assert_eq!(
+            (digest(&cold), digest(&warm)),
+            (0x8da2_0502_2e0a_877d, 0x6db8_3af3_b46d_3bd3),
+            "Phase I PDHG bits moved ({} rows, {} + {} iterations)",
+            model.num_cons(),
+            cold.stats.iterations,
+            warm.stats.iterations
+        );
+    }
+
+    #[test]
     fn online_warm_resolve_matches_cold_across_demand_sweep() {
         // B4 Phase II warm-start regression: re-solving shifted demand
         // matrices warm must reproduce the cold winners and objective.

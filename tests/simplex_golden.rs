@@ -9,6 +9,11 @@
 //!
 //! The constants were recorded before the slack-aware basis kernel landed
 //! and must never be re-recorded by a change that claims to keep the bits.
+//!
+//! The PDHG pin at the bottom does the same for the first-order backend on
+//! the largest of those B4 LPs, cold and warm-started from the returned
+//! point; it was recorded while the multi-RHS panel still shared the
+//! scaling code with the one-LP path.
 
 use arrow_wan::lp::{solve, solve_with, Solution, SolverConfig, WarmStart};
 use arrow_wan::optical::rwa::build_relaxed;
@@ -89,6 +94,44 @@ fn b4_universe_rwa_lps_are_pinned_bit_for_bit() {
     assert_pinned("B4 scenarios 0..16", &got, B4_PINS);
 }
 
+/// FNV-1a fold of what a consumer reads from a PDHG solve: status,
+/// iteration and restart counts, `x` and dual bit patterns (`-0.0` folded
+/// as `+0.0`).
+fn pdhg_digest(sol: &Solution) -> u64 {
+    let mut h = fold(FNV_OFFSET, sol.status as u64);
+    h = fold(h, sol.stats.iterations as u64);
+    h = fold(h, sol.stats.restarts as u64);
+    for values in [&sol.x, &sol.duals] {
+        h = values.iter().fold(fold(h, values.len() as u64), |h, v| fold(h, (v + 0.0).to_bits()));
+    }
+    h
+}
+
+#[test]
+fn largest_b4_rwa_lp_is_pinned_bit_for_bit_under_pdhg() {
+    let wan = b4(17);
+    let universe = universe(&wan, 0);
+    let model = (0..16)
+        .map(|i| {
+            build_relaxed(&wan.optical, &universe.scenario(i).cut_fibers, &RwaConfig::default())
+                .model
+        })
+        .max_by_key(Model::num_cons)
+        .expect("sixteen scenarios");
+    let cfg = SolverConfig::first_order(1e-7);
+    let cold = solve(&model, &cfg);
+    let point = cold.warm_start().expect("a converged PDHG solve returns its point");
+    let warm = solve_with(&model, &cfg, Some(&point));
+    assert_eq!(
+        (pdhg_digest(&cold), pdhg_digest(&warm)),
+        B4_PDHG_PIN,
+        "PDHG bits moved ({} rows, {} + {} iterations)",
+        model.num_cons(),
+        cold.stats.iterations,
+        warm.stats.iterations
+    );
+}
+
 #[test]
 fn ibm_universe_rwa_lps_are_pinned_bit_for_bit() {
     let wan = ibm(17);
@@ -121,3 +164,5 @@ const IBM_PINS: &[(u64, u64)] = &[
     (0x7fca80ea0102a21f, 0xfd264ec596ec54fe),
     (0x25f5e3d6403958b1, 0xcaa3c6987b648ad5),
 ];
+
+const B4_PDHG_PIN: (u64, u64) = (0xb234d2b82744f022, 0xda47848d16b64877);
