@@ -429,8 +429,8 @@ fn offline_metrics() -> &'static OfflineMetrics {
 }
 
 /// Most scenarios whose relaxed RWA LPs go into one batched solve: wide
-/// enough for structurally identical LPs to share a multi-RHS panel, small
-/// enough that a shard still splits into many units of work.
+/// enough that the simplex buffers a chunk's lanes share are allocated
+/// rarely, small enough that a shard still splits into many units of work.
 const MAX_CHUNK: usize = 16;
 
 /// Algorithm 1 over `(global index, scenario)` pairs on `threads` workers

@@ -4,12 +4,8 @@
 //!
 //! * `solve_relaxed_batch` is bitwise identical to per-scenario
 //!   `solve_relaxed` for arbitrary scenario slices and lane counts, on both
-//!   B4 and IBM, under the default (Auto) and PDHG-pinned solver configs —
-//!   the latter routes structural groups through the struct-of-arrays
-//!   multi-RHS kernel.
-//! * A true multi-RHS family (one RWA model with per-lane gamma caps)
-//!   solved as one PDHG panel matches lane-by-lane sequential solves to
-//!   the bit.
+//!   B4 and IBM, under the default (Auto) and PDHG-pinned solver configs,
+//!   and on the `facebook_like` chunk whose lanes mix both backends.
 //! * Offline ticket generation — chunked, batched, on any worker count and
 //!   under sharding — produces `TicketSet`s byte-identical to the serial
 //!   oracle `generate_tickets_serial` (one unbatched LP per scenario).
@@ -118,55 +114,6 @@ fn facebook_chunk_mixing_backends_matches_sequential() {
     batch_matches_sequential(&wan, &cuts, &rwa).expect("mixed-backend chunk");
 }
 
-/// One RWA model cloned into a multi-RHS family — per-lane gamma caps
-/// patched via `Model::set_rhs` — and solved as a single PDHG panel. This
-/// is the pure tentpole kernel path (every lane shares structure, none can
-/// fall back to sequential grouping) and must match lane-by-lane
-/// sequential solves bit for bit.
-#[test]
-fn gamma_patched_multi_rhs_panel_is_bitwise_sequential() {
-    let (wan, scens) = fixture(true);
-    // Pick the scenario whose RWA LP has the most rows so the panel is
-    // non-trivial.
-    let rwa = RwaConfig::default();
-    let base = scens
-        .iter()
-        .map(|s| build_relaxed(&wan.optical, &s.cut_fibers, &rwa))
-        .max_by_key(|lp| lp.model.num_cons())
-        .expect("non-empty scenario set");
-    assert!(!base.gamma_rows().is_empty(), "need gamma rows to patch");
-
-    let lanes = 7;
-    let models: Vec<arrow_lp::Model> = (0..lanes)
-        .map(|l| {
-            let mut m = base.model.clone();
-            for &row in base.gamma_rows() {
-                // Tighten each lane's restoration budget differently.
-                let cap = m.rhs(row);
-                m.set_rhs(row, (cap - l as f64).max(1.0));
-            }
-            m
-        })
-        .collect();
-
-    let cfg = SolverConfig::first_order(1e-7);
-    let batched = arrow_lp::solve_batch(&models, &cfg);
-    assert_eq!(batched.len(), lanes);
-    for (model, b) in models.iter().zip(&batched) {
-        assert_eq!(b.stats.lanes, lanes, "lane missed the shared panel");
-        assert_eq!(b.stats.backend, arrow_lp::BackendKind::Pdhg);
-        let seq = arrow_lp::solve(model, &cfg);
-        assert_eq!(seq.status, b.status);
-        assert_eq!(seq.objective.to_bits(), b.objective.to_bits());
-        for (xs, xb) in seq.x.iter().zip(&b.x) {
-            assert_eq!(xs.to_bits(), xb.to_bits());
-        }
-        for (ds, db) in seq.duals.iter().zip(&b.duals) {
-            assert_eq!(ds.to_bits(), db.to_bits());
-        }
-    }
-}
-
 fn small_universe() -> (Wan, arrow_topology::ScenarioUniverse) {
     let wan = ibm(17);
     let uni = compile_universe(
@@ -233,9 +180,7 @@ fn zero_cut_lane_in_batch_is_clean() {
 }
 
 /// Pinning the PDHG backend end-to-end through ticket generation still
-/// yields identical digests batched vs the serial oracle — the strongest
-/// form of the contract, since the panel kernel (not the simplex fallback)
-/// carries the scenario LPs.
+/// yields identical digests batched vs the serial oracle.
 #[test]
 fn pdhg_pinned_pipeline_digests_match() {
     let (wan, uni) = small_universe();

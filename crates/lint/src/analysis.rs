@@ -42,12 +42,18 @@ pub const DEFAULT_SINKS: &[&str] = &[
     "ScenarioId::of_cut",
     "TicketSet::digest",
     "TicketSet::merge",
-    "Model::structure_digest",
+    "StandardLp::structure_digest",
     "lottery::generate_tickets",
     "telemetry::generate_tickets",
     "failures::compile_universe",
     "ArrowController::plan_epoch",
 ];
+
+/// The specs that match no function in `g`. An analysis anchored on such
+/// a spec walks nothing and so proves nothing; `--check` fails on any.
+pub fn unresolved_specs<'a>(g: &CallGraph, specs: &'a [String]) -> Vec<&'a str> {
+    specs.iter().map(String::as_str).filter(|spec| g.resolve_spec(spec).is_empty()).collect()
+}
 
 /// Whether a workspace-relative path participates in the call graph:
 /// product library code only — dev tools (`crates/lint`, `crates/bench`)
@@ -180,11 +186,7 @@ pub fn panic_reachability(
     let mut findings = Vec::new();
     let mut seen_sites: BTreeMap<(String, u32, u32), ()> = BTreeMap::new();
     for spec in entries {
-        let roots = g.resolve_spec(spec);
-        if roots.is_empty() {
-            continue;
-        }
-        let parent = bfs(g, &roots);
+        let parent = bfs(g, &g.resolve_spec(spec));
         for (id, n) in g.nodes.iter().enumerate() {
             if parent[id].is_none() {
                 continue;
@@ -229,11 +231,7 @@ pub fn determinism_taint(
     let mut findings = Vec::new();
     let mut seen_sites: BTreeMap<(String, u32, u32), ()> = BTreeMap::new();
     for spec in sinks {
-        let roots = g.resolve_spec(spec);
-        if roots.is_empty() {
-            continue;
-        }
-        let parent = bfs(g, &roots);
+        let parent = bfs(g, &g.resolve_spec(spec));
         for (id, n) in g.nodes.iter().enumerate() {
             if parent[id].is_none() {
                 continue;

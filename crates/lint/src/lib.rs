@@ -42,7 +42,7 @@ pub mod walk;
 
 pub use analysis::{
     determinism_taint, explain_chain, in_product_graph, panic_reachability, render_chain,
-    to_violation, Finding, DEFAULT_ENTRIES, DEFAULT_SINKS,
+    to_violation, unresolved_specs, Finding, DEFAULT_ENTRIES, DEFAULT_SINKS,
 };
 pub use baseline::{compare, Baseline, RatchetReport};
 pub use callgraph::{CallGraph, Edge, FnNode, Site};

@@ -8,8 +8,9 @@
 //!
 //! Default mode prints diagnostics and a summary (always exit 0).
 //! `--check` is the CI gate: exit 1 on any unbaselined violation, bad
-//! pragma, or baseline drift in either direction (the ratchet only
-//! tightens). `--update-baseline` rewrites the baseline from the tree.
+//! pragma, baseline drift in either direction (the ratchet only
+//! tightens), or entry/sink spec that matches no function.
+//! `--update-baseline` rewrites the baseline from the tree.
 //!
 //! The interprocedural analyses (panic-reachability, determinism-taint)
 //! always run; `--explain` prints each flow violation's full call chain
@@ -20,7 +21,7 @@
 
 use arrow_lint::analysis::{
     determinism_taint, explain_chain, in_product_graph, panic_reachability, to_violation,
-    DEFAULT_ENTRIES, DEFAULT_SINKS,
+    unresolved_specs, DEFAULT_ENTRIES, DEFAULT_SINKS,
 };
 use arrow_lint::baseline::{compare, Baseline};
 use arrow_lint::callgraph::CallGraph;
@@ -160,6 +161,11 @@ fn main() -> ExitCode {
     entries.extend(opts.entries.iter().cloned());
     let mut sinks: Vec<String> = DEFAULT_SINKS.iter().map(|s| s.to_string()).collect();
     sinks.extend(opts.sinks.iter().cloned());
+    let mut unresolved = unresolved_specs(&graph, &entries);
+    unresolved.extend(unresolved_specs(&graph, &sinks));
+    for spec in &unresolved {
+        println!("arrow-lint: spec `{spec}` resolves to no function — nothing is checked under it");
+    }
     let mut findings = panic_reachability(&graph, &by_path, &entries);
     findings.extend(determinism_taint(&graph, &by_path, &sinks));
     if opts.explain {
@@ -266,7 +272,7 @@ fn main() -> ExitCode {
                 format!("    {{\"rule\":\"{rule}\",\"new\":{new},\"baselined\":{base}}}")
             })
             .collect();
-        let clean = unbaselined == 0 && ratchet.is_clean();
+        let clean = unbaselined == 0 && ratchet.is_clean() && unresolved.is_empty();
         let json = format!(
             "{{\n  \"files_checked\": {},\n  \"clean\": {},\n  \"stale_baseline_entries\": {},\n  \"summary\": [\n{}\n  ],\n  \"violations\": [\n{}\n  ]\n}}\n",
             files.len(),
@@ -300,7 +306,7 @@ fn main() -> ExitCode {
         if ratchet.stale.len() == 1 { "y" } else { "ies" },
     );
 
-    if opts.check && (unbaselined > 0 || !ratchet.is_clean()) {
+    if opts.check && (unbaselined > 0 || !ratchet.is_clean() || !unresolved.is_empty()) {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS

@@ -180,6 +180,32 @@ fn product_graph_scope() {
     assert!(!in_product_graph("examples/sweep.rs"), "example");
 }
 
+// ---------------------------------------------------- specs on this workspace
+
+#[test]
+fn default_specs_resolve_here_and_an_unresolved_spec_fails_check() {
+    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+    let lint = |extra: &[&str]| {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_arrow-lint"))
+            .args(["--root", root, "--check"])
+            .args(extra)
+            .output()
+            .expect("run arrow-lint");
+        (out.status.success(), String::from_utf8_lossy(&out.stdout).into_owned())
+    };
+    // Every `DEFAULT_ENTRIES` / `DEFAULT_SINKS` spec names a function of
+    // this workspace: none is reported, and the gate is green.
+    let (ok, stdout) = lint(&[]);
+    assert!(ok && !stdout.contains("resolves to no function"), "{stdout}");
+    // A spec that names nothing turns the gate red and is named.
+    let (ok, stdout) = lint(&["--sink", "Model::structure_digest"]);
+    assert!(!ok, "{stdout}");
+    let unresolved: Vec<&str> =
+        stdout.lines().filter(|l| l.contains("resolves to no function")).collect();
+    assert_eq!(unresolved.len(), 1, "{stdout}");
+    assert!(unresolved[0].contains("`Model::structure_digest`"), "{stdout}");
+}
+
 // -------------------------------------------------------------- self-check
 
 #[test]

@@ -385,20 +385,10 @@ impl StandardLp {
         self.obj_sign * min_obj
     }
 
-    /// `true` when `other` shares this LP's exact constraint structure —
-    /// same dimensions, sparsity pattern, coefficient values, and row
-    /// senses. This is the precondition for solving both as lanes of one
-    /// [`crate::batch::BatchedModel`]; right-hand sides, bounds, and
-    /// objectives may differ freely.
-    pub fn same_structure(&self, other: &StandardLp) -> bool {
-        self.a == other.a && self.senses == other.senses
-    }
-
     /// FNV-1a digest of the constraint structure (dimensions, sparsity,
-    /// coefficient bit patterns, senses). Equal digests are a fast
-    /// *necessary* condition for [`StandardLp::same_structure`]; callers
-    /// grouping lanes must confirm with the full comparison to rule out
-    /// collisions.
+    /// coefficient bit patterns, senses); right-hand sides, bounds and
+    /// objectives do not enter. Tests pin model builders with it: anything
+    /// order-sensitive that reaches the rows shows up here.
     pub fn structure_digest(&self) -> u64 {
         const PRIME: u64 = 0x100_0000_01b3;
         fn mix(h: u64, v: u64) -> u64 {

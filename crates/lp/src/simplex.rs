@@ -24,9 +24,8 @@
 //!
 //! Implemented: Dantzig pricing with a Bland anti-cycling fallback, bound
 //! flips, periodic basis refactorization, infeasibility/unboundedness
-//! detection, and dual values. Deliberately omitted: steepest-edge pricing
-//! and sparse LU basis updates. Presolve is a separate, optional pass
-//! ([`crate::presolve`], enabled by `SolverConfig::presolve`).
+//! detection, and dual values. Deliberately omitted: steepest-edge pricing,
+//! sparse LU basis updates and presolve.
 
 use crate::model::{Sense, StandardLp};
 use crate::solution::{Solution, SolveStats, Status};

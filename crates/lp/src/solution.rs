@@ -58,11 +58,9 @@ pub struct SolveStats {
     pub restarts: usize,
     /// Basis refactorizations performed (simplex only).
     pub refactors: usize,
-    /// Width of the batch panel this solve ran in: `0` for a standalone
-    /// [`crate::solver::solve_with`] call, `N ≥ 1` for a lane of an N-wide
-    /// [`crate::solver::solve_batch`] group. When batched,
-    /// [`SolveStats::solve_seconds`] is the lane's amortized share of the
-    /// group wall time, not an independent measurement.
+    /// `0` for a standalone [`crate::solver::solve_with`] call, `1` for a
+    /// lane of a [`crate::solver::solve_batch`] call (lanes solve one at a
+    /// time; the field never exceeds 1).
     pub lanes: usize,
 }
 

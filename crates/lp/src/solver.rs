@@ -5,7 +5,6 @@
 //! crossover threshold favours the exact simplex for anything it can finish
 //! quickly and the first-order PDHG solver beyond that.
 
-use crate::batch::BatchedModel;
 use crate::milp::{self, MilpConfig};
 use crate::model::{Model, StandardLp};
 use crate::pdhg::{self, PdhgConfig};
@@ -34,12 +33,6 @@ pub struct SolverConfig {
     pub backend: Backend,
     /// Row-count threshold for [`Backend::Auto`].
     pub auto_threshold: usize,
-    /// Run [`crate::presolve`] before the backend (fixed variables,
-    /// singleton/empty rows, empty columns). Duals of eliminated rows are
-    /// reported as zero. Off by default: ARROW's TE rows are rarely
-    /// eliminable, so the pass usually costs more than it saves — enable
-    /// it for models with many fixed variables or bound-like rows.
-    pub presolve: bool,
     /// Simplex knobs.
     pub simplex: SimplexConfig,
     /// PDHG knobs.
@@ -53,7 +46,6 @@ impl Default for SolverConfig {
         SolverConfig {
             backend: Backend::Auto,
             auto_threshold: 1200,
-            presolve: false,
             simplex: SimplexConfig::default(),
             pdhg: PdhgConfig::default(),
             milp: MilpConfig::default(),
@@ -85,9 +77,8 @@ pub fn solve(model: &Model, cfg: &SolverConfig) -> Solution {
 ///
 /// Each backend consumes the component it understands — simplex the basis,
 /// PDHG the primal–dual point — and records a hit/miss in
-/// [`SolveStats`](crate::solution::SolveStats). The MILP backend and the
-/// presolve path ignore warm starts (presolve renumbers columns, which
-/// would silently misalign the point).
+/// [`SolveStats`](crate::solution::SolveStats). The MILP backend ignores
+/// warm starts.
 pub fn solve_with(model: &Model, cfg: &SolverConfig, warm: Option<&WarmStart>) -> Solution {
     let _span = arrow_obs::span!(
         "lp.solve",
@@ -96,27 +87,23 @@ pub fn solve_with(model: &Model, cfg: &SolverConfig, warm: Option<&WarmStart>) -
         "warm" => warm.is_some(),
         "backend" => backend_label(model, cfg),
     );
-    let sol = solve_timed(model, cfg, warm, None, &mut Workspace::default());
-    lp_metrics().record(&sol.stats);
-    sol
+    solve_timed(model, cfg, warm, &mut Workspace::default())
 }
 
-/// [`solve_with`] minus the span and metrics flush: runs the backend and
-/// stamps `solve_seconds`. The batch path reuses this for lanes that solve
-/// sequentially — the results are bitwise identical to [`solve_with`]'s
-/// while the batch stays in charge of its own metrics accounting, and
-/// hands one simplex [`Workspace`] from lane to lane.
+/// [`solve_with`] minus the span: runs the backend, stamps `solve_seconds`
+/// and flushes the metrics. [`solve_batch`] calls this per lane, handing one
+/// simplex [`Workspace`] from lane to lane.
 fn solve_timed(
     model: &Model,
     cfg: &SolverConfig,
     warm: Option<&WarmStart>,
-    pre: Option<StandardLp>,
     ws: &mut Workspace,
 ) -> Solution {
     // arrow-lint: allow(wall-clock-in-core) — solve wall time reported in SolveStats; iteration counts, not time, bound the solve
     let start = std::time::Instant::now();
-    let mut sol = solve_inner(model, cfg, warm, pre, start, ws);
+    let mut sol = solve_inner(model, cfg, warm, ws);
     sol.stats.solve_seconds = start.elapsed().as_secs_f64();
+    lp_metrics().record(&sol.stats);
     sol
 }
 
@@ -133,24 +120,13 @@ struct LpMetrics {
     warm_hit: arrow_obs::Counter,
     warm_miss: arrow_obs::Counter,
     warm_cold: arrow_obs::Counter,
-    batch_solves: arrow_obs::Counter,
-    batch_lanes: arrow_obs::Counter,
-    batch_groups: arrow_obs::Counter,
 }
 
 impl LpMetrics {
-    /// Full flush for a standalone solve: count, latency sample, work.
+    /// One solve's flush: count, latency sample, backend work, warm event.
     fn record(&self, stats: &SolveStats) {
         self.solves.inc();
         self.solve_seconds.observe(stats.solve_seconds);
-        self.record_work(stats);
-    }
-
-    /// Backend work and warm-start counters only. [`solve_batch`] calls
-    /// this per lane but samples `lp.solve.seconds` once per batch, so the
-    /// latency quantiles reflect wall time actually spent instead of the
-    /// panel width multiplying every shared-work sample.
-    fn record_work(&self, stats: &SolveStats) {
         match stats.backend {
             BackendKind::Simplex => {
                 self.simplex_iterations.add(stats.iterations as u64);
@@ -187,9 +163,6 @@ fn lp_metrics() -> &'static LpMetrics {
         warm_hit: arrow_obs::metrics::counter("lp.warm.hit"),
         warm_miss: arrow_obs::metrics::counter("lp.warm.miss"),
         warm_cold: arrow_obs::metrics::counter("lp.warm.cold"),
-        batch_solves: arrow_obs::metrics::counter("lp.batch.solves"),
-        batch_lanes: arrow_obs::metrics::counter("lp.batch.lanes"),
-        batch_groups: arrow_obs::metrics::counter("lp.batch.groups"),
     })
 }
 
@@ -225,17 +198,11 @@ fn solve_inner(
     model: &Model,
     cfg: &SolverConfig,
     warm: Option<&WarmStart>,
-    // Standard form already lowered by the caller (the batch path lowers
-    // every lane for structure grouping; recomputing it here would double
-    // that work). `to_standard` is deterministic, so reuse is bitwise-free.
-    pre: Option<StandardLp>,
-    // arrow-lint: allow(wall-clock-in-core) — carries the caller's stats timestamp through; never branches on elapsed time
-    start: std::time::Instant,
     ws: &mut Workspace,
 ) -> Solution {
-    let full = pre.unwrap_or_else(|| model.to_standard());
-    if let Some(status) = data_defect(&full) {
-        return Solution::failed(status, full.num_vars(), full.num_cons());
+    let lp = model.to_standard();
+    if let Some(status) = data_defect(&lp) {
+        return Solution::failed(status, lp.num_vars(), lp.num_cons());
     }
     if model.num_int_vars() > 0 {
         let mut s = milp::solve(model, &cfg.milp);
@@ -243,48 +210,23 @@ fn solve_inner(
         s.stats.rows = model.num_cons();
         s.stats.cols = model.num_vars();
         s.stats.nnz = model.nnz();
-        s
+        return s;
+    }
+    let backend = concrete_backend(cfg, lp.num_cons());
+    let sol = if backend == Backend::Pdhg {
+        pdhg::solve_warm(&lp, &cfg.pdhg, warm.and_then(|w| w.point.as_ref()))
     } else {
-        // Optional presolve: solve the reduced problem, expand the answer.
-        // Presolve renumbers rows/columns, so warm starts are dropped here.
-        let warm = if cfg.presolve { None } else { warm };
-        let (lp, reduction) = if cfg.presolve {
-            match crate::presolve::presolve(&full) {
-                crate::presolve::PresolveResult::Infeasible => {
-                    let mut s =
-                        Solution::failed(Status::Infeasible, full.num_vars(), full.num_cons());
-                    s.stats.solve_seconds = start.elapsed().as_secs_f64();
-                    return s;
-                }
-                crate::presolve::PresolveResult::Solved(mut s) => {
-                    s.stats.solve_seconds = start.elapsed().as_secs_f64();
-                    return s;
-                }
-                crate::presolve::PresolveResult::Reduced(r) => (r.lp.clone(), Some(r)),
-            }
-        } else {
-            (full, None)
-        };
-        let backend = concrete_backend(cfg, lp.num_cons());
-        let sol = if backend == Backend::Pdhg {
-            pdhg::solve_warm(&lp, &cfg.pdhg, warm.and_then(|w| w.point.as_ref()))
-        } else {
-            simplex::solve_warm_in(&lp, &cfg.simplex, warm.and_then(|w| w.basis.as_ref()), ws)
-        };
-        // Auto mode falls back to the first-order method when the simplex
-        // loses numerical accuracy (rare, but recoverable).
-        let sol = if cfg.backend == Backend::Auto
-            && backend == Backend::Simplex
-            && sol.status == Status::NumericalTrouble
-        {
-            pdhg::solve_warm(&lp, &cfg.pdhg, warm.and_then(|w| w.point.as_ref()))
-        } else {
-            sol
-        };
-        match reduction {
-            Some(r) if sol.status.is_usable() => r.expand(&sol),
-            _ => sol,
-        }
+        simplex::solve_warm_in(&lp, &cfg.simplex, warm.and_then(|w| w.basis.as_ref()), ws)
+    };
+    // Auto mode falls back to the first-order method when the simplex
+    // loses numerical accuracy (rare, but recoverable).
+    if cfg.backend == Backend::Auto
+        && backend == Backend::Simplex
+        && sol.status == Status::NumericalTrouble
+    {
+        pdhg::solve_warm(&lp, &cfg.pdhg, warm.and_then(|w| w.point.as_ref()))
+    } else {
+        sol
     }
 }
 
@@ -310,120 +252,31 @@ fn data_defect(lp: &StandardLp) -> Option<Status> {
     None
 }
 
-/// Solves a family of models as one batch, sharing panel work where the
-/// structure allows.
+/// Solves a family of models in order, one [`Solution`] per model.
 ///
-/// Lanes are grouped by constraint structure — a
-/// [`StandardLp::structure_digest`] prefilter confirmed by
-/// [`StandardLp::same_structure`] — and any group of two or more lanes that
-/// routes to the PDHG backend runs through the struct-of-arrays multi-RHS
-/// kernel ([`pdhg::solve_batch`]). Every other lane (simplex-routed,
-/// integer, presolve-enabled, or structurally unique) solves sequentially
-/// through exactly the code path [`solve_with`] uses. Either way each
-/// lane's [`Solution`] is **bitwise identical** to its sequential result;
-/// only the accounting differs: [`SolveStats::lanes`] records the panel
-/// width, batched lanes report an amortized [`SolveStats::solve_seconds`],
-/// and `lp.solve.seconds` is sampled once for the whole batch.
-///
-/// Simplex-routed lanes share one set of solver buffers, so a chunk of
-/// same-sized LPs allocates its basis inverse once.
+/// Each lane runs exactly the code path [`solve`] runs, so its result is
+/// **bitwise identical** to a standalone solve; what the batch adds is one
+/// `lp.solve_batch` span around the lanes, [`SolveStats::lanes`] = 1 on
+/// every result, and one set of simplex buffers handed from lane to lane,
+/// so a chunk of same-sized LPs allocates its basis inverse once.
 ///
 /// An empty slice returns an empty vec.
 pub fn solve_batch<M: Borrow<Model>>(models: &[M], cfg: &SolverConfig) -> Vec<Solution> {
-    if models.is_empty() {
-        return Vec::new();
-    }
-    let models: Vec<&Model> = models.iter().map(Borrow::borrow).collect();
+    let Some(first) = models.first() else { return Vec::new() };
     let _span = arrow_obs::span!(
         "lp.solve_batch",
         "lanes" => models.len(),
-        "backend" => models.first().map_or("none", |m| backend_label(m, cfg)),
+        "backend" => backend_label(first.borrow(), cfg),
     );
-    // arrow-lint: allow(wall-clock-in-core) — batch wall time feeds the latency histogram; never branches on elapsed time
-    let start = std::time::Instant::now();
-    // Lower continuous, non-presolve lanes to standard form for grouping;
-    // integer models and presolve-enabled configs stay sequential (their
-    // pipelines renumber rows/columns, which a shared panel cannot).
-    let mut standards: Vec<Option<StandardLp>> = models
-        .iter()
-        .map(|m| if m.num_int_vars() > 0 || cfg.presolve { None } else { Some(m.to_standard()) })
-        .collect();
-    // Group batchable lanes by structure: digest prefilter, exact confirm.
-    let mut groups: Vec<(u64, Vec<usize>)> = Vec::new();
-    for (i, lp) in standards.iter().enumerate() {
-        // A lane with bad numbers stays out of every panel: the sequential
-        // path below turns it away in `solve_inner`.
-        let Some(lp) = lp.as_ref().filter(|lp| data_defect(lp).is_none()) else { continue };
-        let digest = lp.structure_digest();
-        let mut placed = false;
-        for (d, lanes) in groups.iter_mut() {
-            if *d != digest {
-                continue;
-            }
-            let confirmed = match &standards[lanes[0]] {
-                Some(rep) => rep.same_structure(lp),
-                None => false,
-            };
-            if confirmed {
-                lanes.push(i);
-                placed = true;
-                break;
-            }
-        }
-        if !placed {
-            groups.push((digest, vec![i]));
-        }
-    }
-    let mut out: Vec<Option<Solution>> = models.iter().map(|_| None).collect();
-    let mut pdhg_groups = 0usize;
-    for (_, lanes) in &groups {
-        let rows = match &standards[lanes[0]] {
-            Some(rep) => rep.num_cons(),
-            None => continue,
-        };
-        if lanes.len() < 2 || concrete_backend(cfg, rows) != Backend::Pdhg {
-            continue;
-        }
-        let lps: Vec<StandardLp> = lanes.iter().filter_map(|&i| standards[i].take()).collect();
-        if lps.len() != lanes.len() {
-            // Unreachable by construction; the lanes fall back to the
-            // sequential path below rather than panicking.
-            continue;
-        }
-        if let Ok(batch) = BatchedModel::from_standard(&lps) {
-            for (&i, s) in lanes.iter().zip(pdhg::solve_batch(&batch, &cfg.pdhg)) {
-                out[i] = Some(s);
-            }
-            pdhg_groups += 1;
-        }
-    }
-    // Everything not solved by a panel runs the exact sequential path.
     let mut ws = Workspace::default();
-    for (i, slot) in out.iter_mut().enumerate() {
-        if slot.is_none() {
-            let mut s = solve_timed(models[i], cfg, None, standards[i].take(), &mut ws);
+    models
+        .iter()
+        .map(|m| {
+            let mut s = solve_timed(m.borrow(), cfg, None, &mut ws);
             s.stats.lanes = 1;
-            *slot = Some(s);
-        }
-    }
-    // Metrics: per-lane work counters, one latency sample for the batch.
-    let metrics = lp_metrics();
-    metrics.batch_solves.inc();
-    metrics.batch_lanes.add(models.len() as u64);
-    metrics.batch_groups.add(pdhg_groups as u64);
-    metrics.solve_seconds.observe(start.elapsed().as_secs_f64());
-    let sols: Vec<Solution> = out
-        .into_iter()
-        .map(|s| match s {
-            Some(s) => s,
-            None => Solution::failed(Status::NumericalTrouble, 0, 0),
+            s
         })
-        .collect();
-    for s in &sols {
-        metrics.solves.inc();
-        metrics.record_work(&s.stats);
-    }
-    sols
+        .collect()
 }
 
 #[cfg(test)]
@@ -545,10 +398,9 @@ mod batch_tests {
         let xi = int_model.add_int_var(0.0, 9.0, "x");
         int_model.add_con(LinExpr::term(xi, 2.0), Sense::Le, 7.0, "cap");
         int_model.set_objective(LinExpr::term(xi, 1.0), Objective::Maximize);
-        // Two structural families interleaved with an integer lane: under a
-        // pinned PDHG config, lanes {0, 2} and {1, 4} form panels while the
-        // integer lane stays sequential; under Auto everything routes to
-        // the simplex. Results must be bitwise sequential either way.
+        // Two structural families interleaved with an integer lane, under
+        // Auto (everything continuous routes to the simplex) and pinned
+        // PDHG. Results must be bitwise sequential either way.
         let models = vec![
             tiny_with_rhs(6.0),
             two_con_model(8.0),
@@ -618,35 +470,6 @@ mod batch_tests {
         assert!(sols[0].x.is_empty());
         assert_eq!(sols[1].status, Status::Optimal);
     }
-
-    #[test]
-    fn batch_latency_is_amortized_not_multiplied() {
-        let models: Vec<Model> = (0..4).map(|i| tiny_with_rhs(5.0 + i as f64)).collect();
-        let cfg = SolverConfig::first_order(1e-6);
-        let before = arrow_obs::metrics::snapshot();
-        // arrow-lint: allow(wall-clock-in-core) — test-only timing assertion
-        let t = std::time::Instant::now();
-        let sols = solve_batch(&models, &cfg);
-        let wall = t.elapsed().as_secs_f64();
-        let after = arrow_obs::metrics::snapshot();
-        // All four lanes share one PDHG panel...
-        for s in &sols {
-            assert_eq!(s.status, Status::Optimal);
-            assert_eq!(s.stats.lanes, 4);
-        }
-        // ...and the per-lane seconds are amortized shares of the batch
-        // wall, so they sum to roughly the wall — not 4x it. (Counters are
-        // process-global and other tests run concurrently, so the global
-        // assertions are one-sided.)
-        let total: f64 = sols.iter().map(|s| s.stats.solve_seconds).sum();
-        assert!(total <= wall * 1.5 + 1e-3, "sum of lane seconds {total} vs wall {wall}");
-        assert!(after.counter("lp.batch.solves") > before.counter("lp.batch.solves"));
-        assert!(after.counter("lp.batch.lanes") >= before.counter("lp.batch.lanes") + 4);
-        assert!(after.counter("lp.batch.groups") > before.counter("lp.batch.groups"));
-        assert!(after.counter("lp.solves") >= before.counter("lp.solves") + 4);
-        let hist = after.histogram("lp.solve.seconds").expect("registered");
-        assert!(hist.count > before.histogram("lp.solve.seconds").map_or(0, |h| h.count));
-    }
 }
 
 #[cfg(test)]
@@ -692,8 +515,7 @@ mod validation_tests {
                 assert_rejected(&solve_with(model, &cfg, warm.as_ref()), what);
             }
             // In a batch the bad lanes are turned away one by one; the good
-            // lanes around them (a PDHG panel under `first_order`) solve
-            // exactly as they do alone.
+            // lanes around them solve exactly as they do alone.
             let lanes: Vec<&Model> =
                 [&good, &bad[0].1, &good, &bad[2].1, &bad[4].1, &good].into_iter().collect();
             let sols = solve_batch(&lanes, &cfg);
@@ -738,43 +560,5 @@ mod validation_tests {
         assert_eq!(data_defect(&with_bounds(INF, INF)), Some(Status::NumericalTrouble));
         assert_eq!(data_defect(&with_bounds(-INF, -INF)), Some(Status::NumericalTrouble));
         assert_eq!(data_defect(&with_bounds(2.0, 1.0)), Some(Status::Infeasible));
-    }
-}
-
-#[cfg(test)]
-mod presolve_integration_tests {
-    use super::*;
-    use crate::model::{LinExpr, Model, Objective, Sense};
-    use crate::solution::Status;
-
-    #[test]
-    fn presolve_enabled_matches_direct_solve() {
-        let mut m = Model::new();
-        let fixed = m.add_var(2.0, 2.0, "fixed");
-        let x = m.add_nonneg("x");
-        let y = m.add_nonneg("y");
-        m.add_con(LinExpr::term(x, 1.0), Sense::Le, 7.0, "bound_row");
-        m.add_con(LinExpr::new().add(fixed, 1.0).add(x, 1.0).add(y, 1.0), Sense::Le, 12.0, "mix");
-        m.set_objective(
-            LinExpr::new().add(x, 2.0).add(y, 1.0).add(fixed, 1.0),
-            Objective::Maximize,
-        );
-        let plain = solve(&m, &SolverConfig::default());
-        let pre = solve(&m, &SolverConfig { presolve: true, ..Default::default() });
-        assert_eq!(plain.status, Status::Optimal);
-        assert_eq!(pre.status, Status::Optimal);
-        assert!((plain.objective - pre.objective).abs() < 1e-6);
-        assert_eq!(pre.x.len(), m.num_vars());
-        assert_eq!(pre.x[0], 2.0);
-    }
-
-    #[test]
-    fn presolve_reports_infeasibility_without_a_backend_call() {
-        let mut m = Model::new();
-        let x = m.add_var(5.0, 5.0, "x");
-        m.add_con(LinExpr::term(x, 1.0), Sense::Le, 1.0, "impossible");
-        m.set_objective(LinExpr::term(x, 1.0), Objective::Minimize);
-        let s = solve(&m, &SolverConfig { presolve: true, ..Default::default() });
-        assert_eq!(s.status, Status::Infeasible);
     }
 }

@@ -3,10 +3,10 @@
 //!
 //! The sweeps (`online_sweep`, `scenario_sweep`, `observe_pipeline`)
 //! already measure the things the ROADMAP cares about — warm-start
-//! speedup, batched-LP panel speedup, pipeline throughput, determinism
-//! digests — but until now nothing *compared* a fresh run against the
-//! last accepted one, so a perf regression only surfaced when a human
-//! read the artifact. The gate closes that loop:
+//! speedup, pipeline throughput, determinism digests — but until now
+//! nothing *compared* a fresh run against the last accepted one, so a
+//! perf regression only surfaced when a human read the artifact. The gate
+//! closes that loop:
 //!
 //! * a **baseline** is a flat JSON object mapping
 //!   `FILE:json.path` → scalar, committed under `baselines/`;
@@ -24,8 +24,8 @@
 //!   `arrow-bench-gate` binary.
 //!
 //! Metric *paths* support `[*]` wildcards over arrays
-//! (`panel[*].speedup`), so the spec list stays stable as sweeps add
-//! topologies.
+//! (`topologies[*].tickets_kept`), so the spec list stays stable as sweeps
+//! add topologies.
 
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -63,7 +63,8 @@ impl Direction {
 pub struct MetricSpec {
     /// Artifact file name, relative to the artifact directory.
     pub file: &'static str,
-    /// Dotted path pattern into the artifact (e.g. `panel[*].speedup`).
+    /// Dotted path pattern into the artifact (e.g.
+    /// `topologies[*].tickets_kept`).
     pub path: &'static str,
     /// How to judge baseline vs current.
     pub direction: Direction,
@@ -75,11 +76,11 @@ pub struct MetricSpec {
 /// The default tracked-metric set for this repo's three bench artifacts.
 ///
 /// Tolerances follow the noise profile: machine-independent *ratios*
-/// (warm-vs-cold, batched-vs-sequential) get 0.35; raw wall clocks and
-/// throughput numbers depend on the machine running the sweep, so they
-/// only trip on near-order-of-magnitude collapses (0.75 relative for
-/// throughput, 2.0 for wall clocks); determinism digests and boolean
-/// invariants get exact equality — any drift is a regression.
+/// (warm-vs-cold) get 0.35; raw wall clocks and throughput numbers depend
+/// on the machine running the sweep, so they only trip on
+/// near-order-of-magnitude collapses (0.75 relative for throughput, 2.0
+/// for wall clocks); determinism digests and boolean invariants get exact
+/// equality — any drift is a regression.
 pub fn default_specs() -> Vec<MetricSpec> {
     use Direction::*;
     let spec = |file, path, direction, tolerance| MetricSpec { file, path, direction, tolerance };
@@ -89,14 +90,9 @@ pub fn default_specs() -> Vec<MetricSpec> {
         spec("BENCH_online.json", "objectives_match", Equal, 0.0),
         spec("BENCH_online.json", "winning_identical", Equal, 0.0),
         spec("BENCH_online.json", "warm_wall_seconds", LowerIsBetter, 2.0),
-        // scenario_sweep → BENCH_batch.json: the batched-LP numbers.
-        spec("BENCH_batch.json", "panel[*].speedup", HigherIsBetter, 0.35),
-        spec("BENCH_batch.json", "panel[*].bitwise_identical", Equal, 0.0),
-        spec("BENCH_batch.json", "pipeline[*].digests_equal", Equal, 0.0),
-        spec("BENCH_batch.json", "pipeline[*].ticket_set_digest", Equal, 0.0),
-        spec("BENCH_batch.json", "pipeline[*].scenarios", Equal, 0.0),
         // scenario_sweep → BENCH_scenarios.json: determinism + throughput.
         spec("BENCH_scenarios.json", "topologies[*].ticket_set_digest", Equal, 0.0),
+        spec("BENCH_scenarios.json", "topologies[*].serial_oracle_equal", Equal, 0.0),
         spec("BENCH_scenarios.json", "topologies[*].universe_digest", Equal, 0.0),
         spec("BENCH_scenarios.json", "topologies[*].tickets_kept", Equal, 0.0),
         spec(

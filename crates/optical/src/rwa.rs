@@ -147,7 +147,7 @@ fn candidate_paths(
 ///
 /// Produced by [`build_relaxed`]; solve [`RelaxedRwaLp::model`] with any
 /// backend and feed the result to [`RelaxedRwaLp::extract`]. Splitting
-/// build from solve lets [`solve_relaxed_batch`] submit a whole shard of
+/// build from solve lets [`solve_relaxed_batch`] submit a whole chunk of
 /// scenario LPs as one [`arrow_lp::solve_batch`] call.
 #[derive(Debug)]
 pub struct RelaxedRwaLp {
@@ -157,17 +157,6 @@ pub struct RelaxedRwaLp {
     cands: Vec<(LightpathId, Vec<FiberPath>, Vec<f64>)>,
     /// `slot_vars[e][k]` = `(slot, var)` pairs for link `e`, path `k`.
     slot_vars: Vec<Vec<Vec<(usize, arrow_lp::VarId)>>>,
-    /// Constraint (17) rows, one per affected link that got any variable
-    /// (`gamma_e{e}` in row order). Patching their RHS re-caps the lost
-    /// wavelength count without touching the LP structure.
-    gamma_rows: Vec<arrow_lp::ConId>,
-}
-
-impl RelaxedRwaLp {
-    /// Constraint (17) `gamma_e` rows, in emission order.
-    pub fn gamma_rows(&self) -> &[arrow_lp::ConId] {
-        &self.gamma_rows
-    }
 }
 
 /// Builds the relaxed wavelength-assignment LP (Appendix A.2, constraints
@@ -222,17 +211,11 @@ pub fn build_relaxed(net: &OpticalNetwork, cut: &[FiberId], cfg: &RwaConfig) -> 
         }
     }
     // Constraint (17): restored wavelengths per link ≤ lost wavelengths.
-    let mut gamma_rows = Vec::new();
     for (e, (id, _, _)) in cands.iter().enumerate() {
         let gamma = net.lightpath(*id).wavelength_count() as f64;
         let all: Vec<_> = slot_vars[e].iter().flatten().map(|&(_, v)| v).collect();
         if !all.is_empty() {
-            gamma_rows.push(model.add_con(
-                LinExpr::sum_vars(all),
-                Sense::Le,
-                gamma,
-                format!("gamma_e{e}"),
-            ));
+            model.add_con(LinExpr::sum_vars(all), Sense::Le, gamma, format!("gamma_e{e}"));
         }
     }
     // Objective: the paper maximizes the restored wavelength count
@@ -249,7 +232,7 @@ pub fn build_relaxed(net: &OpticalNetwork, cut: &[FiberId], cfg: &RwaConfig) -> 
         }
     }
     model.set_objective(obj, Objective::Maximize);
-    RelaxedRwaLp { model, cands, slot_vars, gamma_rows }
+    RelaxedRwaLp { model, cands, slot_vars }
 }
 
 impl RelaxedRwaLp {
@@ -292,13 +275,14 @@ pub fn solve_relaxed(net: &OpticalNetwork, cut: &[FiberId], cfg: &RwaConfig) -> 
     lp.extract(net, &sol)
 }
 
-/// Solves the relaxed RWA for a whole shard of cut scenarios as one
+/// Solves the relaxed RWA for a whole chunk of cut scenarios as one
 /// [`arrow_lp::solve_batch`] call.
 ///
-/// Structurally identical scenario LPs share one multi-RHS panel; the rest
-/// solve sequentially inside the batch. Per-scenario results are bitwise
-/// identical to calling [`solve_relaxed`] on each cut (the batch layer's
-/// contract), so offline ticket digests do not depend on the batching.
+/// Every scenario cuts different fibers, so every LP has its own rows and
+/// columns and the lanes solve one after another, sharing only the simplex
+/// buffers. Per-scenario results are bitwise identical to calling
+/// [`solve_relaxed`] on each cut, so offline ticket digests do not depend
+/// on the chunking.
 pub fn solve_relaxed_batch(
     net: &OpticalNetwork,
     cuts: &[&[FiberId]],
@@ -534,14 +518,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn gamma_rows_cover_links_with_candidates() {
-        let (net, f_bc, _, _) = fig7();
-        let lp = build_relaxed(&net, &[f_bc], &RwaConfig::default());
-        // Both affected links have candidate paths, so both get a (17) row.
-        assert_eq!(lp.gamma_rows().len(), 2);
     }
 
     #[test]

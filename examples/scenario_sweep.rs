@@ -11,12 +11,10 @@
 //! per-shard `offline.scenario` spans) and writes `BENCH_scenarios.json`
 //! (scenarios/sec, kept/dedup/infeasible counts, per-shard digests).
 //!
-//! Also checks the batched LP path against the sequential one: chunked
-//! ticket generation must be byte-identical to the serial oracle
-//! (`generate_tickets_serial`, one unbatched LP per scenario), and a
-//! multi-RHS PDHG panel (one scenario LP cloned into many gamma-budget
-//! lanes) must beat lane-by-lane solves by ≥ 3× while staying bitwise
-//! equal. Writes `BENCH_batch.json` with both comparisons.
+//! Also checks the chunked generator against the sequential one: its
+//! output must be byte-identical to the serial oracle
+//! (`generate_tickets_serial`, one unbatched LP per scenario); the verdict
+//! is `topologies[*].serial_oracle_equal` in the artifact.
 //!
 //! Run: `cargo run --release --example scenario_sweep` — or with
 //! `-- --smoke` for the small CI universe (2 shards, B4 only).
@@ -26,9 +24,8 @@ use arrow_wan::prelude::*;
 use std::fmt::Write as _;
 use std::sync::Arc;
 
-/// Floor on the universe size for the pipeline comparison — below this,
-/// the batched throughput in `BENCH_batch.json` measures fixed costs, not
-/// the batch path.
+/// Floor on the universe size — below this, `generation_scenarios_per_sec`
+/// measures fixed costs, not the generator.
 const MIN_PIPELINE_SCENARIOS: usize = 64;
 
 struct TopologyReport {
@@ -123,8 +120,7 @@ fn sweep_topology(
     );
 
     // Same universe through the serial oracle: one unbatched LP per
-    // scenario, no pool, no chunks. The multi-RHS panel is an
-    // implementation detail: output must be byte-identical, and the
+    // scenario, no pool, no chunks. Output must be byte-identical, and the
     // oracle must emit the same one-span-per-scenario trace.
     ring.clear();
     let serial = generate_tickets_serial(wan, &universe.failure_scenarios(), lcfg);
@@ -194,143 +190,6 @@ fn sweep_topology(
     }
 }
 
-struct PanelBench {
-    topology: String,
-    lanes: usize,
-    rows: usize,
-    cols: usize,
-    sequential_seconds: f64,
-    batched_seconds: f64,
-    speedup: f64,
-}
-
-/// Clone the largest scenario RWA LP in the universe into a multi-RHS
-/// family (per-lane gamma restoration budgets, patched via
-/// [`arrow_wan::optical::rwa::RelaxedRwaLp::gamma_rows`]) and race
-/// lane-by-lane `solve` against one `solve_batch` panel under the
-/// PDHG-pinned config. Panics unless every lane is bitwise identical to
-/// its sequential twin — the speedup is only meaningful if the answers
-/// are the same bytes.
-fn panel_bench(name: &str, wan: &Wan, universe: &ScenarioUniverse, lanes: usize) -> PanelBench {
-    use arrow_wan::optical::rwa::build_relaxed;
-
-    let rwa = RwaConfig::default();
-    let base = universe
-        .scenarios
-        .iter()
-        .map(|c| build_relaxed(&wan.optical, &c.scenario.cut_fibers, &rwa))
-        .max_by_key(|lp| lp.model.num_cons())
-        .expect("non-empty universe");
-    assert!(!base.gamma_rows().is_empty(), "panel bench needs gamma rows to patch");
-    let models: Vec<Model> = (0..lanes)
-        .map(|l| {
-            let mut m = base.model.clone();
-            // Tighten each lane's restoration budget by a distinct factor
-            // so every lane is a genuinely different RHS.
-            let tighten = 1.0 - 0.5 * l as f64 / lanes as f64;
-            for &row in base.gamma_rows() {
-                let cap = m.rhs(row);
-                m.set_rhs(row, (cap * tighten).max(1.0));
-            }
-            m
-        })
-        .collect();
-
-    // Warm both paths once (page faults, lazy allocation), then take the
-    // min over repeats — wall-clock noise on shared machines swamps a
-    // single measurement, and the minimum is the least-contended run.
-    let cfg = SolverConfig::first_order(1e-7);
-    let _ = arrow_wan::lp::solve_batch(&models, &cfg);
-    let mut sequential_seconds = f64::INFINITY;
-    let mut batched_seconds = f64::INFINITY;
-    let mut sequential = Vec::new();
-    let mut batched = Vec::new();
-    for _ in 0..7 {
-        let t = std::time::Instant::now();
-        sequential = models.iter().map(|m| arrow_wan::lp::solve(m, &cfg)).collect();
-        sequential_seconds = sequential_seconds.min(t.elapsed().as_secs_f64());
-        let t = std::time::Instant::now();
-        batched = arrow_wan::lp::solve_batch(&models, &cfg);
-        batched_seconds = batched_seconds.min(t.elapsed().as_secs_f64());
-    }
-
-    assert_eq!(batched.len(), lanes);
-    for (s, b) in sequential.iter().zip(&batched) {
-        assert_eq!(b.stats.lanes, lanes, "a lane fell out of the shared panel");
-        assert_eq!(b.stats.backend, arrow_wan::lp::BackendKind::Pdhg);
-        assert_eq!(s.status, b.status);
-        assert_eq!(s.objective.to_bits(), b.objective.to_bits());
-        assert_eq!(s.x.len(), b.x.len());
-        for (xs, xb) in s.x.iter().zip(&b.x) {
-            assert_eq!(xs.to_bits(), xb.to_bits(), "primal drift between panel and sequential");
-        }
-        for (ds, db) in s.duals.iter().zip(&b.duals) {
-            assert_eq!(ds.to_bits(), db.to_bits(), "dual drift between panel and sequential");
-        }
-    }
-
-    let speedup = sequential_seconds / batched_seconds.max(1e-9);
-    println!(
-        "panel bench [{name}]: {lanes} lanes x {}x{} LP | sequential {:.3}s, batched {:.3}s \
-         ({speedup:.2}x) | bitwise identical ✓",
-        base.model.num_cons(),
-        base.model.num_vars(),
-        sequential_seconds,
-        batched_seconds
-    );
-    PanelBench {
-        topology: name.to_string(),
-        lanes,
-        rows: base.model.num_cons(),
-        cols: base.model.num_vars(),
-        sequential_seconds,
-        batched_seconds,
-        speedup,
-    }
-}
-
-fn batch_report_json(reports: &[TopologyReport], panels: &[PanelBench], threads: usize) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "{{\n  \"threads\": {threads},\n  \"panel\": [");
-    for (i, p) in panels.iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "    {{\"topology\":\"{}\",\"lanes\":{},\"rows\":{},\"cols\":{},\
-             \"sequential_seconds\":{:.6},\"batched_seconds\":{:.6},\
-             \"lps_per_sec_sequential\":{:.1},\"lps_per_sec_batched\":{:.1},\
-             \"speedup\":{:.3},\"bitwise_identical\":true}}{}",
-            p.topology,
-            p.lanes,
-            p.rows,
-            p.cols,
-            p.sequential_seconds,
-            p.batched_seconds,
-            p.lanes as f64 / p.sequential_seconds.max(1e-9),
-            p.lanes as f64 / p.batched_seconds.max(1e-9),
-            p.speedup,
-            if i + 1 < panels.len() { "," } else { "" }
-        );
-    }
-    let _ = writeln!(out, "  ],\n  \"pipeline\": [");
-    for (i, r) in reports.iter().enumerate() {
-        let n = r.universe.len() as f64;
-        let _ = writeln!(
-            out,
-            "    {{\"name\":\"{}\",\"scenarios\":{},\
-             \"batched_wall_seconds\":{:.6},\"batched_scenarios_per_sec\":{:.1},\
-             \"digests_equal\":true,\"ticket_set_digest\":\"{:016x}\"}}{}",
-            r.name,
-            r.universe.len(),
-            r.unsharded_wall,
-            n / r.unsharded_wall.max(1e-9),
-            r.unsharded_digest,
-            if i + 1 < reports.len() { "," } else { "" }
-        );
-    }
-    let _ = writeln!(out, "  ]\n}}");
-    out
-}
-
 fn report_json(reports: &[TopologyReport]) -> String {
     let mut out = String::from("{\n  \"topologies\": [\n");
     for (i, r) in reports.iter().enumerate() {
@@ -358,8 +217,8 @@ fn report_json(reports: &[TopologyReport]) -> String {
              \"compile_seconds\":{:.6},\"compile_scenarios_per_sec\":{:.1},\
              \"generation_wall_seconds\":{:.6},\"generation_scenarios_per_sec\":{:.1},\
              \"tickets_kept\":{},\"tickets_infeasible\":{},\"tickets_duplicate\":{},\
-             \"ticket_set_digest\":\"{:016x}\",\"pool_tickets\":{},\"pool_mass\":{:.9},\
-             \"shard_runs\":[{}]}}{}",
+             \"ticket_set_digest\":\"{:016x}\",\"serial_oracle_equal\":true,\
+             \"pool_tickets\":{},\"pool_mass\":{:.9},\"shard_runs\":[{}]}}{}",
             r.name,
             s.kept,
             s.enumerated,
@@ -400,11 +259,9 @@ fn main() {
     let ring = Arc::new(RingSubscriber::new(1 << 16));
     arrow_wan::obs::trace::install(ring.clone());
 
-    // Both modes compile at least MIN_PIPELINE_SCENARIOS scenarios: the
-    // pipeline throughput in BENCH_batch.json is meaningless on a handful
-    // of LPs (fixed costs dominate), so even the CI smoke universe is sized
-    // to something the batch path can sink its teeth into. Smoke stays
-    // cheap by keeping num_tickets low instead.
+    // Both modes compile at least MIN_PIPELINE_SCENARIOS scenarios:
+    // generation throughput is meaningless on a handful of LPs (fixed costs
+    // dominate). Smoke stays cheap by keeping num_tickets low instead.
     let (ucfg, lcfg, shard_counts): (UniverseConfig, LotteryConfig, Vec<usize>) = if smoke {
         (
             UniverseConfig {
@@ -449,30 +306,9 @@ fn main() {
 
     arrow_wan::obs::trace::uninstall();
 
-    // Multi-RHS panel bench: the tentpole's headline number. 16 lanes of
-    // one structure (the offline stage's widest chunk, and the width where
-    // the panel working set stays cache-resident), sequential loop vs one
-    // SoA PDHG panel.
-    let lanes = 16;
-    let mut panels = vec![panel_bench("B4", &b4_wan, &reports[0].universe, lanes)];
-    if let Some(wan) = &ibm_wan {
-        panels.push(panel_bench("IBM", wan, &reports[1].universe, lanes));
-    }
-    for p in &panels {
-        assert!(
-            p.speedup >= 3.0,
-            "batched panel on {} only {:.2}x over sequential (need >= 3x)",
-            p.topology,
-            p.speedup
-        );
-    }
-
     let json = report_json(&reports);
     std::fs::write("BENCH_scenarios.json", &json).expect("write BENCH_scenarios.json");
     println!("wrote BENCH_scenarios.json");
-    let batch_json = batch_report_json(&reports, &panels, arrow_wan::core::default_threads());
-    std::fs::write("BENCH_batch.json", &batch_json).expect("write BENCH_batch.json");
-    println!("wrote BENCH_batch.json");
     println!(
         "all {} topology sweep(s): every shard merge reproduced the unsharded TicketSet",
         reports.len()

@@ -341,10 +341,18 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     } else {
         None
     };
+    // `f64::from_str` accepts `nan`, `0` and `-1`; a deadline must be a
+    // positive number of seconds.
+    let budget_seconds: f64 = flag(&flags, "budget", ServeConfig::default().budget_seconds)?;
+    if !(budget_seconds.is_finite() && budget_seconds > 0.0) {
+        return Err(format!(
+            "invalid value for --budget: {budget_seconds} (expected a finite number > 0)"
+        ));
+    }
     let config = ServeConfig {
         seed: flag(&flags, "feed-seed", 42u64)?,
         epochs: flag(&flags, "epochs", 48u64)?,
-        budget_seconds: flag(&flags, "budget", ServeConfig::default().budget_seconds)?,
+        budget_seconds,
         scenarios: flag(&flags, "scenarios", 4usize)?,
         tickets: flag(&flags, "tickets", 8usize)?,
         demand_scale: scale_flag(&flags, 2.0)?,

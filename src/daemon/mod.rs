@@ -273,14 +273,15 @@ pub fn serve(wan: Wan, config: &ServeConfig) -> Result<ServeReport, ServeError> 
             config.demand_scale
         )));
     }
+    if !(config.budget_seconds.is_finite() && config.budget_seconds > 0.0) {
+        return Err(ServeError::Config(format!(
+            "budget_seconds must be finite and > 0, got {}",
+            config.budget_seconds
+        )));
+    }
     // SLO budget for this run; also resets the rolling window so the
     // verdicts below start clean.
-    let budget = if config.budget_seconds.is_finite() && config.budget_seconds > 0.0 {
-        config.budget_seconds
-    } else {
-        SloConfig::default().budget_seconds
-    };
-    slo::configure(SloConfig { budget_seconds: budget, ..SloConfig::default() });
+    slo::configure(SloConfig { budget_seconds: config.budget_seconds, ..SloConfig::default() });
 
     export::set_ready(false);
     let mut exporter = export::spawn(config.addr.as_str()).map_err(ServeError::Io)?;

@@ -57,6 +57,28 @@ fn bad_demand_scale_is_rejected_without_a_panic() {
     }
 }
 
+/// A deadline that is not a positive number of seconds is rejected the same
+/// way; it used to be swapped for 300 s while the CLI printed what was typed.
+#[test]
+fn bad_budget_is_rejected_not_replaced() {
+    let _guard = SERVE_LOCK.lock().expect("serve lock");
+    for budget in [f64::NAN, -1.0, 0.0, f64::INFINITY] {
+        let config = ServeConfig { budget_seconds: budget, ..base_config("bad-budget") };
+        let err = serve(b4(17), &config).expect_err("bad budget_seconds must be rejected");
+        assert!(matches!(err, ServeError::Config(_)), "budget {budget}: {err}");
+    }
+    for budget in ["nan", "-1", "0"] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_arrow"))
+            .args(["serve", "b4", "--budget", budget])
+            .output()
+            .expect("run the arrow binary");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "arrow serve --budget {budget}: {stderr}");
+        assert!(stderr.contains("invalid value for --budget"), "{stderr}");
+        assert!(out.stdout.is_empty(), "no banner for a rejected budget");
+    }
+}
+
 #[test]
 fn forced_slow_epoch_falls_back_to_previous_plan() {
     let _guard = SERVE_LOCK.lock().expect("serve lock");
