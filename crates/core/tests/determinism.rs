@@ -184,6 +184,44 @@ fn sharded_generation_merges_to_unsharded_bitwise_on_ibm() {
     }
 }
 
+/// The B4 offline stage, pinned: universe digest, ticket-set digest and
+/// kept-ticket count on a 64-scenario correlated universe, and the same
+/// set from the unsharded run, a 2-shard merge and the serial oracle. A
+/// changed digest means every downstream figure was produced from
+/// different tickets — re-pin only with a reason.
+#[test]
+fn b4_universe_and_ticket_digests_are_pinned() {
+    let wan = b4(17);
+    let uni = compile_universe(
+        &wan,
+        &UniverseConfig {
+            max_k: 3,
+            cutoff: 1e-5,
+            auto_srlg_size: 3,
+            auto_srlg_probability: 1e-3,
+            maintenance_window: 2,
+            maintenance_probability: 5e-4,
+            max_scenarios: 64,
+            ..Default::default()
+        },
+    );
+    assert_eq!(uni.len(), 64);
+    assert_eq!(uni.digest(), 0x60c8_21a7_a334_30e3, "B4 universe digest moved");
+
+    let cfg = LotteryConfig { num_tickets: 6, ..Default::default() };
+    let (whole, stats) = generate_tickets_shard(&wan, &uni, &cfg, ShardSpec::whole());
+    assert!(whole.is_full());
+    assert_eq!(whole.digest(), 0x6468_505d_0304_97d7, "B4 TicketSet digest moved");
+    assert_eq!(stats.total_kept(), 354);
+
+    let shards =
+        (0..2).map(|index| generate_tickets_shard(&wan, &uni, &cfg, ShardSpec { index, of: 2 }).0);
+    let merged = TicketSet::merge_all(shards).expect("honest shards must merge");
+    assert_eq!(merged, whole, "2-shard merge diverged from the unsharded run");
+    let serial = generate_tickets_serial(&wan, &uni.failure_scenarios(), &cfg);
+    assert_eq!(serial, whole, "chunked run diverged from the serial oracle");
+}
+
 #[test]
 fn merge_is_commutative_and_associative_on_digests() {
     let (wan, uni) = ibm_universe();
