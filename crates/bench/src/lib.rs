@@ -4,8 +4,8 @@
 //! sections has a `harness = false` bench target in `benches/` that
 //! regenerates its rows/series and prints a `paper vs measured` summary;
 //! `cargo bench --workspace` therefore reproduces the whole evaluation.
-//! Criterion-based micro-benchmarks of the LP solvers live in
-//! `benches/solver_bench.rs`.
+//! Solver micro-numbers (`lp.simplex.*`, `lp.pdhg.*`) come from the `perf/`
+//! benchmark's per-layer ledger, not from here.
 //!
 //! This library holds the shared experiment plumbing: standard topology /
 //! scenario / traffic setups sized to finish on a laptop, a parallel sweep

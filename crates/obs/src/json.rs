@@ -1,19 +1,16 @@
 //! A minimal JSON reader for the telemetry plane.
 //!
-//! The workspace bans external dependencies, and two consumers need to
-//! *read* JSON the repo itself wrote: [`crate::analyze`] re-parses
-//! `trace.jsonl` records and the bench gate ([`crate::gate`]) diffs
-//! `BENCH_*.json` artifacts against committed baselines. This is a small
-//! recursive-descent parser covering exactly the JSON those writers emit
-//! (objects, arrays, strings with the escapes [`crate::metrics`] produces,
-//! numbers, booleans, null) — not a general-purpose library: no
-//! streaming, no number-precision preservation beyond `f64`, no
-//! serde-style typed decoding.
+//! The workspace bans external dependencies, and JSON the repo itself
+//! wrote has to be *read* back: [`crate::analyze`] re-parses
+//! `trace.jsonl` records, and the tests of every writer in this crate
+//! check their output parses. This is a small recursive-descent parser
+//! covering exactly the JSON those writers emit (objects, arrays, strings
+//! with the escapes [`crate::metrics`] produces, numbers, booleans, null)
+//! — not a general-purpose library: no streaming, no number-precision
+//! preservation beyond `f64`, no serde-style typed decoding, no writer.
 //!
 //! Parsing never panics; malformed input returns a [`JsonError`] carrying
 //! the byte offset of the problem.
-
-use std::collections::BTreeMap;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -97,42 +94,6 @@ impl Json {
         match self {
             Json::Obj(members) => Some(members),
             _ => None,
-        }
-    }
-
-    /// A one-line human label for the value's type (for error messages).
-    pub fn type_name(&self) -> &'static str {
-        match self {
-            Json::Null => "null",
-            Json::Bool(_) => "bool",
-            Json::Num(_) => "number",
-            Json::Str(_) => "string",
-            Json::Arr(_) => "array",
-            Json::Obj(_) => "object",
-        }
-    }
-
-    /// Serializes the value back to compact JSON (numbers via `f64`
-    /// shortest-round-trip formatting, non-finite numbers as `null`).
-    pub fn to_compact(&self) -> String {
-        match self {
-            Json::Null => "null".to_string(),
-            Json::Bool(b) => b.to_string(),
-            Json::Num(n) => crate::metrics::json_f64(*n),
-            Json::Str(s) => format!("\"{}\"", crate::metrics::json_escape(s)),
-            Json::Arr(items) => {
-                let inner: Vec<String> = items.iter().map(Json::to_compact).collect();
-                format!("[{}]", inner.join(","))
-            }
-            Json::Obj(members) => {
-                let inner: Vec<String> = members
-                    .iter()
-                    .map(|(k, v)| {
-                        format!("\"{}\":{}", crate::metrics::json_escape(k), v.to_compact())
-                    })
-                    .collect();
-                format!("{{{}}}", inner.join(","))
-            }
         }
     }
 }
@@ -359,36 +320,6 @@ impl<'a> Parser<'a> {
     }
 }
 
-/// Flattens a JSON document into `path → scalar` pairs, the shape the
-/// bench gate diffs. Paths use dots for object members and `[i]` for
-/// array indices (e.g. `panel[0].speedup`); only scalar leaves (numbers,
-/// strings, bools) are emitted. `BTreeMap` keeps the output ordered.
-pub fn flatten(doc: &Json) -> BTreeMap<String, Json> {
-    let mut out = BTreeMap::new();
-    flatten_into(doc, String::new(), &mut out);
-    out
-}
-
-fn flatten_into(v: &Json, prefix: String, out: &mut BTreeMap<String, Json>) {
-    match v {
-        Json::Obj(members) => {
-            for (k, child) in members {
-                let path = if prefix.is_empty() { k.clone() } else { format!("{prefix}.{k}") };
-                flatten_into(child, path, out);
-            }
-        }
-        Json::Arr(items) => {
-            for (i, child) in items.iter().enumerate() {
-                flatten_into(child, format!("{prefix}[{i}]"), out);
-            }
-        }
-        Json::Null => {}
-        scalar => {
-            out.insert(prefix, scalar.clone());
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -407,8 +338,8 @@ mod tests {
 
     #[test]
     fn roundtrips_own_writers() {
-        // The metrics snapshot writer is one of the two producers this
-        // parser exists for; its output must parse cleanly.
+        // The metrics snapshot writer is one of the producers this parser
+        // exists for; its output must parse cleanly.
         crate::metrics::counter("test.json.roundtrip").inc();
         let json = crate::metrics::snapshot().to_json();
         let doc = parse(&json).expect("snapshot JSON parses");
@@ -429,23 +360,5 @@ mod tests {
     fn unicode_and_escapes_resolve() {
         let doc = parse(r#"{"s": "π A\t"}"#).expect("valid");
         assert_eq!(doc.get("s").and_then(Json::as_str), Some("π A\t"));
-    }
-
-    #[test]
-    fn flatten_emits_scalar_leaves_with_paths() {
-        let doc = parse(r#"{"a": {"b": [ {"c": 1}, {"c": "two"} ]}, "ok": true}"#).expect("valid");
-        let flat = flatten(&doc);
-        assert_eq!(flat.get("a.b[0].c"), Some(&Json::Num(1.0)));
-        assert_eq!(flat.get("a.b[1].c"), Some(&Json::Str("two".to_string())));
-        assert_eq!(flat.get("ok"), Some(&Json::Bool(true)));
-        assert_eq!(flat.len(), 3);
-    }
-
-    #[test]
-    fn compact_serialization_reparses_identically() {
-        let src = r#"{"a":[1,2.5,"x"],"b":{"c":true,"d":null}}"#;
-        let doc = parse(src).expect("valid");
-        let again = parse(&doc.to_compact()).expect("re-parses");
-        assert_eq!(doc, again);
     }
 }

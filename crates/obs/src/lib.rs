@@ -36,10 +36,8 @@
 //! * [`analyze`] — span-tree reconstruction from trace records: per-stage
 //!   self-time attribution, the critical path through an epoch, and
 //!   flamegraph-compatible collapsed stacks;
-//! * [`gate`] — the bench regression gate behind the `arrow-bench-gate`
-//!   binary, diffing `BENCH_*.json` artifacts against a committed,
-//!   ratcheted baseline;
-//! * [`json`] — the minimal std-only JSON parser the above share.
+//! * [`json`] — the minimal std-only JSON parser that reads the crate's
+//!   own writers back.
 //!
 //! Deliberately omitted, in the spirit of the repo's synchronous CPU-bound
 //! design: no async integration, no sampling, no per-record levels beyond
@@ -78,7 +76,6 @@
 
 pub mod analyze;
 pub mod export;
-pub mod gate;
 pub mod incident;
 pub mod json;
 pub mod metrics;

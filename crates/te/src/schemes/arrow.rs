@@ -239,7 +239,7 @@ impl Arrow {
         base: &BaseModel,
         sol: &Solution,
     ) -> Vec<usize> {
-        // Winning ticket per scenario: the paper's criterion is
+        // Winning ticket per scenario: the paper's rule is
         // `min_z Σ_e max(0, Δ_e^{z,q})`. The LP leaves Δ degenerate when
         // capacity is plentiful (many exact ties), so the score is
         // evaluated directly from the Phase-I traffic: for each ticket,

@@ -75,9 +75,9 @@ pub struct FailureModel {
 }
 
 impl FailureModel {
-    /// The failure (non-healthy) scenarios only.
+    /// The failure (non-healthy) scenarios only; none for an empty model.
     pub fn failure_scenarios(&self) -> &[FailureScenario] {
-        &self.scenarios[1..]
+        self.scenarios.get(1..).unwrap_or(&[])
     }
 
     /// Total probability mass captured by the enumerated scenarios,

@@ -58,13 +58,43 @@ impl From<serde_json::Error> for IoError {
     }
 }
 
+/// What every consumer of a [`FailureModel`] assumes about it, checked
+/// against the WAN it was loaded with.
+fn validate_failures(model: &FailureModel, wan: &Wan) -> Result<(), String> {
+    let num_fibers = wan.optical.num_fibers();
+    if !model.scenarios.first().is_some_and(|s| s.is_healthy()) {
+        return Err("failure model must list the healthy scenario first".to_string());
+    }
+    if model.fiber_prob.len() != num_fibers {
+        return Err(format!(
+            "fiber_prob has {} entries, WAN has {num_fibers} fibers",
+            model.fiber_prob.len()
+        ));
+    }
+    let mut probabilities =
+        model.fiber_prob.iter().chain(model.scenarios.iter().map(|s| &s.probability));
+    if let Some(p) = probabilities.find(|p| !(0.0..=1.0).contains(*p)) {
+        return Err(format!("failure probability {p} is not in [0, 1]"));
+    }
+    for (i, s) in model.scenarios.iter().enumerate() {
+        if let Some(f) = s.cut_fibers.iter().find(|f| f.0 >= num_fibers) {
+            return Err(format!("scenario {i} cuts fiber {}, WAN has {num_fibers}", f.0));
+        }
+        if let Some(l) = s.failed_links.iter().find(|l| l.0 >= wan.num_links()) {
+            return Err(format!("scenario {i} fails link {}, WAN has {}", l.0, wan.num_links()));
+        }
+    }
+    Ok(())
+}
+
 impl Snapshot {
     /// Serializes to pretty JSON.
     pub fn to_json(&self) -> Result<String, IoError> {
         Ok(serde_json::to_string_pretty(self)?)
     }
 
-    /// Parses from JSON and validates the cross-layer mapping.
+    /// Parses from JSON and validates the cross-layer mapping, the traffic
+    /// dimensions and the failure model.
     pub fn from_json(text: &str) -> Result<Self, IoError> {
         let snap: Snapshot = serde_json::from_str(text)?;
         snap.wan.validate().map_err(IoError::Invalid)?;
@@ -77,6 +107,7 @@ impl Snapshot {
                 )));
             }
         }
+        validate_failures(&snap.failures, &snap.wan).map_err(IoError::Invalid)?;
         Ok(snap)
     }
 
@@ -140,6 +171,60 @@ mod tests {
     #[test]
     fn corrupt_json_is_rejected() {
         assert!(matches!(Snapshot::from_json("{not json"), Err(IoError::Parse(_))));
+    }
+
+    /// Round-trips `snap` with its failure model edited and returns the
+    /// rejection message.
+    fn rejection(edit: impl FnOnce(&mut Snapshot)) -> String {
+        let mut snap = snapshot();
+        edit(&mut snap);
+        match Snapshot::from_json(&snap.to_json().unwrap()) {
+            Err(IoError::Invalid(m)) => m,
+            other => panic!("expected IoError::Invalid, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn empty_scenario_list_is_rejected() {
+        // Used to decode fine and then panic in `failure_scenarios()`.
+        assert!(rejection(|s| s.failures.scenarios.clear()).contains("healthy scenario first"));
+        let empty = FailureModel { fiber_prob: Vec::new(), scenarios: Vec::new() };
+        assert!(empty.failure_scenarios().is_empty());
+    }
+
+    #[test]
+    fn missing_healthy_scenario_is_rejected() {
+        assert!(rejection(|s| {
+            s.failures.scenarios.remove(0);
+        })
+        .contains("healthy scenario"));
+    }
+
+    #[test]
+    fn fiber_prob_of_the_wrong_length_is_rejected() {
+        assert!(rejection(|s| {
+            s.failures.fiber_prob.pop();
+        })
+        .contains("fiber_prob has"));
+    }
+
+    #[test]
+    fn out_of_range_fiber_and_link_ids_are_rejected() {
+        let cut =
+            rejection(|s| s.failures.scenarios[1].cut_fibers.push(arrow_optical::FiberId(999)));
+        assert!(cut.contains("cuts fiber 999"), "{cut}");
+        let link = rejection(|s| s.failures.scenarios[1].failed_links.push(crate::IpLinkId(999)));
+        assert!(link.contains("fails link 999"), "{link}");
+    }
+
+    #[test]
+    fn probabilities_outside_the_unit_interval_are_rejected() {
+        for bad in [-0.1, 1.5, f64::INFINITY, f64::NAN] {
+            assert!(
+                rejection(|s| s.failures.scenarios[1].probability = bad).contains("not in [0, 1]")
+            );
+            assert!(rejection(|s| s.failures.fiber_prob[0] = bad).contains("not in [0, 1]"));
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Soak test for the `arrow serve` daemon: hundreds of epochs under
-//! chaos load, with the acceptance gates from ROADMAP item 3 asserted
-//! inline and the results written to `BENCH_serve.json`.
+//! chaos load, with the acceptance gates asserted inline. (Its speed is
+//! judged by the `perf/` benchmark's `serve_b4_warm` workload.)
 //!
 //! Two modes:
 //!
@@ -11,7 +11,7 @@
 //!
 //! What must hold, deterministically under the fixed seed:
 //!
-//! * warm-hit ratio ≥ 0.9 across the soak (only the cold-start epoch and
+//! * warm-hit ratio ≥ 0.925 across the soak (only the cold-start epoch and
 //!   plan-structure changes may miss);
 //! * every chaos burst blows the 2 s SLO budget (its stall is 3 s), so
 //!   bursts == fallbacks == incident dumps, and every dump's critical
@@ -52,12 +52,6 @@ fn main() {
 
     let report = serve(b4(17), &config).expect("daemon run");
 
-    let p99 = report.p99_epoch_seconds();
-    let eps = report.epochs_per_sec();
-    let fallback_rate = report.fallbacks as f64 / report.epochs_planned.max(1) as f64;
-    let incidents_complete =
-        report.incidents.len() as u64 >= report.chaos_bursts && report.incidents_reach_lp_solve;
-
     println!(
         "planned {} epochs ({} ticks, {} cut/repair, {} bursts) in {:.1}s ({:.1} epochs/s)",
         report.epochs_planned,
@@ -65,12 +59,12 @@ fn main() {
         report.cut_replans,
         report.chaos_bursts,
         report.wall_seconds,
-        eps
+        report.epochs_per_sec()
     );
     println!(
         "warm-hit ratio {:.4} | p99 epoch {:.3}s | {} fallbacks | {} incidents | {} scrapes ok",
         report.warm_hit_ratio,
-        p99,
+        report.p99_epoch_seconds(),
         report.fallbacks,
         report.incidents.len(),
         report.scrapes_ok
@@ -79,40 +73,12 @@ fn main() {
         println!("  incident: {}", inc.dir.display());
     }
 
-    let json = format!(
-        "{{\n  \"mode\": \"{mode}\",\n  \"epochs\": {},\n  \"ticks\": {},\n  \
-         \"cut_replans\": {},\n  \"chaos_bursts\": {},\n  \"epochs_per_sec\": {:.4},\n  \
-         \"p99_epoch_seconds\": {:.6},\n  \"warm_hit_ratio\": {:.6},\n  \
-         \"fallback_count\": {},\n  \"fallback_rate\": {:.6},\n  \"plan_errors\": {},\n  \
-         \"incidents\": {},\n  \"incidents_complete\": {},\n  \
-         \"winning_digest\": \"{:016x}\",\n  \"scrapes_ok\": {},\n  \
-         \"readyz_before\": {},\n  \"readyz_after\": {}\n}}\n",
-        report.epochs_planned,
-        report.ticks,
-        report.cut_replans,
-        report.chaos_bursts,
-        eps,
-        p99,
-        report.warm_hit_ratio,
-        report.fallbacks,
-        fallback_rate,
-        report.plan_errors,
-        report.incidents.len(),
-        incidents_complete,
-        report.winning_digest,
-        report.scrapes_ok,
-        report.readyz_before,
-        report.readyz_after,
-    );
-    std::fs::write("BENCH_serve.json", &json).expect("write BENCH_serve.json");
-    println!("wrote BENCH_serve.json");
-
     // The acceptance gates. All deterministic under the fixed seed: the
     // stall is 1.5x the budget (every burst must miss) while a healthy
     // warm epoch runs ~10x under it (nothing else may miss).
     assert!(
-        report.warm_hit_ratio >= 0.9,
-        "warm-hit ratio {:.4} below the 0.9 floor",
+        report.warm_hit_ratio >= 0.925,
+        "warm-hit ratio {:.4} below the 0.925 floor",
         report.warm_hit_ratio
     );
     assert_eq!(report.chaos_bursts, bursts, "feed dropped a scheduled chaos burst");

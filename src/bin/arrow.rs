@@ -332,10 +332,18 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     let seed = flag(&flags, "seed", 17u64)?;
     let wan = build_wan(name, seed)?;
     let chaos = if flag(&flags, "chaos", false)? {
+        // `nan`, `-1`, `inf` and `1e30` all parse as f64; none is a time
+        // a burst can stall for.
+        let stall_seconds: f64 = flag(&flags, "stall", 3.0)?;
+        if std::time::Duration::try_from_secs_f64(stall_seconds).is_err() {
+            return Err(format!(
+                "invalid value for --stall: {stall_seconds} (expected a number of seconds from 0 to u64::MAX)"
+            ));
+        }
         Some(ChaosConfig {
             seed: flag(&flags, "chaos-seed", 1337u64)?,
             bursts: flag(&flags, "bursts", 3u64)?,
-            stall_seconds: flag(&flags, "stall", 3.0f64)?,
+            stall_seconds,
             ..Default::default()
         })
     } else {

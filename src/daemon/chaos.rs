@@ -101,10 +101,7 @@ pub fn schedule_bursts(
         let frac = (i as f64 + 0.5) / cfg.bursts as f64;
         let epoch = first + ((frac * span as f64) as u64).min(span - 1);
         let at = (epoch as f64 + 0.5) * epoch_interval_s;
-        feed.inject(
-            at,
-            FeedEvent::ChaosBurst { fibers, stall_seconds: cfg.stall_seconds.max(0.0) },
-        );
+        feed.inject(at, FeedEvent::ChaosBurst { fibers, stall_seconds: cfg.stall_seconds });
         injected += 1;
     }
     arrow_obs::event!(

@@ -122,7 +122,7 @@ pub enum ServeError {
     /// The exporter could not bind, or an incident dump failed to write.
     Io(std::io::Error),
     /// The [`ServeConfig`] cannot be served (e.g. a negative or non-finite
-    /// `demand_scale`); nothing was started.
+    /// `demand_scale` or chaos `stall_seconds`); nothing was started.
     Config(String),
 }
 
@@ -137,8 +137,7 @@ impl std::fmt::Display for ServeError {
 
 impl std::error::Error for ServeError {}
 
-/// What one daemon run did, for the CLI summary, the soak's assertions,
-/// and `BENCH_serve.json`.
+/// What one daemon run did, for the CLI summary and the soak's assertions.
 #[derive(Debug)]
 pub struct ServeReport {
     /// Total epochs planned (ticks + cut/repair re-plans + chaos bursts).
@@ -279,6 +278,14 @@ pub fn serve(wan: Wan, config: &ServeConfig) -> Result<ServeReport, ServeError> 
             config.budget_seconds
         )));
     }
+    // One test for NaN, infinite, negative and too large to sleep for.
+    if let Some(stall) = config.chaos.as_ref().map(|c| c.stall_seconds) {
+        if std::time::Duration::try_from_secs_f64(stall).is_err() {
+            return Err(ServeError::Config(format!(
+                "chaos stall_seconds must be a number of seconds from 0 to u64::MAX, got {stall}"
+            )));
+        }
+    }
     // SLO budget for this run; also resets the rolling window so the
     // verdicts below start clean.
     slo::configure(SloConfig { budget_seconds: config.budget_seconds, ..SloConfig::default() });
@@ -393,7 +400,7 @@ pub fn serve(wan: Wan, config: &ServeConfig) -> Result<ServeReport, ServeError> 
         recorder.begin_epoch();
         let stall_hook = move || {
             event!(warn: "daemon.chaos.stall", "seconds" => stall_seconds);
-            std::thread::sleep(std::time::Duration::from_secs_f64(stall_seconds.max(0.0)));
+            std::thread::sleep(std::time::Duration::from_secs_f64(stall_seconds));
         };
         let hook: Option<EpochHook<'_>> =
             if stall_seconds > 0.0 { Some(&stall_hook) } else { None };

@@ -79,6 +79,32 @@ fn bad_budget_is_rejected_not_replaced() {
     }
 }
 
+/// A chaos stall no thread can sleep for — NaN, negative, infinite, or past
+/// `Duration::MAX` — is rejected up front; `inf` and `1e30` used to panic in
+/// `Duration::from_secs_f64` at the first burst, `nan` and `-1` to run as 0 s.
+#[test]
+fn bad_chaos_stall_is_rejected_without_a_panic() {
+    let _guard = SERVE_LOCK.lock().expect("serve lock");
+    for stall in [f64::INFINITY, 1e30, f64::NAN, -1.0] {
+        let config = ServeConfig {
+            chaos: Some(ChaosConfig { bursts: 1, stall_seconds: stall, ..Default::default() }),
+            ..base_config("bad-stall")
+        };
+        let err = serve(b4(17), &config).expect_err("bad stall_seconds must be rejected");
+        assert!(matches!(err, ServeError::Config(_)), "stall {stall}: {err}");
+    }
+    for stall in ["inf", "1e30", "nan", "-1"] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_arrow"))
+            .args(["serve", "b4", "--epochs", "3", "--chaos", "true", "--stall", stall])
+            .output()
+            .expect("run the arrow binary");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "arrow serve --stall {stall}: {stderr}");
+        assert!(stderr.contains("invalid value for --stall"), "{stderr}");
+        assert!(out.stdout.is_empty(), "no banner for a rejected stall");
+    }
+}
+
 #[test]
 fn forced_slow_epoch_falls_back_to_previous_plan() {
     let _guard = SERVE_LOCK.lock().expect("serve lock");
