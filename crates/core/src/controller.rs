@@ -232,8 +232,8 @@ impl ArrowController {
     }
 
     /// Builds a controller around an externally produced ticket set,
-    /// skipping the offline generation entirely (tests, replaying a
-    /// serialized offline state, or exercising degenerate ticket sets).
+    /// skipping the offline generation entirely (tests, and exercising
+    /// degenerate ticket sets).
     pub fn with_tickets(
         wan: Wan,
         scenarios: Vec<FailureScenario>,

@@ -13,8 +13,8 @@ use arrow_core::lottery::{
 };
 use arrow_te::TicketSet;
 use arrow_topology::{
-    b4, compile_universe, generate_failures, ibm, FailureConfig, FailureScenario, UniverseConfig,
-    Wan,
+    b4, compile_universe, generate_failures, ibm, FailureConfig, FailureScenario, Snapshot,
+    UniverseConfig, Wan,
 };
 
 fn setup(max_scenarios: usize) -> (Wan, Vec<FailureScenario>) {
@@ -188,12 +188,23 @@ fn sharded_generation_merges_to_unsharded_bitwise_on_ibm() {
 /// kept-ticket count on a 64-scenario correlated universe, and the same
 /// set from the unsharded run, a 2-shard merge and the serial oracle. A
 /// changed digest means every downstream figure was produced from
-/// different tickets — re-pin only with a reason.
+/// different tickets — re-pin only with a reason. A WAN reloaded from its
+/// snapshot (spectrum and adjacency rebuilt by the decoder, not read) must
+/// hold the same pins.
 #[test]
 fn b4_universe_and_ticket_digests_are_pinned() {
-    let wan = b4(17);
+    let built = b4(17);
+    let failures = generate_failures(&built, &FailureConfig::default());
+    let snapshot = Snapshot { wan: built.clone(), traffic: Vec::new(), failures };
+    let reloaded = Snapshot::from_json(&snapshot.to_json()).expect("own snapshot reloads").wan;
+    for wan in [built, reloaded] {
+        assert_b4_pins(&wan);
+    }
+}
+
+fn assert_b4_pins(wan: &Wan) {
     let uni = compile_universe(
-        &wan,
+        wan,
         &UniverseConfig {
             max_k: 3,
             cutoff: 1e-5,
@@ -209,16 +220,16 @@ fn b4_universe_and_ticket_digests_are_pinned() {
     assert_eq!(uni.digest(), 0x60c8_21a7_a334_30e3, "B4 universe digest moved");
 
     let cfg = LotteryConfig { num_tickets: 6, ..Default::default() };
-    let (whole, stats) = generate_tickets_shard(&wan, &uni, &cfg, ShardSpec::whole());
+    let (whole, stats) = generate_tickets_shard(wan, &uni, &cfg, ShardSpec::whole());
     assert!(whole.is_full());
     assert_eq!(whole.digest(), 0x6468_505d_0304_97d7, "B4 TicketSet digest moved");
     assert_eq!(stats.total_kept(), 354);
 
     let shards =
-        (0..2).map(|index| generate_tickets_shard(&wan, &uni, &cfg, ShardSpec { index, of: 2 }).0);
+        (0..2).map(|index| generate_tickets_shard(wan, &uni, &cfg, ShardSpec { index, of: 2 }).0);
     let merged = TicketSet::merge_all(shards).expect("honest shards must merge");
     assert_eq!(merged, whole, "2-shard merge diverged from the unsharded run");
-    let serial = generate_tickets_serial(&wan, &uni.failure_scenarios(), &cfg);
+    let serial = generate_tickets_serial(wan, &uni.failure_scenarios(), &cfg);
     assert_eq!(serial, whole, "chunked run diverged from the serial oracle");
 }
 

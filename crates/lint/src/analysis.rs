@@ -1,7 +1,8 @@
 //! Interprocedural analyses over the workspace call graph.
 //!
 //! **panic-reachability** — from configured entry points (the controller
-//! epoch path, the batched solver, the daemon loop), prove that no call
+//! epoch path, the batched solver, the daemon loop, the snapshot decoder
+//! — the one place a file from outside is read), prove that no call
 //! path reaches `unwrap`/`expect`/`panic!`-family code in product
 //! libraries. A single reachable `unwrap` under
 //! `ArrowController::plan_epoch` kills `arrow serve` mid-epoch instead of
@@ -34,6 +35,7 @@ pub const DEFAULT_ENTRIES: &[&str] = &[
     "solver::solve_batch",
     "daemon::serve",
     "lottery::generate_tickets",
+    "Snapshot::from_json",
 ];
 
 /// Default determinism-taint sinks: producers of digests, `ScenarioId`s,

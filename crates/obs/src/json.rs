@@ -1,16 +1,25 @@
-//! A minimal JSON reader for the telemetry plane.
+//! The workspace's one JSON implementation: a value tree, a reader and a
+//! writer.
 //!
 //! The workspace bans external dependencies, and JSON the repo itself
-//! wrote has to be *read* back: [`crate::analyze`] re-parses
-//! `trace.jsonl` records, and the tests of every writer in this crate
-//! check their output parses. This is a small recursive-descent parser
-//! covering exactly the JSON those writers emit (objects, arrays, strings
-//! with the escapes [`crate::metrics`] produces, numbers, booleans, null)
-//! — not a general-purpose library: no streaming, no number-precision
-//! preservation beyond `f64`, no serde-style typed decoding, no writer.
+//! wrote has to be *read* back. The parser has two readers:
+//! [`crate::analyze`] re-parses `trace.jsonl` records (and the tests of
+//! every writer in this crate check their output parses), and
+//! `arrow_topology::io` decodes experiment snapshots from it — the one
+//! place a file from outside the program is decoded. [`Json::to_pretty`]
+//! is the writer, used by that snapshot module; the telemetry writers
+//! format their fixed shapes directly and share its string escaper.
+//!
+//! This is a small recursive-descent parser covering objects, arrays,
+//! strings, numbers, booleans and null — not a general-purpose library:
+//! no streaming, no number precision beyond `f64`, no typed decoding (a
+//! reader walks the [`Json`] tree and checks what it finds).
 //!
 //! Parsing never panics; malformed input returns a [`JsonError`] carrying
-//! the byte offset of the problem.
+//! the byte offset of the problem, and nesting deeper than a fixed cap is
+//! malformed.
+
+use crate::metrics::{json_escape, json_f64};
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -94,6 +103,50 @@ impl Json {
         match self {
             Json::Obj(members) => Some(members),
             _ => None,
+        }
+    }
+
+    /// Serializes to indented text that [`parse`] reads back, one member
+    /// or item per line. Numbers print in Rust's shortest round-trip form;
+    /// a non-finite number prints as `null`.
+    pub fn to_pretty(&self) -> String {
+        let mut out = String::new();
+        self.write(&mut out, 0);
+        out
+    }
+
+    fn write(&self, out: &mut String, indent: usize) {
+        // Ends the line (after a `,` unless first) and indents the next.
+        let open_line = |out: &mut String, first: bool, indent: usize| {
+            out.push_str(if first { "\n" } else { ",\n" });
+            out.extend(std::iter::repeat_n("  ", indent));
+        };
+        match self {
+            Json::Null => out.push_str("null"),
+            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Json::Num(n) => out.push_str(&json_f64(*n)),
+            Json::Str(s) => out.push_str(&format!("\"{}\"", json_escape(s))),
+            Json::Arr(items) if items.is_empty() => out.push_str("[]"),
+            Json::Arr(items) => {
+                out.push('[');
+                for (i, item) in items.iter().enumerate() {
+                    open_line(out, i == 0, indent + 1);
+                    item.write(out, indent + 1);
+                }
+                open_line(out, true, indent);
+                out.push(']');
+            }
+            Json::Obj(members) if members.is_empty() => out.push_str("{}"),
+            Json::Obj(members) => {
+                out.push('{');
+                for (i, (key, value)) in members.iter().enumerate() {
+                    open_line(out, i == 0, indent + 1);
+                    out.push_str(&format!("\"{}\": ", json_escape(key)));
+                    value.write(out, indent + 1);
+                }
+                open_line(out, true, indent);
+                out.push('}');
+            }
         }
     }
 }
@@ -344,6 +397,33 @@ mod tests {
         let json = crate::metrics::snapshot().to_json();
         let doc = parse(&json).expect("snapshot JSON parses");
         assert!(doc.get("counters").is_some());
+    }
+
+    #[test]
+    fn writer_output_is_stable_and_parses_back() {
+        let text = r#"{
+  "name": "a\"b\n",
+  "ids": [
+    0,
+    0.00000025
+  ],
+  "rows": [
+    {
+      "ok": true
+    },
+    {},
+    []
+  ],
+  "none": null
+}"#;
+        let doc = parse(text).expect("valid json");
+        assert_eq!(doc.to_pretty(), text);
+        assert_eq!(parse(&doc.to_pretty()), Ok(doc));
+        // Numbers round-trip exactly; a non-finite one has no JSON form.
+        for v in [0.1 + 0.2, 1e300, f64::MIN_POSITIVE, 4503599627370497.0] {
+            assert_eq!(parse(&Json::Num(v).to_pretty()), Ok(Json::Num(v)));
+        }
+        assert_eq!(Json::Num(f64::NAN).to_pretty(), "null");
     }
 
     #[test]

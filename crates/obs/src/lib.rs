@@ -36,8 +36,9 @@
 //! * [`analyze`] — span-tree reconstruction from trace records: per-stage
 //!   self-time attribution, the critical path through an epoch, and
 //!   flamegraph-compatible collapsed stacks;
-//! * [`json`] — the minimal std-only JSON parser that reads the crate's
-//!   own writers back.
+//! * [`json`] — the workspace's one std-only JSON value tree, parser and
+//!   writer: reads the crate's own writers back, and carries
+//!   `arrow-topology`'s experiment snapshots.
 //!
 //! Deliberately omitted, in the spirit of the repo's synchronous CPU-bound
 //! design: no async integration, no sampling, no per-record levels beyond

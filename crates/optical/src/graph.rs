@@ -8,22 +8,21 @@
 //! the IP layer sees a direct link between the endpoints (Fig. 2).
 
 use crate::spectrum::SpectrumMask;
-use serde::{Deserialize, Serialize};
 
 /// Identifier of a ROADM site.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct RoadmId(pub usize);
 
 /// Identifier of a fiber (undirected edge between two ROADMs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct FiberId(pub usize);
 
 /// Identifier of a provisioned lightpath.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct LightpathId(pub usize);
 
 /// One fiber span between two ROADM sites.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fiber {
     /// One endpoint.
     pub a: RoadmId,
@@ -60,7 +59,7 @@ impl Fiber {
 /// A provisioned lightpath: `wavelength_count` wavelengths on a contiguous
 /// fiber path, all on the same spectrum slots end-to-end (wavelength
 /// continuity), all modulated at `gbps_per_wavelength`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Lightpath {
     /// Source ROADM (add/drop site).
     pub src: RoadmId,
@@ -102,6 +101,13 @@ pub enum OpticalError {
         /// The occupied slot.
         slot: usize,
     },
+    /// A spectrum slot beyond the fiber grid.
+    SlotOutOfRange {
+        /// The offending slot.
+        slot: usize,
+        /// Slots per fiber.
+        num_slots: usize,
+    },
 }
 
 impl std::fmt::Display for OpticalError {
@@ -113,6 +119,9 @@ impl std::fmt::Display for OpticalError {
             OpticalError::SlotOccupied { fiber, slot } => {
                 write!(f, "slot {slot} already occupied on fiber {fiber}")
             }
+            OpticalError::SlotOutOfRange { slot, num_slots } => {
+                write!(f, "slot {slot} is outside the {num_slots}-slot grid")
+            }
         }
     }
 }
@@ -120,7 +129,7 @@ impl std::fmt::Display for OpticalError {
 impl std::error::Error for OpticalError {}
 
 /// The optical network: ROADM sites, fibers, and provisioned lightpaths.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct OpticalNetwork {
     num_slots: usize,
     num_roadms: usize,
@@ -244,9 +253,18 @@ impl OpticalNetwork {
     }
 
     /// Provisions a lightpath, occupying its slots on every fiber of the
-    /// path. Slots must be free on all fibers (wavelength continuity).
+    /// path. Slots must lie on the grid, be distinct, and be free on all
+    /// fibers (wavelength continuity); nothing is occupied on an error.
     pub fn provision(&mut self, lp: Lightpath) -> Result<LightpathId, OpticalError> {
         self.validate_path(lp.src, lp.dst, &lp.path)?;
+        for (i, &w) in lp.slots.iter().enumerate() {
+            if w >= self.num_slots {
+                return Err(OpticalError::SlotOutOfRange { slot: w, num_slots: self.num_slots });
+            }
+            if lp.slots[..i].contains(&w) {
+                return Err(OpticalError::SlotOccupied { fiber: lp.path[0].0, slot: w });
+            }
+        }
         for &fid in &lp.path {
             for &w in &lp.slots {
                 if self.fibers[fid.0].spectrum.is_occupied(w) {
@@ -403,6 +421,25 @@ mod tests {
         assert_eq!(err, OpticalError::SlotOccupied { fiber: f[0].0, slot: 3 });
         // And nothing was partially occupied on fiber 1.
         assert!(net.fiber(f[1]).spectrum.is_free(3));
+    }
+
+    #[test]
+    fn provision_rejects_slots_off_the_grid_and_listed_twice() {
+        let (mut net, r, f) = triangle();
+        let mut lp = Lightpath {
+            src: r[0],
+            dst: r[1],
+            path: vec![f[0]],
+            slots: vec![2, 8],
+            gbps_per_wavelength: 100.0,
+        };
+        // Slot 8 of an 8-slot grid used to reach `SpectrumMask`'s assert.
+        let err = net.provision(lp.clone()).unwrap_err();
+        assert_eq!(err, OpticalError::SlotOutOfRange { slot: 8, num_slots: 8 });
+        lp.slots = vec![2, 2];
+        let err = net.provision(lp).unwrap_err();
+        assert_eq!(err, OpticalError::SlotOccupied { fiber: f[0].0, slot: 2 });
+        assert_eq!(net.fiber(f[0]).spectrum.occupied_count(), 0, "nothing partially occupied");
     }
 
     #[test]

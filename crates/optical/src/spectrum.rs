@@ -6,15 +6,13 @@
 //! [`SpectrumMask`] tracks which slots are occupied by provisioned
 //! wavelengths, mirroring the binary `φ.spectrum[w]` vector of Appendix A.2.
 
-use serde::{Deserialize, Serialize};
-
 /// Number of wavelength slots used by default (96-channel DWDM grid).
 pub const DEFAULT_SLOTS: usize = 96;
 
 /// Spectral band of a wavelength slot (Appendix A.10: next-generation
 /// systems extend the C band with the L band to scale capacity; ARROW's
 /// noise loading covers the new band the same way).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Band {
     /// Conventional band (1530–1565 nm) — the first `c_slots` slots.
     C,
@@ -26,7 +24,7 @@ pub enum Band {
 ///
 /// Bit **set** means the slot is **occupied** by a working wavelength; clear
 /// means the slot is free (or carrying ASE noise, which is displaceable).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpectrumMask {
     words: Vec<u64>,
     num_slots: usize,

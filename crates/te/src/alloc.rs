@@ -1,14 +1,13 @@
 //! TE allocations: the common output of every scheme.
 
 use crate::tunnels::{FlowId, TeInstance, TunnelId};
-use serde::{Deserialize, Serialize};
 
 /// Bandwidth allocation produced by a TE scheme.
 ///
 /// `b_f` is the admitted bandwidth per flow; `a_{f,t}` the per-tunnel
 /// allocation. Splitting ratios `ω_{f,t} = a_{f,t} / Σ_t a_{f,t}` are what
 /// gets installed on routers (§3.3 "Phase II output").
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TeAllocation {
     /// Admitted bandwidth per flow (Gbps), indexed by [`FlowId`].
     pub b: Vec<f64>,

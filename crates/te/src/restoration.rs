@@ -8,11 +8,10 @@
 //! cycle.
 
 use arrow_topology::IpLinkId;
-use serde::{Deserialize, Serialize};
 
 /// One restoration candidate for one failure scenario: restorable Gbps per
 /// failed IP link (links absent from the map restore nothing).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RestorationTicket {
     /// `(failed link, restorable capacity in Gbps)` pairs.
     pub restored: Vec<(IpLinkId, f64)>,
@@ -59,7 +58,7 @@ impl RestorationTicket {
 /// [`TicketSet::sharded`]). [`TicketSet::scenario_indices`] records the
 /// mapping either way, and [`TicketSet::merge`] recombines shards into the
 /// byte-identical full set regardless of shard count or merge order.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TicketSet {
     /// Per-scenario ticket lists.
     pub per_scenario: Vec<Vec<RestorationTicket>>,

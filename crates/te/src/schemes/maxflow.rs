@@ -17,6 +17,13 @@ pub struct MaxFlow {
     pub solver: SolverConfig,
 }
 
+impl MaxFlow {
+    /// The LP this scheme solves, for export (`arrow mps`).
+    pub fn model(inst: &TeInstance) -> arrow_lp::Model {
+        base_model(inst).model
+    }
+}
+
 impl TeScheme for MaxFlow {
     fn name(&self) -> String {
         "MaxFlow".into()

@@ -12,10 +12,9 @@ use crate::wan::{IpLinkId, Wan};
 use arrow_optical::FiberId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// One failure scenario: a set of cut fibers with its probability.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FailureScenario {
     /// Fibers cut in this scenario (empty = the healthy scenario).
     pub cut_fibers: Vec<FiberId>,
@@ -65,7 +64,7 @@ impl Default for FailureConfig {
 }
 
 /// The generated probabilistic failure model for one WAN.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FailureModel {
     /// Per-fiber failure probability.
     pub fiber_prob: Vec<f64>,
@@ -173,9 +172,7 @@ pub fn generate(wan: &Wan, cfg: &FailureConfig) -> FailureModel {
 /// mechanism produced them (k-cut enumeration, an SRLG group, a
 /// maintenance window) or in what order the fibers were listed — this is
 /// what the compiler dedups on and what shard digests build over.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ScenarioId(pub u64);
 
 impl ScenarioId {
@@ -208,7 +205,7 @@ impl std::fmt::Display for ScenarioId {
 }
 
 /// Which compiler mechanism produced a scenario.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScenarioSource {
     /// Exhaustive independent k-cut enumeration (k = `cut_fibers.len()`).
     KCut,
@@ -222,7 +219,7 @@ pub enum ScenarioSource {
 }
 
 /// One compiled scenario: the failure set plus its identity and origin.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CompiledScenario {
     /// Content digest of the cut set (see [`ScenarioId`]).
     pub id: ScenarioId,
@@ -236,7 +233,7 @@ pub struct CompiledScenario {
 
 /// A shared-risk link group: fibers sharing a conduit/right-of-way that a
 /// single backhoe takes out together.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SrlgGroup {
     /// The fibers that fail as one.
     pub fibers: Vec<FiberId>,
@@ -316,7 +313,7 @@ impl Default for UniverseConfig {
 }
 
 /// What the compiler did, for reports and BENCH artifacts.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct UniverseStats {
     /// Candidate scenarios produced by all mechanisms before dedup.
     pub enumerated: usize,
@@ -339,7 +336,7 @@ pub struct UniverseStats {
 /// universe by global index (`arrow-core`'s `ShardSpec`), so this order
 /// is part of the determinism contract: equal configs compile equal
 /// universes, byte for byte.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ScenarioUniverse {
     /// Per-fiber failure probability (after flapping boosts).
     pub fiber_prob: Vec<f64>,

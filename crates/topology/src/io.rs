@@ -1,19 +1,34 @@
-//! JSON persistence for topologies, traffic, and failure models.
+//! JSON persistence for topologies, traffic, and failure models — the one
+//! module that knows the snapshot format.
 //!
 //! Experiment artifacts (the generated WAN, its traffic matrices, the
 //! sampled failure model) can be saved and reloaded so that runs are
 //! reproducible byte-for-byte even across versions of the generators.
-//! Plain `serde_json` text — diffable, greppable, no custom format.
+//! Plain JSON text through [`arrow_obs::json`] — diffable, greppable.
+//!
+//! The document carries **primary data only**: slot and ROADM counts,
+//! fibers as endpoints and length, lightpaths, the site→ROADM map, IP
+//! links, each matrix's `n` and row-major demands, per-fiber failure
+//! probabilities and each scenario's cut set and probability. Everything
+//! derived — spectrum occupancy, ROADM adjacency, the links a cut fails —
+//! is rebuilt on load by the constructors that enforce the invariants
+//! ([`OpticalNetwork::provision`], [`TrafficMatrix::from_row_major`],
+//! [`Wan::links_failed_by`]), so a file cannot put a model into a state
+//! the builders could not. A file that is not JSON is [`IoError::Parse`];
+//! JSON that is not a consistent snapshot is [`IoError::Invalid`], naming
+//! the JSON path of the offending value (`wan.links[3].a`).
 
-use crate::failures::FailureModel;
+use crate::failures::{FailureModel, FailureScenario};
 use crate::traffic::TrafficMatrix;
-use crate::wan::Wan;
-use serde::{Deserialize, Serialize};
+use crate::wan::{IpLink, SiteId, Wan};
+use arrow_obs::json::{self, Json, JsonError};
+use arrow_optical::{Fiber, FiberId, Lightpath, LightpathId, OpticalNetwork, RoadmId};
+use std::fmt::Display;
 use std::path::Path;
 
 /// A self-contained experiment snapshot: one WAN with its demands and
 /// failure model.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Snapshot {
     /// The two-layer WAN.
     pub wan: Wan,
@@ -28,9 +43,10 @@ pub struct Snapshot {
 pub enum IoError {
     /// Filesystem failure.
     Io(std::io::Error),
-    /// Malformed JSON or schema mismatch.
-    Parse(serde_json::Error),
-    /// The decoded snapshot fails cross-layer validation.
+    /// The text is not JSON.
+    Parse(JsonError),
+    /// The JSON is not a consistent snapshot: a field is missing, unknown
+    /// or of the wrong type, or the decoded model fails validation.
     Invalid(String),
 }
 
@@ -52,68 +68,263 @@ impl From<std::io::Error> for IoError {
     }
 }
 
-impl From<serde_json::Error> for IoError {
-    fn from(e: serde_json::Error) -> Self {
+impl From<JsonError> for IoError {
+    fn from(e: JsonError) -> Self {
         IoError::Parse(e)
     }
 }
 
-/// What every consumer of a [`FailureModel`] assumes about it, checked
-/// against the WAN it was loaded with.
-fn validate_failures(model: &FailureModel, wan: &Wan) -> Result<(), String> {
+/// Caps on the two counts a file states outright (every other size is the
+/// length of an array in the text): each allocates per unit before any
+/// cross-check could reject it. Generous — a C+L flex grid is under 2 k
+/// slots.
+const MAX_SLOTS: usize = 4096;
+const MAX_ROADMS: usize = 1 << 20;
+/// Cap on a length (km) or capacity (Gbps); finite, so sums stay finite.
+const MAX_QUANTITY: f64 = 1e12;
+
+fn obj<const N: usize>(members: [(&str, Json); N]) -> Json {
+    Json::Obj(members.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+}
+
+fn arr<T>(items: impl IntoIterator<Item = T>, f: impl Fn(T) -> Json) -> Json {
+    Json::Arr(items.into_iter().map(f).collect())
+}
+
+fn int(n: usize) -> Json {
+    Json::Num(n as f64)
+}
+
+/// A value of the document plus the JSON path that reached it.
+struct Node<'a> {
+    json: &'a Json,
+    path: String,
+}
+
+impl<'a> Node<'a> {
+    fn err(&self, what: impl Display) -> IoError {
+        let colon = if self.path.is_empty() { "" } else { ": " };
+        IoError::Invalid(format!("{}{colon}{what}", self.path))
+    }
+
+    /// The members of an object whose key set is exactly `names`.
+    fn fields<const N: usize>(&self, names: [&str; N]) -> Result<[Node<'a>; N], IoError> {
+        let members = self.json.as_obj().ok_or_else(|| self.err("expected an object"))?;
+        if let Some((key, _)) = members.iter().find(|(k, _)| !names.contains(&k.as_str())) {
+            return Err(self.err(format!("unknown field `{key}`")));
+        }
+        let dot = if self.path.is_empty() { "" } else { "." };
+        let child = |name: &str| Node {
+            json: self.json.get(name).unwrap_or(&Json::Null),
+            path: format!("{}{dot}{name}", self.path),
+        };
+        for name in names {
+            match members.iter().filter(|(k, _)| k == name).count() {
+                1 => {}
+                0 => return Err(child(name).err("missing field")),
+                _ => return Err(child(name).err("duplicate field")),
+            }
+        }
+        Ok(names.map(child))
+    }
+
+    /// The items of an array, each decoded by `item`.
+    fn list<T>(&self, item: impl FnMut(Node<'a>) -> Result<T, IoError>) -> Result<Vec<T>, IoError> {
+        let items = self.json.as_arr().ok_or_else(|| self.err("expected an array"))?;
+        let node = |(i, json)| Node { json, path: format!("{}[{i}]", self.path) };
+        items.iter().enumerate().map(node).map(item).collect()
+    }
+
+    fn string(&self) -> Result<String, IoError> {
+        self.json.as_str().map(str::to_string).ok_or_else(|| self.err("expected a string"))
+    }
+
+    fn number(&self) -> Result<f64, IoError> {
+        self.json.as_f64().ok_or_else(|| self.err("expected a number"))
+    }
+
+    /// A number in `0..=max` (`1e999` parses to infinity).
+    fn within(&self, max: f64) -> Result<f64, IoError> {
+        let v = self.number()?;
+        if (0.0..=max).contains(&v) {
+            return Ok(v);
+        }
+        Err(self.err(format!("{v} is not in [0, {max}]")))
+    }
+
+    fn index(&self) -> Result<usize, IoError> {
+        (self.json.as_u64().and_then(|n| usize::try_from(n).ok()))
+            .ok_or_else(|| self.err("expected a non-negative integer"))
+    }
+
+    fn count(&self, min: usize, max: usize) -> Result<usize, IoError> {
+        let n = self.index()?;
+        if (min..=max).contains(&n) {
+            return Ok(n);
+        }
+        Err(self.err(format!("{n} is outside {min}..={max}")))
+    }
+}
+
+fn wan_to_json(wan: &Wan) -> Json {
+    let fiber = |f: &Fiber| {
+        obj([("a", int(f.a.0)), ("b", int(f.b.0)), ("length_km", Json::Num(f.length_km))])
+    };
+    let lightpath = |lp: &Lightpath| {
+        obj([
+            ("src", int(lp.src.0)),
+            ("dst", int(lp.dst.0)),
+            ("path", arr(&lp.path, |f| int(f.0))),
+            ("slots", arr(&lp.slots, |&w| int(w))),
+            ("gbps_per_wavelength", Json::Num(lp.gbps_per_wavelength)),
+        ])
+    };
+    let link = |l: &IpLink| {
+        obj([
+            ("a", int(l.a.0)),
+            ("b", int(l.b.0)),
+            ("lightpath", int(l.lightpath.0)),
+            ("capacity_gbps", Json::Num(l.capacity_gbps)),
+        ])
+    };
+    obj([
+        ("name", Json::Str(wan.name.clone())),
+        ("num_slots", int(wan.optical.num_slots())),
+        ("num_roadms", int(wan.optical.num_roadms())),
+        ("fibers", arr(wan.optical.fibers(), fiber)),
+        ("lightpaths", arr(wan.optical.lightpaths(), lightpath)),
+        ("site_roadm", arr(&wan.site_roadm, |r| int(r.0))),
+        ("links", arr(&wan.links, link)),
+    ])
+}
+
+fn wan_from_json(node: &Node) -> Result<Wan, IoError> {
+    let [name, num_slots, num_roadms, fibers, lightpaths, site_roadm, links] = node.fields([
+        "name",
+        "num_slots",
+        "num_roadms",
+        "fibers",
+        "lightpaths",
+        "site_roadm",
+        "links",
+    ])?;
+    let mut optical = OpticalNetwork::new(num_slots.count(1, MAX_SLOTS)?);
+    optical.add_roadms(num_roadms.count(0, MAX_ROADMS)?);
+    for f in fibers.list(Ok)? {
+        let [a, b, km] = f.fields(["a", "b", "length_km"])?;
+        let (a, b) = (RoadmId(a.index()?), RoadmId(b.index()?));
+        optical.add_fiber(a, b, km.within(MAX_QUANTITY)?).map_err(|e| f.err(e))?;
+    }
+    for lp in lightpaths.list(Ok)? {
+        let [src, dst, path, slots, gbps] =
+            lp.fields(["src", "dst", "path", "slots", "gbps_per_wavelength"])?;
+        let lightpath = Lightpath {
+            src: RoadmId(src.index()?),
+            dst: RoadmId(dst.index()?),
+            path: path.list(|f| f.index().map(FiberId))?,
+            slots: slots.list(|w| w.index())?,
+            gbps_per_wavelength: gbps.within(MAX_QUANTITY)?,
+        };
+        optical.provision(lightpath).map_err(|e| lp.err(e))?;
+    }
+    let links = links.list(|l| {
+        let [a, b, lightpath, gbps] = l.fields(["a", "b", "lightpath", "capacity_gbps"])?;
+        Ok(IpLink {
+            a: SiteId(a.index()?),
+            b: SiteId(b.index()?),
+            lightpath: LightpathId(lightpath.index()?),
+            capacity_gbps: gbps.within(MAX_QUANTITY)?,
+        })
+    })?;
+    let site_roadm = site_roadm.list(|r| r.index().map(RoadmId))?;
+    let wan = Wan { name: name.string()?, optical, site_roadm, links };
+    wan.validate().map_err(|e| node.err(e))?;
+    Ok(wan)
+}
+
+fn matrix_to_json(tm: &TrafficMatrix) -> Json {
+    let sites = || (0..tm.num_sites()).map(SiteId);
+    let demand = sites().flat_map(|s| sites().map(move |d| Json::Num(tm.demand(s, d))));
+    obj([("n", int(tm.num_sites())), ("demand", Json::Arr(demand.collect()))])
+}
+
+fn matrix_from_json(node: &Node, wan: &Wan) -> Result<TrafficMatrix, IoError> {
+    let [n, demand] = node.fields(["n", "demand"])?;
+    let n = n.index()?;
+    if n != wan.num_sites() {
+        return Err(node.err(format!("matrix over {n} sites, WAN has {}", wan.num_sites())));
+    }
+    TrafficMatrix::from_row_major(n, demand.list(|d| d.number())?).map_err(|e| node.err(e))
+}
+
+fn failures_to_json(model: &FailureModel) -> Json {
+    let scenario = |s: &FailureScenario| {
+        obj([
+            ("cut_fibers", arr(&s.cut_fibers, |f| int(f.0))),
+            ("probability", Json::Num(s.probability)),
+        ])
+    };
+    obj([
+        ("fiber_prob", arr(&model.fiber_prob, |&p| Json::Num(p))),
+        ("scenarios", arr(&model.scenarios, scenario)),
+    ])
+}
+
+/// Decodes the failure model and checks what every consumer of a
+/// [`FailureModel`] assumes about it against the WAN it was saved with.
+fn failures_from_json(node: &Node, wan: &Wan) -> Result<FailureModel, IoError> {
+    let [fiber_prob, scenarios] = node.fields(["fiber_prob", "scenarios"])?;
     let num_fibers = wan.optical.num_fibers();
-    if !model.scenarios.first().is_some_and(|s| s.is_healthy()) {
-        return Err("failure model must list the healthy scenario first".to_string());
+    let fiber_prob = fiber_prob.list(|p| p.within(1.0))?;
+    if fiber_prob.len() != num_fibers {
+        let n = fiber_prob.len();
+        return Err(node.err(format!("fiber_prob has {n} entries, WAN has {num_fibers} fibers")));
     }
-    if model.fiber_prob.len() != num_fibers {
-        return Err(format!(
-            "fiber_prob has {} entries, WAN has {num_fibers} fibers",
-            model.fiber_prob.len()
-        ));
-    }
-    let mut probabilities =
-        model.fiber_prob.iter().chain(model.scenarios.iter().map(|s| &s.probability));
-    if let Some(p) = probabilities.find(|p| !(0.0..=1.0).contains(*p)) {
-        return Err(format!("failure probability {p} is not in [0, 1]"));
-    }
-    for (i, s) in model.scenarios.iter().enumerate() {
-        if let Some(f) = s.cut_fibers.iter().find(|f| f.0 >= num_fibers) {
-            return Err(format!("scenario {i} cuts fiber {}, WAN has {num_fibers}", f.0));
+    let scenarios = scenarios.list(|s| {
+        let [cut_fibers, probability] = s.fields(["cut_fibers", "probability"])?;
+        let cut_fibers = cut_fibers.list(|f| f.index().map(FiberId))?;
+        if let Some(f) = cut_fibers.iter().find(|f| f.0 >= num_fibers) {
+            return Err(s.err(format!("cuts fiber {}, WAN has {num_fibers} fibers", f.0)));
         }
-        if let Some(l) = s.failed_links.iter().find(|l| l.0 >= wan.num_links()) {
-            return Err(format!("scenario {i} fails link {}, WAN has {}", l.0, wan.num_links()));
-        }
+        let failed_links = wan.links_failed_by(&cut_fibers);
+        Ok(FailureScenario { cut_fibers, probability: probability.within(1.0)?, failed_links })
+    })?;
+    if !scenarios.first().is_some_and(|s| s.is_healthy()) {
+        return Err(node.err("the healthy scenario must come first"));
     }
-    Ok(())
+    Ok(FailureModel { fiber_prob, scenarios })
 }
 
 impl Snapshot {
-    /// Serializes to pretty JSON.
-    pub fn to_json(&self) -> Result<String, IoError> {
-        Ok(serde_json::to_string_pretty(self)?)
+    /// Serializes to indented JSON. A non-finite number (no builder
+    /// produces one) is written as `null`, which [`Self::from_json`]
+    /// rejects.
+    pub fn to_json(&self) -> String {
+        obj([
+            ("wan", wan_to_json(&self.wan)),
+            ("traffic", arr(&self.traffic, matrix_to_json)),
+            ("failures", failures_to_json(&self.failures)),
+        ])
+        .to_pretty()
     }
 
-    /// Parses from JSON and validates the cross-layer mapping, the traffic
-    /// dimensions and the failure model.
+    /// Parses from JSON, rebuilding the optical layer, the matrices and
+    /// the failed-link sets through their validating constructors, and
+    /// validates the cross-layer mapping, the traffic dimensions and the
+    /// failure model. Hostile input yields an [`IoError`], never a panic.
     pub fn from_json(text: &str) -> Result<Self, IoError> {
-        let snap: Snapshot = serde_json::from_str(text)?;
-        snap.wan.validate().map_err(IoError::Invalid)?;
-        for tm in &snap.traffic {
-            if tm.num_sites() != snap.wan.num_sites() {
-                return Err(IoError::Invalid(format!(
-                    "traffic matrix over {} sites, WAN has {}",
-                    tm.num_sites(),
-                    snap.wan.num_sites()
-                )));
-            }
-        }
-        validate_failures(&snap.failures, &snap.wan).map_err(IoError::Invalid)?;
-        Ok(snap)
+        let doc = json::parse(text)?;
+        let root = Node { json: &doc, path: String::new() };
+        let [wan, traffic, failures] = root.fields(["wan", "traffic", "failures"])?;
+        let wan = wan_from_json(&wan)?;
+        let traffic = traffic.list(|tm| matrix_from_json(&tm, &wan))?;
+        let failures = failures_from_json(&failures, &wan)?;
+        Ok(Snapshot { wan, traffic, failures })
     }
 
     /// Writes the snapshot to a file.
     pub fn save(&self, path: impl AsRef<Path>) -> Result<(), IoError> {
-        std::fs::write(path, self.to_json()?)?;
+        std::fs::write(path, self.to_json())?;
         Ok(())
     }
 
@@ -126,12 +337,11 @@ impl Snapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builders::b4;
+    use crate::builders::{b4, facebook_like, ibm};
     use crate::failures::{generate, FailureConfig};
     use crate::traffic::{gravity_matrices, TrafficConfig};
 
-    fn snapshot() -> Snapshot {
-        let wan = b4(17);
+    fn snapshot_of(wan: Wan) -> Snapshot {
         let traffic =
             gravity_matrices(&wan, &TrafficConfig { num_matrices: 2, ..Default::default() });
         let failures = generate(&wan, &FailureConfig { max_scenarios: 4, ..Default::default() });
@@ -139,26 +349,27 @@ mod tests {
     }
 
     #[test]
-    fn json_roundtrip_preserves_everything() {
-        let snap = snapshot();
-        let json = snap.to_json().unwrap();
-        let back = Snapshot::from_json(&json).unwrap();
-        assert_eq!(back.wan.num_links(), snap.wan.num_links());
-        assert_eq!(back.wan.optical.num_fibers(), snap.wan.optical.num_fibers());
-        assert_eq!(back.traffic.len(), 2);
-        assert_eq!(back.traffic[0].total(), snap.traffic[0].total());
-        assert_eq!(back.failures.scenarios.len(), snap.failures.scenarios.len());
-        // Spectrum occupancy survives (private bitset fields).
-        let f0 = arrow_optical::FiberId(0);
-        assert_eq!(
-            back.wan.optical.fiber(f0).spectrum.occupied_count(),
-            snap.wan.optical.fiber(f0).spectrum.occupied_count()
-        );
+    fn json_roundtrip_is_byte_identical_and_rebuilds_derived_state() {
+        for wan in [b4(17), ibm(17), facebook_like(17)] {
+            let snap = snapshot_of(wan);
+            let json = snap.to_json();
+            let back = Snapshot::from_json(&json).unwrap();
+            assert_eq!(back.to_json(), json, "{}", snap.wan.name);
+            // Spectrum occupancy and failed links are not in the file.
+            let occupied = |w: &Wan| -> Vec<usize> {
+                w.optical.fibers().iter().map(|f| f.spectrum.occupied_count()).collect()
+            };
+            assert_eq!(occupied(&back.wan), occupied(&snap.wan));
+            assert!(occupied(&back.wan).iter().sum::<usize>() > 0);
+            for (b, s) in back.failures.scenarios.iter().zip(&snap.failures.scenarios) {
+                assert_eq!(b.failed_links, s.failed_links);
+            }
+        }
     }
 
     #[test]
     fn file_roundtrip() {
-        let snap = snapshot();
+        let snap = snapshot_of(b4(17));
         let dir = std::env::temp_dir().join("arrow_io_test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("b4.json");
@@ -168,70 +379,119 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
-    #[test]
-    fn corrupt_json_is_rejected() {
-        assert!(matches!(Snapshot::from_json("{not json"), Err(IoError::Parse(_))));
+    /// Replaces the value at `path` (written the way errors print it).
+    fn set(doc: &mut Json, path: &str, value: &str) {
+        let at =
+            path.split(['.', '[']).fold(doc, |json, seg| match (json, seg.strip_suffix(']')) {
+                (Json::Arr(items), Some(i)) => &mut items[i.parse::<usize>().unwrap()],
+                (Json::Obj(members), None) => {
+                    &mut members
+                        .iter_mut()
+                        .find(|(k, _)| k == seg)
+                        .unwrap_or_else(|| panic!("{seg}"))
+                        .1
+                }
+                (other, _) => panic!("{seg} does not index {other:?}"),
+            });
+        *at = json::parse(value).unwrap();
     }
 
-    /// Round-trips `snap` with its failure model edited and returns the
-    /// rejection message.
-    fn rejection(edit: impl FnOnce(&mut Snapshot)) -> String {
-        let mut snap = snapshot();
-        edit(&mut snap);
-        match Snapshot::from_json(&snap.to_json().unwrap()) {
-            Err(IoError::Invalid(m)) => m,
-            other => panic!("expected IoError::Invalid, got {other:?}"),
+    /// Every row replaces one value of a valid B4 document and must come
+    /// back as a typed error that names the problem. The first three rows
+    /// and the deep nesting at the end are the inputs the derive-based
+    /// decoder this one replaced panicked or aborted on.
+    #[test]
+    fn hostile_snapshots_yield_typed_errors() {
+        let valid = json::parse(&snapshot_of(b4(17)).to_json()).unwrap();
+        let rows = [
+            ("wan.links[0].a", "9999", "wan: link 0: site 9999 out of range"),
+            ("wan.links[0].lightpath", "9999", "wan: link 0: lightpath 9999 out of range"),
+            // Derived state is not part of the format, so it cannot be short.
+            (
+                "wan.fibers[0]",
+                r#"{"a": 0, "b": 1, "length_km": 330, "spectrum": {"words": []}}"#,
+                "wan.fibers[0]: unknown field `spectrum`",
+            ),
+            ("wan.site_roadm[3]", "12", "wan: site 3: ROADM 12 out of range"),
+            ("wan.fibers[2].b", "12", "wan.fibers[2]: unknown ROADM 12"),
+            ("wan.lightpaths[1].path", "[0, 77]", "wan.lightpaths[1]: unknown fiber 77"),
+            ("wan.lightpaths[1].src", "99", "wan.lightpaths[1]: fiber path is not contiguous"),
+            ("wan.lightpaths[0].path", "[0, 0]", "wan.lightpaths[0]: fiber path is not contiguous"),
+            ("wan.lightpaths[0].slots", "[0, 64]", "slot 64 is outside the 64-slot grid"),
+            ("wan.lightpaths[0].slots", "[5, 5]", "slot 5 already occupied on fiber 0"),
+            // A second lightpath on the first one's fiber and slot.
+            (
+                "wan.lightpaths[1]",
+                r#"{"src": 0, "dst": 1, "path": [0], "slots": [0], "gbps_per_wavelength": 100}"#,
+                "wan.lightpaths[1]: slot 0 already occupied on fiber 0",
+            ),
+            ("wan.links[2].capacity_gbps", "1", "wan: link 2: capacity 1 != lightpath capacity"),
+            (
+                "wan.lightpaths[0].gbps_per_wavelength",
+                "\"1e999\"",
+                "gbps_per_wavelength: inf is not in [0, ",
+            ),
+            ("wan.fibers[0].length_km", "-1", "wan.fibers[0].length_km: -1 is not in [0, "),
+            ("wan.num_slots", "0", "wan.num_slots: 0 is outside 1..=4096"),
+            ("wan.num_slots", "1e15", "wan.num_slots: 1000000000000000 is outside"),
+            ("wan.num_roadms", "1e15", "wan.num_roadms: 1000000000000000 is outside"),
+            ("traffic[1].n", "11", "traffic[1]: matrix over 11 sites, WAN has 12"),
+            ("traffic[0].demand", "[0, 1, 1, 0]", "traffic[0]: 4 demands do not fill a 12 x 12"),
+            ("traffic[0].demand[1]", "-3", "traffic[0]: demand 0 -> 1 is -3"),
+            ("traffic[0].demand[1]", "\"1e999\"", "traffic[0]: demand 0 -> 1 is inf"),
+            // What the writer emits for NaN.
+            ("traffic[0].demand[1]", "null", "traffic[0].demand[1]: expected a number"),
+            ("traffic[0].demand[13]", "2", "traffic[0]: self-demand at site 1"),
+            ("failures.fiber_prob[0]", "1.5", "failures.fiber_prob[0]: 1.5 is not in [0, 1]"),
+            (
+                "failures.scenarios[1].probability",
+                "-0.1",
+                "scenarios[1].probability: -0.1 is not in [0, 1]",
+            ),
+            (
+                "failures.scenarios[1].probability",
+                "\"1e999\"",
+                "scenarios[1].probability: inf is not in [0, 1]",
+            ),
+            ("failures.fiber_prob", "[0.1]", "failures: fiber_prob has 1 entries, WAN has 19"),
+            ("failures.scenarios[1].cut_fibers", "[999]", "scenarios[1]: cuts fiber 999, WAN has"),
+            ("failures.scenarios", "[]", "failures: the healthy scenario must come first"),
+            ("failures.scenarios[0].cut_fibers", "[0]", "the healthy scenario must come first"),
+            (
+                "wan.links[3]",
+                r#"{"a": 0, "a": 0, "b": 1, "lightpath": 3, "capacity_gbps": 1}"#,
+                "wan.links[3].a: duplicate field",
+            ),
+            (
+                "wan.links[3]",
+                r#"{"b": 1, "lightpath": 3, "capacity_gbps": 1}"#,
+                "wan.links[3].a: missing field",
+            ),
+            ("wan.links[3].a", "\"0\"", "wan.links[3].a: expected a non-negative integer"),
+            ("wan.links", "{}", "wan.links: expected an array"),
+        ];
+        for (path, value, expected) in rows {
+            let mut doc = valid.clone();
+            set(&mut doc, path, value);
+            // Infinity exists only as text: the writer prints it as `null`.
+            let text = doc.to_pretty().replace("\"1e999\"", "1e999");
+            match Snapshot::from_json(&text) {
+                Err(IoError::Invalid(m)) => assert!(m.contains(expected), "{m} vs {expected}"),
+                other => panic!("{expected}: expected IoError::Invalid, got {other:?}"),
+            }
         }
-    }
 
-    #[test]
-    fn empty_scenario_list_is_rejected() {
-        // Used to decode fine and then panic in `failure_scenarios()`.
-        assert!(rejection(|s| s.failures.scenarios.clear()).contains("healthy scenario first"));
+        // Text that is not JSON at all: the document cut at every 1/64th of
+        // its length, and nesting that used to overflow the parser's stack.
+        let text = valid.to_pretty();
+        let cuts = (1..64).map(|k| text[..text.len() * k / 64].to_string());
+        for bad in cuts.chain(["{not json".to_string(), "[".repeat(2_000_000)]) {
+            let err = Snapshot::from_json(&bad).unwrap_err();
+            assert!(matches!(err, IoError::Parse(_)), "{err}");
+        }
+
+        // The empty model rejected above still answers without panicking.
         let empty = FailureModel { fiber_prob: Vec::new(), scenarios: Vec::new() };
         assert!(empty.failure_scenarios().is_empty());
-    }
-
-    #[test]
-    fn missing_healthy_scenario_is_rejected() {
-        assert!(rejection(|s| {
-            s.failures.scenarios.remove(0);
-        })
-        .contains("healthy scenario"));
-    }
-
-    #[test]
-    fn fiber_prob_of_the_wrong_length_is_rejected() {
-        assert!(rejection(|s| {
-            s.failures.fiber_prob.pop();
-        })
-        .contains("fiber_prob has"));
-    }
-
-    #[test]
-    fn out_of_range_fiber_and_link_ids_are_rejected() {
-        let cut =
-            rejection(|s| s.failures.scenarios[1].cut_fibers.push(arrow_optical::FiberId(999)));
-        assert!(cut.contains("cuts fiber 999"), "{cut}");
-        let link = rejection(|s| s.failures.scenarios[1].failed_links.push(crate::IpLinkId(999)));
-        assert!(link.contains("fails link 999"), "{link}");
-    }
-
-    #[test]
-    fn probabilities_outside_the_unit_interval_are_rejected() {
-        for bad in [-0.1, 1.5, f64::INFINITY, f64::NAN] {
-            assert!(
-                rejection(|s| s.failures.scenarios[1].probability = bad).contains("not in [0, 1]")
-            );
-            assert!(rejection(|s| s.failures.fiber_prob[0] = bad).contains("not in [0, 1]"));
-        }
-    }
-
-    #[test]
-    fn mismatched_traffic_is_rejected() {
-        let mut snap = snapshot();
-        snap.traffic.push(crate::traffic::TrafficMatrix::zeros(3));
-        let json = snap.to_json().unwrap();
-        assert!(matches!(Snapshot::from_json(&json), Err(IoError::Invalid(_))));
     }
 }

@@ -7,18 +7,17 @@
 //! directly to a set of failed IP links.
 
 use arrow_optical::{FiberId, LightpathId, OpticalNetwork, RoadmId};
-use serde::{Deserialize, Serialize};
 
 /// Identifier of an IP-layer site (a datacenter/router location).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SiteId(pub usize);
 
 /// Identifier of an IP link (a router port-channel).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct IpLinkId(pub usize);
 
 /// An IP link between two sites, realized by one lightpath.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct IpLink {
     /// One endpoint.
     pub a: SiteId,
@@ -48,7 +47,7 @@ impl IpLink {
 }
 
 /// The two-layer WAN.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Wan {
     /// Human-readable topology name (for reports).
     pub name: String,
@@ -123,14 +122,23 @@ impl Wan {
         self.links.iter().map(|l| self.optical.lightpath(l.lightpath).wavelength_count()).collect()
     }
 
-    /// Sanity check: every link's lightpath connects its sites' ROADMs and
-    /// its capacity matches the lightpath. Returns a description of the
+    /// Sanity check: every site's ROADM exists, every link's site and
+    /// lightpath ids are in range, its lightpath connects its sites' ROADMs
+    /// and its capacity matches the lightpath. Returns a description of the
     /// first inconsistency found.
     pub fn validate(&self) -> Result<(), String> {
+        let num_roadms = self.optical.num_roadms();
+        if let Some((s, r)) = self.site_roadm.iter().enumerate().find(|(_, r)| r.0 >= num_roadms) {
+            return Err(format!("site {s}: ROADM {} out of range ({num_roadms} ROADMs)", r.0));
+        }
         for (i, l) in self.links.iter().enumerate() {
-            let lp = self.optical.lightpath(l.lightpath);
-            let ra = self.site_roadm[l.a.0];
-            let rb = self.site_roadm[l.b.0];
+            let lp = (self.optical.lightpaths().get(l.lightpath.0))
+                .ok_or_else(|| format!("link {i}: lightpath {} out of range", l.lightpath.0))?;
+            let roadm = |s: SiteId| {
+                (self.site_roadm.get(s.0).copied())
+                    .ok_or_else(|| format!("link {i}: site {} out of range", s.0))
+            };
+            let (ra, rb) = (roadm(l.a)?, roadm(l.b)?);
             if !(lp.src == ra && lp.dst == rb || lp.src == rb && lp.dst == ra) {
                 return Err(format!("link {i}: lightpath endpoints do not match sites"));
             }
@@ -221,6 +229,23 @@ mod tests {
         let mut wan = tiny_wan();
         wan.links[0].capacity_gbps = 999.0;
         assert!(wan.validate().is_err());
+    }
+
+    #[test]
+    fn validation_names_the_link_and_the_out_of_range_id() {
+        // Each of these indexed out of bounds inside `validate` itself.
+        let mut wan = tiny_wan();
+        wan.links[1].a = SiteId(7);
+        assert_eq!(wan.validate().unwrap_err(), "link 1: site 7 out of range");
+        let mut wan = tiny_wan();
+        wan.links[0].b = SiteId(3);
+        assert_eq!(wan.validate().unwrap_err(), "link 0: site 3 out of range");
+        let mut wan = tiny_wan();
+        wan.links[1].lightpath = LightpathId(2);
+        assert_eq!(wan.validate().unwrap_err(), "link 1: lightpath 2 out of range");
+        let mut wan = tiny_wan();
+        wan.site_roadm[2] = RoadmId(3);
+        assert_eq!(wan.validate().unwrap_err(), "site 2: ROADM 3 out of range (3 ROADMs)");
     }
 
     #[test]

@@ -292,30 +292,8 @@ fn cmd_mps(args: &[String]) -> Result<(), String> {
         failures.failure_scenarios(),
         &TunnelConfig { tunnels_per_flow: 4, ..Default::default() },
     );
-    // Export the failure-oblivious TE LP (constraints (1)-(3)).
-    use arrow_wan::lp::model::{LinExpr, Model, Objective, Sense};
-    let mut model = Model::new();
-    let b: Vec<_> = inst
-        .flows
-        .iter()
-        .enumerate()
-        .map(|(i, f)| model.add_var(0.0, f.demand_gbps, format!("b{i}")))
-        .collect();
-    let a: Vec<_> = (0..inst.tunnels.len()).map(|t| model.add_nonneg(format!("a{t}"))).collect();
-    for (i, f) in inst.flows.iter().enumerate() {
-        let mut e = LinExpr::sum_vars(f.tunnels.iter().map(|&t| a[t.0]));
-        e.add_term(b[i], -1.0);
-        model.add_con(e, Sense::Ge, 0.0, format!("cover{i}"));
-    }
-    for key in inst.used_dir_links() {
-        model.add_con(
-            LinExpr::sum_vars(inst.tunnels_on(key.0, key.1).map(|t| a[t.0])),
-            Sense::Le,
-            inst.wan.link(key.0).capacity_gbps,
-            "cap",
-        );
-    }
-    model.set_objective(LinExpr::sum_vars(b), Objective::Maximize);
+    // The failure-oblivious TE LP (constraints (1)-(3)).
+    let model = MaxFlow::model(&inst);
     let mps = arrow_wan::lp::mps::to_mps(&model, &format!("arrow_{name}_maxflow"));
     std::fs::write(&out_path, &mps).map_err(|e| format!("write {out_path}: {e}"))?;
     println!(
