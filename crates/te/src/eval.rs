@@ -22,7 +22,7 @@ use crate::alloc::TeAllocation;
 use crate::restoration::RestorationTicket;
 use crate::schemes::{SchemeOutput, TeScheme};
 use crate::tunnels::{DirLink, TeInstance};
-use arrow_topology::FailureScenario;
+use arrow_topology::{FailureScenario, IpLinkId};
 use std::collections::BTreeMap;
 
 /// Playback options.
@@ -42,6 +42,14 @@ pub struct ScenarioDelivery {
     pub link_loads: BTreeMap<DirLink, f64>,
     /// `Σ delivered / Σ demand` — the scenario's demand satisfaction.
     pub satisfaction: f64,
+}
+
+impl ScenarioDelivery {
+    /// Load on `link` in direction `forward` (0 when nothing crosses it,
+    /// or when the instance has no such link).
+    pub fn load_on(&self, link: IpLinkId, forward: bool) -> f64 {
+        self.link_loads.get(&DirLink(link, forward)).copied().unwrap_or(0.0)
+    }
 }
 
 /// Plays one scenario (or the healthy state when `scenario` is `None`).
