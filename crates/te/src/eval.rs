@@ -19,11 +19,11 @@
 //! **router-port cost model** (§6.3).
 
 use crate::alloc::TeAllocation;
+use crate::index::ScenarioOverlay;
 use crate::restoration::RestorationTicket;
 use crate::schemes::{SchemeOutput, TeScheme};
-use crate::tunnels::{DirLink, TeInstance};
+use crate::tunnels::TeInstance;
 use arrow_topology::{FailureScenario, IpLinkId};
-use std::collections::BTreeMap;
 
 /// Playback options.
 #[derive(Debug, Clone, Default)]
@@ -38,8 +38,9 @@ pub struct PlaybackConfig {
 pub struct ScenarioDelivery {
     /// Delivered Gbps per flow.
     pub delivered: Vec<f64>,
-    /// Directed link loads after congestion scaling.
-    pub link_loads: BTreeMap<DirLink, f64>,
+    /// Directed link loads after congestion scaling, indexed by
+    /// [`DirLink::index`] (`2·link + forward`) over every link of the WAN.
+    pub link_loads: Vec<f64>,
     /// `Σ delivered / Σ demand` — the scenario's demand satisfaction.
     pub satisfaction: f64,
 }
@@ -48,11 +49,15 @@ impl ScenarioDelivery {
     /// Load on `link` in direction `forward` (0 when nothing crosses it,
     /// or when the instance has no such link).
     pub fn load_on(&self, link: IpLinkId, forward: bool) -> f64 {
-        self.link_loads.get(&DirLink(link, forward)).copied().unwrap_or(0.0)
+        let key = link.0.checked_mul(2).map(|k| k + forward as usize);
+        key.and_then(|k| self.link_loads.get(k)).copied().unwrap_or(0.0)
     }
 }
 
 /// Plays one scenario (or the healthy state when `scenario` is `None`).
+///
+/// Every sum below adds in ascending tunnel order, then hop order — the
+/// order `playback_pin.rs` pins bit for bit.
 pub fn play_scenario(
     inst: &TeInstance,
     alloc: &TeAllocation,
@@ -60,72 +65,47 @@ pub fn play_scenario(
     restoration: Option<&RestorationTicket>,
     cfg: &PlaybackConfig,
 ) -> ScenarioDelivery {
-    let restored = |l| restoration.map_or(0.0, |t| t.restored_gbps(l));
-    // Tunnel aliveness.
-    let alive: Vec<bool> = inst
-        .tunnels
-        .iter()
-        .enumerate()
-        .map(|(ti, _)| match scenario {
-            None => true,
-            Some(q) => {
-                let tid = crate::tunnels::TunnelId(ti);
-                inst.tunnel_survives(tid, q) || inst.tunnel_restorable(tid, q, &restored)
-            }
-        })
-        .collect();
+    let overlay = ScenarioOverlay::new(inst, scenario, restoration);
+    let index = inst.index();
     // Offered load per tunnel.
     let mut offered = vec![0.0; inst.tunnels.len()];
     for (fi, flow) in inst.flows.iter().enumerate() {
         let alive_total: f64 =
-            flow.tunnels.iter().filter(|&&t| alive[t.0]).map(|&t| alloc.a[t.0]).sum();
+            flow.tunnels.iter().filter(|&&t| overlay.alive(t)).map(|&t| alloc.a[t.0]).sum();
         if alive_total <= 0.0 {
             continue;
         }
         let send = if cfg.respread { alloc.b[fi] } else { alloc.b[fi].min(alive_total) };
-        for &t in &flow.tunnels {
-            if alive[t.0] {
-                offered[t.0] = send * alloc.a[t.0] / alive_total;
+        for t in flow.tunnels.iter().filter(|&&t| overlay.alive(t)) {
+            offered[t.0] = send * alloc.a[t.0] / alive_total;
+        }
+    }
+    // Offered load per directed link, then in place its congestion factor.
+    let mut factor = vec![0.0; index.num_keys()];
+    for (ti, &load) in offered.iter().enumerate() {
+        if load > 0.0 {
+            for &k in index.hops_of(ti) {
+                factor[k] += load;
             }
         }
     }
-    // Link loads and congestion factors.
-    let mut loads: BTreeMap<DirLink, f64> = BTreeMap::new();
-    for (ti, t) in inst.tunnels.iter().enumerate() {
-        if offered[ti] <= 0.0 {
-            continue;
-        }
-        for h in &t.hops {
-            *loads.entry(DirLink(h.link, h.forward)).or_insert(0.0) += offered[ti];
-        }
+    for (k, f) in factor.iter_mut().enumerate() {
+        let (load, cap) = (*f, overlay.capacity_gbps(inst, k / 2));
+        *f = if load > cap { (cap / load).max(0.0) } else { 1.0 };
     }
-    let cap_of = |key: &DirLink| -> f64 {
-        let is_failed = scenario.is_some_and(|q| q.failed_links.contains(&key.0));
-        if is_failed {
-            restored(key.0)
-        } else {
-            inst.wan.link(key.0).capacity_gbps
-        }
-    };
-    let factor: BTreeMap<DirLink, f64> = loads
-        .iter()
-        .map(|(k, &load)| {
-            let cap = cap_of(k);
-            (*k, if load > cap { (cap / load).max(0.0) } else { 1.0 })
-        })
-        .collect();
     // Delivered traffic: each tunnel is throttled by its worst link.
     let mut delivered = vec![0.0; inst.flows.len()];
-    let mut final_loads: BTreeMap<DirLink, f64> = BTreeMap::new();
+    let mut link_loads = vec![0.0; index.num_keys()];
     for (ti, t) in inst.tunnels.iter().enumerate() {
         if offered[ti] <= 0.0 {
             continue;
         }
-        let worst = t.hops.iter().map(|h| factor[&DirLink(h.link, h.forward)]).fold(1.0, f64::min);
+        let hops = index.hops_of(ti);
+        let worst = hops.iter().map(|&k| factor[k]).fold(1.0, f64::min);
         let got = offered[ti] * worst;
         delivered[t.flow.0] += got;
-        for h in &t.hops {
-            *final_loads.entry(DirLink(h.link, h.forward)).or_insert(0.0) += got;
+        for &k in hops {
+            link_loads[k] += got;
         }
     }
     // Delivered cannot exceed demand.
@@ -138,7 +118,36 @@ pub fn play_scenario(
     let total_demand = inst.total_demand();
     let satisfaction =
         if total_demand <= 0.0 { 1.0 } else { delivered.iter().sum::<f64>() / total_demand };
-    ScenarioDelivery { delivered, link_loads: final_loads, satisfaction }
+    ScenarioDelivery { delivered, link_loads, satisfaction }
+}
+
+/// Probability mass of the enumerated failure scenarios.
+fn failure_mass(inst: &TeInstance) -> f64 {
+    inst.scenarios.iter().map(|s| s.probability).sum()
+}
+
+/// Probability of the healthy network: the mass no scenario covers.
+fn healthy_probability(inst: &TeInstance) -> f64 {
+    (1.0 - failure_mass(inst)).max(0.0)
+}
+
+/// The one walk every §6 metric makes: the healthy network first (when
+/// `with_healthy`), then each failure scenario under its ticket from
+/// `out`. `visit` gets each state's probability and its playback.
+fn play_all(
+    inst: &TeInstance,
+    out: &SchemeOutput,
+    cfg: &PlaybackConfig,
+    with_healthy: bool,
+    mut visit: impl FnMut(f64, ScenarioDelivery),
+) {
+    if with_healthy {
+        visit(healthy_probability(inst), play_scenario(inst, &out.alloc, None, None, cfg));
+    }
+    for (qi, q) in inst.scenarios.iter().enumerate() {
+        let ticket = out.restoration.as_ref().map(|r| &r[qi]);
+        visit(q.probability, play_scenario(inst, &out.alloc, Some(q), ticket, cfg));
+    }
 }
 
 /// Availability of one `(allocation, restoration plan)` on an instance
@@ -148,17 +157,14 @@ pub fn play_scenario(
 /// healthy state is not a failure scenario and does not enter the average
 /// (use [`availability_with_healthy`] for the blended variant).
 pub fn availability(inst: &TeInstance, out: &SchemeOutput, cfg: &PlaybackConfig) -> f64 {
-    let failure_mass: f64 = inst.scenarios.iter().map(|s| s.probability).sum();
+    let failure_mass = failure_mass(inst);
     if failure_mass <= 0.0 {
         // Nothing can fail, so nothing is ever lost — like the empty
         // traffic matrix in `play_scenario`, trivially 1 rather than 0/ε.
         return 1.0;
     }
     let mut acc = 0.0;
-    for (qi, q) in inst.scenarios.iter().enumerate() {
-        let ticket = out.restoration.as_ref().map(|r| &r[qi]);
-        acc += q.probability * play_scenario(inst, &out.alloc, Some(q), ticket, cfg).satisfaction;
-    }
+    play_all(inst, out, cfg, false, |p, d| acc += p * d.satisfaction);
     acc / failure_mass.max(1e-12)
 }
 
@@ -170,39 +176,16 @@ pub fn availability_with_healthy(
     out: &SchemeOutput,
     cfg: &PlaybackConfig,
 ) -> f64 {
-    let failure_mass: f64 = inst.scenarios.iter().map(|s| s.probability).sum();
-    let healthy_p = (1.0 - failure_mass).max(0.0);
-    let mut acc = healthy_p * play_scenario(inst, &out.alloc, None, None, cfg).satisfaction;
-    for (qi, q) in inst.scenarios.iter().enumerate() {
-        let ticket = out.restoration.as_ref().map(|r| &r[qi]);
-        acc += q.probability * play_scenario(inst, &out.alloc, Some(q), ticket, cfg).satisfaction;
-    }
-    acc / (healthy_p + failure_mass).max(1e-12)
+    let mut acc = 0.0;
+    play_all(inst, out, cfg, true, |p, d| acc += p * d.satisfaction);
+    acc / (healthy_probability(inst) + failure_mass(inst)).max(1e-12)
 }
 
-/// Availability-guaranteed throughput at target β (§6.3): the demand
-/// satisfaction at the β-percentile of the scenario loss distribution
-/// (scenarios sorted by loss, weighted by probability).
-pub fn availability_guaranteed_throughput(
-    inst: &TeInstance,
-    out: &SchemeOutput,
-    beta: f64,
-    cfg: &PlaybackConfig,
-) -> f64 {
-    let failure_mass: f64 = inst.scenarios.iter().map(|s| s.probability).sum();
-    let healthy_p = (1.0 - failure_mass).max(0.0);
-    let mut points: Vec<(f64, f64)> = Vec::new(); // (satisfaction, prob)
-    points.push((play_scenario(inst, &out.alloc, None, None, cfg).satisfaction, healthy_p));
-    for (qi, q) in inst.scenarios.iter().enumerate() {
-        let ticket = out.restoration.as_ref().map(|r| &r[qi]);
-        points.push((
-            play_scenario(inst, &out.alloc, Some(q), ticket, cfg).satisfaction,
-            q.probability,
-        ));
-    }
+/// Satisfaction at the β-percentile of `(satisfaction, probability)`
+/// points: sorted by loss ascending, walked until the cumulative
+/// probability reaches β.
+fn satisfaction_at(mut points: Vec<(f64, f64)>, beta: f64) -> f64 {
     let mass: f64 = points.iter().map(|&(_, p)| p).sum();
-    // Sort by loss ascending (satisfaction descending); walk until the
-    // cumulative probability reaches β.
     points.sort_by(|a, b| b.0.total_cmp(&a.0));
     let mut cum = 0.0;
     for &(sat, p) in &points {
@@ -214,6 +197,20 @@ pub fn availability_guaranteed_throughput(
     points.last().map(|&(s, _)| s).unwrap_or(0.0)
 }
 
+/// Availability-guaranteed throughput at target β (§6.3): the demand
+/// satisfaction at the β-percentile of the scenario loss distribution
+/// (scenarios sorted by loss, weighted by probability).
+pub fn availability_guaranteed_throughput(
+    inst: &TeInstance,
+    out: &SchemeOutput,
+    beta: f64,
+    cfg: &PlaybackConfig,
+) -> f64 {
+    let mut points = Vec::new();
+    play_all(inst, out, cfg, true, |p, d| points.push((d.satisfaction, p)));
+    satisfaction_at(points, beta)
+}
+
 /// Router-port cost proxy (§6.3): worst-case directed link load across all
 /// scenarios, summed over links, normalized by the availability-guaranteed
 /// throughput.
@@ -223,22 +220,16 @@ pub fn required_router_ports(
     beta: f64,
     cfg: &PlaybackConfig,
 ) -> f64 {
-    let mut cap: BTreeMap<DirLink, f64> = BTreeMap::new();
-    let healthy = play_scenario(inst, &out.alloc, None, None, cfg);
-    for (k, &v) in &healthy.link_loads {
-        cap.insert(*k, v);
-    }
-    for (qi, q) in inst.scenarios.iter().enumerate() {
-        let ticket = out.restoration.as_ref().map(|r| &r[qi]);
-        let d = play_scenario(inst, &out.alloc, Some(q), ticket, cfg);
-        for (k, &v) in &d.link_loads {
-            let e = cap.entry(*k).or_insert(0.0);
-            *e = e.max(v);
+    let mut worst = vec![0.0f64; inst.index().num_keys()];
+    let mut points = Vec::new();
+    play_all(inst, out, cfg, true, |p, d| {
+        for (w, &load) in worst.iter_mut().zip(&d.link_loads) {
+            *w = w.max(load);
         }
-    }
-    let total: f64 = cap.values().sum();
-    let agt = availability_guaranteed_throughput(inst, out, beta, cfg).max(1e-9);
-    total / agt
+        points.push((d.satisfaction, p));
+    });
+    let total: f64 = worst.iter().sum();
+    total / satisfaction_at(points, beta).max(1e-9)
 }
 
 /// Finds the demand scale at which the failure-oblivious MaxFlow LP just
@@ -299,7 +290,7 @@ mod tests {
     use crate::schemes::ecmp::Ecmp;
     use crate::schemes::ffc::Ffc;
     use crate::schemes::maxflow::MaxFlow;
-    use crate::tunnels::{build_instance, TunnelConfig};
+    use crate::tunnels::{build_instance, DirLink, TunnelConfig};
     use arrow_topology::{b4, generate_failures, gravity_matrices, FailureConfig, TrafficConfig};
 
     fn instance(scale: f64) -> TeInstance {
@@ -478,17 +469,85 @@ mod tests {
                 .collect(),
         };
         let d = play_scenario(&inst, &out.alloc, Some(q), Some(&half_ticket), &Default::default());
-        for (k, &load) in &d.link_loads {
-            let cap = if q.failed_links.contains(&k.0) {
-                half_ticket.restored_gbps(k.0)
+        for (k, &load) in d.link_loads.iter().enumerate() {
+            let DirLink(link, forward) = DirLink::from_index(k);
+            let cap = if q.failed_links.contains(&link) {
+                half_ticket.restored_gbps(link)
             } else {
-                inst.wan.link(k.0).capacity_gbps
+                inst.wan.link(link).capacity_gbps
             };
-            assert!(load <= cap * (1.0 + 1e-6) + 1e-6, "link {k:?} load {load} > cap {cap}");
+            assert!(load <= cap * (1.0 + 1e-6) + 1e-6, "link {k} load {load} > cap {cap}");
+            assert_eq!(d.load_on(link, forward), load);
         }
         // Partial restoration beats no restoration.
         let none = play_scenario(&inst, &out.alloc, Some(q), None, &Default::default());
         assert!(d.satisfaction >= none.satisfaction - 1e-9);
+    }
+
+    /// Every bit a play returns.
+    fn bits(d: &ScenarioDelivery) -> Vec<u64> {
+        let values = d.delivered.iter().chain(&d.link_loads).chain([&d.satisfaction]);
+        values.map(|v| v.to_bits()).collect()
+    }
+
+    /// `inst`, a MaxFlow allocation, scenario 0, and a ticket restoring
+    /// half of every link it fails.
+    fn half_restored() -> (TeInstance, TeAllocation, FailureScenario, RestorationTicket) {
+        let inst = instance(3.0);
+        let alloc = MaxFlow::default().solve(&inst).alloc;
+        let q = inst.scenarios[0].clone();
+        let restored =
+            q.failed_links.iter().map(|&l| (l, 0.5 * inst.wan.link(l).capacity_gbps)).collect();
+        (inst, alloc, q, RestorationTicket { restored })
+    }
+
+    #[test]
+    fn ticket_naming_an_unknown_link_plays_like_the_ticket_without_it() {
+        let (inst, alloc, q, ticket) = half_restored();
+        let cfg = PlaybackConfig::default();
+        let mut padded = ticket.clone();
+        padded.restored.insert(0, (IpLinkId(inst.wan.links.len()), 75.0));
+        padded.restored.push((IpLinkId(usize::MAX), 75.0));
+        assert_eq!(
+            bits(&play_scenario(&inst, &alloc, Some(&q), Some(&padded), &cfg)),
+            bits(&play_scenario(&inst, &alloc, Some(&q), Some(&ticket), &cfg)),
+        );
+    }
+
+    #[test]
+    fn scenario_failing_an_unknown_link_plays_like_the_scenario_without_it() {
+        let (inst, alloc, q, ticket) = half_restored();
+        let cfg = PlaybackConfig::default();
+        let mut padded = q.clone();
+        padded.failed_links.insert(0, IpLinkId(inst.wan.links.len() + 3));
+        padded.failed_links.push(IpLinkId(usize::MAX));
+        for t in [None, Some(&ticket)] {
+            assert_eq!(
+                bits(&play_scenario(&inst, &alloc, Some(&padded), t, &cfg)),
+                bits(&play_scenario(&inst, &alloc, Some(&q), t, &cfg)),
+            );
+        }
+    }
+
+    #[test]
+    fn ticket_listing_a_link_twice_keeps_the_first_entry() {
+        let (inst, alloc, q, ticket) = half_restored();
+        let cfg = PlaybackConfig::default();
+        let (link, gbps) = ticket.restored[0];
+        let mut twice = ticket.clone();
+        twice.restored.push((link, 0.0));
+        assert_eq!(twice.restored_gbps(link), gbps);
+        assert_eq!(
+            bits(&play_scenario(&inst, &alloc, Some(&q), Some(&twice), &cfg)),
+            bits(&play_scenario(&inst, &alloc, Some(&q), Some(&ticket), &cfg)),
+        );
+        // The other order restores nothing on `link`, and that shows.
+        twice.restored.rotate_right(1);
+        assert_eq!(twice.restored_gbps(link), 0.0);
+        assert_ne!(
+            bits(&play_scenario(&inst, &alloc, Some(&q), Some(&twice), &cfg)),
+            bits(&play_scenario(&inst, &alloc, Some(&q), Some(&ticket), &cfg)),
+        );
     }
 
     #[test]

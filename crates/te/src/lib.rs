@@ -16,6 +16,7 @@
 
 pub mod alloc;
 pub mod eval;
+mod index;
 pub mod restoration;
 pub mod schemes;
 pub mod tunnels;

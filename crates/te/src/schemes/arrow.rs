@@ -24,6 +24,7 @@
 //! optimal restoration candidate per scenario and solves Phase II with it.
 
 use super::{base_model, extract_alloc, BaseModel, SchemeOutput, TeScheme};
+use crate::index::ScenarioOverlay;
 use crate::restoration::{RestorationTicket, TicketSet};
 use crate::tunnels::{TeInstance, TunnelId};
 use arrow_lp::{
@@ -66,20 +67,6 @@ pub struct ArrowOutcome {
     pub phase2_stats: SolveStats,
 }
 
-/// Restorable tunnel set for flow tunnels under `(q, ticket)`.
-fn restorable_tunnels(
-    inst: &TeInstance,
-    q_idx: usize,
-    ticket: &RestorationTicket,
-) -> Vec<TunnelId> {
-    let scen = &inst.scenarios[q_idx];
-    let lookup = |l| ticket.restored_gbps(l);
-    (0..inst.tunnels.len())
-        .map(TunnelId)
-        .filter(|&t| inst.tunnel_restorable(t, scen, &lookup))
-        .collect()
-}
-
 /// The Phase I LP skeleton plus the row handles needed to patch it in
 /// place between consecutive online solves.
 ///
@@ -118,23 +105,18 @@ fn ticket_rows(
     cover: bool,
     mut slack: Option<&mut Vec<(ConId, usize, VarId)>>,
 ) {
-    let scen = &inst.scenarios[qi];
     let (cover_row, capacity_row) =
         if slack.is_some() { ("arw4", "arw5") } else { ("arw10", "arw11") };
-    let y = restorable_tunnels(inst, qi, ticket);
+    let overlay = ScenarioOverlay::new(inst, Some(&inst.scenarios[qi]), Some(ticket));
     if cover {
         for (fi, flow) in inst.flows.iter().enumerate() {
             // Skip flows untouched by this scenario: the row collapses
             // to constraint (1).
-            let affected = flow.tunnels.iter().any(|&t| !inst.tunnel_survives(t, scen));
-            if !affected {
+            if flow.tunnels.iter().all(|&t| overlay.survives(t)) {
                 continue;
             }
-            let covered: Vec<_> = flow
-                .tunnels
-                .iter()
-                .filter(|&&t| inst.tunnel_survives(t, scen) || y.contains(&t))
-                .collect();
+            // Residual (`T_f^q`) plus restorable (`Y_f^{z,q}`) tunnels.
+            let covered: Vec<_> = flow.tunnels.iter().filter(|&&t| overlay.alive(t)).collect();
             if covered.is_empty() {
                 // Nothing survives or restores: the flow is best-effort
                 // under this scenario (the loss is accounted during
@@ -153,7 +135,7 @@ fn ticket_rows(
         for fwd in [true, false] {
             // Load of restorable tunnels crossing (link, dir).
             let mut e = LinExpr::sum_vars(
-                inst.tunnels_on(link, fwd).filter(|t| y.contains(t)).map(|t| base.a[t.0]),
+                inst.tunnels_on(link, fwd).filter(|&t| overlay.restorable(t)).map(|t| base.a[t.0]),
             );
             if e.terms.is_empty() {
                 continue;
@@ -253,28 +235,21 @@ impl Arrow {
             .enumerate()
             .map(|(qi, scen)| {
                 let tickets = self.tickets.for_scenario(qi);
-                let affected: Vec<TunnelId> = (0..inst.tunnels.len())
-                    .map(TunnelId)
-                    .filter(|&t| !inst.tunnel_survives(t, scen))
-                    .collect();
+                let traffic = |t: TunnelId| sol.value(base.a[t.0]).max(0.0);
                 let score = |ticket: &RestorationTicket| -> i64 {
-                    let y: Vec<TunnelId> = affected
-                        .iter()
-                        .copied()
-                        .filter(|&t| inst.tunnel_restorable(t, scen, &|l| ticket.restored_gbps(l)))
-                        .collect();
-                    let stranded: f64 = affected
-                        .iter()
-                        .filter(|t| !y.contains(t))
-                        .map(|&t| sol.value(base.a[t.0]).max(0.0))
+                    let overlay = ScenarioOverlay::new(inst, Some(scen), Some(ticket));
+                    let stranded: f64 = (0..inst.tunnels.len())
+                        .map(TunnelId)
+                        .filter(|&t| !overlay.alive(t))
+                        .map(traffic)
                         .sum();
                     let mut overflow = 0.0f64;
                     for &(link, r) in &ticket.restored {
                         for fwd in [true, false] {
                             let load: f64 = inst
                                 .tunnels_on(link, fwd)
-                                .filter(|t| y.contains(t))
-                                .map(|t| sol.value(base.a[t.0]).max(0.0))
+                                .filter(|&t| overlay.restorable(t))
+                                .map(traffic)
                                 .sum();
                             overflow += (load - r).max(0.0);
                         }

@@ -16,6 +16,7 @@
 //!    winning tickets are optimal or near-optimal (the Theorem 3.1
 //!    assumption).
 
+use crate::index::ScenarioOverlay;
 use crate::restoration::TicketSet;
 use crate::tunnels::TeInstance;
 use arrow_lp::{LinExpr, Objective, Sense, SolverConfig, VarId};
@@ -97,21 +98,13 @@ pub fn binary_ticket_selection(
         for (zi, ticket) in tickets.for_scenario(qi).iter().enumerate() {
             let x = base.model.add_binary(format!("x_q{qi}_z{zi}"));
             xs.push(x);
-            let y: Vec<crate::tunnels::TunnelId> = (0..inst.tunnels.len())
-                .map(crate::tunnels::TunnelId)
-                .filter(|&t| inst.tunnel_restorable(t, scen, &|l| ticket.restored_gbps(l)))
-                .collect();
+            let overlay = ScenarioOverlay::new(inst, Some(scen), Some(ticket));
             // (31): Σ_{t∈Y∪T^q} a ≥ b_f − M(1−x)
             for (fi, flow) in inst.flows.iter().enumerate() {
-                let affected = flow.tunnels.iter().any(|&t| !inst.tunnel_survives(t, scen));
-                if !affected {
+                if flow.tunnels.iter().all(|&t| overlay.survives(t)) {
                     continue;
                 }
-                let covered: Vec<_> = flow
-                    .tunnels
-                    .iter()
-                    .filter(|&&t| inst.tunnel_survives(t, scen) || y.contains(&t))
-                    .collect();
+                let covered: Vec<_> = flow.tunnels.iter().filter(|&&t| overlay.alive(t)).collect();
                 if covered.is_empty() {
                     continue; // best-effort flow (mirrors the LP two-phase)
                 }
@@ -126,7 +119,7 @@ pub fn binary_ticket_selection(
                 for fwd in [true, false] {
                     let users: Vec<VarId> = inst
                         .tunnels_on(link, fwd)
-                        .filter(|t| y.contains(t))
+                        .filter(|&t| overlay.restorable(t))
                         .map(|t| base.a[t.0])
                         .collect();
                     if users.is_empty() {

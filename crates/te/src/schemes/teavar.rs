@@ -22,6 +22,7 @@
 
 use super::{SchemeOutput, TeScheme};
 use crate::alloc::TeAllocation;
+use crate::index::ScenarioOverlay;
 use crate::tunnels::{DirLink, TeInstance};
 use arrow_lp::{LinExpr, Model, Objective, Sense, SolverConfig, VarId};
 
@@ -96,17 +97,14 @@ impl TeScheme for TeaVar {
             // loss_q = 1 - Σ delivered / D  =>  s_q ≥ loss_q - α becomes
             // s_q + Σ delivered / D + α ≥ 1.
             let mut loss_con = LinExpr::term(s_q, 1.0).add(alpha, 1.0);
+            let overlay = ScenarioOverlay::new(inst, scen, None);
             for (fi, flow) in inst.flows.iter().enumerate() {
-                let affected_scen =
-                    scen.filter(|s| flow.tunnels.iter().any(|&t| !inst.tunnel_survives(t, s)));
-                let d = if let Some(scen) = affected_scen {
+                let d = if !flow.tunnels.iter().all(|&t| overlay.survives(t)) {
                     let d = model.add_var(0.0, flow.demand_gbps, format!("del_f{fi}_q{qi}"));
                     // delivered ≤ surviving tunnel allocations.
                     let mut cover = LinExpr::term(d, -1.0);
-                    for &t in &flow.tunnels {
-                        if inst.tunnel_survives(t, scen) {
-                            cover.add_term(a[t.0], 1.0);
-                        }
+                    for t in flow.tunnels.iter().filter(|&&t| overlay.survives(t)) {
+                        cover.add_term(a[t.0], 1.0);
                     }
                     model.add_con(cover, Sense::Ge, 0.0, format!("del_cov_f{fi}_q{qi}"));
                     d

@@ -10,7 +10,9 @@
 //! IP links are full-duplex: a tunnel occupies capacity on each link in a
 //! specific direction, and capacity constraints are per `(link, direction)`.
 
+use crate::index::LinkIndex;
 use arrow_topology::{FailureScenario, IpLinkId, SiteId, TrafficMatrix, Wan};
+use std::sync::Arc;
 
 /// Index of a flow within a [`TeInstance`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -32,6 +34,19 @@ pub struct DirectedHop {
 /// A directed capacity key: `(link, direction)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct DirLink(pub IpLinkId, pub bool);
+
+impl DirLink {
+    /// The key's dense number, `2·link + forward` — ascending in the same
+    /// order as `Ord`. Per-directed-link vectors are indexed by it.
+    pub fn index(self) -> usize {
+        2 * self.0 .0 + self.1 as usize
+    }
+
+    /// The key numbered `index`.
+    pub fn from_index(index: usize) -> Self {
+        DirLink(IpLinkId(index / 2), index % 2 == 1)
+    }
+}
 
 /// One tunnel: a loop-free IP path serving one flow.
 #[derive(Debug, Clone)]
@@ -100,6 +115,12 @@ impl Default for TunnelConfig {
 }
 
 /// The full TE problem instance: topology + flows + tunnels + scenarios.
+///
+/// [`build_instance`] is the only constructor. `wan.links`, `tunnels` and
+/// every tunnel's `hops` are immutable from then on: the instance carries
+/// a dense index over them (`index.rs`) that is built once and
+/// shared by [`TeInstance::with_demands`] / [`TeInstance::scaled`], never
+/// refreshed. Demands and `scenarios` may change freely.
 #[derive(Debug, Clone)]
 pub struct TeInstance {
     /// The WAN (IP + optical layers).
@@ -110,6 +131,9 @@ pub struct TeInstance {
     pub tunnels: Vec<Tunnel>,
     /// Failure scenarios considered (`Q`), failure entries only.
     pub scenarios: Vec<FailureScenario>,
+    /// Directed link ↔ tunnel adjacency over `wan.links` and `tunnels`,
+    /// shared by every demand variant of the instance.
+    index: Arc<LinkIndex>,
 }
 
 /// IP-layer Dijkstra from `src` to `dst`, avoiding `banned_links` and
@@ -347,7 +371,8 @@ pub fn build_instance(
             .collect();
         flows.push(Flow { src, dst, demand_gbps: demand, tunnels: tunnel_ids });
     }
-    TeInstance { wan: wan.clone(), flows, tunnels, scenarios: scenarios.to_vec() }
+    let index = Arc::new(LinkIndex::build(wan.links.len(), &tunnels));
+    TeInstance { wan: wan.clone(), flows, tunnels, scenarios: scenarios.to_vec(), index }
 }
 
 impl TeInstance {
@@ -356,59 +381,36 @@ impl TeInstance {
         &self.flows[f.0].tunnels
     }
 
-    /// Whether tunnel `t` survives scenario `q` unaided (uses no failed
-    /// link) — membership in `T_f^q`.
-    pub fn tunnel_survives(&self, t: TunnelId, q: &FailureScenario) -> bool {
-        self.tunnels[t.0].hops.iter().all(|h| !q.failed_links.contains(&h.link))
-    }
-
-    /// Whether tunnel `t` is *restorable* under a restoration vector: it
-    /// crosses at least one failed link and every failed link it crosses
-    /// has positive restored capacity (§3.3: `t ∈ Y_f^{z,q}`).
-    pub fn tunnel_restorable(
-        &self,
-        t: TunnelId,
-        q: &FailureScenario,
-        restored_gbps: &dyn Fn(IpLinkId) -> f64,
-    ) -> bool {
-        let mut crosses_failed = false;
-        for h in &self.tunnels[t.0].hops {
-            if q.failed_links.contains(&h.link) {
-                crosses_failed = true;
-                if restored_gbps(h.link) <= 0.0 {
-                    return false;
-                }
-            }
-        }
-        crosses_failed
-    }
-
     /// Total demand in Gbps.
     pub fn total_demand(&self) -> f64 {
         self.flows.iter().map(|f| f.demand_gbps).sum()
     }
 
-    /// All directed capacity keys that appear in some tunnel.
+    /// The dense link/tunnel index.
+    pub(crate) fn index(&self) -> &LinkIndex {
+        debug_assert_eq!(
+            self.index.num_tunnels(),
+            self.tunnels.len(),
+            "tunnels changed after build_instance; the index is stale"
+        );
+        &self.index
+    }
+
+    /// All directed capacity keys that appear in some tunnel, ascending.
     pub fn used_dir_links(&self) -> Vec<DirLink> {
-        let mut keys: Vec<DirLink> = self
-            .tunnels
-            .iter()
-            .flat_map(|t| t.hops.iter().map(|h| DirLink(h.link, h.forward)))
-            .collect();
-        keys.sort();
-        keys.dedup();
-        keys
+        let index = self.index();
+        (0..index.num_keys())
+            .filter(|&k| !index.row(k).is_empty())
+            .map(DirLink::from_index)
+            .collect()
     }
 
     /// Tunnels traversing `link` in direction `forward`, in ascending
     /// [`TunnelId`] order — the column order of every per-direction
     /// capacity row, so LP builders that share it emit identical rows.
+    /// Empty for a link the WAN does not have.
     pub fn tunnels_on(&self, link: IpLinkId, forward: bool) -> impl Iterator<Item = TunnelId> + '_ {
-        self.tunnels
-            .iter()
-            .enumerate()
-            .filter(move |(_, t)| t.hops.iter().any(|h| h.link == link && h.forward == forward))
-            .map(|(i, _)| TunnelId(i))
+        self.index().tunnels_on(link, forward).iter().copied()
     }
 
     /// Returns a clone with demands replaced from another traffic matrix
@@ -434,6 +436,8 @@ impl TeInstance {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::index::ScenarioOverlay;
+    use crate::restoration::RestorationTicket;
     use arrow_topology::{b4, generate_failures, gravity_matrices, FailureConfig, TrafficConfig};
 
     fn small_instance() -> TeInstance {
@@ -482,8 +486,9 @@ mod tests {
     fn residual_tunnel_exists_for_every_scenario() {
         let inst = small_instance();
         for q in &inst.scenarios {
+            let overlay = ScenarioOverlay::new(&inst, Some(q), None);
             for f in &inst.flows {
-                let survives = f.tunnels.iter().any(|&t| inst.tunnel_survives(t, q));
+                let survives = f.tunnels.iter().any(|&t| overlay.survives(t));
                 assert!(
                     survives,
                     "flow {:?}->{:?} loses all tunnels under {:?}",
@@ -499,21 +504,71 @@ mod tests {
         let q = &inst.scenarios[0];
         assert!(!q.failed_links.is_empty());
         let failed = q.failed_links[0];
+        let ticket = |gbps: f64| RestorationTicket {
+            restored: q.failed_links.iter().map(|&l| (l, gbps)).collect(),
+        };
         // With full restoration every affected tunnel is restorable...
-        let all_restored = |_l: IpLinkId| 1000.0;
+        let all_restored = ScenarioOverlay::new(&inst, Some(q), Some(&ticket(1000.0)));
         // ...with zero restoration none is.
-        let none_restored = |_l: IpLinkId| 0.0;
+        let none_restored = ScenarioOverlay::new(&inst, Some(q), Some(&ticket(0.0)));
         let mut found_affected = false;
         for (i, t) in inst.tunnels.iter().enumerate() {
+            let tid = TunnelId(i);
             if t.uses_link(failed) {
                 found_affected = true;
-                let tid = TunnelId(i);
-                assert!(inst.tunnel_restorable(tid, q, &all_restored));
-                assert!(!inst.tunnel_restorable(tid, q, &none_restored));
-                assert!(!inst.tunnel_survives(tid, q));
+                assert!(all_restored.restorable(tid) && all_restored.alive(tid));
+                assert!(!none_restored.restorable(tid) && !none_restored.alive(tid));
+                assert!(!all_restored.survives(tid) && !none_restored.survives(tid));
+            } else if t.hops.iter().all(|h| !q.failed_links.contains(&h.link)) {
+                assert!(all_restored.survives(tid) && none_restored.survives(tid));
+                assert!(!all_restored.restorable(tid) && all_restored.alive(tid));
             }
         }
         assert!(found_affected, "some tunnel should cross the failed link");
+    }
+
+    /// The full scan `tunnels_on` made before the index existed.
+    fn scan_tunnels_on(inst: &TeInstance, link: IpLinkId, forward: bool) -> Vec<TunnelId> {
+        inst.tunnels
+            .iter()
+            .enumerate()
+            .filter(|(_, t)| t.hops.iter().any(|h| h.link == link && h.forward == forward))
+            .map(|(i, _)| TunnelId(i))
+            .collect()
+    }
+
+    #[test]
+    fn index_matches_the_scans_it_replaces() {
+        use arrow_topology::ibm;
+        for (wan, tunnels_per_flow) in [(b4(17), 4), (b4(17), 8), (ibm(17), 4), (ibm(17), 8)] {
+            let tms =
+                gravity_matrices(&wan, &TrafficConfig { num_matrices: 2, ..Default::default() });
+            let failures = generate_failures(&wan, &FailureConfig::default());
+            let cfg = TunnelConfig { tunnels_per_flow, ..Default::default() };
+            let inst = build_instance(&wan, &tms[0], failures.failure_scenarios(), &cfg);
+            let mut used = Vec::new();
+            for l in (0..wan.links.len()).map(IpLinkId) {
+                for forward in [false, true] {
+                    let scan = scan_tunnels_on(&inst, l, forward);
+                    assert_eq!(inst.tunnels_on(l, forward).collect::<Vec<_>>(), scan);
+                    if !scan.is_empty() {
+                        used.push(DirLink(l, forward));
+                    }
+                }
+            }
+            assert_eq!(inst.used_dir_links(), used);
+            // A ticket may name a link this WAN does not have.
+            assert_eq!(inst.tunnels_on(IpLinkId(wan.links.len()), true).count(), 0);
+            assert_eq!(inst.tunnels_on(IpLinkId(usize::MAX), false).count(), 0);
+            for (i, &key) in used.iter().enumerate() {
+                assert_eq!(DirLink::from_index(key.index()), key);
+                assert!(i == 0 || used[i - 1].index() < key.index(), "numbering follows Ord");
+            }
+            // Demand swaps carry the index a fresh build would make.
+            let fresh = build_instance(&wan, &tms[1], failures.failure_scenarios(), &cfg);
+            assert_eq!(inst.with_demands(&tms[1]).index, fresh.index);
+            assert_eq!(inst.scaled(2.5).index, inst.index);
+        }
     }
 
     #[test]
