@@ -24,14 +24,14 @@ pub fn alpha(ctx: &Ctx, r: &mut Report) {
         let outcome = ArrowOnline::new(arrow, &inst).solve(&inst);
         let thr = outcome.output.alloc.throughput(&inst);
         let nonnaive = outcome.winning.iter().filter(|&&w| w != 0).count();
-        say!(r, "{:>8.2} {:>12.4} {:>16}", alpha, thr, nonnaive);
+        say!(r, "{:>8.2} {:>12.4} {:>16}", alpha, r.n(thr), nonnaive);
         values.push(thr);
     }
     let spread =
         values.iter().fold(0.0f64, |a, &b| a.max(b)) - values.iter().fold(1.0f64, |a, &b| a.min(b));
     r.summary(
         "α is a mild tuning knob (paper tries 0.2/0.1/0.05)",
-        &format!("throughput spread across α values: {spread:.4}"),
+        &format!("throughput spread across α values: {:.4}", r.n(spread)),
     );
 }
 
@@ -86,7 +86,15 @@ pub fn rounding(ctx: &Ctx, r: &mut Report) {
                 );
             }
             let avail = availability(&inst, &out, &cfg);
-            say!(r, "{:>6} {:>8} {:>10} {:>12.4} {:>14.4}", delta, filter, total, thr, avail);
+            say!(
+                r,
+                "{:>6} {:>8} {:>10} {:>12.4} {:>14.4}",
+                delta,
+                filter,
+                total,
+                r.n(thr),
+                r.n(avail)
+            );
             kept.push((delta, filter, avail));
         }
     }
@@ -96,7 +104,7 @@ pub fn rounding(ctx: &Ctx, r: &mut Report) {
     let without = kept.iter().filter(|&&(_, f, _)| !f).map(|&(_, _, a)| a).fold(0.0, f64::max);
     r.summary(
         "filter keeps tickets honest; δ trades exploration vs κ",
-        &format!("best availability with filter {with:.4} vs without {without:.4}"),
+        &format!("best availability with filter {:.4} vs without {:.4}", r.n(with), r.n(without)),
     );
 }
 
@@ -117,7 +125,7 @@ pub fn playback(ctx: &Ctx, r: &mut Report) {
     for (scheme, out) in solve_all(s, &inst) {
         let frozen = availability(&inst, &out, &PlaybackConfig { respread: false });
         let spread = availability(&inst, &out, &PlaybackConfig { respread: true });
-        say!(r, "{:<14} {:>12.5} {:>12.5}", scheme, frozen, spread);
+        say!(r, "{:<14} {:>12.5} {:>12.5}", scheme, r.n(frozen), r.n(spread));
         order_frozen.push((scheme.clone(), frozen));
         order_respread.push((scheme, spread));
     }

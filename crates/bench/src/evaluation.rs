@@ -98,7 +98,7 @@ pub fn fig13(ctx: &Ctx, r: &mut Report) {
         say!(r, "{:<14}{header}", "scheme\\scale");
         let mut at_999 = Vec::new();
         for (scheme, row) in schemes.iter().zip(&grid) {
-            let cells: String = row.iter().map(|a| format!(" {a:>9.5}")).collect();
+            let cells: String = row.iter().map(|&a| format!(" {:>9.5}", r.n(a))).collect();
             let max_ok = max_scale_at(row, &scales, 0.999);
             say!(r, "{:<14}{cells}  | max scale @99.9%: {max_ok:.2}", scheme.name());
             at_999.push((scheme.name(), max_ok));
@@ -109,7 +109,7 @@ pub fn fig13(ctx: &Ctx, r: &mut Report) {
         let (&arrow, rivals) = arrow_and_rivals(&at_999, &["ARROW-Naive"]);
         let best_other = rivals.iter().map(|&&(_, v)| v).fold(0.0, f64::max);
         let gain = if best_other > 0.0 { arrow / best_other } else { f64::NAN };
-        say!(r, "[{name}] ARROW gain over best baseline @99.9%: {gain:.2}x");
+        say!(r, "[{name}] ARROW gain over best baseline @99.9%: {:.2}x", r.n(gain));
         headline.push(format!("{name} {gain:.2}x"));
     }
     r.summary(
@@ -157,11 +157,11 @@ pub fn table05(ctx: &Ctx, r: &mut Report) {
         let gains: Vec<String> = arrow_row
             .iter()
             .zip(row)
-            .map(|(a, b)| if *b > 0.0 { format!("{:.2}x", a / b) } else { "inf".into() })
+            .map(|(a, b)| if *b > 0.0 { format!("{:.2}x", r.n(a / b)) } else { "inf".into() })
             .collect();
         say!(r, "{:<14} {:>10} {:>10} {:>10} {:>10}", name, gains[0], gains[1], gains[2], gains[3]);
         if row[1] > 0.0 {
-            at9999.push(format!("{name} {:.1}x", arrow_row[1] / row[1]));
+            at9999.push(format!("{name} {:.1}x", r.n(arrow_row[1] / row[1])));
         }
     }
     r.summary(
@@ -192,7 +192,7 @@ pub fn fig14(ctx: &Ctx, r: &mut Report) {
     for (i, &z) in counts.iter().enumerate() {
         let a = results[2 * i];
         let b = results[2 * i + 1];
-        say!(r, "{:>6} {:>14.4} {:>14.4} {:>12.4}", z, a, b, (a - b).abs());
+        say!(r, "{:>6} {:>14.4} {:>14.4} {:>12.4}", z, r.n(a), r.n(b), r.n((a - b).abs()));
         if i == 0 {
             first = 0.5 * (a + b);
         }
@@ -202,8 +202,8 @@ pub fn fig14(ctx: &Ctx, r: &mut Report) {
         "throughput rises with |Z| and plateaus; |Z|=1 is ARROW-Naive",
         &format!(
             "throughput {:.4} at |Z|=1 -> {:.4} at |Z|={}",
-            first,
-            last,
+            r.n(first),
+            r.n(last),
             counts.last().unwrap()
         ),
     );
@@ -305,14 +305,14 @@ pub fn fig16(ctx: &Ctx, r: &mut Report) {
         let mf = MaxFlow::default().solve(&inst);
         let fully_restorable = SchemeOutput { alloc: mf.alloc, restoration: Some(full_plan) };
         let baseline = required_router_ports(&inst, &fully_restorable, beta, &cfg);
-        say!(r, "\n[{name}] fully-restorable baseline CAP/AGT: {baseline:.0}");
+        say!(r, "\n[{name}] fully-restorable baseline CAP/AGT: {:.0}", r.n(baseline));
         say!(r, "{:<14} {:>14} {:>20}", "scheme", "ports (CAP/AGT)", "vs fully restorable");
         // ARROW uses its winning tickets; baselines restore nothing.
         let mut ratios = Vec::new();
         for (scheme, out) in solve_all(s, &inst) {
             let ports = required_router_ports(&inst, &out, beta, &cfg);
             let ratio = ports / baseline;
-            say!(r, "{:<14} {:>14.0} {:>19.2}x", scheme, ports, ratio);
+            say!(r, "{:<14} {:>14.0} {:>19.2}x", scheme, r.n(ports), r.n(ratio));
             ratios.push((scheme, ratio));
         }
         // "Failure-aware TE" = the non-restoration baselines (TeaVaR,
@@ -320,12 +320,14 @@ pub fn fig16(ctx: &Ctx, r: &mut Report) {
         let (&arrow_ratio, rivals) = arrow_and_rivals(&ratios, &["ECMP", "ARROW-Naive"]);
         let best_other = rivals.iter().map(|&&(_, v)| v).fold(f64::INFINITY, f64::min);
         let fewer = best_other / arrow_ratio.max(1e-9);
-        say!(r, "[{name}] ARROW vs best failure-aware TE: {fewer:.2}x fewer ports");
+        say!(r, "[{name}] ARROW vs best failure-aware TE: {:.2}x fewer ports", r.n(fewer));
         if topo == Topology::B4 {
             r.summary(
                 "ARROW 1.5x of fully-restorable; needs ~2.8x fewer ports than best TE",
                 &format!(
-                    "ARROW {arrow_ratio:.2}x of fully-restorable; {fewer:.2}x fewer ports than best failure-aware TE"
+                    "ARROW {:.2}x of fully-restorable; {:.2}x fewer ports than best failure-aware TE",
+                    r.n(arrow_ratio),
+                    r.n(fewer)
                 ),
             );
         }
@@ -338,7 +340,7 @@ pub fn table06(_: &Ctx, r: &mut Report) {
     let t = ModulationTable::default();
     say!(r, "{:>16} {:>12}", "datarate (Gbps)", "reach (km)");
     for row in t.rows() {
-        say!(r, "{:>16.0} {:>12.0}", row.gbps, row.reach_km);
+        say!(r, "{:>16.0} {:>12.0}", r.n(row.gbps), r.n(row.reach_km));
     }
     say!(r, "\nderived modulation decisions:");
     for km in [800.0, 1200.0, 2000.0, 4000.0, 5500.0] {
@@ -413,7 +415,7 @@ pub fn thm31(_: &Ctx, r: &mut Report) {
         LinkRounding { lambda: 1.7, direction: RoundDirection::Down },
     ];
     let k = kappa(delta, &links);
-    say!(r, "two failed links, δ = {delta}: κ = {k:.4}\n");
+    say!(r, "two failed links, δ = {delta}: κ = {:.4}\n", r.n(k));
     say!(r, "{:>6} {:>14} {:>14}", "|Z|", "analytic rho", "monte-carlo");
     let mut rng = StdRng::seed_from_u64(2024);
     let trials = 40_000;
@@ -449,7 +451,7 @@ pub fn thm31(_: &Ctx, r: &mut Report) {
         }
         let empirical = hits as f64 / trials as f64;
         worst_gap = worst_gap.max((analytic - empirical).abs());
-        say!(r, "{:>6} {:>14.4} {:>14.4}", z, analytic, empirical);
+        say!(r, "{:>6} {:>14.4} {:>14.4}", z, r.n(analytic), r.n(empirical));
     }
     say!(
         r,
@@ -459,7 +461,7 @@ pub fn thm31(_: &Ctx, r: &mut Report) {
     );
     r.summary(
         "rho = 1-(1-kappa)^|Z| matches the rounding process",
-        &format!("max |analytic - empirical| = {worst_gap:.4} over 40k trials"),
+        &format!("max |analytic - empirical| = {:.4} over 40k trials", r.n(worst_gap)),
     );
     assert!(worst_gap < 0.02);
 }

@@ -27,7 +27,7 @@ pub fn fig03(_: &Ctx, r: &mut Report) {
     say!(r, "\ndowntime share by root cause:");
     let shares = downtime_share(&tickets);
     for (cause, share) in &shares {
-        say!(r, "  {:<12} {:>6.1}%", cause.label(), share * 100.0);
+        say!(r, "  {:<12} {:>6.1}%", cause.label(), r.n(share * 100.0));
     }
 
     let mut cut_hours: Vec<f64> =
@@ -40,9 +40,10 @@ pub fn fig03(_: &Ctx, r: &mut Report) {
     r.summary(
         "cuts: median repair 9 h, 10% > 24 h, 67% of downtime",
         &format!(
-            "cuts: median repair {median:.1} h, {:.0}% > 24 h, {:.0}% of downtime",
-            over_day * 100.0,
-            cut_share * 100.0
+            "cuts: median repair {:.1} h, {:.0}% > 24 h, {:.0}% of downtime",
+            r.n(median),
+            r.n(over_day * 100.0),
+            r.n(cut_share * 100.0)
         ),
     );
 }
@@ -69,7 +70,7 @@ pub fn fig04(_: &Ctx, r: &mut Report) {
         let lo = m * per_month;
         let hi = ((m + 1) * per_month).min(cuts.len());
         let peak = cuts[lo..hi].iter().fold(0.0f64, |a, &b| a.max(b));
-        say!(r, "  month {:>2}: peak event {:>7.0} Gbps", m + 1, peak);
+        say!(r, "  month {:>2}: peak event {:>7.0} Gbps", m + 1, r.n(peak));
     }
 
     // (b) CDF of lost capacity per event.
@@ -78,7 +79,7 @@ pub fn fig04(_: &Ctx, r: &mut Report) {
     let max = cuts.iter().fold(0.0f64, |a, &b| a.max(b));
     r.summary(
         "events cost up to 8 Tbps of IP capacity",
-        &format!("max event loss {:.1} Tbps across {} cut events", max / 1000.0, cuts.len()),
+        &format!("max event loss {:.1} Tbps across {} cut events", r.n(max / 1000.0), cuts.len()),
     );
 }
 
@@ -106,13 +107,13 @@ pub fn fig05(_: &Ctx, r: &mut Report) {
     say!(
         r,
         "  per-fiber availability 75%; end-to-end usable: {:.0}% (slots {:?})",
-        100.0 * usable.free_count() as f64 / 4.0,
+        r.n(100.0 * usable.free_count() as f64 / 4.0),
         usable.free_slots().collect::<Vec<_>>()
     );
 
     r.summary(
         "95% of fibers below 60% utilization",
-        &format!("{:.0}% of fibers below 60% utilization", below60 * 100.0),
+        &format!("{:.0}% of fibers below 60% utilization", r.n(below60 * 100.0)),
     );
 }
 
@@ -131,9 +132,9 @@ pub fn fig21(_: &Ctx, r: &mut Report) {
         "deployments increase markedly after the surge month",
         &format!(
             "mean {:.0}/month before vs {:.0}/month after ({:.1}x)",
-            before,
-            after,
-            after / before
+            r.n(before),
+            r.n(after),
+            r.n(after / before)
         ),
     );
 }
@@ -155,11 +156,11 @@ pub fn fig22(_: &Ctx, r: &mut Report) {
         "IP layer denser than optical; wavelength counts heavy-tailed",
         &format!(
             "mean {:.1} IP links/fiber ({} links over {} fibers); mean {:.1} λ/IP link (max {:.0})",
-            mean_lpf,
+            r.n(mean_lpf),
             wan.num_links(),
             wan.optical.num_fibers(),
-            mean_wpl,
-            per_link.iter().fold(0.0f64, |a, &b| a.max(b)),
+            r.n(mean_wpl),
+            r.n(per_link.iter().fold(0.0f64, |a, &b| a.max(b))),
         ),
     );
 }

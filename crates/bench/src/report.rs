@@ -1,14 +1,21 @@
 //! The text one experiment prints, and the comparer that holds it to its
 //! checked-in golden.
 
+use std::cell::Cell;
 use std::fmt::{self, Write as _};
 
 use crate::Experiment;
 
 /// One experiment's output, built line by line with [`say!`](crate::say).
+///
+/// Every `f64` on its way into the text goes through [`Report::n`], which
+/// folds its bits into an FNV-1a digest printed as the last line — so a
+/// change below the printed precision still changes the text. Integers
+/// print exactly and need no such help.
 pub struct Report {
     id: &'static str,
     text: String,
+    digest: Cell<u64>,
 }
 
 /// Appends one formatted line to a [`Report`]: `say!(r, "{:>6.2}", x)`.
@@ -25,7 +32,8 @@ macro_rules! say {
 impl Report {
     /// An empty report under the experiment's banner.
     pub(crate) fn new(e: &Experiment) -> Self {
-        let mut r = Report { id: e.id, text: String::new() };
+        let mut r =
+            Report { id: e.id, text: String::new(), digest: Cell::new(0xcbf2_9ce4_8422_2325) };
         say!(r, "{}", "=".repeat(74));
         say!(r, "{}: {}", e.id, e.title);
         say!(r, "paper reference: {}", e.paper);
@@ -37,6 +45,13 @@ impl Report {
     pub fn line(&mut self, args: fmt::Arguments<'_>) {
         self.text.write_fmt(args).expect("writing to a String cannot fail");
         self.text.push('\n');
+    }
+
+    /// Passes a number about to be printed through the digest.
+    pub fn n(&self, x: f64) -> f64 {
+        let fnv1a = |h: u64, byte: u8| (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+        self.digest.set(x.to_bits().to_le_bytes().into_iter().fold(self.digest.get(), fnv1a));
+        x
     }
 
     /// Prints an empirical CDF as evenly-spaced percentile rows.
@@ -51,7 +66,7 @@ impl Report {
         for i in 0..=points {
             let pct = i as f64 / points as f64;
             let idx = ((sorted.len() - 1) as f64 * pct).round() as usize;
-            say!(self, "  p{:<3.0} {:>12.3}", pct * 100.0, sorted[idx]);
+            say!(self, "  p{:<3.0} {:>12.3}", pct * 100.0, self.n(sorted[idx]));
         }
     }
 
@@ -63,8 +78,10 @@ impl Report {
         say!(self, "SUMMARY {id} | paper: {paper} | measured: {measured}");
     }
 
-    /// The finished text.
-    pub(crate) fn finish(self) -> String {
+    /// The finished text, closed by the digest line.
+    pub(crate) fn finish(mut self) -> String {
+        let digest = self.digest.get();
+        say!(self, "digest {digest:016x}");
         self.text
     }
 }

@@ -37,16 +37,16 @@ pub fn fig06(_: &Ctx, r: &mut Report) {
         } else {
             format!("> {:.0} Gbps", lo)
         };
-        say!(r, "  {:>16} {:>10} {:>11.0}%", label, bucket.len(), mean * 100.0);
+        say!(r, "  {:>16} {:>10} {:>11.0}%", label, bucket.len(), r.n(mean * 100.0));
     }
 
     r.summary(
         "34% full, 62% partial, 4% none; big fibers never fully restorable",
         &format!(
             "{:.0}% full, {:.0}% partial, {:.0}% none across {} fibers",
-            cuts.full * 100.0,
-            partial * 100.0,
-            cuts.none * 100.0,
+            r.n(cuts.full * 100.0),
+            r.n(partial * 100.0),
+            r.n(cuts.none * 100.0),
             ratios.len()
         ),
     );
@@ -87,7 +87,11 @@ pub fn fig07(_: &Ctx, r: &mut Report) {
 
     let rwa = RwaConfig::default();
     let relaxed = solve_relaxed(&net, &[f_bc], &rwa);
-    say!(r, "optical layer: {:.1} of 12 lost wavelengths restorable\n", relaxed.total_wavelengths);
+    say!(
+        r,
+        "optical layer: {:.1} of 12 lost wavelengths restorable\n",
+        r.n(relaxed.total_wavelengths)
+    );
     say!(
         r,
         "{:>10} {:>12} {:>12} {:>10} {:>12}",
@@ -102,14 +106,22 @@ pub fn fig07(_: &Ctx, r: &mut Report) {
     for (i, &(w1, w2)) in [(2usize, 3usize), (1, 4), (3, 2)].iter().enumerate() {
         let feasible = is_feasible(&net, &[f_bc], &rwa, &[(ip1, w1), (ip2, w2)]);
         let thr = demands.0.min(w1 as f64 * 100.0) + demands.1.min(w2 as f64 * 100.0);
-        say!(r, "{:>10} {:>12} {:>12} {:>10} {:>12.0}", i + 1, w1 * 100, w2 * 100, feasible, thr);
+        say!(
+            r,
+            "{:>10} {:>12} {:>12} {:>10} {:>12.0}",
+            i + 1,
+            w1 * 100,
+            w2 * 100,
+            feasible,
+            r.n(thr)
+        );
         if thr > best.1 {
             best = (i + 1, thr);
         }
     }
     r.summary(
         "candidate 2 wins with 500 Gbps (vs 400 and 300)",
-        &format!("candidate {} wins with {:.0} Gbps", best.0, best.1),
+        &format!("candidate {} wins with {:.0} Gbps", best.0, r.n(best.1)),
     );
     assert_eq!(best.0, 2);
 }
@@ -137,14 +149,18 @@ pub fn fig17(_: &Ctx, r: &mut Report) {
         say!(
             r,
             "  {label}: {:.0}% of R-paths no longer than their P-path; top-10 longest R-paths (km): {:?}\n",
-            shorter * 100.0,
-            longest.iter().take(10).map(|k| k.round()).collect::<Vec<_>>()
+            r.n(shorter * 100.0),
+            longest.iter().take(10).map(|k| r.n(k.round())).collect::<Vec<_>>()
         );
         if retune {
             let max = longest.first().copied().unwrap_or(0.0);
             r.summary(
                 "≈50% of R-paths shorter than P-path; all < 5,000 km",
-                &format!("{:.0}% shorter-or-equal; longest R-path {:.0} km", shorter * 100.0, max),
+                &format!(
+                    "{:.0}% shorter-or-equal; longest R-path {:.0} km",
+                    r.n(shorter * 100.0),
+                    r.n(max)
+                ),
             );
             assert!(max < 5000.0, "restoration paths must respect modulation reach");
         }
@@ -179,8 +195,8 @@ pub fn fig19(_: &Ctx, r: &mut Report) {
         "80% of cuts: ≤10 add/drop, ≤6 intermediate",
         &format!(
             "p80 add/drop {:.0}, p80 intermediate {:.0} across {} cuts",
-            p80(&add_drop),
-            p80(&intermediate),
+            r.n(p80(&add_drop)),
+            r.n(p80(&intermediate)),
             add_drop.len()
         ),
     );
@@ -209,8 +225,8 @@ pub fn ext_cl(_: &Ctx, r: &mut Report) {
         say!(
             r,
             "{name}: mean restoration ratio {:.0}%, fully restorable fibers {:.0}%",
-            cuts.mean * 100.0,
-            cuts.full * 100.0
+            r.n(cuts.mean * 100.0),
+            r.n(cuts.full * 100.0)
         );
         cuts
     });
@@ -218,10 +234,10 @@ pub fn ext_cl(_: &Ctx, r: &mut Report) {
         "L-band expansion raises restorable capacity (A.10 extension)",
         &format!(
             "mean ratio {:.0}% -> {:.0}%; fully restorable {:.0}% -> {:.0}%",
-            c.mean * 100.0,
-            cl.mean * 100.0,
-            c.full * 100.0,
-            cl.full * 100.0
+            r.n(c.mean * 100.0),
+            r.n(cl.mean * 100.0),
+            r.n(c.full * 100.0),
+            r.n(cl.full * 100.0)
         ),
     );
     assert!(cl.mean >= c.mean - 1e-9, "more spectrum cannot hurt restorability");

@@ -18,8 +18,8 @@ pub fn fig11(_: &Ctx, r: &mut Report) {
             lp.src,
             lp.dst,
             lp.wavelength_count(),
-            lp.gbps_per_wavelength,
-            lp.capacity_gbps() / 1000.0,
+            r.n(lp.gbps_per_wavelength),
+            r.n(lp.capacity_gbps() / 1000.0),
             lp.path.len()
         );
     }
@@ -30,17 +30,17 @@ pub fn fig11(_: &Ctx, r: &mut Report) {
     say!(
         r,
         "restored {:.0} of {:.0} Gbps via surrogate paths in {:.1} s",
-        trial.restored_gbps,
-        trial.lost_gbps,
-        trial.total_latency_s
+        r.n(trial.restored_gbps),
+        r.n(trial.lost_gbps),
+        r.n(trial.total_latency_s)
     );
     r.summary(
         "3 IP links fail; 2.8 Tbps reconfigured onto healthy fibers",
         &format!(
             "{} links fail; {:.1} of {:.1} Tbps restored",
             affected.len(),
-            trial.restored_gbps / 1000.0,
-            trial.lost_gbps / 1000.0
+            r.n(trial.restored_gbps / 1000.0),
+            r.n(trial.lost_gbps / 1000.0)
         ),
     );
     assert_eq!(affected.len(), 3);
@@ -61,16 +61,18 @@ pub fn fig12(_: &Ctx, r: &mut Report) {
     for (label, trial) in [("legacy", &legacy), ("ARROW", &arrow)] {
         say!(r, "{label} restoration timeline:");
         for p in &trial.timeline {
-            say!(r, "  t={:8.1}s  restored {:6.0} Gbps", p.time_s, p.restored_gbps);
+            say!(r, "  t={:8.1}s  restored {:6.0} Gbps", r.n(p.time_s), r.n(p.restored_gbps));
         }
-        say!(r, "  -> total {:.1} s\n", trial.total_latency_s);
+        say!(r, "  -> total {:.1} s\n", r.n(trial.total_latency_s));
     }
     let ratio = legacy.total_latency_s / arrow.total_latency_s;
     r.summary(
         "legacy 1,021 s vs ARROW 8 s (127x)",
         &format!(
             "legacy {:.0} s vs ARROW {:.1} s ({:.0}x)",
-            legacy.total_latency_s, arrow.total_latency_s, ratio
+            r.n(legacy.total_latency_s),
+            r.n(arrow.total_latency_s),
+            r.n(ratio)
         ),
     );
     assert!(arrow.total_latency_s < 15.0);
@@ -86,12 +88,12 @@ pub fn fig20(_: &Ctx, r: &mut Report) {
     say!(r, "normalized output power over time:");
     for (t, p) in chain.power_staircase(0.0) {
         let bar = "#".repeat((p * 40.0) as usize);
-        say!(r, "  t={:6.0}s  {:>5.2} {}", t, p, bar);
+        say!(r, "  t={:6.0}s  {:>5.2} {}", r.n(t), r.n(p), bar);
     }
     let total_min = chain.total_convergence_seconds() / 60.0;
     r.summary(
         "4 wavelengths over 24 amplifier sites: 14 minutes",
-        &format!("{} sites converge in {:.1} minutes", chain.sites, total_min),
+        &format!("{} sites converge in {:.1} minutes", chain.sites, r.n(total_min)),
     );
     assert!((10.0..20.0).contains(&total_min));
 }
