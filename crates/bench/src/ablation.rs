@@ -4,7 +4,7 @@ use arrow_core::{generate_tickets, realize_ticket, LotteryConfig};
 use arrow_te::eval::{availability, PlaybackConfig};
 use arrow_te::{Arrow, ArrowOnline, TeScheme};
 
-use crate::{say, solve_all, Ctx, Report, Topology};
+use crate::{solve_all, Ctx, Report, Topology};
 
 /// Ablation: the Phase-I slack budget α (paper footnote 4 evaluates
 /// α ∈ {0.2, 0.1, 0.05}).
@@ -17,14 +17,14 @@ use crate::{say, solve_all, Ctx, Report, Topology};
 pub fn alpha(ctx: &Ctx, r: &mut Report) {
     let s = ctx.setup(Topology::B4);
     let inst = s.instances[0].scaled(8.0);
-    say!(r, "{:>8} {:>12} {:>16}", "alpha", "throughput", "winning != naive");
+    writeln!(r, "{:>8} {:>12} {:>16}", "alpha", "throughput", "winning != naive");
     let mut values = Vec::new();
     for alpha in [0.2, 0.1, 0.05] {
         let arrow = Arrow { tickets: s.tickets.clone(), alpha, solver: Default::default() };
         let outcome = ArrowOnline::new(arrow, &inst).solve(&inst);
         let thr = outcome.output.alloc.throughput(&inst);
         let nonnaive = outcome.winning.iter().filter(|&&w| w != 0).count();
-        say!(r, "{:>8.2} {:>12.4} {:>16}", alpha, r.n(thr), nonnaive);
+        writeln!(r, "{:>8.2} {:>12.4} {:>16}", alpha, r.n(thr), nonnaive);
         values.push(thr);
     }
     let spread =
@@ -47,14 +47,10 @@ pub fn rounding(ctx: &Ctx, r: &mut Report) {
     let s = ctx.setup(Topology::B4);
     let inst = s.instances[0].scaled(8.0);
     let cfg = PlaybackConfig::default();
-    say!(
+    writeln!(
         r,
         "{:>6} {:>8} {:>10} {:>12} {:>14}",
-        "delta",
-        "filter",
-        "tickets",
-        "throughput",
-        "availability"
+        "delta", "filter", "tickets", "throughput", "availability"
     );
     let mut kept: Vec<(usize, bool, f64)> = Vec::new();
     for delta in [1usize, 2, 4] {
@@ -86,7 +82,7 @@ pub fn rounding(ctx: &Ctx, r: &mut Report) {
                 );
             }
             let avail = availability(&inst, &out, &cfg);
-            say!(
+            writeln!(
                 r,
                 "{:>6} {:>8} {:>10} {:>12.4} {:>14.4}",
                 delta,
@@ -119,29 +115,27 @@ pub fn rounding(ctx: &Ctx, r: &mut Report) {
 pub fn playback(ctx: &Ctx, r: &mut Report) {
     let s = ctx.setup(Topology::B4);
     let inst = s.instances[0].scaled(2.0);
-    say!(r, "{:<14} {:>12} {:>12}", "scheme", "frozen", "respread");
-    let mut order_frozen = Vec::new();
-    let mut order_respread = Vec::new();
+    writeln!(r, "{:<14} {:>12} {:>12}", "scheme", "frozen", "respread");
+    let mut rows = Vec::new();
     for (scheme, out) in solve_all(s, &inst) {
         let frozen = availability(&inst, &out, &PlaybackConfig { respread: false });
         let spread = availability(&inst, &out, &PlaybackConfig { respread: true });
-        say!(r, "{:<14} {:>12.5} {:>12.5}", scheme, r.n(frozen), r.n(spread));
-        order_frozen.push((scheme.clone(), frozen));
-        order_respread.push((scheme, spread));
+        writeln!(r, "{:<14} {:>12.5} {:>12.5}", scheme, r.n(frozen), r.n(spread));
+        rows.push((scheme, [frozen, spread]));
     }
     // Strictly-greater comparison keeps the first of tied schemes (ARROW
     // and ARROW-Naive often tie exactly).
-    let top = |v: &[(String, f64)]| -> String {
-        let mut best = v[0].clone();
-        for item in v.iter().skip(1) {
-            if item.1 > best.1 + 1e-12 {
-                best = item.clone();
+    let top = |col: usize| {
+        let mut best = &rows[0];
+        for row in &rows[1..] {
+            if row.1[col] > best.1[col] + 1e-12 {
+                best = row;
             }
         }
-        best.0
+        &best.0
     };
     r.summary(
         "scheme ordering robust to playback semantics",
-        &format!("best scheme frozen: {}, re-spread: {}", top(&order_frozen), top(&order_respread)),
+        &format!("best scheme frozen: {}, re-spread: {}", top(0), top(1)),
     );
 }

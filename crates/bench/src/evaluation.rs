@@ -9,6 +9,7 @@ use arrow_core::par::parallel_map;
 use arrow_core::{
     kappa, optimality_probability, tickets_for_target, LinkRounding, LotteryConfig, RoundDirection,
 };
+use arrow_lp::SolveStats;
 use arrow_optical::ModulationTable;
 use arrow_te::eval::{required_router_ports, PlaybackConfig};
 use arrow_te::{
@@ -18,7 +19,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::{
-    arrow_and_rivals, availability_grid, max_scale_at, say, schemes, solve_all, tickets_for, Ctx,
+    arrow_and_rivals, availability_grid, max_scale_at, schemes, solve_all, tickets_for, Ctx,
     Report, Topology,
 };
 
@@ -27,36 +28,18 @@ use crate::{
 /// Paper: Facebook 34/84 routers/ROADMs, 156 fibers, 262 IP links, 12 TMs;
 /// IBM 17/17, 23, 85, 30; B4 12/12, 19, 52, 30.
 pub fn table04(_: &Ctx, r: &mut Report) {
-    say!(
+    writeln!(
         r,
         "{:<10} {:>16} {:>8} {:>9} {:>10}",
-        "topology",
-        "routers/ROADMs",
-        "fibers",
-        "IP links",
-        "paper TMs"
+        "topology", "routers/ROADMs", "fibers", "IP links", "paper TMs"
     );
     let mut measured = Vec::new();
     for (topo, tms) in [(Topology::Facebook, 12), (Topology::Ibm, 30), (Topology::B4, 30)] {
         let wan = topo.wan();
-        say!(
-            r,
-            "{:<10} {:>8}/{:<7} {:>8} {:>9} {:>10}",
-            wan.name,
-            wan.num_sites(),
-            wan.optical.num_roadms(),
-            wan.optical.num_fibers(),
-            wan.num_links(),
-            tms
-        );
-        measured.push(format!(
-            "{} {}/{}/{}/{}",
-            wan.name,
-            wan.num_sites(),
-            wan.optical.num_roadms(),
-            wan.optical.num_fibers(),
-            wan.num_links()
-        ));
+        let (name, sites, roadms) = (&wan.name, wan.num_sites(), wan.optical.num_roadms());
+        let (fibers, links) = (wan.optical.num_fibers(), wan.num_links());
+        writeln!(r, "{name:<10} {sites:>8}/{roadms:<7} {fibers:>8} {links:>9} {tms:>10}");
+        measured.push(format!("{name} {sites}/{roadms}/{fibers}/{links}"));
         wan.validate().expect("cross-layer mapping must be consistent");
     }
     r.summary("FB 34/84/156/262; IBM 17/17/23/85; B4 12/12/19/52", &measured.join("; "));
@@ -77,7 +60,7 @@ pub fn fig13(ctx: &Ctx, r: &mut Report) {
         } else {
             vec![0.5, 0.75, 1.0, 1.25, 1.5, 2.0, 2.5, 3.0, 4.0]
         };
-        say!(
+        writeln!(
             r,
             "\n[{name}] {} | {} TMs, {} scenarios, {} tickets",
             s.wan.summary(),
@@ -91,16 +74,16 @@ pub fn fig13(ctx: &Ctx, r: &mut Report) {
             // scale; the paper itself shows FFC-2 tracking ECMP. See the
             // B4/IBM rows for its behaviour.
             schemes.retain(|sch| sch.name() != "FFC-2");
-            say!(r, "(FFC-2 omitted on Facebook-like for bench runtime)");
+            writeln!(r, "(FFC-2 omitted on Facebook-like for bench runtime)");
         }
         let grid = availability_grid(s, &schemes, &scales);
         let header: String = scales.iter().map(|sc| format!(" {sc:>9.2}")).collect();
-        say!(r, "{:<14}{header}", "scheme\\scale");
+        writeln!(r, "{:<14}{header}", "scheme\\scale");
         let mut at_999 = Vec::new();
         for (scheme, row) in schemes.iter().zip(&grid) {
             let cells: String = row.iter().map(|&a| format!(" {:>9.5}", r.n(a))).collect();
             let max_ok = max_scale_at(row, &scales, 0.999);
-            say!(r, "{:<14}{cells}  | max scale @99.9%: {max_ok:.2}", scheme.name());
+            writeln!(r, "{:<14}{cells}  | max scale @99.9%: {max_ok:.2}", scheme.name());
             at_999.push((scheme.name(), max_ok));
         }
         // The gain headline compares against the non-restoration
@@ -109,7 +92,7 @@ pub fn fig13(ctx: &Ctx, r: &mut Report) {
         let (&arrow, rivals) = arrow_and_rivals(&at_999, &["ARROW-Naive"]);
         let best_other = rivals.iter().map(|&&(_, v)| v).fold(0.0, f64::max);
         let gain = if best_other > 0.0 { arrow / best_other } else { f64::NAN };
-        say!(r, "[{name}] ARROW gain over best baseline @99.9%: {:.2}x", r.n(gain));
+        writeln!(r, "[{name}] ARROW gain over best baseline @99.9%: {:.2}x", r.n(gain));
         headline.push(format!("{name} {gain:.2}x"));
     }
     r.summary(
@@ -133,33 +116,31 @@ pub fn table05(ctx: &Ctx, r: &mut Report) {
     // across targets.
     let targets = [0.99999, 0.9999, 0.999, 0.99];
     let grid = availability_grid(s, &all, &scales);
-    say!(r, "{:<14} {:>10} {:>10} {:>10} {:>10}", "scheme", "99.999%", "99.99%", "99.9%", "99%");
+    let header = "   99.999%     99.99%      99.9%        99%";
+    writeln!(r, "{:<14} {header}", "scheme");
     let mut per_scheme = Vec::new();
     for (scheme, avail) in all.iter().zip(&grid) {
         let row: Vec<f64> = targets.iter().map(|&t| max_scale_at(avail, &scales, t)).collect();
-        say!(
-            r,
-            "{:<14} {:>10.2} {:>10.2} {:>10.2} {:>10.2}",
-            scheme.name(),
-            row[0],
-            row[1],
-            row[2],
-            row[3]
-        );
+        let cells: String = row.iter().map(|sc| format!(" {sc:>10.2}")).collect();
+        writeln!(r, "{:<14}{cells}", scheme.name());
         per_scheme.push((scheme.name(), row));
     }
     // Gains relative to ARROW.
     let (arrow_row, others) = arrow_and_rivals(&per_scheme, &[]);
-    say!(r, "\nARROW gain over each scheme:");
-    say!(r, "{:<14} {:>10} {:>10} {:>10} {:>10}", "vs scheme", "99.999%", "99.99%", "99.9%", "99%");
+    writeln!(r, "\nARROW gain over each scheme:");
+    writeln!(r, "{:<14} {header}", "vs scheme");
     let mut at9999 = Vec::new();
     for (name, row) in others {
-        let gains: Vec<String> = arrow_row
-            .iter()
-            .zip(row)
-            .map(|(a, b)| if *b > 0.0 { format!("{:.2}x", r.n(a / b)) } else { "inf".into() })
-            .collect();
-        say!(r, "{:<14} {:>10} {:>10} {:>10} {:>10}", name, gains[0], gains[1], gains[2], gains[3]);
+        let gain = |(a, b): (&f64, &f64)| {
+            if *b > 0.0 {
+                format!("{:.2}x", r.n(a / b))
+            } else {
+                "inf".into()
+            }
+        };
+        let cells: String =
+            arrow_row.iter().zip(row).map(|ab| format!(" {:>10}", gain(ab))).collect();
+        writeln!(r, "{name:<14}{cells}");
         if row[1] > 0.0 {
             at9999.push(format!("{name} {:.1}x", r.n(arrow_row[1] / row[1])));
         }
@@ -186,13 +167,13 @@ pub fn fig14(ctx: &Ctx, r: &mut Report) {
         let out = Arrow::new(tickets_for(s, &inst, z, seed)).solve(&inst);
         out.alloc.throughput(&inst)
     });
-    say!(r, "{:>6} {:>14} {:>14} {:>12}", "|Z|", "thr (seed A)", "thr (seed B)", "spread");
+    writeln!(r, "{:>6} {:>14} {:>14} {:>12}", "|Z|", "thr (seed A)", "thr (seed B)", "spread");
     let mut first = 0.0;
     let mut last = 0.0;
     for (i, &z) in counts.iter().enumerate() {
         let a = results[2 * i];
         let b = results[2 * i + 1];
-        say!(r, "{:>6} {:>14.4} {:>14.4} {:>12.4}", z, r.n(a), r.n(b), r.n((a - b).abs()));
+        writeln!(r, "{:>6} {:>14.4} {:>14.4} {:>12.4}", z, r.n(a), r.n(b), r.n((a - b).abs()));
         if i == 0 {
             first = 0.5 * (a + b);
         }
@@ -228,38 +209,19 @@ pub fn fig15(ctx: &Ctx, r: &mut Report) {
     ] {
         let s = ctx.setup(topo);
         let inst = s.instances[0].scaled(1.5);
-        say!(r, "\n[{}] {} scenarios", topo.name(), inst.scenarios.len());
-        say!(
-            r,
-            "{:>6} {:>8} {:>8} {:>8} {:>9}   {:>8} {:>8} {:>8} {:>9}",
-            "|Z|",
-            "I rows",
-            "cols",
-            "backend",
-            "iters",
-            "II rows",
-            "cols",
-            "backend",
-            "iters"
-        );
+        writeln!(r, "\n[{}] {} scenarios", topo.name(), inst.scenarios.len());
+        let head =
+            "   |Z|   I rows     cols  backend     iters    II rows     cols  backend     iters";
+        writeln!(r, "{head}");
+        let phase = |p: SolveStats| {
+            format!("{:>8} {:>8} {:>8} {:>9}", p.rows, p.cols, p.backend.label(), p.iterations)
+        };
         let mut rows = Vec::new();
         for &z in &counts {
             let tickets = tickets_for(s, &inst, z, LotteryConfig::default().seed);
             let outcome = ArrowOnline::new(Arrow::new(tickets), &inst).solve(&inst);
             let (p1, p2) = (outcome.phase1_stats, outcome.phase2_stats);
-            say!(
-                r,
-                "{:>6} {:>8} {:>8} {:>8} {:>9}   {:>8} {:>8} {:>8} {:>9}",
-                z,
-                p1.rows,
-                p1.cols,
-                p1.backend.label(),
-                p1.iterations,
-                p2.rows,
-                p2.cols,
-                p2.backend.label(),
-                p2.iterations
-            );
+            writeln!(r, "{z:>6} {}   {}", phase(p1), phase(p2));
             rows.push(p1.rows);
         }
         growth.push(format!(
@@ -305,14 +267,14 @@ pub fn fig16(ctx: &Ctx, r: &mut Report) {
         let mf = MaxFlow::default().solve(&inst);
         let fully_restorable = SchemeOutput { alloc: mf.alloc, restoration: Some(full_plan) };
         let baseline = required_router_ports(&inst, &fully_restorable, beta, &cfg);
-        say!(r, "\n[{name}] fully-restorable baseline CAP/AGT: {:.0}", r.n(baseline));
-        say!(r, "{:<14} {:>14} {:>20}", "scheme", "ports (CAP/AGT)", "vs fully restorable");
+        writeln!(r, "\n[{name}] fully-restorable baseline CAP/AGT: {:.0}", r.n(baseline));
+        writeln!(r, "{:<14} {:>14} {:>20}", "scheme", "ports (CAP/AGT)", "vs fully restorable");
         // ARROW uses its winning tickets; baselines restore nothing.
         let mut ratios = Vec::new();
         for (scheme, out) in solve_all(s, &inst) {
             let ports = required_router_ports(&inst, &out, beta, &cfg);
             let ratio = ports / baseline;
-            say!(r, "{:<14} {:>14.0} {:>19.2}x", scheme, r.n(ports), r.n(ratio));
+            writeln!(r, "{:<14} {:>14.0} {:>19.2}x", scheme, r.n(ports), r.n(ratio));
             ratios.push((scheme, ratio));
         }
         // "Failure-aware TE" = the non-restoration baselines (TeaVaR,
@@ -320,7 +282,7 @@ pub fn fig16(ctx: &Ctx, r: &mut Report) {
         let (&arrow_ratio, rivals) = arrow_and_rivals(&ratios, &["ECMP", "ARROW-Naive"]);
         let best_other = rivals.iter().map(|&&(_, v)| v).fold(f64::INFINITY, f64::min);
         let fewer = best_other / arrow_ratio.max(1e-9);
-        say!(r, "[{name}] ARROW vs best failure-aware TE: {:.2}x fewer ports", r.n(fewer));
+        writeln!(r, "[{name}] ARROW vs best failure-aware TE: {:.2}x fewer ports", r.n(fewer));
         if topo == Topology::B4 {
             r.summary(
                 "ARROW 1.5x of fully-restorable; needs ~2.8x fewer ports than best TE",
@@ -338,13 +300,13 @@ pub fn fig16(ctx: &Ctx, r: &mut Report) {
 /// reach, and the modulation decisions it drives (Appendix A.1).
 pub fn table06(_: &Ctx, r: &mut Report) {
     let t = ModulationTable::default();
-    say!(r, "{:>16} {:>12}", "datarate (Gbps)", "reach (km)");
+    writeln!(r, "{:>16} {:>12}", "datarate (Gbps)", "reach (km)");
     for row in t.rows() {
-        say!(r, "{:>16.0} {:>12.0}", r.n(row.gbps), r.n(row.reach_km));
+        writeln!(r, "{:>16.0} {:>12.0}", r.n(row.gbps), r.n(row.reach_km));
     }
-    say!(r, "\nderived modulation decisions:");
+    writeln!(r, "\nderived modulation decisions:");
     for km in [800.0, 1200.0, 2000.0, 4000.0, 5500.0] {
-        say!(r, "  {:>6.0} km path -> max datarate {:?} Gbps", km, t.max_gbps_for_length(km));
+        writeln!(r, "  {:>6.0} km path -> max datarate {:?} Gbps", km, t.max_gbps_for_length(km));
     }
     let ok = t.rows().len() == 4
         && t.max_gbps_for_length(1000.0) == Some(400.0)
@@ -364,20 +326,16 @@ pub fn table06(_: &Ctx, r: &mut Report) {
 /// Our scenario sets are smaller, so absolute counts are smaller — the
 /// reproduction target is the *blow-up* relative to ARROW's two-phase LP.
 pub fn table08(ctx: &Ctx, r: &mut Report) {
-    say!(
+    writeln!(
         r,
         "{:<10} {:>10} {:>16} {:>16} {:>16}",
-        "topology",
-        "scenarios",
-        "binary vars",
-        "continuous vars",
-        "constraints"
+        "topology", "scenarios", "binary vars", "continuous vars", "constraints"
     );
     let mut fb_binaries = 0u128;
     for topo in Topology::ALL {
         let inst = &ctx.setup(topo).instances[0];
         let size = joint_formulation_size(inst, 4);
-        say!(
+        writeln!(
             r,
             "{:<10} {:>10} {:>16} {:>16} {:>16}",
             topo.name(),
@@ -390,7 +348,7 @@ pub fn table08(ctx: &Ctx, r: &mut Report) {
             fb_binaries = size.binary_vars;
         }
         let per_scenario = size.binary_vars / inst.scenarios.len().max(1) as u128;
-        say!(
+        writeln!(
             r,
             "           (≈{per_scenario} binaries per scenario; grows multiplicatively \
              with |Q| × paths × slots)"
@@ -415,45 +373,30 @@ pub fn thm31(_: &Ctx, r: &mut Report) {
         LinkRounding { lambda: 1.7, direction: RoundDirection::Down },
     ];
     let k = kappa(delta, &links);
-    say!(r, "two failed links, δ = {delta}: κ = {:.4}\n", r.n(k));
-    say!(r, "{:>6} {:>14} {:>14}", "|Z|", "analytic rho", "monte-carlo");
+    writeln!(r, "two failed links, δ = {delta}: κ = {:.4}\n", r.n(k));
+    writeln!(r, "{:>6} {:>14} {:>14}", "|Z|", "analytic rho", "monte-carlo");
     let mut rng = StdRng::seed_from_u64(2024);
     let trials = 40_000;
     let mut worst_gap = 0.0f64;
     for z in [1usize, 2, 5, 10, 20, 50] {
         let analytic = optimality_probability(k, z);
         // Empirical: draw z tickets; success if any reproduces the optimal
-        // (direction, stride=1) event on both links.
-        let mut hits = 0;
-        for _ in 0..trials {
-            let mut any = false;
-            for _ in 0..z {
-                let mut ok = true;
-                for l in &links {
-                    let x1 = rng.gen_range(1..=delta);
-                    let x2: f64 = rng.gen_range(0.0..1.0);
-                    let frac = l.lambda - l.lambda.floor();
-                    let up = x2 < frac;
-                    let want_up = matches!(l.direction, RoundDirection::Up);
-                    if up != want_up || x1 != 1 {
-                        ok = false;
-                        break;
-                    }
-                }
-                if ok {
-                    any = true;
-                    break;
-                }
-            }
-            if any {
-                hits += 1;
-            }
-        }
+        // (direction, stride=1) event on both links. `all` and `any` stop
+        // drawing at the first miss / first hit, as Algorithm 1 would.
+        let mut optimal_ticket = || {
+            links.iter().all(|l| {
+                let x1 = rng.gen_range(1..=delta);
+                let x2: f64 = rng.gen_range(0.0..1.0);
+                let up = x2 < l.lambda - l.lambda.floor();
+                up == matches!(l.direction, RoundDirection::Up) && x1 == 1
+            })
+        };
+        let hits = (0..trials).filter(|_| (0..z).any(|_| optimal_ticket())).count();
         let empirical = hits as f64 / trials as f64;
         worst_gap = worst_gap.max((analytic - empirical).abs());
-        say!(r, "{:>6} {:>14.4} {:>14.4}", z, r.n(analytic), r.n(empirical));
+        writeln!(r, "{:>6} {:>14.4} {:>14.4}", z, r.n(analytic), r.n(empirical));
     }
-    say!(
+    writeln!(
         r,
         "\ntickets needed for rho >= 0.95: {:?}; for rho >= 0.99: {:?}",
         tickets_for_target(k, 0.95),

@@ -536,10 +536,9 @@ pub fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Invocation, 
             inv.experiments.extend(EXPERIMENTS);
         } else if let Some(e) = EXPERIMENTS.iter().find(|e| e.id == arg) {
             inv.experiments.push(e);
-        } else if arg.starts_with('-') {
-            return Err(usage(format!("unknown flag {arg:?}")));
         } else {
-            return Err(usage(format!("unknown experiment {arg:?}")));
+            let kind = if arg.starts_with('-') { "flag" } else { "experiment" };
+            return Err(usage(format!("unknown {kind} {arg:?}")));
         }
     }
     if inv.experiments.is_empty() {

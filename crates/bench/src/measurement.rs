@@ -6,7 +6,7 @@ use arrow_topology::telemetry::{
     downtime_share, generate_tickets, monthly_wavelength_deployments, RootCause,
 };
 
-use crate::{say, share, Ctx, Report, Topology};
+use crate::{share, Ctx, Report, Topology};
 
 /// Fig. 3 — analysis of 600 WAN failure tickets: repair-time CDF per root
 /// cause (a) and share of total downtime (b).
@@ -24,10 +24,10 @@ pub fn fig03(_: &Ctx, r: &mut Report) {
     }
 
     // (b) downtime share per cause.
-    say!(r, "\ndowntime share by root cause:");
+    writeln!(r, "\ndowntime share by root cause:");
     let shares = downtime_share(&tickets);
     for (cause, share) in &shares {
-        say!(r, "  {:<12} {:>6.1}%", cause.label(), r.n(share * 100.0));
+        writeln!(r, "  {:<12} {:>6.1}%", cause.label(), r.n(share * 100.0));
     }
 
     let mut cut_hours: Vec<f64> =
@@ -64,13 +64,13 @@ pub fn fig04(_: &Ctx, r: &mut Report) {
 
     // (a) monthly time series (sum of event losses per month as a proxy
     // for the per-site-pair series).
-    say!(r, "monthly lost-capacity series (Gbps):");
+    writeln!(r, "monthly lost-capacity series (Gbps):");
     let per_month = cuts.len() / months;
     for m in 0..months {
         let lo = m * per_month;
         let hi = ((m + 1) * per_month).min(cuts.len());
         let peak = cuts[lo..hi].iter().fold(0.0f64, |a, &b| a.max(b));
-        say!(r, "  month {:>2}: peak event {:>7.0} Gbps", m + 1, r.n(peak));
+        writeln!(r, "  month {:>2}: peak event {:>7.0} Gbps", m + 1, r.n(peak));
     }
 
     // (b) CDF of lost capacity per event.
@@ -96,7 +96,7 @@ pub fn fig05(_: &Ctx, r: &mut Report) {
     let below60 = share(&utils, |&u| u < 60.0);
 
     // Fig. 5b: wavelength continuity shrinks usable spectrum.
-    say!(r, "\ncontinuity effect (Fig. 5b): three fibers, each 75% available:");
+    writeln!(r, "\ncontinuity effect (Fig. 5b): three fibers, each 75% available:");
     let mut a = SpectrumMask::new(4);
     let mut b = SpectrumMask::new(4);
     let mut c = SpectrumMask::new(4);
@@ -104,7 +104,7 @@ pub fn fig05(_: &Ctx, r: &mut Report) {
     b.occupy(1);
     c.occupy(2);
     let usable = a.free_intersection(&b).free_intersection(&c);
-    say!(
+    writeln!(
         r,
         "  per-fiber availability 75%; end-to-end usable: {:.0}% (slots {:?})",
         r.n(100.0 * usable.free_count() as f64 / 4.0),
@@ -124,7 +124,7 @@ pub fn fig21(_: &Ctx, r: &mut Report) {
     let series = monthly_wavelength_deployments(months, 5, 3);
     for (m, count) in series.iter().enumerate() {
         let bar = "#".repeat(count / 12);
-        say!(r, "  month {:>2}: {:>4} {}", m + 1, count, bar);
+        writeln!(r, "  month {:>2}: {:>4} {}", m + 1, count, bar);
     }
     let before: f64 = series[..5].iter().sum::<usize>() as f64 / 5.0;
     let after: f64 = series[5..].iter().sum::<usize>() as f64 / (months - 5) as f64;

@@ -6,7 +6,9 @@ use std::fmt::{self, Write as _};
 
 use crate::Experiment;
 
-/// One experiment's output, built line by line with [`say!`](crate::say).
+/// One experiment's output. It has a `write_fmt` that cannot fail, so
+/// `writeln!(r, "{:>6.2}", x)` appends a line and there is no `Result` to
+/// drop.
 ///
 /// Every `f64` on its way into the text goes through [`Report::n`], which
 /// folds its bits into an FNV-1a digest printed as the last line — so a
@@ -18,33 +20,21 @@ pub struct Report {
     digest: Cell<u64>,
 }
 
-/// Appends one formatted line to a [`Report`]: `say!(r, "{:>6.2}", x)`.
-#[macro_export]
-macro_rules! say {
-    ($r:expr) => {
-        $r.line(format_args!(""))
-    };
-    ($r:expr, $($arg:tt)*) => {
-        $r.line(format_args!($($arg)*))
-    };
-}
-
 impl Report {
     /// An empty report under the experiment's banner.
     pub(crate) fn new(e: &Experiment) -> Self {
         let mut r =
             Report { id: e.id, text: String::new(), digest: Cell::new(0xcbf2_9ce4_8422_2325) };
-        say!(r, "{}", "=".repeat(74));
-        say!(r, "{}: {}", e.id, e.title);
-        say!(r, "paper reference: {}", e.paper);
-        say!(r, "{}", "-".repeat(74));
+        writeln!(r, "{}", "=".repeat(74));
+        writeln!(r, "{}: {}", e.id, e.title);
+        writeln!(r, "paper reference: {}", e.paper);
+        writeln!(r, "{}", "-".repeat(74));
         r
     }
 
-    /// Appends one line; call it through [`say!`](crate::say).
-    pub fn line(&mut self, args: fmt::Arguments<'_>) {
+    /// What `write!` / `writeln!` call.
+    pub fn write_fmt(&mut self, args: fmt::Arguments<'_>) {
         self.text.write_fmt(args).expect("writing to a String cannot fail");
-        self.text.push('\n');
     }
 
     /// Passes a number about to be printed through the digest.
@@ -59,14 +49,14 @@ impl Report {
         let mut sorted = values.to_vec();
         sorted.sort_by(|a, b| a.total_cmp(b));
         if sorted.is_empty() {
-            say!(self, "{label}: (no data)");
+            writeln!(self, "{label}: (no data)");
             return;
         }
-        say!(self, "{label} CDF ({} samples):", sorted.len());
+        writeln!(self, "{label} CDF ({} samples):", sorted.len());
         for i in 0..=points {
             let pct = i as f64 / points as f64;
             let idx = ((sorted.len() - 1) as f64 * pct).round() as usize;
-            say!(self, "  p{:<3.0} {:>12.3}", pct * 100.0, self.n(sorted[idx]));
+            writeln!(self, "  p{:<3.0} {:>12.3}", pct * 100.0, self.n(sorted[idx]));
         }
     }
 
@@ -74,14 +64,14 @@ impl Report {
     /// verbatim and a test holds it to that.
     pub fn summary(&mut self, paper: &str, measured: &str) {
         let id = self.id;
-        say!(self, "{}", "-".repeat(74));
-        say!(self, "SUMMARY {id} | paper: {paper} | measured: {measured}");
+        writeln!(self, "{}", "-".repeat(74));
+        writeln!(self, "SUMMARY {id} | paper: {paper} | measured: {measured}");
     }
 
     /// The finished text, closed by the digest line.
     pub(crate) fn finish(mut self) -> String {
         let digest = self.digest.get();
-        say!(self, "digest {digest:016x}");
+        writeln!(self, "digest {digest:016x}");
         self.text
     }
 }

@@ -7,7 +7,7 @@ use arrow_optical::{
     OpticalNetwork, RwaConfig,
 };
 
-use crate::{say, share, single_cut_stats, Ctx, Report, Topology};
+use crate::{share, single_cut_stats, Ctx, Report, Topology};
 
 /// Fig. 6 — restoration ratio `U_φ = W'_φ / W_φ` of every fiber under all
 /// single-cut scenarios, and its relation to provisioned capacity.
@@ -23,8 +23,8 @@ pub fn fig06(_: &Ctx, r: &mut Report) {
     let partial = 1.0 - cuts.full - cuts.none;
 
     // (b) ratio vs provisioned capacity, bucketed.
-    say!(r, "\nrestoration ratio vs provisioned capacity:");
-    say!(r, "  {:>16} {:>10} {:>12}", "capacity bucket", "fibers", "mean ratio");
+    writeln!(r, "\nrestoration ratio vs provisioned capacity:");
+    writeln!(r, "  {:>16} {:>10} {:>12}", "capacity bucket", "fibers", "mean ratio");
     for (lo, hi) in [(0.0, 1000.0), (1000.0, 3000.0), (3000.0, 6000.0), (6000.0, f64::INFINITY)] {
         let bucket: Vec<&_> =
             ratios.iter().filter(|r| r.provisioned_gbps >= lo && r.provisioned_gbps < hi).collect();
@@ -37,7 +37,7 @@ pub fn fig06(_: &Ctx, r: &mut Report) {
         } else {
             format!("> {:.0} Gbps", lo)
         };
-        say!(r, "  {:>16} {:>10} {:>11.0}%", label, bucket.len(), r.n(mean * 100.0));
+        writeln!(r, "  {:>16} {:>10} {:>11.0}%", label, bucket.len(), r.n(mean * 100.0));
     }
 
     r.summary(
@@ -87,26 +87,22 @@ pub fn fig07(_: &Ctx, r: &mut Report) {
 
     let rwa = RwaConfig::default();
     let relaxed = solve_relaxed(&net, &[f_bc], &rwa);
-    say!(
+    writeln!(
         r,
         "optical layer: {:.1} of 12 lost wavelengths restorable\n",
         r.n(relaxed.total_wavelengths)
     );
-    say!(
+    writeln!(
         r,
         "{:>10} {:>12} {:>12} {:>10} {:>12}",
-        "candidate",
-        "IP1 (Gbps)",
-        "IP2 (Gbps)",
-        "feasible",
-        "throughput"
+        "candidate", "IP1 (Gbps)", "IP2 (Gbps)", "feasible", "throughput"
     );
     let demands = (100.0f64, 400.0f64);
     let mut best = (0, 0.0);
     for (i, &(w1, w2)) in [(2usize, 3usize), (1, 4), (3, 2)].iter().enumerate() {
         let feasible = is_feasible(&net, &[f_bc], &rwa, &[(ip1, w1), (ip2, w2)]);
         let thr = demands.0.min(w1 as f64 * 100.0) + demands.1.min(w2 as f64 * 100.0);
-        say!(
+        writeln!(
             r,
             "{:>10} {:>12} {:>12} {:>10} {:>12.0}",
             i + 1,
@@ -138,7 +134,7 @@ pub fn fig17(_: &Ctx, r: &mut Report) {
         let cfg = RwaConfig { allow_retuning: retune, ..Default::default() };
         let infl = path_inflation_analysis(&wan.optical, &cfg);
         if infl.is_empty() {
-            say!(r, "{label}: no restorable links");
+            writeln!(r, "{label}: no restorable links");
             continue;
         }
         let ratios: Vec<f64> = infl.iter().map(|p| p.ratio()).collect();
@@ -146,7 +142,7 @@ pub fn fig17(_: &Ctx, r: &mut Report) {
         let shorter = share(&ratios, |&x| x <= 1.0);
         let mut longest: Vec<f64> = infl.iter().map(|p| p.restoration_km).collect();
         longest.sort_by(|a, b| b.total_cmp(a));
-        say!(
+        writeln!(
             r,
             "  {label}: {:.0}% of R-paths no longer than their P-path; top-10 longest R-paths (km): {:?}\n",
             r.n(shorter * 100.0),
@@ -214,7 +210,7 @@ pub fn ext_cl(_: &Ctx, r: &mut Report) {
     let wan_c = Topology::Facebook.wan();
     let mut wan_cl = wan_c.clone();
     let added = wan_cl.optical.enable_l_band(192);
-    say!(
+    writeln!(
         r,
         "C band: {} slots; after upgrade: {} slots (+{added} L-band slots per fiber)\n",
         96,
@@ -222,7 +218,7 @@ pub fn ext_cl(_: &Ctx, r: &mut Report) {
     );
     let [c, cl] = [("C only ", &wan_c), ("C + L  ", &wan_cl)].map(|(name, wan)| {
         let cuts = single_cut_stats(wan, &cfg);
-        say!(
+        writeln!(
             r,
             "{name}: mean restoration ratio {:.0}%, fully restorable fibers {:.0}%",
             r.n(cuts.mean * 100.0),

@@ -2,16 +2,16 @@
 
 use arrow_sim::{build_testbed, restoration_trial, AmplifierChain, AmplifierParams, RoadmParams};
 
-use crate::{say, Ctx, Report};
+use crate::{Ctx, Report};
 
 /// Fig. 11 — the end-to-end fiber-cut restoration trial on the §5 testbed:
 /// cutting fiber C–D takes down 3 IP links / 14 wavelengths / 2.8 Tbps;
 /// ARROW reconfigures them onto surrogate paths.
 pub fn fig11(_: &Ctx, r: &mut Report) {
     let tb = build_testbed().expect("Fig. 10 testbed is self-consistent");
-    say!(r, "healthy IP links:");
+    writeln!(r, "healthy IP links:");
     for (i, lp) in tb.net.lightpaths().iter().enumerate() {
-        say!(
+        writeln!(
             r,
             "  link {}: {:?} ↔ {:?}  {} λ × {:.0}G = {:.1} Tbps over {} fiber(s)",
             i,
@@ -25,9 +25,9 @@ pub fn fig11(_: &Ctx, r: &mut Report) {
     }
     let cut = tb.fibers[3];
     let affected = tb.net.affected_lightpaths(&[cut]);
-    say!(r, "\ncutting fiber C–D: {} IP links fail", affected.len());
+    writeln!(r, "\ncutting fiber C–D: {} IP links fail", affected.len());
     let trial = restoration_trial(&tb, cut, true, &RoadmParams::default());
-    say!(
+    writeln!(
         r,
         "restored {:.0} of {:.0} Gbps via surrogate paths in {:.1} s",
         r.n(trial.restored_gbps),
@@ -59,11 +59,11 @@ pub fn fig12(_: &Ctx, r: &mut Report) {
     let arrow = restoration_trial(&tb, tb.fibers[3], true, &params);
 
     for (label, trial) in [("legacy", &legacy), ("ARROW", &arrow)] {
-        say!(r, "{label} restoration timeline:");
+        writeln!(r, "{label} restoration timeline:");
         for p in &trial.timeline {
-            say!(r, "  t={:8.1}s  restored {:6.0} Gbps", r.n(p.time_s), r.n(p.restored_gbps));
+            writeln!(r, "  t={:8.1}s  restored {:6.0} Gbps", r.n(p.time_s), r.n(p.restored_gbps));
         }
-        say!(r, "  -> total {:.1} s\n", r.n(trial.total_latency_s));
+        writeln!(r, "  -> total {:.1} s\n", r.n(trial.total_latency_s));
     }
     let ratio = legacy.total_latency_s / arrow.total_latency_s;
     r.summary(
@@ -84,11 +84,11 @@ pub fn fig12(_: &Ctx, r: &mut Report) {
 /// path, taking ~14 minutes.
 pub fn fig20(_: &Ctx, r: &mut Report) {
     let chain = AmplifierChain::for_length(2000.0, 84.0, AmplifierParams::default());
-    say!(r, "amplifier sites: {}", chain.sites);
-    say!(r, "normalized output power over time:");
+    writeln!(r, "amplifier sites: {}", chain.sites);
+    writeln!(r, "normalized output power over time:");
     for (t, p) in chain.power_staircase(0.0) {
         let bar = "#".repeat((p * 40.0) as usize);
-        say!(r, "  t={:6.0}s  {:>5.2} {}", r.n(t), r.n(p), bar);
+        writeln!(r, "  t={:6.0}s  {:>5.2} {}", r.n(t), r.n(p), bar);
     }
     let total_min = chain.total_convergence_seconds() / 60.0;
     r.summary(

@@ -76,3 +76,16 @@ fn every_experiment_has_a_golden_test() {
     let ids: Vec<&str> = EXPERIMENTS.iter().map(|e| e.id).collect();
     assert_eq!(COVERED, ids);
 }
+/// EXPERIMENTS.md's "Measured" cells are the goldens' `measured:` strings
+/// (`|` escaped for the table), so the page cannot drift from the code.
+#[test]
+fn experiments_md_quotes_every_measured_string() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let page = fs::read_to_string(root.join("EXPERIMENTS.md")).unwrap().replace("\\|", "|");
+    for e in EXPERIMENTS {
+        let text = golden(e.id);
+        let summary = text.lines().find(|l| l.starts_with("SUMMARY ")).expect("a SUMMARY line");
+        let measured = summary.split_once(" | measured: ").expect("a measured: field").1;
+        assert!(page.contains(measured), "EXPERIMENTS.md does not quote {}: {measured}", e.id);
+    }
+}
