@@ -114,6 +114,44 @@ fn facebook_chunk_mixing_backends_matches_sequential() {
     batch_matches_sequential(&wan, &cuts, &rwa).expect("mixed-backend chunk");
 }
 
+/// The lane of that chunk `Auto` routes to PDHG, pinned: an RWA-shaped
+/// matrix (the online pins in `determinism.rs` and arrow-te are TE-shaped).
+/// Status, iteration and restart counts, `x` and dual bits. Recorded before
+/// the PDHG iteration kernel changed; a change that claims to keep PDHG's
+/// bits must leave the constant alone.
+#[test]
+fn facebook_pdhg_lane_is_pinned_bit_for_bit() {
+    let wan = facebook_like(17);
+    let failures = generate_failures(
+        &wan,
+        &FailureConfig { cutoff: 1e-5, max_scenarios: 16, ..Default::default() },
+    );
+    let rwa = RwaConfig::default();
+    let model = failures
+        .failure_scenarios()
+        .iter()
+        .map(|s| build_relaxed(&wan.optical, &s.cut_fibers, &rwa).model)
+        .find(|model| model.num_cons() > rwa.solver.auto_threshold)
+        .expect("one of the sixteen LPs crosses auto_threshold");
+    let sol = arrow_lp::solve(&model, &rwa.solver);
+    assert_eq!(sol.stats.backend, arrow_lp::BackendKind::Pdhg);
+    let fold = |h: u64, v: u64| (h ^ v).wrapping_mul(0x100_0000_01b3);
+    let mut h = fold(0xcbf2_9ce4_8422_2325, sol.status as u64);
+    h = fold(fold(h, sol.stats.iterations as u64), sol.stats.restarts as u64);
+    for values in [&sol.x, &sol.duals] {
+        h = values.iter().fold(fold(h, values.len() as u64), |h, v| fold(h, v.to_bits()));
+    }
+    assert_eq!(
+        h,
+        0xd158_9372_e47a_7f15,
+        "facebook_like PDHG lane moved: {h:#018x} ({} rows, {:?}, {} iterations, {} restarts)",
+        model.num_cons(),
+        sol.status,
+        sol.stats.iterations,
+        sol.stats.restarts
+    );
+}
+
 fn small_universe() -> (Wan, arrow_topology::ScenarioUniverse) {
     let wan = ibm(17);
     let uni = compile_universe(

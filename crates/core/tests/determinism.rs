@@ -11,10 +11,12 @@ use arrow_core::lottery::{
     derive_seed, generate_tickets, generate_tickets_serial, generate_tickets_shard,
     generate_tickets_with_threads, LotteryConfig, ShardSpec,
 };
-use arrow_te::TicketSet;
+use arrow_core::{ArrowController, ControllerConfig};
+use arrow_lp::{Backend, SolverConfig};
+use arrow_te::{TicketSet, TunnelConfig};
 use arrow_topology::{
-    b4, compile_universe, generate_failures, ibm, FailureConfig, FailureScenario, Snapshot,
-    UniverseConfig, Wan,
+    b4, compile_universe, generate_failures, gravity_matrices, ibm, FailureConfig, FailureScenario,
+    Snapshot, TrafficConfig, UniverseConfig, Wan,
 };
 
 fn setup(max_scenarios: usize) -> (Wan, Vec<FailureScenario>) {
@@ -231,6 +233,51 @@ fn assert_b4_pins(wan: &Wan) {
     assert_eq!(merged, whole, "2-shard merge diverged from the unsharded run");
     let serial = generate_tickets_serial(wan, &uni.failure_scenarios(), &cfg);
     assert_eq!(serial, whole, "chunked run diverged from the serial oracle");
+}
+
+/// The benchmark's own online model (`perf/benches/online.rs::controller`:
+/// B4, 4 scenarios × 40 tickets, 4 tunnels per flow, demand ×3, PDHG),
+/// pinned: one cold `plan_epoch` and the warm epoch after it at ×0.97, each
+/// folding the winners, the allocation bits and both phases' iteration and
+/// restart counts. Recorded before the PDHG iteration kernel changed; a
+/// change that claims to keep PDHG's bits must leave the constants alone.
+#[test]
+fn b4_online_epochs_are_pinned_bit_for_bit_under_pdhg() {
+    let wan = b4(17);
+    let failures =
+        generate_failures(&wan, &FailureConfig { max_scenarios: 4, ..Default::default() });
+    let base_tm = gravity_matrices(&wan, &TrafficConfig { num_matrices: 1, ..Default::default() })
+        [0]
+    .scaled(3.0);
+    let mut ctl = ArrowController::new(
+        wan,
+        failures.failure_scenarios().to_vec(),
+        ControllerConfig {
+            lottery: LotteryConfig { num_tickets: 40, ..Default::default() },
+            tunnels: TunnelConfig { tunnels_per_flow: 4, ..Default::default() },
+            solver: SolverConfig { backend: Backend::Pdhg, ..Default::default() },
+            ..Default::default()
+        },
+    );
+    let fold = |h: u64, v: u64| (h ^ v).wrapping_mul(0x100_0000_01b3);
+    let digests = [1.0, 0.97].map(|scale| {
+        let (plan, report) = ctl.plan_epoch(&base_tm.scaled(scale), None).expect("B4 plans");
+        assert_eq!(report.warm, scale != 1.0);
+        let out = &plan.outcome;
+        let mut h = out.winning.iter().fold(0xcbf2_9ce4_8422_2325, |h, &w| fold(h, w as u64));
+        for values in [&out.output.alloc.b, &out.output.alloc.a] {
+            h = values.iter().fold(fold(h, values.len() as u64), |h, v| fold(h, v.to_bits()));
+        }
+        for stats in [out.phase1_stats, out.phase2_stats] {
+            h = fold(fold(h, stats.iterations as u64), stats.restarts as u64);
+        }
+        h
+    });
+    assert_eq!(
+        digests,
+        [0x3534_bdaf_0f89_2174, 0xbacb_856b_d5d1_9218],
+        "online PDHG bits moved: {digests:#018x?}"
+    );
 }
 
 #[test]
