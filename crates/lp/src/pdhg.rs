@@ -17,17 +17,18 @@
 
 use crate::model::{Sense, StandardLp};
 use crate::solution::{Solution, SolveStats, Status};
-use crate::sparse::CsrMatrix;
+use crate::sparse::{CsrMatrix, SlicedRows};
 use crate::warm::{BackendKind, PrimalDual, WarmEvent};
 
 /// Tunable knobs for the PDHG solver.
 #[derive(Debug, Clone)]
 pub struct PdhgConfig {
-    /// Relative KKT tolerance (primal residual, dual residual, gap).
+    /// Relative KKT tolerance (primal residual, dual residual, gap). NaN is
+    /// refused with [`Status::NumericalTrouble`].
     pub tol: f64,
     /// Hard iteration limit.
     pub max_iters: usize,
-    /// Check convergence/restarts every this many iterations.
+    /// Check convergence/restarts every this many iterations (0 counts as 1).
     pub check_every: usize,
     /// Ruiz equilibration sweeps applied before solving.
     pub ruiz_iters: usize,
@@ -50,7 +51,10 @@ impl Default for PdhgConfig {
 /// The scaled problem `min c'x  s.t.  K x (>=|=) q,  l <= x <= u` plus the
 /// diagonal scalings needed to map a solution back to user space.
 struct Scaled {
+    /// `K` by rows, for the `Kᵀy` scatter.
     k: CsrMatrix,
+    /// `K` again, laid out for `K·x`.
+    k_sliced: SlicedRows,
     q: Vec<f64>,
     is_eq: Vec<bool>,
     c: Vec<f64>,
@@ -72,23 +76,12 @@ fn build_scaled(lp: &StandardLp, ruiz_iters: usize) -> Scaled {
     let m = lp.num_cons();
     let n = lp.num_vars();
     // Orient all inequality rows as `>=`.
-    let mut triplets = Vec::with_capacity(lp.a.nnz());
-    let mut row_sign = vec![1.0; m];
-    let mut q = vec![0.0; m];
-    let mut is_eq = vec![false; m];
-    for i in 0..m {
-        let sign = match lp.senses[i] {
-            Sense::Le => -1.0,
-            Sense::Ge | Sense::Eq => 1.0,
-        };
-        row_sign[i] = sign;
-        is_eq[i] = lp.senses[i] == Sense::Eq;
-        q[i] = sign * lp.rhs[i];
-        for (j, v) in lp.a.row(i) {
-            triplets.push((i, j, sign * v));
-        }
-    }
-    let mut k = CsrMatrix::from_triplets(m, n, &triplets);
+    let row_sign: Vec<f64> =
+        lp.senses.iter().map(|&s| if s == Sense::Le { -1.0 } else { 1.0 }).collect();
+    let is_eq: Vec<bool> = lp.senses.iter().map(|&s| s == Sense::Eq).collect();
+    let mut q: Vec<f64> = row_sign.iter().zip(&lp.rhs).map(|(sign, rhs)| sign * rhs).collect();
+    let mut k = lp.a.clone();
+    k.scale(&row_sign, &vec![1.0; n]);
     // Ruiz equilibration: repeatedly divide rows/cols by the square root of
     // their infinity norm until the matrix is roughly balanced.
     let mut row_scale = vec![1.0; m];
@@ -116,7 +109,8 @@ fn build_scaled(lp: &StandardLp, ruiz_iters: usize) -> Scaled {
     for i in 0..m {
         q[i] *= row_scale[i];
     }
-    Scaled { k, q, is_eq, c, lb, ub, col_scale, row_scale, row_sign }
+    let k_sliced = k.to_sliced();
+    Scaled { k, k_sliced, q, is_eq, c, lb, ub, col_scale, row_scale, row_sign }
 }
 
 /// KKT residuals of a candidate `(x, y)` pair on the scaled problem.
@@ -134,7 +128,7 @@ impl Residuals {
 
 fn kkt_residuals(s: &Scaled, x: &[f64], y: &[f64], kx: &mut [f64], kty: &mut [f64]) -> Residuals {
     let m = s.q.len();
-    s.k.mul_vec(x, kx);
+    s.k_sliced.mul_vec(x, kx);
     s.k.mul_transpose_vec(y, kty);
     let qn = s.q.iter().fold(0.0f64, |a, &b| a.max(b.abs()));
     let cn = s.c.iter().fold(0.0f64, |a, &b| a.max(b.abs()));
@@ -169,6 +163,62 @@ fn kkt_residuals(s: &Scaled, x: &[f64], y: &[f64], kx: &mut [f64], kty: &mut [f6
     Residuals { rel_primal: pr / (1.0 + qn), rel_dual: dr / (1.0 + cn), rel_gap: gap }
 }
 
+/// The primal half of an iteration in one pass over `kty`: the projected
+/// gradient step into `x_new`, the extrapolated point `2·x_new − x`, and the
+/// running average moved a `w`-th of the way to `x_new`. Out of line, on
+/// plain slices: inlined behind `solve_warm`'s `mem::swap(&mut x, &mut
+/// x_new)` the buffers' provenance merges, `noalias` is lost and the loop is
+/// not vectorized.
+#[inline(never)]
+#[allow(clippy::too_many_arguments)]
+fn x_step(
+    x: &[f64],
+    kty: &[f64],
+    c: &[f64],
+    lb: &[f64],
+    ub: &[f64],
+    tau: f64,
+    w: f64,
+    x_new: &mut [f64],
+    extrap: &mut [f64],
+    x_avg: &mut [f64],
+) {
+    let n = x.len();
+    let (kty, c, lb, ub) = (&kty[..n], &c[..n], &lb[..n], &ub[..n]);
+    let (x_new, extrap, x_avg) = (&mut x_new[..n], &mut extrap[..n], &mut x_avg[..n]);
+    for j in 0..n {
+        // `f64::clamp` without its `lb <= ub` assertion, which would keep
+        // the loop scalar; crossed bounds never reach a backend.
+        let mut v = x[j] - tau * (c[j] - kty[j]);
+        v = if v < lb[j] { lb[j] } else { v };
+        v = if v > ub[j] { ub[j] } else { v };
+        x_new[j] = v;
+        extrap[j] = 2.0 * v - x[j];
+        x_avg[j] += (v - x_avg[j]) * w;
+    }
+}
+
+/// The dual half in one pass over `kx`: the projected step on `y` in place
+/// and its running average. Out of line for [`x_step`]'s reason.
+#[inline(never)]
+fn y_step(
+    kx: &[f64],
+    q: &[f64],
+    is_eq: &[bool],
+    sigma: f64,
+    w: f64,
+    y: &mut [f64],
+    y_avg: &mut [f64],
+) {
+    let m = y.len();
+    let (kx, q, is_eq, y_avg) = (&kx[..m], &q[..m], &is_eq[..m], &mut y_avg[..m]);
+    for i in 0..m {
+        let v = y[i] + sigma * (q[i] - kx[i]);
+        y[i] = if is_eq[i] { v } else { v.max(0.0) };
+        y_avg[i] += (y[i] - y_avg[i]) * w;
+    }
+}
+
 /// Solves a standard-form LP with restarted, averaged PDHG.
 pub fn solve(lp: &StandardLp, cfg: &PdhgConfig) -> Solution {
     solve_warm(lp, cfg, None)
@@ -191,6 +241,14 @@ pub fn solve_warm(lp: &StandardLp, cfg: &PdhgConfig, start_point: Option<&Primal
         // Delegate the constraint-free case to simplex's closed form.
         return crate::simplex::solve(lp, &crate::simplex::SimplexConfig::default());
     }
+    if cfg.tol.is_nan() {
+        // No residual compares below NaN: a data defect, like the ones
+        // `solver::solve` rejects before it picks a backend.
+        return Solution::failed(Status::NumericalTrouble, n, m);
+    }
+    // Every multiple of 0 is 0: taken literally, `check_every: 0` would never
+    // test convergence, restart or look at the clock.
+    let check_every = cfg.check_every.max(1);
     let s = build_scaled(lp, cfg.ruiz_iters);
     let knorm = s.k.spectral_norm_estimate(60).max(1e-12);
 
@@ -255,36 +313,17 @@ pub fn solve_warm(lp: &StandardLp, cfg: &PdhgConfig, start_point: Option<&Primal
     let mut status = Status::IterationLimit;
 
     while iterations < cfg.max_iters {
-        // One PDHG step.
-        let tau = step / omega;
-        let sigma = step * omega;
-        s.k.mul_transpose_vec(&y, &mut kty);
-        for j in 0..n {
-            let v = x[j] - tau * (s.c[j] - kty[j]);
-            x_new[j] = v.clamp(s.lb[j], s.ub[j]);
-        }
-        for j in 0..n {
-            extrap[j] = 2.0 * x_new[j] - x[j];
-        }
-        s.k.mul_vec(&extrap, &mut kx);
-        for i in 0..m {
-            let v = y[i] + sigma * (s.q[i] - kx[i]);
-            y[i] = if s.is_eq[i] { v } else { v.max(0.0) };
-        }
-        std::mem::swap(&mut x, &mut x_new);
+        // One PDHG step, running averages included.
         iterations += 1;
-
-        // Accumulate running averages.
         avg_count += 1;
         let w = 1.0 / avg_count as f64;
-        for j in 0..n {
-            x_avg[j] += (x[j] - x_avg[j]) * w;
-        }
-        for i in 0..m {
-            y_avg[i] += (y[i] - y_avg[i]) * w;
-        }
+        s.k.mul_transpose_vec(&y, &mut kty);
+        x_step(&x, &kty, &s.c, &s.lb, &s.ub, step / omega, w, &mut x_new, &mut extrap, &mut x_avg);
+        s.k_sliced.mul_vec(&extrap, &mut kx);
+        y_step(&kx, &s.q, &s.is_eq, step * omega, w, &mut y, &mut y_avg);
+        std::mem::swap(&mut x, &mut x_new);
 
-        if !iterations.is_multiple_of(cfg.check_every) {
+        if !iterations.is_multiple_of(check_every) {
             continue;
         }
         if start.elapsed().as_secs_f64() > cfg.time_limit {
@@ -376,8 +415,7 @@ mod tests {
         solve(&m.to_standard(), &PdhgConfig::default())
     }
 
-    #[test]
-    fn textbook_max_lp() {
+    fn textbook_lp() -> StandardLp {
         let mut m = Model::new();
         let x = m.add_nonneg("x");
         let y = m.add_nonneg("y");
@@ -385,21 +423,19 @@ mod tests {
         m.add_con(LinExpr::term(y, 2.0), Sense::Le, 12.0, "c2");
         m.add_con(LinExpr::new().add(x, 3.0).add(y, 2.0), Sense::Le, 18.0, "c3");
         m.set_objective(LinExpr::new().add(x, 3.0).add(y, 5.0), Objective::Maximize);
-        let s = solve_model(&m);
+        m.to_standard()
+    }
+
+    #[test]
+    fn textbook_max_lp() {
+        let s = solve(&textbook_lp(), &PdhgConfig::default());
         assert_eq!(s.status, Status::Optimal);
         assert!((s.objective - 36.0).abs() < 1e-3, "obj {}", s.objective);
     }
 
     #[test]
     fn warm_point_restart_matches_cold_objective() {
-        let mut m = Model::new();
-        let x = m.add_nonneg("x");
-        let y = m.add_nonneg("y");
-        m.add_con(LinExpr::term(x, 1.0), Sense::Le, 4.0, "c1");
-        m.add_con(LinExpr::term(y, 2.0), Sense::Le, 12.0, "c2");
-        m.add_con(LinExpr::new().add(x, 3.0).add(y, 2.0), Sense::Le, 18.0, "c3");
-        m.set_objective(LinExpr::new().add(x, 3.0).add(y, 5.0), Objective::Maximize);
-        let lp = m.to_standard();
+        let lp = textbook_lp();
         let cold = solve(&lp, &PdhgConfig::default());
         assert_eq!(cold.status, Status::Optimal);
         let point = crate::warm::PrimalDual { x: cold.x.clone(), y: cold.duals.clone() };
@@ -424,6 +460,80 @@ mod tests {
         assert_eq!(s.status, Status::Optimal);
         assert_eq!(s.stats.warm, crate::warm::WarmEvent::Miss);
         assert!((s.objective - 3.0).abs() < 1e-3);
+    }
+
+    #[test]
+    fn check_every_zero_checks_every_iteration() {
+        // No iteration count is a multiple of 0: taken literally the solve
+        // would run all 400 000 iterations blind and report IterationLimit.
+        let lp = textbook_lp();
+        let s = solve(&lp, &PdhgConfig { check_every: 0, ..PdhgConfig::default() });
+        let every = solve(&lp, &PdhgConfig { check_every: 1, ..PdhgConfig::default() });
+        assert_eq!(s.status, Status::Optimal);
+        assert_eq!(s.stats.iterations, every.stats.iterations);
+        assert_eq!(s.x, every.x);
+    }
+
+    #[test]
+    fn nan_tolerance_is_refused() {
+        let s = solve(&textbook_lp(), &PdhgConfig { tol: f64::NAN, ..PdhgConfig::default() });
+        assert_eq!(s.status, Status::NumericalTrouble);
+        assert_eq!(s.stats.iterations, 0);
+        assert!(s.warm_start().is_none(), "a refused solve must not hand on a point");
+    }
+
+    #[test]
+    fn fused_steps_match_the_five_loops() {
+        // The loops `x_step` and `y_step` replaced, written out: primal step,
+        // extrapolation, dual step, then the two running averages. The
+        // vectors reach both clamps, an infinite bound, `-0.0`, an equality
+        // row going negative and an inequality row clipped at zero.
+        let (tau, sigma, w) = (0.3f64, 0.7f64, 0.25f64);
+        let x = [1.0f64, -0.0, 5.0, 2.5, 0.0];
+        let kty = [0.5, 0.0, -4.0, 100.0, 0.0];
+        let c = [2.0, 0.0, 1.0, -1.0, 0.0];
+        let lb = [0.0, 0.0, 0.0, f64::NEG_INFINITY, 0.0];
+        let ub = [10.0, 1.0, 3.0, f64::INFINITY, 0.0];
+        let x_avg = [0.5, 0.0, 4.0, -1.0, 0.0];
+        let y = [0.0f64, 2.0, -1.5, 0.25];
+        let q = [1.0, -3.0, 0.5, 0.0];
+        let is_eq = [false, false, true, true];
+        let y_avg = [0.0, 1.0, -2.0, 0.5];
+
+        let (mut x_new, mut extrap) = ([0.0; 5], [0.0; 5]);
+        for j in 0..5 {
+            let v = x[j] - tau * (c[j] - kty[j]);
+            x_new[j] = v.clamp(lb[j], ub[j]);
+        }
+        for j in 0..5 {
+            extrap[j] = 2.0 * x_new[j] - x[j];
+        }
+        let kx = [extrap[0] + extrap[2], -extrap[1], 3.0 * extrap[3], extrap[4] - 1.0];
+        let mut y_want = y;
+        for i in 0..4 {
+            let v = y_want[i] + sigma * (q[i] - kx[i]);
+            y_want[i] = if is_eq[i] { v } else { v.max(0.0) };
+        }
+        let (mut x_avg_want, mut y_avg_want) = (x_avg, y_avg);
+        for j in 0..5 {
+            x_avg_want[j] += (x_new[j] - x_avg_want[j]) * w;
+        }
+        for i in 0..4 {
+            y_avg_want[i] += (y_want[i] - y_avg_want[i]) * w;
+        }
+
+        let (mut x_got, mut extrap_got, mut x_avg_got) = ([0.0; 5], [0.0; 5], x_avg);
+        x_step(&x, &kty, &c, &lb, &ub, tau, w, &mut x_got, &mut extrap_got, &mut x_avg_got);
+        let (mut y_got, mut y_avg_got) = (y, y_avg);
+        y_step(&kx, &q, &is_eq, sigma, w, &mut y_got, &mut y_avg_got);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&x_got), bits(&x_new));
+        assert_eq!(bits(&extrap_got), bits(&extrap));
+        assert_eq!(bits(&x_avg_got), bits(&x_avg_want));
+        assert_eq!(bits(&y_got), bits(&y_want));
+        assert_eq!(bits(&y_avg_got), bits(&y_avg_want));
+        assert!(x_new[1].is_sign_negative() && x_new[2] == 3.0 && x_new[3] > 30.0);
+        assert!(y_want[1] == 0.0 && y_want[2] < 0.0);
     }
 
     #[test]

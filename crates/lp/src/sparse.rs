@@ -44,29 +44,23 @@ impl CsrMatrix {
         for i in 0..rows {
             counts[i + 1] += counts[i];
         }
-        let row_ptr_tmp = counts.clone();
         let mut col_idx = vec![0usize; triplets.len()];
         let mut values = vec![0f64; triplets.len()];
-        let mut cursor = row_ptr_tmp;
+        let mut cursor = counts.clone();
         for &(r, c, v) in triplets {
             let p = cursor[r];
             col_idx[p] = c;
             values[p] = v;
             cursor[r] += 1;
         }
-        // Within each row: sort by column and combine duplicates.
-        let mut row_ptr = vec![0usize; rows + 1];
-        for i in 0..rows {
-            row_ptr[i + 1] = counts[i + 1] - counts[i] + row_ptr[i];
-        }
-        // Re-derive per-row ranges from original counts.
+        // Within each row: sort by column and combine duplicates, which are
+        // summed in the order the unstable sort leaves them.
         let mut out_col = Vec::with_capacity(triplets.len());
         let mut out_val = Vec::with_capacity(triplets.len());
         let mut out_ptr = Vec::with_capacity(rows + 1);
         out_ptr.push(0);
-        let mut start = 0;
         for i in 0..rows {
-            let end = counts[i + 1] - if i == 0 { 0 } else { counts[i] } + start;
+            let (start, end) = (counts[i], counts[i + 1]);
             let mut entries: Vec<(usize, f64)> = col_idx[start..end]
                 .iter()
                 .copied()
@@ -87,7 +81,6 @@ impl CsrMatrix {
                 k = j;
             }
             out_ptr.push(out_col.len());
-            start = end;
         }
         CsrMatrix { rows, cols, row_ptr: out_ptr, col_idx: out_col, values: out_val }
     }
@@ -127,7 +120,9 @@ impl CsrMatrix {
         }
     }
 
-    /// Computes `out = self^T * y`.
+    /// Computes `out = self^T * y`, skipping the rows where `y` is zero — in
+    /// a PDHG iteration about four in five (DESIGN.md § The iteration kernel).
+    #[inline(never)]
     pub fn mul_transpose_vec(&self, y: &[f64], out: &mut [f64]) {
         debug_assert_eq!(y.len(), self.rows);
         debug_assert_eq!(out.len(), self.cols);
@@ -203,6 +198,29 @@ impl CsrMatrix {
         norm * 1.01
     }
 
+    /// Copies the rows into the sliced layout [`SlicedRows::mul_vec`] reads.
+    pub fn to_sliced(&self) -> SlicedRows {
+        let len = |i: usize| self.row_ptr[i + 1] - self.row_ptr[i];
+        let mut order: Vec<usize> = (0..self.rows).collect();
+        order.sort_by_key(|&i| std::cmp::Reverse(len(i)));
+        let mut col_idx = Vec::with_capacity(self.nnz());
+        let mut values = Vec::with_capacity(self.nnz());
+        for rows in order.chunks(LANES) {
+            let depth = if rows.len() == LANES { len(rows[LANES - 1]) } else { 0 };
+            for k in 0..depth {
+                col_idx.extend(rows.iter().map(|&r| self.col_idx[self.row_ptr[r] + k]));
+                values.extend(rows.iter().map(|&r| self.values[self.row_ptr[r] + k]));
+            }
+            for &r in rows {
+                let tail = self.row_ptr[r] + depth..self.row_ptr[r + 1];
+                col_idx.extend_from_slice(&self.col_idx[tail.clone()]);
+                values.extend_from_slice(&self.values[tail]);
+            }
+        }
+        let lens = order.iter().map(|&i| len(i)).collect();
+        SlicedRows { order, lens, col_idx, values }
+    }
+
     /// Converts to column-major storage.
     pub fn to_csc(&self) -> CscMatrix {
         let mut out = CscMatrix::default();
@@ -236,6 +254,73 @@ impl CsrMatrix {
                 out.values[q] = self.values[p];
                 cursor[c] += 1;
             }
+        }
+    }
+}
+
+/// Rows a [`SlicedRows`] slice advances together: eight independent sums
+/// are two AVX2 accumulators, enough to cover the latency of a floating-point
+/// add. A constant, not a knob.
+const LANES: usize = 8;
+
+/// A [`CsrMatrix`] copied for `K·x` alone, laid out so that [`LANES`] row
+/// sums advance in lock-step instead of one serial add chain per row.
+///
+/// Rows are sorted by length, longest first, and cut into slices of
+/// [`LANES`]. A slice stores the first `depth` entries of each of its rows
+/// slot-major (entry 0 of every row, then entry 1, …), `depth` being the
+/// length of its shortest row, and then what is left of each row
+/// contiguously. Every row keeps its entries in CSR order and there is no
+/// padding slot, so each sum adds the same products in the same order as
+/// [`CsrMatrix::mul_vec`] and is equal to it bit for bit for any `x` (a
+/// padding `0.0 · x[0]` would be NaN where `x[0]` is infinite). Built by
+/// [`CsrMatrix::to_sliced`].
+#[derive(Debug, Clone)]
+pub struct SlicedRows {
+    /// Row numbers, longest row first.
+    order: Vec<usize>,
+    /// Length of each row of `order`.
+    lens: Vec<usize>,
+    col_idx: Vec<usize>,
+    values: Vec<f64>,
+}
+
+impl SlicedRows {
+    /// Computes `out = K * x`, bit for bit what [`CsrMatrix::mul_vec`] does.
+    #[inline(never)]
+    pub fn mul_vec(&self, x: &[f64], out: &mut [f64]) {
+        debug_assert_eq!(out.len(), self.order.len());
+        // `acc + Σ v·x[c]` over the entries `at`, in order.
+        let finish = |acc: f64, at: std::ops::Range<usize>| {
+            let entries = self.col_idx[at.clone()].iter().zip(&self.values[at]);
+            entries.fold(acc, |acc, (&c, &v)| acc + v * x[c])
+        };
+        let full = self.order.len() / LANES * LANES;
+        let slices =
+            self.order[..full].chunks_exact(LANES).zip(self.lens[..full].chunks_exact(LANES));
+        let mut p = 0;
+        for (rows, lens) in slices {
+            let depth = lens[LANES - 1];
+            let lock = p..p + depth * LANES;
+            p = lock.end;
+            let slots = self.col_idx[lock.clone()]
+                .chunks_exact(LANES)
+                .zip(self.values[lock].chunks_exact(LANES));
+            let mut acc = [0.0; LANES];
+            for (c, v) in slots {
+                for l in 0..LANES {
+                    acc[l] += v[l] * x[c[l]];
+                }
+            }
+            for l in 0..LANES {
+                let tail = p..p + (lens[l] - depth);
+                p = tail.end;
+                out[rows[l]] = if tail.is_empty() { acc[l] } else { finish(acc[l], tail) };
+            }
+        }
+        for (&r, &len) in self.order[full..].iter().zip(&self.lens[full..]) {
+            out[r] = finish(0.0, p..p + len);
+            p += len;
         }
     }
 }

@@ -1,6 +1,7 @@
 //! Property-based tests of the LP toolkit on randomly generated programs.
 
 use arrow_lp::model::{LinExpr, Model, Objective, Sense};
+use arrow_lp::sparse::CsrMatrix;
 use arrow_lp::{ColStatus, Solution, SolverConfig, Status, WarmStart};
 use proptest::prelude::*;
 
@@ -315,6 +316,46 @@ proptest! {
         for j in 0..n {
             let col = format!("x{j}  OBJ");
             prop_assert!(mps.contains(&col));
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+    /// The sliced `K·x` PDHG iterates with equals `CsrMatrix::mul_vec` bit
+    /// for bit (NaN for NaN). Row counts run over 0, fewer than a slice of
+    /// eight and non-multiples of eight; the scattered triplets repeat
+    /// coordinates, leave rows empty and stay in the first eight columns, so
+    /// the optional full row is at least three times as long as any other
+    /// and most of it is a tail; `x` carries `-0.0`, `±inf` and NaN.
+    #[test]
+    fn sliced_mul_vec_matches_csr_bit_for_bit(
+        rows in 0usize..27,
+        scattered in proptest::collection::vec((0usize..27, 0usize..8, -3.0f64..3.0), 0..120),
+        full_row in proptest::collection::vec(-3.0f64..3.0, 24),
+        with_full_row in any::<bool>(),
+        seed_x in proptest::collection::vec(-5.0f64..5.0, 24),
+        specials in proptest::collection::vec((0usize..24, 0usize..5), 0..6),
+    ) {
+        let mut triplets: Vec<_> =
+            scattered.into_iter().filter(|t| t.0 < rows).collect();
+        if with_full_row && rows > 0 {
+            triplets.extend(full_row.iter().enumerate().map(|(c, &v)| (rows / 2, c, v)));
+        }
+        let k = CsrMatrix::from_triplets(rows, 24, &triplets);
+        let mut x = seed_x;
+        for (at, which) in specials {
+            x[at] = [-0.0, 0.0, f64::INFINITY, f64::NEG_INFINITY, f64::NAN][which];
+        }
+        let (mut want, mut got) = (vec![1.0; rows], vec![2.0; rows]);
+        k.mul_vec(&x, &mut want);
+        k.to_sliced().mul_vec(&x, &mut got);
+        for (i, (w, g)) in want.iter().zip(&got).enumerate() {
+            prop_assert!(
+                w.to_bits() == g.to_bits() || (w.is_nan() && g.is_nan()),
+                "row {} of {}: csr {:?} vs sliced {:?}", i, rows, w, g
+            );
         }
     }
 }
