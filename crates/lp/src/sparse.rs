@@ -312,6 +312,7 @@ impl SlicedRows {
                     acc[l] += v[l] * x[c[l]];
                 }
             }
+            // Few rows have a tail: slices are mostly of one length.
             for l in 0..LANES {
                 let tail = p..p + (lens[l] - depth);
                 p = tail.end;
