@@ -4,6 +4,8 @@
 use std::cell::Cell;
 use std::fmt::{self, Write as _};
 
+use arrow_topology::hash::{fnv1a_word, FNV1A_OFFSET};
+
 use crate::Experiment;
 
 /// One experiment's output. It has a `write_fmt` that cannot fail, so
@@ -23,8 +25,7 @@ pub struct Report {
 impl Report {
     /// An empty report under the experiment's banner.
     pub(crate) fn new(e: &Experiment) -> Self {
-        let mut r =
-            Report { id: e.id, text: String::new(), digest: Cell::new(0xcbf2_9ce4_8422_2325) };
+        let mut r = Report { id: e.id, text: String::new(), digest: Cell::new(FNV1A_OFFSET) };
         writeln!(r, "{}", "=".repeat(74));
         writeln!(r, "{}: {}", e.id, e.title);
         writeln!(r, "paper reference: {}", e.paper);
@@ -39,8 +40,7 @@ impl Report {
 
     /// Passes a number about to be printed through the digest.
     pub fn n(&self, x: f64) -> f64 {
-        let fnv1a = |h: u64, byte: u8| (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
-        self.digest.set(x.to_bits().to_le_bytes().into_iter().fold(self.digest.get(), fnv1a));
+        self.digest.set(fnv1a_word(self.digest.get(), x.to_bits()));
         x
     }
 

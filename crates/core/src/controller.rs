@@ -284,7 +284,10 @@ impl ArrowController {
     ) -> Result<(TePlan, EpochReport), PlanError> {
         let warm = self.online.is_some();
         let _span = arrow_obs::span!("epoch", "mode" => if warm { "warm" } else { "cold" });
-        // arrow-lint: allow(wall-clock-in-core) — measures epoch wall time for the metrics registry only; no solver decision reads it
+        #[expect(
+            clippy::disallowed_types,
+            reason = "measures epoch wall time for the metrics registry only; no solver decision reads it"
+        )]
         let t0 = std::time::Instant::now();
         self.validate_offline()?;
         if let Some(hook) = hook {

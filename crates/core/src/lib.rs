@@ -20,6 +20,21 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Product policy (DESIGN.md § Static analysis): library code neither
+// panics nor touches hash-ordered or wall-clock types; tests may.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::disallowed_types,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::unreachable,
+        clippy::allow_attributes_without_reason
+    )
+)]
 
 pub mod controller;
 pub mod lottery;

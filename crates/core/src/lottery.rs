@@ -24,6 +24,7 @@ use arrow_optical::rwa::{
     greedy_assign, is_feasible, solve_relaxed, solve_relaxed_batch, RwaConfig, RwaSolution,
 };
 use arrow_te::restoration::{RestorationTicket, TicketSet};
+use arrow_topology::hash::splitmix64;
 use arrow_topology::{FailureScenario, ScenarioUniverse, Wan};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -130,7 +131,10 @@ fn fractional_seed_batch(
     scens: &[&FailureScenario],
     rwa: &RwaConfig,
 ) -> Vec<(Vec<FractionalRestoration>, f64)> {
-    // arrow-lint: allow(wall-clock-in-core) — RWA timing feeds ScenarioStats reporting; ticket contents never depend on it
+    #[expect(
+        clippy::disallowed_types,
+        reason = "RWA timing feeds ScenarioStats reporting; ticket contents never depend on it"
+    )]
     let t0 = std::time::Instant::now();
     let cuts: Vec<_> = scens.iter().map(|s| s.cut_fibers.as_slice()).collect();
     let sols = solve_relaxed_batch(&wan.optical, &cuts, rwa);
@@ -232,13 +236,7 @@ pub fn round_once(rng: &mut StdRng, seed: &[FractionalRestoration], delta: usize
 /// (Steele et al.), whose avalanche keeps adjacent indices' streams
 /// uncorrelated even though indices differ by one bit.
 pub fn derive_seed(seed: u64, scenario_index: u64) -> u64 {
-    fn splitmix(mut z: u64) -> u64 {
-        z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-    splitmix(seed ^ splitmix(scenario_index))
+    splitmix64(seed ^ splitmix64(scenario_index))
 }
 
 /// Per-scenario offline-stage measurements (one entry of
@@ -341,7 +339,10 @@ fn round_and_filter(
         "scenario" => index,
         "cut_fibers" => scen.cut_fibers.len(),
     );
-    // arrow-lint: allow(wall-clock-in-core) — rounding timing feeds ScenarioStats reporting; ticket contents never depend on it
+    #[expect(
+        clippy::disallowed_types,
+        reason = "rounding timing feeds ScenarioStats reporting; ticket contents never depend on it"
+    )]
     let t_round = std::time::Instant::now();
     let mut rng = StdRng::seed_from_u64(derive_seed(cfg.seed, index as u64));
     let mut stats = ScenarioStats { scenario: index, rwa_seconds, ..Default::default() };
@@ -457,7 +458,10 @@ fn generate_chunked(
         "threads" => threads,
         "num_tickets" => cfg.num_tickets,
     );
-    // arrow-lint: allow(wall-clock-in-core) — offline-stage wall time feeds OfflineStats reporting; ticket contents never depend on it
+    #[expect(
+        clippy::disallowed_types,
+        reason = "offline-stage wall time feeds OfflineStats reporting; ticket contents never depend on it"
+    )]
     let t0 = std::time::Instant::now();
     let width = work.len().div_ceil(threads).clamp(1, MAX_CHUNK);
     let per_chunk = crate::par::parallel_map_with(threads, work.chunks(width).collect(), |chunk| {
@@ -586,7 +590,10 @@ pub fn generate_tickets_serial(
             .iter()
             .enumerate()
             .map(|(i, scen)| {
-                // arrow-lint: allow(wall-clock-in-core) — RWA timing feeds ScenarioStats reporting; ticket contents never depend on it
+                #[expect(
+                    clippy::disallowed_types,
+                    reason = "RWA timing feeds ScenarioStats reporting; ticket contents never depend on it"
+                )]
                 let t_rwa = std::time::Instant::now();
                 let seed = fractional_seed(wan, scen, &cfg.rwa);
                 round_and_filter(wan, scen, i, cfg, &seed, t_rwa.elapsed().as_secs_f64()).0

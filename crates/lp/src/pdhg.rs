@@ -170,7 +170,10 @@ fn kkt_residuals(s: &Scaled, x: &[f64], y: &[f64], kx: &mut [f64], kty: &mut [f6
 /// x_new)` the buffers' provenance merges, `noalias` is lost and the loop is
 /// not vectorized.
 #[inline(never)]
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "each operand is its own slice parameter, so every buffer gets `noalias`"
+)]
 fn x_step(
     x: &[f64],
     kty: &[f64],
@@ -233,7 +236,10 @@ pub fn solve(lp: &StandardLp, cfg: &PdhgConfig) -> Solution {
 /// iteration count. A point of the wrong dimension is recorded as a
 /// [`WarmEvent::Miss`] and the solve starts cold.
 pub fn solve_warm(lp: &StandardLp, cfg: &PdhgConfig, start_point: Option<&PrimalDual>) -> Solution {
-    // arrow-lint: allow(wall-clock-in-core) — solve wall time reported in SolveStats; iteration counts, not time, bound the solve
+    #[expect(
+        clippy::disallowed_types,
+        reason = "solve wall time reported in SolveStats; iteration counts, not time, bound the solve"
+    )]
     let start = std::time::Instant::now();
     let n = lp.num_vars();
     let m = lp.num_cons();

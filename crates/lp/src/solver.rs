@@ -99,7 +99,10 @@ fn solve_timed(
     warm: Option<&WarmStart>,
     ws: &mut Workspace,
 ) -> Solution {
-    // arrow-lint: allow(wall-clock-in-core) — solve wall time reported in SolveStats; iteration counts, not time, bound the solve
+    #[expect(
+        clippy::disallowed_types,
+        reason = "solve wall time reported in SolveStats; iteration counts, not time, bound the solve"
+    )]
     let start = std::time::Instant::now();
     let mut sol = solve_inner(model, cfg, warm, ws);
     sol.stats.solve_seconds = start.elapsed().as_secs_f64();

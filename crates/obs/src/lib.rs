@@ -74,6 +74,20 @@
 // shipped library remains entirely safe code.
 #![cfg_attr(not(test), forbid(unsafe_code))]
 #![warn(missing_docs)]
+// Product policy (DESIGN.md § Static analysis): library code does not
+// panic. `obs` owns timing, so it may use wall clocks and hash maps.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::unreachable,
+        clippy::allow_attributes_without_reason
+    )
+)]
 
 pub mod analyze;
 pub mod export;

@@ -7,6 +7,7 @@
 //! here lets the TE formulations consume tickets without a dependency
 //! cycle.
 
+use arrow_topology::hash::{fnv1a_word, FNV1A_OFFSET};
 use arrow_topology::IpLinkId;
 
 /// One restoration candidate for one failure scenario: restorable Gbps per
@@ -288,15 +289,8 @@ impl TicketSet {
     /// it for a compact cross-thread-count and cross-shard fingerprint,
     /// and it is cheap enough to log per offline run.
     pub fn digest(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = OFFSET;
-        let mut mix = |word: u64| {
-            for byte in word.to_le_bytes() {
-                h ^= byte as u64;
-                h = h.wrapping_mul(PRIME);
-            }
-        };
+        let mut h = FNV1A_OFFSET;
+        let mut mix = |word: u64| h = fnv1a_word(h, word);
         mix(self.per_scenario.len() as u64);
         for (&q, tickets) in self.scenario_indices.iter().zip(&self.per_scenario) {
             mix(q as u64);

@@ -8,6 +8,7 @@
 //! simultaneously.
 
 use crate::distributions::weibull;
+use crate::hash::{fnv1a_word, splitmix64, FNV1A_OFFSET};
 use crate::wan::{IpLinkId, Wan};
 use arrow_optical::FiberId;
 use rand::rngs::StdRng;
@@ -181,20 +182,8 @@ impl ScenarioId {
         let mut ids: Vec<usize> = cut.iter().map(|f| f.0).collect();
         ids.sort_unstable();
         ids.dedup();
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = OFFSET;
-        let mut mix = |word: u64| {
-            for byte in word.to_le_bytes() {
-                h ^= byte as u64;
-                h = h.wrapping_mul(PRIME);
-            }
-        };
-        mix(ids.len() as u64);
-        for id in ids {
-            mix(id as u64);
-        }
-        ScenarioId(h)
+        let len = fnv1a_word(FNV1A_OFFSET, ids.len() as u64);
+        ScenarioId(ids.into_iter().fold(len, |h, id| fnv1a_word(h, id as u64)))
     }
 }
 
@@ -403,32 +392,11 @@ impl ScenarioUniverse {
     /// logged by the sweep driver so two processes can assert they
     /// compiled the same universe before trusting a shard merge.
     pub fn digest(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = OFFSET;
-        let mut mix = |word: u64| {
-            for byte in word.to_le_bytes() {
-                h ^= byte as u64;
-                h = h.wrapping_mul(PRIME);
-            }
-        };
-        mix(self.scenarios.len() as u64);
-        for c in &self.scenarios {
-            mix(c.id.0);
-            mix(c.scenario.probability.to_bits());
-        }
-        h
+        let len = fnv1a_word(FNV1A_OFFSET, self.scenarios.len() as u64);
+        self.scenarios
+            .iter()
+            .fold(len, |h, c| fnv1a_word(fnv1a_word(h, c.id.0), c.scenario.probability.to_bits()))
     }
-}
-
-/// splitmix64 — the same mixing the offline stage uses for per-scenario
-/// RNG streams; here it keys per-scenario sampling draws off
-/// `(seed, ScenarioId)` so the draw is independent of enumeration order.
-fn mix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// One candidate scenario mid-compilation (pre-dedup).
@@ -508,7 +476,6 @@ pub fn compile_universe(wan: &Wan, cfg: &UniverseConfig) -> ScenarioUniverse {
 
     // Per-fiber probabilities: the identical stream FailureConfig draws
     // (same seed → same probabilities), then flapping boosts.
-    // arrow-lint: allow(determinism-taint) — stream is seeded from UniverseConfig::seed, so identical configs compile identical universes
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let mut fiber_prob: Vec<f64> =
         (0..nf).map(|_| weibull(&mut rng, cfg.weibull_shape, cfg.weibull_scale).min(0.5)).collect();
@@ -608,8 +575,9 @@ pub fn compile_universe(wan: &Wan, cfg: &UniverseConfig) -> ScenarioUniverse {
             .iter()
             .enumerate()
             .map(|(i, c)| {
-                // arrow-lint: allow(determinism-taint) — draw is keyed by (config seed, scenario id), independent of enumeration order
-                let mut srng = StdRng::seed_from_u64(mix64(cfg.seed ^ c.id.0));
+                // Keyed by (seed, ScenarioId), so the draw does not depend
+                // on enumeration order.
+                let mut srng = StdRng::seed_from_u64(splitmix64(cfg.seed ^ c.id.0));
                 let u: f64 = srng.gen_range(0.0..1.0);
                 // w > 0 (candidates with p <= 0 never enter); ln(u) ≤ 0,
                 // so larger keys mean more probable / luckier draws.

@@ -64,7 +64,6 @@ pub struct FailureTicket {
 /// hours") and a tail past 24 h for the top ~10%; other causes repair
 /// faster, which makes fiber cuts dominate total downtime (~67%, Fig. 3b).
 pub fn generate_tickets(n: usize, seed: u64) -> Vec<FailureTicket> {
-    // arrow-lint: allow(determinism-taint) — stream is seeded from the caller-supplied seed, so identical seeds reproduce identical tickets
     let mut rng = StdRng::seed_from_u64(seed);
     (0..n)
         .map(|_| {

@@ -22,8 +22,24 @@
 //! Argument parsing is deliberately plain `std` (no CLI dependency): flags
 //! are `--key value` pairs after the positional arguments.
 
+// Product policy (DESIGN.md § Static analysis): the CLI neither panics
+// nor touches hash-ordered or wall-clock types; tests may.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::disallowed_types,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::unreachable,
+        clippy::allow_attributes_without_reason
+    )
+)]
+
 use arrow_wan::prelude::*;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::process::ExitCode;
 
 fn usage() -> &'static str {
@@ -44,8 +60,8 @@ fn usage() -> &'static str {
 }
 
 /// Parses `--key value` flags after `skip` positional arguments.
-fn parse_flags(args: &[String], skip: usize) -> Result<HashMap<String, String>, String> {
-    let mut flags = HashMap::new();
+fn parse_flags(args: &[String], skip: usize) -> Result<BTreeMap<String, String>, String> {
+    let mut flags = BTreeMap::new();
     let mut it = args.iter().skip(skip);
     while let Some(k) = it.next() {
         let Some(key) = k.strip_prefix("--") else {
@@ -60,7 +76,7 @@ fn parse_flags(args: &[String], skip: usize) -> Result<HashMap<String, String>, 
 }
 
 fn flag<T: std::str::FromStr>(
-    flags: &HashMap<String, String>,
+    flags: &BTreeMap<String, String>,
     key: &str,
     default: T,
 ) -> Result<T, String> {
@@ -73,7 +89,7 @@ fn flag<T: std::str::FromStr>(
 /// `--scale X`: a demand multiplier, so it must be finite and non-negative
 /// (`f64::from_str` accepts `nan`, `inf` and `-1`, which would otherwise
 /// reach `TrafficMatrix::scaled`'s assertion or negative LP bounds).
-fn scale_flag(flags: &HashMap<String, String>, default: f64) -> Result<f64, String> {
+fn scale_flag(flags: &BTreeMap<String, String>, default: f64) -> Result<f64, String> {
     let scale: f64 = flag(flags, "scale", default)?;
     if scale.is_finite() && scale >= 0.0 {
         Ok(scale)
@@ -260,7 +276,7 @@ fn cmd_availability(args: &[String]) -> Result<(), String> {
 
 fn cmd_latency(args: &[String]) -> Result<(), String> {
     let flags = parse_flags(args, 0)?;
-    let mut tb = build_testbed().expect("Fig. 10 testbed is self-consistent");
+    let mut tb = build_testbed().map_err(|e| format!("Fig. 10 testbed: {e}"))?;
     let amps: usize = flag(&flags, "amps", 0usize)?;
     if amps > 0 {
         let chains = tb.amps.len().max(1);

@@ -39,6 +39,7 @@ use arrow_obs::slo::SloConfig;
 use arrow_obs::{event, export, metrics, slo};
 use arrow_sim::{EventFeed, FeedConfig, FeedEvent};
 use arrow_te::TunnelConfig;
+use arrow_topology::hash::{fnv1a_word, FNV1A_OFFSET};
 use arrow_topology::{generate_failures, gravity_matrices, FailureConfig, TrafficConfig, Wan};
 
 pub use chaos::ChaosConfig;
@@ -211,14 +212,6 @@ fn percentile(samples: &[f64], q: f64) -> f64 {
     sorted[rank - 1]
 }
 
-/// FNV-1a 64 fold over a byte slice.
-fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        hash = (hash ^ b as u64).wrapping_mul(0x100_0000_01b3);
-    }
-    hash
-}
-
 struct DaemonMetrics {
     epochs: metrics::Counter,
     fallback: metrics::Counter,
@@ -355,7 +348,7 @@ pub fn serve(wan: Wan, config: &ServeConfig) -> Result<ServeReport, ServeError> 
         incidents: Vec::new(),
         incidents_reach_lp_solve: true,
         event_log: Vec::new(),
-        winning_digest: 0xcbf2_9ce4_8422_2325,
+        winning_digest: FNV1A_OFFSET,
         epoch_seconds: Vec::new(),
         wall_seconds: 0.0,
         scrapes_ok: 0,
@@ -365,7 +358,10 @@ pub fn serve(wan: Wan, config: &ServeConfig) -> Result<ServeReport, ServeError> 
     };
     let mut installed: Option<(u64, TePlan)> = None;
     let mut last_scale = 1.0_f64;
-    // arrow-lint: allow(wall-clock-in-core) — loop throughput reporting only; no planning decision reads it
+    #[expect(
+        clippy::disallowed_types,
+        reason = "loop throughput reporting only; no planning decision reads it"
+    )]
     let loop_start = std::time::Instant::now();
 
     while let Some((t, ev)) = feed.next_event() {
@@ -412,9 +408,9 @@ pub fn serve(wan: Wan, config: &ServeConfig) -> Result<ServeReport, ServeError> 
                 report.epoch_seconds.push(epoch_report.seconds);
                 // Digest the *computed* plan: deterministic under a fixed
                 // seed regardless of how the wall clock judged it.
-                report.winning_digest = fnv1a(report.winning_digest, &epoch_idx.to_le_bytes());
+                report.winning_digest = fnv1a_word(report.winning_digest, epoch_idx);
                 for &w in &plan.outcome.winning {
-                    report.winning_digest = fnv1a(report.winning_digest, &(w as u64).to_le_bytes());
+                    report.winning_digest = fnv1a_word(report.winning_digest, w as u64);
                 }
                 if plan.outcome.phase1_stats.warm == arrow_lp::WarmEvent::Hit {
                     report.warm_hits += 1;
