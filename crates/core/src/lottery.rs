@@ -301,8 +301,8 @@ impl OfflineStats {
         }
     }
 
-    /// One-line human summary (printed by the controller example and the
-    /// offline-sweep binary).
+    /// One-line human summary (printed by `arrow plan` as its `offline:`
+    /// line).
     pub fn summary(&self) -> String {
         format!(
             "{} scenarios -> {} tickets ({} infeasible, {} duplicate) on {} thread(s): \

@@ -14,8 +14,8 @@
 //! * **the critical path** ([`SpanTree::critical_path`]): from a root
 //!   span, repeatedly descend into the longest child — for ARROW's
 //!   synchronous epoch loop this names the stage chain that bounds the
-//!   epoch deadline (and must name the LP solve, which
-//!   `examples/observe_pipeline.rs` asserts);
+//!   epoch deadline (and must name the LP solve, which the root
+//!   crate's `tests/online.rs` asserts);
 //! * **collapsed stacks** ([`SpanTree::collapsed_stacks`]): one
 //!   `root;child;leaf <microseconds>` line per unique stack, the input
 //!   format of Brendan Gregg's `flamegraph.pl` and every compatible
@@ -309,8 +309,8 @@ impl SpanTree {
     }
 
     /// Serializes the stage report as a JSON document (the analyzer's
-    /// machine-readable output, written by `observe_pipeline` alongside
-    /// the collapsed stacks).
+    /// machine-readable output, written into every flight-recorder
+    /// incident dump as `stage_report.json`).
     pub fn stage_report_json(&self) -> String {
         let total_root_nanos: u64 =
             self.roots.iter().filter_map(|&r| self.nodes.get(r)).map(|n| n.duration_nanos).sum();

@@ -20,7 +20,8 @@
 //!   incidents. `--chaos true` injects correlated failure bursts.
 //!
 //! Argument parsing is deliberately plain `std` (no CLI dependency): flags
-//! are `--key value` pairs after the positional arguments.
+//! are `--key value` pairs after the positional arguments, and each
+//! subcommand rejects a flag it does not know.
 
 // Product policy (DESIGN.md § Static analysis): the CLI neither panics
 // nor touches hash-ordered or wall-clock types; tests may.
@@ -51,22 +52,33 @@ fn usage() -> &'static str {
      \u{20}plan         <b4|ibm|facebook> [--tickets N] [--scenarios N] [--scale X] [--seed N]\n\
      \u{20}availability <b4|ibm|facebook> [--scheme arrow|naive|ffc1|ffc2|teavar|ecmp]\n\
      \u{20}             [--scale X] [--scenarios N] [--seed N]\n\
-     \u{20}latency      [--amps N]\n\
+     \u{20}latency\n\
      \u{20}mps          <b4|ibm|facebook> --out FILE [--seed N]\n\
      \u{20}serve        <b4|ibm|facebook> [--epochs N] [--budget S] [--chaos true]\n\
      \u{20}             [--bursts N] [--stall S] [--addr HOST:PORT] [--incident-dir DIR]\n\
      \u{20}             [--tickets N] [--scenarios N] [--scale X] [--seed N]\n\
+     \u{20}             [--feed-seed N] [--chaos-seed N]\n\
      \u{20}help"
 }
 
-/// Parses `--key value` flags after `skip` positional arguments.
-fn parse_flags(args: &[String], skip: usize) -> Result<BTreeMap<String, String>, String> {
+/// Parses `--key value` flags after `skip` positional arguments. A key
+/// outside `cmd`'s `known` flags is an error, so a typo never silently
+/// runs the defaults.
+fn parse_flags(
+    args: &[String],
+    skip: usize,
+    cmd: &str,
+    known: &[&str],
+) -> Result<BTreeMap<String, String>, String> {
     let mut flags = BTreeMap::new();
     let mut it = args.iter().skip(skip);
     while let Some(k) = it.next() {
         let Some(key) = k.strip_prefix("--") else {
             return Err(format!("expected --flag, got {k}"));
         };
+        if !known.contains(&key) {
+            return Err(format!("unknown flag --{key} for {cmd}\n{}", usage()));
+        }
         let Some(v) = it.next() else {
             return Err(format!("flag --{key} needs a value"));
         };
@@ -109,7 +121,7 @@ fn build_wan(name: &str, seed: u64) -> Result<Wan, String> {
 
 fn cmd_topology(args: &[String]) -> Result<(), String> {
     let name = args.first().ok_or("topology name required")?;
-    let flags = parse_flags(args, 1)?;
+    let flags = parse_flags(args, 1, "topology", &["seed"])?;
     let wan = build_wan(name, flag(&flags, "seed", 17u64)?)?;
     println!("{}", wan.summary());
     wan.validate()?;
@@ -134,7 +146,7 @@ fn cmd_topology(args: &[String]) -> Result<(), String> {
 
 fn cmd_restore(args: &[String]) -> Result<(), String> {
     let name = args.first().ok_or("topology name required")?;
-    let flags = parse_flags(args, 1)?;
+    let flags = parse_flags(args, 1, "restore", &["fiber", "modulation-change", "seed"])?;
     let wan = build_wan(name, flag(&flags, "seed", 17u64)?)?;
     let fiber: usize = flag(&flags, "fiber", 0usize)?;
     if fiber >= wan.optical.num_fibers() {
@@ -175,7 +187,7 @@ fn cmd_restore(args: &[String]) -> Result<(), String> {
 
 fn cmd_plan(args: &[String]) -> Result<(), String> {
     let name = args.first().ok_or("topology name required")?;
-    let flags = parse_flags(args, 1)?;
+    let flags = parse_flags(args, 1, "plan", &["tickets", "scenarios", "scale", "seed"])?;
     let seed = flag(&flags, "seed", 17u64)?;
     let scale = scale_flag(&flags, 1.0)?;
     let wan = build_wan(name, seed)?;
@@ -223,7 +235,7 @@ fn cmd_plan(args: &[String]) -> Result<(), String> {
 
 fn cmd_availability(args: &[String]) -> Result<(), String> {
     let name = args.first().ok_or("topology name required")?;
-    let flags = parse_flags(args, 1)?;
+    let flags = parse_flags(args, 1, "availability", &["scheme", "scale", "scenarios", "seed"])?;
     let seed = flag(&flags, "seed", 17u64)?;
     let scale = scale_flag(&flags, 1.0)?;
     let wan = build_wan(name, seed)?;
@@ -275,15 +287,8 @@ fn cmd_availability(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_latency(args: &[String]) -> Result<(), String> {
-    let flags = parse_flags(args, 0)?;
-    let mut tb = build_testbed().map_err(|e| format!("Fig. 10 testbed: {e}"))?;
-    let amps: usize = flag(&flags, "amps", 0usize)?;
-    if amps > 0 {
-        let chains = tb.amps.len().max(1);
-        for chain in tb.amps.iter_mut() {
-            chain.sites = amps / chains;
-        }
-    }
+    parse_flags(args, 0, "latency", &[])?;
+    let tb = build_testbed().map_err(|e| format!("Fig. 10 testbed: {e}"))?;
     for (label, noise) in [("ARROW (noise loading)", true), ("legacy", false)] {
         let r = restoration_trial(&tb, tb.fibers[3], noise, &RoadmParams::default());
         println!(
@@ -296,7 +301,7 @@ fn cmd_latency(args: &[String]) -> Result<(), String> {
 
 fn cmd_mps(args: &[String]) -> Result<(), String> {
     let name = args.first().ok_or("topology name required")?;
-    let flags = parse_flags(args, 1)?;
+    let flags = parse_flags(args, 1, "mps", &["out", "seed"])?;
     let out_path = flags.get("out").ok_or("--out FILE required")?.clone();
     let wan = build_wan(name, flag(&flags, "seed", 17u64)?)?;
     let tms = gravity_matrices(&wan, &TrafficConfig { num_matrices: 1, ..Default::default() });
@@ -322,7 +327,22 @@ fn cmd_mps(args: &[String]) -> Result<(), String> {
 
 fn cmd_serve(args: &[String]) -> Result<(), String> {
     let name = args.first().ok_or("topology name required")?;
-    let flags = parse_flags(args, 1)?;
+    let known = [
+        "epochs",
+        "budget",
+        "chaos",
+        "bursts",
+        "stall",
+        "addr",
+        "incident-dir",
+        "tickets",
+        "scenarios",
+        "scale",
+        "seed",
+        "feed-seed",
+        "chaos-seed",
+    ];
+    let flags = parse_flags(args, 1, "serve", &known)?;
     let seed = flag(&flags, "seed", 17u64)?;
     let wan = build_wan(name, seed)?;
     let chaos = if flag(&flags, "chaos", false)? {

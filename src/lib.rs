@@ -8,7 +8,7 @@
 //! much.
 //!
 //! The workspace splits along the paper's architecture; this umbrella
-//! crate re-exports everything for convenient use in examples and
+//! crate re-exports everything for convenient use in tests and
 //! downstream code:
 //!
 //! * [`lp`] — LP/MILP solver toolkit (simplex, PDHG, branch & bound).
@@ -18,10 +18,10 @@
 //! * [`core`] — LotteryTickets (Algorithm 1), Theorem 3.1, the controller.
 //! * [`sim`] — event-driven restoration-latency simulator (the testbed).
 //! * [`obs`] — structured tracing + metrics registry every crate emits
-//!   into (see `examples/observe_pipeline.rs` for a full run report).
+//!   into (`tests/online.rs` traces, scrapes and analyzes a full run).
 //! * [`daemon`] — the `arrow serve` epoch loop: event-feed driven
 //!   re-planning with a flight recorder, deadline-miss fallback, and
-//!   chaos mode (see `examples/serve_soak.rs`).
+//!   chaos mode (soaked by `tests/serve.rs`).
 //!
 //! ## Quickstart
 //!
@@ -76,7 +76,7 @@ pub use arrow_sim as sim;
 pub use arrow_te as te;
 pub use arrow_topology as topology;
 
-/// One-stop imports for examples and tests.
+/// One-stop imports for tests and downstream code.
 pub mod prelude {
     pub use crate::daemon::{serve, ChaosConfig, ServeConfig, ServeError, ServeReport};
     pub use arrow_core::{

@@ -2,7 +2,8 @@
 //!
 //! `serve` drives process-global observability state (the installed
 //! tracer, the SLO window, the exporter readiness flag), so every test
-//! here serializes on one mutex rather than racing over the globals.
+//! here serializes on one mutex rather than racing over the globals. The
+//! CLI's answers to the same bad values are process tests in `tests/cli.rs`.
 
 use arrow_wan::daemon::{serve, ChaosConfig, ServeConfig, ServeError};
 use arrow_wan::prelude::b4;
@@ -34,8 +35,8 @@ fn base_config(tag: &str) -> ServeConfig {
 }
 
 /// A negative or non-finite demand scale is user input, not a bug: the
-/// daemon answers with a typed error and the CLI with its usage-error exit
-/// code — neither reaches `TrafficMatrix::scaled`'s assertion.
+/// daemon answers with a typed error and never reaches
+/// `TrafficMatrix::scaled`'s assertion.
 #[test]
 fn bad_demand_scale_is_rejected_without_a_panic() {
     let _guard = SERVE_LOCK.lock().expect("serve lock");
@@ -43,17 +44,6 @@ fn bad_demand_scale_is_rejected_without_a_panic() {
         let config = ServeConfig { demand_scale: scale, ..base_config("bad-scale") };
         let err = serve(b4(17), &config).expect_err("bad demand_scale must be rejected");
         assert!(matches!(err, ServeError::Config(_)), "scale {scale}: {err}");
-    }
-    for (cmd, scale) in
-        [("plan", "-1"), ("plan", "nan"), ("availability", "-0.5"), ("serve", "inf")]
-    {
-        let out = std::process::Command::new(env!("CARGO_BIN_EXE_arrow"))
-            .args([cmd, "b4", "--scale", scale])
-            .output()
-            .expect("run the arrow binary");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(1), "arrow {cmd} --scale {scale}: {stderr}");
-        assert!(stderr.contains("invalid value for --scale"), "{stderr}");
     }
 }
 
@@ -66,16 +56,6 @@ fn bad_budget_is_rejected_not_replaced() {
         let config = ServeConfig { budget_seconds: budget, ..base_config("bad-budget") };
         let err = serve(b4(17), &config).expect_err("bad budget_seconds must be rejected");
         assert!(matches!(err, ServeError::Config(_)), "budget {budget}: {err}");
-    }
-    for budget in ["nan", "-1", "0"] {
-        let out = std::process::Command::new(env!("CARGO_BIN_EXE_arrow"))
-            .args(["serve", "b4", "--budget", budget])
-            .output()
-            .expect("run the arrow binary");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(1), "arrow serve --budget {budget}: {stderr}");
-        assert!(stderr.contains("invalid value for --budget"), "{stderr}");
-        assert!(out.stdout.is_empty(), "no banner for a rejected budget");
     }
 }
 
@@ -92,16 +72,6 @@ fn bad_chaos_stall_is_rejected_without_a_panic() {
         };
         let err = serve(b4(17), &config).expect_err("bad stall_seconds must be rejected");
         assert!(matches!(err, ServeError::Config(_)), "stall {stall}: {err}");
-    }
-    for stall in ["inf", "1e30", "nan", "-1"] {
-        let out = std::process::Command::new(env!("CARGO_BIN_EXE_arrow"))
-            .args(["serve", "b4", "--epochs", "3", "--chaos", "true", "--stall", stall])
-            .output()
-            .expect("run the arrow binary");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(1), "arrow serve --stall {stall}: {stderr}");
-        assert!(stderr.contains("invalid value for --stall"), "{stderr}");
-        assert!(out.stdout.is_empty(), "no banner for a rejected stall");
     }
 }
 
@@ -179,4 +149,78 @@ fn same_seed_chaos_soaks_are_byte_identical() {
     let other = ServeConfig { seed: 8, ..config.clone() };
     let c = serve(b4(17), &other).expect("different-seed run");
     assert_ne!(a.event_log, c.event_log, "a different seed must change the event sequence");
+}
+
+/// The seeded chaos soak behind ROADMAP item 2's p99 acceptance: B4 under
+/// a 2 s budget, random cut/repair re-plans, and bursts stalling 3 s. The
+/// stall is 1.5× the budget, so every burst must miss, while a healthy
+/// warm epoch runs ~10× under it, so nothing else may.
+fn soak(epochs: u64, bursts: u64) {
+    let _guard = SERVE_LOCK.lock().expect("serve lock");
+    let config = ServeConfig {
+        seed: 42,
+        epochs,
+        budget_seconds: 2.0,
+        scenarios: 4,
+        tickets: 8,
+        demand_scale: 2.0,
+        scrape_every: 5,
+        incident_dir: scratch_dir(&format!("soak-{epochs}")),
+        chaos: Some(ChaosConfig { bursts, stall_seconds: 3.0, ..Default::default() }),
+        ..Default::default()
+    };
+    let report = serve(b4(17), &config).expect("daemon run");
+
+    assert!(
+        report.warm_hit_ratio >= 0.925,
+        "warm-hit ratio {:.4} below the 0.925 floor",
+        report.warm_hit_ratio
+    );
+    assert_eq!(report.chaos_bursts, bursts, "feed dropped a scheduled chaos burst");
+    assert_eq!(
+        report.fallbacks, report.chaos_bursts,
+        "every chaos burst must miss the deadline and fall back to the previous plan"
+    );
+    assert_eq!(
+        report.incidents.len() as u64,
+        report.chaos_bursts + report.plan_errors,
+        "every deadline miss must produce an incident dump"
+    );
+    assert!(
+        report.incidents_reach_lp_solve,
+        "an incident dump's critical path failed to reach lp.solve"
+    );
+    assert_eq!(report.plan_errors, 0, "soak must plan every epoch");
+    assert_eq!(report.readyz_before, 503, "/readyz must be 503 before the first plan");
+    assert_eq!(report.readyz_after, 200, "/readyz must be 200 once a plan is installed");
+    assert!(
+        report.scrapes_ok >= report.epochs_planned / 5 / 2,
+        "live /metrics scrapes failed mid-soak ({} ok)",
+        report.scrapes_ok
+    );
+    // Each dump on disk is complete, and its written critical path names
+    // the LP solve.
+    for inc in &report.incidents {
+        for artifact in ["trace.jsonl", "critical_path.txt", "metrics.json", "incident.json"] {
+            assert!(inc.dir.join(artifact).exists(), "{} lacks {artifact}", inc.dir.display());
+        }
+        let path = std::fs::read_to_string(inc.dir.join("critical_path.txt"))
+            .expect("read critical_path.txt");
+        assert!(path.contains("lp.solve"), "{}: critical path {path:?}", inc.dir.display());
+    }
+    std::fs::remove_dir_all(&config.incident_dir).ok();
+}
+
+/// 30 ticks and one burst (≈ 5 s in release).
+#[test]
+fn soak_smoke_holds_every_gate() {
+    soak(30, 1);
+}
+
+/// 200 ticks and three bursts (≈ 17 s in release): CI runs it with
+/// `cargo test --release --test serve -- --ignored`.
+#[test]
+#[ignore]
+fn soak_full_holds_every_gate() {
+    soak(200, 3);
 }
