@@ -123,13 +123,9 @@ impl SetupConfig {
 pub fn setup(wan: Wan, cfg: &SetupConfig) -> Setup {
     let failures = generate_failures(
         &wan,
-        &FailureConfig {
-            cutoff: cfg.cutoff,
-            max_scenarios: cfg.max_scenarios,
-            ..Default::default()
-        },
+        &FailureConfig { cutoff: cfg.cutoff, max_scenarios: cfg.max_scenarios },
     );
-    let scenarios = failures.failure_scenarios().to_vec();
+    let scenarios = failures.failure_scenarios();
     let mut tms = gravity_matrices(
         &wan,
         &TrafficConfig { num_matrices: cfg.num_matrices, ..Default::default() },

@@ -416,7 +416,7 @@ mod tests {
             tunnels: TunnelConfig { tunnels_per_flow: 4, ..Default::default() },
             ..Default::default()
         };
-        (ArrowController::new(wan, failures.failure_scenarios().to_vec(), cfg), tms[0].clone())
+        (ArrowController::new(wan, failures.failure_scenarios(), cfg), tms[0].clone())
     }
 
     fn plan(ctl: &mut ArrowController, tm: &TrafficMatrix) -> TePlan {

@@ -526,8 +526,8 @@ pub fn generate_tickets_with_threads(
 /// sorted by descending probability — contiguous chunks would give shard
 /// 0 all the expensive high-probability scenarios. Because every
 /// scenario's RNG stream derives from its *global* index
-/// ([`derive_seed`]), the shard layout never changes ticket bytes: any
-/// sharding merges back ([`TicketSet::merge`]) to the single-shard run.
+/// ([`derive_seed`]), the shard layout never changes ticket bytes: a
+/// shard's entry for a global index equals the single-shard run's.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardSpec {
     /// This shard's position in `0..of`.
@@ -558,8 +558,8 @@ impl ShardSpec {
 ///
 /// The returned [`TicketSet`] covers exactly the universe indices in
 /// [`ShardSpec::indices`], carries them in `scenario_indices`, and digests
-/// deterministically; merging every shard of any `of`-way split
-/// reproduces the single-shard result byte-for-byte
+/// deterministically; each entry equals the single-shard result's entry
+/// for the same global index, byte for byte
 /// (`crates/core/tests/determinism.rs` pins this).
 pub fn generate_tickets_shard(
     wan: &Wan,
@@ -611,7 +611,7 @@ mod tests {
         let wan = b4(17);
         let failures =
             generate_failures(&wan, &FailureConfig { max_scenarios: 5, ..Default::default() });
-        (wan, failures.failure_scenarios().to_vec())
+        (wan, failures.failure_scenarios())
     }
 
     #[test]

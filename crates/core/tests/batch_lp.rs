@@ -7,7 +7,7 @@
 //!   B4 and IBM, under the default (Auto) and PDHG-pinned solver configs,
 //!   and on the `facebook_like` chunk whose lanes mix both backends.
 //! * Offline ticket generation — chunked, batched, on any worker count and
-//!   under sharding — produces `TicketSet`s byte-identical to the serial
+//!   under sharding — produces tickets byte-identical to the serial
 //!   oracle `generate_tickets_serial` (one unbatched LP per scenario).
 //! * A handful of scenarios still fans out: the chunk width shrinks until
 //!   every worker has a chunk.
@@ -20,7 +20,6 @@ use arrow_core::lottery::{
 };
 use arrow_lp::{Backend, SolverConfig};
 use arrow_optical::rwa::{build_relaxed, solve_relaxed, solve_relaxed_batch, RwaConfig};
-use arrow_te::TicketSet;
 use arrow_topology::{
     b4, compile_universe, facebook_like, generate_failures, ibm, FailureConfig, FailureScenario,
     UniverseConfig, Wan,
@@ -34,7 +33,7 @@ fn fixture(use_ibm: bool) -> &'static (Wan, Vec<FailureScenario>) {
         let wan = if use_ibm { ibm(17) } else { b4(17) };
         let failures =
             generate_failures(&wan, &FailureConfig { max_scenarios: 8, ..Default::default() });
-        let scens = failures.failure_scenarios().to_vec();
+        let scens = failures.failure_scenarios();
         (wan, scens)
     };
     if use_ibm {
@@ -97,10 +96,7 @@ proptest! {
 #[test]
 fn facebook_chunk_mixing_backends_matches_sequential() {
     let wan = facebook_like(17);
-    let failures = generate_failures(
-        &wan,
-        &FailureConfig { cutoff: 1e-5, max_scenarios: 16, ..Default::default() },
-    );
+    let failures = generate_failures(&wan, &FailureConfig { cutoff: 1e-5, max_scenarios: 16 });
     let scens = failures.failure_scenarios();
     let cuts: Vec<_> = scens.iter().map(|s| s.cut_fibers.as_slice()).collect();
     assert_eq!(cuts.len(), 16);
@@ -122,10 +118,7 @@ fn facebook_chunk_mixing_backends_matches_sequential() {
 #[test]
 fn facebook_pdhg_lane_is_pinned_bit_for_bit() {
     let wan = facebook_like(17);
-    let failures = generate_failures(
-        &wan,
-        &FailureConfig { cutoff: 1e-5, max_scenarios: 16, ..Default::default() },
-    );
+    let failures = generate_failures(&wan, &FailureConfig { cutoff: 1e-5, max_scenarios: 16 });
     let rwa = RwaConfig::default();
     let model = failures
         .failure_scenarios()
@@ -185,20 +178,25 @@ fn ticket_digests_unchanged_by_batching() {
     }
 }
 
-/// Sharded, batched generation merges back to the serial oracle, byte for
-/// byte.
+/// Each shard of sharded, batched generation equals the serial oracle at
+/// its global indices, byte for byte.
 #[test]
-fn batched_shards_merge_to_sequential_reference() {
+fn batched_shards_match_sequential_reference() {
     let (wan, uni) = small_universe();
     let cfg = LotteryConfig { num_tickets: 5, ..Default::default() };
     let reference = generate_tickets_serial(&wan, &uni.failure_scenarios(), &cfg);
     for of in [1usize, 2, 3] {
-        let shards: Vec<TicketSet> = (0..of)
-            .map(|index| generate_tickets_shard(&wan, &uni, &cfg, ShardSpec { index, of }).0)
-            .collect();
-        let merged = TicketSet::merge_all(shards).expect("honest shards must merge");
-        assert_eq!(merged, reference, "batched {of}-way shards diverged from sequential");
-        assert_eq!(merged.digest(), reference.digest());
+        for index in 0..of {
+            let spec = ShardSpec { index, of };
+            let (shard, _) = generate_tickets_shard(&wan, &uni, &cfg, spec);
+            assert_eq!(shard.scenario_indices, spec.indices(uni.len()));
+            for (&g, tickets) in shard.scenario_indices.iter().zip(&shard.per_scenario) {
+                assert_eq!(
+                    tickets, &reference.per_scenario[g],
+                    "{of}-way shard {index}, scenario {g}"
+                );
+            }
+        }
     }
 }
 

@@ -25,7 +25,7 @@ fn fixture() -> &'static (Wan, Vec<FailureScenario>) {
         let wan = b4(17);
         let failures =
             generate_failures(&wan, &FailureConfig { max_scenarios: 6, ..Default::default() });
-        let scens = failures.failure_scenarios().to_vec();
+        let scens = failures.failure_scenarios();
         (wan, scens)
     })
 }

@@ -18,9 +18,8 @@
 //!   even evaluated — so instrumentation is effectively free when off.
 //!
 //! Subscribers shipped: [`trace::FileSubscriber`] (JSONL, one record per
-//! line, for run reports), [`trace::RingSubscriber`] (bounded in-memory
-//! buffer, for tests and sweeps), and [`trace::FanoutSubscriber`]
-//! (broadcast to several).
+//! line, for run reports) and [`trace::RingSubscriber`] (bounded in-memory
+//! buffer, for tests and sweeps).
 //!
 //! On top of the two halves sits the **telemetry plane**:
 //!
@@ -103,6 +102,5 @@ pub use incident::{IncidentContext, IncidentDump};
 pub use metrics::{Counter, Gauge, Histogram, Snapshot};
 pub use slo::{EpochVerdict, SloConfig};
 pub use trace::{
-    FanoutSubscriber, FieldValue, FileSubscriber, Level, Record, RecordKind, RingSubscriber,
-    SpanGuard, Subscriber,
+    FieldValue, FileSubscriber, Level, Record, RecordKind, RingSubscriber, SpanGuard, Subscriber,
 };

@@ -534,27 +534,6 @@ impl Subscriber for RingSubscriber {
     }
 }
 
-/// Broadcasts every record to several subscribers (e.g. a file for the
-/// run report plus a ring for in-process assertions).
-pub struct FanoutSubscriber {
-    subs: Vec<Arc<dyn Subscriber>>,
-}
-
-impl FanoutSubscriber {
-    /// Fans out to `subs`, in order.
-    pub fn new(subs: Vec<Arc<dyn Subscriber>>) -> Self {
-        FanoutSubscriber { subs }
-    }
-}
-
-impl Subscriber for FanoutSubscriber {
-    fn record(&self, record: &Record) {
-        for sub in &self.subs {
-            sub.record(record);
-        }
-    }
-}
-
 #[cfg(test)]
 mod counting_alloc {
     //! A counting global allocator so tests can assert the disabled
@@ -770,18 +749,6 @@ mod tests {
     }
 
     #[test]
-    fn fanout_reaches_all_subscribers() {
-        let _guard = subscriber_lock();
-        let a = Arc::new(RingSubscriber::new(8));
-        let b = Arc::new(RingSubscriber::new(8));
-        install(Arc::new(FanoutSubscriber::new(vec![a.clone(), b.clone()])));
-        crate::event!("test.fanout");
-        uninstall();
-        assert_eq!(a.records().len(), 1);
-        assert_eq!(b.records().len(), 1);
-    }
-
-    #[test]
     fn ring_capacity_zero_keeps_nothing_and_stays_bounded() {
         let _guard = subscriber_lock();
         let ring = Arc::new(RingSubscriber::new(0));
@@ -822,52 +789,6 @@ mod tests {
         // clear() empties but the ring keeps accepting afterwards.
         ring.clear();
         assert!(ring.records().is_empty());
-    }
-
-    #[test]
-    fn fanout_delivers_in_declaration_order_per_record() {
-        let _guard = subscriber_lock();
-
-        /// Appends `(tag, span_id)` to a shared log on every record, so
-        /// the interleaving across fanout targets is observable.
-        struct TagSubscriber {
-            tag: &'static str,
-            log: Arc<Mutex<Vec<(&'static str, u64)>>>,
-        }
-        impl Subscriber for TagSubscriber {
-            fn record(&self, record: &Record) {
-                self.log.lock().unwrap_or_else(|p| p.into_inner()).push((self.tag, record.span_id));
-            }
-        }
-
-        let log = Arc::new(Mutex::new(Vec::new()));
-        let first = Arc::new(TagSubscriber { tag: "first", log: log.clone() });
-        let second = Arc::new(TagSubscriber { tag: "second", log: log.clone() });
-        install(Arc::new(FanoutSubscriber::new(vec![first, second])));
-        {
-            let _a = crate::span!("test.fanout_order.a");
-        }
-        {
-            let _b = crate::span!("test.fanout_order.b");
-        }
-        uninstall();
-
-        let seen = log.lock().unwrap_or_else(|p| p.into_inner()).clone();
-        // 2 spans x (start + end) x 2 subscribers.
-        assert_eq!(seen.len(), 8);
-        // Each record reaches `first` then `second` before the next record
-        // is dispatched: no interleaving across records.
-        for pair in seen.chunks(2) {
-            assert_eq!(pair[0].0, "first");
-            assert_eq!(pair[1].0, "second");
-            assert_eq!(pair[0].1, pair[1].1, "both targets see the same record");
-        }
-        // And records themselves arrive in emission order (a start, a end).
-        let firsts: Vec<u64> =
-            seen.iter().filter(|(t, _)| *t == "first").map(|(_, s)| *s).collect();
-        let mut sorted = firsts.clone();
-        sorted.sort_unstable();
-        assert_eq!(firsts, sorted, "span ids non-decreasing in dispatch order");
     }
 
     #[test]

@@ -73,7 +73,7 @@ mod tests {
         let inst = build_instance(
             &wan,
             &tms[0],
-            failures.failure_scenarios(),
+            &failures.failure_scenarios(),
             &TunnelConfig {
                 tunnels_per_flow: 4,
                 prefer_fiber_disjoint: false,
@@ -99,7 +99,8 @@ mod tests {
         let wan = b4(17);
         let tms = gravity_matrices(&wan, &TrafficConfig { num_matrices: 1, ..Default::default() });
         let failures = generate_failures(&wan, &FailureConfig::default());
-        let inst = build_instance(&wan, &tms[0], failures.failure_scenarios(), &Default::default());
+        let inst =
+            build_instance(&wan, &tms[0], &failures.failure_scenarios(), &Default::default());
         let half: Vec<f64> = inst.flows.iter().map(|f| f.demand_gbps / 2.0).collect();
         let alloc = TeAllocation {
             b: half,

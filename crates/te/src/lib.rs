@@ -37,7 +37,7 @@ pub mod schemes;
 pub mod tunnels;
 
 pub use alloc::TeAllocation;
-pub use restoration::{MergeError, RestorationTicket, TicketSet, WeightedTicket};
+pub use restoration::{RestorationTicket, TicketSet};
 pub use schemes::arrow::{Arrow, ArrowNaive, ArrowOnline, ArrowOutcome};
 pub use schemes::ecmp::Ecmp;
 pub use schemes::ffc::Ffc;

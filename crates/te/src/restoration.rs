@@ -57,8 +57,8 @@ impl RestorationTicket {
 /// with [`TicketSet::full`]) or a *shard* of a larger universe (entries
 /// cover a subset of global scenario indices; built with
 /// [`TicketSet::sharded`]). [`TicketSet::scenario_indices`] records the
-/// mapping either way, and [`TicketSet::merge`] recombines shards into the
-/// byte-identical full set regardless of shard count or merge order.
+/// mapping either way; a shard's entry for global scenario `q` equals the
+/// full set's entry `q`, byte for byte.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TicketSet {
     /// Per-scenario ticket lists.
@@ -67,58 +67,6 @@ pub struct TicketSet {
     /// ascending. A full set carries exactly `0..per_scenario.len()`; a
     /// shard carries the (strided) subset its `ShardSpec` selected.
     pub scenario_indices: Vec<usize>,
-}
-
-/// Why two ticket shards refused to merge.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum MergeError {
-    /// The same global scenario carries *different* ticket lists in the
-    /// two sets — they were generated from different seeds, configs, or
-    /// universes and recombining them would be silent corruption.
-    Conflict {
-        /// Global scenario index with diverging tickets.
-        scenario: usize,
-    },
-    /// A set's `scenario_indices` length does not match `per_scenario` —
-    /// it was hand-built inconsistently.
-    Malformed {
-        /// `per_scenario` entries present.
-        entries: usize,
-        /// `scenario_indices` entries present.
-        indices: usize,
-    },
-}
-
-impl std::fmt::Display for MergeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            MergeError::Conflict { scenario } => write!(
-                f,
-                "ticket shards disagree on scenario {scenario}: same global index, \
-                 different tickets (mixed seeds/configs/universes?)"
-            ),
-            MergeError::Malformed { entries, indices } => write!(
-                f,
-                "malformed TicketSet: {entries} per-scenario entries but {indices} \
-                 scenario indices"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for MergeError {}
-
-/// One deduplicated restoration ticket with the probability mass of the
-/// scenarios that produced it (see [`TicketSet::weighted_pool`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct WeightedTicket {
-    /// The unique ticket (bitwise identity over `(link, gbps)` pairs).
-    pub ticket: RestorationTicket,
-    /// Combined probability of its scenarios, re-normalized by the covered
-    /// mass of the whole set so the pool is a distribution over tickets.
-    pub probability: f64,
-    /// Global scenario indices that carry this exact ticket, ascending.
-    pub scenarios: Vec<usize>,
 }
 
 impl TicketSet {
@@ -169,116 +117,6 @@ impl TicketSet {
     /// Total tickets across all scenarios.
     pub fn total_tickets(&self) -> usize {
         self.per_scenario.iter().map(|t| t.len()).sum()
-    }
-
-    /// Merges two shards of the same universe into one set covering the
-    /// union of their scenarios.
-    ///
-    /// The operation is commutative and associative — entries land sorted
-    /// by global scenario index, so any merge tree over any sharding of a
-    /// universe reproduces the byte-identical full set (equal [`digest`]).
-    /// A scenario present in both sides must carry identical tickets
-    /// (deterministic generation guarantees this for honest shards); the
-    /// duplicate entry is dropped, and diverging duplicates are a
-    /// [`MergeError::Conflict`].
-    ///
-    /// [`digest`]: TicketSet::digest
-    pub fn merge(&self, other: &TicketSet) -> Result<TicketSet, MergeError> {
-        for set in [self, other] {
-            if set.scenario_indices.len() != set.per_scenario.len() {
-                return Err(MergeError::Malformed {
-                    entries: set.per_scenario.len(),
-                    indices: set.scenario_indices.len(),
-                });
-            }
-        }
-        // BTreeMap keys the union by global index — deterministic order,
-        // no hash iteration (this crate feeds LP row construction).
-        let mut union: std::collections::BTreeMap<usize, &Vec<RestorationTicket>> =
-            std::collections::BTreeMap::new();
-        for set in [self, other] {
-            for (&q, tickets) in set.scenario_indices.iter().zip(&set.per_scenario) {
-                match union.entry(q) {
-                    std::collections::btree_map::Entry::Vacant(e) => {
-                        e.insert(tickets);
-                    }
-                    std::collections::btree_map::Entry::Occupied(e) => {
-                        if *e.get() != tickets {
-                            return Err(MergeError::Conflict { scenario: q });
-                        }
-                    }
-                }
-            }
-        }
-        let mut merged = TicketSet {
-            per_scenario: Vec::with_capacity(union.len()),
-            scenario_indices: Vec::with_capacity(union.len()),
-        };
-        for (q, tickets) in union {
-            merged.scenario_indices.push(q);
-            merged.per_scenario.push(tickets.clone());
-        }
-        Ok(merged)
-    }
-
-    /// Folds [`merge`](TicketSet::merge) over any number of shards. An
-    /// empty iterator yields the empty set.
-    pub fn merge_all(shards: impl IntoIterator<Item = TicketSet>) -> Result<TicketSet, MergeError> {
-        let mut acc = TicketSet::default();
-        for shard in shards {
-            acc = acc.merge(&shard)?;
-        }
-        Ok(acc)
-    }
-
-    /// The deduplicated ticket pool: every distinct ticket exactly once,
-    /// weighted by the probability of the scenarios that produced it.
-    ///
-    /// `scenario_prob[q]` is the probability of global scenario `q` (a
-    /// compiled universe's `probabilities()`; indices outside the slice
-    /// weigh zero). Identical tickets emitted for different scenarios —
-    /// common across shards, where k-cut supersets restore the same links
-    /// — collapse to one [`WeightedTicket`] whose probability is the *sum*
-    /// over its scenarios, re-normalized by the set's covered mass so the
-    /// pool sums to ≤ 1. Identity is bitwise on the `(link, gbps)` pairs;
-    /// output order is first appearance (scenario order, then ticket
-    /// order), which is deterministic for deterministic generation.
-    pub fn weighted_pool(&self, scenario_prob: &[f64]) -> Vec<WeightedTicket> {
-        let covered: f64 = self
-            .scenario_indices
-            .iter()
-            .map(|&q| scenario_prob.get(q).copied().unwrap_or(0.0))
-            .sum();
-        let norm = if covered > 0.0 { covered } else { 1.0 };
-        // Bitwise ticket key → position in the output pool.
-        let mut seen: std::collections::BTreeMap<Vec<(usize, u64)>, usize> =
-            std::collections::BTreeMap::new();
-        let mut pool: Vec<WeightedTicket> = Vec::new();
-        for (&q, tickets) in self.scenario_indices.iter().zip(&self.per_scenario) {
-            let p = scenario_prob.get(q).copied().unwrap_or(0.0);
-            for t in tickets {
-                let key: Vec<(usize, u64)> =
-                    t.restored.iter().map(|&(l, g)| (l.0, g.to_bits())).collect();
-                let at = *seen.entry(key).or_insert_with(|| {
-                    pool.push(WeightedTicket {
-                        ticket: t.clone(),
-                        probability: 0.0,
-                        scenarios: Vec::new(),
-                    });
-                    pool.len() - 1
-                });
-                // Count each scenario once even if (dedupe disabled) it
-                // lists the same ticket twice.
-                if pool[at].scenarios.last() != Some(&q) {
-                    pool[at].scenarios.push(q);
-                    pool[at].probability += p / norm;
-                }
-            }
-        }
-        for w in &mut pool {
-            w.probability = w.probability.min(1.0);
-        }
-        pool
     }
 
     /// An order-sensitive 64-bit digest of the full set (FNV-1a over the

@@ -534,7 +534,7 @@ mod tests {
         build_instance(
             &wan,
             &tms[0].scaled(scale),
-            failures.failure_scenarios(),
+            &failures.failure_scenarios(),
             &TunnelConfig {
                 tunnels_per_flow: 4,
                 prefer_fiber_disjoint: true,

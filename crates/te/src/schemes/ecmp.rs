@@ -50,7 +50,7 @@ mod tests {
         let inst = build_instance(
             &wan,
             &tms[0],
-            failures.failure_scenarios(),
+            &failures.failure_scenarios(),
             &TunnelConfig {
                 tunnels_per_flow: 4,
                 prefer_fiber_disjoint: false,

@@ -172,7 +172,7 @@ mod tests {
         build_instance(
             &wan,
             &tms[0].scaled(4.0),
-            failures.failure_scenarios(),
+            &failures.failure_scenarios(),
             &TunnelConfig {
                 tunnels_per_flow: 3,
                 prefer_fiber_disjoint: true,
@@ -190,8 +190,8 @@ mod tests {
         let f_big =
             generate_failures(&wan, &FailureConfig { max_scenarios: 12, ..Default::default() });
         let i_small =
-            build_instance(&wan, &tms[0], f_small.failure_scenarios(), &Default::default());
-        let i_big = build_instance(&wan, &tms[0], f_big.failure_scenarios(), &Default::default());
+            build_instance(&wan, &tms[0], &f_small.failure_scenarios(), &Default::default());
+        let i_big = build_instance(&wan, &tms[0], &f_big.failure_scenarios(), &Default::default());
         let s_small = joint_formulation_size(&i_small, 3);
         let s_big = joint_formulation_size(&i_big, 3);
         assert!(s_big.binary_vars > s_small.binary_vars);

@@ -60,7 +60,7 @@ pub(crate) mod tests {
         let raw = build_instance(
             &wan,
             &tms[0],
-            failures.failure_scenarios(),
+            &failures.failure_scenarios(),
             &TunnelConfig {
                 tunnels_per_flow: 4,
                 prefer_fiber_disjoint: false,

@@ -447,7 +447,7 @@ mod tests {
         build_instance(
             &wan,
             &tms[0],
-            failures.failure_scenarios(),
+            &failures.failure_scenarios(),
             &TunnelConfig {
                 tunnels_per_flow: 4,
                 prefer_fiber_disjoint: true,
@@ -545,7 +545,7 @@ mod tests {
                 gravity_matrices(&wan, &TrafficConfig { num_matrices: 2, ..Default::default() });
             let failures = generate_failures(&wan, &FailureConfig::default());
             let cfg = TunnelConfig { tunnels_per_flow, ..Default::default() };
-            let inst = build_instance(&wan, &tms[0], failures.failure_scenarios(), &cfg);
+            let inst = build_instance(&wan, &tms[0], &failures.failure_scenarios(), &cfg);
             let mut used = Vec::new();
             for l in (0..wan.links.len()).map(IpLinkId) {
                 for forward in [false, true] {
@@ -565,7 +565,7 @@ mod tests {
                 assert!(i == 0 || used[i - 1].index() < key.index(), "numbering follows Ord");
             }
             // Demand swaps carry the index a fresh build would make.
-            let fresh = build_instance(&wan, &tms[1], failures.failure_scenarios(), &cfg);
+            let fresh = build_instance(&wan, &tms[1], &failures.failure_scenarios(), &cfg);
             assert_eq!(inst.with_demands(&tms[1]).index, fresh.index);
             assert_eq!(inst.scaled(2.5).index, inst.index);
         }
@@ -576,7 +576,8 @@ mod tests {
         let wan = b4(17);
         let tms = gravity_matrices(&wan, &TrafficConfig { num_matrices: 2, ..Default::default() });
         let failures = generate_failures(&wan, &FailureConfig::default());
-        let inst = build_instance(&wan, &tms[0], failures.failure_scenarios(), &Default::default());
+        let inst =
+            build_instance(&wan, &tms[0], &failures.failure_scenarios(), &Default::default());
         let inst2 = inst.with_demands(&tms[1]);
         assert_eq!(inst.tunnels.len(), inst2.tunnels.len());
         assert_ne!(inst.total_demand(), inst2.total_demand());

@@ -1,9 +1,7 @@
-//! Shard/merge semantics of [`TicketSet`] as plain data — no WAN, no LP:
-//! merge coverage rules, conflict detection, and the deduplicated
-//! weighted ticket pool (identical tickets produced for different
-//! scenarios collapse to one entry carrying the combined probability).
+//! Shard semantics of [`TicketSet`] as plain data — no WAN, no LP: a shard
+//! stores its entries by ascending global scenario index.
 
-use arrow_te::{MergeError, RestorationTicket, TicketSet};
+use arrow_te::{RestorationTicket, TicketSet};
 use arrow_topology::IpLinkId;
 
 fn ticket(pairs: &[(usize, f64)]) -> RestorationTicket {
@@ -20,85 +18,4 @@ fn sharded_entries_sort_by_global_index() {
     assert_eq!(set.scenario_indices, vec![1, 3, 5]);
     assert_eq!(set.for_scenario(0), &[ticket(&[(1, 20.0)])]);
     assert!(!set.is_full());
-}
-
-#[test]
-fn merge_reassembles_full_coverage() {
-    let even = TicketSet::sharded(vec![
-        (0, vec![ticket(&[(0, 100.0)])]),
-        (2, vec![ticket(&[(2, 300.0)])]),
-    ]);
-    let odd = TicketSet::sharded(vec![(1, vec![ticket(&[(1, 200.0)])])]);
-    let merged = even.merge(&odd).expect("disjoint shards merge");
-    assert!(merged.is_full());
-    assert_eq!(merged.per_scenario.len(), 3);
-    for q in 0..3 {
-        assert_eq!(merged.for_scenario(q), &[ticket(&[(q, 100.0 * (q + 1) as f64)])]);
-    }
-}
-
-#[test]
-fn merge_dedups_identical_overlap_and_rejects_conflicts() {
-    let a = TicketSet::sharded(vec![(4, vec![ticket(&[(0, 50.0)])])]);
-    let same = TicketSet::sharded(vec![(4, vec![ticket(&[(0, 50.0)])])]);
-    let merged = a.merge(&same).expect("identical overlap dedups");
-    assert_eq!(merged.per_scenario.len(), 1);
-    assert_eq!(merged.digest(), a.digest());
-
-    // Same global scenario, different tickets: silent corruption — error.
-    let diverged = TicketSet::sharded(vec![(4, vec![ticket(&[(0, 51.0)])])]);
-    assert_eq!(a.merge(&diverged), Err(MergeError::Conflict { scenario: 4 }));
-}
-
-#[test]
-fn merge_rejects_malformed_sets() {
-    let mut broken = TicketSet::sharded(vec![(0, vec![ticket(&[(0, 1.0)])])]);
-    broken.scenario_indices.clear();
-    assert_eq!(
-        TicketSet::default().merge(&broken),
-        Err(MergeError::Malformed { entries: 1, indices: 0 })
-    );
-}
-
-#[test]
-fn same_ticket_across_shards_pools_to_one_with_combined_probability() {
-    // Two shards, two *different* scenarios, bitwise-identical tickets:
-    // e.g. a single cut of fiber A and the SRLG containing A restore the
-    // same IP links by the same amounts. The pooled view must keep
-    // exactly one copy carrying the combined probability mass.
-    let shard_a = TicketSet::sharded(vec![(0, vec![ticket(&[(3, 200.0), (7, 100.0)])])]);
-    let shard_b = TicketSet::sharded(vec![
-        (1, vec![ticket(&[(3, 200.0), (7, 100.0)])]), // same bytes, other scenario
-        (2, vec![ticket(&[(3, 150.0)])]),             // distinct ticket
-    ]);
-    let merged = shard_a.merge(&shard_b).expect("disjoint scenarios merge");
-
-    let probs = [0.3, 0.2, 0.4]; // covered mass 0.9
-    let pool = merged.weighted_pool(&probs);
-    assert_eq!(pool.len(), 2, "identical tickets must collapse to one pool entry");
-
-    let dup = &pool[0]; // first appearance: scenario 0's ticket
-    assert_eq!(dup.ticket, ticket(&[(3, 200.0), (7, 100.0)]));
-    assert_eq!(dup.scenarios, vec![0, 1], "both carrying scenarios recorded");
-    let expect = (0.3 + 0.2) / 0.9; // combined, re-normalized by covered mass
-    assert!((dup.probability - expect).abs() < 1e-12, "got {}", dup.probability);
-
-    let solo = &pool[1];
-    assert_eq!(solo.scenarios, vec![2]);
-    assert!((solo.probability - 0.4 / 0.9).abs() < 1e-12);
-
-    // The pool is a distribution over tickets: masses sum to ~1 here.
-    let total: f64 = pool.iter().map(|w| w.probability).sum();
-    assert!((total - 1.0).abs() < 1e-12);
-}
-
-#[test]
-fn weighted_pool_counts_a_scenario_once_per_ticket() {
-    // Dedupe-disabled generation can list the same ticket twice within
-    // one scenario; the pool must not double-count that scenario's mass.
-    let set = TicketSet::sharded(vec![(0, vec![ticket(&[(1, 10.0)]), ticket(&[(1, 10.0)])])]);
-    let pool = set.weighted_pool(&[0.5]);
-    assert_eq!(pool.len(), 1);
-    assert_eq!(pool[0].scenarios, vec![0]);
-    assert!((pool[0].probability - 1.0).abs() < 1e-12); // 0.5 / 0.5 covered
 }

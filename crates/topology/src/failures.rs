@@ -6,6 +6,11 @@
 //! cuts whose joint probability exceeds a cutoff (0.001 for B4/IBM, 0.0002
 //! for Facebook). When a fiber fails, every IP link riding it fails
 //! simultaneously.
+//!
+//! [`compile_universe`] is the one enumerator: exhaustive k-cuts plus the
+//! correlated mechanisms (SRLG conduits, maintenance windows, flapping
+//! fibers) into a [`ScenarioUniverse`]. [`generate_failures`] is the
+//! paper's set on top of it: `max_k: 2` and a most-probable cap.
 
 use crate::distributions::weibull;
 use crate::hash::{fnv1a_word, splitmix64, FNV1A_OFFSET};
@@ -17,7 +22,8 @@ use rand::{Rng, SeedableRng};
 /// One failure scenario: a set of cut fibers with its probability.
 #[derive(Debug, Clone)]
 pub struct FailureScenario {
-    /// Fibers cut in this scenario (empty = the healthy scenario).
+    /// Fibers cut in this scenario. A universe lists no empty cut: its
+    /// healthy state is [`ScenarioUniverse::healthy_probability`].
     pub cut_fibers: Vec<FiberId>,
     /// Joint probability of exactly this cut set.
     pub probability: f64,
@@ -25,72 +31,20 @@ pub struct FailureScenario {
     pub failed_links: Vec<IpLinkId>,
 }
 
-impl FailureScenario {
-    /// Whether this is the no-failure scenario.
-    pub fn is_healthy(&self) -> bool {
-        self.cut_fibers.is_empty()
-    }
-}
-
-/// Configuration of scenario generation.
+/// Configuration of [`generate_failures`]: the paper's scenario set.
 #[derive(Debug, Clone)]
 pub struct FailureConfig {
-    /// Weibull shape for per-fiber failure probability (paper: 0.8).
-    pub weibull_shape: f64,
-    /// Weibull scale (paper: 0.02).
-    pub weibull_scale: f64,
     /// Scenario probability cutoff (paper: 1e-3 B4/IBM, 2e-4 Facebook).
     pub cutoff: f64,
-    /// Include double-cut scenarios (the paper's sets "may contain both").
-    pub include_doubles: bool,
     /// Cap on the number of scenarios, keeping the most probable (`0` = no
     /// cap). The paper's probabilistic approach "only considers
     /// highly-probable failure scenarios".
     pub max_scenarios: usize,
-    /// RNG seed for the per-fiber probabilities.
-    pub seed: u64,
 }
 
 impl Default for FailureConfig {
     fn default() -> Self {
-        FailureConfig {
-            weibull_shape: 0.8,
-            weibull_scale: 0.02,
-            cutoff: 1e-3,
-            include_doubles: true,
-            max_scenarios: 0,
-            seed: 31,
-        }
-    }
-}
-
-/// The generated probabilistic failure model for one WAN.
-#[derive(Debug, Clone)]
-pub struct FailureModel {
-    /// Per-fiber failure probability.
-    pub fiber_prob: Vec<f64>,
-    /// Scenarios above the cutoff. The first entry is always the healthy
-    /// scenario; the rest are sorted by descending probability.
-    pub scenarios: Vec<FailureScenario>,
-}
-
-impl FailureModel {
-    /// The failure (non-healthy) scenarios only; none for an empty model.
-    pub fn failure_scenarios(&self) -> &[FailureScenario] {
-        self.scenarios.get(1..).unwrap_or(&[])
-    }
-
-    /// Total probability mass captured by the enumerated scenarios,
-    /// clamped to 1.
-    ///
-    /// The scenarios of a well-formed model are disjoint events, so their
-    /// probabilities sum to at most 1; duplicate entries (the same cut
-    /// set counted twice — e.g. a hand-assembled model, or a buggy merge)
-    /// used to inflate this silently past certainty and corrupt every
-    /// availability figure downstream. The sum is now clamped at 1.0 and
-    /// the overflow reported through obs instead.
-    pub fn covered_probability(&self) -> f64 {
-        clamp_covered(self.scenarios.iter().map(|s| s.probability).sum())
+        FailureConfig { cutoff: 1e-3, max_scenarios: 0 }
     }
 }
 
@@ -105,61 +59,25 @@ fn clamp_covered(sum: f64) -> f64 {
     sum.min(1.0)
 }
 
-/// Orders scenarios by descending probability. total_cmp keeps the
-/// comparator total: a NaN probability (degenerate upstream inputs) sorts
-/// deterministically instead of panicking mid-sort.
-fn sort_by_probability_desc(scenarios: &mut [FailureScenario]) {
-    scenarios.sort_by(|a, b| b.probability.total_cmp(&a.probability));
-}
-
-/// Draws per-fiber failure probabilities and enumerates scenarios.
-pub fn generate(wan: &Wan, cfg: &FailureConfig) -> FailureModel {
-    let nf = wan.optical.num_fibers();
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let fiber_prob: Vec<f64> =
-        (0..nf).map(|_| weibull(&mut rng, cfg.weibull_shape, cfg.weibull_scale).min(0.5)).collect();
-    let healthy_prob: f64 = fiber_prob.iter().map(|p| 1.0 - p).product();
-
-    let mut scenarios = Vec::new();
-    // Single cuts.
-    for (f, &pf) in fiber_prob.iter().enumerate().take(nf) {
-        let p = healthy_prob / (1.0 - pf) * pf;
-        if p >= cfg.cutoff {
-            let cut = vec![FiberId(f)];
-            let failed_links = wan.links_failed_by(&cut);
-            scenarios.push(FailureScenario { cut_fibers: cut, probability: p, failed_links });
-        }
+/// The paper's scenario set: every single and double fiber cut whose
+/// probability clears `cfg.cutoff`, most probable first, capped at the
+/// `cfg.max_scenarios` most probable.
+///
+/// This is [`compile_universe`] with `max_k: 2`, the cutoff and every
+/// correlation mechanism off. The cap is a deterministic top-k, unlike
+/// [`UniverseConfig::max_scenarios`]'s importance sampling; the scenarios
+/// it drops count in `stats.sampled_out`.
+pub fn generate_failures(wan: &Wan, cfg: &FailureConfig) -> ScenarioUniverse {
+    let mut universe = compile_universe(
+        wan,
+        &UniverseConfig { max_k: 2, cutoff: cfg.cutoff, ..Default::default() },
+    );
+    if cfg.max_scenarios > 0 && universe.len() > cfg.max_scenarios {
+        universe.stats.sampled_out += universe.len() - cfg.max_scenarios;
+        universe.scenarios.truncate(cfg.max_scenarios);
+        universe.stats.kept = universe.len();
     }
-    // Double cuts.
-    if cfg.include_doubles {
-        for f in 0..nf {
-            for g in f + 1..nf {
-                let p = healthy_prob / ((1.0 - fiber_prob[f]) * (1.0 - fiber_prob[g]))
-                    * fiber_prob[f]
-                    * fiber_prob[g];
-                if p >= cfg.cutoff {
-                    let cut = vec![FiberId(f), FiberId(g)];
-                    let failed_links = wan.links_failed_by(&cut);
-                    scenarios.push(FailureScenario {
-                        cut_fibers: cut,
-                        probability: p,
-                        failed_links,
-                    });
-                }
-            }
-        }
-    }
-    sort_by_probability_desc(&mut scenarios);
-    if cfg.max_scenarios > 0 && scenarios.len() > cfg.max_scenarios {
-        scenarios.truncate(cfg.max_scenarios);
-    }
-    let mut all = vec![FailureScenario {
-        cut_fibers: Vec::new(),
-        probability: healthy_prob,
-        failed_links: Vec::new(),
-    }];
-    all.extend(scenarios);
-    FailureModel { fiber_prob, scenarios: all }
+    universe
 }
 
 // ---------------------------------------------------------------------------
@@ -233,10 +151,9 @@ pub struct SrlgGroup {
 
 /// Configuration of [`compile_universe`].
 ///
-/// The Weibull fields and `cutoff` mirror [`FailureConfig`] — with every
-/// correlation knob off (`max_k = 1`, no SRLG/maintenance/flapping), the
-/// compiled universe reproduces [`generate`]'s single-cut scenarios
-/// bit-for-bit (pinned by `tests/proptest_failures.rs`).
+/// With every correlation knob off and `max_k: 2` this is the paper's
+/// single- and double-cut scenario set, which [`generate_failures`]
+/// builds on.
 #[derive(Debug, Clone)]
 pub struct UniverseConfig {
     /// Weibull shape for per-fiber failure probability (paper: 0.8).
@@ -246,7 +163,8 @@ pub struct UniverseConfig {
     /// RNG seed for per-fiber probabilities and importance sampling.
     pub seed: u64,
     /// Exhaustive-enumeration budget: all cut sets of up to this many
-    /// fibers whose joint probability clears `cutoff`.
+    /// fibers whose joint probability clears `cutoff` (0 = no k-cuts, only
+    /// the SRLG and maintenance mechanisms).
     pub max_k: usize,
     /// Joint-probability cutoff pruning the k-cut enumeration. Pruning is
     /// exact: per-fiber probabilities are capped at 0.5, so extending a
@@ -301,7 +219,7 @@ impl Default for UniverseConfig {
     }
 }
 
-/// What the compiler did, for reports and BENCH artifacts.
+/// What the compiler did: `kept + deduped + sampled_out == enumerated`.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct UniverseStats {
     /// Candidate scenarios produced by all mechanisms before dedup.
@@ -309,15 +227,16 @@ pub struct UniverseStats {
     /// Candidates dropped because another mechanism already produced the
     /// same cut set (the higher-probability estimate wins).
     pub deduped: usize,
-    /// Candidates dropped by importance sampling.
+    /// Candidates dropped by importance sampling or by
+    /// [`generate_failures`]' most-probable cap.
     pub sampled_out: usize,
     /// Scenarios in the final universe.
     pub kept: usize,
 }
 
-/// A compiled, deduplicated, importance-sampled set of correlated failure
-/// scenarios — the production-scale replacement for [`FailureModel`]'s
-/// single/double cuts (ROADMAP item 1).
+/// A compiled, deduplicated, optionally sampled set of failure scenarios:
+/// the one scenario representation, from [`compile_universe`] or
+/// [`generate_failures`].
 ///
 /// Scenarios are sorted by descending probability (ties broken by
 /// [`ScenarioId`]) and hold **failure** scenarios only; the healthy state
@@ -365,9 +284,13 @@ impl ScenarioUniverse {
     }
 
     /// Probability mass covered by the universe plus the healthy state,
-    /// clamped to 1 (see [`FailureModel::covered_probability`] for why
-    /// clamping; correlated sources are not disjoint from the independent
-    /// model, so the raw sum can legitimately overshoot).
+    /// clamped to 1.
+    ///
+    /// Independent k-cuts are disjoint events, but correlated sources are
+    /// not disjoint from them, and a hand-assembled universe may list a
+    /// cut set twice; the raw sum can then pass certainty and corrupt every
+    /// availability figure downstream. It is clamped at 1.0 and the
+    /// overflow reported through obs instead.
     pub fn covered_probability(&self) -> f64 {
         clamp_covered(
             self.healthy_probability
@@ -375,22 +298,9 @@ impl ScenarioUniverse {
         )
     }
 
-    /// Adapts the universe to the legacy [`FailureModel`] shape (healthy
-    /// scenario first) so the existing controller / availability pipeline
-    /// can consume a compiled universe unchanged.
-    pub fn to_failure_model(&self) -> FailureModel {
-        let mut all = vec![FailureScenario {
-            cut_fibers: Vec::new(),
-            probability: self.healthy_probability,
-            failed_links: Vec::new(),
-        }];
-        all.extend(self.scenarios.iter().map(|c| c.scenario.clone()));
-        FailureModel { fiber_prob: self.fiber_prob.clone(), scenarios: all }
-    }
-
-    /// Order-sensitive digest of the universe (ids + probability bits) —
-    /// logged by the sweep driver so two processes can assert they
-    /// compiled the same universe before trusting a shard merge.
+    /// Order-sensitive digest of the universe (ids + probability bits), so
+    /// two processes can assert they compiled the same universe before
+    /// comparing shards.
     pub fn digest(&self) -> u64 {
         let len = fnv1a_word(FNV1A_OFFSET, self.scenarios.len() as u64);
         self.scenarios
@@ -410,11 +320,11 @@ struct Candidate {
 /// Exhaustive k-cut DFS: enumerates cut sets of size ≤ `max_k` whose
 /// joint probability under independent fiber failures clears `cutoff`.
 ///
-/// Probability is extended incrementally as `p / (1 - p_f) * p_f` — for
-/// k = 1 this is the *identical* float expression [`generate`] evaluates,
-/// so single-cut probabilities match bit-for-bit. Pruning is exact: each
-/// `p_f ≤ 0.5`, so extending a cut never increases its probability, and
-/// any branch below the cutoff can be dropped with everything beneath it.
+/// Probability is extended incrementally as `p / (1 - p_f) * p_f` per
+/// added fiber; the benchmark's `max_k: 3` universes pin its bits. Pruning
+/// is exact: each `p_f ≤ 0.5`, so extending a cut never increases its
+/// probability, and any branch below the cutoff can be dropped with
+/// everything beneath it.
 struct KCutDfs<'a> {
     fiber_prob: &'a [f64],
     flapping: &'a [bool],
@@ -425,6 +335,9 @@ struct KCutDfs<'a> {
 
 impl KCutDfs<'_> {
     fn walk(&mut self, start: usize, p: f64, cut: &mut Vec<usize>) {
+        if cut.len() >= self.max_k {
+            return;
+        }
         for f in start..self.fiber_prob.len() {
             let pf = self.fiber_prob[f];
             if pf <= 0.0 {
@@ -447,9 +360,7 @@ impl KCutDfs<'_> {
                 cut: fibers,
                 probability: pc,
             });
-            if cut.len() < self.max_k {
-                self.walk(f + 1, pc, cut);
-            }
+            self.walk(f + 1, pc, cut);
             cut.pop();
         }
     }
@@ -474,8 +385,8 @@ pub fn compile_universe(wan: &Wan, cfg: &UniverseConfig) -> ScenarioUniverse {
         "max_scenarios" => cfg.max_scenarios,
     );
 
-    // Per-fiber probabilities: the identical stream FailureConfig draws
-    // (same seed → same probabilities), then flapping boosts.
+    // Per-fiber probabilities from the seeded Weibull stream, then
+    // flapping boosts.
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let mut fiber_prob: Vec<f64> =
         (0..nf).map(|_| weibull(&mut rng, cfg.weibull_shape, cfg.weibull_scale).min(0.5)).collect();
@@ -638,28 +549,20 @@ mod tests {
     use crate::builders::b4;
 
     #[test]
-    fn healthy_scenario_comes_first() {
-        let wan = b4(17);
-        let model = generate(&wan, &FailureConfig::default());
-        assert!(model.scenarios[0].is_healthy());
-        assert!(model.scenarios[0].probability > 0.5);
-    }
-
-    #[test]
     fn singles_exceeding_cutoff_are_present() {
         let wan = b4(17);
-        let model = generate(&wan, &FailureConfig::default());
-        let singles = model.failure_scenarios().iter().filter(|s| s.cut_fibers.len() == 1).count();
+        let uni = generate_failures(&wan, &FailureConfig::default());
+        let singles = uni.scenarios.iter().filter(|c| c.scenario.cut_fibers.len() == 1).count();
         // With mean p≈0.0227 and cutoff 1e-3, essentially all 19 singles stay.
         assert!(singles >= 15, "only {singles} single-cut scenarios");
+        assert!(uni.scenarios.iter().all(|c| matches!(c.scenario.cut_fibers.len(), 1 | 2)));
     }
 
     #[test]
     fn scenarios_sorted_and_above_cutoff() {
         let wan = b4(17);
         let cfg = FailureConfig::default();
-        let model = generate(&wan, &cfg);
-        let probs: Vec<f64> = model.failure_scenarios().iter().map(|s| s.probability).collect();
+        let probs = generate_failures(&wan, &cfg).probabilities();
         for w in probs.windows(2) {
             assert!(w[0] >= w[1], "not sorted");
         }
@@ -669,8 +572,7 @@ mod tests {
     #[test]
     fn failed_links_match_cross_layer_mapping() {
         let wan = b4(17);
-        let model = generate(&wan, &FailureConfig::default());
-        for s in model.failure_scenarios() {
+        for s in generate_failures(&wan, &FailureConfig::default()).failure_scenarios() {
             assert_eq!(s.failed_links, wan.links_failed_by(&s.cut_fibers));
             assert!(
                 !s.failed_links.is_empty()
@@ -684,48 +586,38 @@ mod tests {
     #[test]
     fn max_scenarios_keeps_most_probable() {
         let wan = b4(17);
-        let full = generate(&wan, &FailureConfig::default());
-        let capped = generate(&wan, &FailureConfig { max_scenarios: 5, ..Default::default() });
-        assert_eq!(capped.failure_scenarios().len(), 5);
-        assert_eq!(
-            capped.failure_scenarios()[0].probability,
-            full.failure_scenarios()[0].probability
-        );
+        let full = generate_failures(&wan, &FailureConfig::default());
+        let capped =
+            generate_failures(&wan, &FailureConfig { max_scenarios: 5, ..Default::default() });
+        assert_eq!(capped.len(), 5);
+        let bits = |u: &ScenarioUniverse| -> Vec<(ScenarioId, u64)> {
+            u.scenarios.iter().map(|c| (c.id, c.scenario.probability.to_bits())).collect()
+        };
+        assert_eq!(bits(&capped), bits(&full)[..5]);
+        assert_eq!(capped.healthy_probability.to_bits(), full.healthy_probability.to_bits());
+        // The truncated scenarios are accounted for.
+        let stats = &capped.stats;
+        assert_eq!(stats.sampled_out, full.len() - 5);
+        assert_eq!(stats.kept + stats.deduped + stats.sampled_out, stats.enumerated);
     }
 
     #[test]
     fn probability_mass_is_sane() {
         let wan = b4(17);
-        let model = generate(&wan, &FailureConfig::default());
-        let covered = model.covered_probability();
+        let uni = generate_failures(&wan, &FailureConfig::default());
+        assert!(uni.healthy_probability > 0.5);
+        let covered = uni.covered_probability();
         assert!(covered > 0.9 && covered <= 1.0 + 1e-9, "covered {covered}");
-    }
-
-    #[test]
-    fn nan_probability_does_not_panic_scenario_sort() {
-        // partial_cmp().unwrap() here once meant a single NaN probability
-        // (degenerate upstream inputs) aborted scenario generation. The
-        // sort must stay total: real probabilities in descending order,
-        // NaN placed deterministically, no panic.
-        let mk = |p: f64| FailureScenario {
-            cut_fibers: vec![FiberId(0)],
-            probability: p,
-            failed_links: Vec::new(),
-        };
-        let mut scenarios = vec![mk(0.1), mk(f64::NAN), mk(0.7), mk(0.3)];
-        sort_by_probability_desc(&mut scenarios);
-        let reals: Vec<f64> =
-            scenarios.iter().map(|s| s.probability).filter(|p| !p.is_nan()).collect();
-        assert_eq!(reals, vec![0.7, 0.3, 0.1]);
-        assert_eq!(scenarios.iter().filter(|s| s.probability.is_nan()).count(), 1);
     }
 
     #[test]
     fn doubles_can_be_disabled() {
         let wan = b4(17);
-        let cfg = FailureConfig { include_doubles: false, cutoff: 1e-6, ..Default::default() };
-        let model = generate(&wan, &cfg);
-        assert!(model.failure_scenarios().iter().all(|s| s.cut_fibers.len() == 1));
+        let uni = compile_universe(
+            &wan,
+            &UniverseConfig { max_k: 1, cutoff: 1e-6, ..Default::default() },
+        );
+        assert!(uni.scenarios.iter().all(|c| c.scenario.cut_fibers.len() == 1));
     }
 
     #[test]
@@ -733,13 +625,11 @@ mod tests {
         // Regression: a duplicated cut (same scenario listed twice) used
         // to push the covered mass past 1.0 silently. It must clamp.
         let wan = b4(17);
-        let mut model = generate(&wan, &FailureConfig::default());
-        let dup = model.scenarios[0].clone(); // healthy, p ≈ 0.63
-        model.scenarios.push(dup.clone());
-        model.scenarios.push(dup);
-        let covered = model.covered_probability();
-        assert!(covered <= 1.0, "covered {covered} exceeds certainty");
-        assert_eq!(covered, 1.0, "triple-counted healthy mass must clamp to exactly 1.0");
+        let mut uni = generate_failures(&wan, &FailureConfig::default());
+        let copy = uni.scenarios.clone();
+        uni.scenarios.extend(copy.iter().cloned().chain(copy.iter().cloned()));
+        let covered = uni.covered_probability();
+        assert_eq!(covered, 1.0, "triple-counted scenarios must clamp to exactly 1.0");
     }
 
     #[test]
@@ -807,35 +697,27 @@ mod tests {
     #[test]
     fn maintenance_and_srlg_sources_are_present() {
         let wan = b4(17);
-        let uni = compile_universe(
-            &wan,
-            &UniverseConfig {
-                max_k: 1,
-                auto_srlg_size: 4,
-                auto_srlg_probability: 3e-3,
-                maintenance_window: 3,
-                maintenance_probability: 2e-3,
-                ..Default::default()
-            },
-        );
-        let srlg = uni.scenarios.iter().filter(|c| c.source == ScenarioSource::Srlg).count();
-        let maint =
-            uni.scenarios.iter().filter(|c| c.source == ScenarioSource::Maintenance).count();
-        assert!(srlg > 0, "no SRLG scenarios compiled");
-        assert!(maint > 0, "no maintenance scenarios compiled");
-        // Multi-fiber scenarios derive their failed links cross-layer.
-        for c in &uni.scenarios {
-            assert_eq!(c.scenario.failed_links, wan.links_failed_by(&c.scenario.cut_fibers));
+        for max_k in [0, 1] {
+            let uni = compile_universe(
+                &wan,
+                &UniverseConfig {
+                    max_k,
+                    auto_srlg_size: 4,
+                    auto_srlg_probability: 3e-3,
+                    maintenance_window: 3,
+                    maintenance_probability: 2e-3,
+                    ..Default::default()
+                },
+            );
+            let count = |source| uni.scenarios.iter().filter(|c| c.source == source).count();
+            assert!(count(ScenarioSource::Srlg) > 0, "no SRLG scenarios compiled");
+            assert!(count(ScenarioSource::Maintenance) > 0, "no maintenance scenarios compiled");
+            // `max_k: 0` enumerates no k-cuts at all.
+            assert_eq!(count(ScenarioSource::KCut) == 0, max_k == 0, "max_k {max_k}");
+            // Multi-fiber scenarios derive their failed links cross-layer.
+            for c in &uni.scenarios {
+                assert_eq!(c.scenario.failed_links, wan.links_failed_by(&c.scenario.cut_fibers));
+            }
         }
-    }
-
-    #[test]
-    fn universe_adapts_to_failure_model() {
-        let wan = b4(17);
-        let uni = compile_universe(&wan, &UniverseConfig::default());
-        let model = uni.to_failure_model();
-        assert!(model.scenarios[0].is_healthy());
-        assert_eq!(model.failure_scenarios().len(), uni.len());
-        assert!(model.covered_probability() <= 1.0);
     }
 }

@@ -1,24 +1,28 @@
-//! JSON persistence for topologies, traffic, and failure models — the one
+//! JSON persistence for topologies, traffic, and failure scenarios — the one
 //! module that knows the snapshot format.
 //!
-//! Experiment artifacts (the generated WAN, its traffic matrices, the
-//! sampled failure model) can be saved and reloaded so that runs are
+//! Experiment artifacts (the generated WAN, its traffic matrices, its
+//! failure scenario universe) can be saved and reloaded so that runs are
 //! reproducible byte-for-byte even across versions of the generators.
 //! Plain JSON text through [`arrow_obs::json`] — diffable, greppable.
 //!
 //! The document carries **primary data only**: slot and ROADM counts,
 //! fibers as endpoints and length, lightpaths, the site→ROADM map, IP
 //! links, each matrix's `n` and row-major demands, per-fiber failure
-//! probabilities and each scenario's cut set and probability. Everything
-//! derived — spectrum occupancy, ROADM adjacency, the links a cut fails —
-//! is rebuilt on load by the constructors that enforce the invariants
+//! probabilities, the healthy probability, and each scenario's cut set,
+//! probability and source. Everything derived — spectrum occupancy, ROADM
+//! adjacency, the links a cut fails, a scenario's [`ScenarioId`] — is
+//! rebuilt on load by the constructors that enforce the invariants
 //! ([`OpticalNetwork::provision`], [`TrafficMatrix::from_row_major`],
-//! [`Wan::links_failed_by`]), so a file cannot put a model into a state
-//! the builders could not. A file that is not JSON is [`IoError::Parse`];
-//! JSON that is not a consistent snapshot is [`IoError::Invalid`], naming
-//! the JSON path of the offending value (`wan.links[3].a`).
+//! [`Wan::links_failed_by`], [`ScenarioId::of_cut`]), so a file cannot put
+//! a model into a state the builders could not. A file that is not JSON
+//! is [`IoError::Parse`]; JSON that is not a consistent snapshot is
+//! [`IoError::Invalid`], naming the JSON path of the offending value
+//! (`wan.links[3].a`).
 
-use crate::failures::{FailureModel, FailureScenario};
+use crate::failures::{
+    CompiledScenario, FailureScenario, ScenarioId, ScenarioSource, ScenarioUniverse, UniverseStats,
+};
 use crate::traffic::TrafficMatrix;
 use crate::wan::{IpLink, SiteId, Wan};
 use arrow_obs::json::{self, Json, JsonError};
@@ -27,15 +31,15 @@ use std::fmt::Display;
 use std::path::Path;
 
 /// A self-contained experiment snapshot: one WAN with its demands and
-/// failure model.
+/// failure scenarios.
 #[derive(Debug, Clone)]
 pub struct Snapshot {
     /// The two-layer WAN.
     pub wan: Wan,
     /// Traffic matrices (time epochs).
     pub traffic: Vec<TrafficMatrix>,
-    /// The probabilistic failure model.
-    pub failures: FailureModel,
+    /// The failure scenario universe.
+    pub failures: ScenarioUniverse,
 }
 
 /// Errors from snapshot I/O.
@@ -257,42 +261,78 @@ fn matrix_from_json(node: &Node, wan: &Wan) -> Result<TrafficMatrix, IoError> {
     TrafficMatrix::from_row_major(n, demand.list(|d| d.number())?).map_err(|e| node.err(e))
 }
 
-fn failures_to_json(model: &FailureModel) -> Json {
-    let scenario = |s: &FailureScenario| {
+const SOURCES: [ScenarioSource; 4] = [
+    ScenarioSource::KCut,
+    ScenarioSource::Srlg,
+    ScenarioSource::Maintenance,
+    ScenarioSource::Flapping,
+];
+
+/// A [`ScenarioSource`]'s name in the file.
+fn source_name(source: ScenarioSource) -> &'static str {
+    match source {
+        ScenarioSource::KCut => "k_cut",
+        ScenarioSource::Srlg => "srlg",
+        ScenarioSource::Maintenance => "maintenance",
+        ScenarioSource::Flapping => "flapping",
+    }
+}
+
+fn failures_to_json(universe: &ScenarioUniverse) -> Json {
+    let scenario = |c: &CompiledScenario| {
         obj([
-            ("cut_fibers", arr(&s.cut_fibers, |f| int(f.0))),
-            ("probability", Json::Num(s.probability)),
+            ("cut_fibers", arr(&c.scenario.cut_fibers, |f| int(f.0))),
+            ("probability", Json::Num(c.scenario.probability)),
+            ("source", Json::Str(source_name(c.source).to_string())),
         ])
     };
     obj([
-        ("fiber_prob", arr(&model.fiber_prob, |&p| Json::Num(p))),
-        ("scenarios", arr(&model.scenarios, scenario)),
+        ("fiber_prob", arr(&universe.fiber_prob, |&p| Json::Num(p))),
+        ("healthy_probability", Json::Num(universe.healthy_probability)),
+        ("scenarios", arr(&universe.scenarios, scenario)),
     ])
 }
 
-/// Decodes the failure model and checks what every consumer of a
-/// [`FailureModel`] assumes about it against the WAN it was saved with.
-fn failures_from_json(node: &Node, wan: &Wan) -> Result<FailureModel, IoError> {
-    let [fiber_prob, scenarios] = node.fields(["fiber_prob", "scenarios"])?;
+/// Decodes the scenario universe and checks what every consumer of a
+/// [`ScenarioUniverse`] assumes about it against the WAN it was saved
+/// with: no empty or repeated cut set, no cut naming an unknown fiber.
+/// Compile-time accounting is not in the file, so a loaded universe
+/// reports every scenario as kept.
+fn failures_from_json(node: &Node, wan: &Wan) -> Result<ScenarioUniverse, IoError> {
+    let [fiber_prob, healthy, scenarios] =
+        node.fields(["fiber_prob", "healthy_probability", "scenarios"])?;
     let num_fibers = wan.optical.num_fibers();
     let fiber_prob = fiber_prob.list(|p| p.within(1.0))?;
     if fiber_prob.len() != num_fibers {
         let n = fiber_prob.len();
         return Err(node.err(format!("fiber_prob has {n} entries, WAN has {num_fibers} fibers")));
     }
+    let mut seen = std::collections::BTreeMap::new();
     let scenarios = scenarios.list(|s| {
-        let [cut_fibers, probability] = s.fields(["cut_fibers", "probability"])?;
+        let [cut_fibers, probability, source] =
+            s.fields(["cut_fibers", "probability", "source"])?;
         let cut_fibers = cut_fibers.list(|f| f.index().map(FiberId))?;
+        if cut_fibers.is_empty() {
+            return Err(s.err("empty cut set (the healthy state is `healthy_probability`)"));
+        }
         if let Some(f) = cut_fibers.iter().find(|f| f.0 >= num_fibers) {
             return Err(s.err(format!("cuts fiber {}, WAN has {num_fibers} fibers", f.0)));
         }
+        let id = ScenarioId::of_cut(&cut_fibers);
+        if let Some(first) = seen.insert(id, s.path.clone()) {
+            return Err(s.err(format!("repeats the cut set of {first}")));
+        }
+        let name = source.string()?;
+        let source = (SOURCES.into_iter().find(|&k| source_name(k) == name))
+            .ok_or_else(|| source.err(format!("unknown source `{name}`")))?;
+        let probability = probability.within(1.0)?;
         let failed_links = wan.links_failed_by(&cut_fibers);
-        Ok(FailureScenario { cut_fibers, probability: probability.within(1.0)?, failed_links })
+        let scenario = FailureScenario { cut_fibers, probability, failed_links };
+        Ok(CompiledScenario { id, source, scenario })
     })?;
-    if !scenarios.first().is_some_and(|s| s.is_healthy()) {
-        return Err(node.err("the healthy scenario must come first"));
-    }
-    Ok(FailureModel { fiber_prob, scenarios })
+    let n = scenarios.len();
+    let stats = UniverseStats { enumerated: n, deduped: 0, sampled_out: 0, kept: n };
+    Ok(ScenarioUniverse { fiber_prob, healthy_probability: healthy.within(1.0)?, scenarios, stats })
 }
 
 impl Snapshot {
@@ -311,7 +351,7 @@ impl Snapshot {
     /// Parses from JSON, rebuilding the optical layer, the matrices and
     /// the failed-link sets through their validating constructors, and
     /// validates the cross-layer mapping, the traffic dimensions and the
-    /// failure model. Hostile input yields an [`IoError`], never a panic.
+    /// failure scenarios. Hostile input yields an [`IoError`], never a panic.
     pub fn from_json(text: &str) -> Result<Self, IoError> {
         let doc = json::parse(text)?;
         let root = Node { json: &doc, path: String::new() };
@@ -338,13 +378,14 @@ impl Snapshot {
 mod tests {
     use super::*;
     use crate::builders::{b4, facebook_like, ibm};
-    use crate::failures::{generate, FailureConfig};
+    use crate::failures::{compile_universe, generate_failures, FailureConfig, UniverseConfig};
     use crate::traffic::{gravity_matrices, TrafficConfig};
 
     fn snapshot_of(wan: Wan) -> Snapshot {
         let traffic =
             gravity_matrices(&wan, &TrafficConfig { num_matrices: 2, ..Default::default() });
-        let failures = generate(&wan, &FailureConfig { max_scenarios: 4, ..Default::default() });
+        let failures =
+            generate_failures(&wan, &FailureConfig { max_scenarios: 4, ..Default::default() });
         Snapshot { wan, traffic, failures }
     }
 
@@ -362,9 +403,35 @@ mod tests {
             assert_eq!(occupied(&back.wan), occupied(&snap.wan));
             assert!(occupied(&back.wan).iter().sum::<usize>() > 0);
             for (b, s) in back.failures.scenarios.iter().zip(&snap.failures.scenarios) {
-                assert_eq!(b.failed_links, s.failed_links);
+                assert_eq!(b.scenario.failed_links, s.scenario.failed_links);
             }
         }
+    }
+
+    #[test]
+    fn correlated_universe_roundtrip_keeps_digest_and_sources() {
+        let wan = b4(17);
+        let failures = compile_universe(
+            &wan,
+            &UniverseConfig {
+                max_k: 2,
+                auto_srlg_size: 3,
+                maintenance_window: 2,
+                flapping_count: 2,
+                ..Default::default()
+            },
+        );
+        let sources = |u: &ScenarioUniverse| -> Vec<ScenarioSource> {
+            u.scenarios.iter().map(|c| c.source).collect()
+        };
+        for source in SOURCES {
+            assert!(sources(&failures).contains(&source), "no {source:?} scenario to round-trip");
+        }
+        let snap = Snapshot { wan, traffic: Vec::new(), failures };
+        let back = Snapshot::from_json(&snap.to_json()).unwrap().failures;
+        assert_eq!(back.digest(), snap.failures.digest());
+        assert_eq!(sources(&back), sources(&snap.failures));
+        assert_eq!(back.healthy_probability.to_bits(), snap.failures.healthy_probability.to_bits());
     }
 
     #[test]
@@ -402,7 +469,12 @@ mod tests {
     /// decoder this one replaced panicked or aborted on.
     #[test]
     fn hostile_snapshots_yield_typed_errors() {
-        let valid = json::parse(&snapshot_of(b4(17)).to_json()).unwrap();
+        let snap = snapshot_of(b4(17));
+        let valid = json::parse(&snap.to_json()).unwrap();
+        let first_cut = format!(
+            "{:?}",
+            snap.failures.scenario(0).cut_fibers.iter().map(|f| f.0).collect::<Vec<_>>()
+        );
         let rows = [
             ("wan.links[0].a", "9999", "wan: link 0: site 9999 out of range"),
             ("wan.links[0].lightpath", "9999", "wan: link 0: lightpath 9999 out of range"),
@@ -455,8 +527,20 @@ mod tests {
             ),
             ("failures.fiber_prob", "[0.1]", "failures: fiber_prob has 1 entries, WAN has 19"),
             ("failures.scenarios[1].cut_fibers", "[999]", "scenarios[1]: cuts fiber 999, WAN has"),
-            ("failures.scenarios", "[]", "failures: the healthy scenario must come first"),
-            ("failures.scenarios[0].cut_fibers", "[0]", "the healthy scenario must come first"),
+            ("failures.scenarios[1].cut_fibers", "[19]", "scenarios[1]: cuts fiber 19, WAN has 19"),
+            ("failures.scenarios[1].cut_fibers", "[]", "failures.scenarios[1]: empty cut set"),
+            (
+                "failures.scenarios[2].cut_fibers",
+                &first_cut,
+                "failures.scenarios[2]: repeats the cut set of failures.scenarios[0]",
+            ),
+            (
+                "failures.scenarios[1].source",
+                "\"earthquake\"",
+                "failures.scenarios[1].source: unknown source `earthquake`",
+            ),
+            ("failures.healthy_probability", "null", "failures.healthy_probability: expected a"),
+            ("failures.healthy_probability", "1.5", "healthy_probability: 1.5 is not in [0, 1]"),
             (
                 "wan.links[3]",
                 r#"{"a": 0, "a": 0, "b": 1, "lightpath": 3, "capacity_gbps": 1}"#,
@@ -489,9 +573,5 @@ mod tests {
             let err = Snapshot::from_json(&bad).unwrap_err();
             assert!(matches!(err, IoError::Parse(_)), "{err}");
         }
-
-        // The empty model rejected above still answers without panicking.
-        let empty = FailureModel { fiber_prob: Vec::new(), scenarios: Vec::new() };
-        assert!(empty.failure_scenarios().is_empty());
     }
 }

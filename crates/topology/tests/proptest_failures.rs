@@ -1,25 +1,21 @@
 //! Property tests for the correlated-failure scenario compiler.
 //!
-//! Three invariants the sharded offline stage leans on:
+//! Two invariants the sharded offline stage leans on:
 //!
 //! * every compiled scenario carries a valid probability in `(0, 1]`, and
 //!   the covered mass (healthy + failures) never exceeds certainty — for
 //!   *any* seed, enumeration depth, correlation mechanism, or sampling
 //!   budget;
-//! * with every correlation knob off, exhaustive `k = 1` enumeration is
-//!   the existing single-cut [`generate`] model, probability bits and all
-//!   (the compiler is a strict superset, not a fork, of the paper's
-//!   Weibull scenario model);
 //! * SRLG scenarios never split a shared-risk group: a conduit fails as
 //!   one event or not at all.
+//!
+//! The paper's single- and double-cut lists (`generate_failures`) are
+//! pinned bit for bit in `arrow-core`'s `determinism.rs`.
 
 use std::sync::OnceLock;
 
 use arrow_optical::FiberId;
-use arrow_topology::{
-    b4, compile_universe, generate_failures, FailureConfig, ScenarioSource, SrlgGroup,
-    UniverseConfig, Wan,
-};
+use arrow_topology::{b4, compile_universe, ScenarioSource, SrlgGroup, UniverseConfig, Wan};
 use proptest::prelude::*;
 
 fn wan() -> &'static Wan {
@@ -63,50 +59,6 @@ proptest! {
         prop_assert!(covered > 0.0);
         if max_scenarios > 0 {
             prop_assert!(uni.len() <= max_scenarios, "sampling budget ignored");
-        }
-    }
-
-    #[test]
-    fn exhaustive_k1_matches_single_cut_generate(seed in any::<u64>()) {
-        let wan = wan();
-        // The compiler with every correlation knob off...
-        let uni = compile_universe(wan, &UniverseConfig {
-            seed,
-            max_k: 1,
-            cutoff: 1e-3,
-            ..Default::default()
-        });
-        // ...against the paper's single-cut Weibull model on the same seed.
-        let model = generate_failures(wan, &FailureConfig {
-            seed,
-            cutoff: 1e-3,
-            include_doubles: false,
-            ..Default::default()
-        });
-        let singles = model.failure_scenarios();
-        prop_assert_eq!(uni.len(), singles.len(), "scenario counts diverge");
-        for s in singles {
-            prop_assert_eq!(s.cut_fibers.len(), 1);
-            let twin = uni
-                .scenarios
-                .iter()
-                .find(|c| c.scenario.cut_fibers == s.cut_fibers);
-            let twin = match twin {
-                Some(t) => t,
-                None => {
-                    return Err(format!("cut {:?} missing from compiled universe", s.cut_fibers))
-                }
-            };
-            prop_assert_eq!(twin.source, ScenarioSource::KCut);
-            // Bitwise: the compiler evaluates the identical float
-            // expression the legacy enumerator does.
-            prop_assert_eq!(
-                twin.scenario.probability.to_bits(),
-                s.probability.to_bits(),
-                "probability bits diverge for cut {:?}",
-                s.cut_fibers
-            );
-            prop_assert_eq!(&twin.scenario.failed_links, &s.failed_links);
         }
     }
 

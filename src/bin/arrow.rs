@@ -198,7 +198,7 @@ fn cmd_plan(args: &[String]) -> Result<(), String> {
     let tms = gravity_matrices(&wan, &TrafficConfig { num_matrices: 1, ..Default::default() });
     let mut controller = ArrowController::new(
         wan,
-        failures.failure_scenarios().to_vec(),
+        failures.failure_scenarios(),
         ControllerConfig {
             lottery: LotteryConfig {
                 num_tickets: flag(&flags, "tickets", 8usize)?,
@@ -247,7 +247,7 @@ fn cmd_availability(args: &[String]) -> Result<(), String> {
     let inst = build_instance(
         &wan,
         &tms[0],
-        failures.failure_scenarios(),
+        &failures.failure_scenarios(),
         &TunnelConfig { tunnels_per_flow: 4, ..Default::default() },
     )
     .scaled(scale);
@@ -310,7 +310,7 @@ fn cmd_mps(args: &[String]) -> Result<(), String> {
     let inst = build_instance(
         &wan,
         &tms[0],
-        failures.failure_scenarios(),
+        &failures.failure_scenarios(),
         &TunnelConfig { tunnels_per_flow: 4, ..Default::default() },
     );
     // The failure-oblivious TE LP (constraints (1)-(3)).

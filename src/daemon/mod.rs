@@ -300,7 +300,7 @@ pub fn serve(wan: Wan, config: &ServeConfig) -> Result<ServeReport, ServeError> 
     .scaled(config.demand_scale);
     let mut controller = ArrowController::new(
         wan,
-        failures.failure_scenarios().to_vec(),
+        failures.failure_scenarios(),
         ControllerConfig {
             lottery: LotteryConfig { num_tickets: config.tickets.max(1), ..Default::default() },
             tunnels: TunnelConfig {

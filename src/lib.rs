@@ -13,7 +13,7 @@
 //!
 //! * [`lp`] — LP/MILP solver toolkit (simplex, PDHG, branch & bound).
 //! * [`optical`] — fibers, spectrum, RWA, restoration analyses.
-//! * [`topology`] — B4/IBM/Facebook-like WANs, demands, failure models.
+//! * [`topology`] — B4/IBM/Facebook-like WANs, demands, failure scenarios.
 //! * [`te`] — TE schemes: ECMP, MaxFlow, FFC, TeaVaR, ARROW Phase I/II.
 //! * [`core`] — LotteryTickets (Algorithm 1), Theorem 3.1, the controller.
 //! * [`sim`] — event-driven restoration-latency simulator (the testbed).
@@ -36,7 +36,7 @@
 //! // Offline: LotteryTickets; online: restoration-aware TE.
 //! let mut controller = ArrowController::new(
 //!     wan,
-//!     failures.failure_scenarios().to_vec(),
+//!     failures.failure_scenarios(),
 //!     ControllerConfig {
 //!         lottery: LotteryConfig { num_tickets: 6, ..Default::default() },
 //!         tunnels: TunnelConfig { tunnels_per_flow: 4, ..Default::default() },
@@ -101,13 +101,13 @@ pub mod prelude {
         build_instance, eval::availability, eval::availability_guaranteed_throughput,
         eval::normalize_demand_scale, eval::play_scenario, eval::required_router_ports,
         eval::PlaybackConfig, Arrow, ArrowNaive, ArrowOnline, Ecmp, Ffc, FlowId, MaxFlow,
-        MergeError, RestorationTicket, SchemeOutput, TeInstance, TeScheme, TeaVar, TicketSet,
-        TunnelConfig, TunnelId, WeightedTicket,
+        RestorationTicket, SchemeOutput, TeInstance, TeScheme, TeaVar, TicketSet, TunnelConfig,
+        TunnelId,
     };
     pub use arrow_topology::{
         b4, compile_universe, facebook_like, generate_failures, gravity_matrices, ibm,
-        CompiledScenario, FailureConfig, FailureModel, FailureScenario, IpLink, IpLinkId,
-        ScenarioId, ScenarioSource, ScenarioUniverse, SiteId, SrlgGroup, TrafficConfig,
-        TrafficMatrix, UniverseConfig, UniverseStats, Wan,
+        CompiledScenario, FailureConfig, FailureScenario, IpLink, IpLinkId, ScenarioId,
+        ScenarioSource, ScenarioUniverse, SiteId, SrlgGroup, TrafficConfig, TrafficMatrix,
+        UniverseConfig, UniverseStats, Wan,
     };
 }

@@ -30,7 +30,7 @@ fn diurnal_controller() -> (ArrowController, TrafficMatrix) {
         tunnels: TunnelConfig { tunnels_per_flow: 4, ..Default::default() },
         ..Default::default()
     };
-    (ArrowController::new(wan, failures.failure_scenarios().to_vec(), cfg), tm)
+    (ArrowController::new(wan, failures.failure_scenarios(), cfg), tm)
 }
 
 struct Interval {

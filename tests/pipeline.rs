@@ -10,7 +10,7 @@ fn make_instance(wan: &Wan, max_scenarios: usize, tunnels: usize) -> TeInstance 
     build_instance(
         wan,
         &tms[0],
-        failures.failure_scenarios(),
+        &failures.failure_scenarios(),
         &TunnelConfig { tunnels_per_flow: tunnels, ..Default::default() },
     )
 }
@@ -99,7 +99,7 @@ fn controller_pipeline_on_ibm() {
     let tms = gravity_matrices(&wan, &TrafficConfig { num_matrices: 1, ..Default::default() });
     let mut controller = ArrowController::new(
         wan,
-        failures.failure_scenarios().to_vec(),
+        failures.failure_scenarios(),
         ControllerConfig {
             lottery: LotteryConfig { num_tickets: 5, ..Default::default() },
             tunnels: TunnelConfig { tunnels_per_flow: 3, ..Default::default() },
@@ -141,14 +141,11 @@ fn facebook_like_pipeline_smoke() {
     // The big topology is exercised end-to-end at reduced scenario count.
     let wan = facebook_like(17);
     let tms = gravity_matrices(&wan, &TrafficConfig { num_matrices: 1, ..Default::default() });
-    let failures = generate_failures(
-        &wan,
-        &FailureConfig { cutoff: 2e-4, max_scenarios: 3, ..Default::default() },
-    );
+    let failures = generate_failures(&wan, &FailureConfig { cutoff: 2e-4, max_scenarios: 3 });
     let inst = build_instance(
         &wan,
         &tms[0],
-        failures.failure_scenarios(),
+        &failures.failure_scenarios(),
         &TunnelConfig { tunnels_per_flow: 3, ..Default::default() },
     );
     let (tickets, _) = generate_tickets(

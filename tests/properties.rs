@@ -57,7 +57,7 @@ proptest! {
         let wan = b4(17);
         let failures = generate_failures(&wan, &FailureConfig { max_scenarios: 3, ..Default::default() });
         let scens = failures.failure_scenarios();
-        let (set, _) = generate_tickets(&wan, scens, &LotteryConfig {
+        let (set, _) = generate_tickets(&wan, &scens, &LotteryConfig {
             num_tickets: n_tickets,
             delta,
             seed,
@@ -102,7 +102,7 @@ proptest! {
         let inst = build_instance(
             &wan,
             &tms[0].scaled(scale),
-            failures.failure_scenarios(),
+            &failures.failure_scenarios(),
             &TunnelConfig { tunnels_per_flow: 3, ..Default::default() },
         );
         let out = MaxFlow::default().solve(&inst);
