@@ -355,6 +355,7 @@ mod batch_tests {
     use super::*;
     use crate::model::{LinExpr, Objective, Sense};
     use crate::solution::Status;
+    use crate::warm::{Basis, ColStatus};
 
     fn tiny_with_rhs(r: f64) -> Model {
         let mut m = Model::new();
@@ -462,6 +463,45 @@ mod batch_tests {
             optimal += usize::from(b.status == Status::Optimal);
         }
         assert!(optimal >= 12, "only {optimal} of 16 lanes are optimal: the family is too hard");
+
+        // Lanes that stop early hand on buffers no finished lane leaves: a
+        // solve cut short by the iteration limit, and a warm basis whose
+        // refactorization fails partway (its third basic column is empty)
+        // before the lane falls back to a cold solve. Lanes of smaller and
+        // larger `m` follow each.
+        let mut short = SolverConfig::exact();
+        short.simplex.max_iters = 3;
+        let mut with_empty_column = ragged_model(12, 99);
+        let z = with_empty_column.add_var(0.0, 4.0, "z");
+        let mut objective = with_empty_column.objective().clone();
+        objective.add_term(z, 1.0);
+        with_empty_column.set_objective(objective, Objective::Maximize);
+        let n = with_empty_column.num_vars();
+        let mut cols = vec![ColStatus::AtLower; n + 12];
+        for j in [0, 1, n - 1].into_iter().chain(n + 3..n + 12) {
+            cols[j] = ColStatus::Basic;
+        }
+        let singular = WarmStart::from_basis(Basis { cols });
+        let lanes = [
+            (&models[6], &short, None),
+            (&models[9], &cfg, None),
+            (&models[13], &cfg, None),
+            (&with_empty_column, &cfg, Some(&singular)),
+            (&models[5], &cfg, None),
+            (&models[8], &cfg, None),
+            (&models[2], &short, None),
+            (&with_empty_column, &cfg, Some(&singular)),
+            (&models[15], &cfg, None),
+        ];
+        let mut ws = Workspace::default();
+        let mut unfinished = [0, 0];
+        for (model, cfg, warm) in lanes {
+            let shared = solve_timed(model, cfg, warm, &mut ws);
+            assert_bitwise(&solve_with(model, cfg, warm), &shared);
+            unfinished[0] += usize::from(shared.status == Status::IterationLimit);
+            unfinished[1] += usize::from(shared.stats.warm == WarmEvent::Miss);
+        }
+        assert_eq!(unfinished, [2, 2], "a lane meant to stop early did not");
     }
 
     #[test]

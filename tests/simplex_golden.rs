@@ -4,17 +4,24 @@
 //! `frac > 1e-9` test, so an LP answer that moves by one ulp can send a
 //! ticket down the other branch. These pins hold the simplex to its exact
 //! pivot path and output bits on the LPs the offline stage really solves:
-//! the first scenarios of the B4 and IBM correlated universes, cold and
-//! warm-started from the returned basis (the `from_basis` path).
+//! the first scenarios of the B4 and IBM correlated universes and a stride
+//! through the rest of B4's, cold and warm-started from the returned basis
+//! (the `from_basis` path). The `#[ignore]`d whole-universe pin folds every
+//! one of those LPs, cold, into one digest per topology (≈ 2.5 s release).
+//! `rwa_models_are_pinned_bit_for_bit` holds the LPs themselves: the
+//! lowered standard form `build_relaxed` hands to the solver.
 //!
-//! The constants were recorded before the slack-aware basis kernel landed
-//! and must never be re-recorded by a change that claims to keep the bits.
+//! The first sixteen B4 and four IBM constants were recorded before the
+//! slack-aware basis kernel landed, the others before row-wise pricing and
+//! the packed inverse did; none may be re-recorded by a change that claims
+//! to keep the bits.
 //!
 //! The PDHG pin at the bottom does the same for the first-order backend on
 //! the largest of those B4 LPs, cold and warm-started from the returned
 //! point; it was recorded while the multi-RHS panel still shared the
 //! scaling code with the one-LP path.
 
+use arrow_wan::lp::model::StandardLp;
 use arrow_wan::lp::{solve, solve_with, Solution, SolverConfig, WarmStart};
 use arrow_wan::optical::rwa::build_relaxed;
 use arrow_wan::prelude::*;
@@ -71,27 +78,74 @@ fn universe(wan: &Wan, max_scenarios: usize) -> ScenarioUniverse {
     )
 }
 
-fn rwa_digests(wan: &Wan, universe: &ScenarioUniverse, count: usize) -> Vec<(u64, u64)> {
-    (0..count)
-        .map(|i| {
-            let cut = &universe.scenario(i).cut_fibers;
-            cold_and_warm(&build_relaxed(&wan.optical, cut, &RwaConfig::default()).model)
-        })
-        .collect()
+/// The relaxed RWA model of scenario `i`, as the offline stage builds it.
+fn rwa_model(wan: &Wan, universe: &ScenarioUniverse, i: usize) -> Model {
+    build_relaxed(&wan.optical, &universe.scenario(i).cut_fibers, &RwaConfig::default()).model
 }
 
-fn assert_pinned(what: &str, got: &[(u64, u64)], want: &[(u64, u64)]) {
-    let render = |d: &[(u64, u64)]| {
-        d.iter().map(|(c, w)| format!("    ({c:#018x}, {w:#018x}),\n")).collect::<String>()
-    };
-    assert!(got == want, "{what}: simplex bits moved; got\n{}want\n{}", render(got), render(want));
+fn rwa_digests(
+    wan: &Wan,
+    universe: &ScenarioUniverse,
+    scenarios: impl Iterator<Item = usize>,
+) -> Vec<(u64, u64)> {
+    scenarios.map(|i| cold_and_warm(&rwa_model(wan, universe, i))).collect()
+}
+
+/// FNV-1a fold of a lowered model: its shape, each row's length and
+/// `(column, value bits)` entries, the senses, and the `rhs` / `lb` / `ub`
+/// / `obj` bits.
+fn standard_digest(lp: &StandardLp) -> u64 {
+    let mut h = fold(fold(FNV_OFFSET, lp.a.rows() as u64), lp.a.cols() as u64);
+    for i in 0..lp.a.rows() {
+        h = fold(h, lp.a.row(i).count() as u64);
+        h = lp.a.row(i).fold(h, |h, (c, v)| fold(fold(h, c as u64), v.to_bits()));
+    }
+    h = lp.senses.iter().fold(h, |h, &s| fold(h, s as u64));
+    for values in [&lp.rhs, &lp.lb, &lp.ub, &lp.obj] {
+        h = values.iter().fold(fold(h, values.len() as u64), |h, v| fold(h, v.to_bits()));
+    }
+    h
+}
+
+fn assert_pinned<T: PartialEq + std::fmt::Debug>(what: &str, got: &[T], want: &[T]) {
+    assert!(got == want, "{what}: bits moved; got\n{got:#018x?}\nwant\n{want:#018x?}");
 }
 
 #[test]
 fn b4_universe_rwa_lps_are_pinned_bit_for_bit() {
     let wan = b4(17);
-    let got = rwa_digests(&wan, &universe(&wan, 0), 16);
-    assert_pinned("B4 scenarios 0..16", &got, B4_PINS);
+    let universe = universe(&wan, 0);
+    assert_eq!(universe.len(), 484);
+    assert_pinned("B4 scenarios 0..16", &rwa_digests(&wan, &universe, 0..16), B4_PINS);
+    let strided = rwa_digests(&wan, &universe, (16..universe.len()).step_by(16));
+    assert_pinned("B4 scenarios 16, 32, .., 480", &strided, B4_STRIDED_PINS);
+}
+
+#[test]
+fn rwa_models_are_pinned_bit_for_bit() {
+    let models = |wan: &Wan, universe: &ScenarioUniverse, count: usize| -> Vec<u64> {
+        (0..count).map(|i| standard_digest(&rwa_model(wan, universe, i).to_standard())).collect()
+    };
+    let (b4, ibm) = (b4(17), ibm(17));
+    assert_pinned("B4 models 0..16", &models(&b4, &universe(&b4, 0), 16), B4_MODEL_PINS);
+    assert_pinned("IBM models 0..4", &models(&ibm, &universe(&ibm, 32), 4), IBM_MODEL_PINS);
+}
+
+/// Every B4 (484) and IBM (32) scenario LP the benchmark's offline
+/// workloads solve, cold, folded into one digest per topology. Too slow for
+/// the debug `cargo test`; CI runs it `--release -- --ignored`.
+#[test]
+#[ignore = "whole universe: run with --release -- --ignored"]
+fn whole_universe_rwa_lps_are_pinned_bit_for_bit() {
+    let cfg = SolverConfig::exact();
+    let fold_all = |wan: &Wan, universe: &ScenarioUniverse| {
+        (0..universe.len()).fold(fold(FNV_OFFSET, universe.len() as u64), |h, i| {
+            fold(h, solution_digest(&solve(&rwa_model(wan, universe, i), &cfg)))
+        })
+    };
+    let (b4, ibm) = (b4(17), ibm(17));
+    let got = [fold_all(&b4, &universe(&b4, 0)), fold_all(&ibm, &universe(&ibm, 32))];
+    assert_pinned("whole B4 and IBM universes", &got, &WHOLE_UNIVERSE_PINS);
 }
 
 /// FNV-1a fold of what a consumer reads from a PDHG solve: status,
@@ -135,7 +189,7 @@ fn largest_b4_rwa_lp_is_pinned_bit_for_bit_under_pdhg() {
 #[test]
 fn ibm_universe_rwa_lps_are_pinned_bit_for_bit() {
     let wan = ibm(17);
-    let got = rwa_digests(&wan, &universe(&wan, 32), 4);
+    let got = rwa_digests(&wan, &universe(&wan, 32), 0..4);
     assert_pinned("IBM scenarios 0..4", &got, IBM_PINS);
 }
 
@@ -164,5 +218,62 @@ const IBM_PINS: &[(u64, u64)] = &[
     (0x7fca80ea0102a21f, 0xfd264ec596ec54fe),
     (0x25f5e3d6403958b1, 0xcaa3c6987b648ad5),
 ];
+
+const B4_STRIDED_PINS: &[(u64, u64)] = &[
+    (0x8339ea619c0353be, 0x1823b1b389913a82),
+    (0x8b5302abafa3e1e1, 0x7d172987a32cdf6e),
+    (0x9464ab473406744f, 0x2fc7bbc05da7d149),
+    (0xbe54e528cfcd59bb, 0x3a5a2065faa34e61),
+    (0x6e790a1c8f3131d7, 0x2feadb2ab8584f22),
+    (0x96dbaf2dca5d8f3f, 0x7704af4c03078b95),
+    (0x5a380b88fc954ab1, 0x056800d5102666b8),
+    (0x54795062a9c77732, 0xadee8f25a7eeb09e),
+    (0xffd0850fcb7c3662, 0xf5b52ff21e63b254),
+    (0x649b16e2bdbde3ab, 0x4dba49b45efedd4d),
+    (0x37cf1aa836808ae0, 0x20a909d6ec0f1640),
+    (0x8a4c08d502331608, 0x533a3141dffc9140),
+    (0xe5941d85a1a7127f, 0x747957d30d84ac32),
+    (0xf475d9cb24c54fbd, 0xee94b142d51e15ca),
+    (0x6f28119f772b1720, 0x40e4327764eebe4b),
+    (0x76abb3571273ce22, 0x41961862bab0eb7d),
+    (0x52083c467a2f2485, 0xf67343397244fb9d),
+    (0xccab1b2a8d19b4ec, 0xb2b30a9568bdd247),
+    (0x06448c9c7ee428dc, 0x715f33e4d8c827c8),
+    (0xd7e4fcfa299d713d, 0xd7e4fcfa299d713d),
+    (0xdd3747e51d705c26, 0xba565569b483e04f),
+    (0xbe54e528cfcd59bb, 0x3a5a2065faa34e61),
+    (0xc6f3c8e67159a931, 0x6b0974837d2fe12c),
+    (0x739b673ff730ca27, 0x8d34f9785e507921),
+    (0x2dbb00f6694944c1, 0xba47d6876aa67e0f),
+    (0x7e4047196d8c5ce2, 0x582902336b9cfb0b),
+    (0x69dff72c6bc3132e, 0x1bcd7599a797b17a),
+    (0xfb3dd3324035d5a2, 0xee795eb8e15b61cc),
+    (0x2dd9a0a0e537e75a, 0x2ad0394564c8ae2e),
+    (0x666eb9bc7363b429, 0x334499b7093948b8),
+];
+
+const B4_MODEL_PINS: &[u64] = &[
+    0xacbd592f0d913382,
+    0x0e9d44f4c4df3dc6,
+    0xc76ae5f3457f2dfd,
+    0x8b8a10da43906c6f,
+    0xf6c92bc22d8f173f,
+    0x11c0989e527782c8,
+    0x39016e5f93e53f15,
+    0xe13ba808e8c20d79,
+    0x063185584b4fadb8,
+    0xf8d1f346f41912e6,
+    0xc61d63610c1f6d51,
+    0x9944efc84e3bf9bd,
+    0x242e7594f5484901,
+    0x20c3f7f979b08b4b,
+    0x81dba808e8c20d79,
+    0x642860466ec5892d,
+];
+
+const IBM_MODEL_PINS: &[u64] =
+    &[0xce180fd61cd27cc3, 0x307e213dd76103a6, 0xc4bfd2f85de72e09, 0x7680bad7cc4d7913];
+
+const WHOLE_UNIVERSE_PINS: [u64; 2] = [0xfc16bd586dd36765, 0xdcaf4df5e0947fbf];
 
 const B4_PDHG_PIN: (u64, u64) = (0xb234d2b82744f022, 0xda47848d16b64877);
