@@ -3,24 +3,32 @@
 //! This is the exact solver backend: it handles general bounds `l ≤ x ≤ u`
 //! natively (no bound rows are added), runs a phase-1 with artificial
 //! variables to find a basic feasible solution, and then optimizes the real
-//! objective. The basis inverse is kept explicitly as an `m × m` matrix and
-//! updated with product-form pivots, which keeps the implementation simple
-//! and robust (the design priority here, per the networking guides).
+//! objective. The basis inverse is kept explicitly and updated with
+//! product-form pivots, which keeps the implementation simple and robust
+//! (the design priority here, per the networking guides).
 //!
-//! **Active-set kernel.** The solve starts from a diagonal basis (slacks
-//! and artificials), and a pivot at basis position `p` can only put
-//! off-diagonal entries of `B⁻¹` into column `p`. So every row of `B⁻¹` is
-//! zero outside a sorted set of *active* columns plus its own diagonal,
-//! and every loop over a row of the inverse runs over that support only:
-//! an iteration costs `O(m · a)` for `a` active columns, not `O(m²)`.
-//! Refactorization (Gauss–Jordan with partial pivoting, in place) returns
-//! the columns of the fresh inverse that are not a lone diagonal entry as
-//! the new active set; after a warm start from a recorded basis that is
-//! nearly every column, and the same loops then run dense. Skipped work is
-//! multiplication by exact zero only, so pivots, iterates and duals are
-//! those of the dense kernel bit for bit (up to the sign of zero). It is
-//! intended for problems up to a few thousand rows; larger instances
-//! should use [`crate::pdhg`].
+//! **Packed inverse.** The solve starts from a diagonal basis (slacks and
+//! artificials), and a pivot at basis position `p` can only put
+//! off-diagonal entries of `B⁻¹` into column `p`. So most columns of `B⁻¹`
+//! are *lone*: their diagonal entry is their only nonzero, and one
+//! `m`-vector holds those entries. The others are *active*, each stored
+//! whole in a slot of a row-major `m × cap` matrix (`cap ≤ m` grows with
+//! the active count `a`). The duals and the product-form update run over a
+//! row's `a` contiguous slots, so an iteration costs `O(m · a)`, and no
+//! solve or refactorization writes or scans `m²` entries. Refactorization
+//! (Gauss–Jordan with partial pivoting) builds the packed form directly:
+//! a basis column that is a lone untouched entry never gets a slot unless
+//! an elimination fills it in, and undoing the row exchanges relabels
+//! slots. After a warm start from a recorded basis nearly every column is
+//! active, and the same loops run dense.
+//!
+//! **Row-wise pricing.** Reduced costs need `Aᵀy`, and `y` is mostly zero,
+//! so it is scattered from the CSR rows with `yᵢ ≠ 0` in ascending row
+//! order: per column, the same products added in the same order as a
+//! column dot. Skipped work is multiplication by exact zero only, so
+//! pivots, iterates and duals are those of a dense kernel bit for bit (up
+//! to the sign of zero). It is intended for problems up to a few thousand
+//! rows; larger instances should use [`crate::pdhg`].
 //!
 //! Implemented: Dantzig pricing with a Bland anti-cycling fallback, bound
 //! flips, periodic basis refactorization, infeasibility/unboundedness
@@ -103,21 +111,99 @@ impl Columns {
             f(self.art_rows[k], self.art_signs[k]);
         }
     }
-
-    fn dot_with(&self, j: usize, y: &[f64]) -> f64 {
-        if j < self.n {
-            self.a.col_dot(j, y)
-        } else if j < self.n + self.m {
-            y[j - self.n]
-        } else {
-            let k = j - self.n - self.m;
-            self.art_signs[k] * y[self.art_rows[k]]
-        }
-    }
 }
 
-/// Marks "no row" / "no column" in the refactorization's bookkeeping.
+/// Marks "no row" / "no column" / "no slot" in the bookkeeping.
 const NONE: usize = usize::MAX;
+
+/// Slots the packed inverse opens with; it doubles from there, up to `m`.
+const MIN_SLOTS: usize = 16;
+
+/// The basis inverse `B⁻¹`, packed to its active columns (module docs).
+/// Column `k` is either lone, with its diagonal entry in `lone[k]` and
+/// zeros elsewhere, or active, with all `m` entries in slot `slot_of[k]`:
+/// column `slot_of[k]` of the row-major `m × cap` matrix `slots`, of which
+/// each row's first `slot_col.len()` entries are in use. Slots are numbered
+/// in the order their columns became active; nothing outside the slots in
+/// use and the lone entries of lone columns is ever read.
+#[derive(Debug, Default)]
+struct Inverse {
+    m: usize,
+    cap: usize,
+    lone: Vec<f64>,
+    slots: Vec<f64>,
+    /// The column each slot holds, and the slot of each column (or `NONE`).
+    slot_col: Vec<usize>,
+    slot_of: Vec<usize>,
+}
+
+impl Inverse {
+    /// The `m × m` identity: every column lone, no slot. `O(m)`.
+    fn reset(&mut self, m: usize) {
+        self.m = m;
+        self.cap = 0;
+        self.slots.clear();
+        self.slot_col.clear();
+        self.lone.clear();
+        self.lone.resize(m, 1.0);
+        self.slot_of.clear();
+        self.slot_of.resize(m, NONE);
+    }
+
+    /// Number of active columns.
+    fn width(&self) -> usize {
+        self.slot_col.len()
+    }
+
+    /// Row `r`'s entries in the active columns, in slot order.
+    fn row(&self, r: usize) -> &[f64] {
+        &self.slots[r * self.cap..r * self.cap + self.width()]
+    }
+
+    fn row_mut(&mut self, r: usize) -> &mut [f64] {
+        let width = self.width();
+        &mut self.slots[r * self.cap..r * self.cap + width]
+    }
+
+    /// Entry `(r, slot s)`.
+    fn at(&mut self, r: usize, s: usize) -> &mut f64 {
+        &mut self.slots[r * self.cap + s]
+    }
+
+    /// Column `s` of the slots, one entry per row.
+    fn slot(&self, s: usize) -> impl Iterator<Item = &f64> {
+        self.slots[s..].iter().step_by(self.cap)
+    }
+
+    /// Makes column `col` active with all-zero entries; returns its slot.
+    fn add_slot(&mut self, col: usize) -> usize {
+        let s = self.width();
+        if s == self.cap {
+            // `s < m`: at most `m` columns exist, and `col` is not yet active.
+            let (m, old) = (self.m, self.cap);
+            let cap = (2 * old).max(MIN_SLOTS).min(m);
+            self.slots.resize(m * cap, 0.0);
+            for r in (1..m).rev() {
+                self.slots.copy_within(r * old..r * old + old, r * cap);
+            }
+            self.cap = cap;
+        }
+        for r in 0..self.m {
+            *self.at(r, s) = 0.0;
+        }
+        self.slot_col.push(col);
+        self.slot_of[col] = s;
+        s
+    }
+
+    /// Exchanges rows `a < b` of the slots (lone entries stay with their
+    /// columns; the caller tracks which row each lives in).
+    fn swap_rows(&mut self, a: usize, b: usize) {
+        let (cap, width) = (self.cap, self.width());
+        let (upper, lower) = self.slots.split_at_mut(b * cap);
+        upper[a * cap..a * cap + width].swap_with_slice(&mut lower[..width]);
+    }
+}
 
 /// Every buffer of a solve whose size follows the problem, kept between
 /// solves so a worker that solves a chunk of LPs allocates them once.
@@ -125,36 +211,32 @@ const NONE: usize = usize::MAX;
 #[derive(Debug, Default)]
 pub(crate) struct Workspace {
     cols: Columns,
-    /// Explicit inverse of the basis matrix, row-major `m × m`. Row `r` is
-    /// zero outside the `active` columns and its own diagonal.
-    binv: Vec<f64>,
-    /// Sorted basis positions whose column of `binv` may hold an
-    /// off-diagonal entry.
-    active: Vec<usize>,
-    /// Dual prices and the entering column's direction.
+    inv: Inverse,
+    /// Dual prices, the entering column's direction, and `Aᵀy` over the
+    /// structural columns.
     y: Vec<f64>,
     w: Vec<f64>,
+    aty: Vec<f64>,
+    /// A row of the slots: the pivot row of an update, or the duals of the
+    /// active columns while they accumulate.
+    packed: Vec<f64>,
     /// Cost and "can never improve" flag of every column for the running
     /// phase (bounds are fixed while a phase runs).
     cost: Vec<f64>,
     fixed: Vec<bool>,
-    /// The `(column, value)` entries of the pivot row an update or an
-    /// elimination step subtracts from the other rows.
+    /// The `(slot, value)` nonzeros of the pivot row an elimination step
+    /// subtracts from the other rows.
     pivot_row: Vec<(usize, f64)>,
     /// Refactorization scratch: for a column with a single nonzero that no
     /// elimination touched yet, the row it sits in (`row_of`) and the
-    /// inverse map (`home`); and the row exchanges made so far.
+    /// inverse map (`home`); and the row exchanges made so far. Undoing
+    /// the exchanges reuses all three.
     row_of: Vec<usize>,
     home: Vec<usize>,
     swaps: Vec<(usize, usize)>,
-}
-
-/// The columns where row `pos` of the inverse can be nonzero, ascending:
-/// the active set plus the row's own diagonal.
-fn row_support(active: &[usize], pos: usize) -> impl Iterator<Item = usize> + '_ {
-    let split = active.partition_point(|&k| k < pos);
-    let own = (active.get(split) != Some(&pos)).then_some(pos);
-    active[..split].iter().copied().chain(own).chain(active[split..].iter().copied())
+    /// The active columns ascending, each with its slot: the order of the
+    /// basic-value sums.
+    ordered: Vec<(usize, usize)>,
 }
 
 /// Solver state for one solve call.
@@ -208,18 +290,18 @@ fn push_slack_bounds(lp: &StandardLp, lb: &mut Vec<f64>, ub: &mut Vec<f64>) {
 }
 
 impl<'a> Simplex<'a> {
-    /// Loads `lp`'s columns into the workspace and sizes its `m`-length
-    /// buffers; `binv` and `active` are left to the caller.
+    /// Loads `lp`'s columns into the workspace and sizes its `m`- and
+    /// `n`-length buffers; the inverse is left to the caller.
     fn load(lp: &StandardLp, ws: &mut Workspace) {
-        let m = lp.num_cons();
+        let (n, m) = (lp.num_vars(), lp.num_cons());
         lp.a.to_csc_into(&mut ws.cols.a);
-        ws.cols.n = lp.num_vars();
+        ws.cols.n = n;
         ws.cols.m = m;
         ws.cols.art_rows.clear();
         ws.cols.art_signs.clear();
-        for v in [&mut ws.y, &mut ws.w] {
+        for (v, len) in [(&mut ws.y, m), (&mut ws.w, m), (&mut ws.aty, n)] {
             v.clear();
-            v.resize(m, 0.0);
+            v.resize(len, 0.0);
         }
     }
 
@@ -280,12 +362,7 @@ impl<'a> Simplex<'a> {
         state.resize(total, VarState::AtLower);
         // Initial basis matrix is diagonal (±1), so its inverse is too, and
         // no column is active yet.
-        ws.active.clear();
-        ws.binv.clear();
-        ws.binv.resize(m * m, 0.0);
-        for i in 0..m {
-            ws.binv[i * m + i] = 1.0;
-        }
+        ws.inv.reset(m);
         for (k, &(i, gap)) in gaps.iter().enumerate() {
             let j = n + m + k;
             ws.cols.art_rows.push(i);
@@ -293,7 +370,7 @@ impl<'a> Simplex<'a> {
             x[j] = gap.abs();
             state[j] = VarState::Basic(i);
             basis[i] = j;
-            ws.binv[i * m + i] = 1.0 / gap.signum();
+            ws.inv.lone[i] = 1.0 / gap.signum();
         }
         Simplex {
             cfg,
@@ -425,96 +502,106 @@ impl<'a> Simplex<'a> {
     }
 
     /// `y = Binv' c_B` — dual prices for the running phase's basic costs.
+    /// An active column's price sums over the rows in ascending order, a
+    /// lone column's is its own row's term alone.
     fn compute_duals(&mut self) {
-        let Workspace { binv, active, y, cost, .. } = &mut *self.ws;
-        y.fill(0.0);
-        for (i, row) in binv.chunks_exact(self.m).enumerate() {
-            let cb = cost[self.basis[i]];
+        let Workspace { inv, y, cost, packed, .. } = &mut *self.ws;
+        packed.clear();
+        packed.resize(inv.width(), 0.0);
+        for (i, &j) in self.basis.iter().enumerate() {
+            let cb = cost[j];
             if cb == 0.0 {
                 continue;
             }
-            row_support(active, i).for_each(|k| y[k] += cb * row[k]);
+            packed.iter_mut().zip(inv.row(i)).for_each(|(yk, b)| *yk += cb * b);
+        }
+        for (k, yk) in y.iter_mut().enumerate() {
+            let cb = cost[self.basis[k]];
+            *yk = match inv.slot_of[k] {
+                NONE if cb == 0.0 => 0.0,
+                NONE => 0.0 + cb * inv.lone[k],
+                s => packed[s],
+            };
         }
     }
 
-    /// `w = Binv a_j` for the entering column. An inactive column of the
-    /// inverse is its diagonal entry alone.
+    /// `w = Binv a_j` for the entering column. A lone column of the inverse
+    /// is its diagonal entry alone.
     fn compute_direction(&mut self, j: usize) {
-        let m = self.m;
-        let Workspace { binv, active, w, cols, .. } = &mut *self.ws;
+        let Workspace { inv, w, cols, .. } = &mut *self.ws;
         w.fill(0.0);
-        cols.for_each_entry(j, |i, v| {
-            if active.binary_search(&i).is_ok() {
-                for (wk, row) in w.iter_mut().zip(binv.chunks_exact(m)) {
-                    *wk += v * row[i];
-                }
-            } else {
-                w[i] += v * binv[i * m + i];
-            }
+        cols.for_each_entry(j, |i, v| match inv.slot_of[i] {
+            NONE => w[i] += v * inv.lone[i],
+            s => w.iter_mut().zip(inv.slot(s)).for_each(|(wk, b)| *wk += v * b),
         });
     }
 
-    /// Recomputes `binv` by Gauss–Jordan elimination of the current basis
-    /// and refreshes the basic variable values. Returns `false` if the
-    /// basis is numerically singular; `binv` is then unusable.
+    /// Recomputes the inverse by Gauss–Jordan elimination of the current
+    /// basis and refreshes the basic variable values. Returns `false` if the
+    /// basis is numerically singular; the inverse is then unusable.
     ///
-    /// The elimination runs in place on the one `m × m` buffer: before step
-    /// `c`, columns `c..` hold what is left of the basis matrix and columns
-    /// `..c` the inverse built so far (the other halves are identity
-    /// columns). Rows are exchanged for partial pivoting as they would be
-    /// on the two-matrix form `[B | I]`, and undoing the exchanges on the
-    /// columns at the end yields `B⁻¹`; every stored entry goes through the
-    /// same divisions and subtractions in the same order either way.
+    /// The elimination runs in place on the packed form: before step `c`,
+    /// columns `c..` hold what is left of the basis matrix and columns `..c`
+    /// the inverse built so far (the other halves are identity columns).
+    /// Rows are exchanged for partial pivoting as they would be on the
+    /// two-matrix form `[B | I]`, and undoing the exchanges on the columns
+    /// at the end yields `B⁻¹`; every stored entry goes through the same
+    /// divisions and subtractions in the same order either way.
     ///
     /// Work is skipped only where an operand is exactly zero. A column
-    /// whose single nonzero no elimination has touched (`row_of`) needs no
-    /// column scan, and no elimination at all when its turn comes; most
-    /// columns of a basis grown from the slack start stay that way.
+    /// whose single nonzero no elimination has touched (`row_of`) stays
+    /// lone: it gets no slot and needs no column scan, and no elimination
+    /// at all when its turn comes; most columns of a basis grown from the
+    /// slack start stay that way. A lone column moved off the diagonal by
+    /// the final exchanges is the one that needs a slot after all.
     fn refactorize(&mut self) -> bool {
         self.refactors += 1;
         let m = self.m;
-        let Workspace { binv, active, cols, pivot_row, row_of, home, swaps, .. } = &mut *self.ws;
-        binv.clear();
-        binv.resize(m * m, 0.0);
+        let Workspace { inv, cols, pivot_row, row_of, home, swaps, .. } = &mut *self.ws;
+        inv.reset(m);
         row_of.clear();
         row_of.resize(m, NONE);
         home.clear();
         home.resize(m, NONE);
         swaps.clear();
         for (pos, &j) in self.basis.iter().enumerate() {
-            let (mut entries, mut row) = (0, NONE);
+            let (mut entries, mut row, mut value) = (0, NONE, 0.0);
             cols.for_each_entry(j, |i, v| {
-                binv[i * m + pos] = v;
                 entries += 1;
                 row = i;
+                value = v;
             });
             if entries == 1 && home[row] == NONE {
                 home[row] = pos;
                 row_of[pos] = row;
+                inv.lone[pos] = value;
+            } else {
+                let s = inv.add_slot(pos);
+                cols.for_each_entry(j, |i, v| *inv.at(i, s) = v);
             }
         }
         for c in 0..m {
             // Partial pivoting: the first row at or below `c` holding the
             // largest magnitude of column `c`.
+            let sc = inv.slot_of[c];
             let mut best = row_of[c];
             if best == NONE {
                 best = c;
-                let mut best_val = binv[c * m + c].abs();
-                for r in c + 1..m {
-                    let v = binv[r * m + c].abs();
-                    if v > best_val {
+                let mut best_val = inv.at(c, sc).abs();
+                for (r, v) in inv.slot(sc).enumerate().skip(c + 1) {
+                    if v.abs() > best_val {
                         best = r;
-                        best_val = v;
+                        best_val = v.abs();
                     }
                 }
             }
             debug_assert!(best >= c, "a lone entry above the diagonal was never eliminated");
-            if binv[best * m + c].abs() < 1e-12 {
+            let piv = if sc == NONE { inv.lone[c] } else { *inv.at(best, sc) };
+            if piv.abs() < 1e-12 {
                 return false;
             }
             if best != c {
-                let (upper, lower) = binv.split_at_mut(best * m);
-                upper[c * m..(c + 1) * m].swap_with_slice(&mut lower[..m]);
+                inv.swap_rows(c, best);
                 home.swap(c, best);
                 for r in [c, best] {
                     if home[r] != NONE {
@@ -523,57 +610,77 @@ impl<'a> Simplex<'a> {
                 }
                 swaps.push((c, best));
             }
-            let pivot = &mut binv[c * m..(c + 1) * m];
-            let piv = std::mem::replace(&mut pivot[c], 1.0);
-            if row_of[c] != NONE {
+            if sc == NONE {
                 // No other row holds anything in column `c`.
+                inv.lone[c] = 1.0 / piv;
                 if piv != 1.0 {
-                    pivot.iter_mut().for_each(|v| *v /= piv);
+                    inv.row_mut(c).iter_mut().for_each(|v| *v /= piv);
                 }
                 continue;
             }
+            if home[c] != NONE {
+                // The lone column whose entry sits in the pivot row: this
+                // elimination fills it in.
+                let k = std::mem::replace(&mut home[c], NONE);
+                row_of[k] = NONE;
+                let s = inv.add_slot(k);
+                *inv.at(c, s) = inv.lone[k];
+            }
+            *inv.at(c, sc) = 1.0;
             pivot_row.clear();
-            for (k, v) in pivot.iter_mut().enumerate() {
-                if *v == 0.0 {
-                    continue;
-                }
-                *v /= piv;
-                pivot_row.push((k, *v));
-                if row_of[k] != NONE {
-                    // This elimination fills the column in.
-                    home[c] = NONE;
-                    row_of[k] = NONE;
+            for (s, v) in inv.row_mut(c).iter_mut().enumerate() {
+                if *v != 0.0 {
+                    *v /= piv;
+                    pivot_row.push((s, *v));
                 }
             }
-            for (r, row) in binv.chunks_exact_mut(m).enumerate() {
-                let f = row[c];
-                if r == c || f == 0.0 {
+            for r in (0..m).filter(|&r| r != c) {
+                let row = inv.row_mut(r);
+                let f = row[sc];
+                if f == 0.0 {
                     continue;
                 }
-                row[c] = 0.0;
-                for &(k, p) in pivot_row.iter() {
-                    row[k] -= f * p;
+                row[sc] = 0.0;
+                for &(s, p) in pivot_row.iter() {
+                    row[s] -= f * p;
                 }
             }
         }
-        for row in binv.chunks_exact_mut(m) {
-            for &(c, p) in swaps.iter().rev() {
-                row.swap(c, p);
-            }
-        }
+        // Undo the exchanges: column `k` of `B⁻¹` is the elimination's
+        // column `home[k]`, and `row_of` maps the other way.
+        home.clear();
+        home.extend(0..m);
         for &(c, p) in swaps.iter().rev() {
-            row_of.swap(c, p);
+            home.swap(c, p);
         }
-        active.clear();
-        active.extend((0..m).filter(|&k| row_of[k] != k));
+        swaps.clear();
+        for (k, &c) in home.iter().enumerate() {
+            row_of[c] = k;
+            if c != k && inv.slot_of[c] == NONE {
+                swaps.push((k, c));
+            }
+        }
+        for s in 0..inv.width() {
+            inv.slot_col[s] = row_of[inv.slot_col[s]];
+        }
+        inv.slot_of.fill(NONE);
+        for (s, &k) in inv.slot_col.iter().enumerate() {
+            inv.slot_of[k] = s;
+        }
+        // A lone column moved to column `k` keeps its entry in row `c`.
+        for &(k, c) in swaps.iter() {
+            let s = inv.add_slot(k);
+            *inv.at(c, s) = inv.lone[c];
+        }
         self.refresh_basic_values();
         self.pivots_since_refactor = 0;
         true
     }
 
-    /// Recomputes basic values `x_B = Binv (rhs - N x_N)` from scratch.
+    /// Recomputes basic values `x_B = Binv (rhs - N x_N)` from scratch; each
+    /// row's sum runs over its nonzero columns in ascending order.
     fn refresh_basic_values(&mut self) {
-        let Workspace { binv, active, cols, .. } = &*self.ws;
+        let Workspace { inv, cols, ordered, .. } = &mut *self.ws;
         let mut resid = self.lp.rhs.clone();
         for j in 0..cols.total() {
             if matches!(self.state[j], VarState::Basic(_)) {
@@ -585,10 +692,21 @@ impl<'a> Simplex<'a> {
             }
             cols.for_each_entry(j, |i, v| resid[i] -= v * xj);
         }
-        for (pos, row) in binv.chunks_exact(self.m).enumerate() {
-            let mut acc = 0.0;
-            row_support(active, pos).for_each(|k| acc += row[k] * resid[k]);
-            self.x[self.basis[pos]] = acc;
+        ordered.clear();
+        ordered.extend(inv.slot_col.iter().enumerate().map(|(s, &k)| (k, s)));
+        ordered.sort_unstable();
+        for pos in 0..self.m {
+            let row = inv.row(pos);
+            let lone = inv.slot_of[pos] == NONE;
+            let split = if lone { ordered.partition_point(|&(k, _)| k < pos) } else { 0 };
+            let dot = |acc, terms: &[(usize, usize)]| {
+                terms.iter().fold(acc, |acc, &(k, s)| acc + row[s] * resid[k])
+            };
+            let mut acc = dot(0.0, &ordered[..split]);
+            if lone {
+                acc += inv.lone[pos] * resid[pos];
+            }
+            self.x[self.basis[pos]] = dot(acc, &ordered[split..]);
         }
     }
 
@@ -621,13 +739,22 @@ impl<'a> Simplex<'a> {
             let use_bland = self.degenerate_streak >= self.cfg.degenerate_before_bland;
             // --- Pricing: pick the entering column. ---
             let mut enter: Option<(usize, f64, f64)> = None; // (col, reduced cost, score)
-            let Workspace { cols, y, cost, fixed, .. } = &*self.ws;
+            let Workspace { cols, y, aty, cost, fixed, .. } = &mut *self.ws;
+            self.lp.a.mul_transpose_vec(y, aty);
+            let (n, nm) = (cols.n, cols.n + cols.m);
             for j in 0..cols.total() {
                 let st = self.state[j];
                 if matches!(st, VarState::Basic(_)) || fixed[j] {
                     continue;
                 }
-                let d = cost[j] - cols.dot_with(j, y);
+                let d = cost[j]
+                    - if j < n {
+                        aty[j]
+                    } else if j < nm {
+                        y[j - n]
+                    } else {
+                        cols.art_signs[j - nm] * y[cols.art_rows[j - nm]]
+                    };
                 let score = match st {
                     VarState::AtLower if d < -self.cfg.opt_tol => -d,
                     VarState::AtUpper if d > self.cfg.opt_tol => d,
@@ -737,28 +864,23 @@ impl<'a> Simplex<'a> {
         }
     }
 
-    /// Product-form update of the explicit inverse for a pivot at `pos`.
-    /// Row `pos` lives on the active columns and its own diagonal, so once
-    /// `pos` is active every row the update writes does too.
+    /// Product-form update of the inverse for a pivot at `pos`. Row `pos`
+    /// is zero outside the active columns and its own diagonal, so once
+    /// column `pos` is active the update writes active slots only.
     fn update_inverse(&mut self, pos: usize, piv: f64) {
-        let m = self.m;
-        let Workspace { binv, active, w, pivot_row, .. } = &mut *self.ws;
-        if let Err(at) = active.binary_search(&pos) {
-            active.insert(at, pos);
+        let Workspace { inv, w, packed, .. } = &mut *self.ws;
+        if inv.slot_of[pos] == NONE {
+            let s = inv.add_slot(pos);
+            *inv.at(pos, s) = inv.lone[pos];
         }
-        pivot_row.clear();
-        for &k in active.iter() {
-            binv[pos * m + k] /= piv;
-            pivot_row.push((k, binv[pos * m + k]));
-        }
-        for (r, row) in binv.chunks_exact_mut(m).enumerate() {
-            let f = w[r];
+        inv.row_mut(pos).iter_mut().for_each(|v| *v /= piv);
+        packed.clear();
+        packed.extend_from_slice(inv.row(pos));
+        for (r, &f) in w.iter().enumerate() {
             if r == pos || f == 0.0 {
                 continue;
             }
-            for &(k, p) in pivot_row.iter() {
-                row[k] -= f * p;
-            }
+            inv.row_mut(r).iter_mut().zip(packed.iter()).for_each(|(b, p)| *b -= f * p);
         }
     }
 }

@@ -54,18 +54,19 @@ impl CsrMatrix {
             cursor[r] += 1;
         }
         // Within each row: sort by column and combine duplicates, which are
-        // summed in the order the unstable sort leaves them.
+        // summed in the order the unstable sort leaves them. One buffer
+        // serves every row.
         let mut out_col = Vec::with_capacity(triplets.len());
         let mut out_val = Vec::with_capacity(triplets.len());
         let mut out_ptr = Vec::with_capacity(rows + 1);
         out_ptr.push(0);
+        let mut entries: Vec<(usize, f64)> = Vec::new();
         for i in 0..rows {
             let (start, end) = (counts[i], counts[i + 1]);
-            let mut entries: Vec<(usize, f64)> = col_idx[start..end]
-                .iter()
-                .copied()
-                .zip(values[start..end].iter().copied())
-                .collect();
+            entries.clear();
+            entries.extend(
+                col_idx[start..end].iter().copied().zip(values[start..end].iter().copied()),
+            );
             entries.sort_unstable_by_key(|&(c, _)| c);
             let mut k = 0;
             while k < entries.len() {
@@ -121,7 +122,8 @@ impl CsrMatrix {
     }
 
     /// Computes `out = self^T * y`, skipping the rows where `y` is zero — in
-    /// a PDHG iteration about four in five (DESIGN.md § The iteration kernel).
+    /// a PDHG iteration about four in five (DESIGN.md § The iteration kernel),
+    /// at a simplex pricing step nearly all of them.
     #[inline(never)]
     pub fn mul_transpose_vec(&self, y: &[f64], out: &mut [f64]) {
         debug_assert_eq!(y.len(), self.rows);
@@ -328,7 +330,7 @@ impl SlicedRows {
 
 /// A sparse matrix in compressed-sparse-column format.
 ///
-/// Used by the simplex solver, which prices one column at a time.
+/// Used by the simplex solver, which gathers one column at a time.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CscMatrix {
     rows: usize,
@@ -359,15 +361,6 @@ impl CscMatrix {
         let lo = self.col_ptr[j];
         let hi = self.col_ptr[j + 1];
         self.row_idx[lo..hi].iter().copied().zip(self.values[lo..hi].iter().copied())
-    }
-
-    /// Dot product of column `j` with a dense vector.
-    pub fn col_dot(&self, j: usize, y: &[f64]) -> f64 {
-        let mut acc = 0.0;
-        for (i, v) in self.col(j) {
-            acc += v * y[i];
-        }
-        acc
     }
 }
 
@@ -435,7 +428,6 @@ mod tests {
         assert_eq!(c.nnz(), m.nnz());
         let col2: Vec<_> = c.col(2).collect();
         assert_eq!(col2, vec![(0, 2.0)]);
-        assert_eq!(c.col_dot(1, &[10.0, 20.0]), 60.0);
     }
 
     #[test]

@@ -167,20 +167,19 @@ pub fn build_relaxed(net: &OpticalNetwork, cut: &[FiberId], cfg: &RwaConfig) -> 
     let mut model = Model::new();
     // var_index[(link_idx, path_idx)] -> per-slot variables (slot, VarId)
     let mut slot_vars: Vec<Vec<Vec<(usize, arrow_lp::VarId)>>> = Vec::new();
-    // Per (fiber, slot): variables that would occupy it. BTreeMap, not
-    // HashMap: constraint (14) rows are emitted by iterating this map, and
-    // the LP's resolution of degenerate ties follows row order — hash-seed
-    // iteration order would make solutions differ per process and per
-    // worker thread, breaking the offline stage's determinism contract.
-    use std::collections::BTreeMap;
-    let mut usage: BTreeMap<(usize, usize), Vec<arrow_lp::VarId>> = BTreeMap::new();
+    // Per (fiber, slot), at `fiber * num_slots + slot`: variables that
+    // would occupy it. Constraint (14) rows are emitted in index order, that
+    // is by fiber, then slot; the LP's resolution of degenerate ties follows
+    // row order, so the offline stage's determinism contract rests on it.
+    let slots = net.num_slots();
+    let mut usage: Vec<Vec<arrow_lp::VarId>> = vec![Vec::new(); masks.len() * slots];
 
     for (e, (id, paths, _)) in cands.iter().enumerate() {
         let lp = net.lightpath(*id);
         let mut per_path = Vec::new();
         for (k, path) in paths.iter().enumerate() {
             let mut vars = Vec::new();
-            for w in 0..net.num_slots() {
+            for w in 0..slots {
                 if !cfg.allow_retuning && !lp.slots.contains(&w) {
                     continue;
                 }
@@ -191,7 +190,7 @@ pub fn build_relaxed(net: &OpticalNetwork, cut: &[FiberId], cfg: &RwaConfig) -> 
                 let v = model.add_var(0.0, 1.0, format!("xi_e{e}_k{k}_w{w}"));
                 vars.push((w, v));
                 for &f in &path.fibers {
-                    usage.entry((f.0, w)).or_default().push(v);
+                    usage[f.0 * slots + w].push(v);
                 }
             }
             per_path.push(vars);
@@ -200,14 +199,10 @@ pub fn build_relaxed(net: &OpticalNetwork, cut: &[FiberId], cfg: &RwaConfig) -> 
     }
     // Constraint (14): each free slot on each fiber used at most once.
     // Rows with a single variable are implied by the [0, 1] bound — skip.
-    for ((f, w), vars) in usage.iter() {
+    for (at, vars) in usage.into_iter().enumerate() {
         if vars.len() >= 2 {
-            model.add_con(
-                LinExpr::sum_vars(vars.iter().copied()),
-                Sense::Le,
-                1.0,
-                format!("slot_f{f}_w{w}"),
-            );
+            let (f, w) = (at / slots, at % slots);
+            model.add_con(LinExpr::sum_vars(vars), Sense::Le, 1.0, format!("slot_f{f}_w{w}"));
         }
     }
     // Constraint (17): restored wavelengths per link ≤ lost wavelengths.
