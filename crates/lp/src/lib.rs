@@ -18,9 +18,9 @@
 //! use arrow_lp::model::{LinExpr, Model, Objective, Sense};
 //!
 //! let mut m = Model::new();
-//! let x = m.add_var(0.0, 4.0, "x");
-//! let y = m.add_nonneg("y");
-//! m.add_con(LinExpr::new().add(x, 3.0).add(y, 2.0), Sense::Le, 18.0, "cap");
+//! let x = m.add_var(0.0, 4.0);
+//! let y = m.add_nonneg();
+//! m.add_con(LinExpr::new().add(x, 3.0).add(y, 2.0), Sense::Le, 18.0);
 //! m.set_objective(LinExpr::new().add(x, 3.0).add(y, 5.0), Objective::Maximize);
 //! let sol = arrow_lp::solve(&m, &arrow_lp::SolverConfig::default());
 //! assert!(sol.status.is_optimal());
@@ -54,7 +54,7 @@ pub mod solver;
 pub mod sparse;
 pub mod warm;
 
-pub use model::{ConId, LinExpr, Model, Objective, Sense, VarId, INF};
+pub use model::{LinExpr, Model, Objective, Sense, VarId, INF};
 pub use solution::{Solution, SolveStats, Status};
 pub use solver::{solve, solve_batch, solve_with, Backend, SolverConfig};
 pub use warm::{BackendKind, Basis, ColStatus, PrimalDual, WarmEvent, WarmStart};

@@ -184,10 +184,10 @@ mod tests {
     fn knapsack_binary() {
         // max 10a + 6b + 4c s.t. a + b + c <= 2 (binaries) => 16
         let mut m = Model::new();
-        let a = m.add_binary("a");
-        let b = m.add_binary("b");
-        let c = m.add_binary("c");
-        m.add_con(LinExpr::sum_vars([a, b, c]), Sense::Le, 2.0, "pick2");
+        let a = m.add_binary();
+        let b = m.add_binary();
+        let c = m.add_binary();
+        m.add_con(LinExpr::sum_vars([a, b, c]), Sense::Le, 2.0);
         m.set_objective(LinExpr::new().add(a, 10.0).add(b, 6.0).add(c, 4.0), Objective::Maximize);
         let s = solve(&m, &MilpConfig::default());
         assert_eq!(s.status, Status::Optimal);
@@ -201,9 +201,9 @@ mod tests {
     fn integer_rounding_matters() {
         // max x + y s.t. 2x + 2y <= 5, integers => 2 (not 2.5)
         let mut m = Model::new();
-        let x = m.add_int_var(0.0, 10.0, "x");
-        let y = m.add_int_var(0.0, 10.0, "y");
-        m.add_con(LinExpr::new().add(x, 2.0).add(y, 2.0), Sense::Le, 5.0, "cap");
+        let x = m.add_int_var(0.0, 10.0);
+        let y = m.add_int_var(0.0, 10.0);
+        m.add_con(LinExpr::new().add(x, 2.0).add(y, 2.0), Sense::Le, 5.0);
         m.set_objective(LinExpr::new().add(x, 1.0).add(y, 1.0), Objective::Maximize);
         let s = solve(&m, &MilpConfig::default());
         assert_eq!(s.status, Status::Optimal);
@@ -214,10 +214,10 @@ mod tests {
     fn mixed_integer_continuous() {
         // max 5b + x s.t. x <= 3.7, x - 10b <= 0 (x usable only if b=1)
         let mut m = Model::new();
-        let b = m.add_binary("b");
-        let x = m.add_nonneg("x");
-        m.add_con(LinExpr::term(x, 1.0), Sense::Le, 3.7, "xcap");
-        m.add_con(LinExpr::new().add(x, 1.0).add(b, -10.0), Sense::Le, 0.0, "link");
+        let b = m.add_binary();
+        let x = m.add_nonneg();
+        m.add_con(LinExpr::term(x, 1.0), Sense::Le, 3.7);
+        m.add_con(LinExpr::new().add(x, 1.0).add(b, -10.0), Sense::Le, 0.0);
         m.set_objective(LinExpr::new().add(b, 5.0).add(x, 1.0), Objective::Maximize);
         let s = solve(&m, &MilpConfig::default());
         assert_eq!(s.status, Status::Optimal);
@@ -228,8 +228,8 @@ mod tests {
     fn infeasible_integer_model() {
         // 2x = 3 with x integer is infeasible.
         let mut m = Model::new();
-        let x = m.add_int_var(0.0, 10.0, "x");
-        m.add_con(LinExpr::term(x, 2.0), Sense::Eq, 3.0, "odd");
+        let x = m.add_int_var(0.0, 10.0);
+        m.add_con(LinExpr::term(x, 2.0), Sense::Eq, 3.0);
         m.set_objective(LinExpr::term(x, 1.0), Objective::Minimize);
         let s = solve(&m, &MilpConfig::default());
         assert_eq!(s.status, Status::Infeasible);
@@ -238,9 +238,9 @@ mod tests {
     #[test]
     fn continuous_model_delegates_to_simplex() {
         let mut m = Model::new();
-        let x = m.add_var(0.0, 2.5, "x");
+        let x = m.add_var(0.0, 2.5);
         m.set_objective(LinExpr::term(x, 1.0), Objective::Maximize);
-        m.add_con(LinExpr::term(x, 1.0), Sense::Le, 100.0, "loose");
+        m.add_con(LinExpr::term(x, 1.0), Sense::Le, 100.0);
         let s = solve(&m, &MilpConfig::default());
         assert_eq!(s.status, Status::Optimal);
         assert!((s.objective - 2.5).abs() < 1e-9);
@@ -251,8 +251,8 @@ mod tests {
     fn exactly_one_selection() {
         // The Appendix A.5 pattern: pick exactly one ticket, maximize value.
         let mut m = Model::new();
-        let t: Vec<_> = (0..5).map(|i| m.add_binary(format!("t{i}"))).collect();
-        m.add_con(LinExpr::sum_vars(t.iter().copied()), Sense::Eq, 1.0, "one");
+        let t: Vec<_> = (0..5).map(|_| m.add_binary()).collect();
+        m.add_con(LinExpr::sum_vars(t.iter().copied()), Sense::Eq, 1.0);
         let values = [3.0, 7.0, 2.0, 7.0, 1.0];
         m.set_objective(
             LinExpr::sum(t.iter().copied().zip(values.iter().copied())),

@@ -6,6 +6,11 @@
 //! [`Model::to_standard`] lowers the model to the computational form shared
 //! by every solver backend.
 //!
+//! A model is only its numbers: bounds, rows, senses, right-hand sides and
+//! the objective. Rows and columns carry no names, and once the rows are
+//! posted the only part a caller may change is a variable's bounds
+//! ([`Model::set_bounds`]).
+//!
 //! The builder is deliberately plain — no operator-overloading DSL tricks —
 //! so that formulations transcribed from the paper read like the paper.
 
@@ -20,17 +25,6 @@ pub struct VarId(pub(crate) usize);
 
 impl VarId {
     /// The dense index of this variable within its model.
-    pub fn index(self) -> usize {
-        self.0
-    }
-}
-
-/// Identifier of a model constraint (row), allocation-ordered.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct ConId(pub(crate) usize);
-
-impl ConId {
-    /// The dense index of this constraint within its model.
     pub fn index(self) -> usize {
         self.0
     }
@@ -113,7 +107,6 @@ struct VarDef {
     lb: f64,
     ub: f64,
     integer: bool,
-    name: String,
 }
 
 #[derive(Debug, Clone)]
@@ -121,7 +114,6 @@ struct ConDef {
     terms: Vec<(VarId, f64)>,
     sense: Sense,
     rhs: f64,
-    name: String,
 }
 
 /// Objective direction.
@@ -161,51 +153,37 @@ impl Model {
 
     /// Adds a continuous variable with bounds `[lb, ub]`.
     ///
-    /// Use [`INF`] / `-INF` for unbounded sides. `name` is kept for
-    /// diagnostics only and need not be unique.
-    pub fn add_var(&mut self, lb: f64, ub: f64, name: impl Into<String>) -> VarId {
+    /// Use [`INF`] / `-INF` for unbounded sides.
+    pub fn add_var(&mut self, lb: f64, ub: f64) -> VarId {
         assert!(lb <= ub, "variable bounds crossed: [{lb}, {ub}]");
         let id = VarId(self.vars.len());
-        self.vars.push(VarDef { lb, ub, integer: false, name: name.into() });
+        self.vars.push(VarDef { lb, ub, integer: false });
         id
     }
 
     /// Adds a continuous variable with bounds `[0, +inf)`.
-    pub fn add_nonneg(&mut self, name: impl Into<String>) -> VarId {
-        self.add_var(0.0, INF, name)
+    pub fn add_nonneg(&mut self) -> VarId {
+        self.add_var(0.0, INF)
     }
 
     /// Adds an integer variable with bounds `[lb, ub]` (solved by the MILP
     /// branch-and-bound backend; the LP backends treat it as continuous).
-    pub fn add_int_var(&mut self, lb: f64, ub: f64, name: impl Into<String>) -> VarId {
-        let id = self.add_var(lb, ub, name);
+    pub fn add_int_var(&mut self, lb: f64, ub: f64) -> VarId {
+        let id = self.add_var(lb, ub);
         self.vars[id.0].integer = true;
         id
     }
 
     /// Adds a binary (0/1 integer) variable.
-    pub fn add_binary(&mut self, name: impl Into<String>) -> VarId {
-        self.add_int_var(0.0, 1.0, name)
+    pub fn add_binary(&mut self) -> VarId {
+        self.add_int_var(0.0, 1.0)
     }
 
     /// Posts the constraint `expr (sense) rhs`.
     ///
     /// Any constant inside `expr` is folded into the right-hand side.
-    pub fn add_con(
-        &mut self,
-        expr: LinExpr,
-        sense: Sense,
-        rhs: f64,
-        name: impl Into<String>,
-    ) -> ConId {
-        let id = ConId(self.cons.len());
-        self.cons.push(ConDef {
-            rhs: rhs - expr.constant,
-            terms: expr.terms,
-            sense,
-            name: name.into(),
-        });
-        id
+    pub fn add_con(&mut self, expr: LinExpr, sense: Sense, rhs: f64) {
+        self.cons.push(ConDef { rhs: rhs - expr.constant, terms: expr.terms, sense });
     }
 
     /// Sets the objective expression and direction.
@@ -239,39 +217,12 @@ impl Model {
         (self.vars[v.0].lb, self.vars[v.0].ub)
     }
 
-    /// Tightens the bounds of an existing variable (used by branch & bound).
+    /// Replaces the bounds of an existing variable: branch & bound tightens
+    /// them, the online stage moves a flow's demand bound between epochs.
     pub fn set_bounds(&mut self, v: VarId, lb: f64, ub: f64) {
         assert!(lb <= ub, "variable bounds crossed: [{lb}, {ub}]");
         self.vars[v.0].lb = lb;
         self.vars[v.0].ub = ub;
-    }
-
-    /// Right-hand side of constraint `c` (after any constant folding done
-    /// by [`Model::add_con`]).
-    pub fn rhs(&self, c: ConId) -> f64 {
-        self.cons[c.0].rhs
-    }
-
-    /// Replaces the right-hand side of an existing constraint.
-    ///
-    /// This is the incremental-assembly primitive for the online stage:
-    /// re-solving with new restored capacities (or demands, via
-    /// [`Model::set_bounds`]) patches the cached model in place instead of
-    /// rebuilding it. The value is stored verbatim — any constant the
-    /// original expression folded into the rhs must be re-applied by the
-    /// caller (ARROW's formulations post constant-free expressions).
-    pub fn set_rhs(&mut self, c: ConId, rhs: f64) {
-        self.cons[c.0].rhs = rhs;
-    }
-
-    /// Diagnostic name of variable `v`.
-    pub fn var_name(&self, v: VarId) -> &str {
-        &self.vars[v.0].name
-    }
-
-    /// Diagnostic name of constraint `c`.
-    pub fn con_name(&self, c: ConId) -> &str {
-        &self.cons[c.0].name
     }
 
     /// Objective direction.
@@ -420,9 +371,9 @@ mod tests {
     #[test]
     fn build_small_model() {
         let mut m = Model::new();
-        let x = m.add_var(0.0, 10.0, "x");
-        let y = m.add_nonneg("y");
-        m.add_con(LinExpr::new().add(x, 1.0).add(y, 2.0), Sense::Le, 14.0, "c1");
+        let x = m.add_var(0.0, 10.0);
+        let y = m.add_nonneg();
+        m.add_con(LinExpr::new().add(x, 1.0).add(y, 2.0), Sense::Le, 14.0);
         m.set_objective(LinExpr::new().add(x, 3.0).add(y, 1.0), Objective::Maximize);
         assert_eq!(m.num_vars(), 2);
         assert_eq!(m.num_cons(), 1);
@@ -435,10 +386,10 @@ mod tests {
     #[test]
     fn constant_folds_into_rhs() {
         let mut m = Model::new();
-        let x = m.add_nonneg("x");
+        let x = m.add_nonneg();
         let mut e = LinExpr::term(x, 1.0);
         e.add_constant(5.0);
-        m.add_con(e, Sense::Le, 12.0, "c");
+        m.add_con(e, Sense::Le, 12.0);
         let s = m.to_standard();
         assert_eq!(s.rhs, vec![7.0]);
     }
@@ -446,8 +397,8 @@ mod tests {
     #[test]
     fn duplicate_terms_merge_in_matrix() {
         let mut m = Model::new();
-        let x = m.add_nonneg("x");
-        m.add_con(LinExpr::new().add(x, 1.0).add(x, 2.0), Sense::Eq, 9.0, "c");
+        let x = m.add_nonneg();
+        m.add_con(LinExpr::new().add(x, 1.0).add(x, 2.0), Sense::Eq, 9.0);
         let s = m.to_standard();
         let row: Vec<_> = s.a.row(0).collect();
         assert_eq!(row, vec![(0, 3.0)]);
@@ -456,13 +407,13 @@ mod tests {
     #[test]
     fn max_violation_detects_all_kinds() {
         let mut m = Model::new();
-        let x = m.add_var(0.0, 1.0, "x");
-        m.add_con(LinExpr::term(x, 1.0), Sense::Ge, 2.0, "c");
+        let x = m.add_var(0.0, 1.0);
+        m.add_con(LinExpr::term(x, 1.0), Sense::Ge, 2.0);
         assert!((m.max_violation(&[0.5]) - 1.5).abs() < 1e-12);
         assert!((m.max_violation(&[3.0]) - 2.0).abs() < 1e-12); // ub violated worse
         let mut m2 = Model::new();
-        let y = m2.add_var(0.0, 5.0, "y");
-        m2.add_con(LinExpr::term(y, 1.0), Sense::Le, 4.0, "c");
+        let y = m2.add_var(0.0, 5.0);
+        m2.add_con(LinExpr::term(y, 1.0), Sense::Le, 4.0);
         assert_eq!(m2.max_violation(&[2.0]), 0.0);
     }
 
@@ -475,8 +426,8 @@ mod tests {
     #[test]
     fn integer_markers() {
         let mut m = Model::new();
-        let b = m.add_binary("b");
-        let x = m.add_nonneg("x");
+        let b = m.add_binary();
+        let x = m.add_nonneg();
         assert!(m.is_integer(b));
         assert!(!m.is_integer(x));
         assert_eq!(m.num_int_vars(), 1);

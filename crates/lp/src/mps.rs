@@ -13,11 +13,10 @@ use std::fmt::Write as _;
 
 /// Renders `model` as an MPS document.
 ///
-/// Variable and row names are generated (`x0…`, `c0…`) rather than taken
-/// from the model's diagnostic names, which MPS would otherwise force us
-/// to sanitize and uniquify. Maximization is encoded by negating the
-/// objective row and noting it in a comment (classic MPS has no OBJSENSE;
-/// the `OBJSENSE` extension is emitted too for solvers that support it).
+/// A model carries no names, so column `j` is written `x{j}` and row `i`
+/// `c{i}`. Maximization is encoded by negating the objective row and
+/// noting it in a comment (classic MPS has no OBJSENSE; the `OBJSENSE`
+/// extension is emitted too for solvers that support it).
 pub fn to_mps(model: &Model, name: &str) -> String {
     let std_form = model.to_standard();
     let maximize = model.direction() == Objective::Maximize;
@@ -103,12 +102,12 @@ mod tests {
 
     fn sample_model() -> Model {
         let mut m = Model::new();
-        let x = m.add_var(0.0, 4.0, "x");
-        let y = m.add_var(-INF, INF, "y");
-        let b = m.add_binary("b");
-        m.add_con(LinExpr::new().add(x, 3.0).add(y, 2.0), Sense::Le, 18.0, "cap");
-        m.add_con(LinExpr::new().add(y, 1.0).add(b, 5.0), Sense::Ge, 1.0, "floor");
-        m.add_con(LinExpr::new().add(x, 1.0).add(b, -1.0), Sense::Eq, 0.5, "tie");
+        let x = m.add_var(0.0, 4.0);
+        let y = m.add_var(-INF, INF);
+        let b = m.add_binary();
+        m.add_con(LinExpr::new().add(x, 3.0).add(y, 2.0), Sense::Le, 18.0);
+        m.add_con(LinExpr::new().add(y, 1.0).add(b, 5.0), Sense::Ge, 1.0);
+        m.add_con(LinExpr::new().add(x, 1.0).add(b, -1.0), Sense::Eq, 0.5);
         m.set_objective(LinExpr::new().add(x, 3.0).add(y, 5.0), Objective::Maximize);
         m
     }

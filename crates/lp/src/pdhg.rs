@@ -423,11 +423,11 @@ mod tests {
 
     fn textbook_lp() -> StandardLp {
         let mut m = Model::new();
-        let x = m.add_nonneg("x");
-        let y = m.add_nonneg("y");
-        m.add_con(LinExpr::term(x, 1.0), Sense::Le, 4.0, "c1");
-        m.add_con(LinExpr::term(y, 2.0), Sense::Le, 12.0, "c2");
-        m.add_con(LinExpr::new().add(x, 3.0).add(y, 2.0), Sense::Le, 18.0, "c3");
+        let x = m.add_nonneg();
+        let y = m.add_nonneg();
+        m.add_con(LinExpr::term(x, 1.0), Sense::Le, 4.0);
+        m.add_con(LinExpr::term(y, 2.0), Sense::Le, 12.0);
+        m.add_con(LinExpr::new().add(x, 3.0).add(y, 2.0), Sense::Le, 18.0);
         m.set_objective(LinExpr::new().add(x, 3.0).add(y, 5.0), Objective::Maximize);
         m.to_standard()
     }
@@ -458,8 +458,8 @@ mod tests {
     #[test]
     fn dimension_mismatched_warm_point_is_a_miss() {
         let mut m = Model::new();
-        let x = m.add_nonneg("x");
-        m.add_con(LinExpr::term(x, 1.0), Sense::Le, 3.0, "c");
+        let x = m.add_nonneg();
+        m.add_con(LinExpr::term(x, 1.0), Sense::Le, 3.0);
         m.set_objective(LinExpr::term(x, 1.0), Objective::Maximize);
         let bogus = crate::warm::PrimalDual { x: vec![1.0; 9], y: vec![] };
         let s = solve_warm(&m.to_standard(), &PdhgConfig::default(), Some(&bogus));
@@ -545,10 +545,10 @@ mod tests {
     #[test]
     fn equality_and_ge_rows() {
         let mut m = Model::new();
-        let x = m.add_nonneg("x");
-        let y = m.add_nonneg("y");
-        m.add_con(LinExpr::new().add(x, 1.0).add(y, 1.0), Sense::Eq, 10.0, "sum");
-        m.add_con(LinExpr::term(x, 1.0), Sense::Ge, 2.0, "floor");
+        let x = m.add_nonneg();
+        let y = m.add_nonneg();
+        m.add_con(LinExpr::new().add(x, 1.0).add(y, 1.0), Sense::Eq, 10.0);
+        m.add_con(LinExpr::term(x, 1.0), Sense::Ge, 2.0);
         m.set_objective(LinExpr::new().add(x, 3.0).add(y, 1.0), Objective::Minimize);
         let s = solve_model(&m);
         assert_eq!(s.status, Status::Optimal);
@@ -560,9 +560,9 @@ mod tests {
     fn badly_scaled_problem_is_equilibrated() {
         // Coefficients spanning six orders of magnitude.
         let mut m = Model::new();
-        let x = m.add_var(0.0, 1e6, "x");
-        let y = m.add_var(0.0, 10.0, "y");
-        m.add_con(LinExpr::new().add(x, 1e-3).add(y, 1e3), Sense::Le, 2e3, "mix");
+        let x = m.add_var(0.0, 1e6);
+        let y = m.add_var(0.0, 10.0);
+        m.add_con(LinExpr::new().add(x, 1e-3).add(y, 1e3), Sense::Le, 2e3);
         m.set_objective(LinExpr::new().add(x, 1e-3).add(y, 1.0), Objective::Maximize);
         let s = solve_model(&m);
         assert_eq!(s.status, Status::Optimal);
@@ -574,14 +574,11 @@ mod tests {
     fn matches_simplex_on_flow_like_lp() {
         // A small multi-commodity-flow-shaped LP.
         let mut m = Model::new();
-        let mut vars = Vec::new();
-        for i in 0..6 {
-            vars.push(m.add_var(0.0, 10.0, format!("f{i}")));
-        }
+        let vars: Vec<_> = (0..6).map(|_| m.add_var(0.0, 10.0)).collect();
         // Two shared capacity rows.
-        m.add_con(LinExpr::sum_vars(vars[0..3].iter().copied()), Sense::Le, 12.0, "cap1");
-        m.add_con(LinExpr::sum_vars(vars[3..6].iter().copied()), Sense::Le, 7.0, "cap2");
-        m.add_con(LinExpr::new().add(vars[0], 1.0).add(vars[3], 1.0), Sense::Le, 8.0, "cap3");
+        m.add_con(LinExpr::sum_vars(vars[0..3].iter().copied()), Sense::Le, 12.0);
+        m.add_con(LinExpr::sum_vars(vars[3..6].iter().copied()), Sense::Le, 7.0);
+        m.add_con(LinExpr::new().add(vars[0], 1.0).add(vars[3], 1.0), Sense::Le, 8.0);
         m.set_objective(LinExpr::sum_vars(vars.iter().copied()), Objective::Maximize);
         let simplex = crate::simplex::solve(&m.to_standard(), &Default::default());
         let pdhg = solve_model(&m);
@@ -597,10 +594,10 @@ mod tests {
     #[test]
     fn solution_is_feasible_within_tolerance() {
         let mut m = Model::new();
-        let x = m.add_nonneg("x");
-        let y = m.add_nonneg("y");
-        m.add_con(LinExpr::new().add(x, 2.0).add(y, 1.0), Sense::Le, 10.0, "c1");
-        m.add_con(LinExpr::new().add(x, 1.0).add(y, 3.0), Sense::Le, 15.0, "c2");
+        let x = m.add_nonneg();
+        let y = m.add_nonneg();
+        m.add_con(LinExpr::new().add(x, 2.0).add(y, 1.0), Sense::Le, 10.0);
+        m.add_con(LinExpr::new().add(x, 1.0).add(y, 3.0), Sense::Le, 15.0);
         m.set_objective(LinExpr::new().add(x, 1.0).add(y, 1.0), Objective::Maximize);
         let s = solve_model(&m);
         assert!(s.violation(&m) < 1e-3, "violation {}", s.violation(&m));

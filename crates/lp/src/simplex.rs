@@ -1118,11 +1118,11 @@ mod tests {
     fn textbook_max_lp() {
         // max 3x + 5y s.t. x <= 4, 2y <= 12, 3x + 2y <= 18 => obj 36 at (2,6)
         let mut m = Model::new();
-        let x = m.add_nonneg("x");
-        let y = m.add_nonneg("y");
-        m.add_con(LinExpr::term(x, 1.0), Sense::Le, 4.0, "c1");
-        m.add_con(LinExpr::term(y, 2.0), Sense::Le, 12.0, "c2");
-        m.add_con(LinExpr::new().add(x, 3.0).add(y, 2.0), Sense::Le, 18.0, "c3");
+        let x = m.add_nonneg();
+        let y = m.add_nonneg();
+        m.add_con(LinExpr::term(x, 1.0), Sense::Le, 4.0);
+        m.add_con(LinExpr::term(y, 2.0), Sense::Le, 12.0);
+        m.add_con(LinExpr::new().add(x, 3.0).add(y, 2.0), Sense::Le, 18.0);
         m.set_objective(LinExpr::new().add(x, 3.0).add(y, 5.0), Objective::Maximize);
         let s = solve_model(&m);
         assert_eq!(s.status, Status::Optimal);
@@ -1135,10 +1135,10 @@ mod tests {
     fn equality_constraints() {
         // min x + y s.t. x + y = 10, x - y = 2 => x=6, y=4, obj 10
         let mut m = Model::new();
-        let x = m.add_nonneg("x");
-        let y = m.add_nonneg("y");
-        m.add_con(LinExpr::new().add(x, 1.0).add(y, 1.0), Sense::Eq, 10.0, "sum");
-        m.add_con(LinExpr::new().add(x, 1.0).add(y, -1.0), Sense::Eq, 2.0, "diff");
+        let x = m.add_nonneg();
+        let y = m.add_nonneg();
+        m.add_con(LinExpr::new().add(x, 1.0).add(y, 1.0), Sense::Eq, 10.0);
+        m.add_con(LinExpr::new().add(x, 1.0).add(y, -1.0), Sense::Eq, 2.0);
         m.set_objective(LinExpr::new().add(x, 1.0).add(y, 1.0), Objective::Minimize);
         let s = solve_model(&m);
         assert_eq!(s.status, Status::Optimal);
@@ -1150,10 +1150,10 @@ mod tests {
     fn ge_constraints_need_phase1() {
         // min 2x + 3y s.t. x + y >= 10, x >= 2 => obj 20 at (10, 0)
         let mut m = Model::new();
-        let x = m.add_nonneg("x");
-        let y = m.add_nonneg("y");
-        m.add_con(LinExpr::new().add(x, 1.0).add(y, 1.0), Sense::Ge, 10.0, "c1");
-        m.add_con(LinExpr::term(x, 1.0), Sense::Ge, 2.0, "c2");
+        let x = m.add_nonneg();
+        let y = m.add_nonneg();
+        m.add_con(LinExpr::new().add(x, 1.0).add(y, 1.0), Sense::Ge, 10.0);
+        m.add_con(LinExpr::term(x, 1.0), Sense::Ge, 2.0);
         m.set_objective(LinExpr::new().add(x, 2.0).add(y, 3.0), Objective::Minimize);
         let s = solve_model(&m);
         assert_eq!(s.status, Status::Optimal);
@@ -1163,8 +1163,8 @@ mod tests {
     #[test]
     fn detects_infeasible() {
         let mut m = Model::new();
-        let x = m.add_var(0.0, 1.0, "x");
-        m.add_con(LinExpr::term(x, 1.0), Sense::Ge, 5.0, "c");
+        let x = m.add_var(0.0, 1.0);
+        m.add_con(LinExpr::term(x, 1.0), Sense::Ge, 5.0);
         m.set_objective(LinExpr::term(x, 1.0), Objective::Minimize);
         assert_eq!(solve_model(&m).status, Status::Infeasible);
     }
@@ -1172,9 +1172,9 @@ mod tests {
     #[test]
     fn detects_unbounded() {
         let mut m = Model::new();
-        let x = m.add_nonneg("x");
+        let x = m.add_nonneg();
         m.set_objective(LinExpr::term(x, 1.0), Objective::Maximize);
-        m.add_con(LinExpr::term(x, -1.0), Sense::Le, 0.0, "noop");
+        m.add_con(LinExpr::term(x, -1.0), Sense::Le, 0.0);
         assert_eq!(solve_model(&m).status, Status::Unbounded);
     }
 
@@ -1182,9 +1182,9 @@ mod tests {
     fn upper_bounded_variables_flip() {
         // max x + y, x <= 3 (bound), y <= 2 (bound), x + y <= 4
         let mut m = Model::new();
-        let x = m.add_var(0.0, 3.0, "x");
-        let y = m.add_var(0.0, 2.0, "y");
-        m.add_con(LinExpr::new().add(x, 1.0).add(y, 1.0), Sense::Le, 4.0, "cap");
+        let x = m.add_var(0.0, 3.0);
+        let y = m.add_var(0.0, 2.0);
+        m.add_con(LinExpr::new().add(x, 1.0).add(y, 1.0), Sense::Le, 4.0);
         m.set_objective(LinExpr::new().add(x, 1.0).add(y, 1.0), Objective::Maximize);
         let s = solve_model(&m);
         assert_eq!(s.status, Status::Optimal);
@@ -1195,8 +1195,8 @@ mod tests {
     fn free_variables() {
         // min x s.t. x >= -5 (via constraint, variable itself free)
         let mut m = Model::new();
-        let x = m.add_var(-INF, INF, "x");
-        m.add_con(LinExpr::term(x, 1.0), Sense::Ge, -5.0, "c");
+        let x = m.add_var(-INF, INF);
+        m.add_con(LinExpr::term(x, 1.0), Sense::Ge, -5.0);
         m.set_objective(LinExpr::term(x, 1.0), Objective::Minimize);
         let s = solve_model(&m);
         assert_eq!(s.status, Status::Optimal);
@@ -1207,9 +1207,9 @@ mod tests {
     fn negative_rhs_equalities() {
         // x + y = -3 with free vars; min x^2-ish proxy: min x - y
         let mut m = Model::new();
-        let x = m.add_var(-10.0, 10.0, "x");
-        let y = m.add_var(-10.0, 10.0, "y");
-        m.add_con(LinExpr::new().add(x, 1.0).add(y, 1.0), Sense::Eq, -3.0, "c");
+        let x = m.add_var(-10.0, 10.0);
+        let y = m.add_var(-10.0, 10.0);
+        m.add_con(LinExpr::new().add(x, 1.0).add(y, 1.0), Sense::Eq, -3.0);
         m.set_objective(LinExpr::new().add(x, 1.0).add(y, -1.0), Objective::Minimize);
         let s = solve_model(&m);
         assert_eq!(s.status, Status::Optimal);
@@ -1221,10 +1221,10 @@ mod tests {
     #[test]
     fn duals_satisfy_complementary_slackness() {
         let mut m = Model::new();
-        let x = m.add_nonneg("x");
-        let y = m.add_nonneg("y");
-        m.add_con(LinExpr::new().add(x, 1.0).add(y, 1.0), Sense::Le, 10.0, "tight");
-        m.add_con(LinExpr::term(x, 1.0), Sense::Le, 100.0, "loose");
+        let x = m.add_nonneg();
+        let y = m.add_nonneg();
+        m.add_con(LinExpr::new().add(x, 1.0).add(y, 1.0), Sense::Le, 10.0);
+        m.add_con(LinExpr::term(x, 1.0), Sense::Le, 100.0);
         m.set_objective(LinExpr::new().add(x, 2.0).add(y, 1.0), Objective::Maximize);
         let s = solve_model(&m);
         assert_eq!(s.status, Status::Optimal);
@@ -1238,11 +1238,11 @@ mod tests {
     #[test]
     fn warm_restart_on_same_lp_hits_and_matches() {
         let mut m = Model::new();
-        let x = m.add_nonneg("x");
-        let y = m.add_nonneg("y");
-        m.add_con(LinExpr::term(x, 1.0), Sense::Le, 4.0, "c1");
-        m.add_con(LinExpr::term(y, 2.0), Sense::Le, 12.0, "c2");
-        m.add_con(LinExpr::new().add(x, 3.0).add(y, 2.0), Sense::Le, 18.0, "c3");
+        let x = m.add_nonneg();
+        let y = m.add_nonneg();
+        m.add_con(LinExpr::term(x, 1.0), Sense::Le, 4.0);
+        m.add_con(LinExpr::term(y, 2.0), Sense::Le, 12.0);
+        m.add_con(LinExpr::new().add(x, 3.0).add(y, 2.0), Sense::Le, 18.0);
         m.set_objective(LinExpr::new().add(x, 3.0).add(y, 5.0), Objective::Maximize);
         let lp = m.to_standard();
         let cold = solve(&lp, &SimplexConfig::default());
@@ -1262,18 +1262,18 @@ mod tests {
     fn warm_survives_bound_and_rhs_changes() {
         // Perturb demand-like bounds and rhs between solves: the basis
         // snapshot is data-independent, so it should still warm-start.
-        let mut m = Model::new();
-        let x = m.add_var(0.0, 5.0, "x");
-        let y = m.add_var(0.0, 7.0, "y");
-        m.add_con(LinExpr::new().add(x, 1.0).add(y, 1.0), Sense::Le, 9.0, "cap");
-        m.set_objective(LinExpr::new().add(x, 2.0).add(y, 1.0), Objective::Maximize);
-        let basis = solve(&m.to_standard(), &SimplexConfig::default()).basis.expect("basis");
-        let mut m2 = m.clone();
-        m2.set_bounds(x, 0.0, 6.0);
-        let c = crate::model::ConId(0);
-        m2.set_rhs(c, 10.0);
-        let warm = solve_warm(&m2.to_standard(), &SimplexConfig::default(), Some(&basis));
-        let cold = solve(&m2.to_standard(), &SimplexConfig::default());
+        let build = |x_ub: f64, cap: f64| {
+            let mut m = Model::new();
+            let x = m.add_var(0.0, x_ub);
+            let y = m.add_var(0.0, 7.0);
+            m.add_con(LinExpr::new().add(x, 1.0).add(y, 1.0), Sense::Le, cap);
+            m.set_objective(LinExpr::new().add(x, 2.0).add(y, 1.0), Objective::Maximize);
+            m.to_standard()
+        };
+        let basis = solve(&build(5.0, 9.0), &SimplexConfig::default()).basis.expect("basis");
+        let lp = build(6.0, 10.0);
+        let warm = solve_warm(&lp, &SimplexConfig::default(), Some(&basis));
+        let cold = solve(&lp, &SimplexConfig::default());
         assert_eq!(warm.status, Status::Optimal);
         assert!((warm.objective - cold.objective).abs() < 1e-9);
     }
@@ -1281,8 +1281,8 @@ mod tests {
     #[test]
     fn mismatched_warm_basis_is_a_miss_not_a_failure() {
         let mut m = Model::new();
-        let x = m.add_nonneg("x");
-        m.add_con(LinExpr::term(x, 1.0), Sense::Le, 3.0, "c");
+        let x = m.add_nonneg();
+        m.add_con(LinExpr::term(x, 1.0), Sense::Le, 3.0);
         m.set_objective(LinExpr::term(x, 1.0), Objective::Maximize);
         let bogus = crate::warm::Basis { cols: vec![crate::warm::ColStatus::Basic; 7] };
         let s = solve_warm(&m.to_standard(), &SimplexConfig::default(), Some(&bogus));
@@ -1297,9 +1297,9 @@ mod tests {
         // lands outside its box: the warm install must reject and re-solve
         // cold (phase 1 cannot repair an artificial-free infeasible start).
         let mut m = Model::new();
-        let x = m.add_var(0.0, 10.0, "x");
-        let y = m.add_var(0.0, 10.0, "y");
-        m.add_con(LinExpr::new().add(x, 1.0).add(y, 1.0), Sense::Eq, 8.0, "sum");
+        let x = m.add_var(0.0, 10.0);
+        let y = m.add_var(0.0, 10.0);
+        m.add_con(LinExpr::new().add(x, 1.0).add(y, 1.0), Sense::Eq, 8.0);
         m.set_objective(LinExpr::term(y, 1.0), Objective::Maximize);
         let cold = solve(&m.to_standard(), &SimplexConfig::default());
         assert!((cold.x[1] - 8.0).abs() < 1e-9); // y basic at 8
@@ -1315,9 +1315,9 @@ mod tests {
     #[test]
     fn stats_report_problem_shape() {
         let mut m = Model::new();
-        let x = m.add_nonneg("x");
-        let y = m.add_nonneg("y");
-        m.add_con(LinExpr::new().add(x, 1.0).add(y, 1.0), Sense::Le, 5.0, "c");
+        let x = m.add_nonneg();
+        let y = m.add_nonneg();
+        m.add_con(LinExpr::new().add(x, 1.0).add(y, 1.0), Sense::Le, 5.0);
         m.set_objective(LinExpr::term(x, 1.0), Objective::Maximize);
         let s = solve_model(&m);
         assert_eq!(s.stats.rows, 1);
@@ -1331,15 +1331,10 @@ mod tests {
     fn degenerate_lp_terminates() {
         // Many redundant constraints intersecting at the same vertex.
         let mut m = Model::new();
-        let x = m.add_nonneg("x");
-        let y = m.add_nonneg("y");
+        let x = m.add_nonneg();
+        let y = m.add_nonneg();
         for i in 0..20 {
-            m.add_con(
-                LinExpr::new().add(x, 1.0 + (i as f64) * 1e-9).add(y, 1.0),
-                Sense::Le,
-                1.0,
-                format!("c{i}"),
-            );
+            m.add_con(LinExpr::new().add(x, 1.0 + (i as f64) * 1e-9).add(y, 1.0), Sense::Le, 1.0);
         }
         m.set_objective(LinExpr::new().add(x, 1.0).add(y, 1.0), Objective::Maximize);
         let s = solve_model(&m);

@@ -1,6 +1,6 @@
 //! Backend selection: one entry point for every LP/MILP in the workspace.
 //!
-//! Formulation code builds a [`Model`](crate::model::Model) and calls
+//! Formulation code builds a [`Model`] and calls
 //! [`solve`]; the backend is chosen by problem size unless pinned. The
 //! crossover threshold favours the exact simplex for anything it can finish
 //! quickly and the first-order PDHG solver beyond that.
@@ -77,7 +77,7 @@ pub fn solve(model: &Model, cfg: &SolverConfig) -> Solution {
 ///
 /// Each backend consumes the component it understands — simplex the basis,
 /// PDHG the primal–dual point — and records a hit/miss in
-/// [`SolveStats`](crate::solution::SolveStats). The MILP backend ignores
+/// [`SolveStats`]. The MILP backend ignores
 /// warm starts.
 pub fn solve_with(model: &Model, cfg: &SolverConfig, warm: Option<&WarmStart>) -> Solution {
     let _span = arrow_obs::span!(
@@ -290,9 +290,9 @@ mod tests {
 
     fn tiny_model() -> Model {
         let mut m = Model::new();
-        let x = m.add_var(0.0, 4.0, "x");
-        let y = m.add_nonneg("y");
-        m.add_con(LinExpr::new().add(x, 1.0).add(y, 1.0), Sense::Le, 6.0, "cap");
+        let x = m.add_var(0.0, 4.0);
+        let y = m.add_nonneg();
+        m.add_con(LinExpr::new().add(x, 1.0).add(y, 1.0), Sense::Le, 6.0);
         m.set_objective(LinExpr::new().add(x, 2.0).add(y, 1.0), Objective::Maximize);
         m
     }
@@ -317,8 +317,8 @@ mod tests {
     #[test]
     fn integer_model_routes_to_milp() {
         let mut m = Model::new();
-        let x = m.add_int_var(0.0, 9.0, "x");
-        m.add_con(LinExpr::term(x, 2.0), Sense::Le, 7.0, "cap");
+        let x = m.add_int_var(0.0, 9.0);
+        m.add_con(LinExpr::term(x, 2.0), Sense::Le, 7.0);
         m.set_objective(LinExpr::term(x, 1.0), Objective::Maximize);
         let s = solve(&m, &SolverConfig::default());
         assert_eq!(s.status, Status::Optimal);
@@ -359,19 +359,19 @@ mod batch_tests {
 
     fn tiny_with_rhs(r: f64) -> Model {
         let mut m = Model::new();
-        let x = m.add_var(0.0, 4.0, "x");
-        let y = m.add_nonneg("y");
-        m.add_con(LinExpr::new().add(x, 1.0).add(y, 1.0), Sense::Le, r, "cap");
+        let x = m.add_var(0.0, 4.0);
+        let y = m.add_nonneg();
+        m.add_con(LinExpr::new().add(x, 1.0).add(y, 1.0), Sense::Le, r);
         m.set_objective(LinExpr::new().add(x, 2.0).add(y, 1.0), Objective::Maximize);
         m
     }
 
     fn two_con_model(cap: f64) -> Model {
         let mut m = Model::new();
-        let x = m.add_nonneg("x");
-        let y = m.add_nonneg("y");
-        m.add_con(LinExpr::new().add(x, 1.0).add(y, 2.0), Sense::Le, cap, "c1");
-        m.add_con(LinExpr::new().add(x, 3.0).add(y, 1.0), Sense::Le, cap + 2.0, "c2");
+        let x = m.add_nonneg();
+        let y = m.add_nonneg();
+        m.add_con(LinExpr::new().add(x, 1.0).add(y, 2.0), Sense::Le, cap);
+        m.add_con(LinExpr::new().add(x, 3.0).add(y, 1.0), Sense::Le, cap + 2.0);
         m.set_objective(LinExpr::new().add(x, 1.0).add(y, 1.0), Objective::Maximize);
         m
     }
@@ -399,8 +399,8 @@ mod batch_tests {
     #[test]
     fn mixed_batch_is_bitwise_identical_to_sequential() {
         let mut int_model = Model::new();
-        let xi = int_model.add_int_var(0.0, 9.0, "x");
-        int_model.add_con(LinExpr::term(xi, 2.0), Sense::Le, 7.0, "cap");
+        let xi = int_model.add_int_var(0.0, 9.0);
+        int_model.add_con(LinExpr::term(xi, 2.0), Sense::Le, 7.0);
         int_model.set_objective(LinExpr::term(xi, 1.0), Objective::Maximize);
         // Two structural families interleaved with an integer lane, under
         // Auto (everything continuous routes to the simplex) and pinned
@@ -432,13 +432,13 @@ mod batch_tests {
             (state >> 33) as f64 / (1u64 << 31) as f64
         };
         let mut m = Model::new();
-        let vars: Vec<_> = (0..rows + 2).map(|j| m.add_var(0.0, 4.0, format!("x{j}"))).collect();
+        let vars: Vec<_> = (0..rows + 2).map(|_| m.add_var(0.0, 4.0)).collect();
         for i in 0..rows {
             let e = LinExpr::sum(vars.iter().map(|&v| (v, (4.0 * draw()).floor() - 1.0)));
             if i % 3 == 2 {
-                m.add_con(e, Sense::Ge, -1.0 - draw(), format!("g{i}"));
+                m.add_con(e, Sense::Ge, -1.0 - draw());
             } else {
-                m.add_con(e, Sense::Le, 3.0 + 5.0 * draw(), format!("l{i}"));
+                m.add_con(e, Sense::Le, 3.0 + 5.0 * draw());
             }
         }
         m.set_objective(LinExpr::sum(vars.iter().map(|&v| (v, draw()))), Objective::Maximize);
@@ -472,7 +472,7 @@ mod batch_tests {
         let mut short = SolverConfig::exact();
         short.simplex.max_iters = 3;
         let mut with_empty_column = ragged_model(12, 99);
-        let z = with_empty_column.add_var(0.0, 4.0, "z");
+        let z = with_empty_column.add_var(0.0, 4.0);
         let mut objective = with_empty_column.objective().clone();
         objective.add_term(z, 1.0);
         with_empty_column.set_objective(objective, Objective::Maximize);
@@ -524,10 +524,10 @@ mod validation_tests {
     /// max x + `cost`·y  s.t.  x <= 4,  x + `coeff`·y <= `rhs`,  y <= 9.
     fn two_var(rhs: f64, coeff: f64, cost: f64) -> Model {
         let mut m = Model::new();
-        let x = m.add_nonneg("x");
-        let y = m.add_var(0.0, 9.0, "y");
-        m.add_con(LinExpr::term(x, 1.0), Sense::Le, 4.0, "cap");
-        m.add_con(LinExpr::new().add(x, 1.0).add(y, coeff), Sense::Le, rhs, "mix");
+        let x = m.add_nonneg();
+        let y = m.add_var(0.0, 9.0);
+        m.add_con(LinExpr::term(x, 1.0), Sense::Le, 4.0);
+        m.add_con(LinExpr::new().add(x, 1.0).add(y, coeff), Sense::Le, rhs);
         m.set_objective(LinExpr::new().add(x, 1.0).add(y, cost), Objective::Maximize);
         m
     }
@@ -576,8 +576,8 @@ mod validation_tests {
     #[test]
     fn integer_models_are_validated_before_branch_and_bound() {
         let mut m = Model::new();
-        let x = m.add_int_var(0.0, 9.0, "x");
-        m.add_con(LinExpr::term(x, 2.0), Sense::Le, f64::NAN, "cap");
+        let x = m.add_int_var(0.0, 9.0);
+        m.add_con(LinExpr::term(x, 2.0), Sense::Le, f64::NAN);
         m.set_objective(LinExpr::term(x, 1.0), Objective::Maximize);
         assert_rejected(&solve(&m, &SolverConfig::default()), "MILP with NaN rhs");
     }

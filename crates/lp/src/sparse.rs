@@ -265,11 +265,11 @@ impl CsrMatrix {
 /// add. A constant, not a knob.
 const LANES: usize = 8;
 
-/// A [`CsrMatrix`] copied for `K·x` alone, laid out so that [`LANES`] row
+/// A [`CsrMatrix`] copied for `K·x` alone, laid out so that eight row
 /// sums advance in lock-step instead of one serial add chain per row.
 ///
 /// Rows are sorted by length, longest first, and cut into slices of
-/// [`LANES`]. A slice stores the first `depth` entries of each of its rows
+/// eight (`LANES`). A slice stores the first `depth` entries of each of its rows
 /// slot-major (entry 0 of every row, then entry 1, …), `depth` being the
 /// length of its shortest row, and then what is left of each row
 /// contiguously. Every row keeps its entries in CSR order and there is no

@@ -14,14 +14,14 @@ fn random_lp(
     costs: &[f64],
 ) -> (Model, Vec<arrow_lp::VarId>) {
     let mut model = Model::new();
-    let vars: Vec<_> = (0..n).map(|j| model.add_var(0.0, 10.0, format!("x{j}"))).collect();
+    let vars: Vec<_> = (0..n).map(|_| model.add_var(0.0, 10.0)).collect();
     let m = rhs.len();
     for i in 0..m {
         let mut e = LinExpr::new();
         for (j, &v) in vars.iter().enumerate() {
             e.add_term(v, coeffs[i * n + j]);
         }
-        model.add_con(e, Sense::Le, rhs[i].abs() + 1.0, format!("c{i}"));
+        model.add_con(e, Sense::Le, rhs[i].abs() + 1.0);
     }
     let obj = LinExpr::sum(vars.iter().copied().zip(costs.iter().copied()));
     model.set_objective(obj, Objective::Maximize);
@@ -34,15 +34,15 @@ fn random_lp(
 /// the `>=` and `=` rows start on artificial columns.
 fn anchored_lp(n: usize, coeffs: &[f64], x0: &[f64], slack: &[f64], costs: &[f64]) -> Model {
     let mut model = Model::new();
-    let vars: Vec<_> = (0..n).map(|j| model.add_var(0.0, 10.0, format!("x{j}"))).collect();
+    let vars: Vec<_> = (0..n).map(|_| model.add_var(0.0, 10.0)).collect();
     for (i, &s) in slack.iter().enumerate() {
         let row = &coeffs[i * n..(i + 1) * n];
         let at_x0: f64 = row.iter().zip(x0).map(|(a, x)| a * x).sum();
         let e = LinExpr::sum(vars.iter().copied().zip(row.iter().copied()));
         match i % 3 {
-            0 => model.add_con(e, Sense::Le, at_x0 + s, format!("l{i}")),
-            1 => model.add_con(e, Sense::Ge, at_x0 - s, format!("g{i}")),
-            _ => model.add_con(e, Sense::Eq, at_x0, format!("e{i}")),
+            0 => model.add_con(e, Sense::Le, at_x0 + s),
+            1 => model.add_con(e, Sense::Ge, at_x0 - s),
+            _ => model.add_con(e, Sense::Eq, at_x0),
         };
     }
     model.set_objective(
@@ -141,12 +141,12 @@ proptest! {
         seed_scales in proptest::collection::vec(0.5f64..4.0, 21),
     ) {
         let mut model = Model::new();
-        let vars: Vec<_> = (0..n).map(|j| model.add_var(0.0, 10.0, format!("x{j}"))).collect();
+        let vars: Vec<_> = (0..n).map(|_| model.add_var(0.0, 10.0)).collect();
         for j in 0..n - 1 {
             for c in 0..copies {
                 let s = seed_scales[j * 3 + c];
                 let e = LinExpr::new().add(vars[j], s).add(vars[j + 1], -s * seed_weights[j]);
-                model.add_con(e, Sense::Le, 0.0, format!("chain{j}_{c}"));
+                model.add_con(e, Sense::Le, 0.0);
             }
         }
         let cost = |j: usize| if j == 0 { (n + 1) as f64 } else { j as f64 };
@@ -203,10 +203,10 @@ proptest! {
     ) {
         // max x + y s.t. x <= cap1, y <= cap2 with x,y in [0, 10].
         let mut m = Model::new();
-        let x = m.add_var(0.0, 10.0, "x");
-        let y = m.add_var(0.0, 10.0, "y");
-        m.add_con(LinExpr::term(x, 1.0), Sense::Le, cap1, "c1");
-        m.add_con(LinExpr::term(y, 1.0), Sense::Le, cap2, "c2");
+        let x = m.add_var(0.0, 10.0);
+        let y = m.add_var(0.0, 10.0);
+        m.add_con(LinExpr::term(x, 1.0), Sense::Le, cap1);
+        m.add_con(LinExpr::term(y, 1.0), Sense::Le, cap2);
         m.set_objective(LinExpr::new().add(x, 1.0).add(y, 1.0), Objective::Maximize);
         let sol = arrow_lp::solve(&m, &SolverConfig::exact());
         prop_assert_eq!(sol.status, Status::Optimal);

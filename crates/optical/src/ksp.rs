@@ -1,6 +1,6 @@
 //! Shortest and k-shortest fiber paths.
 //!
-//! Surrogate restoration paths are computed with Yen's algorithm [86] over
+//! Surrogate restoration paths are computed with Yen's algorithm \[86\] over
 //! the fiber graph, weighting edges by physical length (which is what
 //! bounds modulation reach, Appendix A.2 "Routing the restored
 //! wavelengths"). Cut fibers are excluded from the search.

@@ -93,13 +93,6 @@ pub struct RwaSolution {
     pub total_wavelengths: f64,
 }
 
-impl RwaSolution {
-    /// Restoration for a specific lightpath, if it was affected.
-    pub fn for_lightpath(&self, id: LightpathId) -> Option<&LinkRestoration> {
-        self.links.iter().find(|l| l.lightpath == id)
-    }
-}
-
 /// Per-wavelength datarate usable by lightpath `lp` on a path of the given
 /// length, or `None` if no modulation reaches.
 fn usable_gbps(cfg: &RwaConfig, current_gbps: f64, length_km: f64) -> Option<f64> {
@@ -174,10 +167,10 @@ pub fn build_relaxed(net: &OpticalNetwork, cut: &[FiberId], cfg: &RwaConfig) -> 
     let slots = net.num_slots();
     let mut usage: Vec<Vec<arrow_lp::VarId>> = vec![Vec::new(); masks.len() * slots];
 
-    for (e, (id, paths, _)) in cands.iter().enumerate() {
+    for (id, paths, _) in &cands {
         let lp = net.lightpath(*id);
         let mut per_path = Vec::new();
-        for (k, path) in paths.iter().enumerate() {
+        for path in paths {
             let mut vars = Vec::new();
             for w in 0..slots {
                 if !cfg.allow_retuning && !lp.slots.contains(&w) {
@@ -187,7 +180,7 @@ pub fn build_relaxed(net: &OpticalNetwork, cut: &[FiberId], cfg: &RwaConfig) -> 
                 if path.fibers.iter().any(|&f| masks[f.0].is_occupied(w)) {
                     continue;
                 }
-                let v = model.add_var(0.0, 1.0, format!("xi_e{e}_k{k}_w{w}"));
+                let v = model.add_var(0.0, 1.0);
                 vars.push((w, v));
                 for &f in &path.fibers {
                     usage[f.0 * slots + w].push(v);
@@ -199,10 +192,9 @@ pub fn build_relaxed(net: &OpticalNetwork, cut: &[FiberId], cfg: &RwaConfig) -> 
     }
     // Constraint (14): each free slot on each fiber used at most once.
     // Rows with a single variable are implied by the [0, 1] bound — skip.
-    for (at, vars) in usage.into_iter().enumerate() {
+    for vars in usage {
         if vars.len() >= 2 {
-            let (f, w) = (at / slots, at % slots);
-            model.add_con(LinExpr::sum_vars(vars), Sense::Le, 1.0, format!("slot_f{f}_w{w}"));
+            model.add_con(LinExpr::sum_vars(vars), Sense::Le, 1.0);
         }
     }
     // Constraint (17): restored wavelengths per link ≤ lost wavelengths.
@@ -210,7 +202,7 @@ pub fn build_relaxed(net: &OpticalNetwork, cut: &[FiberId], cfg: &RwaConfig) -> 
         let gamma = net.lightpath(*id).wavelength_count() as f64;
         let all: Vec<_> = slot_vars[e].iter().flatten().map(|&(_, v)| v).collect();
         if !all.is_empty() {
-            model.add_con(LinExpr::sum_vars(all), Sense::Le, gamma, format!("gamma_e{e}"));
+            model.add_con(LinExpr::sum_vars(all), Sense::Le, gamma);
         }
     }
     // Objective: the paper maximizes the restored wavelength count

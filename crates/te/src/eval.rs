@@ -39,7 +39,7 @@ pub struct ScenarioDelivery {
     /// Delivered Gbps per flow.
     pub delivered: Vec<f64>,
     /// Directed link loads after congestion scaling, indexed by
-    /// [`DirLink::index`] (`2·link + forward`) over every link of the WAN.
+    /// [`DirLink::index`](crate::tunnels::DirLink::index) (`2·link + forward`) over every link of the WAN.
     pub link_loads: Vec<f64>,
     /// `Σ delivered / Σ demand` — the scenario's demand satisfaction.
     pub satisfaction: f64,
@@ -154,8 +154,7 @@ fn play_all(
 /// (§6.1): "the sum of the availabilities of all *failure scenarios*
 /// weighted by each scenario's probability" — demand satisfaction during
 /// failures, probability-normalized over the enumerated scenario set. The
-/// healthy state is not a failure scenario and does not enter the average
-/// (use [`availability_with_healthy`] for the blended variant).
+/// healthy state is not a failure scenario and does not enter the average.
 pub fn availability(inst: &TeInstance, out: &SchemeOutput, cfg: &PlaybackConfig) -> f64 {
     let failure_mass = failure_mass(inst);
     if failure_mass <= 0.0 {
@@ -166,19 +165,6 @@ pub fn availability(inst: &TeInstance, out: &SchemeOutput, cfg: &PlaybackConfig)
     let mut acc = 0.0;
     play_all(inst, out, cfg, false, |p, d| acc += p * d.satisfaction);
     acc / failure_mass.max(1e-12)
-}
-
-/// Availability blended with the healthy state: probability-weighted
-/// demand satisfaction over the healthy scenario plus every enumerated
-/// failure scenario, normalized by covered mass.
-pub fn availability_with_healthy(
-    inst: &TeInstance,
-    out: &SchemeOutput,
-    cfg: &PlaybackConfig,
-) -> f64 {
-    let mut acc = 0.0;
-    play_all(inst, out, cfg, true, |p, d| acc += p * d.satisfaction);
-    acc / (healthy_probability(inst) + failure_mass(inst)).max(1e-12)
 }
 
 /// Satisfaction at the β-percentile of `(satisfaction, probability)`
@@ -268,18 +254,6 @@ pub fn normalize_demand_scale(inst: &TeInstance) -> f64 {
         }
     }
     lo
-}
-
-/// Convenience: solve a scheme and report `(availability, throughput)`.
-pub fn evaluate_scheme(
-    inst: &TeInstance,
-    scheme: &dyn TeScheme,
-    cfg: &PlaybackConfig,
-) -> (f64, f64, SchemeOutput) {
-    let out = scheme.solve(inst);
-    let avail = availability(inst, &out, cfg);
-    let thr = play_scenario(inst, &out.alloc, None, None, cfg).satisfaction;
-    (avail, thr, out)
 }
 
 #[cfg(test)]

@@ -27,9 +27,7 @@ use super::{base_model, extract_alloc, BaseModel, SchemeOutput, TeScheme};
 use crate::index::ScenarioOverlay;
 use crate::restoration::{RestorationTicket, TicketSet};
 use crate::tunnels::{TeInstance, TunnelId};
-use arrow_lp::{
-    ConId, LinExpr, PrimalDual, Sense, Solution, SolveStats, SolverConfig, VarId, WarmStart,
-};
+use arrow_lp::{LinExpr, PrimalDual, Sense, Solution, SolveStats, SolverConfig, VarId, WarmStart};
 
 /// The ARROW scheme (two-phase, LotteryTicket-driven).
 #[derive(Debug, Clone)]
@@ -67,25 +65,6 @@ pub struct ArrowOutcome {
     pub phase2_stats: SolveStats,
 }
 
-/// The Phase I LP skeleton plus the row handles needed to patch it in
-/// place between consecutive online solves.
-///
-/// Everything about the model except the demand bounds on `b_f` and the
-/// restored-capacity right-hand sides is independent of the traffic
-/// matrix, so a diurnal sweep can build this once and re-solve it per
-/// interval (see [`ArrowOnline`]).
-#[derive(Debug, Clone)]
-pub(crate) struct Phase1Model {
-    /// The shared skeleton plus all Phase-I rows and slack variables.
-    pub base: BaseModel,
-    /// `arw5` rows: `(row, qi, zi, index into ticket.restored)`. The rhs
-    /// is the ticket's restored capacity `r_e^{z,q}` for that entry (one
-    /// row per used direction, both share the same `r`).
-    r_rows: Vec<(ConId, usize, usize, usize)>,
-    /// `arw6` budget rows: `(row, qi, zi)`; rhs is `α · Σ_e r_e^{z,q}`.
-    m_rows: Vec<(ConId, usize, usize)>,
-}
-
 /// Emits the rows one `(scenario, ticket)` pair contributes to either
 /// phase: with `cover`, one row per affected flow saying residual plus
 /// restorable tunnels cover `b_f` (constraint 4 in Phase I, 10 in Phase
@@ -93,20 +72,16 @@ pub(crate) struct Phase1Model {
 /// (constraint 5 / 11).
 ///
 /// With a slack sink (Phase I) every capacity row gets its own `Δ ≥ 0`
-/// column subtracted from the load, and `(row, index into
-/// ticket.restored, Δ)` goes to the sink; without one (Phase II) the row
-/// is hard. `tag` is the `q…[_z…]` suffix of the row and column names.
+/// column subtracted from the load, and that `Δ` goes to the sink; without
+/// one (Phase II) the row is hard.
 fn ticket_rows(
     base: &mut BaseModel,
     inst: &TeInstance,
     qi: usize,
     ticket: &RestorationTicket,
-    tag: &str,
     cover: bool,
-    mut slack: Option<&mut Vec<(ConId, usize, VarId)>>,
+    mut slack: Option<&mut Vec<VarId>>,
 ) {
-    let (cover_row, capacity_row) =
-        if slack.is_some() { ("arw4", "arw5") } else { ("arw10", "arw11") };
     let overlay = ScenarioOverlay::new(inst, Some(&inst.scenarios[qi]), Some(ticket));
     if cover {
         for (fi, flow) in inst.flows.iter().enumerate() {
@@ -127,11 +102,11 @@ fn ticket_rows(
             for &&t in &covered {
                 e.add_term(base.a[t.0], 1.0);
             }
-            base.model.add_con(e, Sense::Ge, 0.0, format!("{cover_row}_f{fi}_{tag}"));
+            base.model.add_con(e, Sense::Ge, 0.0);
         }
     }
     // Like healthy capacity, restored capacity is per direction.
-    for (ri, &(link, r)) in ticket.restored.iter().enumerate() {
+    for &(link, r) in &ticket.restored {
         for fwd in [true, false] {
             // Load of restorable tunnels crossing (link, dir).
             let mut e = LinExpr::sum_vars(
@@ -140,40 +115,29 @@ fn ticket_rows(
             if e.terms.is_empty() {
                 continue;
             }
-            let name = format!("{capacity_row}_e{}_{fwd}_{tag}", link.0);
-            match slack.as_deref_mut() {
-                Some(sink) => {
-                    // Δ ≥ 0 measures how far traffic *wants* to exceed the
-                    // ticket's restored capacity; a tiny objective penalty
-                    // (added by Phase I) pins it to that minimum so the
-                    // post-processing comparison is meaningful.
-                    let delta = base.model.add_var(
-                        0.0,
-                        arrow_lp::INF,
-                        format!("d_e{}_{fwd}_{tag}", link.0),
-                    );
-                    e.add_term(delta, -1.0);
-                    sink.push((base.model.add_con(e, Sense::Le, r, name), ri, delta));
-                }
-                None => {
-                    base.model.add_con(e, Sense::Le, r, name);
-                }
+            if let Some(sink) = slack.as_deref_mut() {
+                // Δ ≥ 0 measures how far traffic *wants* to exceed the
+                // ticket's restored capacity; a tiny objective penalty
+                // (added by Phase I) pins it to that minimum so the
+                // post-processing comparison is meaningful.
+                let delta = base.model.add_var(0.0, arrow_lp::INF);
+                e.add_term(delta, -1.0);
+                sink.push(delta);
             }
+            base.model.add_con(e, Sense::Le, r);
         }
     }
 }
 
 impl Arrow {
     /// Builds the Phase I model (Table 2) without solving it.
-    pub(crate) fn build_phase1(&self, inst: &TeInstance) -> Phase1Model {
+    pub(crate) fn build_phase1(&self, inst: &TeInstance) -> BaseModel {
         assert_eq!(
             self.tickets.per_scenario.len(),
             inst.scenarios.len(),
             "ticket set must align with the scenario list"
         );
         let mut base = base_model(inst);
-        let mut r_rows = Vec::new();
-        let mut m_rows = Vec::new();
         // Objective: max Σ b_f minus a tiny slack penalty that pins each
         // Δ to exactly max(0, load − r) without perturbing throughput.
         let mut obj = LinExpr::sum_vars(base.b.iter().copied());
@@ -186,31 +150,19 @@ impl Arrow {
                     tickets[..zi].iter().all(|prev| prev.support() != ticket.support());
                 // Constraints (5)+(6): restored capacity with slack.
                 let mut slacks = Vec::new();
-                let tag = format!("q{qi}_z{zi}");
-                ticket_rows(
-                    &mut base,
-                    inst,
-                    qi,
-                    ticket,
-                    &tag,
-                    is_first_with_support,
-                    Some(&mut slacks),
-                );
+                ticket_rows(&mut base, inst, qi, ticket, is_first_with_support, Some(&mut slacks));
                 if slacks.is_empty() {
                     continue;
                 }
                 let m = self.alpha * ticket.total_gbps();
-                let budget = LinExpr::sum_vars(slacks.iter().map(|&(_, _, delta)| delta));
-                let con = base.model.add_con(budget, Sense::Le, m, format!("arw6_{tag}"));
-                m_rows.push((con, qi, zi));
-                for (con, ri, delta) in slacks {
-                    r_rows.push((con, qi, zi, ri));
+                base.model.add_con(LinExpr::sum_vars(slacks.iter().copied()), Sense::Le, m);
+                for delta in slacks {
                     obj.add_term(delta, -1e-4);
                 }
             }
         }
         base.model.set_objective(obj, arrow_lp::Objective::Maximize);
-        Phase1Model { base, r_rows, m_rows }
+        base
     }
 
     /// Post-processing on a Phase I solution: the winning ticket per
@@ -291,7 +243,7 @@ impl Arrow {
             .map(|(qi, &zi)| self.tickets.for_scenario(qi)[zi].clone())
             .collect();
         for (qi, ticket) in plan.iter().enumerate() {
-            ticket_rows(&mut base, inst, qi, ticket, &format!("q{qi}"), true, None);
+            ticket_rows(&mut base, inst, qi, ticket, true, None);
         }
         (base, plan)
     }
@@ -329,7 +281,7 @@ impl TeScheme for Arrow {
 #[derive(Debug, Clone)]
 pub struct ArrowOnline {
     arrow: Arrow,
-    phase1: Phase1Model,
+    phase1: BaseModel,
     phase1_warm: Option<WarmStart>,
     phase2: Option<Phase2Cache>,
     /// `(flows, tunnels, scenarios)` of the instance the skeleton was
@@ -406,43 +358,6 @@ impl ArrowOnline {
         &self.arrow
     }
 
-    /// Swaps in a new ticket set with the **same support structure** (same
-    /// scenario count, tickets per scenario, and restored-link lists):
-    /// only the restored-capacity values `r_e^{z,q}` may differ. The
-    /// Phase I rows are patched in place; the Phase II cache is dropped
-    /// (its hard capacity rows bake in the old plan).
-    ///
-    /// Panics when the structure differs — rebuild with
-    /// [`ArrowOnline::new`] in that case.
-    pub fn update_tickets(&mut self, tickets: TicketSet) {
-        let old = &self.arrow.tickets;
-        assert_eq!(
-            old.per_scenario.len(),
-            tickets.per_scenario.len(),
-            "ticket update must keep the scenario count"
-        );
-        for (qi, (a, b)) in old.per_scenario.iter().zip(&tickets.per_scenario).enumerate() {
-            assert_eq!(a.len(), b.len(), "scenario {qi}: ticket count changed");
-            for (zi, (ta, tb)) in a.iter().zip(b).enumerate() {
-                let la: Vec<_> = ta.restored.iter().map(|&(l, _)| l).collect();
-                let lb: Vec<_> = tb.restored.iter().map(|&(l, _)| l).collect();
-                assert_eq!(la, lb, "scenario {qi} ticket {zi}: support changed");
-            }
-        }
-        for &(con, qi, zi, ri) in &self.phase1.r_rows {
-            let (_, r) = tickets.per_scenario[qi][zi].restored[ri];
-            self.phase1.base.model.set_rhs(con, r);
-        }
-        for &(con, qi, zi) in &self.phase1.m_rows {
-            let m = self.arrow.alpha * tickets.per_scenario[qi][zi].total_gbps();
-            self.phase1.base.model.set_rhs(con, m);
-        }
-        self.arrow.tickets = tickets;
-        // The cached Phase II model hard-codes the old winning tickets'
-        // capacities; the Phase I warm basis stays valid (same pattern).
-        self.phase2 = None;
-    }
-
     /// One interval: patch demands, solve Phase I (warm after the first
     /// interval), pick the winners, solve Phase II.
     ///
@@ -464,19 +379,15 @@ impl ArrowOnline {
             );
             // Demand enters Phase I only through the b_f upper bounds.
             for (fi, f) in inst.flows.iter().enumerate() {
-                self.phase1.base.model.set_bounds(self.phase1.base.b[fi], 0.0, f.demand_gbps);
+                self.phase1.model.set_bounds(self.phase1.b[fi], 0.0, f.demand_gbps);
             }
-            arrow_lp::solve_with(
-                &self.phase1.base.model,
-                &self.arrow.solver,
-                self.phase1_warm.as_ref(),
-            )
+            arrow_lp::solve_with(&self.phase1.model, &self.arrow.solver, self.phase1_warm.as_ref())
         };
         assert!(sol1.status.is_usable(), "ARROW Phase I LP failed: {:?}", sol1.status);
         self.phase1_warm = sol1.warm_start();
         let winning = {
             let _span = arrow_obs::span!("te.select", "scenarios" => inst.scenarios.len());
-            self.arrow.select_winning(inst, &self.phase1.base, &sol1)
+            self.arrow.select_winning(inst, &self.phase1, &sol1)
         };
         let (mut output, phase2_stats) =
             solve_phase2(&self.arrow, &mut self.phase2, inst, &winning, Some(&sol1));
@@ -725,7 +636,7 @@ mod tests {
         let inst = instance(4.0, 6);
         let arrow = Arrow::new(half_or_nothing_tickets(&inst));
         let winning: Vec<usize> = (0..inst.scenarios.len()).map(|q| q % 2).collect();
-        let p1 = model_digests(&arrow.build_phase1(&inst).base.model);
+        let p1 = model_digests(&arrow.build_phase1(&inst).model);
         let p2 = model_digests(&arrow.build_phase2(&inst, &winning).0.model);
         assert_eq!(p1, (0x1b14_9c07_95dc_fc5a, 0xa532_625b_69ec_6d66), "Phase I model moved");
         assert_eq!(p2, (0x0b74_000b_bef7_77b2, 0xa510_786c_598b_c978), "Phase II model moved");
@@ -754,7 +665,7 @@ mod tests {
         // from this solve; a basis-kernel rewrite must leave the pivot path
         // and every output bit alone, cold and restarted from its own basis.
         let inst = instance(4.0, 6);
-        let model = Arrow::new(half_or_nothing_tickets(&inst)).build_phase1(&inst).base.model;
+        let model = Arrow::new(half_or_nothing_tickets(&inst)).build_phase1(&inst).model;
         let cfg = SolverConfig::exact();
         let cold = arrow_lp::solve(&model, &cfg);
         let basis = cold.basis.clone().expect("optimal Phase I records a basis");
@@ -786,7 +697,7 @@ mod tests {
             h
         };
         let inst = instance(4.0, 6);
-        let model = Arrow::new(half_or_nothing_tickets(&inst)).build_phase1(&inst).base.model;
+        let model = Arrow::new(half_or_nothing_tickets(&inst)).build_phase1(&inst).model;
         let cfg = SolverConfig::first_order(1e-7);
         let cold = arrow_lp::solve(&model, &cfg);
         let point = cold.warm_start().expect("a converged Phase I returns its point");
@@ -825,29 +736,6 @@ mod tests {
         let again = online.solve(&inst.scaled(1.1));
         assert_ne!(again.phase1_stats.warm, arrow_lp::WarmEvent::Cold);
         assert_ne!(again.phase2_stats.warm, arrow_lp::WarmEvent::Cold);
-    }
-
-    #[test]
-    fn online_ticket_update_patches_in_place() {
-        // Same supports, different capacities: update_tickets must steer
-        // later solves exactly like a fresh solver with the new set.
-        let inst = instance(4.0, 4);
-        let base = half_or_nothing_tickets(&inst);
-        let mut richer = base.clone();
-        for per in &mut richer.per_scenario {
-            for (_, r) in &mut per[0].restored {
-                *r *= 2.0; // half -> full restoration
-            }
-        }
-        let mut online = ArrowOnline::new(Arrow::new(base), &inst);
-        let _ = online.solve(&inst);
-        online.update_tickets(richer.clone());
-        let patched = online.solve(&inst);
-        let fresh = ArrowOnline::new(Arrow::new(richer), &inst).solve(&inst);
-        assert_eq!(patched.winning, fresh.winning);
-        let (tp, tf) =
-            (patched.output.alloc.throughput(&inst), fresh.output.alloc.throughput(&inst));
-        assert!((tp - tf).abs() <= 1e-6 * (1.0 + tf.abs()), "patched {tp} vs fresh {tf}");
     }
 
     #[test]

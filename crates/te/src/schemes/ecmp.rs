@@ -1,4 +1,4 @@
-//! ECMP baseline [21]: equal traffic on every tunnel, no optimization.
+//! ECMP baseline \[21\]: equal traffic on every tunnel, no optimization.
 //!
 //! ECMP is failure-oblivious and capacity-oblivious: it admits the full
 //! demand and splits it evenly across the flow's tunnels. Congestion and

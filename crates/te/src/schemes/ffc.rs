@@ -1,4 +1,4 @@
-//! Forward Fault Correction (FFC) [63], extended to fiber cuts.
+//! Forward Fault Correction (FFC) \[63\], extended to fiber cuts.
 //!
 //! FFC guarantees zero loss under any `k` simultaneous failures by
 //! reserving enough headroom: for every failure combination, the surviving
@@ -91,7 +91,7 @@ impl TeScheme for Ffc {
                     }
                 }
                 e.add_term(base.b[fi], -1.0);
-                base.model.add_con(e, Sense::Ge, 0.0, format!("ffc_f{fi}_m{mask:x}"));
+                base.model.add_con(e, Sense::Ge, 0.0);
             }
         }
         let sol = arrow_lp::solve(&base.model, &self.solver);

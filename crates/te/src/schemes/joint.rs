@@ -95,8 +95,8 @@ pub fn binary_ticket_selection(
     let mut selectors: Vec<Vec<VarId>> = Vec::new();
     for (qi, scen) in inst.scenarios.iter().enumerate() {
         let mut xs = Vec::new();
-        for (zi, ticket) in tickets.for_scenario(qi).iter().enumerate() {
-            let x = base.model.add_binary(format!("x_q{qi}_z{zi}"));
+        for ticket in tickets.for_scenario(qi) {
+            let x = base.model.add_binary();
             xs.push(x);
             let overlay = ScenarioOverlay::new(inst, Some(scen), Some(ticket));
             // (31): Σ_{t∈Y∪T^q} a ≥ b_f − M(1−x)
@@ -112,7 +112,7 @@ pub fn binary_ticket_selection(
                 for &&t in &covered {
                     e.add_term(base.a[t.0], 1.0);
                 }
-                base.model.add_con(e, Sense::Ge, -big_m, format!("b31_f{fi}_q{qi}_z{zi}"));
+                base.model.add_con(e, Sense::Ge, -big_m);
             }
             // (32): restorable-tunnel load ≤ r + M(1−x), per direction.
             for &(link, r) in &ticket.restored {
@@ -126,22 +126,12 @@ pub fn binary_ticket_selection(
                         continue;
                     }
                     let e = LinExpr::sum_vars(users).add(x, big_m);
-                    base.model.add_con(
-                        e,
-                        Sense::Le,
-                        r + big_m,
-                        format!("b32_e{}_{fwd}_q{qi}_z{zi}", link.0),
-                    );
+                    base.model.add_con(e, Sense::Le, r + big_m);
                 }
             }
         }
         // (33): exactly one ticket per scenario.
-        base.model.add_con(
-            LinExpr::sum_vars(xs.iter().copied()),
-            Sense::Eq,
-            1.0,
-            format!("b33_q{qi}"),
-        );
+        base.model.add_con(LinExpr::sum_vars(xs.iter().copied()), Sense::Eq, 1.0);
         selectors.push(xs);
     }
     base.model.set_objective(LinExpr::sum_vars(base.b.iter().copied()), Objective::Maximize);

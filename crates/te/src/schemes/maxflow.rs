@@ -4,7 +4,7 @@
 //! else. This is the LP used to *normalize* demand scales (§6 starts from a
 //! state where 100% of demand is satisfiable) and doubles as the paper's
 //! class of "failure-oblivious TE algorithms that assign traffic
-//! respecting link capacity" [42].
+//! respecting link capacity" \[42\].
 
 use super::{base_model, extract_alloc, SchemeOutput, TeScheme};
 use crate::tunnels::TeInstance;

@@ -1,10 +1,10 @@
 //! TE schemes: the paper's comparison set (§6).
 //!
-//! * [`ecmp`] — equal split over tunnels, failure-oblivious baseline [21].
+//! * [`ecmp`] — equal split over tunnels, failure-oblivious baseline \[21\].
 //! * [`maxflow`] — throughput-maximal LP, failure-oblivious.
-//! * [`ffc`] — Forward Fault Correction [63]: zero loss under any `k`
+//! * [`ffc`] — Forward Fault Correction \[63\]: zero loss under any `k`
 //!   simultaneous fiber cuts.
-//! * [`teavar`] — TeaVaR [17]: CVaR_β hedging over probabilistic scenarios.
+//! * [`teavar`] — TeaVaR \[17\]: CVaR_β hedging over probabilistic scenarios.
 //! * [`arrow`] — the paper's contribution: restoration-aware two-phase TE
 //!   over LotteryTickets, plus ARROW-Naive.
 //! * [`joint`] — the intractable joint IP/optical formulation (Appendix
@@ -58,19 +58,13 @@ pub(crate) struct BaseModel {
 
 pub(crate) fn base_model(inst: &TeInstance) -> BaseModel {
     let mut model = Model::new();
-    let b: Vec<VarId> = inst
-        .flows
-        .iter()
-        .enumerate()
-        .map(|(i, f)| model.add_var(0.0, f.demand_gbps, format!("b_f{i}")))
-        .collect();
-    let a: Vec<VarId> =
-        (0..inst.tunnels.len()).map(|t| model.add_nonneg(format!("a_t{t}"))).collect();
+    let b: Vec<VarId> = inst.flows.iter().map(|f| model.add_var(0.0, f.demand_gbps)).collect();
+    let a: Vec<VarId> = inst.tunnels.iter().map(|_| model.add_nonneg()).collect();
     // (1) Σ_{t ∈ T_f} a_{f,t} ≥ b_f
     for (i, f) in inst.flows.iter().enumerate() {
         let mut e = LinExpr::sum_vars(f.tunnels.iter().map(|&t| a[t.0]));
         e.add_term(b[i], -1.0);
-        model.add_con(e, Sense::Ge, 0.0, format!("cover_f{i}"));
+        model.add_con(e, Sense::Ge, 0.0);
     }
     // (2) per directed link: Σ a_{f,t} L[t,e] ≤ c_e
     for key in inst.used_dir_links() {
@@ -80,7 +74,6 @@ pub(crate) fn base_model(inst: &TeInstance) -> BaseModel {
             LinExpr::sum_vars(inst.tunnels_on(link, fwd).map(|t| a[t.0])),
             Sense::Le,
             cap,
-            format!("cap_e{}_{}", link.0, if fwd { "fwd" } else { "rev" }),
         );
     }
     // Objective: maximize network throughput.

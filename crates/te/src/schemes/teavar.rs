@@ -1,4 +1,4 @@
-//! TeaVaR [17]: risk-aware TE via Conditional Value-at-Risk.
+//! TeaVaR \[17\]: risk-aware TE via Conditional Value-at-Risk.
 //!
 //! Instead of FFC's absolute guarantees, TeaVaR hedges against
 //! *probabilistic* failure scenarios: it minimizes the CVaR at availability
@@ -52,8 +52,7 @@ impl TeScheme for TeaVar {
     fn solve(&self, inst: &TeInstance) -> SchemeOutput {
         let total_demand = inst.total_demand().max(1e-9);
         let mut model = Model::new();
-        let a: Vec<VarId> =
-            (0..inst.tunnels.len()).map(|t| model.add_nonneg(format!("a_t{t}"))).collect();
+        let a: Vec<VarId> = inst.tunnels.iter().map(|_| model.add_nonneg()).collect();
         // Healthy capacity constraints.
         for key in inst.used_dir_links() {
             let DirLink(link, fwd) = key;
@@ -61,7 +60,6 @@ impl TeScheme for TeaVar {
                 LinExpr::sum_vars(inst.tunnels_on(link, fwd).map(|t| a[t.0])),
                 Sense::Le,
                 inst.wan.link(link).capacity_gbps,
-                format!("cap_{}_{}", link.0, fwd),
             );
         }
         // Scenario list: healthy + failure scenarios, probabilities
@@ -69,30 +67,28 @@ impl TeScheme for TeaVar {
         let failure_mass: f64 = inst.scenarios.iter().map(|s| s.probability).sum();
         let healthy_p = self.healthy_probability.unwrap_or((1.0 - failure_mass).max(0.0));
         let mass = (healthy_p + failure_mass).max(1e-12);
-        let alpha = model.add_var(-1.0, 1.0, "alpha");
+        let alpha = model.add_var(-1.0, 1.0);
         let mut cvar_expr = LinExpr::term(alpha, 1.0);
         let mut bonus = LinExpr::new();
         // Healthy delivered vars (reused by every scenario for flows the
         // scenario does not touch — their surviving-tunnel bound is
         // identical, which keeps the LP small).
         let mut healthy_delivered: Vec<VarId> = Vec::new();
-        {
-            for (fi, flow) in inst.flows.iter().enumerate() {
-                let d = model.add_var(0.0, flow.demand_gbps, format!("del_f{fi}_h"));
-                let mut cover = LinExpr::term(d, -1.0);
-                for &t in &flow.tunnels {
-                    cover.add_term(a[t.0], 1.0);
-                }
-                model.add_con(cover, Sense::Ge, 0.0, format!("del_cov_f{fi}_h"));
-                healthy_delivered.push(d);
+        for flow in &inst.flows {
+            let d = model.add_var(0.0, flow.demand_gbps);
+            let mut cover = LinExpr::term(d, -1.0);
+            for &t in &flow.tunnels {
+                cover.add_term(a[t.0], 1.0);
             }
+            model.add_con(cover, Sense::Ge, 0.0);
+            healthy_delivered.push(d);
         }
-        for (qi, scen) in std::iter::once(None).chain(inst.scenarios.iter().map(Some)).enumerate() {
+        for scen in std::iter::once(None).chain(inst.scenarios.iter().map(Some)) {
             let p = match scen {
                 None => healthy_p / mass,
                 Some(s) => s.probability / mass,
             };
-            let s_q = model.add_nonneg(format!("s_q{qi}"));
+            let s_q = model.add_nonneg();
             cvar_expr.add_term(s_q, p / (1.0 - self.beta));
             // loss_q = 1 - Σ delivered / D  =>  s_q ≥ loss_q - α becomes
             // s_q + Σ delivered / D + α ≥ 1.
@@ -100,13 +96,13 @@ impl TeScheme for TeaVar {
             let overlay = ScenarioOverlay::new(inst, scen, None);
             for (fi, flow) in inst.flows.iter().enumerate() {
                 let d = if !flow.tunnels.iter().all(|&t| overlay.survives(t)) {
-                    let d = model.add_var(0.0, flow.demand_gbps, format!("del_f{fi}_q{qi}"));
+                    let d = model.add_var(0.0, flow.demand_gbps);
                     // delivered ≤ surviving tunnel allocations.
                     let mut cover = LinExpr::term(d, -1.0);
                     for t in flow.tunnels.iter().filter(|&&t| overlay.survives(t)) {
                         cover.add_term(a[t.0], 1.0);
                     }
-                    model.add_con(cover, Sense::Ge, 0.0, format!("del_cov_f{fi}_q{qi}"));
+                    model.add_con(cover, Sense::Ge, 0.0);
                     d
                 } else {
                     healthy_delivered[fi]
@@ -114,7 +110,7 @@ impl TeScheme for TeaVar {
                 loss_con.add_term(d, 1.0 / total_demand);
                 bonus.add_term(d, p * 1e-4 / total_demand);
             }
-            model.add_con(loss_con, Sense::Ge, 1.0, format!("cvar_q{qi}"));
+            model.add_con(loss_con, Sense::Ge, 1.0);
         }
         // minimize CVaR − tiny·throughput  ==  maximize −CVaR + bonus
         let mut obj = bonus;

@@ -2,8 +2,8 @@
 //!
 //! The paper evaluates on three topologies. B4 and IBM optical layers are
 //! embedded here as explicit edge lists matching Table 4's node/fiber
-//! counts (the published B4 [47] and the IBM research topology used by
-//! SMORE [58]; link lengths are approximate — the evaluation depends on
+//! counts (the published B4 \[47\] and the IBM research topology used by
+//! SMORE \[58\]; link lengths are approximate — the evaluation depends on
 //! connectivity and reach classes, not exact mileage). The Facebook
 //! topology is production-proprietary, so [`facebook_like`] generates a
 //! deterministic synthetic WAN reproducing the published *shape*: 34 router

@@ -19,17 +19,17 @@ proptest! {
         let mut vars = vec![];
         for (i, _) in demands.iter().enumerate() {
             for (j, _) in caps.iter().enumerate() {
-                vars.push((i, j, m.add_nonneg(format!("x{i}_{j}"))));
+                vars.push((i, j, m.add_nonneg()));
             }
         }
         for (j, &c) in caps.iter().enumerate() {
             let users: Vec<_> = vars.iter().filter(|&&(_, jj, _)| jj == j).map(|&(_, _, v)| v).collect();
-            m.add_con(LinExpr::sum_vars(users), Sense::Le, c, format!("cap{j}"));
+            m.add_con(LinExpr::sum_vars(users), Sense::Le, c);
         }
         let mut obj = LinExpr::new();
         for (i, &d) in demands.iter().enumerate() {
             let users: Vec<_> = vars.iter().filter(|&&(ii, _, _)| ii == i).map(|&(_, _, v)| v).collect();
-            m.add_con(LinExpr::sum_vars(users.clone()), Sense::Le, d, format!("dem{i}"));
+            m.add_con(LinExpr::sum_vars(users.clone()), Sense::Le, d);
             for v in users {
                 obj.add_term(v, 1.0);
             }
