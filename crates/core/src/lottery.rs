@@ -39,9 +39,6 @@ pub struct LotteryConfig {
     pub delta: usize,
     /// Drop tickets that the optical layer cannot realize.
     pub feasibility_filter: bool,
-    /// Deduplicate identical tickets (pure LP-size optimization; the
-    /// duplicate would add identical constraints).
-    pub dedupe: bool,
     /// Always include the greedy RWA-optimal ("naive") candidate in every
     /// scenario's set. Algorithm 1 as printed generates only rounded
     /// tickets — that is what produces Fig. 14's fluctuation at small |Z|
@@ -69,7 +66,6 @@ impl Default for LotteryConfig {
             num_tickets: 20,
             delta: 2,
             feasibility_filter: true,
-            dedupe: true,
             include_naive: false,
             // Per Appendix A.1 the RWA keeps the current modulation when
             // the surrogate path's length permits and otherwise steps down
@@ -368,7 +364,9 @@ fn round_and_filter(
                 .map(|(f, &c)| (f.link, c as f64 * f.gbps_per_wavelength))
                 .collect(),
         };
-        if !cfg.dedupe || !tickets.contains(&ticket) {
+        // Identical tickets are kept once: a duplicate would only add
+        // identical constraints to the LP.
+        if !tickets.contains(&ticket) {
             tickets.push(ticket);
         } else {
             stats.duplicates += 1;

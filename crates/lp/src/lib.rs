@@ -1,7 +1,8 @@
-//! # arrow-lp — linear & mixed-integer programming toolkit
+//! # arrow-lp — linear programming toolkit
 //!
 //! The ARROW paper solves its traffic-engineering formulations with Gurobi.
-//! This crate is the from-scratch substitute: a model builder plus three
+//! Every formulation the reproduction solves is an LP, so this crate is the
+//! from-scratch substitute for Gurobi's LP side: a model builder plus two
 //! solver backends, all in safe Rust with zero dependencies.
 //!
 //! * [`simplex`] — bounded-variable two-phase revised simplex. Exact; the
@@ -9,8 +10,6 @@
 //! * [`pdhg`] — PDLP-style restarted primal–dual hybrid gradient. Scales to
 //!   very large LPs (ARROW Phase I with many LotteryTickets × scenarios);
 //!   converges to a relative KKT tolerance.
-//! * [`milp`] — LP-based branch & bound for the small integer formulations
-//!   (Appendix A.5 ticket selection, exact RWA on toy instances).
 //!
 //! The usual entry point is [`solver::solve`], which auto-selects a backend:
 //!
@@ -44,7 +43,6 @@
     )
 )]
 
-pub mod milp;
 pub mod model;
 pub mod mps;
 pub mod pdhg;

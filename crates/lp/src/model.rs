@@ -60,11 +60,6 @@ impl LinExpr {
         Self::default()
     }
 
-    /// An expression consisting of a single constant.
-    pub fn constant(c: f64) -> Self {
-        LinExpr { terms: Vec::new(), constant: c }
-    }
-
     /// An expression consisting of a single `coeff * var` term.
     pub fn term(var: VarId, coeff: f64) -> Self {
         LinExpr { terms: vec![(var, coeff)], constant: 0.0 }
@@ -95,18 +90,12 @@ impl LinExpr {
     pub fn sum_vars(vars: impl IntoIterator<Item = VarId>) -> Self {
         LinExpr { terms: vars.into_iter().map(|v| (v, 1.0)).collect(), constant: 0.0 }
     }
-
-    /// Evaluates the expression against a dense assignment vector.
-    pub fn eval(&self, x: &[f64]) -> f64 {
-        self.constant + self.terms.iter().map(|&(v, c)| c * x[v.0]).sum::<f64>()
-    }
 }
 
 #[derive(Debug, Clone)]
 struct VarDef {
     lb: f64,
     ub: f64,
-    integer: bool,
 }
 
 #[derive(Debug, Clone)]
@@ -125,7 +114,7 @@ pub enum Objective {
     Maximize,
 }
 
-/// An LP/MILP model under construction.
+/// An LP model under construction.
 #[derive(Debug, Clone)]
 pub struct Model {
     vars: Vec<VarDef>,
@@ -157,26 +146,13 @@ impl Model {
     pub fn add_var(&mut self, lb: f64, ub: f64) -> VarId {
         assert!(lb <= ub, "variable bounds crossed: [{lb}, {ub}]");
         let id = VarId(self.vars.len());
-        self.vars.push(VarDef { lb, ub, integer: false });
+        self.vars.push(VarDef { lb, ub });
         id
     }
 
     /// Adds a continuous variable with bounds `[0, +inf)`.
     pub fn add_nonneg(&mut self) -> VarId {
         self.add_var(0.0, INF)
-    }
-
-    /// Adds an integer variable with bounds `[lb, ub]` (solved by the MILP
-    /// branch-and-bound backend; the LP backends treat it as continuous).
-    pub fn add_int_var(&mut self, lb: f64, ub: f64) -> VarId {
-        let id = self.add_var(lb, ub);
-        self.vars[id.0].integer = true;
-        id
-    }
-
-    /// Adds a binary (0/1 integer) variable.
-    pub fn add_binary(&mut self) -> VarId {
-        self.add_int_var(0.0, 1.0)
     }
 
     /// Posts the constraint `expr (sense) rhs`.
@@ -202,23 +178,8 @@ impl Model {
         self.cons.len()
     }
 
-    /// Number of integer-restricted variables.
-    pub fn num_int_vars(&self) -> usize {
-        self.vars.iter().filter(|v| v.integer).count()
-    }
-
-    /// Whether variable `v` is integer-restricted.
-    pub fn is_integer(&self, v: VarId) -> bool {
-        self.vars[v.0].integer
-    }
-
-    /// Bounds of variable `v`.
-    pub fn bounds(&self, v: VarId) -> (f64, f64) {
-        (self.vars[v.0].lb, self.vars[v.0].ub)
-    }
-
-    /// Replaces the bounds of an existing variable: branch & bound tightens
-    /// them, the online stage moves a flow's demand bound between epochs.
+    /// Replaces the bounds of an existing variable: the online stage moves a
+    /// flow's demand bound between epochs.
     pub fn set_bounds(&mut self, v: VarId, lb: f64, ub: f64) {
         assert!(lb <= ub, "variable bounds crossed: [{lb}, {ub}]");
         self.vars[v.0].lb = lb;
@@ -233,12 +194,6 @@ impl Model {
     /// The objective expression.
     pub fn objective(&self) -> &LinExpr {
         &self.objective
-    }
-
-    /// Total number of nonzero coefficients across all constraints (before
-    /// merging duplicates). Used for formulation-size reporting (Table 8).
-    pub fn nnz(&self) -> usize {
-        self.cons.iter().map(|c| c.terms.len()).sum()
     }
 
     /// Checks a candidate point against every constraint and bound.
@@ -275,7 +230,7 @@ impl Model {
         for &(v, c) in &self.objective.terms {
             obj[v.0] += sign * c;
         }
-        let mut triplets = Vec::with_capacity(self.nnz());
+        let mut triplets = Vec::with_capacity(self.cons.iter().map(|c| c.terms.len()).sum());
         for (i, con) in self.cons.iter().enumerate() {
             for &(v, c) in &con.terms {
                 triplets.push((i, v.0, c));
@@ -415,22 +370,5 @@ mod tests {
         let y = m2.add_var(0.0, 5.0);
         m2.add_con(LinExpr::term(y, 1.0), Sense::Le, 4.0);
         assert_eq!(m2.max_violation(&[2.0]), 0.0);
-    }
-
-    #[test]
-    fn eval_expression() {
-        let e = LinExpr { terms: vec![(VarId(0), 2.0), (VarId(2), -1.0)], constant: 4.0 };
-        assert_eq!(e.eval(&[1.0, 9.0, 3.0]), 3.0);
-    }
-
-    #[test]
-    fn integer_markers() {
-        let mut m = Model::new();
-        let b = m.add_binary();
-        let x = m.add_nonneg();
-        assert!(m.is_integer(b));
-        assert!(!m.is_integer(x));
-        assert_eq!(m.num_int_vars(), 1);
-        assert_eq!(m.bounds(b), (0.0, 1.0));
     }
 }

@@ -20,31 +20,24 @@ use crate::solution::{Solution, SolveStats, Status};
 use crate::sparse::{CsrMatrix, SlicedRows};
 use crate::warm::{BackendKind, PrimalDual, WarmEvent};
 
+/// Hard iteration limit.
+const MAX_ITERS: usize = 400_000;
+/// Convergence and restarts are checked every this many iterations.
+const CHECK_EVERY: usize = 64;
+/// Ruiz equilibration sweeps applied before solving.
+const RUIZ_ITERS: usize = 12;
+
 /// Tunable knobs for the PDHG solver.
 #[derive(Debug, Clone)]
 pub struct PdhgConfig {
     /// Relative KKT tolerance (primal residual, dual residual, gap). NaN is
     /// refused with [`Status::NumericalTrouble`].
     pub tol: f64,
-    /// Hard iteration limit.
-    pub max_iters: usize,
-    /// Check convergence/restarts every this many iterations (0 counts as 1).
-    pub check_every: usize,
-    /// Ruiz equilibration sweeps applied before solving.
-    pub ruiz_iters: usize,
-    /// Wall-clock limit in seconds (`f64::INFINITY` to disable).
-    pub time_limit: f64,
 }
 
 impl Default for PdhgConfig {
     fn default() -> Self {
-        PdhgConfig {
-            tol: 1e-6,
-            max_iters: 400_000,
-            check_every: 64,
-            ruiz_iters: 12,
-            time_limit: f64::INFINITY,
-        }
+        PdhgConfig { tol: 1e-6 }
     }
 }
 
@@ -72,7 +65,7 @@ struct Scaled {
 // iteration loop there registers (its bounds spill to the stack) and about a
 // tenth of the PDHG workloads' throughput.
 #[inline(never)]
-fn build_scaled(lp: &StandardLp, ruiz_iters: usize) -> Scaled {
+fn build_scaled(lp: &StandardLp) -> Scaled {
     let m = lp.num_cons();
     let n = lp.num_vars();
     // Orient all inequality rows as `>=`.
@@ -86,7 +79,7 @@ fn build_scaled(lp: &StandardLp, ruiz_iters: usize) -> Scaled {
     // their infinity norm until the matrix is roughly balanced.
     let mut row_scale = vec![1.0; m];
     let mut col_scale = vec![1.0; n];
-    for _ in 0..ruiz_iters {
+    for _ in 0..RUIZ_ITERS {
         let rn = k.row_inf_norms();
         let cn = k.col_inf_norms();
         let rs: Vec<f64> = rn.iter().map(|&v| if v > 0.0 { 1.0 / v.sqrt() } else { 1.0 }).collect();
@@ -250,12 +243,9 @@ pub fn solve_warm(lp: &StandardLp, cfg: &PdhgConfig, start_point: Option<&Primal
     if cfg.tol.is_nan() {
         // No residual compares below NaN: a data defect, like the ones
         // `solver::solve` rejects before it picks a backend.
-        return Solution::failed(Status::NumericalTrouble, n, m);
+        return Solution::failed(Status::NumericalTrouble, n);
     }
-    // Every multiple of 0 is 0: taken literally, `check_every: 0` would never
-    // test convergence, restart or look at the clock.
-    let check_every = cfg.check_every.max(1);
-    let s = build_scaled(lp, cfg.ruiz_iters);
+    let s = build_scaled(lp);
     let knorm = s.k.spectral_norm_estimate(60).max(1e-12);
 
     // Iterates and running averages (restart-to-average scheme).
@@ -318,7 +308,7 @@ pub fn solve_warm(lp: &StandardLp, cfg: &PdhgConfig, start_point: Option<&Primal
     let mut restarts = 0usize;
     let mut status = Status::IterationLimit;
 
-    while iterations < cfg.max_iters {
+    while iterations < MAX_ITERS {
         // One PDHG step, running averages included.
         iterations += 1;
         avg_count += 1;
@@ -329,12 +319,8 @@ pub fn solve_warm(lp: &StandardLp, cfg: &PdhgConfig, start_point: Option<&Primal
         y_step(&kx, &s.q, &s.is_eq, step * omega, w, &mut y, &mut y_avg);
         std::mem::swap(&mut x, &mut x_new);
 
-        if !iterations.is_multiple_of(check_every) {
+        if !iterations.is_multiple_of(CHECK_EVERY) {
             continue;
-        }
-        if start.elapsed().as_secs_f64() > cfg.time_limit {
-            status = Status::TimeLimit;
-            break;
         }
         // Convergence and restart logic: evaluate both candidates.
         let res_cur = kkt_residuals(&s, &x, &y, &mut kx, &mut kty);
@@ -469,20 +455,8 @@ mod tests {
     }
 
     #[test]
-    fn check_every_zero_checks_every_iteration() {
-        // No iteration count is a multiple of 0: taken literally the solve
-        // would run all 400 000 iterations blind and report IterationLimit.
-        let lp = textbook_lp();
-        let s = solve(&lp, &PdhgConfig { check_every: 0, ..PdhgConfig::default() });
-        let every = solve(&lp, &PdhgConfig { check_every: 1, ..PdhgConfig::default() });
-        assert_eq!(s.status, Status::Optimal);
-        assert_eq!(s.stats.iterations, every.stats.iterations);
-        assert_eq!(s.x, every.x);
-    }
-
-    #[test]
     fn nan_tolerance_is_refused() {
-        let s = solve(&textbook_lp(), &PdhgConfig { tol: f64::NAN, ..PdhgConfig::default() });
+        let s = solve(&textbook_lp(), &PdhgConfig { tol: f64::NAN });
         assert_eq!(s.status, Status::NumericalTrouble);
         assert_eq!(s.stats.iterations, 0);
         assert!(s.warm_start().is_none(), "a refused solve must not hand on a point");

@@ -40,15 +40,16 @@ use crate::solution::{Solution, SolveStats, Status};
 use crate::sparse::CscMatrix;
 use crate::warm::{BackendKind, Basis, ColStatus, WarmEvent};
 
+/// Reduced-cost optimality tolerance.
+const OPT_TOL: f64 = 1e-7;
+/// Bound/feasibility tolerance.
+const FEAS_TOL: f64 = 1e-7;
+/// Smallest pivot magnitude accepted during a basis change.
+const PIVOT_TOL: f64 = 1e-9;
+
 /// Tunable knobs for the simplex solver.
 #[derive(Debug, Clone)]
 pub struct SimplexConfig {
-    /// Reduced-cost optimality tolerance.
-    pub opt_tol: f64,
-    /// Bound/feasibility tolerance.
-    pub feas_tol: f64,
-    /// Smallest pivot magnitude accepted during a basis change.
-    pub pivot_tol: f64,
     /// Hard iteration limit (both phases combined). `0` means automatic
     /// (`200 + 20 * (rows + cols)`).
     pub max_iters: usize,
@@ -60,14 +61,7 @@ pub struct SimplexConfig {
 
 impl Default for SimplexConfig {
     fn default() -> Self {
-        SimplexConfig {
-            opt_tol: 1e-7,
-            feas_tol: 1e-7,
-            pivot_tol: 1e-9,
-            max_iters: 0,
-            refactor_every: 2000,
-            degenerate_before_bland: 400,
-        }
+        SimplexConfig { max_iters: 0, refactor_every: 2000, degenerate_before_bland: 400 }
     }
 }
 
@@ -345,7 +339,7 @@ impl<'a> Simplex<'a> {
         for i in 0..m {
             let sj = n + i;
             let clamped = resid[i].clamp(lb[sj], ub[sj]);
-            if (clamped - resid[i]).abs() <= cfg.feas_tol {
+            if (clamped - resid[i]).abs() <= FEAS_TOL {
                 x[sj] = resid[i];
                 state[sj] = VarState::Basic(i);
                 basis[i] = sj;
@@ -496,9 +490,9 @@ impl<'a> Simplex<'a> {
         self.ws.cost.clear();
         self.ws.cost.extend((0..total).map(cost));
         self.ws.fixed.clear();
-        self.ws.fixed.extend(
-            self.lb.iter().zip(&self.ub).map(|(l, u)| u - l <= self.cfg.feas_tol && u.is_finite()),
-        );
+        self.ws
+            .fixed
+            .extend(self.lb.iter().zip(&self.ub).map(|(l, u)| u - l <= FEAS_TOL && u.is_finite()));
     }
 
     /// `y = Binv' c_B` — dual prices for the running phase's basic costs.
@@ -756,9 +750,9 @@ impl<'a> Simplex<'a> {
                         cols.art_signs[j - nm] * y[cols.art_rows[j - nm]]
                     };
                 let score = match st {
-                    VarState::AtLower if d < -self.cfg.opt_tol => -d,
-                    VarState::AtUpper if d > self.cfg.opt_tol => d,
-                    VarState::FreeAtZero if d.abs() > self.cfg.opt_tol => d.abs(),
+                    VarState::AtLower if d < -OPT_TOL => -d,
+                    VarState::AtUpper if d > OPT_TOL => d,
+                    VarState::FreeAtZero if d.abs() > OPT_TOL => d.abs(),
                     _ => continue,
                 };
                 if use_bland {
@@ -798,7 +792,7 @@ impl<'a> Simplex<'a> {
                 let wj = sigma * self.ws.w[pos];
                 let bj = self.basis[pos];
                 let xb = self.x[bj];
-                if wj > self.cfg.pivot_tol {
+                if wj > PIVOT_TOL {
                     // Basic value decreases toward its lower bound.
                     if self.lb[bj].is_finite() {
                         let t = (xb - self.lb[bj]) / wj;
@@ -807,7 +801,7 @@ impl<'a> Simplex<'a> {
                             leave = Some((pos, false));
                         }
                     }
-                } else if wj < -self.cfg.pivot_tol {
+                } else if wj < -PIVOT_TOL {
                     // Basic value increases toward its upper bound.
                     if self.ub[bj].is_finite() {
                         let t = (self.ub[bj] - xb) / (-wj);
@@ -822,8 +816,7 @@ impl<'a> Simplex<'a> {
                 return PhaseEnd::Unbounded;
             }
             let t = t_max.max(0.0);
-            self.degenerate_streak =
-                if t <= self.cfg.feas_tol { self.degenerate_streak + 1 } else { 0 };
+            self.degenerate_streak = if t <= FEAS_TOL { self.degenerate_streak + 1 } else { 0 };
             // --- Apply the step. ---
             for pos in 0..self.m {
                 let bj = self.basis[pos];
@@ -841,7 +834,7 @@ impl<'a> Simplex<'a> {
                 }
                 Some((pos, hits_upper)) => {
                     let piv = self.ws.w[pos];
-                    if piv.abs() < self.cfg.pivot_tol {
+                    if piv.abs() < PIVOT_TOL {
                         // Numerically unusable pivot: refactorize and retry.
                         if !self.refactorize() {
                             return PhaseEnd::Stalled;
@@ -961,7 +954,7 @@ fn solve_unscaled(
                 lp.ub[j].min(0.0).max(lp.lb[j])
             };
             if !xj.is_finite() {
-                return Solution::failed(Status::Unbounded, n, m);
+                return Solution::failed(Status::Unbounded, n);
             }
         }
         let obj: f64 = lp.obj_offset + x.iter().zip(&lp.obj).map(|(a, b)| a * b).sum::<f64>();
@@ -981,7 +974,7 @@ fn solve_unscaled(
     if let Some(basis) = warm {
         if let Some(s) = Simplex::from_basis(lp, cfg, basis, ws) {
             let rhs_max = lp.rhs.iter().fold(0.0f64, |a, &b| a.max(b.abs()));
-            if s.infeasibility() <= cfg.feas_tol * (1.0 + rhs_max) {
+            if s.infeasibility() <= FEAS_TOL * (1.0 + rhs_max) {
                 let mut sol = solve_prepared(s, max_iters);
                 // Numerical trouble from a warm basis is recoverable: retry
                 // cold rather than surfacing the failure.
@@ -1013,30 +1006,29 @@ fn base_stats(lp: &StandardLp) -> SolveStats {
 /// solution. Phase 1 runs only when the starting point is infeasible or
 /// carries artificial columns (a feasible warm basis skips it entirely).
 fn solve_prepared(mut s: Simplex<'_>, max_iters: usize) -> Solution {
-    let (lp, cfg) = (s.lp, s.cfg);
+    let lp = s.lp;
     let n = lp.num_vars();
     let m = lp.num_cons();
     // Phase 1: minimize total infeasibility via artificial costs plus
     // penalties on any basic variable that starts outside its bounds.
     let nm = n + m;
     let arts = nm..nm + s.ws.cols.art_rows.len();
-    if s.infeasibility() > cfg.feas_tol || !arts.is_empty() {
+    if s.infeasibility() > FEAS_TOL || !arts.is_empty() {
         s.load_phase(|j| if j >= nm { 1.0 } else { 0.0 });
         match s.run_phase(max_iters) {
             PhaseEnd::Optimal => {}
             PhaseEnd::Unbounded => {
                 // Phase-1 objective is bounded below by zero; an "unbounded"
                 // report here is numerical noise. Treat as stalled.
-                return Solution::failed(Status::NumericalTrouble, n, m);
+                return Solution::failed(Status::NumericalTrouble, n);
             }
-            PhaseEnd::IterLimit => return Solution::failed(Status::IterationLimit, n, m),
-            PhaseEnd::Stalled => return Solution::failed(Status::NumericalTrouble, n, m),
+            PhaseEnd::IterLimit => return Solution::failed(Status::IterationLimit, n),
+            PhaseEnd::Stalled => return Solution::failed(Status::NumericalTrouble, n),
         }
         let art_total: f64 = s.x[arts.clone()].iter().sum();
-        if art_total
-            > cfg.feas_tol * 10.0 * (1.0 + lp.rhs.iter().map(|r| r.abs()).fold(0.0, f64::max))
+        if art_total > FEAS_TOL * 10.0 * (1.0 + lp.rhs.iter().map(|r| r.abs()).fold(0.0, f64::max))
         {
-            return Solution::failed(Status::Infeasible, n, m);
+            return Solution::failed(Status::Infeasible, n);
         }
         // Pin artificials to zero for phase 2.
         for j in arts {
@@ -1079,7 +1071,7 @@ fn solve_prepared(mut s: Simplex<'_>, max_iters: usize) -> Solution {
                 stats: base_stats(lp),
             }
         } else {
-            Solution::failed(status, n, m)
+            Solution::failed(status, n)
         };
         sol.stats = stats(&s);
         return sol;
@@ -1088,7 +1080,7 @@ fn solve_prepared(mut s: Simplex<'_>, max_iters: usize) -> Solution {
     // accuracy. The in-place elimination leaves no inverse behind when it
     // meets a singular pivot, so there is nothing to price the duals with.
     if !s.refactorize() {
-        let mut sol = Solution::failed(Status::NumericalTrouble, n, m);
+        let mut sol = Solution::failed(Status::NumericalTrouble, n);
         sol.stats = stats(&s);
         return sol;
     }

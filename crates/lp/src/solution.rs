@@ -14,8 +14,6 @@ pub enum Status {
     Unbounded,
     /// The iteration limit was reached before convergence.
     IterationLimit,
-    /// The time limit was reached before convergence.
-    TimeLimit,
     /// The solver lost numerical accuracy and could not recover.
     NumericalTrouble,
 }
@@ -27,11 +25,11 @@ impl Status {
     }
 
     /// `true` when the returned point is meaningful: either optimal or the
-    /// best iterate at an iteration/time limit (approximately optimal for
+    /// best iterate at the iteration limit (approximately optimal for
     /// the first-order backend). Infeasible/unbounded/numerical failures
     /// return no usable point.
     pub fn is_usable(self) -> bool {
-        matches!(self, Status::Optimal | Status::IterationLimit | Status::TimeLimit)
+        matches!(self, Status::Optimal | Status::IterationLimit)
     }
 }
 
@@ -42,8 +40,6 @@ pub struct SolveStats {
     pub iterations: usize,
     /// Wall-clock seconds spent inside the solver.
     pub solve_seconds: f64,
-    /// Branch-and-bound nodes explored (MILP only).
-    pub nodes: usize,
     /// Constraint rows of the solved standard form.
     pub rows: usize,
     /// Structural variables of the solved standard form.
@@ -87,7 +83,7 @@ pub struct Solution {
 
 impl Solution {
     /// A failure placeholder carrying only the status.
-    pub fn failed(status: Status, num_vars: usize, _num_cons: usize) -> Self {
+    pub fn failed(status: Status, num_vars: usize) -> Self {
         Solution {
             status,
             x: vec![0.0; num_vars],
@@ -129,7 +125,7 @@ mod tests {
 
     #[test]
     fn failed_solution_has_nan_objective() {
-        let s = Solution::failed(Status::Infeasible, 3, 2);
+        let s = Solution::failed(Status::Infeasible, 3);
         assert_eq!(s.status, Status::Infeasible);
         assert!(s.objective.is_nan());
         assert_eq!(s.x.len(), 3);
@@ -139,6 +135,6 @@ mod tests {
 
     #[test]
     fn failed_solution_yields_no_warm_start() {
-        assert!(Solution::failed(Status::Infeasible, 3, 2).warm_start().is_none());
+        assert!(Solution::failed(Status::Infeasible, 3).warm_start().is_none());
     }
 }

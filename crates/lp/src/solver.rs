@@ -1,11 +1,10 @@
-//! Backend selection: one entry point for every LP/MILP in the workspace.
+//! Backend selection: one entry point for every LP in the workspace.
 //!
 //! Formulation code builds a [`Model`] and calls
 //! [`solve`]; the backend is chosen by problem size unless pinned. The
 //! crossover threshold favours the exact simplex for anything it can finish
 //! quickly and the first-order PDHG solver beyond that.
 
-use crate::milp::{self, MilpConfig};
 use crate::model::{Model, StandardLp};
 use crate::pdhg::{self, PdhgConfig};
 use crate::simplex::{self, SimplexConfig, Workspace};
@@ -17,7 +16,7 @@ use std::borrow::Borrow;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Backend {
     /// Pick by size: simplex below [`SolverConfig::auto_threshold`] rows,
-    /// PDHG above. Models with integer variables always use branch & bound.
+    /// PDHG above.
     #[default]
     Auto,
     /// Two-phase revised simplex (exact; small/medium problems).
@@ -37,8 +36,6 @@ pub struct SolverConfig {
     pub simplex: SimplexConfig,
     /// PDHG knobs.
     pub pdhg: PdhgConfig,
-    /// Branch-and-bound knobs (integer models).
-    pub milp: MilpConfig,
 }
 
 impl Default for SolverConfig {
@@ -48,7 +45,6 @@ impl Default for SolverConfig {
             auto_threshold: 1200,
             simplex: SimplexConfig::default(),
             pdhg: PdhgConfig::default(),
-            milp: MilpConfig::default(),
         }
     }
 }
@@ -77,15 +73,14 @@ pub fn solve(model: &Model, cfg: &SolverConfig) -> Solution {
 ///
 /// Each backend consumes the component it understands — simplex the basis,
 /// PDHG the primal–dual point — and records a hit/miss in
-/// [`SolveStats`]. The MILP backend ignores
-/// warm starts.
+/// [`SolveStats`].
 pub fn solve_with(model: &Model, cfg: &SolverConfig, warm: Option<&WarmStart>) -> Solution {
     let _span = arrow_obs::span!(
         "lp.solve",
         "rows" => model.num_cons(),
         "cols" => model.num_vars(),
         "warm" => warm.is_some(),
-        "backend" => backend_label(model, cfg),
+        "backend" => backend_label(cfg, model.num_cons()),
     );
     solve_timed(model, cfg, warm, &mut Workspace::default())
 }
@@ -119,7 +114,6 @@ struct LpMetrics {
     simplex_refactors: arrow_obs::Counter,
     pdhg_iterations: arrow_obs::Counter,
     pdhg_restarts: arrow_obs::Counter,
-    milp_nodes: arrow_obs::Counter,
     warm_hit: arrow_obs::Counter,
     warm_miss: arrow_obs::Counter,
     warm_cold: arrow_obs::Counter,
@@ -139,7 +133,6 @@ impl LpMetrics {
                 self.pdhg_iterations.add(stats.iterations as u64);
                 self.pdhg_restarts.add(stats.restarts as u64);
             }
-            BackendKind::Milp => self.milp_nodes.add(stats.nodes as u64),
             BackendKind::None => {}
         }
         match stats.warm {
@@ -162,21 +155,16 @@ fn lp_metrics() -> &'static LpMetrics {
         simplex_refactors: arrow_obs::metrics::counter("lp.simplex.refactors"),
         pdhg_iterations: arrow_obs::metrics::counter("lp.pdhg.iterations"),
         pdhg_restarts: arrow_obs::metrics::counter("lp.pdhg.restarts"),
-        milp_nodes: arrow_obs::metrics::counter("lp.milp.nodes"),
         warm_hit: arrow_obs::metrics::counter("lp.warm.hit"),
         warm_miss: arrow_obs::metrics::counter("lp.warm.miss"),
         warm_cold: arrow_obs::metrics::counter("lp.warm.cold"),
     })
 }
 
-/// The backend label a solve of `model` under `cfg` will use, for span
-/// attribution (`lp.solve{backend=...}`): branch & bound for integer
-/// models, otherwise the resolved [`Backend`].
-fn backend_label(model: &Model, cfg: &SolverConfig) -> &'static str {
-    if model.num_int_vars() > 0 {
-        return "milp";
-    }
-    match concrete_backend(cfg, model.num_cons()) {
+/// The backend label a solve of `rows` rows under `cfg` will use, for span
+/// attribution (`lp.solve{backend=...}`).
+fn backend_label(cfg: &SolverConfig, rows: usize) -> &'static str {
+    match concrete_backend(cfg, rows) {
         Backend::Simplex => "simplex",
         Backend::Pdhg => "pdhg",
         Backend::Auto => "auto",
@@ -205,15 +193,7 @@ fn solve_inner(
 ) -> Solution {
     let lp = model.to_standard();
     if let Some(status) = data_defect(&lp) {
-        return Solution::failed(status, lp.num_vars(), lp.num_cons());
-    }
-    if model.num_int_vars() > 0 {
-        let mut s = milp::solve(model, &cfg.milp);
-        s.stats.backend = BackendKind::Milp;
-        s.stats.rows = model.num_cons();
-        s.stats.cols = model.num_vars();
-        s.stats.nnz = model.nnz();
-        return s;
+        return Solution::failed(status, lp.num_vars());
     }
     let backend = concrete_backend(cfg, lp.num_cons());
     let sol = if backend == Backend::Pdhg {
@@ -269,7 +249,7 @@ pub fn solve_batch<M: Borrow<Model>>(models: &[M], cfg: &SolverConfig) -> Vec<So
     let _span = arrow_obs::span!(
         "lp.solve_batch",
         "lanes" => models.len(),
-        "backend" => backend_label(first.borrow(), cfg),
+        "backend" => backend_label(cfg, first.borrow().num_cons()),
     );
     let mut ws = Workspace::default();
     models
@@ -312,18 +292,6 @@ mod tests {
         assert_eq!(a.status, Status::Optimal);
         assert_eq!(b.status, Status::Optimal);
         assert!((a.objective - b.objective).abs() < 1e-4);
-    }
-
-    #[test]
-    fn integer_model_routes_to_milp() {
-        let mut m = Model::new();
-        let x = m.add_int_var(0.0, 9.0);
-        m.add_con(LinExpr::term(x, 2.0), Sense::Le, 7.0);
-        m.set_objective(LinExpr::term(x, 1.0), Objective::Maximize);
-        let s = solve(&m, &SolverConfig::default());
-        assert_eq!(s.status, Status::Optimal);
-        assert!((s.objective - 3.0).abs() < 1e-6);
-        assert!(s.stats.nodes >= 1);
     }
 
     #[test]
@@ -396,20 +364,27 @@ mod batch_tests {
         assert!(solve_batch::<Model>(&[], &SolverConfig::default()).is_empty());
     }
 
+    /// min x + 2y  s.t.  x + y = `total`,  x <= 3: an equality row, and a
+    /// bound that binds once `total` exceeds 3.
+    fn eq_row_model(total: f64) -> Model {
+        let mut m = Model::new();
+        let x = m.add_var(0.0, 3.0);
+        let y = m.add_nonneg();
+        m.add_con(LinExpr::new().add(x, 1.0).add(y, 1.0), Sense::Eq, total);
+        m.set_objective(LinExpr::new().add(x, 1.0).add(y, 2.0), Objective::Minimize);
+        m
+    }
+
     #[test]
     fn mixed_batch_is_bitwise_identical_to_sequential() {
-        let mut int_model = Model::new();
-        let xi = int_model.add_int_var(0.0, 9.0);
-        int_model.add_con(LinExpr::term(xi, 2.0), Sense::Le, 7.0);
-        int_model.set_objective(LinExpr::term(xi, 1.0), Objective::Maximize);
-        // Two structural families interleaved with an integer lane, under
-        // Auto (everything continuous routes to the simplex) and pinned
-        // PDHG. Results must be bitwise sequential either way.
+        // Three structural families interleaved, under Auto (everything
+        // this small routes to the simplex) and pinned PDHG. Results must
+        // be bitwise sequential either way.
         let models = vec![
             tiny_with_rhs(6.0),
             two_con_model(8.0),
             tiny_with_rhs(9.0),
-            int_model,
+            eq_row_model(5.0),
             two_con_model(5.0),
         ];
         for cfg in [SolverConfig::default(), SolverConfig::first_order(1e-7)] {
@@ -571,15 +546,6 @@ mod validation_tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn integer_models_are_validated_before_branch_and_bound() {
-        let mut m = Model::new();
-        let x = m.add_int_var(0.0, 9.0);
-        m.add_con(LinExpr::term(x, 2.0), Sense::Le, f64::NAN);
-        m.set_objective(LinExpr::term(x, 1.0), Objective::Maximize);
-        assert_rejected(&solve(&m, &SolverConfig::default()), "MILP with NaN rhs");
     }
 
     #[test]

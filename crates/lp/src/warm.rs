@@ -108,8 +108,6 @@ pub enum BackendKind {
     Simplex,
     /// Restarted averaged primal–dual hybrid gradient.
     Pdhg,
-    /// LP-based branch & bound.
-    Milp,
 }
 
 impl BackendKind {
@@ -119,7 +117,6 @@ impl BackendKind {
             BackendKind::None => "none",
             BackendKind::Simplex => "simplex",
             BackendKind::Pdhg => "pdhg",
-            BackendKind::Milp => "milp",
         }
     }
 }

@@ -27,11 +27,12 @@ use crate::modulation::ModulationTable;
 use crate::spectrum::SpectrumMask;
 use arrow_lp::{LinExpr, Model, Objective, Sense, SolverConfig};
 
+/// Number of candidate surrogate paths per failed IP link.
+const K_PATHS: usize = 3;
+
 /// Configuration of the restoration RWA.
 #[derive(Debug, Clone)]
 pub struct RwaConfig {
-    /// Number of candidate surrogate paths per failed IP link.
-    pub k_paths: usize,
     /// Allow transponders to retune to any free frequency. When `false`,
     /// restored wavelengths may only reuse their original slots (the
     /// "without frequency tuning" variant of Fig. 17).
@@ -48,7 +49,6 @@ pub struct RwaConfig {
 impl Default for RwaConfig {
     fn default() -> Self {
         RwaConfig {
-            k_paths: 3,
             allow_retuning: true,
             allow_modulation_change: false,
             modulation: ModulationTable::default(),
@@ -122,7 +122,7 @@ fn candidate_paths(
                     .reach_for_gbps(lp.gbps_per_wavelength)
                     .unwrap_or_else(|| cfg.modulation.max_reach_km())
             };
-            let paths = k_shortest_paths(net, lp.src, lp.dst, cfg.k_paths, cut, reach_cap);
+            let paths = k_shortest_paths(net, lp.src, lp.dst, K_PATHS, cut, reach_cap);
             let mut kept = Vec::new();
             let mut gbps = Vec::new();
             for p in paths {

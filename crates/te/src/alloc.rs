@@ -74,11 +74,7 @@ mod tests {
             &wan,
             &tms[0],
             &failures.failure_scenarios(),
-            &TunnelConfig {
-                tunnels_per_flow: 4,
-                prefer_fiber_disjoint: false,
-                ..Default::default()
-            },
+            &TunnelConfig { tunnels_per_flow: 4, prefer_fiber_disjoint: false },
         );
         let alloc = TeAllocation {
             b: vec![1.0; inst.flows.len()],

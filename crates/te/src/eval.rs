@@ -276,11 +276,7 @@ mod tests {
             &wan,
             &tms[0].scaled(scale),
             &failures.failure_scenarios(),
-            &TunnelConfig {
-                tunnels_per_flow: 4,
-                prefer_fiber_disjoint: true,
-                ..Default::default()
-            },
+            &TunnelConfig { tunnels_per_flow: 4, prefer_fiber_disjoint: true },
         )
     }
 

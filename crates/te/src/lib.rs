@@ -41,7 +41,7 @@ pub use restoration::{RestorationTicket, TicketSet};
 pub use schemes::arrow::{Arrow, ArrowNaive, ArrowOnline, ArrowOutcome};
 pub use schemes::ecmp::Ecmp;
 pub use schemes::ffc::Ffc;
-pub use schemes::joint::{binary_ticket_selection, joint_formulation_size, JointSize};
+pub use schemes::joint::{joint_formulation_size, JointSize};
 pub use schemes::maxflow::MaxFlow;
 pub use schemes::teavar::TeaVar;
 pub use schemes::{SchemeOutput, TeScheme};

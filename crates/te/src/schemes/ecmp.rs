@@ -51,11 +51,7 @@ mod tests {
             &wan,
             &tms[0],
             &failures.failure_scenarios(),
-            &TunnelConfig {
-                tunnels_per_flow: 4,
-                prefer_fiber_disjoint: false,
-                ..Default::default()
-            },
+            &TunnelConfig { tunnels_per_flow: 4, prefer_fiber_disjoint: false },
         );
         let out = Ecmp.solve(&inst);
         for (i, f) in inst.flows.iter().enumerate() {

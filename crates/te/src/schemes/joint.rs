@@ -1,25 +1,20 @@
-//! The intractable joint IP/optical formulation (Appendices A.4 & A.5).
+//! The intractable joint IP/optical formulation (Appendix A.4), counted.
 //!
-//! Two artifacts from the paper are reproduced here:
+//! **Formulation size accounting** (Table 8): the number of binary
+//! variables, continuous variables, and constraints the optimal joint
+//! IP/optical TE (Table 7) would require for a given instance. The counts
+//! follow Table 7's index sets — `ξ_{φ,w}^{e,k,q}` over (scenario, failed
+//! link, candidate path, fiber-on-path, wavelength slot) and `λ_e^{k,q}`
+//! integers — and demonstrate *why* ARROW's LotteryTicket abstraction
+//! exists. Nothing here builds or solves the integer program.
 //!
-//! 1. **Formulation size accounting** (Table 8): the number of binary
-//!    variables, continuous variables, and constraints the optimal joint
-//!    IP/optical TE (Table 7) would require for a given instance. The
-//!    counts follow Table 7's index sets — `ξ_{φ,w}^{e,k,q}` over
-//!    (scenario, failed link, candidate path, fiber-on-path, wavelength
-//!    slot) and `λ_e^{k,q}` integers — and demonstrate *why* ARROW's
-//!    LotteryTicket abstraction exists.
-//!
-//! 2. **Binary ILP ticket selection** (Table 9): the exact
-//!    one-ticket-per-scenario selection via big-M binaries. Solvable only
-//!    on small instances; used in tests to confirm that the two-phase LP's
-//!    winning tickets are optimal or near-optimal (the Theorem 3.1
-//!    assumption).
+//! Table 9's binary ticket selection (Appendix A.5, one binary per ticket
+//! with big-M rows (31)–(33)) optimizes the Phase II objective over every
+//! winner vector at once. The tests below check the two-phase winners
+//! against that optimum by enumerating the winner vectors and solving each
+//! Phase II LP exactly, so no integer solver is needed.
 
-use crate::index::ScenarioOverlay;
-use crate::restoration::TicketSet;
 use crate::tunnels::TeInstance;
-use arrow_lp::{LinExpr, Objective, Sense, SolverConfig, VarId};
 use arrow_optical::k_shortest_paths;
 
 /// Size of the joint IP/optical formulation for one instance (Table 8).
@@ -73,85 +68,13 @@ pub fn joint_formulation_size(inst: &TeInstance, k: usize) -> JointSize {
     size
 }
 
-/// Exact LotteryTicket selection as a binary ILP (Table 9).
-///
-/// Returns `(objective, winning ticket per scenario)`. Only call on small
-/// instances — the model has one binary per (scenario, ticket) and big-M
-/// constraints per (flow, scenario, ticket).
-pub fn binary_ticket_selection(
-    inst: &TeInstance,
-    tickets: &TicketSet,
-    solver: &SolverConfig,
-) -> Option<(f64, Vec<usize>)> {
-    use crate::schemes::base_model;
-    let mut base = base_model(inst);
-    let big_m: f64 = inst
-        .flows
-        .iter()
-        .map(|f| f.demand_gbps)
-        .fold(0.0, f64::max)
-        .max(inst.wan.links.iter().map(|l| l.capacity_gbps).fold(0.0, f64::max))
-        * 4.0;
-    let mut selectors: Vec<Vec<VarId>> = Vec::new();
-    for (qi, scen) in inst.scenarios.iter().enumerate() {
-        let mut xs = Vec::new();
-        for ticket in tickets.for_scenario(qi) {
-            let x = base.model.add_binary();
-            xs.push(x);
-            let overlay = ScenarioOverlay::new(inst, Some(scen), Some(ticket));
-            // (31): Σ_{t∈Y∪T^q} a ≥ b_f − M(1−x)
-            for (fi, flow) in inst.flows.iter().enumerate() {
-                if flow.tunnels.iter().all(|&t| overlay.survives(t)) {
-                    continue;
-                }
-                let covered: Vec<_> = flow.tunnels.iter().filter(|&&t| overlay.alive(t)).collect();
-                if covered.is_empty() {
-                    continue; // best-effort flow (mirrors the LP two-phase)
-                }
-                let mut e = LinExpr::term(base.b[fi], -1.0).add(x, -big_m);
-                for &&t in &covered {
-                    e.add_term(base.a[t.0], 1.0);
-                }
-                base.model.add_con(e, Sense::Ge, -big_m);
-            }
-            // (32): restorable-tunnel load ≤ r + M(1−x), per direction.
-            for &(link, r) in &ticket.restored {
-                for fwd in [true, false] {
-                    let users: Vec<VarId> = inst
-                        .tunnels_on(link, fwd)
-                        .filter(|&t| overlay.restorable(t))
-                        .map(|t| base.a[t.0])
-                        .collect();
-                    if users.is_empty() {
-                        continue;
-                    }
-                    let e = LinExpr::sum_vars(users).add(x, big_m);
-                    base.model.add_con(e, Sense::Le, r + big_m);
-                }
-            }
-        }
-        // (33): exactly one ticket per scenario.
-        base.model.add_con(LinExpr::sum_vars(xs.iter().copied()), Sense::Eq, 1.0);
-        selectors.push(xs);
-    }
-    base.model.set_objective(LinExpr::sum_vars(base.b.iter().copied()), Objective::Maximize);
-    let sol = arrow_lp::solve(&base.model, solver);
-    if !sol.status.is_optimal() {
-        return None;
-    }
-    let winning = selectors
-        .iter()
-        .map(|xs| xs.iter().position(|&x| sol.value(x) > 0.5).unwrap_or(0))
-        .collect();
-    Some((sol.objective, winning))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::restoration::RestorationTicket;
+    use crate::restoration::{RestorationTicket, TicketSet};
     use crate::schemes::arrow::{Arrow, ArrowOnline};
     use crate::tunnels::{build_instance, TunnelConfig};
+    use arrow_lp::SolverConfig;
     use arrow_topology::{b4, generate_failures, gravity_matrices, FailureConfig, TrafficConfig};
 
     fn tiny_instance() -> TeInstance {
@@ -163,11 +86,7 @@ mod tests {
             &wan,
             &tms[0].scaled(4.0),
             &failures.failure_scenarios(),
-            &TunnelConfig {
-                tunnels_per_flow: 3,
-                prefer_fiber_disjoint: true,
-                ..Default::default()
-            },
+            &TunnelConfig { tunnels_per_flow: 3, prefer_fiber_disjoint: true },
         )
     }
 
@@ -192,7 +111,7 @@ mod tests {
     }
 
     #[test]
-    fn binary_ilp_agrees_with_two_phase_winner() {
+    fn two_phase_winners_maximize_phase2_over_every_winner_vector() {
         let inst = tiny_instance();
         // Two tickets per scenario: restore-nothing vs restore-everything.
         let tickets = TicketSet::full(
@@ -214,17 +133,42 @@ mod tests {
                 })
                 .collect(),
         );
-        let (ilp_obj, ilp_winning) =
-            binary_ticket_selection(&inst, &tickets, &SolverConfig::default())
-                .expect("tiny ILP must solve");
+        // Every winner vector in Π_q Z_q, counted like an odometer, with its
+        // exact Phase II optimum: what Table 9's ILP maximizes over.
+        let arrow = Arrow::new(tickets.clone());
+        let sizes: Vec<usize> =
+            (0..inst.scenarios.len()).map(|q| tickets.for_scenario(q).len()).collect();
+        let mut winning = vec![0; sizes.len()];
+        let mut objectives = Vec::new();
+        loop {
+            let (base, _) = arrow.build_phase2(&inst, &winning);
+            let sol = arrow_lp::solve(&base.model, &SolverConfig::exact());
+            assert!(sol.status.is_optimal(), "Phase II for {winning:?}: {:?}", sol.status);
+            objectives.push((winning.clone(), sol.objective));
+            let Some(q) = (0..sizes.len()).find(|&q| winning[q] + 1 < sizes[q]) else { break };
+            winning[q] += 1;
+            winning[..q].fill(0);
+        }
+        assert_eq!(objectives.len(), sizes.iter().product::<usize>());
+        let best = objectives.iter().map(|&(_, o)| o).fold(f64::NEG_INFINITY, f64::max);
+
+        // The two-phase winners are an argmax, and their admitted traffic
+        // is the maximum.
         let outcome = ArrowOnline::new(Arrow::new(tickets), &inst).solve(&inst);
-        // The exact ILP picks full restoration everywhere; the LP two-phase
-        // must match both the selection and (approximately) the objective.
-        assert_eq!(ilp_winning, outcome.winning);
-        let lp_obj = outcome.output.alloc.total_admitted();
+        let chosen = objectives
+            .iter()
+            .find(|(w, _)| *w == outcome.winning)
+            .map(|&(_, o)| o)
+            .expect("two-phase winners index the ticket lists");
         assert!(
-            (ilp_obj - lp_obj).abs() / ilp_obj.max(1.0) < 1e-3,
-            "ILP {ilp_obj} vs two-phase {lp_obj}"
+            chosen >= best - 1e-9 * best.abs().max(1.0),
+            "winners {:?} reach {chosen}, the best vector reaches {best}",
+            outcome.winning
+        );
+        let admitted = outcome.output.alloc.total_admitted();
+        assert!(
+            (best - admitted).abs() / best.max(1.0) < 1e-3,
+            "enumerated optimum {best} vs two-phase {admitted}"
         );
     }
 }

@@ -61,11 +61,7 @@ pub(crate) mod tests {
             &wan,
             &tms[0],
             &failures.failure_scenarios(),
-            &TunnelConfig {
-                tunnels_per_flow: 4,
-                prefer_fiber_disjoint: false,
-                ..Default::default()
-            },
+            &TunnelConfig { tunnels_per_flow: 4, prefer_fiber_disjoint: false },
         );
         raw.scaled(scale * crate::eval::normalize_demand_scale(&raw))
     }

@@ -31,16 +31,13 @@ use arrow_lp::{LinExpr, Model, Objective, Sense, SolverConfig, VarId};
 pub struct TeaVar {
     /// Availability target β (paper simulations use 0.999).
     pub beta: f64,
-    /// Probability of the healthy scenario (complement of the failure
-    /// scenarios' mass); computed from the instance if `None`.
-    pub healthy_probability: Option<f64>,
     /// LP solver settings.
     pub solver: SolverConfig,
 }
 
 impl Default for TeaVar {
     fn default() -> Self {
-        TeaVar { beta: 0.999, healthy_probability: None, solver: SolverConfig::default() }
+        TeaVar { beta: 0.999, solver: SolverConfig::default() }
     }
 }
 
@@ -63,9 +60,10 @@ impl TeScheme for TeaVar {
             );
         }
         // Scenario list: healthy + failure scenarios, probabilities
-        // normalized over the enumerated mass.
+        // normalized over the enumerated mass. The healthy scenario gets
+        // the complement of the failure scenarios' mass.
         let failure_mass: f64 = inst.scenarios.iter().map(|s| s.probability).sum();
-        let healthy_p = self.healthy_probability.unwrap_or((1.0 - failure_mass).max(0.0));
+        let healthy_p = (1.0 - failure_mass).max(0.0);
         let mass = (healthy_p + failure_mass).max(1e-12);
         let alpha = model.add_var(-1.0, 1.0);
         let mut cvar_expr = LinExpr::term(alpha, 1.0);
@@ -148,11 +146,7 @@ mod tests {
             &wan,
             &tms[0].scaled(scale),
             &failures.failure_scenarios(),
-            &TunnelConfig {
-                tunnels_per_flow: 4,
-                prefer_fiber_disjoint: true,
-                ..Default::default()
-            },
+            &TunnelConfig { tunnels_per_flow: 4, prefer_fiber_disjoint: true },
         )
     }
 

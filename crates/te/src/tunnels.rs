@@ -98,19 +98,11 @@ pub struct TunnelConfig {
     pub tunnels_per_flow: usize,
     /// Prefer fiber-disjoint tunnels when ranking candidates.
     pub prefer_fiber_disjoint: bool,
-    /// Beyond the instance's scenario list, also guarantee (where the IP
-    /// layer permits) a surviving tunnel for every cut of up to this many
-    /// fibers. FFC-k enumerates *all* k-fiber combinations, so its
-    /// protection quality depends on this (§6 "ensuring that there is at
-    /// least one residual tunnel for every flow under each failure
-    /// scenario"). `1` covers all single cuts; `0` covers only the
-    /// instance's scenarios.
-    pub cover_all_cuts: usize,
 }
 
 impl Default for TunnelConfig {
     fn default() -> Self {
-        TunnelConfig { tunnels_per_flow: 8, prefer_fiber_disjoint: true, cover_all_cuts: 1 }
+        TunnelConfig { tunnels_per_flow: 8, prefer_fiber_disjoint: true }
     }
 }
 
@@ -337,17 +329,18 @@ pub fn build_instance(
             cands.truncate(k);
             chosen = cands;
         }
-        // Patch: guarantee a residual tunnel for every instance scenario,
-        // and for every single-fiber cut when `cover_all_cuts >= 1` (FFC-1
-        // protects all singles, not just the probabilistic subset).
+        // Patch: guarantee (where the IP layer permits) a residual tunnel
+        // for every instance scenario and for every single-fiber cut. FFC-k
+        // enumerates *all* k-fiber combinations, so FFC-1 needs every single
+        // cut covered, not just the probabilistic subset (§6 "ensuring that
+        // there is at least one residual tunnel for every flow under each
+        // failure scenario").
         let mut patch_sets: Vec<Vec<IpLinkId>> =
             scenarios.iter().map(|s| s.failed_links.clone()).collect();
-        if cfg.cover_all_cuts >= 1 {
-            for f in 0..wan.optical.num_fibers() {
-                let failed = wan.links_failed_by(&[arrow_optical::FiberId(f)]);
-                if !failed.is_empty() {
-                    patch_sets.push(failed);
-                }
+        for f in 0..wan.optical.num_fibers() {
+            let failed = wan.links_failed_by(&[arrow_optical::FiberId(f)]);
+            if !failed.is_empty() {
+                patch_sets.push(failed);
             }
         }
         for failed in &patch_sets {
@@ -448,11 +441,7 @@ mod tests {
             &wan,
             &tms[0],
             &failures.failure_scenarios(),
-            &TunnelConfig {
-                tunnels_per_flow: 4,
-                prefer_fiber_disjoint: true,
-                ..Default::default()
-            },
+            &TunnelConfig { tunnels_per_flow: 4, prefer_fiber_disjoint: true },
         )
     }
 

@@ -27,7 +27,7 @@ fn instance(scale: f64) -> TeInstance {
         &wan,
         &tms[0].scaled(scale),
         &failures.failure_scenarios(),
-        &TunnelConfig { tunnels_per_flow: 4, prefer_fiber_disjoint: true, ..Default::default() },
+        &TunnelConfig { tunnels_per_flow: 4, prefer_fiber_disjoint: true },
     )
 }
 

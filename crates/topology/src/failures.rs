@@ -149,6 +149,11 @@ pub struct SrlgGroup {
     pub probability: f64,
 }
 
+/// Weibull shape for per-fiber failure probability (paper: 0.8).
+const WEIBULL_SHAPE: f64 = 0.8;
+/// Weibull scale for per-fiber failure probability (paper: 0.02).
+const WEIBULL_SCALE: f64 = 0.02;
+
 /// Configuration of [`compile_universe`].
 ///
 /// With every correlation knob off and `max_k: 2` this is the paper's
@@ -156,10 +161,6 @@ pub struct SrlgGroup {
 /// builds on.
 #[derive(Debug, Clone)]
 pub struct UniverseConfig {
-    /// Weibull shape for per-fiber failure probability (paper: 0.8).
-    pub weibull_shape: f64,
-    /// Weibull scale (paper: 0.02).
-    pub weibull_scale: f64,
     /// RNG seed for per-fiber probabilities and importance sampling.
     pub seed: u64,
     /// Exhaustive-enumeration budget: all cut sets of up to this many
@@ -178,11 +179,9 @@ pub struct UniverseConfig {
     pub auto_srlg_size: usize,
     /// Conduit-cut probability for auto-generated SRLGs.
     pub auto_srlg_probability: f64,
-    /// Fibers per rolling maintenance window (0 = off).
+    /// Fibers per rolling maintenance window (0 = off). Windows do not
+    /// overlap: each starts where the previous one ends.
     pub maintenance_window: usize,
-    /// Window start stride in fibers (defaults to the window size when 0,
-    /// i.e. non-overlapping windows).
-    pub maintenance_stride: usize,
     /// Fraction of time a window's fiber span is under maintenance.
     pub maintenance_probability: f64,
     /// Number of highest-probability fibers treated as flapping (0 = off).
@@ -201,8 +200,6 @@ pub struct UniverseConfig {
 impl Default for UniverseConfig {
     fn default() -> Self {
         UniverseConfig {
-            weibull_shape: 0.8,
-            weibull_scale: 0.02,
             seed: 31,
             max_k: 2,
             cutoff: 1e-3,
@@ -210,7 +207,6 @@ impl Default for UniverseConfig {
             auto_srlg_size: 0,
             auto_srlg_probability: 5e-4,
             maintenance_window: 0,
-            maintenance_stride: 0,
             maintenance_probability: 1e-3,
             flapping_count: 0,
             flapping_boost: 8.0,
@@ -389,7 +385,7 @@ pub fn compile_universe(wan: &Wan, cfg: &UniverseConfig) -> ScenarioUniverse {
     // flapping boosts.
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let mut fiber_prob: Vec<f64> =
-        (0..nf).map(|_| weibull(&mut rng, cfg.weibull_shape, cfg.weibull_scale).min(0.5)).collect();
+        (0..nf).map(|_| weibull(&mut rng, WEIBULL_SHAPE, WEIBULL_SCALE).min(0.5)).collect();
     let mut flapping = vec![false; nf];
     if cfg.flapping_count > 0 && nf > 0 {
         let mut by_prob: Vec<usize> = (0..nf).collect();
@@ -442,12 +438,7 @@ pub fn compile_universe(wan: &Wan, cfg: &UniverseConfig) -> ScenarioUniverse {
 
     // Mechanism 3: rolling maintenance windows over the fiber span.
     if cfg.maintenance_window > 0 && cfg.maintenance_probability > 0.0 {
-        let stride = if cfg.maintenance_stride == 0 {
-            cfg.maintenance_window
-        } else {
-            cfg.maintenance_stride
-        };
-        for start in (0..nf).step_by(stride) {
+        for start in (0..nf).step_by(cfg.maintenance_window) {
             let fibers: Vec<FiberId> =
                 (start..(start + cfg.maintenance_window).min(nf)).map(FiberId).collect();
             if fibers.is_empty() {

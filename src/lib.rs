@@ -11,7 +11,7 @@
 //! crate re-exports everything for convenient use in tests and
 //! downstream code:
 //!
-//! * [`lp`] — LP/MILP solver toolkit (simplex, PDHG, branch & bound).
+//! * [`lp`] — LP solver toolkit (simplex, PDHG).
 //! * [`optical`] — fibers, spectrum, RWA, restoration analyses.
 //! * [`topology`] — B4/IBM/Facebook-like WANs, demands, failure scenarios.
 //! * [`te`] — TE schemes: ECMP, MaxFlow, FFC, TeaVaR, ARROW Phase I/II.
