@@ -12,8 +12,8 @@ use arrow_te::{
     TicketSet, TunnelConfig,
 };
 use arrow_topology::{
-    b4, generate_failures, gravity_matrices, FailureConfig, FailureScenario, IpLinkId,
-    TrafficConfig,
+    b4, compile_universe, generate_failures, gravity_matrices, FailureConfig, FailureScenario,
+    IpLinkId, TrafficConfig, UniverseConfig,
 };
 
 /// The instance of `eval.rs`'s unit tests: B4, 4 tunnels per flow, 10
@@ -104,4 +104,74 @@ fn play_scenario_is_pinned_bit_for_bit() {
         ],
         "playback bits moved (MaxFlow@2, ARROW@2, MaxFlow@3, ARROW@3): {digests:#018x?}"
     );
+}
+
+/// The ticket shapes [`universe_playback_is_pinned_bit_for_bit`] plays
+/// each scenario under: none; every other failed link at half capacity
+/// (the rest left dark); every failed link whole but one listed at 0 Gbps;
+/// every failed link whole, the first listed again at 0 Gbps after it,
+/// and a link the WAN does not have.
+fn ticket_shapes(inst: &TeInstance, q: &FailureScenario) -> [Option<RestorationTicket>; 4] {
+    let cap = |l: IpLinkId| inst.wan.link(l).capacity_gbps;
+    let links = &q.failed_links;
+    let half = links.iter().step_by(2).map(|&l| (l, 0.5 * cap(l))).collect();
+    let mut one_dark: Vec<_> = links.iter().map(|&l| (l, cap(l))).collect();
+    if let Some(last) = one_dark.last_mut() {
+        last.1 = 0.0;
+    }
+    let mut odd = ticket(inst, q, 1.0);
+    if let Some(&(first, _)) = odd.restored.first() {
+        odd.restored.push((first, 0.0));
+    }
+    odd.restored.push((IpLinkId(inst.wan.links.len() + 1), 50.0));
+    [
+        None,
+        Some(RestorationTicket { restored: half }),
+        Some(RestorationTicket { restored: one_dark }),
+        Some(odd),
+    ]
+}
+
+#[test]
+fn universe_playback_is_pinned_bit_for_bit() {
+    // `playback_b4`'s universe (perf's `universe_config(0)`) played against
+    // a MaxFlow allocation on the 4-scenario B4 instance at demand ×3.
+    let wan = b4(17);
+    let universe = compile_universe(
+        &wan,
+        &UniverseConfig {
+            max_k: 3,
+            cutoff: 1e-5,
+            auto_srlg_size: 3,
+            auto_srlg_probability: 1e-3,
+            maintenance_window: 2,
+            maintenance_probability: 5e-4,
+            flapping_count: 2,
+            flapping_boost: 4.0,
+            max_scenarios: 0,
+            ..Default::default()
+        },
+    );
+    assert_eq!(universe.len(), 484);
+    let tm = gravity_matrices(&wan, &TrafficConfig { num_matrices: 1, ..Default::default() })[0]
+        .scaled(3.0);
+    let failures =
+        generate_failures(&wan, &FailureConfig { max_scenarios: 4, ..Default::default() });
+    let inst = build_instance(
+        &wan,
+        &tm,
+        &failures.failure_scenarios(),
+        &TunnelConfig { tunnels_per_flow: 4, prefer_fiber_disjoint: true },
+    );
+    let alloc = MaxFlow::default().solve(&inst).alloc;
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for respread in [false, true] {
+        let cfg = PlaybackConfig { respread };
+        for q in universe.scenarios.iter().map(|c| &c.scenario) {
+            for t in &ticket_shapes(&inst, q) {
+                h = fold_play(h, &inst, &play_scenario(&inst, &alloc, Some(q), t.as_ref(), &cfg));
+            }
+        }
+    }
+    assert_eq!(h, 0xace5_baed_646b_4104, "universe playback bits moved: {h:#018x}");
 }
