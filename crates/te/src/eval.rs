@@ -13,6 +13,11 @@
 //! 3. Failed links carry their *restored* capacity; every link load above
 //!    capacity is scaled down proportionally (the congestion response).
 //!
+//! A play is one scenario overlay — built from the tunnels on the
+//! scenario's failed links alone, so it costs what the scenario cuts — plus
+//! four dense vectors (offered load, congestion factor, delivered traffic,
+//! link loads).
+//!
 //! From playback come the paper's metrics: **availability** (§6.1,
 //! probability-weighted demand satisfaction), **throughput** (§6.2,
 //! `Σ b_f / Σ d_f`), **availability-guaranteed throughput** and the
@@ -90,7 +95,7 @@ pub fn play_scenario(
         }
     }
     for (k, f) in factor.iter_mut().enumerate() {
-        let (load, cap) = (*f, overlay.capacity_gbps(inst, k / 2));
+        let (load, cap) = (*f, overlay.capacity_gbps(k / 2));
         *f = if load > cap { (cap / load).max(0.0) } else { 1.0 };
     }
     // Delivered traffic: each tunnel is throttled by its worst link.

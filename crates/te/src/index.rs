@@ -10,10 +10,12 @@
 //!
 //! **Overlay.** A failure scenario and its restoration ticket are a small
 //! per-link delta over that base: which links are down, and how much
-//! capacity each got back. [`ScenarioOverlay`] expands the two id lists
-//! into dense per-link lanes once, then classifies every tunnel in one
-//! pass over the flat hop keys. Playback and the LP builders read link
-//! state and tunnel state from it instead of searching the lists per hop.
+//! capacity each got back. [`ScenarioOverlay`] starts from the base —
+//! every link at its installed capacity, every tunnel surviving — and
+//! visits only the base's rows of the failed links, so its cost is the
+//! tunnels the scenario cuts, not every hop of every tunnel. Playback and
+//! the LP builders read link capacity and tunnel state from it instead of
+//! searching the lists per hop.
 
 use crate::restoration::RestorationTicket;
 use crate::tunnels::{DirLink, TeInstance, Tunnel, TunnelId};
@@ -105,24 +107,85 @@ enum TunnelState {
 /// the ticket restores nothing.
 #[derive(Debug, Clone)]
 pub(crate) struct ScenarioOverlay {
-    /// Per IP link: failed under the scenario.
-    failed: Vec<bool>,
-    /// Per IP link: Gbps the ticket restores (0 where it names nothing).
-    restored: Vec<f64>,
+    /// Per IP link (per direction): what the ticket restores where the
+    /// scenario failed the link, its installed capacity elsewhere.
+    capacity: Vec<f64>,
     /// Per tunnel.
     states: Vec<TunnelState>,
 }
 
 impl ScenarioOverlay {
-    /// Expands `scenario` and `ticket` over `inst`. Link ids the WAN does
-    /// not have are ignored, as the list searches this replaces never
-    /// matched them; a link a ticket lists twice keeps its first entry,
-    /// as [`RestorationTicket::restored_gbps`] does.
+    /// Expands `scenario` and `ticket` over `inst`: only the tunnels on
+    /// the failed links are visited. A failed link the ticket leaves dark
+    /// (`<= 0` Gbps, or not listed) kills every tunnel on it; any other
+    /// failed link makes the tunnels on it restorable unless a dark one
+    /// already killed them. Link ids the WAN does not have are ignored,
+    /// and a link a ticket lists twice keeps its first entry, as
+    /// [`RestorationTicket::restored_gbps`] does.
     pub(crate) fn new(
         inst: &TeInstance,
         scenario: Option<&FailureScenario>,
         ticket: Option<&RestorationTicket>,
     ) -> Self {
+        let index = inst.index();
+        let mut capacity: Vec<f64> = inst.wan.links.iter().map(|l| l.capacity_gbps).collect();
+        let mut states = vec![TunnelState::Survives; index.num_tunnels()];
+        for &l in scenario.iter().flat_map(|q| &q.failed_links) {
+            let Some(cap) = capacity.get_mut(l.0) else { continue };
+            *cap = ticket.map_or(0.0, |t| t.restored_gbps(l));
+            let dark = *cap <= 0.0;
+            for &t in index.row(2 * l.0).iter().chain(index.row(2 * l.0 + 1)) {
+                let state = &mut states[t.0];
+                if dark {
+                    *state = TunnelState::Dead;
+                } else if *state == TunnelState::Survives {
+                    *state = TunnelState::Restorable;
+                }
+            }
+        }
+        ScenarioOverlay { capacity, states }
+    }
+
+    /// Whether `t` crosses no failed link — membership in `T_f^q`.
+    pub(crate) fn survives(&self, t: TunnelId) -> bool {
+        self.states[t.0] == TunnelState::Survives
+    }
+
+    /// Whether `t` crosses a failed link and the ticket restores every
+    /// failed link it crosses (§3.3: `t ∈ Y_f^{z,q}`).
+    pub(crate) fn restorable(&self, t: TunnelId) -> bool {
+        self.states[t.0] == TunnelState::Restorable
+    }
+
+    /// Whether `t` carries traffic: it survives or is restorable.
+    pub(crate) fn alive(&self, t: TunnelId) -> bool {
+        self.states[t.0] != TunnelState::Dead
+    }
+
+    /// Capacity of IP link `link` (per direction): what the ticket
+    /// restored if the scenario failed it, its installed capacity if not.
+    pub(crate) fn capacity_gbps(&self, link: usize) -> f64 {
+        self.capacity[link]
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::tunnels::{build_instance, TunnelConfig};
+    use arrow_topology::{
+        b4, compile_universe, generate_failures, gravity_matrices, ibm, FailureConfig,
+        TrafficConfig, UniverseConfig, Wan,
+    };
+
+    /// The classification the overlay made before it read the failed
+    /// links' rows: dense `failed` / `restored` lanes, then every hop of
+    /// every tunnel. Returns the tunnel states and the per-link capacity.
+    fn per_hop(
+        inst: &TeInstance,
+        scenario: Option<&FailureScenario>,
+        ticket: Option<&RestorationTicket>,
+    ) -> (Vec<TunnelState>, Vec<f64>) {
         let num_links = inst.wan.links.len();
         let mut failed = vec![false; num_links];
         for l in scenario.iter().flat_map(|q| &q.failed_links) {
@@ -152,32 +215,91 @@ impl ScenarioOverlay {
                 state
             })
             .collect();
-        ScenarioOverlay { failed, restored, states }
+        let capacity = (0..num_links)
+            .map(|l| if failed[l] { restored[l] } else { inst.wan.links[l].capacity_gbps })
+            .collect();
+        (states, capacity)
     }
 
-    /// Whether `t` crosses no failed link — membership in `T_f^q`.
-    pub(crate) fn survives(&self, t: TunnelId) -> bool {
-        self.states[t.0] == TunnelState::Survives
+    /// `playback_pin.rs`'s ticket shapes — none; every other failed link
+    /// at half capacity; one failed link listed at 0 Gbps; a duplicate
+    /// entry plus an unknown id — and two more: one naming a link the
+    /// scenario did not fail, and one restoring NaN Gbps.
+    fn ticket_shapes(inst: &TeInstance, q: &FailureScenario) -> Vec<Option<RestorationTicket>> {
+        let cap = |l: IpLinkId| inst.wan.link(l).capacity_gbps;
+        let links = &q.failed_links;
+        let whole: Vec<_> = links.iter().map(|&l| (l, cap(l))).collect();
+        let half = links.iter().step_by(2).map(|&l| (l, 0.5 * cap(l))).collect();
+        let mut one_dark = whole.clone();
+        if let Some(last) = one_dark.last_mut() {
+            last.1 = 0.0;
+        }
+        let mut odd = whole.clone();
+        if let Some(&(first, _)) = whole.first() {
+            odd.push((first, 0.0));
+        }
+        odd.push((IpLinkId(inst.wan.links.len() + 1), 50.0));
+        let mut stray = whole.clone();
+        let healthy = (0..inst.wan.links.len()).map(IpLinkId).find(|l| !links.contains(l));
+        stray.extend(healthy.map(|l| (l, cap(l))));
+        let nan = links.iter().map(|&l| (l, f64::NAN)).collect();
+        [half, one_dark, odd, stray, nan]
+            .into_iter()
+            .map(|restored| Some(RestorationTicket { restored }))
+            .chain([None])
+            .collect()
     }
 
-    /// Whether `t` crosses a failed link and the ticket restores every
-    /// failed link it crosses (§3.3: `t ∈ Y_f^{z,q}`).
-    pub(crate) fn restorable(&self, t: TunnelId) -> bool {
-        self.states[t.0] == TunnelState::Restorable
+    fn assert_matches_per_hop(
+        inst: &TeInstance,
+        scenario: Option<&FailureScenario>,
+        ticket: Option<&RestorationTicket>,
+    ) {
+        let overlay = ScenarioOverlay::new(inst, scenario, ticket);
+        let (states, capacity) = per_hop(inst, scenario, ticket);
+        assert_eq!(overlay.states, states, "{scenario:?} under {ticket:?}");
+        let bits = |v: &[f64]| v.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
+        let lane: Vec<f64> = (0..capacity.len()).map(|l| overlay.capacity_gbps(l)).collect();
+        assert_eq!(bits(&lane), bits(&capacity), "{scenario:?} under {ticket:?}");
     }
 
-    /// Whether `t` carries traffic: it survives or is restorable.
-    pub(crate) fn alive(&self, t: TunnelId) -> bool {
-        self.states[t.0] != TunnelState::Dead
+    /// `wan` with its four most probable cuts, demand ×3, 4 tunnels a flow.
+    fn four_scenario_instance(wan: &Wan) -> TeInstance {
+        let tms = gravity_matrices(wan, &TrafficConfig { num_matrices: 1, ..Default::default() });
+        let failures =
+            generate_failures(wan, &FailureConfig { max_scenarios: 4, ..Default::default() });
+        let cfg = TunnelConfig { tunnels_per_flow: 4, prefer_fiber_disjoint: true };
+        build_instance(wan, &tms[0].scaled(3.0), &failures.failure_scenarios(), &cfg)
     }
 
-    /// Capacity of IP link `link` (per direction): what the ticket
-    /// restored if the scenario failed it, its installed capacity if not.
-    pub(crate) fn capacity_gbps(&self, inst: &TeInstance, link: usize) -> f64 {
-        if self.failed[link] {
-            self.restored[link]
-        } else {
-            inst.wan.links[link].capacity_gbps
+    #[test]
+    fn overlay_from_failed_link_rows_matches_per_hop_classification() {
+        // `playback_b4`'s universe settings; IBM capped as `offline_ibm` is.
+        for (wan, max_scenarios) in [(b4(17), 0), (ibm(17), 32)] {
+            let cfg = UniverseConfig {
+                max_k: 3,
+                cutoff: 1e-5,
+                auto_srlg_size: 3,
+                auto_srlg_probability: 1e-3,
+                maintenance_window: 2,
+                maintenance_probability: 5e-4,
+                flapping_count: 2,
+                flapping_boost: 4.0,
+                max_scenarios,
+                ..Default::default()
+            };
+            let universe = compile_universe(&wan, &cfg);
+            let inst = four_scenario_instance(&wan);
+            assert_matches_per_hop(&inst, None, None);
+            let mut dead = 0;
+            for q in universe.scenarios.iter().map(|c| &c.scenario) {
+                for ticket in ticket_shapes(&inst, q) {
+                    assert_matches_per_hop(&inst, Some(q), ticket.as_ref());
+                }
+                let overlay = ScenarioOverlay::new(&inst, Some(q), None);
+                dead += overlay.states.iter().filter(|&&s| s == TunnelState::Dead).count();
+            }
+            assert!(dead > 0, "some scenario must cut a tunnel");
         }
     }
 }

@@ -143,11 +143,11 @@ impl Arrow {
         let mut obj = LinExpr::sum_vars(base.b.iter().copied());
         for qi in 0..inst.scenarios.len() {
             let tickets = self.tickets.for_scenario(qi);
+            // Constraint (4) is deduplicated by ticket support (same
+            // support => same restorable set Y).
+            let supports: Vec<_> = tickets.iter().map(RestorationTicket::support).collect();
             for (zi, ticket) in tickets.iter().enumerate() {
-                // Constraint (4) is deduplicated by ticket support (same
-                // support => same restorable set Y).
-                let is_first_with_support =
-                    tickets[..zi].iter().all(|prev| prev.support() != ticket.support());
+                let is_first_with_support = !supports[..zi].contains(&supports[zi]);
                 // Constraints (5)+(6): restored capacity with slack.
                 let mut slacks = Vec::new();
                 ticket_rows(&mut base, inst, qi, ticket, is_first_with_support, Some(&mut slacks));

@@ -11,7 +11,9 @@
 //! specific direction, and capacity constraints are per `(link, direction)`.
 
 use crate::index::LinkIndex;
+use arrow_optical::FiberId;
 use arrow_topology::{FailureScenario, IpLinkId, SiteId, TrafficMatrix, Wan};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// Index of a flow within a [`TeInstance`].
@@ -128,11 +130,20 @@ pub struct TeInstance {
     index: Arc<LinkIndex>,
 }
 
-/// IP-layer Dijkstra from `src` to `dst`, avoiding `banned_links` and
-/// interior `banned_sites`. Edge weight: underlying fiber km + 1 (the +1
-/// breaks ties toward fewer hops).
+/// Per IP link, its weight in the tunnel search: underlying fiber km + 1
+/// (the +1 breaks ties toward fewer hops).
+fn link_weights(wan: &Wan) -> Vec<f64> {
+    wan.links
+        .iter()
+        .map(|l| wan.optical.path_length_km(&wan.optical.lightpath(l.lightpath).path) + 1.0)
+        .collect()
+}
+
+/// IP-layer Dijkstra from `src` to `dst` over the link weights `weight`
+/// (`link_weights`), avoiding `banned_links` and interior `banned_sites`.
 fn ip_shortest_path(
     wan: &Wan,
+    weight: &[f64],
     src: SiteId,
     dst: SiteId,
     banned_links: &[IpLinkId],
@@ -170,8 +181,7 @@ fn ip_shortest_path(
             if banned_sites.contains(&next) || done[next.0] {
                 continue;
             }
-            let lp = wan.optical.lightpath(link.lightpath);
-            let w = wan.optical.path_length_km(&lp.path) + 1.0;
+            let w = weight[lid.0];
             if dist[at] + w < dist[next.0] {
                 dist[next.0] = dist[at] + w;
                 prev[next.0] = Some((at, DirectedHop { link: lid, forward: link.a.0 == at }));
@@ -205,9 +215,15 @@ fn hop_sites(wan: &Wan, src: SiteId, hops: &[DirectedHop]) -> Vec<SiteId> {
 }
 
 /// Yen's k-shortest loop-free IP paths.
-fn ip_k_shortest(wan: &Wan, src: SiteId, dst: SiteId, k: usize) -> Vec<(Vec<DirectedHop>, f64)> {
+fn ip_k_shortest(
+    wan: &Wan,
+    weight: &[f64],
+    src: SiteId,
+    dst: SiteId,
+    k: usize,
+) -> Vec<(Vec<DirectedHop>, f64)> {
     let mut accepted: Vec<(Vec<DirectedHop>, f64)> = Vec::new();
-    let Some(first) = ip_shortest_path(wan, src, dst, &[], &[]) else {
+    let Some(first) = ip_shortest_path(wan, weight, src, dst, &[], &[]) else {
         return accepted;
     };
     accepted.push(first);
@@ -226,17 +242,11 @@ fn ip_k_shortest(wan: &Wan, src: SiteId, dst: SiteId, k: usize) -> Vec<(Vec<Dire
             }
             let banned_sites: Vec<SiteId> = last_sites[..spur].to_vec();
             if let Some((spur_hops, _)) =
-                ip_shortest_path(wan, spur_site, dst, &banned_links, &banned_sites)
+                ip_shortest_path(wan, weight, spur_site, dst, &banned_links, &banned_sites)
             {
                 let mut hops = root.to_vec();
                 hops.extend(spur_hops);
-                let len: f64 = hops
-                    .iter()
-                    .map(|h| {
-                        let lp = wan.optical.lightpath(wan.link(h.link).lightpath);
-                        wan.optical.path_length_km(&lp.path) + 1.0
-                    })
-                    .sum();
+                let len: f64 = hops.iter().map(|h| weight[h.link.0]).sum();
                 let cand = (hops, len);
                 if !accepted.iter().any(|(p, _)| *p == cand.0)
                     && !candidates.iter().any(|(p, _)| *p == cand.0)
@@ -271,83 +281,65 @@ pub fn build_instance(
     scenarios: &[FailureScenario],
     cfg: &TunnelConfig,
 ) -> TeInstance {
+    let weight = link_weights(wan);
+    // Every single-fiber cut that fails a link. FFC-k enumerates *all*
+    // k-fiber combinations, so FFC-1 needs every single cut covered, not
+    // just the probabilistic subset.
+    let single_cuts: Vec<Vec<IpLinkId>> = (0..wan.optical.num_fibers())
+        .map(|f| wan.links_failed_by(&[FiberId(f)]))
+        .filter(|failed| !failed.is_empty())
+        .collect();
+    let fibers = |hops: &[DirectedHop]| -> BTreeSet<FiberId> {
+        hops.iter()
+            .flat_map(|h| wan.optical.lightpath(wan.link(h.link).lightpath).path.iter().copied())
+            .collect()
+    };
     let mut flows = Vec::new();
     let mut tunnels: Vec<Tunnel> = Vec::new();
     for (src, dst, demand) in tm.flows() {
         let fid = FlowId(flows.len());
         let k = cfg.tunnels_per_flow;
-        let mut cands = ip_k_shortest(wan, src, dst, k * 3);
+        let mut cands = ip_k_shortest(wan, &weight, src, dst, k * 3);
         // Greedy diversity selection.
         let mut chosen: Vec<(Vec<DirectedHop>, f64)> = Vec::new();
         if cfg.prefer_fiber_disjoint {
+            // Fiber sets, built once per candidate and moved with it.
+            let mut cand_fibers: Vec<BTreeSet<FiberId>> =
+                cands.iter().map(|(hops, _)| fibers(hops)).collect();
+            let mut chosen_fibers: Vec<BTreeSet<FiberId>> = Vec::new();
             while chosen.len() < k && !cands.is_empty() {
-                let chosen_fibers: Vec<std::collections::BTreeSet<_>> = chosen
-                    .iter()
-                    .map(|(hops, _)| {
-                        hops.iter()
-                            .flat_map(|h| {
-                                wan.optical
-                                    .lightpath(wan.link(h.link).lightpath)
-                                    .path
-                                    .iter()
-                                    .copied()
-                            })
-                            .collect()
-                    })
-                    .collect();
                 // Score: number of already-chosen tunnels we are fiber-
                 // disjoint from (higher better), then shorter length.
-                let Some(best) = cands
+                let scores: Vec<f64> = cands
                     .iter()
-                    .enumerate()
-                    .max_by(|(_, a), (_, b)| {
-                        let score = |(hops, len): &(Vec<DirectedHop>, f64)| {
-                            let fibers: std::collections::BTreeSet<_> = hops
-                                .iter()
-                                .flat_map(|h| {
-                                    wan.optical
-                                        .lightpath(wan.link(h.link).lightpath)
-                                        .path
-                                        .iter()
-                                        .copied()
-                                })
-                                .collect();
-                            let disjoint =
-                                chosen_fibers.iter().filter(|cf| cf.is_disjoint(&fibers)).count()
-                                    as f64;
-                            disjoint - len / 1e6
-                        };
-                        score(a).total_cmp(&score(b))
+                    .zip(&cand_fibers)
+                    .map(|((_, len), set)| {
+                        let disjoint =
+                            chosen_fibers.iter().filter(|cf| cf.is_disjoint(set)).count() as f64;
+                        disjoint - len / 1e6
                     })
-                    .map(|(i, _)| i)
+                    .collect();
+                let Some(best) =
+                    scores.iter().enumerate().max_by(|a, b| a.1.total_cmp(b.1)).map(|(i, _)| i)
                 else {
                     break;
                 };
                 chosen.push(cands.swap_remove(best));
+                chosen_fibers.push(cand_fibers.swap_remove(best));
             }
         } else {
             cands.truncate(k);
             chosen = cands;
         }
         // Patch: guarantee (where the IP layer permits) a residual tunnel
-        // for every instance scenario and for every single-fiber cut. FFC-k
-        // enumerates *all* k-fiber combinations, so FFC-1 needs every single
-        // cut covered, not just the probabilistic subset (§6 "ensuring that
-        // there is at least one residual tunnel for every flow under each
-        // failure scenario").
-        let mut patch_sets: Vec<Vec<IpLinkId>> =
-            scenarios.iter().map(|s| s.failed_links.clone()).collect();
-        for f in 0..wan.optical.num_fibers() {
-            let failed = wan.links_failed_by(&[arrow_optical::FiberId(f)]);
-            if !failed.is_empty() {
-                patch_sets.push(failed);
-            }
-        }
-        for failed in &patch_sets {
+        // for every instance scenario and for every single-fiber cut (§6
+        // "ensuring that there is at least one residual tunnel for every
+        // flow under each failure scenario").
+        for failed in scenarios.iter().map(|s| &s.failed_links).chain(&single_cuts) {
             let survives =
                 chosen.iter().any(|(hops, _)| hops.iter().all(|h| !failed.contains(&h.link)));
             if !survives {
-                if let Some(extra) = ip_shortest_path(wan, src, dst, failed, &[]) {
+                if let Some(extra) = ip_shortest_path(wan, &weight, src, dst, failed, &[]) {
                     if !chosen.iter().any(|(p, _)| *p == extra.0) {
                         chosen.push(extra);
                     }
