@@ -193,14 +193,15 @@ pub struct EpochReport {
     /// skeleton, warm starts) — `false` for the first epoch after
     /// [`ArrowController::new`] or [`ArrowController::reset_online_cache`].
     pub warm: bool,
-    /// Wall-clock seconds the epoch took, including any hook work.
+    /// Wall-clock seconds the epoch took, including any hook work, read
+    /// off its `epoch` span.
     pub seconds: f64,
     /// The SLO verdict ([`arrow_obs::slo::record_epoch`]) for this epoch.
     pub verdict: arrow_obs::EpochVerdict,
 }
 
 /// A pre-solve hook for [`ArrowController::plan_epoch`]: runs *inside*
-/// the epoch span and wall-clock window, after offline validation and
+/// the epoch span (and so its clock), after offline validation and
 /// before the TE solve. The daemon's chaos mode uses it to model extra
 /// planning load — anything the hook burns counts against the epoch
 /// deadline exactly like solver time.
@@ -273,22 +274,17 @@ impl ArrowController {
     ///
     /// Returns the plan with the measured [`EpochReport`] (wall seconds
     /// and the SLO verdict); the optional pre-solve [`EpochHook`] runs
-    /// inside the epoch's span and deadline window. The verdict is
-    /// computed from the same wall clock the `epoch` span and
-    /// `epoch.seconds` histogram see, so a deadline miss reported here is
-    /// exactly the miss the flight recorder captures.
+    /// inside the epoch's span and deadline window. The seconds are read
+    /// off the `epoch` span itself, inside it, and feed the
+    /// `epoch.seconds` histogram and the verdict, so a deadline miss
+    /// reported here is exactly the miss the flight recorder captures.
     pub fn plan_epoch(
         &mut self,
         tm: &TrafficMatrix,
         hook: Option<EpochHook<'_>>,
     ) -> Result<(TePlan, EpochReport), PlanError> {
         let warm = self.online.is_some();
-        let _span = arrow_obs::span!("epoch", "mode" => if warm { "warm" } else { "cold" });
-        #[expect(
-            clippy::disallowed_types,
-            reason = "measures epoch wall time for the metrics registry only; no solver decision reads it"
-        )]
-        let t0 = std::time::Instant::now();
+        let span = arrow_obs::span!("epoch", "mode" => if warm { "warm" } else { "cold" });
         self.validate_offline()?;
         if let Some(hook) = hook {
             hook();
@@ -306,7 +302,7 @@ impl ArrowController {
         let instance = cache.instance.with_demands(tm);
         let outcome = cache.online.solve(&instance);
         let plan = self.finish_plan(outcome, instance);
-        let seconds = t0.elapsed().as_secs_f64();
+        let seconds = span.elapsed_seconds();
         let verdict = epoch_metrics().record(warm, seconds);
         plan.map(|p| (p, EpochReport { warm, seconds, verdict }))
     }

@@ -119,22 +119,18 @@ pub fn fractional_seed(
 }
 
 /// Relaxed-RWA seeds for a chunk of scenarios via one batched LP solve
-/// ([`solve_relaxed_batch`]). Returns each scenario's seed paired with its
-/// amortized share of the chunk's RWA seconds. Seeds are bitwise identical
-/// to per-scenario [`fractional_seed`] calls.
+/// ([`solve_relaxed_batch`]) inside an `offline.rwa` span. Returns each
+/// scenario's seed paired with its amortized share of that span's seconds.
+/// Seeds are bitwise identical to per-scenario [`fractional_seed`] calls.
 fn fractional_seed_batch(
     wan: &Wan,
     scens: &[&FailureScenario],
     rwa: &RwaConfig,
 ) -> Vec<(Vec<FractionalRestoration>, f64)> {
-    #[expect(
-        clippy::disallowed_types,
-        reason = "RWA timing feeds ScenarioStats reporting; ticket contents never depend on it"
-    )]
-    let t0 = std::time::Instant::now();
+    let span = arrow_obs::span!("offline.rwa", "scenarios" => scens.len());
     let cuts: Vec<_> = scens.iter().map(|s| s.cut_fibers.as_slice()).collect();
     let sols = solve_relaxed_batch(&wan.optical, &cuts, rwa);
-    let share = t0.elapsed().as_secs_f64() / scens.len().max(1) as f64;
+    let share = span.elapsed_seconds() / scens.len().max(1) as f64;
     sols.iter().map(|sol| (restorations_from(wan, sol), share)).collect()
 }
 
@@ -241,9 +237,9 @@ pub fn derive_seed(seed: u64, scenario_index: u64) -> u64 {
 pub struct ScenarioStats {
     /// Index of the scenario in the input slice.
     pub scenario: usize,
-    /// Seconds spent in the relaxed-RWA solve seeding the rounding.
-    pub rwa_seconds: f64,
-    /// Total seconds of work for this scenario (RWA + rounding + filter).
+    /// Total seconds of work for this scenario: its `offline.scenario`
+    /// span (rounding + filter) plus its share of the chunk's
+    /// `offline.rwa` span (the batched relaxed-RWA solve).
     pub seconds: f64,
     /// Rounding draws attempted (Algorithm 1's |Z| budget).
     pub rounds: usize,
@@ -264,7 +260,8 @@ pub struct ScenarioStats {
 pub struct OfflineStats {
     /// Per-scenario measurements, parallel to the scenario slice.
     pub per_scenario: Vec<ScenarioStats>,
-    /// End-to-end wall-clock seconds for the offline stage.
+    /// End-to-end wall-clock seconds for the offline stage, read off its
+    /// `offline` span.
     pub wall_seconds: f64,
     /// Sum of per-scenario work seconds (the serial-equivalent cost).
     pub work_seconds: f64,
@@ -316,7 +313,8 @@ impl OfflineStats {
 }
 
 /// The rounding/filtering half of Algorithm 1 for one scenario, given its
-/// fractional seed and the seconds spent producing it.
+/// fractional seed and the seconds spent producing it (added to the
+/// `offline.scenario` span's own time in [`ScenarioStats::seconds`]).
 ///
 /// Owns the scenario's derived RNG stream (the rounding draws are the only
 /// consumer), so tickets depend solely on `(wan, scen, index, cfg, seed)` —
@@ -330,18 +328,13 @@ fn round_and_filter(
     seed: &[FractionalRestoration],
     rwa_seconds: f64,
 ) -> (Vec<RestorationTicket>, ScenarioStats) {
-    let _span = arrow_obs::span!(
+    let span = arrow_obs::span!(
         "offline.scenario",
         "scenario" => index,
         "cut_fibers" => scen.cut_fibers.len(),
     );
-    #[expect(
-        clippy::disallowed_types,
-        reason = "rounding timing feeds ScenarioStats reporting; ticket contents never depend on it"
-    )]
-    let t_round = std::time::Instant::now();
     let mut rng = StdRng::seed_from_u64(derive_seed(cfg.seed, index as u64));
-    let mut stats = ScenarioStats { scenario: index, rwa_seconds, ..Default::default() };
+    let mut stats = ScenarioStats { scenario: index, ..Default::default() };
     let mut tickets: Vec<RestorationTicket> = Vec::new();
     if cfg.include_naive {
         tickets.push(naive_ticket(wan, scen, &cfg.rwa));
@@ -379,7 +372,7 @@ fn round_and_filter(
         stats.naive_fallback = true;
     }
     stats.kept = tickets.len();
-    stats.seconds = rwa_seconds + t_round.elapsed().as_secs_f64();
+    stats.seconds = rwa_seconds + span.elapsed_seconds();
     offline_metrics().record_scenario(&stats);
     (tickets, stats)
 }
@@ -393,7 +386,6 @@ struct OfflineMetrics {
     duplicates: arrow_obs::Counter,
     naive_fallbacks: arrow_obs::Counter,
     scenario_seconds: arrow_obs::Histogram,
-    wall_seconds: arrow_obs::Gauge,
 }
 
 impl OfflineMetrics {
@@ -423,7 +415,6 @@ fn offline_metrics() -> &'static OfflineMetrics {
             "offline.scenario.seconds",
             &[1e-3, 3e-3, 1e-2, 3e-2, 0.1, 0.3, 1.0, 3.0, 10.0, 30.0],
         ),
-        wall_seconds: arrow_obs::metrics::gauge("offline.wall.seconds"),
     })
 }
 
@@ -450,17 +441,12 @@ fn generate_chunked(
     threads: usize,
 ) -> (Vec<Vec<RestorationTicket>>, OfflineStats) {
     let threads = threads.max(1);
-    let _span = arrow_obs::span!(
+    let span = arrow_obs::span!(
         "offline",
         "scenarios" => work.len(),
         "threads" => threads,
         "num_tickets" => cfg.num_tickets,
     );
-    #[expect(
-        clippy::disallowed_types,
-        reason = "offline-stage wall time feeds OfflineStats reporting; ticket contents never depend on it"
-    )]
-    let t0 = std::time::Instant::now();
     let width = work.len().div_ceil(threads).clamp(1, MAX_CHUNK);
     let per_chunk = crate::par::parallel_map_with(threads, work.chunks(width).collect(), |chunk| {
         let scens: Vec<&FailureScenario> = chunk.iter().map(|&(_, scen)| scen).collect();
@@ -484,8 +470,7 @@ fn generate_chunked(
         stats.per_scenario.push(s);
         tickets.push(scenario_tickets);
     }
-    stats.wall_seconds = t0.elapsed().as_secs_f64();
-    offline_metrics().wall_seconds.set(stats.wall_seconds);
+    stats.wall_seconds = span.elapsed_seconds();
     (tickets, stats)
 }
 
@@ -573,7 +558,8 @@ pub fn generate_tickets_shard(
 
 /// The documented serial reference for the determinism contract: plain
 /// `iter().map()` — one unbatched [`solve_relaxed`] per scenario
-/// ([`fractional_seed`]), no thread pool, no chunks.
+/// ([`fractional_seed`]), no thread pool, no chunks, and no clock of its
+/// own: it returns no stats, so its scenarios count no RWA seconds.
 ///
 /// Every generator (any thread count, any sharding) must produce a
 /// `TicketSet` equal to this — `crates/core/tests/determinism.rs` and
@@ -588,13 +574,8 @@ pub fn generate_tickets_serial(
             .iter()
             .enumerate()
             .map(|(i, scen)| {
-                #[expect(
-                    clippy::disallowed_types,
-                    reason = "RWA timing feeds ScenarioStats reporting; ticket contents never depend on it"
-                )]
-                let t_rwa = std::time::Instant::now();
                 let seed = fractional_seed(wan, scen, &cfg.rwa);
-                round_and_filter(wan, scen, i, cfg, &seed, t_rwa.elapsed().as_secs_f64()).0
+                round_and_filter(wan, scen, i, cfg, &seed, 0.0).0
             })
             .collect(),
     )

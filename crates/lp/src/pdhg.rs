@@ -228,12 +228,10 @@ pub fn solve(lp: &StandardLp, cfg: &PdhgConfig) -> Solution {
 /// resumes from it; near-optimal starts converge in a fraction of the cold
 /// iteration count. A point of the wrong dimension is recorded as a
 /// [`WarmEvent::Miss`] and the solve starts cold.
+///
+/// [`SolveStats::solve_seconds`] is left 0: the [`crate::solver`] entry
+/// points time every solve by its `lp.solve` span.
 pub fn solve_warm(lp: &StandardLp, cfg: &PdhgConfig, start_point: Option<&PrimalDual>) -> Solution {
-    #[expect(
-        clippy::disallowed_types,
-        reason = "solve wall time reported in SolveStats; iteration counts, not time, bound the solve"
-    )]
-    let start = std::time::Instant::now();
     let n = lp.num_vars();
     let m = lp.num_cons();
     if m == 0 {
@@ -386,7 +384,6 @@ pub fn solve_warm(lp: &StandardLp, cfg: &PdhgConfig, start_point: Option<&Primal
         basis: None,
         stats: SolveStats {
             iterations,
-            solve_seconds: start.elapsed().as_secs_f64(),
             rows: m,
             cols: n,
             nnz: lp.a.nnz(),

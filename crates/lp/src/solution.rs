@@ -38,7 +38,8 @@ impl Status {
 pub struct SolveStats {
     /// Simplex pivots or PDHG iterations performed.
     pub iterations: usize,
-    /// Wall-clock seconds spent inside the solver.
+    /// Wall-clock seconds of the solve, read off its `lp.solve` span by the
+    /// [`crate::solver`] entry points; a backend called directly leaves it 0.
     pub solve_seconds: f64,
     /// Constraint rows of the solved standard form.
     pub rows: usize,

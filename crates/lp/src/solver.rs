@@ -63,7 +63,7 @@ impl SolverConfig {
     }
 }
 
-/// Solves `model` with the configured backend, timing the call.
+/// Solves `model` with the configured backend, timed by its `lp.solve` span.
 pub fn solve(model: &Model, cfg: &SolverConfig) -> Solution {
     solve_with(model, cfg, None)
 }
@@ -75,32 +75,27 @@ pub fn solve(model: &Model, cfg: &SolverConfig) -> Solution {
 /// PDHG the primal–dual point — and records a hit/miss in
 /// [`SolveStats`].
 pub fn solve_with(model: &Model, cfg: &SolverConfig, warm: Option<&WarmStart>) -> Solution {
-    let _span = arrow_obs::span!(
-        "lp.solve",
-        "rows" => model.num_cons(),
-        "cols" => model.num_vars(),
-        "warm" => warm.is_some(),
-        "backend" => backend_label(cfg, model.num_cons()),
-    );
     solve_timed(model, cfg, warm, &mut Workspace::default())
 }
 
-/// [`solve_with`] minus the span: runs the backend, stamps `solve_seconds`
-/// and flushes the metrics. [`solve_batch`] calls this per lane, handing one
-/// simplex [`Workspace`] from lane to lane.
+/// Every solve's one body: runs the backend in an `lp.solve` span, reads
+/// `solve_seconds` off it and flushes the metrics. [`solve_batch`] calls
+/// this per lane, handing one simplex [`Workspace`] from lane to lane.
 fn solve_timed(
     model: &Model,
     cfg: &SolverConfig,
     warm: Option<&WarmStart>,
     ws: &mut Workspace,
 ) -> Solution {
-    #[expect(
-        clippy::disallowed_types,
-        reason = "solve wall time reported in SolveStats; iteration counts, not time, bound the solve"
-    )]
-    let start = std::time::Instant::now();
+    let span = arrow_obs::span!(
+        "lp.solve",
+        "rows" => model.num_cons(),
+        "cols" => model.num_vars(),
+        "warm" => warm.is_some(),
+        "backend" => backend_label(cfg, model.num_cons()),
+    );
     let mut sol = solve_inner(model, cfg, warm, ws);
-    sol.stats.solve_seconds = start.elapsed().as_secs_f64();
+    sol.stats.solve_seconds = span.elapsed_seconds();
     lp_metrics().record(&sol.stats);
     sol
 }
@@ -237,11 +232,12 @@ fn data_defect(lp: &StandardLp) -> Option<Status> {
 
 /// Solves a family of models in order, one [`Solution`] per model.
 ///
-/// Each lane runs exactly the code path [`solve`] runs, so its result is
-/// **bitwise identical** to a standalone solve; what the batch adds is one
-/// `lp.solve_batch` span around the lanes, [`SolveStats::lanes`] = 1 on
-/// every result, and one set of simplex buffers handed from lane to lane,
-/// so a chunk of same-sized LPs allocates its basis inverse once.
+/// Each lane runs exactly the code path [`solve`] runs, its own `lp.solve`
+/// span included, so its result is **bitwise identical** to a standalone
+/// solve; what the batch adds is one `lp.solve_batch` span around the
+/// lanes, [`SolveStats::lanes`] = 1 on every result, and one set of
+/// simplex buffers handed from lane to lane, so a chunk of same-sized LPs
+/// allocates its basis inverse once.
 ///
 /// An empty slice returns an empty vec.
 pub fn solve_batch<M: Borrow<Model>>(models: &[M], cfg: &SolverConfig) -> Vec<Solution> {
@@ -294,10 +290,34 @@ mod tests {
         assert!((a.objective - b.objective).abs() < 1e-4);
     }
 
+    /// `solve_seconds` is read off each solve's own `lp.solve` span, single
+    /// or batched. Other tests solve concurrently: a parent span picks ours.
     #[test]
     fn solve_records_wall_time() {
-        let s = solve(&tiny_model(), &SolverConfig::default());
-        assert!(s.stats.solve_seconds >= 0.0);
+        use arrow_obs::{trace, Record, RingSubscriber};
+        let ring = std::sync::Arc::new(RingSubscriber::new(1 << 14));
+        trace::install(ring.clone());
+        let single = (arrow_obs::span!("test.single"), solve(&tiny_model(), &Default::default())).1;
+        let models = [tiny_model(), tiny_model(), tiny_model()];
+        let lanes = (arrow_obs::span!("test.batch"), solve_batch(&models, &Default::default())).1;
+        trace::uninstall();
+        let children = |parent: u64, name: &str| -> Vec<Record> {
+            let spans = ring.finished_spans(name).into_iter();
+            spans.filter(|r| r.parent_id == Some(parent)).collect()
+        };
+        let agree = |sols: &[Solution], parent: &Record| {
+            let spans = children(parent.span_id, "lp.solve");
+            assert_eq!(spans.len(), sols.len(), "one lp.solve span per solve");
+            for (sol, span) in sols.iter().zip(&spans) {
+                let span_seconds = span.duration_nanos.unwrap_or(0) as f64 / 1e9;
+                let seconds = sol.stats.solve_seconds;
+                assert!(seconds <= span_seconds && span_seconds - seconds < 1e-3, "{span:?}");
+            }
+        };
+        agree(&[single], &ring.finished_spans("test.single")[0]);
+        let batch = children(ring.finished_spans("test.batch")[0].span_id, "lp.solve_batch");
+        assert_eq!(batch.len(), 1, "one lp.solve_batch span around the lanes");
+        agree(&lanes, &batch[0]);
     }
 
     #[test]

@@ -51,13 +51,6 @@ pub struct SpanNode {
     pub children: Vec<usize>,
 }
 
-impl SpanNode {
-    /// Duration in seconds.
-    pub fn duration_seconds(&self) -> f64 {
-        self.duration_nanos as f64 / 1e9
-    }
-}
-
 /// One aggregated row of the per-stage report.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StageStat {
@@ -203,17 +196,6 @@ impl SpanTree {
         let in_children: u64 =
             node.children.iter().filter_map(|&c| self.nodes.get(c)).map(|c| c.duration_nanos).sum();
         node.duration_nanos.saturating_sub(in_children)
-    }
-
-    /// Fraction of the span's duration attributed to named child spans
-    /// (`0.0` for a childless span, capped at `1.0`).
-    pub fn child_coverage(&self, index: usize) -> f64 {
-        let Some(node) = self.nodes.get(index) else { return 0.0 };
-        if node.duration_nanos == 0 {
-            return 0.0;
-        }
-        let covered = node.duration_nanos.saturating_sub(self.self_nanos(index));
-        (covered as f64 / node.duration_nanos as f64).min(1.0)
     }
 
     /// Indices of finished spans named `name`, in end order.
@@ -399,7 +381,6 @@ mod tests {
         assert_eq!(tree.self_nanos(phase1), 10); // 60 - 50
         let solve = tree.spans_named("lp.solve")[0];
         assert_eq!(tree.self_nanos(solve), 50);
-        assert!((tree.child_coverage(root) - 0.85).abs() < 1e-12);
     }
 
     #[test]

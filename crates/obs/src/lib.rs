@@ -13,9 +13,12 @@
 //!   Prometheus-style text exposition.
 //! * [`trace`] — structured spans and events: [`span!`]/[`event!`] with a
 //!   thread-local span stack, monotonic timestamps, and key-value fields,
-//!   delivered to an installed [`trace::Subscriber`]. With no subscriber
-//!   installed the entire path is one relaxed atomic load — fields are not
-//!   even evaluated — so instrumentation is effectively free when off.
+//!   delivered to an installed [`trace::Subscriber`]. Spans are also the
+//!   one clock product code reads: [`trace::SpanGuard::elapsed_seconds`]
+//!   times the region a span brackets. With no subscriber installed a
+//!   span is one relaxed atomic load plus one monotonic clock read —
+//!   fields are not even evaluated and nothing allocates — so
+//!   instrumentation is effectively free when off.
 //!
 //! Subscribers shipped: [`trace::FileSubscriber`] (JSONL, one record per
 //! line, for run reports) and [`trace::RingSubscriber`] (bounded in-memory

@@ -5,16 +5,19 @@
 //! [`SpanGuard`]; dropping it closes the span and records its duration);
 //! an event ([`crate::event!`]) is a point-in-time record. Both carry
 //! key-value [`FieldValue`] fields, a monotonic timestamp relative to the
-//! first trace record of the process, and the id of the enclosing span on
-//! the *same thread* (a thread-local span stack provides parentage;
+//! process's first read of the trace clock, and the id of the enclosing
+//! span on the *same thread* (a thread-local span stack provides parentage;
 //! cross-thread parentage is deliberately omitted — a span opened on a
 //! worker thread is a root on that thread, and every record carries a
 //! small per-thread id instead).
 //!
-//! The disabled path is the design center: with no subscriber installed,
-//! [`enabled`] is a single relaxed atomic load, the macros evaluate no
-//! field expressions, and nothing allocates (the crate's test suite
-//! asserts this with a counting allocator).
+//! Spans are also the product's one clock: a guard stamps its start live
+//! or not, and [`SpanGuard::elapsed_seconds`] reads a region's time off
+//! the span that brackets it. The disabled path is the design center: with
+//! no subscriber installed, a span is one relaxed atomic load ([`enabled`])
+//! plus one clock read, the macros evaluate no field expressions, and
+//! nothing allocates (the crate's test suite asserts this with a counting
+//! allocator).
 
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
@@ -197,11 +200,6 @@ impl Record {
         self.fields.iter().find(|(k, _)| *k == key).map(|(_, v)| v)
     }
 
-    /// Span duration in seconds, for `SpanEnd` records.
-    pub fn duration_seconds(&self) -> Option<f64> {
-        self.duration_nanos.map(|n| n as f64 / 1e9)
-    }
-
     /// Serializes the record as one JSON line (no trailing newline).
     pub fn to_json_line(&self) -> String {
         let mut s = format!(
@@ -262,7 +260,7 @@ pub fn uninstall() {
     *subscriber_slot().write().unwrap_or_else(|p| p.into_inner()) = None;
 }
 
-/// Monotonic process trace epoch (set at the first timestamped record).
+/// Monotonic process trace epoch (set at the first clock read).
 fn epoch() -> Instant {
     static EPOCH: OnceLock<Instant> = OnceLock::new();
     *EPOCH.get_or_init(Instant::now)
@@ -363,13 +361,16 @@ pub struct SpanGuard {
 
 impl SpanGuard {
     /// An inert guard: the span was never opened (tracing was off) and
-    /// dropping it does nothing. Allocation-free.
+    /// dropping it emits nothing, but its clock runs from here, so
+    /// [`SpanGuard::elapsed_seconds`] still times the region. Also the
+    /// stopwatch for a region that must not open a span (one that would
+    /// re-parent every span inside it). One clock read, allocation-free.
     pub fn disabled() -> Self {
         SpanGuard {
             name: "",
             span_id: 0,
             parent_id: None,
-            start_nanos: 0,
+            start_nanos: now_nanos(),
             active: false,
             fields: Vec::new(),
         }
@@ -378,6 +379,13 @@ impl SpanGuard {
     /// Whether this guard tracks a live span.
     pub fn is_active(&self) -> bool {
         self.active
+    }
+
+    /// Seconds since the guard was opened, on the clock its end record
+    /// uses, so a value read inside the span is at most its recorded
+    /// duration.
+    pub fn elapsed_seconds(&self) -> f64 {
+        now_nanos().saturating_sub(self.start_nanos) as f64 / 1e9
     }
 }
 
@@ -600,9 +608,10 @@ mod tests {
         }
         let before = counting_alloc::thread_allocs();
         for i in 0..1000_u64 {
-            let _s = crate::span!("test.disabled_span", "i" => i, "label" => "expensive");
+            let s = crate::span!("test.disabled_span", "i" => i, "label" => "expensive");
             crate::event!("test.disabled_event", "i" => i);
             crate::event!(warn: "test.disabled_warn", "i" => i);
+            std::hint::black_box(s.elapsed_seconds());
         }
         let after = counting_alloc::thread_allocs();
         assert_eq!(after - before, 0, "disabled tracing path allocated");

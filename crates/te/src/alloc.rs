@@ -15,8 +15,6 @@ pub struct TeAllocation {
     pub a: Vec<f64>,
     /// Name of the scheme that produced this (for reports).
     pub scheme: String,
-    /// LP solve seconds consumed producing the allocation.
-    pub solve_seconds: f64,
 }
 
 impl TeAllocation {
@@ -80,7 +78,6 @@ mod tests {
             b: vec![1.0; inst.flows.len()],
             a: vec![0.0; inst.tunnels.len()],
             scheme: "test".into(),
-            solve_seconds: 0.0,
         };
         let ratios = alloc.splitting_ratios(&inst, FlowId(0));
         let sum: f64 = ratios.iter().map(|(_, w)| w).sum();
@@ -98,12 +95,8 @@ mod tests {
         let inst =
             build_instance(&wan, &tms[0], &failures.failure_scenarios(), &Default::default());
         let half: Vec<f64> = inst.flows.iter().map(|f| f.demand_gbps / 2.0).collect();
-        let alloc = TeAllocation {
-            b: half,
-            a: vec![0.0; inst.tunnels.len()],
-            scheme: "test".into(),
-            solve_seconds: 0.0,
-        };
+        let alloc =
+            TeAllocation { b: half, a: vec![0.0; inst.tunnels.len()], scheme: "test".into() };
         assert!((alloc.throughput(&inst) - 0.5).abs() < 1e-9);
     }
 }

@@ -389,9 +389,8 @@ impl ArrowOnline {
             let _span = arrow_obs::span!("te.select", "scenarios" => inst.scenarios.len());
             self.arrow.select_winning(inst, &self.phase1, &sol1)
         };
-        let (mut output, phase2_stats) =
+        let (output, phase2_stats) =
             solve_phase2(&self.arrow, &mut self.phase2, inst, &winning, Some(&sol1));
-        output.alloc.solve_seconds = sol1.stats.solve_seconds + phase2_stats.solve_seconds;
         ArrowOutcome {
             output,
             winning,

@@ -29,10 +29,7 @@ impl TeScheme for Ecmp {
                 a[t.0] = share;
             }
         }
-        SchemeOutput {
-            alloc: TeAllocation { b, a, scheme: self.name(), solve_seconds: 0.0 },
-            restoration: None,
-        }
+        SchemeOutput { alloc: TeAllocation { b, a, scheme: self.name() }, restoration: None }
     }
 }
 

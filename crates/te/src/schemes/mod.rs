@@ -92,7 +92,6 @@ pub(crate) fn extract_alloc(
         b: base.b.iter().map(|&v| sol.value(v).max(0.0)).collect(),
         a: base.a.iter().map(|&v| sol.value(v).max(0.0)).collect(),
         scheme: scheme.to_string(),
-        solve_seconds: sol.stats.solve_seconds,
     }
     .repaired(inst)
     .clamped(inst)

@@ -122,7 +122,6 @@ impl TeScheme for TeaVar {
             b: healthy_delivered.iter().map(|&v| sol.value(v).max(0.0)).collect(),
             a: a.iter().map(|&v| sol.value(v).max(0.0)).collect(),
             scheme: self.name(),
-            solve_seconds: sol.stats.solve_seconds,
         }
         .repaired(inst)
         .clamped(inst);

@@ -71,7 +71,7 @@ pub struct ServeConfig {
     pub backend: arrow_lp::Backend,
     /// Base demand multiplier applied to the gravity matrix.
     pub demand_scale: f64,
-    /// Telemetry-noise amplitude on each tick's demand.
+    /// Telemetry-noise amplitude on each tick's demand, in `[0, 1]`.
     pub demand_jitter: f64,
     /// Mean simulated seconds between random single-fiber cuts (0 = off).
     pub mean_cut_interval_s: f64,
@@ -123,7 +123,8 @@ pub enum ServeError {
     /// The exporter could not bind, or an incident dump failed to write.
     Io(std::io::Error),
     /// The [`ServeConfig`] cannot be served (e.g. a negative or non-finite
-    /// `demand_scale` or chaos `stall_seconds`); nothing was started.
+    /// `demand_scale` or chaos `stall_seconds`, or a `demand_jitter`
+    /// outside `[0, 1]`); nothing was started.
     Config(String),
 }
 
@@ -173,7 +174,8 @@ pub struct ServeReport {
     pub winning_digest: u64,
     /// Wall seconds per planned epoch, in planning order.
     pub epoch_seconds: Vec<f64>,
-    /// Wall seconds for the whole loop (excluding offline generation).
+    /// Wall seconds for the whole loop (excluding offline generation), on
+    /// the trace clock the epochs' spans use.
     pub wall_seconds: f64,
     /// Live self-scrapes that returned 200 with the epoch histogram.
     pub scrapes_ok: u64,
@@ -189,15 +191,6 @@ impl ServeReport {
     /// Exact p99 over the per-epoch wall clocks (0.0 when empty).
     pub fn p99_epoch_seconds(&self) -> f64 {
         percentile(&self.epoch_seconds, 0.99)
-    }
-
-    /// Planned epochs per wall-clock second of loop time.
-    pub fn epochs_per_sec(&self) -> f64 {
-        if self.wall_seconds > 0.0 {
-            self.epochs_planned as f64 / self.wall_seconds
-        } else {
-            0.0
-        }
     }
 }
 
@@ -263,6 +256,14 @@ pub fn serve(wan: Wan, config: &ServeConfig) -> Result<ServeReport, ServeError> 
         return Err(ServeError::Config(format!(
             "demand_scale must be finite and >= 0, got {}",
             config.demand_scale
+        )));
+    }
+    // Each tick scales demand by a draw from [1 - j, 1 + j]: past 1 a tick
+    // can go negative, which `TrafficMatrix::scaled` asserts against.
+    if !(0.0..=1.0).contains(&config.demand_jitter) {
+        return Err(ServeError::Config(format!(
+            "demand_jitter must be in [0, 1], got {}",
+            config.demand_jitter
         )));
     }
     if !(config.budget_seconds.is_finite() && config.budget_seconds > 0.0) {
@@ -358,11 +359,9 @@ pub fn serve(wan: Wan, config: &ServeConfig) -> Result<ServeReport, ServeError> 
     };
     let mut installed: Option<(u64, TePlan)> = None;
     let mut last_scale = 1.0_f64;
-    #[expect(
-        clippy::disallowed_types,
-        reason = "loop throughput reporting only; no planning decision reads it"
-    )]
-    let loop_start = std::time::Instant::now();
+    // A bare stopwatch, not a span: a `daemon.loop` span would become
+    // every epoch's parent in the flight recorder's captures.
+    let loop_clock = arrow_obs::SpanGuard::disabled();
 
     while let Some((t, ev)) = feed.next_event() {
         report.event_log.push(format!("t={t:.1} {}", ev.label()));
@@ -491,7 +490,7 @@ pub fn serve(wan: Wan, config: &ServeConfig) -> Result<ServeReport, ServeError> 
         }
     }
 
-    report.wall_seconds = loop_start.elapsed().as_secs_f64();
+    report.wall_seconds = loop_clock.elapsed_seconds();
     report.warm_hit_ratio = if report.epochs_planned > 0 {
         report.warm_hits as f64 / report.epochs_planned as f64
     } else {

@@ -116,8 +116,10 @@ fn observed_diurnal_replay_is_scraped_traced_and_attributed() {
 
     let (mut ctl, tm) = diurnal_controller();
     let slo_met_before = metrics::snapshot().counter("slo.epoch.met");
+    let mut reported = Vec::new();
     for &scale in &DIURNAL {
-        ctl.plan_epoch(&tm.scaled(scale), None).expect("valid offline state plans");
+        let (_, report) = ctl.plan_epoch(&tm.scaled(scale), None).expect("valid offline state");
+        reported.push(report.seconds);
     }
     trace::uninstall();
     file.flush().expect("flush trace.jsonl");
@@ -161,6 +163,13 @@ fn observed_diurnal_replay_is_scraped_traced_and_attributed() {
     // solve, and named child spans cover at least half of epoch wall time.
     let tree = SpanTree::from_jsonl(&text).expect("trace.jsonl parses");
     let epochs = tree.spans_named("epoch");
+
+    // One clock: each report's seconds are read off its own epoch span,
+    // inside it, so they never exceed the span and trail it by < 1 ms.
+    for (&e, &seconds) in epochs.iter().zip(&reported) {
+        let span = tree.nodes[e].duration_nanos as f64 / 1e9;
+        assert!(seconds <= span && span - seconds < 1e-3, "report {seconds} s, span {span} s");
+    }
     let (mut covered_nanos, mut epoch_nanos) = (0, 0);
     for &e in &epochs {
         let path: Vec<_> = tree.critical_path(e).into_iter().map(|hop| hop.name).collect();

@@ -47,6 +47,20 @@ fn bad_demand_scale_is_rejected_without_a_panic() {
     }
 }
 
+/// A demand jitter outside `[0, 1]` is rejected the same way. Past 1 a
+/// tick's draw from `[1 - j, 1 + j]` can scale demand below zero, and 1.5
+/// under `base_config`'s seed did, panicking in `TrafficMatrix::scaled`;
+/// NaN and negative values used to run silently as 0.
+#[test]
+fn bad_demand_jitter_is_rejected_without_a_panic() {
+    let _guard = SERVE_LOCK.lock().expect("serve lock");
+    for jitter in [f64::NAN, -0.1, f64::INFINITY, 1.5] {
+        let config = ServeConfig { demand_jitter: jitter, ..base_config("bad-jitter") };
+        let err = serve(b4(17), &config).expect_err("bad demand_jitter must be rejected");
+        assert!(matches!(err, ServeError::Config(_)), "jitter {jitter}: {err}");
+    }
+}
+
 /// A deadline that is not a positive number of seconds is rejected the same
 /// way; it used to be swapped for 300 s while the CLI printed what was typed.
 #[test]
