@@ -147,12 +147,13 @@ fn sanitized(mut config: SloConfig) -> SloConfig {
     config
 }
 
-/// Exact quantile of a small sample (window-sized; sorts a copy).
-fn exact_quantile(samples: &VecDeque<f64>, q: f64) -> f64 {
+/// Exact quantile of a small sample: the ceil(q·n)-th order statistic
+/// (sorts a copy; 0.0 when empty).
+pub fn exact_quantile(samples: &[f64], q: f64) -> f64 {
     if samples.is_empty() {
         return 0.0;
     }
-    let mut sorted: Vec<f64> = samples.iter().copied().collect();
+    let mut sorted = samples.to_vec();
     sorted.sort_by(f64::total_cmp);
     let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
     sorted[rank - 1]
@@ -191,8 +192,8 @@ pub fn record_epoch(seconds: f64) -> EpochVerdict {
     // Rolling quantiles: the epoch.seconds histogram gives the cumulative
     // picture at bucket resolution; the exact window sharpens it for the
     // gauges (and works even if the histogram was reset mid-run).
-    let p50 = exact_quantile(&state.recent, 0.50);
-    let p99 = exact_quantile(&state.recent, 0.99);
+    let recent = state.recent.make_contiguous();
+    let (p50, p99) = (exact_quantile(recent, 0.50), exact_quantile(recent, 0.99));
 
     // Error budget: the objective tolerates a miss fraction of
     // `1 - objective`. Burn rate is the windowed miss fraction in units of

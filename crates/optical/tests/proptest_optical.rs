@@ -1,8 +1,8 @@
 //! Property-based tests of the optical substrate on random networks.
 
 use arrow_optical::{
-    greedy_assign, k_shortest_paths, solve_relaxed, Lightpath, OpticalNetwork, RoadmId, RwaConfig,
-    SpectrumMask,
+    greedy_assign, k_shortest_paths, solve_relaxed, FiberId, Lightpath, OpticalNetwork, RoadmId,
+    RwaConfig, SpectrumMask,
 };
 use proptest::prelude::*;
 
@@ -44,44 +44,92 @@ fn random_net(n: usize, extra: &[(usize, usize)], lps: &[(usize, usize)]) -> Opt
     net
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
+/// The brute-force oracle: pushes the length of every simple path from
+/// the last ROADM of `walk` to `dst` over unbanned fibers, by depth-first
+/// search.
+fn simple_path_lengths(
+    net: &OpticalNetwork,
+    dst: RoadmId,
+    banned: &[FiberId],
+    walk: &mut Vec<RoadmId>,
+    length: f64,
+    out: &mut Vec<f64>,
+) {
+    let at = walk[walk.len() - 1];
+    if at == dst {
+        out.push(length);
+        return;
+    }
+    for (id, fiber) in net.fibers().iter().enumerate() {
+        if banned.contains(&FiberId(id)) || !fiber.touches(at) {
+            continue;
+        }
+        let next = fiber.other_end(at);
+        if !walk.contains(&next) {
+            walk.push(next);
+            simple_path_lengths(net, dst, banned, walk, length + fiber.length_km, out);
+            walk.pop();
+        }
+    }
+}
 
-    /// Yen's paths are simple, sorted by length, distinct, and consistent
-    /// with Dijkstra's first path.
+proptest! {
+    // Graphs of at most 7 ROADMs: cheap enough to enumerate every path.
+    #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
+
+    /// Yen's paths are the k shortest simple paths: on small random graphs
+    /// with parallel fibers, integer lengths (so ties are common), banned
+    /// fibers and a length cap, `k_shortest_paths` returns
+    /// min(k, paths within the cap) distinct loop-free paths in ascending
+    /// order whose lengths are the k smallest of a brute-force enumeration.
+    /// (`cap` 0 stands for no cap.)
     #[test]
     fn ksp_invariants(
-        n in 4usize..9,
-        extra in proptest::collection::vec((0usize..9, 0usize..9), 0..4),
-        src in 0usize..9,
-        dst in 0usize..9,
-        k in 1usize..6,
+        n in 1usize..8,
+        fibers in proptest::collection::vec((0usize..7, 0usize..7, 1u8..5, any::<bool>()), 0..14),
+        src in 0usize..7,
+        dst in 0usize..7,
+        k in 0usize..8,
+        cap in 0u8..16,
     ) {
-        let net = random_net(n, &extra, &[]);
-        let (src, dst) = (src % n, dst % n);
-        if src == dst {
-            return Ok(());
+        let mut net = OpticalNetwork::new(1);
+        let r = net.add_roadms(n);
+        let mut banned = Vec::new();
+        for &(a, b, len, ban) in &fibers {
+            let f = net.add_fiber(r[a % n], r[b % n], f64::from(len)).unwrap();
+            if ban {
+                banned.push(f);
+            }
         }
-        let paths = k_shortest_paths(&net, RoadmId(src), RoadmId(dst), k, &[], f64::INFINITY);
-        prop_assert!(!paths.is_empty(), "ring is connected");
-        prop_assert!(paths.len() <= k);
-        for w in paths.windows(2) {
-            prop_assert!(w[0].length_km <= w[1].length_km + 1e-9, "not sorted");
-            prop_assert!(w[0].fibers != w[1].fibers, "duplicate path");
-        }
-        for p in &paths {
-            // Walk and check simplicity + endpoint correctness.
-            let mut at = RoadmId(src);
+        let (src, dst) = (r[src % n], r[dst % n]);
+        let cap = if cap == 0 { f64::INFINITY } else { f64::from(cap) };
+        let mut lengths = Vec::new();
+        simple_path_lengths(&net, dst, &banned, &mut vec![src], 0.0, &mut lengths);
+        lengths.retain(|&l| l <= cap);
+        lengths.sort_by(f64::total_cmp);
+        lengths.truncate(k);
+        let paths = k_shortest_paths(&net, src, dst, k, &banned, cap);
+        let got: Vec<f64> = paths.iter().map(|p| p.length_km).collect();
+        prop_assert_eq!(got, lengths);
+        for (i, p) in paths.iter().enumerate() {
+            prop_assert!(paths[..i].iter().all(|q| q.fibers != p.fibers), "duplicate path");
+            // Walk: no banned fiber, no repeated ROADM, ends at `dst`.
+            let mut at = src;
             let mut seen = vec![at];
             for &f in &p.fibers {
+                prop_assert!(!banned.contains(&f), "banned fiber used");
                 at = net.fiber(f).other_end(at);
                 prop_assert!(!seen.contains(&at), "loop in path");
                 seen.push(at);
             }
-            prop_assert_eq!(at, RoadmId(dst));
-            prop_assert!((net.path_length_km(&p.fibers) - p.length_km).abs() < 1e-9);
+            prop_assert_eq!(at, dst);
+            prop_assert_eq!(net.path_length_km(&p.fibers), p.length_km);
         }
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
     /// The relaxed RWA never restores more wavelengths than were lost, and
     /// the greedy exact assignment never exceeds the LP relaxation's

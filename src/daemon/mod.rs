@@ -190,19 +190,8 @@ pub struct ServeReport {
 impl ServeReport {
     /// Exact p99 over the per-epoch wall clocks (0.0 when empty).
     pub fn p99_epoch_seconds(&self) -> f64 {
-        percentile(&self.epoch_seconds, 0.99)
+        slo::exact_quantile(&self.epoch_seconds, 0.99)
     }
-}
-
-/// Exact small-sample percentile: the ceil(q·n)-th order statistic.
-fn percentile(samples: &[f64], q: f64) -> f64 {
-    if samples.is_empty() {
-        return 0.0;
-    }
-    let mut sorted = samples.to_vec();
-    sorted.sort_by(f64::total_cmp);
-    let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-    sorted[rank - 1]
 }
 
 struct DaemonMetrics {
