@@ -20,9 +20,7 @@
 //! realization of the RWA optimum — so at least one feasible candidate
 //! always exists (this is also exactly ARROW-Naive's plan).
 
-use arrow_optical::rwa::{
-    greedy_assign, is_feasible, solve_relaxed, solve_relaxed_batch, RwaConfig, RwaSolution,
-};
+use arrow_optical::rwa::{greedy_assign, is_feasible, solve_relaxed, RwaConfig, RwaSolution};
 use arrow_te::restoration::{RestorationTicket, TicketSet};
 use arrow_topology::hash::splitmix64;
 use arrow_topology::{FailureScenario, ScenarioUniverse, Wan};
@@ -116,22 +114,6 @@ pub fn fractional_seed(
 ) -> Vec<FractionalRestoration> {
     let sol = solve_relaxed(&wan.optical, &scenario.cut_fibers, rwa);
     restorations_from(wan, &sol)
-}
-
-/// Relaxed-RWA seeds for a chunk of scenarios via one batched LP solve
-/// ([`solve_relaxed_batch`]) inside an `offline.rwa` span. Returns each
-/// scenario's seed paired with its amortized share of that span's seconds.
-/// Seeds are bitwise identical to per-scenario [`fractional_seed`] calls.
-fn fractional_seed_batch(
-    wan: &Wan,
-    scens: &[&FailureScenario],
-    rwa: &RwaConfig,
-) -> Vec<(Vec<FractionalRestoration>, f64)> {
-    let span = arrow_obs::span!("offline.rwa", "scenarios" => scens.len());
-    let cuts: Vec<_> = scens.iter().map(|s| s.cut_fibers.as_slice()).collect();
-    let sols = solve_relaxed_batch(&wan.optical, &cuts, rwa);
-    let share = span.elapsed_seconds() / scens.len().max(1) as f64;
-    sols.iter().map(|sol| (restorations_from(wan, sol), share)).collect()
 }
 
 /// The greedy exact realization of the RWA optimum — ARROW-Naive's single
@@ -237,9 +219,9 @@ pub fn derive_seed(seed: u64, scenario_index: u64) -> u64 {
 pub struct ScenarioStats {
     /// Index of the scenario in the input slice.
     pub scenario: usize,
-    /// Total seconds of work for this scenario: its `offline.scenario`
-    /// span (rounding + filter) plus its share of the chunk's
-    /// `offline.rwa` span (the batched relaxed-RWA solve).
+    /// Total seconds of work for this scenario, read off its
+    /// `offline.scenario` span: the relaxed-RWA solve (its nested
+    /// `offline.rwa` span), rounding and the feasibility filter.
     pub seconds: f64,
     /// Rounding draws attempted (Algorithm 1's |Z| budget).
     pub rounds: usize,
@@ -312,27 +294,29 @@ impl OfflineStats {
     }
 }
 
-/// The rounding/filtering half of Algorithm 1 for one scenario, given its
-/// fractional seed and the seconds spent producing it (added to the
-/// `offline.scenario` span's own time in [`ScenarioStats::seconds`]).
+/// Algorithm 1 for the scenario at global index `index`: its relaxed RWA
+/// under an `offline.rwa` span, then rounding and the feasibility filter,
+/// all inside one `offline.scenario` span whose seconds are the
+/// scenario's [`ScenarioStats::seconds`].
 ///
 /// Owns the scenario's derived RNG stream (the rounding draws are the only
-/// consumer), so tickets depend solely on `(wan, scen, index, cfg, seed)` —
-/// identical whether the seed came from a sequential or a batched RWA
-/// solve.
-fn round_and_filter(
+/// consumer), so tickets depend solely on `(wan, scen, index, cfg)` —
+/// identical on whichever worker, and in whatever order, the scenario runs.
+fn scenario_tickets(
     wan: &Wan,
-    scen: &FailureScenario,
     index: usize,
+    scen: &FailureScenario,
     cfg: &LotteryConfig,
-    seed: &[FractionalRestoration],
-    rwa_seconds: f64,
 ) -> (Vec<RestorationTicket>, ScenarioStats) {
     let span = arrow_obs::span!(
         "offline.scenario",
         "scenario" => index,
         "cut_fibers" => scen.cut_fibers.len(),
     );
+    let seed = {
+        let _rwa = arrow_obs::span!("offline.rwa", "scenario" => index);
+        fractional_seed(wan, scen, &cfg.rwa)
+    };
     let mut rng = StdRng::seed_from_u64(derive_seed(cfg.seed, index as u64));
     let mut stats = ScenarioStats { scenario: index, ..Default::default() };
     let mut tickets: Vec<RestorationTicket> = Vec::new();
@@ -341,7 +325,7 @@ fn round_and_filter(
     }
     for _ in tickets.len()..cfg.num_tickets {
         stats.rounds += 1;
-        let counts = round_once(&mut rng, seed, cfg.delta);
+        let counts = round_once(&mut rng, &seed, cfg.delta);
         if cfg.feasibility_filter {
             let targets: Vec<_> =
                 seed.iter().zip(&counts).map(|(f, &c)| (wan.link(f.link).lightpath, c)).collect();
@@ -372,7 +356,7 @@ fn round_and_filter(
         stats.naive_fallback = true;
     }
     stats.kept = tickets.len();
-    stats.seconds = rwa_seconds + span.elapsed_seconds();
+    stats.seconds = span.elapsed_seconds();
     offline_metrics().record_scenario(&stats);
     (tickets, stats)
 }
@@ -418,23 +402,15 @@ fn offline_metrics() -> &'static OfflineMetrics {
     })
 }
 
-/// Most scenarios whose relaxed RWA LPs go into one batched solve: wide
-/// enough that the simplex buffers a chunk's lanes share are allocated
-/// rarely, small enough that a shard still splits into many units of work.
-const MAX_CHUNK: usize = 16;
-
 /// Algorithm 1 over `(global index, scenario)` pairs on `threads` workers
 /// — the one body behind every generator except the serial oracle.
 ///
-/// Scenarios are cut into chunks; a chunk submits its relaxed RWA LPs as
-/// one batched solve ([`fractional_seed_batch`]), then rounds and filters
-/// per scenario. The chunk width is worked out from the inputs: at most
-/// [`MAX_CHUNK`], and narrower when that would leave a worker without a
-/// chunk (a controller's handful of scenarios still fans out). Neither the
-/// chunk layout nor the worker count changes ticket bytes — the batch
-/// layer is bitwise identical to per-scenario solves and every RNG stream
-/// derives from the scenario's global index ([`derive_seed`]).
-fn generate_chunked(
+/// One scenario is one unit of work ([`scenario_tickets`]): workers pull
+/// the next scenario as they finish the last, so one costly scenario holds
+/// back only itself. Neither the worker count nor the order scenarios are
+/// picked up in changes ticket bytes — every RNG stream derives from the
+/// scenario's global index ([`derive_seed`]).
+fn generate_parallel(
     wan: &Wan,
     work: Vec<(usize, &FailureScenario)>,
     cfg: &LotteryConfig,
@@ -447,28 +423,19 @@ fn generate_chunked(
         "threads" => threads,
         "num_tickets" => cfg.num_tickets,
     );
-    let width = work.len().div_ceil(threads).clamp(1, MAX_CHUNK);
-    let per_chunk = crate::par::parallel_map_with(threads, work.chunks(width).collect(), |chunk| {
-        let scens: Vec<&FailureScenario> = chunk.iter().map(|&(_, scen)| scen).collect();
-        let seeds = fractional_seed_batch(wan, &scens, &cfg.rwa);
-        chunk
-            .iter()
-            .zip(seeds)
-            .map(|(&(g, scen), (seed, rwa_seconds))| {
-                round_and_filter(wan, scen, g, cfg, &seed, rwa_seconds)
-            })
-            .collect::<Vec<_>>()
+    let per_scenario = crate::par::parallel_map_with(threads, work, |&(g, scen)| {
+        scenario_tickets(wan, g, scen, cfg)
     });
-    let mut tickets = Vec::with_capacity(work.len());
+    let mut tickets = Vec::with_capacity(per_scenario.len());
     let mut stats = OfflineStats {
-        per_scenario: Vec::with_capacity(work.len()),
+        per_scenario: Vec::with_capacity(per_scenario.len()),
         threads,
         ..Default::default()
     };
-    for (scenario_tickets, s) in per_chunk.into_iter().flatten() {
+    for (set, s) in per_scenario {
         stats.work_seconds += s.seconds;
         stats.per_scenario.push(s);
-        tickets.push(scenario_tickets);
+        tickets.push(set);
     }
     stats.wall_seconds = span.elapsed_seconds();
     (tickets, stats)
@@ -498,7 +465,7 @@ pub fn generate_tickets_with_threads(
     threads: usize,
 ) -> (TicketSet, OfflineStats) {
     let (tickets, stats) =
-        generate_chunked(wan, scenarios.iter().enumerate().collect(), cfg, threads);
+        generate_parallel(wan, scenarios.iter().enumerate().collect(), cfg, threads);
     (TicketSet::full(tickets), stats)
 }
 
@@ -552,14 +519,13 @@ pub fn generate_tickets_shard(
 ) -> (TicketSet, OfflineStats) {
     let globals = shard.indices(universe.len());
     let work = globals.iter().map(|&g| (g, universe.scenario(g))).collect();
-    let (tickets, stats) = generate_chunked(wan, work, cfg, crate::par::default_threads());
+    let (tickets, stats) = generate_parallel(wan, work, cfg, crate::par::default_threads());
     (TicketSet::sharded(globals.into_iter().zip(tickets).collect()), stats)
 }
 
 /// The documented serial reference for the determinism contract: plain
-/// `iter().map()` — one unbatched [`solve_relaxed`] per scenario
-/// ([`fractional_seed`]), no thread pool, no chunks, and no clock of its
-/// own: it returns no stats, so its scenarios count no RWA seconds.
+/// `iter().map()` over the same per-scenario body, on the calling thread,
+/// with no thread pool and no stats.
 ///
 /// Every generator (any thread count, any sharding) must produce a
 /// `TicketSet` equal to this — `crates/core/tests/determinism.rs` and
@@ -573,10 +539,7 @@ pub fn generate_tickets_serial(
         scenarios
             .iter()
             .enumerate()
-            .map(|(i, scen)| {
-                let seed = fractional_seed(wan, scen, &cfg.rwa);
-                round_and_filter(wan, scen, i, cfg, &seed, 0.0).0
-            })
+            .map(|(i, scen)| scenario_tickets(wan, i, scen, cfg).0)
             .collect(),
     )
 }

@@ -139,6 +139,31 @@ mod tests {
         }
     }
 
+    /// One unit of work never holds others behind it: item 0 blocks until
+    /// items 1..16 are all done, which they can only be if the second
+    /// worker takes every one of them. A wait of 10 s or more (10 000
+    /// naps of at least 1 ms) that ends unsatisfied fails the test rather
+    /// than hanging it.
+    #[test]
+    fn a_slow_item_holds_back_only_itself() {
+        let done = AtomicUsize::new(0);
+        let out = parallel_map_with(2, (0..16).collect(), |&i: &usize| {
+            if i > 0 {
+                done.fetch_add(1, Ordering::SeqCst);
+                return true;
+            }
+            for _ in 0..10_000 {
+                if done.load(Ordering::SeqCst) == 15 {
+                    return true;
+                }
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+            false
+        });
+        assert!(out[0], "item 0 waited out its timeout: the others queued behind it");
+        assert!(out.iter().all(|&ok| ok));
+    }
+
     #[test]
     fn empty_and_singleton() {
         let empty: Vec<i32> = parallel_map(Vec::<i32>::new(), |&x| x);

@@ -3,9 +3,8 @@
 //! The contract (see `LotteryConfig::seed` and `par`): ticket generation
 //! depends only on `(seed, scenario, scenario_index, config)` — never on
 //! the worker-thread count or scheduling. These tests pin
-//! `generate_tickets` at 1, 2, and N threads — each of which also cuts the
-//! scenarios into chunks of a different width — against the documented
-//! serial reference `generate_tickets_serial`.
+//! `generate_tickets` at 1, 2, and N threads against the documented serial
+//! reference `generate_tickets_serial`.
 
 use arrow_core::lottery::{
     derive_seed, generate_tickets, generate_tickets_serial, generate_tickets_shard,
@@ -233,7 +232,7 @@ fn assert_b4_pins(wan: &Wan) {
 
     assert_shards_match(wan, &uni, &cfg, 2, &whole);
     let serial = generate_tickets_serial(wan, &uni.failure_scenarios(), &cfg);
-    assert_eq!(serial, whole, "chunked run diverged from the serial oracle");
+    assert_eq!(serial, whole, "parallel run diverged from the serial oracle");
 }
 
 /// The benchmark's own online model (`perf/benches/online.rs::controller`:

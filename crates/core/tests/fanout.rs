@@ -1,5 +1,6 @@
-//! What the offline stage's trace must show: the small-input fan-out rule
-//! and one `offline.scenario` span per scenario on every generation path.
+//! What the offline stage's trace must show: one `offline.rwa` span per
+//! scenario, timed inside the scenario's seconds, and one
+//! `offline.scenario` span per scenario on every generation path.
 //!
 //! The trace subscriber is process-global, so these tests live in their own
 //! binary and take turns under [`traced`]: every span a ring sees belongs
@@ -25,11 +26,11 @@ fn traced<R>(body: impl FnOnce() -> R) -> (R, Arc<RingSubscriber>) {
     (out, ring)
 }
 
-/// A controller's handful of scenarios must not collapse into one chunk on
-/// one thread: 4 scenarios on 2 workers are cut into two 2-lane chunks,
-/// each its own batched RWA solve.
+/// 4 scenarios on 2 workers are 4 units of work: 4 `offline.rwa` spans,
+/// one per scenario index, each no longer than its scenario's reported
+/// seconds (which read the `offline.scenario` span around it).
 #[test]
-fn four_scenarios_on_two_workers_solve_in_two_batches() {
+fn four_scenarios_on_two_workers_time_one_rwa_span_each() {
     let wan = b4(17);
     let cfg = LotteryConfig { num_tickets: 4, ..Default::default() };
     // Generating the scenarios compiles a universe, which emits spans too,
@@ -42,10 +43,20 @@ fn four_scenarios_on_two_workers_solve_in_two_batches() {
 
     assert_eq!(set.per_scenario.len(), 4);
     assert_eq!(stats.threads, 2);
-    let batches = ring.finished_spans("lp.solve_batch");
-    assert!(batches.len() >= 2, "expected >= 2 batched solves, saw {}", batches.len());
-    let lanes: u64 = batches.iter().filter_map(|b| b.field("lanes").and_then(|v| v.as_u64())).sum();
-    assert_eq!(lanes, 4, "every scenario's LP rides exactly one batch");
+    let mut rwa: Vec<(u64, f64)> = ring
+        .finished_spans("offline.rwa")
+        .iter()
+        .map(|r| {
+            let index = r.field("scenario").and_then(|v| v.as_u64()).expect("scenario index");
+            (index, r.duration_nanos.expect("span end") as f64 / 1e9)
+        })
+        .collect();
+    rwa.sort_by_key(|&(index, _)| index);
+    assert_eq!(rwa.iter().map(|&(i, _)| i).collect::<Vec<_>>(), [0, 1, 2, 3]);
+    for (s, &(index, span)) in stats.per_scenario.iter().zip(&rwa) {
+        assert_eq!(s.scenario as u64, index);
+        assert!(s.seconds >= span, "scenario {index}: {} s < its offline.rwa {span} s", s.seconds);
+    }
 }
 
 /// Compiling a universe is one `scenario.compile` span; unsharded, 2-way

@@ -200,7 +200,7 @@ impl Inverse {
 }
 
 /// Every buffer of a solve whose size follows the problem, kept between
-/// solves so a worker that solves a chunk of LPs allocates them once.
+/// solves so [`crate::solve_batch`]'s lanes allocate them once.
 /// Each solve overwrites all of it; nothing is read across solves.
 #[derive(Debug, Default)]
 pub(crate) struct Workspace {

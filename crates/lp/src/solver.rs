@@ -236,8 +236,11 @@ fn data_defect(lp: &StandardLp) -> Option<Status> {
 /// span included, so its result is **bitwise identical** to a standalone
 /// solve; what the batch adds is one `lp.solve_batch` span around the
 /// lanes, [`SolveStats::lanes`] = 1 on every result, and one set of
-/// simplex buffers handed from lane to lane, so a chunk of same-sized LPs
+/// simplex buffers handed from lane to lane, so a family of same-sized LPs
 /// allocates its basis inverse once.
+///
+/// No product code calls it: the offline stage solves one scenario's LP
+/// per unit of work with [`solve`]. The benchmark's batch probe does.
 ///
 /// An empty slice returns an empty vec.
 pub fn solve_batch<M: Borrow<Model>>(models: &[M], cfg: &SolverConfig) -> Vec<Solution> {

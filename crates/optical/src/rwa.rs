@@ -139,9 +139,7 @@ fn candidate_paths(
 /// The relaxed wavelength-assignment LP for one cut, before solving.
 ///
 /// Produced by [`build_relaxed`]; solve [`RelaxedRwaLp::model`] with any
-/// backend and feed the result to [`RelaxedRwaLp::extract`]. Splitting
-/// build from solve lets [`solve_relaxed_batch`] submit a whole chunk of
-/// scenario LPs as one [`arrow_lp::solve_batch`] call.
+/// backend and feed the result to [`RelaxedRwaLp::extract`].
 #[derive(Debug)]
 pub struct RelaxedRwaLp {
     /// The assembled LP (maximization).
@@ -260,25 +258,6 @@ pub fn solve_relaxed(net: &OpticalNetwork, cut: &[FiberId], cfg: &RwaConfig) -> 
     let lp = build_relaxed(net, cut, cfg);
     let sol = arrow_lp::solve(&lp.model, &cfg.solver);
     lp.extract(net, &sol)
-}
-
-/// Solves the relaxed RWA for a whole chunk of cut scenarios as one
-/// [`arrow_lp::solve_batch`] call.
-///
-/// Every scenario cuts different fibers, so every LP has its own rows and
-/// columns and the lanes solve one after another, sharing only the simplex
-/// buffers. Per-scenario results are bitwise identical to calling
-/// [`solve_relaxed`] on each cut, so offline ticket digests do not depend
-/// on the chunking.
-pub fn solve_relaxed_batch(
-    net: &OpticalNetwork,
-    cuts: &[&[FiberId]],
-    cfg: &RwaConfig,
-) -> Vec<RwaSolution> {
-    let lps: Vec<RelaxedRwaLp> = cuts.iter().map(|cut| build_relaxed(net, cut, cfg)).collect();
-    let models: Vec<&Model> = lps.iter().map(|lp| &lp.model).collect();
-    let sols = arrow_lp::solve_batch(&models, &cfg.solver);
-    lps.into_iter().zip(&sols).map(|(lp, sol)| lp.extract(net, sol)).collect()
 }
 
 /// An exact (integral) wavelength assignment for one failed link.
@@ -479,31 +458,6 @@ mod tests {
         // No link exceeds its lost wavelength count.
         for l in &sol.links {
             assert!(l.wavelengths <= l.lost_wavelengths as f64 + 1e-6);
-        }
-    }
-
-    #[test]
-    fn batched_rwa_matches_sequential_and_handles_empty_cut() {
-        let (net, f_bc, _, _) = fig7();
-        let cfg = RwaConfig::default();
-        // Lane 0 has zero cut links (an empty LP); lanes 1 and 2 repeat the
-        // same cut, so they share structure and exercise lane grouping.
-        let cut = [f_bc];
-        let cuts: [&[FiberId]; 3] = [&[], &cut, &cut];
-        let batched = solve_relaxed_batch(&net, &cuts, &cfg);
-        assert_eq!(batched.len(), 3);
-        assert!(batched[0].links.is_empty());
-        assert_eq!(batched[0].total_wavelengths, 0.0);
-        for b in &batched[1..] {
-            let seq = solve_relaxed(&net, &cut, &cfg);
-            assert_eq!(seq.links.len(), b.links.len());
-            assert_eq!(seq.total_wavelengths.to_bits(), b.total_wavelengths.to_bits());
-            for (ls, lb) in seq.links.iter().zip(&b.links) {
-                assert_eq!(ls.lightpath, lb.lightpath);
-                for (a, c) in ls.per_path_wavelengths.iter().zip(&lb.per_path_wavelengths) {
-                    assert_eq!(a.to_bits(), c.to_bits());
-                }
-            }
         }
     }
 

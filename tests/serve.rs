@@ -200,6 +200,17 @@ fn soak(epochs: u64, bursts: u64) {
         report.chaos_bursts + report.plan_errors,
         "every deadline miss must produce an incident dump"
     );
+    // Each dump on disk is complete, and its written critical path names
+    // the LP solve. Checked before the aggregate flag below, so a failure
+    // names the dump and prints its path.
+    for inc in &report.incidents {
+        for artifact in ["trace.jsonl", "critical_path.txt", "metrics.json", "incident.json"] {
+            assert!(inc.dir.join(artifact).exists(), "{} lacks {artifact}", inc.dir.display());
+        }
+        let path = std::fs::read_to_string(inc.dir.join("critical_path.txt"))
+            .expect("read critical_path.txt");
+        assert!(path.contains("lp.solve"), "{}: critical path {path:?}", inc.dir.display());
+    }
     assert!(
         report.incidents_reach_lp_solve,
         "an incident dump's critical path failed to reach lp.solve"
@@ -212,16 +223,6 @@ fn soak(epochs: u64, bursts: u64) {
         "live /metrics scrapes failed mid-soak ({} ok)",
         report.scrapes_ok
     );
-    // Each dump on disk is complete, and its written critical path names
-    // the LP solve.
-    for inc in &report.incidents {
-        for artifact in ["trace.jsonl", "critical_path.txt", "metrics.json", "incident.json"] {
-            assert!(inc.dir.join(artifact).exists(), "{} lacks {artifact}", inc.dir.display());
-        }
-        let path = std::fs::read_to_string(inc.dir.join("critical_path.txt"))
-            .expect("read critical_path.txt");
-        assert!(path.contains("lp.solve"), "{}: critical path {path:?}", inc.dir.display());
-    }
     std::fs::remove_dir_all(&config.incident_dir).ok();
 }
 
