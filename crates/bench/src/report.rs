@@ -4,7 +4,7 @@
 use std::cell::Cell;
 use std::fmt::{self, Write as _};
 
-use arrow_topology::hash::{fnv1a_word, FNV1A_OFFSET};
+use arrow_obs::hash::{fnv1a_word, FNV1A_OFFSET};
 
 use crate::Experiment;
 

@@ -20,9 +20,9 @@
 //! realization of the RWA optimum — so at least one feasible candidate
 //! always exists (this is also exactly ARROW-Naive's plan).
 
+use arrow_obs::hash::splitmix64;
 use arrow_optical::rwa::{greedy_assign, is_feasible, solve_relaxed, RwaConfig, RwaSolution};
 use arrow_te::restoration::{RestorationTicket, TicketSet};
-use arrow_topology::hash::splitmix64;
 use arrow_topology::{FailureScenario, ScenarioUniverse, Wan};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

@@ -12,6 +12,8 @@ use arrow_core::lottery::{
 };
 use arrow_core::{ArrowController, ControllerConfig};
 use arrow_lp::{Backend, SolverConfig};
+use arrow_obs::hash::{check_pins, word_fold, FNV1A_OFFSET};
+use arrow_optical::rwa::{solve_relaxed, RwaConfig};
 use arrow_te::{TicketSet, TunnelConfig};
 use arrow_topology::{
     b4, compile_universe, generate_failures, gravity_matrices, ibm, FailureConfig, FailureScenario,
@@ -52,26 +54,14 @@ fn ticket_sets_identical_across_thread_counts_on_ibm() {
     // dependence in the relaxed RWA (constraint rows emitted in HashMap
     // order, now a BTreeMap) that B4 never tripped — keep both topologies
     // in the regression.
-    let wan = ibm(17);
-    let failures =
-        generate_failures(&wan, &FailureConfig { max_scenarios: 8, ..Default::default() });
-    let scens = failures.failure_scenarios();
+    let (wan, uni) = ibm_universe();
+    let scens = uni.failure_scenarios();
     let cfg = LotteryConfig { num_tickets: 12, ..Default::default() };
     let reference = generate_tickets_serial(&wan, &scens, &cfg);
-    for threads in [2, 4, 8] {
+    for threads in [1, 2, 3, 4, 8, 32] {
         let (set, _) = generate_tickets_with_threads(&wan, &scens, &cfg, threads);
         assert_eq!(set, reference, "TicketSet diverged at {threads} threads");
     }
-}
-
-#[test]
-fn repeated_runs_are_bitwise_stable() {
-    let (wan, scens) = setup(5);
-    let cfg = LotteryConfig { num_tickets: 6, ..Default::default() };
-    let (a, _) = generate_tickets(&wan, &scens, &cfg);
-    let (b, _) = generate_tickets(&wan, &scens, &cfg);
-    assert_eq!(a, b);
-    assert_eq!(a.digest(), b.digest());
 }
 
 #[test]
@@ -101,7 +91,6 @@ fn relaxed_rwa_is_stable_across_runs_and_threads() {
     // in a fixed order (BTreeMap, not HashMap) or solutions drift between
     // processes. `Debug` for f64 round-trips, so equal renderings mean
     // bitwise-equal solutions.
-    use arrow_optical::rwa::{solve_relaxed, RwaConfig};
     use arrow_optical::FiberId;
     let wan = ibm(17);
     let cfg = RwaConfig::default();
@@ -131,7 +120,7 @@ fn relaxed_rwa_is_stable_across_runs_and_threads() {
     }
 }
 
-/// A small correlated universe on IBM for the shard contract test.
+/// A small correlated universe on IBM for the thread, shard and PDHG tests.
 fn ibm_universe() -> (Wan, ScenarioUniverse) {
     let wan = ibm(17);
     let uni = compile_universe(
@@ -189,6 +178,25 @@ fn sharded_generation_matches_unsharded_bitwise_on_ibm() {
     }
 }
 
+/// Pinning the PDHG backend end to end through ticket generation still
+/// reproduces the serial oracle.
+#[test]
+fn pdhg_pinned_pipeline_matches_the_serial_oracle() {
+    let (wan, uni) = ibm_universe();
+    let cfg = LotteryConfig {
+        num_tickets: 4,
+        rwa: RwaConfig {
+            solver: SolverConfig { backend: Backend::Pdhg, ..SolverConfig::default() },
+            allow_modulation_change: true,
+            ..RwaConfig::default()
+        },
+        ..Default::default()
+    };
+    let serial = generate_tickets_serial(&wan, &uni.failure_scenarios(), &cfg);
+    let (whole, _) = generate_tickets_shard(&wan, &uni, &cfg, ShardSpec::whole());
+    assert_eq!(whole, serial, "PDHG-pinned pipeline diverged from the serial oracle");
+}
+
 /// The B4 offline stage, pinned: universe digest, ticket-set digest and
 /// kept-ticket count on a 64-scenario correlated universe, and the same
 /// set from the unsharded run, both halves of a 2-way split and the serial
@@ -197,7 +205,7 @@ fn sharded_generation_matches_unsharded_bitwise_on_ibm() {
 /// snapshot (spectrum and adjacency rebuilt by the decoder, not read) must
 /// hold the same pins.
 #[test]
-fn b4_universe_and_ticket_digests_are_pinned() {
+fn b4_universe_and_ticket_digests_are_pinned_bit_for_bit() {
     let built = b4(17);
     let failures = generate_failures(&built, &FailureConfig::default());
     let snapshot = Snapshot { wan: built.clone(), traffic: Vec::new(), failures };
@@ -222,12 +230,11 @@ fn assert_b4_pins(wan: &Wan) {
         },
     );
     assert_eq!(uni.len(), 64);
-    assert_eq!(uni.digest(), 0x60c8_21a7_a334_30e3, "B4 universe digest moved");
 
     let cfg = LotteryConfig { num_tickets: 6, ..Default::default() };
     let (whole, stats) = generate_tickets_shard(wan, &uni, &cfg, ShardSpec::whole());
     assert!(whole.is_full());
-    assert_eq!(whole.digest(), 0x6468_505d_0304_97d7, "B4 TicketSet digest moved");
+    check_pins(&[("universe.b4_64", uni.digest()), ("tickets.b4_64", whole.digest())]).unwrap();
     assert_eq!(stats.total_kept(), 354);
 
     assert_shards_match(wan, &uni, &cfg, 2, &whole);
@@ -259,25 +266,25 @@ fn b4_online_epochs_are_pinned_bit_for_bit_under_pdhg() {
             ..Default::default()
         },
     );
-    let fold = |h: u64, v: u64| (h ^ v).wrapping_mul(0x100_0000_01b3);
     let digests = [1.0, 0.97].map(|scale| {
         let (plan, report) = ctl.plan_epoch(&base_tm.scaled(scale), None).expect("B4 plans");
         assert_eq!(report.warm, scale != 1.0);
         let out = &plan.outcome;
-        let mut h = out.winning.iter().fold(0xcbf2_9ce4_8422_2325, |h, &w| fold(h, w as u64));
+        let mut h = out.winning.iter().fold(FNV1A_OFFSET, |h, &w| word_fold(h, w as u64));
         for values in [&out.output.alloc.b, &out.output.alloc.a] {
-            h = values.iter().fold(fold(h, values.len() as u64), |h, v| fold(h, v.to_bits()));
+            let bits = values.iter().map(|v| v.to_bits());
+            h = bits.fold(word_fold(h, values.len() as u64), word_fold);
         }
         for stats in [out.phase1_stats, out.phase2_stats] {
-            h = fold(fold(h, stats.iterations as u64), stats.restarts as u64);
+            h = word_fold(word_fold(h, stats.iterations as u64), stats.restarts as u64);
         }
         h
     });
-    assert_eq!(
-        digests,
-        [0x3534_bdaf_0f89_2174, 0xbacb_856b_d5d1_9218],
-        "online PDHG bits moved: {digests:#018x?}"
-    );
+    check_pins(&[
+        ("online_epoch.b4_pdhg.cold", digests[0]),
+        ("online_epoch.b4_pdhg.warm", digests[1]),
+    ])
+    .unwrap();
 }
 
 /// The failure scenarios `generate_failures` hands every golden, the daemon
@@ -288,51 +295,27 @@ fn b4_online_epochs_are_pinned_bit_for_bit_under_pdhg() {
 /// different scenarios.
 #[test]
 fn generated_scenarios_are_pinned_bit_for_bit() {
-    let fold = |h: u64, v: u64| (h ^ v).wrapping_mul(0x100_0000_01b3);
-    let digest = |wan: &Wan, cutoff: f64, max_scenarios: usize| {
+    let pin = |topology: &str, wan: &Wan, cutoff: f64, max_scenarios: usize| {
         let failures = generate_failures(wan, &FailureConfig { cutoff, max_scenarios });
         let scens = failures.failure_scenarios();
-        let mut h = fold(0xcbf2_9ce4_8422_2325, scens.len() as u64);
+        let mut h = word_fold(FNV1A_OFFSET, scens.len() as u64);
         for s in scens.iter() {
-            h = s
-                .cut_fibers
-                .iter()
-                .fold(fold(h, s.cut_fibers.len() as u64), |h, f| fold(h, f.0 as u64));
+            let cuts = s.cut_fibers.iter().map(|f| f.0 as u64);
+            h = cuts.fold(word_fold(h, s.cut_fibers.len() as u64), word_fold);
             if max_scenarios > 0 {
-                h = fold(h, s.probability.to_bits());
+                h = word_fold(h, s.probability.to_bits());
             }
         }
-        h
+        let cap = if max_scenarios == 0 { "all".into() } else { format!("cap{max_scenarios:02}") };
+        (format!("scenarios.{topology}.{cap}"), h)
     };
     let (b4, ibm, fb) = (b4(17), ibm(17), arrow_topology::facebook_like(17));
-    let mut rows = Vec::new();
-    for (wan, name) in [(&b4, "b4"), (&ibm, "ibm")] {
-        for cap in [4, 5, 6, 8, 10, 12, 0] {
-            rows.push((name, cap, digest(wan, 1e-3, cap)));
-        }
+    let mut got = Vec::new();
+    for (topology, wan) in [("b4", &b4), ("ibm", &ibm)] {
+        got.extend([4, 5, 6, 8, 10, 12, 0].map(|cap| pin(topology, wan, 1e-3, cap)));
     }
-    for cap in [5, 0] {
-        rows.push(("facebook_like", cap, digest(&fb, 2e-4, cap)));
-    }
-    let pinned = [
-        ("b4", 4, 0xa478_029b_8dd1_72c5),
-        ("b4", 5, 0x09b9_d2bd_ac6b_2506),
-        ("b4", 6, 0x7e42_da4b_d495_a166),
-        ("b4", 8, 0xde6a_67b7_4aa9_8bf8),
-        ("b4", 10, 0xca68_7cab_08db_8fce),
-        ("b4", 12, 0x99d1_87f6_02ae_2b56),
-        ("b4", 0, 0xc8cb_efc5_13ad_0235),
-        ("ibm", 4, 0x98c2_511c_b40c_65a6),
-        ("ibm", 5, 0x07f1_4366_851c_1055),
-        ("ibm", 6, 0xd574_415a_01f6_36d4),
-        ("ibm", 8, 0xdf64_c248_4bbd_79e8),
-        ("ibm", 10, 0x8517_25f1_1c5b_3977),
-        ("ibm", 12, 0x784f_0a09_63ef_8479),
-        ("ibm", 0, 0xbe30_b423_dd78_ace7),
-        ("facebook_like", 5, 0x929b_1357_14cd_fc58),
-        ("facebook_like", 0, 0xcc09_1b38_d178_d5b2),
-    ];
-    assert_eq!(rows, pinned, "generated scenarios moved: {rows:#018x?}");
+    got.extend([5, 0].map(|cap| pin("facebook_like", &fb, 2e-4, cap)));
+    check_pins(&got).unwrap();
 }
 
 #[test]

@@ -15,6 +15,7 @@
 //! so that formulations transcribed from the paper read like the paper.
 
 use crate::sparse::CsrMatrix;
+use arrow_obs::hash::{word_fold, FNV1A_OFFSET};
 
 /// Positive infinity used for "no upper bound".
 pub const INF: f64 = f64::INFINITY;
@@ -291,31 +292,17 @@ impl StandardLp {
         self.obj_sign * min_obj
     }
 
-    /// FNV-1a digest of the constraint structure (dimensions, sparsity,
-    /// coefficient bit patterns, senses); right-hand sides, bounds and
-    /// objectives do not enter. Tests pin model builders with it: anything
-    /// order-sensitive that reaches the rows shows up here.
+    /// [`word_fold`] digest of the constraint structure (dimensions,
+    /// sparsity, coefficient bit patterns, senses); right-hand sides,
+    /// bounds and objectives do not enter. Tests pin model builders with it:
+    /// anything order-sensitive that reaches the rows shows up here.
     pub fn structure_digest(&self) -> u64 {
-        const PRIME: u64 = 0x100_0000_01b3;
-        fn mix(h: u64, v: u64) -> u64 {
-            (h ^ v).wrapping_mul(PRIME)
-        }
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        h = mix(h, self.num_cons() as u64);
-        h = mix(h, self.num_vars() as u64);
-        for i in 0..self.num_cons() {
-            let sense = match self.senses[i] {
-                Sense::Le => 0u64,
-                Sense::Ge => 1,
-                Sense::Eq => 2,
-            };
-            h = mix(h, sense);
-            for (j, v) in self.a.row(i) {
-                h = mix(h, j as u64);
-                h = mix(h, v.to_bits());
-            }
-        }
-        h
+        let h = word_fold(word_fold(FNV1A_OFFSET, self.num_cons() as u64), self.num_vars() as u64);
+        self.senses.iter().enumerate().fold(h, |h, (i, &sense)| {
+            self.a.row(i).fold(word_fold(h, sense as u64), |h, (j, v)| {
+                word_fold(word_fold(h, j as u64), v.to_bits())
+            })
+        })
     }
 }
 

@@ -2,6 +2,7 @@
 
 use crate::model::{Model, VarId};
 use crate::warm::{BackendKind, Basis, PrimalDual, WarmEvent, WarmStart};
+use arrow_obs::hash::{word_fold, FNV1A_OFFSET};
 
 /// Termination status of a solve.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -117,6 +118,27 @@ impl Solution {
     /// Worst constraint/bound violation of this solution against `model`.
     pub fn violation(&self, model: &Model) -> f64 {
         model.max_violation(&self.x)
+    }
+
+    /// The digest every solver pin holds (`tests/pins.txt`): a [`word_fold`]
+    /// of what a consumer can read from the solve. Status, iterations, then
+    /// the backend's own work counter — PDHG restarts, or simplex
+    /// refactorizations — then `x` and the duals with `-0.0` folded as
+    /// `+0.0`, and after a simplex solve the basis columns.
+    pub fn digest(&self) -> u64 {
+        let pdhg = self.stats.backend == BackendKind::Pdhg;
+        let work = if pdhg { self.stats.restarts } else { self.stats.refactors };
+        let counts = [self.status as u64, self.stats.iterations as u64, work as u64];
+        let mut h = counts.into_iter().fold(FNV1A_OFFSET, word_fold);
+        for values in [&self.x, &self.duals] {
+            let bits = values.iter().map(|v| (v + 0.0).to_bits());
+            h = bits.fold(word_fold(h, values.len() as u64), word_fold);
+        }
+        if pdhg {
+            return h;
+        }
+        let cols = self.basis.as_ref().map_or(&[][..], |b| &b.cols);
+        cols.iter().fold(word_fold(h, cols.len() as u64), |h, &c| word_fold(h, c as u64))
     }
 }
 

@@ -40,7 +40,9 @@
 //!   flamegraph-compatible collapsed stacks;
 //! * [`json`] — the workspace's one std-only JSON value tree, parser and
 //!   writer: reads the crate's own writers back, and carries
-//!   `arrow-topology`'s experiment snapshots.
+//!   `arrow-topology`'s experiment snapshots;
+//! * [`hash`] — the workspace's two digest folds, its seed mixer, and the
+//!   lookup that holds tests to the pin table `tests/pins.txt`.
 //!
 //! Deliberately omitted, in the spirit of the repo's synchronous CPU-bound
 //! design: no async integration, no sampling, no per-record levels beyond
@@ -93,6 +95,7 @@
 
 pub mod analyze;
 pub mod export;
+pub mod hash;
 pub mod incident;
 pub mod json;
 pub mod metrics;

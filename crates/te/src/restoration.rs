@@ -7,7 +7,7 @@
 //! here lets the TE formulations consume tickets without a dependency
 //! cycle.
 
-use arrow_topology::hash::{fnv1a_word, FNV1A_OFFSET};
+use arrow_obs::hash::{fnv1a_word, FNV1A_OFFSET};
 use arrow_topology::IpLinkId;
 
 /// One restoration candidate for one failure scenario: restorable Gbps per

@@ -434,6 +434,7 @@ mod tests {
     use super::*;
     use crate::schemes::ffc::Ffc;
     use crate::tunnels::{build_instance, TunnelConfig};
+    use arrow_obs::hash::{check_pins, word_fold, FNV1A_OFFSET};
     use arrow_topology::{b4, generate_failures, gravity_matrices, FailureConfig, TrafficConfig};
 
     fn instance(scale: f64, max_scenarios: usize) -> TeInstance {
@@ -608,103 +609,53 @@ mod tests {
         )
     }
 
-    /// `(structure_digest, FNV-1a fold of the lb/ub/rhs/obj/offset bit
-    /// patterns)` — together every number a solver reads from the model.
-    fn model_digests(model: &arrow_lp::Model) -> (u64, u64) {
+    /// `structure_digest`, and a [`word_fold`] of the lb/ub/rhs/obj/offset
+    /// bit patterns: together every number a solver reads from the model.
+    fn model_digests(model: &arrow_lp::Model) -> [u64; 2] {
         let lp = model.to_standard();
-        let values = lp
-            .lb
-            .iter()
-            .chain(&lp.ub)
-            .chain(&lp.rhs)
-            .chain(&lp.obj)
-            .chain([&lp.obj_offset])
-            .fold(0xcbf2_9ce4_8422_2325u64, |h, v| (h ^ v.to_bits()).wrapping_mul(0x100_0000_01b3));
-        (lp.structure_digest(), values)
+        let values =
+            lp.lb.iter().chain(&lp.ub).chain(&lp.rhs).chain(&lp.obj).chain([&lp.obj_offset]);
+        [lp.structure_digest(), values.fold(FNV1A_OFFSET, |h, v| word_fold(h, v.to_bits()))]
     }
 
     #[test]
     fn phase_models_are_pinned_bit_for_bit() {
         // `playback_b4` and `epoch_b4_cold` hash PDHG output, which follows
         // row order, coefficients, senses, bounds and rhs exactly — any
-        // rewrite of the builders must leave these constants alone.
+        // rewrite of the builders must leave these pins alone.
         let inst = instance(4.0, 6);
         let arrow = Arrow::new(half_or_nothing_tickets(&inst));
         let winning: Vec<usize> = (0..inst.scenarios.len()).map(|q| q % 2).collect();
-        let p1 = model_digests(&arrow.build_phase1(&inst).model);
-        let p2 = model_digests(&arrow.build_phase2(&inst, &winning).0.model);
-        assert_eq!(p1, (0x1b14_9c07_95dc_fc5a, 0xa532_625b_69ec_6d66), "Phase I model moved");
-        assert_eq!(p2, (0x0b74_000b_bef7_77b2, 0xa510_786c_598b_c978), "Phase II model moved");
-    }
-
-    /// FNV-1a fold of what a consumer reads from a simplex solve: status,
-    /// pivot and refactorization counts, `x` and dual bits (`-0.0` folded
-    /// as `+0.0`) and the basis snapshot.
-    fn solution_digest(sol: &Solution) -> u64 {
-        let fold = |h: u64, v: u64| (h ^ v).wrapping_mul(0x100_0000_01b3);
-        let mut h = fold(0xcbf2_9ce4_8422_2325, sol.status as u64);
-        h = fold(h, sol.stats.iterations as u64);
-        h = fold(h, sol.stats.refactors as u64);
-        for values in [&sol.x, &sol.duals] {
-            h = values
-                .iter()
-                .fold(fold(h, values.len() as u64), |h, v| fold(h, (v + 0.0).to_bits()));
-        }
-        let cols = sol.basis.as_ref().map_or(&[][..], |b| &b.cols);
-        cols.iter().fold(fold(h, cols.len() as u64), |h, &c| fold(h, c as u64))
+        let [s1, v1] = model_digests(&arrow.build_phase1(&inst).model);
+        let [s2, v2] = model_digests(&arrow.build_phase2(&inst, &winning).0.model);
+        check_pins(&[
+            ("phase_model.phase1.structure", s1),
+            ("phase_model.phase1.values", v1),
+            ("phase_model.phase2.structure", s2),
+            ("phase_model.phase2.values", v2),
+        ])
+        .unwrap();
     }
 
     #[test]
-    fn phase1_simplex_solution_is_pinned_bit_for_bit() {
+    fn phase1_solutions_are_pinned_bit_for_bit() {
         // The exact-simplex audit of `epoch_b4_cold` compares winners picked
-        // from this solve; a basis-kernel rewrite must leave the pivot path
-        // and every output bit alone, cold and restarted from its own basis.
+        // from this solve, and every serve epoch runs it under PDHG. A
+        // rewrite of either backend must leave the iteration counts and
+        // every output bit alone, cold and restarted from the returned basis
+        // or point.
         let inst = instance(4.0, 6);
         let model = Arrow::new(half_or_nothing_tickets(&inst)).build_phase1(&inst).model;
-        let cfg = SolverConfig::exact();
-        let cold = arrow_lp::solve(&model, &cfg);
-        let basis = cold.basis.clone().expect("optimal Phase I records a basis");
-        let warm = arrow_lp::solve_with(&model, &cfg, Some(&WarmStart::from_basis(basis)));
-        assert_eq!(
-            (solution_digest(&cold), solution_digest(&warm)),
-            (0x58ec_28e0_796a_c201, 0x4ae0_9d5b_2a10_3249),
-            "Phase I simplex bits moved ({} rows, {} pivots)",
-            model.num_cons(),
-            cold.stats.iterations
-        );
-    }
-
-    #[test]
-    fn phase1_pdhg_solution_is_pinned_bit_for_bit() {
-        // The same model under the first-order backend every serve epoch
-        // runs: iteration and restart counts, `x` and dual bits, cold and
-        // restarted from the returned point.
-        let digest = |sol: &Solution| {
-            let fold = |h: u64, v: u64| (h ^ v).wrapping_mul(0x100_0000_01b3);
-            let mut h = fold(0xcbf2_9ce4_8422_2325, sol.status as u64);
-            h = fold(h, sol.stats.iterations as u64);
-            h = fold(h, sol.stats.restarts as u64);
-            for values in [&sol.x, &sol.duals] {
-                h = values
-                    .iter()
-                    .fold(fold(h, values.len() as u64), |h, v| fold(h, (v + 0.0).to_bits()));
-            }
-            h
-        };
-        let inst = instance(4.0, 6);
-        let model = Arrow::new(half_or_nothing_tickets(&inst)).build_phase1(&inst).model;
-        let cfg = SolverConfig::first_order(1e-7);
-        let cold = arrow_lp::solve(&model, &cfg);
-        let point = cold.warm_start().expect("a converged Phase I returns its point");
-        let warm = arrow_lp::solve_with(&model, &cfg, Some(&point));
-        assert_eq!(
-            (digest(&cold), digest(&warm)),
-            (0x8da2_0502_2e0a_877d, 0x6db8_3af3_b46d_3bd3),
-            "Phase I PDHG bits moved ({} rows, {} + {} iterations)",
-            model.num_cons(),
-            cold.stats.iterations,
-            warm.stats.iterations
-        );
+        let mut got = Vec::new();
+        for (backend, cfg) in
+            [("simplex", SolverConfig::exact()), ("pdhg", SolverConfig::first_order(1e-7))]
+        {
+            let cold = arrow_lp::solve(&model, &cfg);
+            let warm = arrow_lp::solve_with(&model, &cfg, cold.warm_start().as_ref());
+            got.push((format!("phase1_solve.{backend}.cold"), cold.digest()));
+            got.push((format!("phase1_solve.{backend}.warm"), warm.digest()));
+        }
+        check_pins(&got).unwrap();
     }
 
     #[test]

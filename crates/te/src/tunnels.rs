@@ -438,24 +438,25 @@ mod tests {
 
     #[test]
     fn tunnel_sets_are_pinned_bit_for_bit() {
-        // FNV-1a fold of every tunnel `build_instance` selects — flow, each
+        // `word_fold` of every tunnel `build_instance` selects — flow, each
         // hop's link and direction, `length_km` bits — at 4 and 8 tunnels
         // per flow, with and without the disjointness preference, under the
         // paper-table goldens' failure set and the benchmark's; and of each
         // WAN's lightpath fiber paths, which the builders route with the
         // same search. A rewrite of the path search must leave these alone.
+        use arrow_obs::hash::{check_pins, word_fold, FNV1A_OFFSET};
         use arrow_topology::{facebook_like, ibm};
-        let fold = |h: u64, v: u64| (h ^ v).wrapping_mul(0x100_0000_01b3);
         let goldens = [
-            (b4(17), FailureConfig { cutoff: 1e-3, max_scenarios: 12 }),
-            (ibm(17), FailureConfig { cutoff: 1e-3, max_scenarios: 10 }),
-            (facebook_like(17), FailureConfig { cutoff: 2e-4, max_scenarios: 5 }),
+            ("b4", b4(17), FailureConfig { cutoff: 1e-3, max_scenarios: 12 }),
+            ("ibm", ibm(17), FailureConfig { cutoff: 1e-3, max_scenarios: 10 }),
+            ("facebook_like", facebook_like(17), FailureConfig { cutoff: 2e-4, max_scenarios: 5 }),
         ];
         let mut digests = Vec::new();
-        for (wan, golden) in goldens {
-            let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for (name, wan, golden) in goldens {
+            let mut h = FNV1A_OFFSET;
             for lp in wan.optical.lightpaths() {
-                h = lp.path.iter().fold(fold(h, lp.path.len() as u64), |h, f| fold(h, f.0 as u64));
+                let fibers = lp.path.iter().map(|f| f.0 as u64);
+                h = fibers.fold(word_fold(h, lp.path.len() as u64), word_fold);
             }
             let tms =
                 gravity_matrices(&wan, &TrafficConfig { num_matrices: 1, ..Default::default() });
@@ -466,22 +467,18 @@ mod tests {
                 {
                     let cfg = TunnelConfig { tunnels_per_flow, prefer_fiber_disjoint };
                     let inst = build_instance(&wan, &tms[0], &scenarios, &cfg);
-                    h = fold(h, inst.tunnels.len() as u64);
+                    h = word_fold(h, inst.tunnels.len() as u64);
                     for t in &inst.tunnels {
-                        h = fold(fold(h, t.flow.0 as u64), t.length_km.to_bits());
-                        h = t.hops.iter().fold(fold(h, t.hops.len() as u64), |h, hop| {
-                            fold(fold(h, hop.link.0 as u64), hop.forward as u64)
+                        h = word_fold(word_fold(h, t.flow.0 as u64), t.length_km.to_bits());
+                        h = t.hops.iter().fold(word_fold(h, t.hops.len() as u64), |h, hop| {
+                            word_fold(word_fold(h, hop.link.0 as u64), hop.forward as u64)
                         });
                     }
                 }
             }
-            digests.push(h);
+            digests.push((format!("tunnel_set.{name}"), h));
         }
-        assert_eq!(
-            digests,
-            [0x7a18_f143_e398_501f, 0x0f8b_af20_ebbf_a9b3, 0x1368_efee_cf93_addc],
-            "tunnel bits moved (B4, IBM, Facebook-like): {digests:#018x?}"
-        );
+        check_pins(&digests).unwrap();
     }
 
     #[test]

@@ -1,11 +1,13 @@
 //! `eval::play_scenario` pinned bit for bit.
 //!
-//! The constants were recorded on the map-keyed playback (three ordered
+//! The digests (groups `playback` and `universe_playback` of
+//! `tests/pins.txt`) were recorded on the map-keyed playback (three ordered
 //! maps from `DirLink` to load per play) and must survive any rewrite of
 //! it: every floating-point addition has to keep its order. The digest reads
 //! loads through [`ScenarioDelivery::load_on`] in `(link, forward)` order
 //! and skips zeros, so it does not depend on how the loads are stored.
 
+use arrow_obs::hash::{check_pins, word_fold, FNV1A_OFFSET};
 use arrow_te::eval::{play_scenario, PlaybackConfig, ScenarioDelivery};
 use arrow_te::{
     build_instance, Arrow, MaxFlow, RestorationTicket, TeAllocation, TeInstance, TeScheme,
@@ -42,20 +44,17 @@ fn ticket(inst: &TeInstance, q: &FailureScenario, fraction: f64) -> RestorationT
     }
 }
 
-fn fold(h: u64, v: u64) -> u64 {
-    (h ^ v).wrapping_mul(0x100_0000_01b3)
-}
-
 /// Folds one play: `satisfaction` bits, every `delivered` bit pattern, and
 /// the non-zero link loads as `(link, forward, bits)` in key order.
 fn fold_play(mut h: u64, inst: &TeInstance, d: &ScenarioDelivery) -> u64 {
-    h = fold(h, d.satisfaction.to_bits());
-    h = d.delivered.iter().fold(fold(h, d.delivered.len() as u64), |h, v| fold(h, v.to_bits()));
+    h = word_fold(h, d.satisfaction.to_bits());
+    let delivered = d.delivered.iter().map(|v| v.to_bits());
+    h = delivered.fold(word_fold(h, d.delivered.len() as u64), word_fold);
     for link in 0..inst.wan.links.len() {
         for forward in [false, true] {
             let load = d.load_on(IpLinkId(link), forward);
             if load != 0.0 {
-                h = fold(fold(fold(h, link as u64), forward as u64), load.to_bits());
+                h = word_fold(word_fold(word_fold(h, link as u64), forward as u64), load.to_bits());
             }
         }
     }
@@ -65,7 +64,7 @@ fn fold_play(mut h: u64, inst: &TeInstance, d: &ScenarioDelivery) -> u64 {
 /// Healthy plus every scenario, crossed with {no ticket, half-capacity
 /// ticket, full ticket} and `respread` {false, true}.
 fn playback_digest(inst: &TeInstance, alloc: &TeAllocation) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut h = FNV1A_OFFSET;
     for respread in [false, true] {
         let cfg = PlaybackConfig { respread };
         h = fold_play(h, inst, &play_scenario(inst, alloc, None, None, &cfg));
@@ -82,8 +81,8 @@ fn playback_digest(inst: &TeInstance, alloc: &TeAllocation) -> u64 {
 #[test]
 fn play_scenario_is_pinned_bit_for_bit() {
     let mut digests = Vec::new();
-    for scale in [2.0, 3.0] {
-        let inst = instance(scale);
+    for scale in [2, 3] {
+        let inst = instance(f64::from(scale));
         assert_eq!(inst.scenarios.len(), 10);
         // Half-capacity tickets: with full ones ARROW's allocation is
         // MaxFlow's, bit for bit.
@@ -91,19 +90,10 @@ fn play_scenario_is_pinned_bit_for_bit() {
             TicketSet::full(inst.scenarios.iter().map(|q| vec![ticket(&inst, q, 0.5)]).collect());
         let maxflow = MaxFlow::default().solve(&inst).alloc;
         let arrow = Arrow::new(half).solve(&inst).alloc;
-        digests.push(playback_digest(&inst, &maxflow));
-        digests.push(playback_digest(&inst, &arrow));
+        digests.push((format!("playback.b4_x{scale}.maxflow"), playback_digest(&inst, &maxflow)));
+        digests.push((format!("playback.b4_x{scale}.arrow"), playback_digest(&inst, &arrow)));
     }
-    assert_eq!(
-        digests,
-        [
-            0x78ae_f227_2f59_8206,
-            0x5d00_9f59_89c3_2f37,
-            0xd56c_9a45_371d_6ab1,
-            0xa38f_680e_1099_8b1a
-        ],
-        "playback bits moved (MaxFlow@2, ARROW@2, MaxFlow@3, ARROW@3): {digests:#018x?}"
-    );
+    check_pins(&digests).unwrap();
 }
 
 /// The ticket shapes [`universe_playback_is_pinned_bit_for_bit`] plays
@@ -164,7 +154,7 @@ fn universe_playback_is_pinned_bit_for_bit() {
         &TunnelConfig { tunnels_per_flow: 4, prefer_fiber_disjoint: true },
     );
     let alloc = MaxFlow::default().solve(&inst).alloc;
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut h = FNV1A_OFFSET;
     for respread in [false, true] {
         let cfg = PlaybackConfig { respread };
         for q in universe.scenarios.iter().map(|c| &c.scenario) {
@@ -173,5 +163,5 @@ fn universe_playback_is_pinned_bit_for_bit() {
             }
         }
     }
-    assert_eq!(h, 0xace5_baed_646b_4104, "universe playback bits moved: {h:#018x}");
+    check_pins(&[("universe_playback.b4", h)]).unwrap();
 }

@@ -13,8 +13,8 @@
 //! paper's set on top of it: `max_k: 2` and a most-probable cap.
 
 use crate::distributions::weibull;
-use crate::hash::{fnv1a_word, splitmix64, FNV1A_OFFSET};
 use crate::wan::{IpLinkId, Wan};
+use arrow_obs::hash::{fnv1a_word, splitmix64, FNV1A_OFFSET};
 use arrow_optical::FiberId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

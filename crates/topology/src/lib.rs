@@ -30,7 +30,6 @@
 pub mod builders;
 pub mod distributions;
 pub mod failures;
-pub mod hash;
 pub mod io;
 pub mod telemetry;
 pub mod traffic;

@@ -34,12 +34,12 @@ pub mod recorder;
 use std::path::PathBuf;
 
 use arrow_core::{ArrowController, ControllerConfig, EpochHook, LotteryConfig, TePlan};
+use arrow_obs::hash::{fnv1a_word, FNV1A_OFFSET};
 use arrow_obs::incident::IncidentDump;
 use arrow_obs::slo::SloConfig;
 use arrow_obs::{event, export, metrics, slo};
 use arrow_sim::{EventFeed, FeedConfig, FeedEvent};
 use arrow_te::TunnelConfig;
-use arrow_topology::hash::{fnv1a_word, FNV1A_OFFSET};
 use arrow_topology::{generate_failures, gravity_matrices, FailureConfig, TrafficConfig, Wan};
 
 pub use chaos::ChaosConfig;

@@ -2,7 +2,7 @@
 //! lists exits 0 and prints its key line; bad input, a mistyped flag
 //! included, exits 1 with `error: …` and never 101 (a panic).
 
-use arrow_topology::hash::{fnv1a_word, FNV1A_OFFSET};
+use arrow_obs::hash::{check_pins, fnv1a_word, FNV1A_OFFSET};
 use std::process::Command;
 
 /// Runs `arrow args…` and returns its exit code, stdout and stderr.
@@ -54,7 +54,7 @@ fn readme_quickstart_commands_succeed() {
     assert!(written.contains("\nNAME arrow_b4_maxflow\n"), "not the B4 MPS file: {written:.80}");
     // MPS is the only serialized form of a `Model`: the whole document is pinned.
     let digest = written.bytes().map(u64::from).fold(FNV1A_OFFSET, fnv1a_word);
-    assert_eq!(digest, 0x61d2_a177_e1f6_50e8, "arrow mps b4 changed: {digest:#018x}");
+    check_pins(&[("mps.b4_maxflow", digest)]).unwrap();
 }
 
 /// `parse_flags` used to take any `--key value`, so `topology b4 --sead 5`
