@@ -253,17 +253,8 @@ pub fn fig16(ctx: &Ctx, r: &mut Report) {
         let inst = s.instances[0].scaled(1.0);
         // Fully Restorable TE: failure-oblivious allocation + complete
         // restoration of every failed link in every scenario.
-        let full_plan: Vec<RestorationTicket> = inst
-            .scenarios
-            .iter()
-            .map(|q| RestorationTicket {
-                restored: q
-                    .failed_links
-                    .iter()
-                    .map(|&l| (l, inst.wan.link(l).capacity_gbps))
-                    .collect(),
-            })
-            .collect();
+        let full_plan: Vec<RestorationTicket> =
+            inst.scenarios.iter().map(|q| RestorationTicket::uniform(&inst.wan, q, 1.0)).collect();
         let mf = MaxFlow::default().solve(&inst);
         let fully_restorable = SchemeOutput { alloc: mf.alloc, restoration: Some(full_plan) };
         let baseline = required_router_ports(&inst, &fully_restorable, beta, &cfg);

@@ -655,9 +655,7 @@ mod tests {
         // must equal the greedy-feasible amount.
         let scen = &scens[0];
         let greedy_total = naive_ticket(&wan, scen, &cfg.rwa).total_gbps();
-        let over = arrow_te::RestorationTicket {
-            restored: scen.failed_links.iter().map(|&l| (l, wan.link(l).capacity_gbps)).collect(),
-        };
+        let over = arrow_te::RestorationTicket::uniform(&wan, scen, 1.0);
         let realized = realize_ticket(&wan, scen, &over, &cfg.rwa);
         assert!(realized.total_gbps() <= over.total_gbps() + 1e-9);
         // Greedy realization of "everything" is the naive plan.

@@ -13,7 +13,6 @@ use arrow_core::lottery::{
 use arrow_core::{ArrowController, ControllerConfig};
 use arrow_lp::{Backend, SolverConfig};
 use arrow_obs::hash::{check_pins, word_fold, FNV1A_OFFSET};
-use arrow_optical::rwa::{solve_relaxed, RwaConfig};
 use arrow_te::{TicketSet, TunnelConfig};
 use arrow_topology::{
     b4, compile_universe, generate_failures, gravity_matrices, ibm, FailureConfig, FailureScenario,
@@ -54,14 +53,26 @@ fn ticket_sets_identical_across_thread_counts_on_ibm() {
     // dependence in the relaxed RWA (constraint rows emitted in HashMap
     // order, now a BTreeMap) that B4 never tripped — keep both topologies
     // in the regression.
-    let (wan, uni) = ibm_universe();
-    let scens = uni.failure_scenarios();
+    let wan = ibm(17);
+    let failures =
+        generate_failures(&wan, &FailureConfig { max_scenarios: 8, ..Default::default() });
+    let scens = failures.failure_scenarios();
     let cfg = LotteryConfig { num_tickets: 12, ..Default::default() };
     let reference = generate_tickets_serial(&wan, &scens, &cfg);
-    for threads in [1, 2, 3, 4, 8, 32] {
+    for threads in [2, 4, 8] {
         let (set, _) = generate_tickets_with_threads(&wan, &scens, &cfg, threads);
         assert_eq!(set, reference, "TicketSet diverged at {threads} threads");
     }
+}
+
+#[test]
+fn repeated_runs_are_bitwise_stable() {
+    let (wan, scens) = setup(5);
+    let cfg = LotteryConfig { num_tickets: 6, ..Default::default() };
+    let (a, _) = generate_tickets(&wan, &scens, &cfg);
+    let (b, _) = generate_tickets(&wan, &scens, &cfg);
+    assert_eq!(a, b);
+    assert_eq!(a.digest(), b.digest());
 }
 
 #[test]
@@ -91,6 +102,7 @@ fn relaxed_rwa_is_stable_across_runs_and_threads() {
     // in a fixed order (BTreeMap, not HashMap) or solutions drift between
     // processes. `Debug` for f64 round-trips, so equal renderings mean
     // bitwise-equal solutions.
+    use arrow_optical::rwa::{solve_relaxed, RwaConfig};
     use arrow_optical::FiberId;
     let wan = ibm(17);
     let cfg = RwaConfig::default();
@@ -120,7 +132,7 @@ fn relaxed_rwa_is_stable_across_runs_and_threads() {
     }
 }
 
-/// A small correlated universe on IBM for the thread, shard and PDHG tests.
+/// A small correlated universe on IBM for the shard contract test.
 fn ibm_universe() -> (Wan, ScenarioUniverse) {
     let wan = ibm(17);
     let uni = compile_universe(
@@ -176,25 +188,6 @@ fn sharded_generation_matches_unsharded_bitwise_on_ibm() {
     for of in [2usize, 3, 7] {
         assert_shards_match(&wan, &uni, &cfg, of, &full);
     }
-}
-
-/// Pinning the PDHG backend end to end through ticket generation still
-/// reproduces the serial oracle.
-#[test]
-fn pdhg_pinned_pipeline_matches_the_serial_oracle() {
-    let (wan, uni) = ibm_universe();
-    let cfg = LotteryConfig {
-        num_tickets: 4,
-        rwa: RwaConfig {
-            solver: SolverConfig { backend: Backend::Pdhg, ..SolverConfig::default() },
-            allow_modulation_change: true,
-            ..RwaConfig::default()
-        },
-        ..Default::default()
-    };
-    let serial = generate_tickets_serial(&wan, &uni.failure_scenarios(), &cfg);
-    let (whole, _) = generate_tickets_shard(&wan, &uni, &cfg, ShardSpec::whole());
-    assert_eq!(whole, serial, "PDHG-pinned pipeline diverged from the serial oracle");
 }
 
 /// The B4 offline stage, pinned: universe digest, ticket-set digest and

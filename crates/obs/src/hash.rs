@@ -53,52 +53,26 @@ const PIN_TABLE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/pins.t
 /// One line of the pin table: `name kind 0x<16 hex digits>`, where `kind`
 /// is `formulation` (solver-independent output) or `trajectory` (what a
 /// solver happened to compute, and what is built from it).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Pin {
-    /// Unique; the table is sorted by it.
-    pub name: String,
-    /// `formulation` or `trajectory`.
-    pub kind: String,
-    /// The pinned value.
-    pub digest: u64,
+struct Pin {
+    name: String,
+    kind: String,
+    digest: u64,
 }
 
-/// Why [`check_pins`] failed. `Debug` prints the report, so a test's
-/// `unwrap` shows it.
-#[derive(Clone, PartialEq, Eq)]
-pub enum PinError {
-    /// The table is unreadable, a line of it does not parse, or it has no
-    /// line of a name the test checks.
-    Table(String),
-    /// Each pin of the batch that moved, with the digest the test computed.
-    Moved(Vec<(Pin, u64)>),
-}
+/// Why [`check_pins`] failed: the table is unreadable, malformed or lacks a
+/// name, or pins moved. `Debug` prints the report, so a test's `unwrap`
+/// shows it.
+pub struct PinReport(String);
 
-impl fmt::Display for PinError {
+impl fmt::Debug for PinReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let moved = match self {
-            PinError::Table(why) => return f.write_str(why),
-            PinError::Moved(moved) => moved,
-        };
-        writeln!(f, "{} pin(s) of tests/pins.txt moved:", moved.len())?;
-        for (pin, got) in moved {
-            let (name, kind, pinned) = (&pin.name, &pin.kind, pin.digest);
-            writeln!(f, "  {name} ({kind}): pinned {pinned:#018x}, got {got:#018x}")?;
-        }
-        writeln!(f, "replacement lines:")?;
-        moved.iter().try_for_each(|(pin, got)| writeln!(f, "{} {} {got:#018x}", pin.name, pin.kind))
-    }
-}
-
-impl fmt::Debug for PinError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt::Display::fmt(self, f)
+        f.write_str(&self.0)
     }
 }
 
 /// Parses the pin table: blank and `#` lines are comments, and names are
 /// strictly ascending.
-fn parse_pins(text: &str) -> Result<Vec<Pin>, PinError> {
+fn parse_pins(text: &str) -> Result<Vec<Pin>, PinReport> {
     let mut pins: Vec<Pin> = Vec::new();
     for (i, line) in text.lines().enumerate() {
         if line.is_empty() || line.starts_with('#') {
@@ -115,7 +89,7 @@ fn parse_pins(text: &str) -> Result<Vec<Pin>, PinError> {
             Some(pin) if pins.last().is_none_or(|last| last.name < pin.name) => pins.push(pin),
             _ => {
                 let want = "want `name formulation|trajectory 0x<16 lowercase hex digits>`, sorted";
-                return Err(PinError::Table(format!("{PIN_TABLE}:{}: {want}: {line:?}", i + 1)));
+                return Err(PinReport(format!("{PIN_TABLE}:{}: {want}: {line:?}", i + 1)));
             }
         }
     }
@@ -123,28 +97,28 @@ fn parse_pins(text: &str) -> Result<Vec<Pin>, PinError> {
 }
 
 /// Holds one test's batch of `(name, digest)` pairs to `tests/pins.txt`. On
-/// a mismatch the error lists every pin of the batch that moved, with the
+/// a mismatch the report lists every pin of the batch that moved, with the
 /// lines that would re-pin them.
-pub fn check_pins<N: AsRef<str>>(got: &[(N, u64)]) -> Result<(), PinError> {
+pub fn check_pins<N: AsRef<str>>(got: &[(N, u64)]) -> Result<(), PinReport> {
     let table = std::fs::read_to_string(PIN_TABLE)
-        .map_err(|e| PinError::Table(format!("{PIN_TABLE}: {e}")))
+        .map_err(|e| PinReport(format!("{PIN_TABLE}: {e}")))
         .and_then(|text| parse_pins(&text))?;
-    let mut moved = Vec::new();
+    let (mut moved, mut lines) = (String::new(), String::new());
     for (name, got) in got {
         let name = name.as_ref();
-        let Some(pin) = table.iter().find(|pin| pin.name == name) else {
+        let Some(Pin { kind, digest, .. }) = table.iter().find(|pin| pin.name == name) else {
             let line = format!("{name} formulation|trajectory {got:#018x}");
-            return Err(PinError::Table(format!("{PIN_TABLE} has no pin {name}: add `{line}`")));
+            return Err(PinReport(format!("{PIN_TABLE} has no pin {name}: add `{line}`")));
         };
-        if pin.digest != *got {
-            moved.push((pin.clone(), *got));
+        if digest != got {
+            moved += &format!("  {name} ({kind}): pinned {digest:#018x}, got {got:#018x}\n");
+            lines += &format!("{name} {kind} {got:#018x}\n");
         }
     }
     if moved.is_empty() {
-        Ok(())
-    } else {
-        Err(PinError::Moved(moved))
+        return Ok(());
     }
+    Err(PinReport(format!("pins of tests/pins.txt moved:\n{moved}replacement lines:\n{lines}")))
 }
 
 #[cfg(test)]
@@ -188,7 +162,7 @@ mod tests {
     #[test]
     fn pin_table_parses_and_documents_every_group() {
         let text = std::fs::read_to_string(PIN_TABLE).expect("the pin table is checked in");
-        assert!(!parse_pins(&text).unwrap_or_else(|e| panic!("{e}")).is_empty());
+        assert!(!parse_pins(&text).unwrap().is_empty());
         let mut blocks = text.trim_end().split("\n\n");
         assert!(blocks.next().is_some_and(|header| header.lines().all(|l| l.starts_with('#'))));
         let mut groups = Vec::new();
@@ -205,22 +179,20 @@ mod tests {
             "a trajectory 0x0123456789ABCDEF",
             "b trajectory 0x0123456789abcdef\na trajectory 0x0123456789abcdef",
         ] {
-            assert!(matches!(parse_pins(bad), Err(PinError::Table(_))), "{bad:?} parsed");
+            assert!(parse_pins(bad).is_err(), "{bad:?} parsed");
         }
     }
 
     #[test]
     fn a_moved_pin_names_both_digests_and_its_replacement_line() {
         let text = std::fs::read_to_string(PIN_TABLE).expect("the pin table is checked in");
-        let pin = parse_pins(&text).ok().and_then(|pins| pins.into_iter().next()).expect("a pin");
+        let pin = parse_pins(&text).unwrap().swap_remove(0);
         let (name, kind, got) = (pin.name.as_str(), pin.kind.as_str(), pin.digest ^ 1);
-        assert_eq!(check_pins(&[(name, pin.digest)]), Ok(()));
-        let err = check_pins(&[(name, pin.digest), (name, got)]).expect_err("a flipped bit");
-        assert_eq!(err, PinError::Moved(vec![(pin.clone(), got)]));
-        let report = err.to_string();
+        check_pins(&[(name, pin.digest)]).unwrap();
+        let PinReport(report) = check_pins(&[(name, pin.digest), (name, got)]).unwrap_err();
         let pinned = format!("  {name} ({kind}): pinned {:#018x}, got {got:#018x}", pin.digest);
-        assert!(report.contains(&pinned), "{report}");
-        assert!(report.contains(&format!("\n{name} {kind} {got:#018x}\n")), "{report}");
-        assert!(matches!(check_pins(&[("no.such.pin", 7)]), Err(PinError::Table(_))));
+        assert!(report.contains(&format!("moved:\n{pinned}\nreplacement")), "{report}");
+        assert!(report.ends_with(&format!("\n{name} {kind} {got:#018x}\n")), "{report}");
+        assert!(check_pins(&[("no.such.pin", 7)]).is_err());
     }
 }

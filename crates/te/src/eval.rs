@@ -286,20 +286,8 @@ mod tests {
     }
 
     fn full_tickets(inst: &TeInstance) -> TicketSet {
-        TicketSet::full(
-            inst.scenarios
-                .iter()
-                .map(|s| {
-                    vec![RestorationTicket {
-                        restored: s
-                            .failed_links
-                            .iter()
-                            .map(|&l| (l, inst.wan.link(l).capacity_gbps))
-                            .collect(),
-                    }]
-                })
-                .collect(),
-        )
+        let uniform = |s| vec![RestorationTicket::uniform(&inst.wan, s, 1.0)];
+        TicketSet::full(inst.scenarios.iter().map(uniform).collect())
     }
 
     #[test]
@@ -436,13 +424,7 @@ mod tests {
         let inst = instance(2.0);
         let out = MaxFlow::default().solve(&inst);
         let q = &inst.scenarios[0];
-        let half_ticket = RestorationTicket {
-            restored: q
-                .failed_links
-                .iter()
-                .map(|&l| (l, 0.5 * inst.wan.link(l).capacity_gbps))
-                .collect(),
-        };
+        let half_ticket = RestorationTicket::uniform(&inst.wan, q, 0.5);
         let d = play_scenario(&inst, &out.alloc, Some(q), Some(&half_ticket), &Default::default());
         for (k, &load) in d.link_loads.iter().enumerate() {
             let DirLink(link, forward) = DirLink::from_index(k);
@@ -471,9 +453,8 @@ mod tests {
         let inst = instance(3.0);
         let alloc = MaxFlow::default().solve(&inst).alloc;
         let q = inst.scenarios[0].clone();
-        let restored =
-            q.failed_links.iter().map(|&l| (l, 0.5 * inst.wan.link(l).capacity_gbps)).collect();
-        (inst, alloc, q, RestorationTicket { restored })
+        let ticket = RestorationTicket::uniform(&inst.wan, &q, 0.5);
+        (inst, alloc, q, ticket)
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! cycle.
 
 use arrow_obs::hash::{fnv1a_word, FNV1A_OFFSET};
-use arrow_topology::IpLinkId;
+use arrow_topology::{FailureScenario, IpLinkId, Wan};
 
 /// One restoration candidate for one failure scenario: restorable Gbps per
 /// failed IP link (links absent from the map restore nothing).
@@ -22,6 +22,14 @@ impl RestorationTicket {
     /// A ticket restoring nothing (the degenerate candidate).
     pub fn empty() -> Self {
         RestorationTicket { restored: Vec::new() }
+    }
+
+    /// A ticket restoring `fraction` of the capacity of every link
+    /// `scenario` fails.
+    pub fn uniform(wan: &Wan, scenario: &FailureScenario, fraction: f64) -> Self {
+        let restored = scenario.failed_links.iter();
+        let restored = restored.map(|&l| (l, fraction * wan.link(l).capacity_gbps)).collect();
+        RestorationTicket { restored }
     }
 
     /// Restorable capacity of `link` under this ticket (0 if absent).

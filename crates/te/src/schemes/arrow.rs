@@ -452,20 +452,8 @@ mod tests {
 
     /// Tickets granting full restoration of every failed link.
     fn full_tickets(inst: &TeInstance) -> TicketSet {
-        TicketSet::full(
-            inst.scenarios
-                .iter()
-                .map(|s| {
-                    vec![RestorationTicket {
-                        restored: s
-                            .failed_links
-                            .iter()
-                            .map(|&l| (l, inst.wan.link(l).capacity_gbps))
-                            .collect(),
-                    }]
-                })
-                .collect(),
-        )
+        let uniform = |s| vec![RestorationTicket::uniform(&inst.wan, s, 1.0)];
+        TicketSet::full(inst.scenarios.iter().map(uniform).collect())
     }
 
     /// Tickets restoring nothing.
@@ -520,11 +508,7 @@ mod tests {
         let mut per_scenario: Vec<Vec<RestorationTicket>> = inst
             .scenarios
             .iter()
-            .map(|s| {
-                vec![RestorationTicket {
-                    restored: s.failed_links.iter().map(|&l| (l, 0.0)).collect(),
-                }]
-            })
+            .map(|s| vec![RestorationTicket::uniform(&inst.wan, s, 0.0)])
             .collect();
         // Scenario 0 gets two candidates: nothing vs full for `link`.
         per_scenario[0] = vec![
@@ -540,17 +524,8 @@ mod tests {
     #[test]
     fn naive_equals_arrow_with_single_ticket() {
         let inst = instance(3.0, 6);
-        let tickets: Vec<RestorationTicket> = inst
-            .scenarios
-            .iter()
-            .map(|s| RestorationTicket {
-                restored: s
-                    .failed_links
-                    .iter()
-                    .map(|&l| (l, 0.5 * inst.wan.link(l).capacity_gbps))
-                    .collect(),
-            })
-            .collect();
+        let tickets: Vec<RestorationTicket> =
+            inst.scenarios.iter().map(|s| RestorationTicket::uniform(&inst.wan, s, 0.5)).collect();
         let naive =
             ArrowNaive { tickets: tickets.clone(), solver: Default::default() }.solve(&inst);
         let arrow = Arrow::new(TicketSet::full(tickets.into_iter().map(|t| vec![t]).collect()))
@@ -593,16 +568,8 @@ mod tests {
                 .iter()
                 .map(|s| {
                     vec![
-                        RestorationTicket {
-                            restored: s
-                                .failed_links
-                                .iter()
-                                .map(|&l| (l, 0.5 * inst.wan.link(l).capacity_gbps))
-                                .collect(),
-                        },
-                        RestorationTicket {
-                            restored: s.failed_links.iter().map(|&l| (l, 0.0)).collect(),
-                        },
+                        RestorationTicket::uniform(&inst.wan, s, 0.5),
+                        RestorationTicket::uniform(&inst.wan, s, 0.0),
                     ]
                 })
                 .collect(),

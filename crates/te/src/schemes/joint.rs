@@ -119,16 +119,8 @@ mod tests {
                 .iter()
                 .map(|s| {
                     vec![
-                        RestorationTicket {
-                            restored: s.failed_links.iter().map(|&l| (l, 0.0)).collect(),
-                        },
-                        RestorationTicket {
-                            restored: s
-                                .failed_links
-                                .iter()
-                                .map(|&l| (l, inst.wan.link(l).capacity_gbps))
-                                .collect(),
-                        },
+                        RestorationTicket::uniform(&inst.wan, s, 0.0),
+                        RestorationTicket::uniform(&inst.wan, s, 1.0),
                     ]
                 })
                 .collect(),

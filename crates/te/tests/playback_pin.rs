@@ -33,17 +33,6 @@ fn instance(scale: f64) -> TeInstance {
     )
 }
 
-/// A ticket restoring `fraction` of every failed link's capacity.
-fn ticket(inst: &TeInstance, q: &FailureScenario, fraction: f64) -> RestorationTicket {
-    RestorationTicket {
-        restored: q
-            .failed_links
-            .iter()
-            .map(|&l| (l, fraction * inst.wan.link(l).capacity_gbps))
-            .collect(),
-    }
-}
-
 /// Folds one play: `satisfaction` bits, every `delivered` bit pattern, and
 /// the non-zero link loads as `(link, forward, bits)` in key order.
 fn fold_play(mut h: u64, inst: &TeInstance, d: &ScenarioDelivery) -> u64 {
@@ -69,7 +58,8 @@ fn playback_digest(inst: &TeInstance, alloc: &TeAllocation) -> u64 {
         let cfg = PlaybackConfig { respread };
         h = fold_play(h, inst, &play_scenario(inst, alloc, None, None, &cfg));
         for q in &inst.scenarios {
-            let tickets = [None, Some(ticket(inst, q, 0.5)), Some(ticket(inst, q, 1.0))];
+            let uniform = |fraction| Some(RestorationTicket::uniform(&inst.wan, q, fraction));
+            let tickets = [None, uniform(0.5), uniform(1.0)];
             for t in &tickets {
                 h = fold_play(h, inst, &play_scenario(inst, alloc, Some(q), t.as_ref(), &cfg));
             }
@@ -86,8 +76,12 @@ fn play_scenario_is_pinned_bit_for_bit() {
         assert_eq!(inst.scenarios.len(), 10);
         // Half-capacity tickets: with full ones ARROW's allocation is
         // MaxFlow's, bit for bit.
-        let half =
-            TicketSet::full(inst.scenarios.iter().map(|q| vec![ticket(&inst, q, 0.5)]).collect());
+        let half = TicketSet::full(
+            inst.scenarios
+                .iter()
+                .map(|q| vec![RestorationTicket::uniform(&inst.wan, q, 0.5)])
+                .collect(),
+        );
         let maxflow = MaxFlow::default().solve(&inst).alloc;
         let arrow = Arrow::new(half).solve(&inst).alloc;
         digests.push((format!("playback.b4_x{scale}.maxflow"), playback_digest(&inst, &maxflow)));
@@ -109,7 +103,7 @@ fn ticket_shapes(inst: &TeInstance, q: &FailureScenario) -> [Option<RestorationT
     if let Some(last) = one_dark.last_mut() {
         last.1 = 0.0;
     }
-    let mut odd = ticket(inst, q, 1.0);
+    let mut odd = RestorationTicket::uniform(&inst.wan, q, 1.0);
     if let Some(&(first, _)) = odd.restored.first() {
         odd.restored.push((first, 0.0));
     }

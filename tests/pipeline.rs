@@ -67,20 +67,8 @@ fn scheme_dominance_ordering_under_load() {
     let wan = b4(17);
     let inst = make_instance(&wan, 6, 4).scaled(5.0);
     let mf = MaxFlow::default().solve(&inst).alloc.throughput(&inst);
-    let full = TicketSet::full(
-        inst.scenarios
-            .iter()
-            .map(|s| {
-                vec![RestorationTicket {
-                    restored: s
-                        .failed_links
-                        .iter()
-                        .map(|&l| (l, inst.wan.link(l).capacity_gbps))
-                        .collect(),
-                }]
-            })
-            .collect(),
-    );
+    let uniform = |s| vec![RestorationTicket::uniform(&inst.wan, s, 1.0)];
+    let full = TicketSet::full(inst.scenarios.iter().map(uniform).collect());
     let t_full = Arrow::new(full).solve(&inst).alloc.throughput(&inst);
     let t_none =
         Arrow::new(TicketSet::none(inst.scenarios.len())).solve(&inst).alloc.throughput(&inst);

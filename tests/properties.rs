@@ -108,13 +108,7 @@ proptest! {
         let out = MaxFlow::default().solve(&inst);
         let cfg = PlaybackConfig::default();
         for q in &inst.scenarios {
-            let ticket = RestorationTicket {
-                restored: q
-                    .failed_links
-                    .iter()
-                    .map(|&l| (l, frac * inst.wan.link(l).capacity_gbps))
-                    .collect(),
-            };
+            let ticket = RestorationTicket::uniform(&inst.wan, q, frac);
             let with = play_scenario(&inst, &out.alloc, Some(q), Some(&ticket), &cfg);
             let without = play_scenario(&inst, &out.alloc, Some(q), None, &cfg);
             prop_assert!((0.0..=1.0 + 1e-9).contains(&with.satisfaction));
