@@ -21,7 +21,7 @@
 //! always exists (this is also exactly ARROW-Naive's plan).
 
 use arrow_obs::hash::splitmix64;
-use arrow_optical::rwa::{greedy_assign, is_feasible, solve_relaxed, RwaConfig, RwaSolution};
+use arrow_optical::rwa::{greedy_assign, solve_relaxed, RwaConfig, RwaCut, RwaSolution};
 use arrow_te::restoration::{RestorationTicket, TicketSet};
 use arrow_topology::{FailureScenario, ScenarioUniverse, Wan};
 use rand::rngs::StdRng;
@@ -119,9 +119,14 @@ pub fn fractional_seed(
 /// The greedy exact realization of the RWA optimum — ARROW-Naive's single
 /// restoration candidate for the scenario.
 pub fn naive_ticket(wan: &Wan, scenario: &FailureScenario, rwa: &RwaConfig) -> RestorationTicket {
-    let assigns = greedy_assign(&wan.optical, &scenario.cut_fibers, rwa, None);
+    naive_from(wan, &RwaCut::new(&wan.optical, &scenario.cut_fibers, rwa))
+}
+
+/// [`naive_ticket`] on the scenario's view.
+fn naive_from(wan: &Wan, view: &RwaCut) -> RestorationTicket {
     RestorationTicket {
-        restored: assigns
+        restored: view
+            .greedy_assign(None)
             .iter()
             .filter_map(|a| {
                 let link = wan.link_of_lightpath(a.lightpath)?;
@@ -294,9 +299,10 @@ impl OfflineStats {
     }
 }
 
-/// Algorithm 1 for the scenario at global index `index`: its relaxed RWA
-/// under an `offline.rwa` span, then rounding and the feasibility filter,
-/// all inside one `offline.scenario` span whose seconds are the
+/// Algorithm 1 for the scenario at global index `index`: the cut's one
+/// [`RwaCut`] and its relaxed RWA under an `offline.rwa` span, then
+/// rounding and the feasibility filter (and any naive ticket) on that same
+/// view, all inside one `offline.scenario` span whose seconds are the
 /// scenario's [`ScenarioStats::seconds`].
 ///
 /// Owns the scenario's derived RNG stream (the rounding draws are the only
@@ -313,15 +319,15 @@ fn scenario_tickets(
         "scenario" => index,
         "cut_fibers" => scen.cut_fibers.len(),
     );
-    let seed = {
-        let _rwa = arrow_obs::span!("offline.rwa", "scenario" => index);
-        fractional_seed(wan, scen, &cfg.rwa)
-    };
+    let rwa_span = arrow_obs::span!("offline.rwa", "scenario" => index);
+    let view = RwaCut::new(&wan.optical, &scen.cut_fibers, &cfg.rwa);
+    let seed = restorations_from(wan, &view.solve_relaxed());
+    drop(rwa_span);
     let mut rng = StdRng::seed_from_u64(derive_seed(cfg.seed, index as u64));
     let mut stats = ScenarioStats { scenario: index, ..Default::default() };
     let mut tickets: Vec<RestorationTicket> = Vec::new();
     if cfg.include_naive {
-        tickets.push(naive_ticket(wan, scen, &cfg.rwa));
+        tickets.push(naive_from(wan, &view));
     }
     for _ in tickets.len()..cfg.num_tickets {
         stats.rounds += 1;
@@ -329,7 +335,7 @@ fn scenario_tickets(
         if cfg.feasibility_filter {
             let targets: Vec<_> =
                 seed.iter().zip(&counts).map(|(f, &c)| (wan.link(f.link).lightpath, c)).collect();
-            if !is_feasible(&wan.optical, &scen.cut_fibers, &cfg.rwa, &targets) {
+            if !view.is_feasible(&targets) {
                 stats.infeasible += 1;
                 continue;
             }
@@ -352,7 +358,7 @@ fn scenario_tickets(
     if tickets.is_empty() {
         // Every rounded candidate was infeasible: fall back to the
         // always-realizable greedy candidate so the TE has one.
-        tickets.push(naive_ticket(wan, scen, &cfg.rwa));
+        tickets.push(naive_from(wan, &view));
         stats.naive_fallback = true;
     }
     stats.kept = tickets.len();
@@ -547,6 +553,7 @@ pub fn generate_tickets_serial(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use arrow_optical::rwa::is_feasible;
     use arrow_topology::{b4, generate_failures, FailureConfig};
 
     fn setup() -> (Wan, Vec<FailureScenario>) {

@@ -132,6 +132,88 @@ fn relaxed_rwa_is_stable_across_runs_and_threads() {
     }
 }
 
+/// The correlated universe the benchmark's offline workloads compile
+/// (`perf/benches/offline.rs::universe_config`).
+fn benchmark_universe(wan: &Wan, max_scenarios: usize) -> ScenarioUniverse {
+    compile_universe(
+        wan,
+        &UniverseConfig {
+            max_k: 3,
+            cutoff: 1e-5,
+            auto_srlg_size: 3,
+            auto_srlg_probability: 1e-3,
+            maintenance_window: 2,
+            maintenance_probability: 5e-4,
+            flapping_count: 2,
+            flapping_boost: 4.0,
+            max_scenarios,
+            ..Default::default()
+        },
+    )
+}
+
+/// The offline stage builds one `RwaCut` per scenario and runs the relaxed
+/// LP and every feasibility draw through it. Greedy works on its own copy
+/// of the view's masks, so a view carries nothing from one call to the
+/// next: 12 seeded draws through one shared view answer exactly as 12
+/// fresh views, the untargeted greedy reads the same before and after
+/// them, and the view's LP is the free function's. Covers every 16th
+/// scenario of the benchmark's B4 universe and all 32 of its IBM universe,
+/// under every retuning × modulation-change setting.
+#[test]
+fn one_rwa_view_serves_every_draw_of_its_cut() {
+    use arrow_obs::hash::splitmix64;
+    use arrow_optical::rwa::{build_relaxed, is_feasible, RwaConfig, RwaCut};
+    let (b4, ibm) = (b4(17), ibm(17));
+    // Draws answered infeasible and feasible: both must occur.
+    let mut answers = [0usize; 2];
+    for (wan, max_scenarios, stride) in [(&b4, 0, 16), (&ibm, 32, 1)] {
+        let (net, universe) = (&wan.optical, benchmark_universe(wan, max_scenarios));
+        for (allow_retuning, allow_modulation_change) in
+            [(true, true), (true, false), (false, true), (false, false)]
+        {
+            let cfg = RwaConfig { allow_retuning, allow_modulation_change, ..Default::default() };
+            for i in (0..universe.len()).step_by(stride) {
+                let cut = &universe.scenario(i).cut_fibers;
+                let view = RwaCut::new(net, cut, &cfg);
+                assert_eq!(
+                    view.build_relaxed().model.to_standard().structure_digest(),
+                    build_relaxed(net, cut, &cfg).model.to_standard().structure_digest(),
+                    "scenario {i}: the view's LP differs from a fresh one"
+                );
+                let greedy = view.greedy_assign(None);
+                // Each draw moves every link's greedy count by -2..=2 within
+                // [0, lost], so draws land on both sides of feasibility.
+                let mut state = derive_seed(41, i as u64);
+                for draw in 0..12 {
+                    let targets: Vec<_> = greedy
+                        .iter()
+                        .map(|a| {
+                            state = splitmix64(state);
+                            let lost = net.lightpath(a.lightpath).wavelength_count();
+                            let want = (a.wavelengths() + (state % 5) as usize).saturating_sub(2);
+                            (a.lightpath, want.min(lost))
+                        })
+                        .collect();
+                    let shared = view.is_feasible(&targets);
+                    assert_eq!(
+                        shared,
+                        is_feasible(net, cut, &cfg, &targets),
+                        "scenario {i}, draw {draw}: the shared view answered differently"
+                    );
+                    answers[usize::from(shared)] += 1;
+                }
+                assert_eq!(
+                    format!("{:?}", view.greedy_assign(None)),
+                    format!("{greedy:?}"),
+                    "scenario {i}: the draws changed the view"
+                );
+            }
+        }
+    }
+    assert!(answers.iter().all(|&n| n > 0), "infeasible / feasible draws: {answers:?}");
+}
+
 /// A small correlated universe on IBM for the shard contract test.
 fn ibm_universe() -> (Wan, ScenarioUniverse) {
     let wan = ibm(17);

@@ -105,12 +105,11 @@ fn usable_gbps(cfg: &RwaConfig, current_gbps: f64, length_km: f64) -> Option<f64
     }
 }
 
+/// `(lightpath, candidate surrogate paths, per-wavelength Gbps per path)`.
+type Candidates = (LightpathId, Vec<FiberPath>, Vec<f64>);
+
 /// Computes candidate surrogate paths for every lightpath affected by `cut`.
-fn candidate_paths(
-    net: &OpticalNetwork,
-    cut: &[FiberId],
-    cfg: &RwaConfig,
-) -> Vec<(LightpathId, Vec<FiberPath>, Vec<f64>)> {
+fn candidate_paths(net: &OpticalNetwork, cut: &[FiberId], cfg: &RwaConfig) -> Vec<Candidates> {
     net.affected_lightpaths(cut)
         .into_iter()
         .map(|id| {
@@ -136,88 +135,183 @@ fn candidate_paths(
         .collect()
 }
 
+/// The RWA view of one cut, computed once: the restoration spectrum, each
+/// affected lightpath's candidate paths (in `affected_lightpaths` order)
+/// and its first-fit slot order (original slots, then the rest if it may
+/// retune). A greedy call works on its own copy of the masks, so a reused
+/// view answers exactly as a fresh one.
+#[derive(Debug, Clone)]
+pub struct RwaCut<'a> {
+    net: &'a OpticalNetwork,
+    cfg: &'a RwaConfig,
+    masks: Vec<SpectrumMask>,
+    cands: Vec<Candidates>,
+    slot_orders: Vec<Vec<usize>>,
+}
+
+impl<'a> RwaCut<'a> {
+    /// Computes the view of `cut`.
+    pub fn new(net: &'a OpticalNetwork, cut: &[FiberId], cfg: &'a RwaConfig) -> Self {
+        let cands = candidate_paths(net, cut, cfg);
+        let slot_order = |id: &LightpathId| {
+            let own = &net.lightpath(*id).slots;
+            let rest = (0..net.num_slots()).filter(|w| cfg.allow_retuning && !own.contains(w));
+            own.iter().copied().chain(rest).collect()
+        };
+        let slot_orders = cands.iter().map(|(id, _, _)| slot_order(id)).collect();
+        RwaCut { net, cfg, masks: net.restoration_spectrum(cut), cands, slot_orders }
+    }
+
+    /// Builds the relaxed wavelength-assignment LP (Appendix A.2,
+    /// constraints 14–17 with ξ relaxed to `[0, 1]`) without solving it.
+    pub fn build_relaxed(&self) -> RelaxedRwaLp {
+        let (net, masks) = (self.net, &self.masks);
+        let mut model = Model::new();
+        // var_index[(link_idx, path_idx)] -> per-slot variables (slot, VarId)
+        let mut slot_vars: Vec<Vec<Vec<(usize, arrow_lp::VarId)>>> = Vec::new();
+        // Per (fiber, slot), at `fiber * num_slots + slot`: variables that
+        // would occupy it. Constraint (14) rows are emitted in index order, by
+        // fiber, then slot; the LP's resolution of degenerate ties follows row
+        // order, so the offline stage's determinism contract rests on it.
+        let slots = net.num_slots();
+        let mut usage: Vec<Vec<arrow_lp::VarId>> = vec![Vec::new(); masks.len() * slots];
+
+        for (id, paths, _) in &self.cands {
+            let lp = net.lightpath(*id);
+            let mut per_path = Vec::new();
+            for path in paths {
+                let mut vars = Vec::new();
+                for w in 0..slots {
+                    if !self.cfg.allow_retuning && !lp.slots.contains(&w) {
+                        continue;
+                    }
+                    // Wavelength continuity: slot must be free on every fiber.
+                    if path.fibers.iter().any(|&f| masks[f.0].is_occupied(w)) {
+                        continue;
+                    }
+                    let v = model.add_var(0.0, 1.0);
+                    vars.push((w, v));
+                    for &f in &path.fibers {
+                        usage[f.0 * slots + w].push(v);
+                    }
+                }
+                per_path.push(vars);
+            }
+            slot_vars.push(per_path);
+        }
+        // Constraint (14): each free slot on each fiber used at most once.
+        // Rows with a single variable are implied by the [0, 1] bound — skip.
+        for vars in usage {
+            if vars.len() >= 2 {
+                model.add_con(LinExpr::sum_vars(vars), Sense::Le, 1.0);
+            }
+        }
+        // Constraint (17): restored wavelengths per link ≤ lost wavelengths.
+        for (e, (id, _, _)) in self.cands.iter().enumerate() {
+            let gamma = net.lightpath(*id).wavelength_count() as f64;
+            let all: Vec<_> = slot_vars[e].iter().flatten().map(|&(_, v)| v).collect();
+            if !all.is_empty() {
+                model.add_con(LinExpr::sum_vars(all), Sense::Le, gamma);
+            }
+        }
+        // Objective: the paper maximizes the restored wavelength count
+        // Σ_e Σ_k λ_e^k; with per-path modulations a wavelength restored on a
+        // short 400G-capable path is worth more than one forced onto a long
+        // 100G path, so each wavelength is weighted by its path's datarate
+        // (pure count would be indifferent and could pick low-rate paths).
+        let mut obj = LinExpr::new();
+        for (e, (_, _, gbps)) in self.cands.iter().enumerate() {
+            for (k, vars) in slot_vars[e].iter().enumerate() {
+                for &(_, v) in vars {
+                    obj.add_term(v, gbps[k].max(1.0));
+                }
+            }
+        }
+        model.set_objective(obj, Objective::Maximize);
+        RelaxedRwaLp { model, cands: self.cands.clone(), slot_vars }
+    }
+
+    /// Solves the relaxed wavelength-assignment LP.
+    pub fn solve_relaxed(&self) -> RwaSolution {
+        let lp = self.build_relaxed();
+        let sol = arrow_lp::solve(&lp.model, &self.cfg.solver);
+        lp.extract(self.net, &sol)
+    }
+
+    /// Greedy first-fit exact assignment: links in `affected_lightpaths`
+    /// order, each over its candidate paths and slot order, respecting
+    /// continuity. `targets` (at most one entry per lightpath) only caps a
+    /// link's count; `None` or no entry means as many as it lost. Returns
+    /// one assignment per affected link (possibly restoring fewer).
+    pub fn greedy_assign(&self, targets: Option<&[(LightpathId, usize)]>) -> Vec<ExactAssignment> {
+        let mut masks = self.masks.clone();
+        let mut out = Vec::with_capacity(self.cands.len());
+        for ((id, paths, gbps), order) in self.cands.iter().zip(&self.slot_orders) {
+            let lost = self.net.lightpath(*id).wavelength_count();
+            let want = targets
+                .and_then(|t| t.iter().find(|(tid, _)| tid == id).map(|&(_, n)| n))
+                .unwrap_or(lost)
+                .min(lost);
+            let mut assigned = 0usize;
+            let mut routes: Vec<(FiberPath, Vec<usize>)> = Vec::new();
+            let mut route_gbps = Vec::new();
+            for (path, &g) in paths.iter().zip(gbps) {
+                if assigned >= want {
+                    break;
+                }
+                let mut slots = Vec::new();
+                for &w in order {
+                    if assigned >= want {
+                        break;
+                    }
+                    if path.fibers.iter().all(|&f| masks[f.0].is_free(w)) {
+                        for &f in &path.fibers {
+                            masks[f.0].occupy(w);
+                        }
+                        slots.push(w);
+                        assigned += 1;
+                    }
+                }
+                if !slots.is_empty() {
+                    routes.push((path.clone(), slots));
+                    route_gbps.push(g);
+                }
+            }
+            out.push(ExactAssignment { lightpath: *id, routes, route_gbps });
+        }
+        out
+    }
+
+    /// Checks whether per-link restoration targets (at most one entry per
+    /// lightpath, in any order) are simultaneously realizable: the
+    /// LotteryTicket feasibility filter, one greedy pass capped by them.
+    /// Conservative: a `true` answer is always realizable, a `false` answer
+    /// may occasionally reject a realizable ticket.
+    pub fn is_feasible(&self, targets: &[(LightpathId, usize)]) -> bool {
+        let assignments = self.greedy_assign(Some(targets));
+        targets.iter().all(|&(id, want)| {
+            assignments.iter().find(|a| a.lightpath == id).is_some_and(|a| a.wavelengths() >= want)
+        })
+    }
+}
+
 /// The relaxed wavelength-assignment LP for one cut, before solving.
 ///
-/// Produced by [`build_relaxed`]; solve [`RelaxedRwaLp::model`] with any
-/// backend and feed the result to [`RelaxedRwaLp::extract`].
+/// Produced by [`RwaCut::build_relaxed`]; solve [`RelaxedRwaLp::model`] with
+/// any backend and feed the result to [`RelaxedRwaLp::extract`].
 #[derive(Debug)]
 pub struct RelaxedRwaLp {
     /// The assembled LP (maximization).
     pub model: Model,
-    /// `(lightpath, candidate paths, per-wavelength Gbps)` per affected link.
-    cands: Vec<(LightpathId, Vec<FiberPath>, Vec<f64>)>,
+    /// The view's candidates, one entry per affected link.
+    cands: Vec<Candidates>,
     /// `slot_vars[e][k]` = `(slot, var)` pairs for link `e`, path `k`.
     slot_vars: Vec<Vec<Vec<(usize, arrow_lp::VarId)>>>,
 }
 
-/// Builds the relaxed wavelength-assignment LP (Appendix A.2, constraints
-/// 14–17 with ξ relaxed to `[0, 1]`) without solving it.
+/// [`RwaCut::build_relaxed`] on a fresh view of `cut`.
 pub fn build_relaxed(net: &OpticalNetwork, cut: &[FiberId], cfg: &RwaConfig) -> RelaxedRwaLp {
-    let masks = net.restoration_spectrum(cut);
-    let cands = candidate_paths(net, cut, cfg);
-    let mut model = Model::new();
-    // var_index[(link_idx, path_idx)] -> per-slot variables (slot, VarId)
-    let mut slot_vars: Vec<Vec<Vec<(usize, arrow_lp::VarId)>>> = Vec::new();
-    // Per (fiber, slot), at `fiber * num_slots + slot`: variables that
-    // would occupy it. Constraint (14) rows are emitted in index order, that
-    // is by fiber, then slot; the LP's resolution of degenerate ties follows
-    // row order, so the offline stage's determinism contract rests on it.
-    let slots = net.num_slots();
-    let mut usage: Vec<Vec<arrow_lp::VarId>> = vec![Vec::new(); masks.len() * slots];
-
-    for (id, paths, _) in &cands {
-        let lp = net.lightpath(*id);
-        let mut per_path = Vec::new();
-        for path in paths {
-            let mut vars = Vec::new();
-            for w in 0..slots {
-                if !cfg.allow_retuning && !lp.slots.contains(&w) {
-                    continue;
-                }
-                // Wavelength continuity: slot must be free on every fiber.
-                if path.fibers.iter().any(|&f| masks[f.0].is_occupied(w)) {
-                    continue;
-                }
-                let v = model.add_var(0.0, 1.0);
-                vars.push((w, v));
-                for &f in &path.fibers {
-                    usage[f.0 * slots + w].push(v);
-                }
-            }
-            per_path.push(vars);
-        }
-        slot_vars.push(per_path);
-    }
-    // Constraint (14): each free slot on each fiber used at most once.
-    // Rows with a single variable are implied by the [0, 1] bound — skip.
-    for vars in usage {
-        if vars.len() >= 2 {
-            model.add_con(LinExpr::sum_vars(vars), Sense::Le, 1.0);
-        }
-    }
-    // Constraint (17): restored wavelengths per link ≤ lost wavelengths.
-    for (e, (id, _, _)) in cands.iter().enumerate() {
-        let gamma = net.lightpath(*id).wavelength_count() as f64;
-        let all: Vec<_> = slot_vars[e].iter().flatten().map(|&(_, v)| v).collect();
-        if !all.is_empty() {
-            model.add_con(LinExpr::sum_vars(all), Sense::Le, gamma);
-        }
-    }
-    // Objective: the paper maximizes the restored wavelength count
-    // Σ_e Σ_k λ_e^k; with per-path modulations a wavelength restored on a
-    // short 400G-capable path is worth more than one forced onto a long
-    // 100G path, so each wavelength is weighted by its path's datarate
-    // (pure count would be indifferent and could pick low-rate paths).
-    let mut obj = LinExpr::new();
-    for (e, (_, _, gbps)) in cands.iter().enumerate() {
-        for (k, vars) in slot_vars[e].iter().enumerate() {
-            for &(_, v) in vars {
-                obj.add_term(v, gbps[k].max(1.0));
-            }
-        }
-    }
-    model.set_objective(obj, Objective::Maximize);
-    RelaxedRwaLp { model, cands, slot_vars }
+    RwaCut::new(net, cut, cfg).build_relaxed()
 }
 
 impl RelaxedRwaLp {
@@ -253,11 +347,9 @@ impl RelaxedRwaLp {
     }
 }
 
-/// Solves the relaxed wavelength-assignment LP for one cut.
+/// [`RwaCut::solve_relaxed`] on a fresh view of `cut`.
 pub fn solve_relaxed(net: &OpticalNetwork, cut: &[FiberId], cfg: &RwaConfig) -> RwaSolution {
-    let lp = build_relaxed(net, cut, cfg);
-    let sol = arrow_lp::solve(&lp.model, &cfg.solver);
-    lp.extract(net, &sol)
+    RwaCut::new(net, cut, cfg).solve_relaxed()
 }
 
 /// An exact (integral) wavelength assignment for one failed link.
@@ -287,83 +379,24 @@ impl ExactAssignment {
     }
 }
 
-/// Greedy first-fit exact assignment.
-///
-/// `targets` caps how many wavelengths each affected link should restore
-/// (`None` = as many as were lost). Links are processed in the given order;
-/// slots are assigned first-fit respecting continuity. Returns one
-/// assignment per affected link (possibly restoring fewer than requested).
+/// [`RwaCut::greedy_assign`] on a fresh view of `cut`.
 pub fn greedy_assign(
     net: &OpticalNetwork,
     cut: &[FiberId],
     cfg: &RwaConfig,
     targets: Option<&[(LightpathId, usize)]>,
 ) -> Vec<ExactAssignment> {
-    let mut masks: Vec<SpectrumMask> = net.restoration_spectrum(cut);
-    let cands = candidate_paths(net, cut, cfg);
-    let mut out = Vec::new();
-    for (id, paths, gbps) in cands {
-        let lp = net.lightpath(id);
-        let want = targets
-            .and_then(|t| t.iter().find(|(tid, _)| *tid == id).map(|&(_, n)| n))
-            .unwrap_or(lp.wavelength_count())
-            .min(lp.wavelength_count());
-        let mut assigned = 0usize;
-        let mut routes: Vec<(FiberPath, Vec<usize>)> = Vec::new();
-        let mut route_gbps = Vec::new();
-        for (k, path) in paths.iter().enumerate() {
-            if assigned >= want {
-                break;
-            }
-            let mut slots = Vec::new();
-            // Prefer original slots first (no retuning latency), then scan.
-            let original_first: Vec<usize> = if cfg.allow_retuning {
-                let mut order: Vec<usize> = lp.slots.clone();
-                order.extend((0..net.num_slots()).filter(|w| !lp.slots.contains(w)));
-                order
-            } else {
-                lp.slots.clone()
-            };
-            for w in original_first {
-                if assigned >= want {
-                    break;
-                }
-                if path.fibers.iter().all(|&f| masks[f.0].is_free(w)) {
-                    for &f in &path.fibers {
-                        masks[f.0].occupy(w);
-                    }
-                    slots.push(w);
-                    assigned += 1;
-                }
-            }
-            if !slots.is_empty() {
-                routes.push((path.clone(), slots));
-                route_gbps.push(gbps[k]);
-            }
-        }
-        out.push(ExactAssignment { lightpath: id, routes, route_gbps });
-    }
-    out
+    RwaCut::new(net, cut, cfg).greedy_assign(targets)
 }
 
-/// Checks whether per-link restoration targets are simultaneously
-/// realizable in the optical domain (the LotteryTicket feasibility filter).
-///
-/// Conservative: links are attempted in descending target order with greedy
-/// first-fit; a `true` answer is always realizable, a `false` answer may
-/// occasionally reject a realizable ticket.
+/// [`RwaCut::is_feasible`] on a fresh view of `cut`.
 pub fn is_feasible(
     net: &OpticalNetwork,
     cut: &[FiberId],
     cfg: &RwaConfig,
     targets: &[(LightpathId, usize)],
 ) -> bool {
-    let mut ordered: Vec<(LightpathId, usize)> = targets.to_vec();
-    ordered.sort_by_key(|&(_, want)| std::cmp::Reverse(want));
-    let assignments = greedy_assign(net, cut, cfg, Some(&ordered));
-    targets.iter().all(|&(id, want)| {
-        assignments.iter().find(|a| a.lightpath == id).is_some_and(|a| a.wavelengths() >= want)
-    })
+    RwaCut::new(net, cut, cfg).is_feasible(targets)
 }
 
 #[cfg(test)]
@@ -445,35 +478,45 @@ mod tests {
         (net, f_bc, ip1, ip2)
     }
 
+    // The Fig. 7 tests run each check through the free function (a fresh
+    // view per call) and through one view that serves every call of the test.
+
     #[test]
     fn relaxed_rwa_restores_five_of_twelve() {
         let (net, f_bc, _, _) = fig7();
-        let sol = solve_relaxed(&net, &[f_bc], &RwaConfig::default());
-        // Top path has 3 free slots, bottom has 2 => 5 restorable total.
-        assert!(
-            (sol.total_wavelengths - 5.0).abs() < 1e-4,
-            "restored {} wavelengths",
-            sol.total_wavelengths
-        );
-        // No link exceeds its lost wavelength count.
-        for l in &sol.links {
-            assert!(l.wavelengths <= l.lost_wavelengths as f64 + 1e-6);
+        let cfg = RwaConfig::default();
+        let view = RwaCut::new(&net, &[f_bc], &cfg);
+        for sol in [solve_relaxed(&net, &[f_bc], &cfg), view.solve_relaxed()] {
+            // Top path has 3 free slots, bottom has 2 => 5 restorable total.
+            assert!(
+                (sol.total_wavelengths - 5.0).abs() < 1e-4,
+                "restored {} wavelengths",
+                sol.total_wavelengths
+            );
+            // No link exceeds its lost wavelength count.
+            for l in &sol.links {
+                assert!(l.wavelengths <= l.lost_wavelengths as f64 + 1e-6);
+            }
         }
     }
 
     #[test]
     fn greedy_assignment_is_integral_and_consistent() {
         let (net, f_bc, _, _) = fig7();
-        let assigns = greedy_assign(&net, &[f_bc], &RwaConfig::default(), None);
-        let total: usize = assigns.iter().map(|a| a.wavelengths()).sum();
-        assert_eq!(total, 5);
-        // No slot is double-assigned on any fiber.
-        let mut used: std::collections::HashSet<(usize, usize)> = Default::default();
-        for a in &assigns {
-            for (path, slots) in &a.routes {
-                for &f in &path.fibers {
-                    for &w in slots {
-                        assert!(used.insert((f.0, w)), "fiber {f:?} slot {w} double used");
+        let cfg = RwaConfig::default();
+        let view = RwaCut::new(&net, &[f_bc], &cfg);
+        let runs = [greedy_assign(&net, &[f_bc], &cfg, None), view.greedy_assign(None)];
+        for assigns in runs.iter().chain([&view.greedy_assign(None)]) {
+            let total: usize = assigns.iter().map(|a| a.wavelengths()).sum();
+            assert_eq!(total, 5);
+            // No slot is double-assigned on any fiber.
+            let mut used: std::collections::HashSet<(usize, usize)> = Default::default();
+            for a in assigns {
+                for (path, slots) in &a.routes {
+                    for &f in &path.fibers {
+                        for &w in slots {
+                            assert!(used.insert((f.0, w)), "fiber {f:?} slot {w} double used");
+                        }
                     }
                 }
             }
@@ -484,24 +527,34 @@ mod tests {
     fn feasibility_check_accepts_candidates_and_rejects_overask() {
         let (net, f_bc, ip1, ip2) = fig7();
         let cfg = RwaConfig::default();
-        // Fig. 7 candidate 2: (1 wavelength for IP1, 4 for IP2).
-        assert!(is_feasible(&net, &[f_bc], &cfg, &[(ip1, 1), (ip2, 4)]));
-        // Candidate 1: (2, 3).
-        assert!(is_feasible(&net, &[f_bc], &cfg, &[(ip1, 2), (ip2, 3)]));
-        // Asking for six total wavelengths cannot work (only 5 free e2e).
-        assert!(!is_feasible(&net, &[f_bc], &cfg, &[(ip1, 2), (ip2, 4)]));
+        let view = RwaCut::new(&net, &[f_bc], &cfg);
+        // Fig. 7 candidate 2 (1 wavelength for IP1, 4 for IP2) and candidate
+        // 1 (2, 3) fit; six wavelengths cannot (only 5 are free end to end).
+        for (targets, fits) in [
+            ([(ip1, 1), (ip2, 4)], true),
+            ([(ip1, 2), (ip2, 3)], true),
+            ([(ip1, 2), (ip2, 4)], false),
+        ] {
+            assert_eq!(is_feasible(&net, &[f_bc], &cfg, &targets), fits, "{targets:?}");
+            assert_eq!(view.is_feasible(&targets), fits, "{targets:?} on the shared view");
+        }
     }
 
     #[test]
     fn no_retuning_restricts_to_original_slots() {
         let (net, f_bc, _, _) = fig7();
         let cfg = RwaConfig { allow_retuning: false, ..Default::default() };
-        let sol = solve_relaxed(&net, &[f_bc], &cfg);
-        // Free slots are 0..3 (top) and 0..2 (bottom); IP1 owns slots 0-3 so
-        // it can restore, IP2 owns 4-11 which are occupied on surrogates.
-        let by_id: Vec<f64> = sol.links.iter().map(|l| l.wavelengths).collect();
-        assert!(by_id[0] > 0.0, "IP1 should restore without retuning");
-        assert!(by_id[1] < 1e-6, "IP2 cannot restore without retuning");
+        let view = RwaCut::new(&net, &[f_bc], &cfg);
+        for sol in [solve_relaxed(&net, &[f_bc], &cfg), view.solve_relaxed()] {
+            // Free slots are 0..3 (top) and 0..2 (bottom); IP1 owns slots 0-3
+            // so it can restore, IP2 owns 4-11 which are occupied on
+            // surrogates.
+            let by_id: Vec<f64> = sol.links.iter().map(|l| l.wavelengths).collect();
+            assert!(by_id[0] > 0.0, "IP1 should restore without retuning");
+            assert!(by_id[1] < 1e-6, "IP2 cannot restore without retuning");
+        }
+        let greedy = view.greedy_assign(None);
+        assert!(greedy[0].wavelengths() > 0 && greedy[1].wavelengths() == 0);
     }
 
     #[test]
