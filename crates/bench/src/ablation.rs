@@ -14,7 +14,7 @@ use crate::{solve_all, Ctx, Report, Topology};
 /// past each ticket (more informative slack signal, looser allocation);
 /// smaller α pins Phase I to the candidates. The end-to-end effect on
 /// throughput should be modest — the paper treats α as a tuning knob.
-pub fn alpha(ctx: &Ctx, r: &mut Report) {
+pub(crate) fn alpha(ctx: &Ctx, r: &mut Report) {
     let s = ctx.setup(Topology::B4);
     let inst = s.instances[0].scaled(8.0);
     writeln!(r, "{:>8} {:>12} {:>16}", "alpha", "throughput", "winning != naive");
@@ -43,7 +43,7 @@ pub fn alpha(ctx: &Ctx, r: &mut Report) {
 /// * **Feasibility filter** — §3.2 drops tickets the optical layer cannot
 ///   realize; disabling it feeds the TE restoration promises that playback
 ///   cannot honor.
-pub fn rounding(ctx: &Ctx, r: &mut Report) {
+pub(crate) fn rounding(ctx: &Ctx, r: &mut Report) {
     let s = ctx.setup(Topology::B4);
     let inst = s.instances[0].scaled(8.0);
     let cfg = PlaybackConfig::default();
@@ -112,7 +112,7 @@ pub fn rounding(ctx: &Ctx, r: &mut Report) {
 /// alternative re-spreads each flow's admitted bandwidth over surviving
 /// tunnels, modeling a local rebalancing data plane. This ablation shows
 /// the availability ordering of the schemes is robust to that choice.
-pub fn playback(ctx: &Ctx, r: &mut Report) {
+pub(crate) fn playback(ctx: &Ctx, r: &mut Report) {
     let s = ctx.setup(Topology::B4);
     let inst = s.instances[0].scaled(2.0);
     writeln!(r, "{:<14} {:>12} {:>12}", "scheme", "frozen", "respread");

@@ -10,7 +10,7 @@ use arrow_core::{
     kappa, optimality_probability, tickets_for_target, LinkRounding, LotteryConfig, RoundDirection,
 };
 use arrow_lp::SolveStats;
-use arrow_optical::ModulationTable;
+use arrow_optical::modulation::{max_gbps_for_length, LADDER};
 use arrow_te::eval::{required_router_ports, PlaybackConfig};
 use arrow_te::{
     joint_formulation_size, Arrow, ArrowOnline, MaxFlow, RestorationTicket, SchemeOutput, TeScheme,
@@ -27,7 +27,7 @@ use crate::{
 ///
 /// Paper: Facebook 34/84 routers/ROADMs, 156 fibers, 262 IP links, 12 TMs;
 /// IBM 17/17, 23, 85, 30; B4 12/12, 19, 52, 30.
-pub fn table04(_: &Ctx, r: &mut Report) {
+pub(crate) fn table04(_: &Ctx, r: &mut Report) {
     writeln!(
         r,
         "{:<10} {:>16} {:>8} {:>9} {:>10}",
@@ -51,7 +51,7 @@ pub fn table04(_: &Ctx, r: &mut Report) {
 /// Paper: ARROW holds high availability at demand scales 2.0×–2.4× beyond
 /// the best failure-aware TE; on B4 it sustains 3.61× demand at 99.99%
 /// availability vs FFC-1's 1.63×.
-pub fn fig13(ctx: &Ctx, r: &mut Report) {
+pub(crate) fn fig13(ctx: &Ctx, r: &mut Report) {
     let mut headline = Vec::new();
     for topo in Topology::ALL {
         let (s, name) = (ctx.setup(topo), topo.name());
@@ -107,7 +107,7 @@ pub fn fig13(ctx: &Ctx, r: &mut Report) {
 /// Paper (B4): vs ARROW-Naive 1.6–2.0×, vs FFC-1 1.5–2.2×, vs FFC-2
 /// 2.0–2.4×, vs TeaVaR 1.9–2.4×, vs ECMP 2.0–2.4× across availability
 /// targets 99%–99.999%.
-pub fn table05(ctx: &Ctx, r: &mut Report) {
+pub(crate) fn table05(ctx: &Ctx, r: &mut Report) {
     let s = ctx.setup(Topology::B4);
     let scales: Vec<f64> = (1..=14).map(|i| 0.25 * i as f64).collect();
     let all = schemes(s);
@@ -157,7 +157,7 @@ pub fn table05(ctx: &Ctx, r: &mut Report) {
 /// Paper: throughput fluctuates at small |Z| (randomized rounding may miss
 /// good candidates), rises with |Z|, then plateaus once the tickets cover
 /// a good set of restoration candidates; |Z| = 1 equals ARROW-Naive.
-pub fn fig14(ctx: &Ctx, r: &mut Report) {
+pub(crate) fn fig14(ctx: &Ctx, r: &mut Report) {
     let s = ctx.setup(Topology::B4);
     let inst = s.instances[0].scaled(8.0);
     let counts = [1usize, 2, 4, 6, 8, 12, 16, 24, 32];
@@ -200,7 +200,7 @@ pub fn fig14(ctx: &Ctx, r: &mut Report) {
 /// leaves wall time to `perf/` (`te.arrow.phase{1,2}_solve_s`). The
 /// reproduction target is the *shape*: Phase I grows with |Z|, Phase II
 /// does not.
-pub fn fig15(ctx: &Ctx, r: &mut Report) {
+pub(crate) fn fig15(ctx: &Ctx, r: &mut Report) {
     let mut growth = Vec::new();
     for (topo, counts) in [
         (Topology::B4, vec![1usize, 4, 8, 16, 32]),
@@ -245,7 +245,7 @@ pub fn fig15(ctx: &Ctx, r: &mut Report) {
 /// Paper (Facebook): ARROW needs only 1.5× the fully-restorable baseline,
 /// vs TeaVaR 4.1×, FFC-1 5.2×, FFC-2 311×; i.e. ARROW needs ~2.8× fewer
 /// ports than the best failure-aware TE.
-pub fn fig16(ctx: &Ctx, r: &mut Report) {
+pub(crate) fn fig16(ctx: &Ctx, r: &mut Report) {
     let beta = 0.999;
     let cfg = PlaybackConfig::default();
     for topo in [Topology::B4, Topology::Ibm] {
@@ -289,20 +289,19 @@ pub fn fig16(ctx: &Ctx, r: &mut Report) {
 
 /// Table 6 — terrestrial long-haul transponder spec sheet: datarate vs
 /// reach, and the modulation decisions it drives (Appendix A.1).
-pub fn table06(_: &Ctx, r: &mut Report) {
-    let t = ModulationTable::default();
+pub(crate) fn table06(_: &Ctx, r: &mut Report) {
     writeln!(r, "{:>16} {:>12}", "datarate (Gbps)", "reach (km)");
-    for row in t.rows() {
+    for row in LADDER {
         writeln!(r, "{:>16.0} {:>12.0}", r.n(row.gbps), r.n(row.reach_km));
     }
     writeln!(r, "\nderived modulation decisions:");
     for km in [800.0, 1200.0, 2000.0, 4000.0, 5500.0] {
-        writeln!(r, "  {:>6.0} km path -> max datarate {:?} Gbps", km, t.max_gbps_for_length(km));
+        writeln!(r, "  {:>6.0} km path -> max datarate {:?} Gbps", km, max_gbps_for_length(km));
     }
-    let ok = t.rows().len() == 4
-        && t.max_gbps_for_length(1000.0) == Some(400.0)
-        && t.max_gbps_for_length(5000.0) == Some(100.0)
-        && t.max_gbps_for_length(5001.0).is_none();
+    let ok = LADDER.len() == 4
+        && max_gbps_for_length(1000.0) == Some(400.0)
+        && max_gbps_for_length(5000.0) == Some(100.0)
+        && max_gbps_for_length(5001.0).is_none();
     r.summary(
         "400G/1000km 300G/1500km 200G/3000km 100G/5000km",
         if ok { "ladder matches exactly" } else { "MISMATCH" },
@@ -316,7 +315,7 @@ pub fn table06(_: &Ctx, r: &mut Report) {
 /// overflows memory); IBM 81M binaries / 192M constraints; B4 52M / 119M.
 /// Our scenario sets are smaller, so absolute counts are smaller — the
 /// reproduction target is the *blow-up* relative to ARROW's two-phase LP.
-pub fn table08(ctx: &Ctx, r: &mut Report) {
+pub(crate) fn table08(ctx: &Ctx, r: &mut Report) {
     writeln!(
         r,
         "{:<10} {:>10} {:>16} {:>16} {:>16}",
@@ -357,8 +356,8 @@ pub fn table08(ctx: &Ctx, r: &mut Report) {
 /// Theorem 3.1 — ARROW's probabilistic optimality guarantee
 /// `ρ^q = 1 − (1 − κ)^{|Z^q|}`, validated against a Monte-Carlo simulation
 /// of Algorithm 1's randomized rounding.
-pub fn thm31(_: &Ctx, r: &mut Report) {
-    let delta = 2usize;
+pub(crate) fn thm31(_: &Ctx, r: &mut Report) {
+    let delta = LotteryConfig::default().delta;
     let links = [
         LinkRounding { lambda: 2.3, direction: RoundDirection::Up },
         LinkRounding { lambda: 1.7, direction: RoundDirection::Down },

@@ -11,8 +11,10 @@
 //!
 //! This file holds what the experiments share: the standard topology /
 //! scenario / traffic setups sized to finish on a laptop, memoized in a
-//! [`Ctx`]; the sweeps several figures run; the registry and the
-//! binary's argument parser.
+//! [`Ctx`]; the sweeps several figures run; the registry. The
+//! `arrow-repro` binary (`src/main.rs`) parses its command line.
+
+#![deny(unreachable_pub)]
 
 mod ablation;
 mod evaluation;
@@ -21,11 +23,10 @@ mod report;
 mod restoration;
 mod testbed;
 
-use std::path::PathBuf;
 use std::sync::OnceLock;
-use std::{fs, io};
 
-pub use report::{compare, Report};
+pub use report::compare;
+use report::Report;
 
 use arrow_core::par::parallel_map;
 use arrow_core::{generate_tickets, naive_ticket, LotteryConfig};
@@ -40,46 +41,46 @@ use arrow_topology::{
 };
 
 /// A topology-specific experiment setup sized for bench runtime.
-pub struct Setup {
+pub(crate) struct Setup {
     /// The WAN.
-    pub wan: Wan,
+    pub(crate) wan: Wan,
     /// TE instances, one per traffic matrix, demands normalized so scale
     /// 1.0 saturates the failure-oblivious LP.
-    pub instances: Vec<TeInstance>,
+    pub(crate) instances: Vec<TeInstance>,
     /// LotteryTickets per scenario.
-    pub tickets: TicketSet,
+    pub(crate) tickets: TicketSet,
     /// ARROW-Naive's single candidates.
-    pub naive: Vec<RestorationTicket>,
+    pub(crate) naive: Vec<RestorationTicket>,
 }
 
 /// Experiment sizing knobs.
 #[derive(Debug, Clone)]
-pub struct SetupConfig {
+pub(crate) struct SetupConfig {
     /// Traffic matrices to evaluate.
-    pub num_matrices: usize,
+    pub(crate) num_matrices: usize,
     /// Most-probable failure scenarios kept.
-    pub max_scenarios: usize,
+    pub(crate) max_scenarios: usize,
     /// Tunnels per flow.
-    pub tunnels_per_flow: usize,
+    pub(crate) tunnels_per_flow: usize,
     /// LotteryTickets per scenario.
-    pub num_tickets: usize,
+    pub(crate) num_tickets: usize,
     /// Scenario probability cutoff.
-    pub cutoff: f64,
+    pub(crate) cutoff: f64,
     /// Keep only the K largest demands per traffic matrix (0 = all).
     /// Gravity-model traffic is heavily skewed, so a few hundred flows
     /// carry most bytes; trimming the tail keeps the Facebook-scale LPs
     /// laptop-sized. Each bench prints the value it used.
-    pub top_flows: usize,
+    pub(crate) top_flows: usize,
     /// Anchor the demand scale where FFC-1 fully admits (B4/IBM). The
     /// Facebook-scale FFC-1 anchor solve is too slow for a bench, so it
     /// falls back to half the MaxFlow saturation point.
-    pub anchor_with_ffc: bool,
+    pub(crate) anchor_with_ffc: bool,
 }
 
 impl SetupConfig {
     /// Bench sizing for B4 (paper: 30 TMs, 8 tunnels, 80 tickets,
     /// cutoff 1e-3 — scaled down to keep the full suite in minutes).
-    pub fn b4() -> Self {
+    pub(crate) fn b4() -> Self {
         SetupConfig {
             num_matrices: 3,
             max_scenarios: 12,
@@ -92,7 +93,7 @@ impl SetupConfig {
     }
 
     /// Bench sizing for IBM (paper: 30 TMs, 12 tunnels, 90 tickets).
-    pub fn ibm() -> Self {
+    pub(crate) fn ibm() -> Self {
         SetupConfig {
             num_matrices: 2,
             max_scenarios: 10,
@@ -106,7 +107,7 @@ impl SetupConfig {
 
     /// Bench sizing for the Facebook-like WAN (paper: 12 TMs, 16 tunnels,
     /// 120 tickets, cutoff 2e-4).
-    pub fn facebook() -> Self {
+    pub(crate) fn facebook() -> Self {
         SetupConfig {
             num_matrices: 1,
             max_scenarios: 5,
@@ -120,7 +121,7 @@ impl SetupConfig {
 }
 
 /// Builds the standard experiment setup for a WAN.
-pub fn setup(wan: Wan, cfg: &SetupConfig) -> Setup {
+pub(crate) fn setup(wan: Wan, cfg: &SetupConfig) -> Setup {
     let failures = generate_failures(
         &wan,
         &FailureConfig { cutoff: cfg.cutoff, max_scenarios: cfg.max_scenarios },
@@ -177,7 +178,7 @@ pub fn setup(wan: Wan, cfg: &SetupConfig) -> Setup {
 
 /// The three simulation topologies of Table 4.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Topology {
+pub(crate) enum Topology {
     /// Google's B4.
     B4,
     /// The IBM backbone.
@@ -188,10 +189,10 @@ pub enum Topology {
 
 impl Topology {
     /// All three, in the order the figures print them.
-    pub const ALL: [Topology; 3] = [Topology::B4, Topology::Ibm, Topology::Facebook];
+    pub(crate) const ALL: [Topology; 3] = [Topology::B4, Topology::Ibm, Topology::Facebook];
 
     /// The label the reports print.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             Topology::B4 => "B4",
             Topology::Ibm => "IBM",
@@ -200,7 +201,7 @@ impl Topology {
     }
 
     /// The WAN itself (every experiment generates with seed 17).
-    pub fn wan(self) -> Wan {
+    pub(crate) fn wan(self) -> Wan {
         match self {
             Topology::B4 => b4(17),
             Topology::Ibm => ibm(17),
@@ -217,7 +218,7 @@ impl Topology {
     }
 }
 
-/// What a run of several experiments shares: the standard [`Setup`] of
+/// What a run of several experiments shares: the standard `Setup` of
 /// each topology (FFC-1 anchor bisection + ticket generation), built on
 /// first use and at most once.
 #[derive(Default)]
@@ -227,13 +228,13 @@ pub struct Ctx {
 
 impl Ctx {
     /// The standard setup of `topo`.
-    pub fn setup(&self, topo: Topology) -> &Setup {
+    pub(crate) fn setup(&self, topo: Topology) -> &Setup {
         self.setups[topo as usize].get_or_init(|| setup(topo.wan(), &topo.config()))
     }
 }
 
 /// The comparison schemes of §6 for a given setup.
-pub fn schemes(s: &Setup) -> Vec<Box<dyn TeScheme + Send + Sync>> {
+pub(crate) fn schemes(s: &Setup) -> Vec<Box<dyn TeScheme + Send + Sync>> {
     vec![
         Box::new(Arrow::new(s.tickets.clone())),
         Box::new(ArrowNaive { tickets: s.naive.clone(), solver: Default::default() }),
@@ -245,13 +246,13 @@ pub fn schemes(s: &Setup) -> Vec<Box<dyn TeScheme + Send + Sync>> {
 }
 
 /// Every §6 scheme solved on one instance, in [`schemes`] order.
-pub fn solve_all(s: &Setup, inst: &TeInstance) -> Vec<(String, SchemeOutput)> {
+pub(crate) fn solve_all(s: &Setup, inst: &TeInstance) -> Vec<(String, SchemeOutput)> {
     parallel_map(schemes(s), |scheme| (scheme.name(), scheme.solve(inst)))
 }
 
 /// Splits a per-scheme column into ARROW's entry and its rivals': every
 /// other scheme not named in `set_aside`.
-pub fn arrow_and_rivals<'a, T>(
+pub(crate) fn arrow_and_rivals<'a, T>(
     column: &'a [(String, T)],
     set_aside: &[&str],
 ) -> (&'a T, Vec<&'a (String, T)>) {
@@ -265,7 +266,11 @@ pub fn arrow_and_rivals<'a, T>(
 
 /// Mean availability of a scheme across a setup's traffic matrices at a
 /// demand scale (the Fig. 13 measurement).
-pub fn mean_availability(s: &Setup, scheme: &(dyn TeScheme + Send + Sync), scale: f64) -> f64 {
+pub(crate) fn mean_availability(
+    s: &Setup,
+    scheme: &(dyn TeScheme + Send + Sync),
+    scale: f64,
+) -> f64 {
     let cfg = PlaybackConfig::default();
     let mut acc = 0.0;
     for inst in &s.instances {
@@ -279,7 +284,7 @@ pub fn mean_availability(s: &Setup, scheme: &(dyn TeScheme + Send + Sync), scale
 /// [`mean_availability`] of every scheme at every demand scale, one
 /// parallel job per cell: `grid[scheme][scale]` (the Fig. 13 / Table 5
 /// sweep).
-pub fn availability_grid(
+pub(crate) fn availability_grid(
     s: &Setup,
     schemes: &[Box<dyn TeScheme + Send + Sync>],
     scales: &[f64],
@@ -292,32 +297,37 @@ pub fn availability_grid(
 
 /// Largest probed scale at which one grid row keeps availability at or
 /// above `target` (0 when none does) — the Fig. 13 / Table 5 readout.
-pub fn max_scale_at(row: &[f64], scales: &[f64], target: f64) -> f64 {
+pub(crate) fn max_scale_at(row: &[f64], scales: &[f64], target: f64) -> f64 {
     scales.iter().zip(row).filter(|&(_, &a)| a >= target).map(|(&sc, _)| sc).fold(0.0, f64::max)
 }
 
 /// LotteryTickets for an instance's scenarios at a given |Z| and rounding
 /// seed (the Fig. 14 / Fig. 15 sweeps).
-pub fn tickets_for(s: &Setup, inst: &TeInstance, num_tickets: usize, seed: u64) -> TicketSet {
+pub(crate) fn tickets_for(
+    s: &Setup,
+    inst: &TeInstance,
+    num_tickets: usize,
+    seed: u64,
+) -> TicketSet {
     let cfg = LotteryConfig { num_tickets, seed, ..Default::default() };
     generate_tickets(&s.wan, &inst.scenarios, &cfg).0
 }
 
 /// Restorability of a fiber plant under every single cut (Fig. 6's pass;
 /// the C+L extension runs it twice).
-pub struct CutStats {
+pub(crate) struct CutStats {
     /// One record per loaded fiber.
-    pub ratios: Vec<RestorationRatio>,
+    pub(crate) ratios: Vec<RestorationRatio>,
     /// Share of fibers fully restorable.
-    pub full: f64,
+    pub(crate) full: f64,
     /// Share of fibers not restorable at all.
-    pub none: f64,
+    pub(crate) none: f64,
     /// Mean restoration ratio.
-    pub mean: f64,
+    pub(crate) mean: f64,
 }
 
 /// Runs the single-cut pass over `wan`'s optical layer.
-pub fn single_cut_stats(wan: &Wan, cfg: &RwaConfig) -> CutStats {
+pub(crate) fn single_cut_stats(wan: &Wan, cfg: &RwaConfig) -> CutStats {
     let ratios = all_single_cut_ratios(&wan.optical, cfg);
     let full = share(&ratios, |r| r.is_full());
     let none = share(&ratios, |r| r.is_none());
@@ -326,7 +336,7 @@ pub fn single_cut_stats(wan: &Wan, cfg: &RwaConfig) -> CutStats {
 }
 
 /// Fraction of `items` satisfying `pred`.
-pub fn share<T>(items: &[T], pred: impl Fn(&T) -> bool) -> f64 {
+pub(crate) fn share<T>(items: &[T], pred: impl Fn(&T) -> bool) -> f64 {
     items.iter().filter(|x| pred(x)).count() as f64 / items.len() as f64
 }
 
@@ -335,11 +345,11 @@ pub struct Experiment {
     /// What the command line and the golden file are named after.
     pub id: &'static str,
     /// What is regenerated.
-    pub title: &'static str,
+    pub(crate) title: &'static str,
     /// Where the paper shows it, and its headline.
-    pub paper: &'static str,
+    pub(crate) paper: &'static str,
     /// Writes the rows/series and one `SUMMARY` line.
-    pub run: fn(&Ctx, &mut Report),
+    pub(crate) run: fn(&Ctx, &mut Report),
 }
 
 const fn exp(
@@ -504,69 +514,6 @@ pub fn run(e: &Experiment, ctx: &Ctx) -> String {
     r.finish()
 }
 
-/// What the `arrow-repro` command line asked for.
-pub struct Invocation {
-    /// Experiments to run, in command-line order (`all` = the registry).
-    pub experiments: Vec<&'static Experiment>,
-    /// Write `<dir>/<id>.txt` per report instead of printing them.
-    pub out: Option<PathBuf>,
-}
-
-/// Parses `<id>… | all [--out <dir>]`. The error is the usage text, with
-/// the offending argument first and every known id listed.
-pub fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Invocation, String> {
-    let usage = |problem: String| {
-        let ids: Vec<&str> = EXPERIMENTS.iter().map(|e| e.id).collect();
-        format!(
-            "{problem}\nusage: arrow-repro <id>... | all [--out <dir>]\nknown ids: {}",
-            ids.join(" ")
-        )
-    };
-    let mut inv = Invocation { experiments: Vec::new(), out: None };
-    let mut args = args.into_iter();
-    while let Some(arg) = args.next() {
-        if arg == "--out" {
-            let dir = args.next().ok_or_else(|| usage("--out needs a directory".into()))?;
-            inv.out = Some(PathBuf::from(dir));
-        } else if arg == "all" {
-            inv.experiments.extend(EXPERIMENTS);
-        } else if let Some(e) = EXPERIMENTS.iter().find(|e| e.id == arg) {
-            inv.experiments.push(e);
-        } else {
-            let kind = if arg.starts_with('-') { "flag" } else { "experiment" };
-            return Err(usage(format!("unknown {kind} {arg:?}")));
-        }
-    }
-    if inv.experiments.is_empty() {
-        return Err(usage("no experiment named".into()));
-    }
-    Ok(inv)
-}
-
-/// Runs an invocation: each report goes to `stdout`, or with `--out` to
-/// `<dir>/<id>.txt` (the directory is created) with one `wrote` line each.
-pub fn execute(inv: &Invocation, stdout: &mut impl io::Write) -> io::Result<()> {
-    let named = |path: &std::path::Path, e: io::Error| {
-        io::Error::new(e.kind(), format!("{}: {e}", path.display()))
-    };
-    if let Some(dir) = &inv.out {
-        fs::create_dir_all(dir).map_err(|e| named(dir, e))?;
-    }
-    let ctx = Ctx::default();
-    for e in &inv.experiments {
-        let text = run(e, &ctx);
-        match &inv.out {
-            Some(dir) => {
-                let path = dir.join(format!("{}.txt", e.id));
-                fs::write(&path, text).map_err(|e| named(&path, e))?;
-                writeln!(stdout, "wrote {}", path.display())?;
-            }
-            None => stdout.write_all(text.as_bytes())?,
-        }
-    }
-    stdout.flush()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -591,39 +538,5 @@ mod tests {
         let lo = mean_availability(s, &arrow, 0.4);
         let hi = mean_availability(s, &arrow, 3.0);
         assert!(lo >= hi - 1e-9, "availability must not improve with load: {lo} -> {hi}");
-    }
-
-    fn args(line: &str) -> Vec<String> {
-        line.split_whitespace().map(String::from).collect()
-    }
-
-    #[test]
-    fn ids_all_and_out_parse() {
-        let inv = parse_args(args("fig14 thm31 --out golden")).unwrap();
-        assert_eq!(inv.experiments.iter().map(|e| e.id).collect::<Vec<_>>(), ["fig14", "thm31"]);
-        assert_eq!(inv.out, Some(PathBuf::from("golden")));
-        assert_eq!(parse_args(args("all")).unwrap().experiments.len(), EXPERIMENTS.len());
-    }
-
-    #[test]
-    fn unknown_id_or_flag_is_a_usage_error_listing_the_known_ids() {
-        for line in ["fig99", "fig14 --fast", "--out", ""] {
-            let usage = parse_args(args(line)).err().unwrap_or_else(|| panic!("{line:?} parsed"));
-            assert!(usage.contains("known ids: fig03 "), "{usage}");
-            assert!(usage.contains("table05") && usage.contains("ablation_playback"), "{usage}");
-        }
-        assert!(parse_args(args("fig99"))
-            .err()
-            .unwrap()
-            .starts_with("unknown experiment \"fig99\""));
-        assert!(parse_args(args("-x")).err().unwrap().starts_with("unknown flag \"-x\""));
-    }
-
-    #[test]
-    fn unwritable_out_is_an_io_error_naming_the_path() {
-        // A directory cannot be created under a device node, whoever runs this.
-        let inv = parse_args(args("table06 --out /dev/null/golden")).unwrap();
-        let err = execute(&inv, &mut Vec::new()).unwrap_err();
-        assert!(err.to_string().starts_with("/dev/null/golden: "), "{err}");
     }
 }

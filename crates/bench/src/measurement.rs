@@ -13,7 +13,7 @@ use crate::{share, Ctx, Report, Topology};
 ///
 /// Paper: 50% of fiber-cut events last longer than 9 h, 10% last over a
 /// day, and fiber cuts account for 67% of total downtime.
-pub fn fig03(_: &Ctx, r: &mut Report) {
+pub(crate) fn fig03(_: &Ctx, r: &mut Report) {
     let tickets = generate_tickets(600, 7);
 
     // (a) repair-time CDF per cause.
@@ -52,7 +52,7 @@ pub fn fig03(_: &Ctx, r: &mut Report) {
 /// series for the worst site pairs (a) and CDF of lost capacity per cut (b).
 ///
 /// Paper: ~16 cut events/month; individual events cost up to 8 Tbps.
-pub fn fig04(_: &Ctx, r: &mut Report) {
+pub(crate) fn fig04(_: &Ctx, r: &mut Report) {
     // Three years of cuts at the paper's observed rate.
     let months = 36;
     let tickets = generate_tickets(16 * months, 11);
@@ -88,7 +88,7 @@ pub fn fig04(_: &Ctx, r: &mut Report) {
 /// Paper: 95% of fibers have spectrum utilization below 60%, i.e. at least
 /// 40% spare room for wavelength reconfiguration. Part (b)'s continuity
 /// effect (available ≠ usable spectrum) is demonstrated on three fibers.
-pub fn fig05(_: &Ctx, r: &mut Report) {
+pub(crate) fn fig05(_: &Ctx, r: &mut Report) {
     let wan = Topology::Facebook.wan();
     let utils: Vec<f64> =
         wan.optical.fibers().iter().map(|f| f.spectrum.utilization() * 100.0).collect();
@@ -119,7 +119,7 @@ pub fn fig05(_: &Ctx, r: &mut Report) {
 
 /// Fig. 21 — monthly wavelength deployments (Nov 2019 – Apr 2021), with
 /// the COVID-19 surge from March 2020.
-pub fn fig21(_: &Ctx, r: &mut Report) {
+pub(crate) fn fig21(_: &Ctx, r: &mut Report) {
     let months = 18; // Nov 2019 .. Apr 2021
     let series = monthly_wavelength_deployments(months, 5, 3);
     for (m, count) in series.iter().enumerate() {
@@ -144,7 +144,7 @@ pub fn fig21(_: &Ctx, r: &mut Report) {
 ///
 /// Paper: the IP topology is denser than the optical topology; most IP
 /// links carry a handful of wavelengths with a heavy tail.
-pub fn fig22(_: &Ctx, r: &mut Report) {
+pub(crate) fn fig22(_: &Ctx, r: &mut Report) {
     let wan = Topology::Facebook.wan();
     let per_fiber: Vec<f64> = wan.ip_links_per_fiber().iter().map(|&c| c as f64).collect();
     let per_link: Vec<f64> = wan.wavelengths_per_link().iter().map(|&c| c as f64).collect();

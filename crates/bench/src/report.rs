@@ -16,7 +16,7 @@ use crate::Experiment;
 /// folds its bits into an FNV-1a digest printed as the last line — so a
 /// change below the printed precision still changes the text. Integers
 /// print exactly and need no such help.
-pub struct Report {
+pub(crate) struct Report {
     id: &'static str,
     text: String,
     digest: Cell<u64>,
@@ -34,18 +34,18 @@ impl Report {
     }
 
     /// What `write!` / `writeln!` call.
-    pub fn write_fmt(&mut self, args: fmt::Arguments<'_>) {
+    pub(crate) fn write_fmt(&mut self, args: fmt::Arguments<'_>) {
         self.text.write_fmt(args).expect("writing to a String cannot fail");
     }
 
     /// Passes a number about to be printed through the digest.
-    pub fn n(&self, x: f64) -> f64 {
+    pub(crate) fn n(&self, x: f64) -> f64 {
         self.digest.set(fnv1a_word(self.digest.get(), x.to_bits()));
         x
     }
 
     /// Prints an empirical CDF as evenly-spaced percentile rows.
-    pub fn cdf(&mut self, label: &str, values: &[f64], points: usize) {
+    pub(crate) fn cdf(&mut self, label: &str, values: &[f64], points: usize) {
         let mut sorted = values.to_vec();
         sorted.sort_by(|a, b| a.total_cmp(b));
         if sorted.is_empty() {
@@ -62,7 +62,7 @@ impl Report {
 
     /// The paper-vs-measured line; EXPERIMENTS.md quotes `measured`
     /// verbatim and a test holds it to that.
-    pub fn summary(&mut self, paper: &str, measured: &str) {
+    pub(crate) fn summary(&mut self, paper: &str, measured: &str) {
         let id = self.id;
         writeln!(self, "{}", "-".repeat(74));
         writeln!(self, "SUMMARY {id} | paper: {paper} | measured: {measured}");

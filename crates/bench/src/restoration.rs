@@ -14,7 +14,7 @@ use crate::{share, single_cut_stats, Ctx, Report, Topology};
 ///
 /// Paper: 34% of fibers fully restorable, 62% partially, 4% not at all;
 /// fibers carrying > 10 Tbps are almost never fully restorable.
-pub fn fig06(_: &Ctx, r: &mut Report) {
+pub(crate) fn fig06(_: &Ctx, r: &mut Report) {
     let cuts = single_cut_stats(&Topology::Facebook.wan(), &RwaConfig::default());
     let ratios = &cuts.ratios;
 
@@ -57,7 +57,7 @@ pub fn fig06(_: &Ctx, r: &mut Report) {
 ///
 /// Paper: with demands (100, 400) Gbps, candidates (200,300)/(100,400)/
 /// (300,200) deliver 400/500/300 Gbps — only candidate 2 is optimal.
-pub fn fig07(_: &Ctx, r: &mut Report) {
+pub(crate) fn fig07(_: &Ctx, r: &mut Report) {
     // Build the Fig. 7 network: direct fiber with IP1 (4λ) + IP2 (8λ);
     // detours with 3 and 2 free end-to-end slots.
     let mut net = OpticalNetwork::new(16);
@@ -128,7 +128,7 @@ pub fn fig07(_: &Ctx, r: &mut Report) {
 /// Paper: ~50% of restoration paths are *shorter* than the primary path
 /// (no modulation change needed), and all restoration paths stay below
 /// 5,000 km (so every restored wavelength supports at least 100 Gbps).
-pub fn fig17(_: &Ctx, r: &mut Report) {
+pub(crate) fn fig17(_: &Ctx, r: &mut Report) {
     let wan = Topology::Facebook.wan();
     for (label, retune) in [("with frequency tuning", true), ("without frequency tuning", false)] {
         let cfg = RwaConfig { allow_retuning: retune, ..Default::default() };
@@ -167,7 +167,7 @@ pub fn fig17(_: &Ctx, r: &mut Report) {
 /// split into add/drop vs intermediate (Appendix A.6).
 ///
 /// Paper: for 80% of cuts, ≤10 add/drop and ≤6 intermediate ROADMs.
-pub fn fig19(_: &Ctx, r: &mut Report) {
+pub(crate) fn fig19(_: &Ctx, r: &mut Report) {
     let wan = Topology::Facebook.wan();
     let cfg = RwaConfig::default();
     let mut add_drop = Vec::new();
@@ -205,7 +205,7 @@ pub fn fig19(_: &Ctx, r: &mut Report) {
 /// and noise loading simply covers the L band too. This quantifies the
 /// effect the upgrade has on restorability: doubling the usable spectrum
 /// turns partially-restorable fibers into fully-restorable ones.
-pub fn ext_cl(_: &Ctx, r: &mut Report) {
+pub(crate) fn ext_cl(_: &Ctx, r: &mut Report) {
     let cfg = RwaConfig { allow_modulation_change: true, ..Default::default() };
     let wan_c = Topology::Facebook.wan();
     let mut wan_cl = wan_c.clone();

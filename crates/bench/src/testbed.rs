@@ -7,7 +7,7 @@ use crate::{Ctx, Report};
 /// Fig. 11 — the end-to-end fiber-cut restoration trial on the §5 testbed:
 /// cutting fiber C–D takes down 3 IP links / 14 wavelengths / 2.8 Tbps;
 /// ARROW reconfigures them onto surrogate paths.
-pub fn fig11(_: &Ctx, r: &mut Report) {
+pub(crate) fn fig11(_: &Ctx, r: &mut Report) {
     let tb = build_testbed().expect("Fig. 10 testbed is self-consistent");
     writeln!(r, "healthy IP links:");
     for (i, lp) in tb.net.lightpaths().iter().enumerate() {
@@ -52,7 +52,7 @@ pub fn fig11(_: &Ctx, r: &mut Report) {
 ///
 /// Paper: 1,021 s (≈17 min) legacy vs 8 s with ARROW — 127× faster; the
 /// existing wavelengths on the surrogate fibers are unaffected.
-pub fn fig12(_: &Ctx, r: &mut Report) {
+pub(crate) fn fig12(_: &Ctx, r: &mut Report) {
     let tb = build_testbed().expect("Fig. 10 testbed is self-consistent");
     let params = RoadmParams::default();
     let legacy = restoration_trial(&tb, tb.fibers[3], false, &params);
@@ -82,7 +82,7 @@ pub fn fig12(_: &Ctx, r: &mut Report) {
 /// Fig. 20 — legacy wavelength reconfiguration is slow: amplifiers adjust
 /// power with observe–analyze–act loops across a 2,000 km, 24-amplifier
 /// path, taking ~14 minutes.
-pub fn fig20(_: &Ctx, r: &mut Report) {
+pub(crate) fn fig20(_: &Ctx, r: &mut Report) {
     let chain = AmplifierChain::for_length(2000.0, 84.0, AmplifierParams::default());
     writeln!(r, "amplifier sites: {}", chain.sites);
     writeln!(r, "normalized output power over time:");

@@ -66,8 +66,7 @@ pub struct OfflineState {
     /// LotteryTickets per scenario.
     pub tickets: TicketSet,
     /// Measurements from the ticket-generation run that produced
-    /// `tickets` (empty when tickets were injected via
-    /// [`ArrowController::with_tickets`]).
+    /// `tickets`.
     pub stats: OfflineStats,
 }
 
@@ -232,24 +231,6 @@ impl ArrowController {
         }
     }
 
-    /// Builds a controller around an externally produced ticket set,
-    /// skipping the offline generation entirely (tests, and exercising
-    /// degenerate ticket sets).
-    pub fn with_tickets(
-        wan: Wan,
-        scenarios: Vec<FailureScenario>,
-        tickets: TicketSet,
-        config: ControllerConfig,
-    ) -> Self {
-        let stats = OfflineStats::default();
-        ArrowController {
-            offline: OfflineState { scenarios, tickets, stats },
-            wan,
-            config,
-            online: None,
-        }
-    }
-
     /// The offline state (scenarios + tickets + generation stats).
     pub fn offline(&self) -> &OfflineState {
         &self.offline
@@ -354,6 +335,10 @@ impl ArrowController {
 
     /// Compiles winning tickets into per-scenario ROADM rules by running
     /// the exact greedy wavelength assigner against each ticket's targets.
+    /// Every link the scenario fails gets a target, 0 where the ticket
+    /// restores nothing: the assigner leaves a link without a target
+    /// uncapped, which would restore links the winning ticket did not
+    /// budget, ahead of links it did.
     ///
     /// Scenarios are independent, so the assignment fans out over the
     /// [`crate::par`] pool; rule order matches the serial loop (scenario
@@ -368,17 +353,16 @@ impl ArrowController {
             .map(|(qi, (scen, ticket))| (qi, scen, ticket))
             .collect();
         let per_scenario = parallel_map(work, |&(qi, scen, ticket)| {
-            let targets: Vec<_> = ticket
-                .restored
+            let targets: Vec<_> = scen
+                .failed_links
                 .iter()
-                .filter_map(|&(link, gbps)| {
+                .map(|&link| {
                     let lp_id = self.wan.link(link).lightpath;
                     let per = self.wan.optical.lightpath(lp_id).gbps_per_wavelength;
-                    let waves = (gbps / per).round() as usize;
-                    (waves > 0).then_some((lp_id, waves))
+                    (lp_id, (ticket.restored_gbps(link) / per).round() as usize)
                 })
                 .collect();
-            if targets.is_empty() {
+            if targets.iter().all(|&(_, waves)| waves == 0) {
                 return Vec::new();
             }
             let assigns = greedy_assign(
@@ -417,6 +401,13 @@ mod tests {
 
     fn plan(ctl: &mut ArrowController, tm: &TrafficMatrix) -> TePlan {
         ctl.plan_epoch(tm, None).expect("valid offline state plans cleanly").0
+    }
+
+    /// `ctl` with its offline tickets replaced by `tickets` (degenerate or
+    /// hand-built ticket sets).
+    fn with_tickets(ctl: &ArrowController, tickets: TicketSet) -> ArrowController {
+        let offline = OfflineState { tickets, ..ctl.offline().clone() };
+        ArrowController { offline, online: None, ..ctl.clone() }
     }
 
     #[test]
@@ -536,26 +527,62 @@ mod tests {
         // Phase I would have nothing to choose from there.
         let mut tickets = ctl.offline().tickets.clone();
         tickets.per_scenario[2].clear();
-        let mut hollow = ArrowController::with_tickets(
-            ctl.wan.clone(),
-            ctl.offline().scenarios.clone(),
-            tickets,
-            ctl.config.clone(),
-        );
+        let mut hollow = with_tickets(&ctl, tickets);
         assert!(matches!(hollow.plan_epoch(&tm, None), Err(PlanError::NoTickets { scenario: 2 })));
 
         // And with a ticket set that covers too few scenarios.
         let mut truncated = ctl.offline().tickets.clone();
         truncated.per_scenario.pop();
-        let mut short = ArrowController::with_tickets(
-            ctl.wan.clone(),
-            ctl.offline().scenarios.clone(),
-            truncated,
-            ctl.config.clone(),
-        );
+        let mut short = with_tickets(&ctl, truncated);
         assert!(matches!(
             short.plan_epoch(&tm, None),
             Err(PlanError::ScenarioMismatch { expected: 5, actual: 4 })
         ));
+    }
+
+    #[test]
+    fn rules_restore_no_link_the_winning_ticket_budgets_at_zero() {
+        let (ctl, tm) = controller();
+        let rwa = &ctl.config.lottery.rwa;
+        let optical = &ctl.wan.optical;
+        // A cut that fails several links, at least two of them restorable.
+        let (qi, restorable) = (ctl.offline().scenarios.iter().enumerate())
+            .find_map(|(qi, scen)| {
+                let naive = greedy_assign(optical, &scen.cut_fibers, rwa, None);
+                let waves: Vec<_> = (naive.iter().filter(|a| a.wavelengths() > 0))
+                    .map(|a| (a.lightpath, a.wavelengths()))
+                    .collect();
+                (waves.len() >= 2).then_some((qi, waves))
+            })
+            .expect("a B4 cut fails two restorable links");
+        // One ticket per scenario; in scenario `qi` the first restorable
+        // link is budgeted at 0 and every other at what it can restore.
+        let zero = restorable[0].0;
+        let per_scenario = (ctl.offline().scenarios.iter().enumerate())
+            .map(|(q, scen)| {
+                let restored = (scen.failed_links.iter())
+                    .map(|&link| {
+                        let lp = ctl.wan.link(link).lightpath;
+                        let waves = restorable.iter().find(|&&(id, _)| id == lp).map_or(0, |w| w.1);
+                        let waves = if q != qi || lp == zero { 0 } else { waves };
+                        (link, waves as f64 * optical.lightpath(lp).gbps_per_wavelength)
+                    })
+                    .collect();
+                vec![RestorationTicket { restored }]
+            })
+            .collect();
+        let mut ctl = with_tickets(&ctl, TicketSet::full(per_scenario));
+        let plan = plan(&mut ctl, &tm);
+        let ticket = &ctl.offline().tickets.for_scenario(qi)[0];
+        let rules: Vec<_> = plan.reconfig_rules.iter().filter(|r| r.scenario == qi).collect();
+        assert!(!rules.is_empty(), "the budgeted links are restored");
+        for rule in rules {
+            assert_ne!(rule.lightpath, zero, "a link budgeted at 0 got a rule");
+            let link = ctl.wan.link_of_lightpath(rule.lightpath).expect("an IP link");
+            let per = optical.lightpath(rule.lightpath).gbps_per_wavelength;
+            let budget = (ticket.restored_gbps(link) / per).round() as usize;
+            let assigned: usize = rule.routes.iter().map(|(_, s)| s.len()).sum();
+            assert!(assigned <= budget, "rule restores {assigned} wavelengths, ticket {budget}");
+        }
     }
 }

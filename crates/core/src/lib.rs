@@ -20,6 +20,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![deny(unreachable_pub)]
 // Product policy (DESIGN.md § Static analysis): library code neither
 // panics nor touches hash-ordered or wall-clock types; tests may.
 #![cfg_attr(
@@ -42,14 +43,14 @@ pub mod par;
 pub mod theorem;
 
 pub use controller::{
-    ArrowController, ControllerConfig, EpochHook, EpochReport, PlanError, ReconfigRule, TePlan,
+    ArrowController, ControllerConfig, EpochHook, PlanError, ReconfigRule, TePlan,
 };
 pub use lottery::{
     derive_seed, fractional_seed, generate_tickets, generate_tickets_serial,
     generate_tickets_shard, generate_tickets_with_threads, naive_ticket, realize_ticket,
     FractionalRestoration, LotteryConfig, OfflineStats, ScenarioStats, ShardSpec,
 };
-pub use par::{default_threads, parallel_map, parallel_map_with};
+pub use par::{default_threads, parallel_map};
 pub use theorem::{
     kappa, optimality_probability, tickets_for_target, LinkRounding, RoundDirection,
 };

@@ -37,13 +37,6 @@ pub struct LotteryConfig {
     pub delta: usize,
     /// Drop tickets that the optical layer cannot realize.
     pub feasibility_filter: bool,
-    /// Always include the greedy RWA-optimal ("naive") candidate in every
-    /// scenario's set. Algorithm 1 as printed generates only rounded
-    /// tickets — that is what produces Fig. 14's fluctuation at small |Z|
-    /// — so this defaults to `false`; the naive candidate is still used as
-    /// a fallback when the feasibility filter rejects every rounded
-    /// ticket (the paper leaves that corner case unspecified).
-    pub include_naive: bool,
     /// RWA settings (surrogate paths, retuning, modulation).
     pub rwa: RwaConfig,
     /// Master RNG seed for ticket generation.
@@ -64,7 +57,6 @@ impl Default for LotteryConfig {
             num_tickets: 20,
             delta: 2,
             feasibility_filter: true,
-            include_naive: false,
             // Per Appendix A.1 the RWA keeps the current modulation when
             // the surrogate path's length permits and otherwise steps down
             // to the best alternative — without this, high-rate links
@@ -326,10 +318,7 @@ fn scenario_tickets(
     let mut rng = StdRng::seed_from_u64(derive_seed(cfg.seed, index as u64));
     let mut stats = ScenarioStats { scenario: index, ..Default::default() };
     let mut tickets: Vec<RestorationTicket> = Vec::new();
-    if cfg.include_naive {
-        tickets.push(naive_from(wan, &view));
-    }
-    for _ in tickets.len()..cfg.num_tickets {
+    for _ in 0..cfg.num_tickets {
         stats.rounds += 1;
         let counts = round_once(&mut rng, &seed, cfg.delta);
         if cfg.feasibility_filter {

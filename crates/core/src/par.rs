@@ -30,7 +30,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 
 /// Environment variable overriding the worker-thread count (≥ 1).
-pub const THREADS_ENV: &str = "ARROW_THREADS";
+pub(crate) const THREADS_ENV: &str = "ARROW_THREADS";
 
 /// The worker count used by [`parallel_map`]: the `ARROW_THREADS`
 /// environment variable if set to an integer ≥ 1, else
@@ -82,7 +82,7 @@ where
 ///
 /// `threads` is clamped to `[1, items.len()]`; with one worker (or one
 /// item) the map runs inline on the calling thread with no pool at all.
-pub fn parallel_map_with<T, R, F>(threads: usize, items: Vec<T>, f: F) -> Vec<R>
+pub(crate) fn parallel_map_with<T, R, F>(threads: usize, items: Vec<T>, f: F) -> Vec<R>
 where
     T: Send + Sync,
     R: Send,

@@ -27,6 +27,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![deny(unreachable_pub)]
 // Product policy (DESIGN.md § Static analysis): library code neither
 // panics nor touches hash-ordered or wall-clock types; tests may.
 #![cfg_attr(
@@ -55,4 +56,4 @@ pub mod warm;
 pub use model::{LinExpr, Model, Objective, Sense, VarId, INF};
 pub use solution::{Solution, SolveStats, Status};
 pub use solver::{solve, solve_batch, solve_with, Backend, SolverConfig};
-pub use warm::{BackendKind, Basis, ColStatus, PrimalDual, WarmEvent, WarmStart};
+pub use warm::{BackendKind, ColStatus, PrimalDual, WarmEvent, WarmStart};

@@ -26,7 +26,7 @@ pub struct VarId(pub(crate) usize);
 
 impl VarId {
     /// The dense index of this variable within its model.
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         self.0
     }
 }
@@ -75,11 +75,6 @@ impl LinExpr {
     /// Adds `coeff * var` in place.
     pub fn add_term(&mut self, var: VarId, coeff: f64) {
         self.terms.push((var, coeff));
-    }
-
-    /// Adds a constant in place.
-    pub fn add_constant(&mut self, c: f64) {
-        self.constant += c;
     }
 
     /// Sums `coeff * var` over an iterator of terms.
@@ -188,19 +183,20 @@ impl Model {
     }
 
     /// Objective direction.
-    pub fn direction(&self) -> Objective {
+    pub(crate) fn direction(&self) -> Objective {
         self.direction
     }
 
     /// The objective expression.
-    pub fn objective(&self) -> &LinExpr {
+    #[cfg(test)]
+    pub(crate) fn objective(&self) -> &LinExpr {
         &self.objective
     }
 
     /// Checks a candidate point against every constraint and bound.
     ///
     /// Returns the worst absolute violation found; `0.0` means feasible.
-    pub fn max_violation(&self, x: &[f64]) -> f64 {
+    pub(crate) fn max_violation(&self, x: &[f64]) -> f64 {
         let mut worst: f64 = 0.0;
         for (i, v) in self.vars.iter().enumerate() {
             worst = worst.max(v.lb - x[i]).max(x[i] - v.ub);
@@ -272,7 +268,7 @@ pub struct StandardLp {
     /// Constant added to the minimization objective.
     pub obj_offset: f64,
     /// `1.0` if the original model minimized, `-1.0` if it maximized.
-    pub obj_sign: f64,
+    pub(crate) obj_sign: f64,
 }
 
 impl StandardLp {
@@ -288,7 +284,7 @@ impl StandardLp {
 
     /// Converts an internal minimization objective value back to the user's
     /// original direction.
-    pub fn user_objective(&self, min_obj: f64) -> f64 {
+    pub(crate) fn user_objective(&self, min_obj: f64) -> f64 {
         self.obj_sign * min_obj
     }
 
@@ -330,7 +326,7 @@ mod tests {
         let mut m = Model::new();
         let x = m.add_nonneg();
         let mut e = LinExpr::term(x, 1.0);
-        e.add_constant(5.0);
+        e.constant = 5.0;
         m.add_con(e, Sense::Le, 12.0);
         let s = m.to_standard();
         assert_eq!(s.rhs, vec![7.0]);

@@ -231,7 +231,11 @@ pub fn solve(lp: &StandardLp, cfg: &PdhgConfig) -> Solution {
 ///
 /// [`SolveStats::solve_seconds`] is left 0: the [`crate::solver`] entry
 /// points time every solve by its `lp.solve` span.
-pub fn solve_warm(lp: &StandardLp, cfg: &PdhgConfig, start_point: Option<&PrimalDual>) -> Solution {
+pub(crate) fn solve_warm(
+    lp: &StandardLp,
+    cfg: &PdhgConfig,
+    start_point: Option<&PrimalDual>,
+) -> Solution {
     let n = lp.num_vars();
     let m = lp.num_cons();
     if m == 0 {

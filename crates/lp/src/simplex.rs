@@ -52,7 +52,7 @@ const PIVOT_TOL: f64 = 1e-9;
 pub struct SimplexConfig {
     /// Hard iteration limit (both phases combined). `0` means automatic
     /// (`200 + 20 * (rows + cols)`).
-    pub max_iters: usize,
+    pub(crate) max_iters: usize,
     /// Refactorize the basis inverse from scratch every this many pivots.
     pub refactor_every: usize,
     /// Switch to Bland's rule after this many consecutive degenerate pivots.
@@ -895,7 +895,7 @@ pub fn solve(lp: &StandardLp, cfg: &SimplexConfig) -> Solution {
 /// in a handful of phase-2 pivots; anything else (wrong dimensions,
 /// singular after the data change, primal infeasible under the new
 /// bounds) is reported as [`WarmEvent::Miss`] and solved cold.
-pub fn solve_warm(lp: &StandardLp, cfg: &SimplexConfig, warm: Option<&Basis>) -> Solution {
+pub(crate) fn solve_warm(lp: &StandardLp, cfg: &SimplexConfig, warm: Option<&Basis>) -> Solution {
     solve_warm_in(lp, cfg, warm, &mut Workspace::default())
 }
 

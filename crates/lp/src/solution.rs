@@ -67,7 +67,7 @@ pub struct SolveStats {
 pub struct Solution {
     /// Why the solver stopped.
     pub status: Status,
-    /// Primal values, indexed by [`VarId::index`]. Empty on failure.
+    /// Primal values, indexed by variable. Empty on failure.
     pub x: Vec<f64>,
     /// Objective value in the *user's* optimization direction.
     pub objective: f64,
@@ -85,7 +85,7 @@ pub struct Solution {
 
 impl Solution {
     /// A failure placeholder carrying only the status.
-    pub fn failed(status: Status, num_vars: usize) -> Self {
+    pub(crate) fn failed(status: Status, num_vars: usize) -> Self {
         Solution {
             status,
             x: vec![0.0; num_vars],

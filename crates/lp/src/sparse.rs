@@ -140,7 +140,7 @@ impl CsrMatrix {
     }
 
     /// Infinity norm (max absolute value) of each row.
-    pub fn row_inf_norms(&self) -> Vec<f64> {
+    pub(crate) fn row_inf_norms(&self) -> Vec<f64> {
         let mut norms = vec![0.0f64; self.rows];
         for (i, norm) in norms.iter_mut().enumerate().take(self.rows) {
             for p in self.row_ptr[i]..self.row_ptr[i + 1] {
@@ -151,7 +151,7 @@ impl CsrMatrix {
     }
 
     /// Infinity norm of each column.
-    pub fn col_inf_norms(&self) -> Vec<f64> {
+    pub(crate) fn col_inf_norms(&self) -> Vec<f64> {
         let mut norms = vec![0.0f64; self.cols];
         for p in 0..self.values.len() {
             let c = self.col_idx[p];
@@ -162,7 +162,7 @@ impl CsrMatrix {
 
     /// Scales the matrix in place: entry `(i, j)` becomes
     /// `row_scale[i] * a_ij * col_scale[j]`.
-    pub fn scale(&mut self, row_scale: &[f64], col_scale: &[f64]) {
+    pub(crate) fn scale(&mut self, row_scale: &[f64], col_scale: &[f64]) {
         debug_assert_eq!(row_scale.len(), self.rows);
         debug_assert_eq!(col_scale.len(), self.cols);
         for (i, &rs) in row_scale.iter().enumerate().take(self.rows) {
@@ -176,7 +176,7 @@ impl CsrMatrix {
     ///
     /// Used to pick valid PDHG step sizes; a slight overestimate is safe, so
     /// the result is inflated by 1%.
-    pub fn spectral_norm_estimate(&self, iterations: usize) -> f64 {
+    pub(crate) fn spectral_norm_estimate(&self, iterations: usize) -> f64 {
         if self.nnz() == 0 {
             return 0.0;
         }
@@ -224,7 +224,7 @@ impl CsrMatrix {
     }
 
     /// Converts to column-major storage.
-    pub fn to_csc(&self) -> CscMatrix {
+    pub(crate) fn to_csc(&self) -> CscMatrix {
         let mut out = CscMatrix::default();
         self.to_csc_into(&mut out);
         out
@@ -332,7 +332,7 @@ impl SlicedRows {
 ///
 /// Used by the simplex solver, which gathers one column at a time.
 #[derive(Debug, Clone, Default, PartialEq)]
-pub struct CscMatrix {
+pub(crate) struct CscMatrix {
     rows: usize,
     cols: usize,
     col_ptr: Vec<usize>,
@@ -341,23 +341,8 @@ pub struct CscMatrix {
 }
 
 impl CscMatrix {
-    /// Number of rows.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Number of columns.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// Number of stored entries.
-    pub fn nnz(&self) -> usize {
-        self.values.len()
-    }
-
     /// Iterates over the `(row, value)` entries of column `j`.
-    pub fn col(&self, j: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
+    pub(crate) fn col(&self, j: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
         let lo = self.col_ptr[j];
         let hi = self.col_ptr[j + 1];
         self.row_idx[lo..hi].iter().copied().zip(self.values[lo..hi].iter().copied())
@@ -425,7 +410,7 @@ mod tests {
     fn csc_roundtrip() {
         let m = sample();
         let c = m.to_csc();
-        assert_eq!(c.nnz(), m.nnz());
+        assert_eq!(c.values.len(), m.nnz());
         let col2: Vec<_> = c.col(2).collect();
         assert_eq!(col2, vec![(0, 2.0)]);
     }

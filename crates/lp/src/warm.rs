@@ -76,11 +76,6 @@ impl WarmStart {
     pub fn from_point(point: PrimalDual) -> Self {
         WarmStart { basis: None, point: Some(point) }
     }
-
-    /// `true` when neither component is present.
-    pub fn is_empty(&self) -> bool {
-        self.basis.is_none() && self.point.is_none()
-    }
 }
 
 /// What happened to the warm start this solve was given.
@@ -121,17 +116,6 @@ impl BackendKind {
     }
 }
 
-impl WarmEvent {
-    /// Short lowercase label for logs and JSON benches.
-    pub fn label(self) -> &'static str {
-        match self {
-            WarmEvent::Cold => "cold",
-            WarmEvent::Hit => "hit",
-            WarmEvent::Miss => "miss",
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -146,16 +130,13 @@ mod tests {
 
     #[test]
     fn warm_start_constructors() {
-        assert!(WarmStart::default().is_empty());
         let ws = WarmStart::from_point(PrimalDual { x: vec![1.0], y: vec![] });
-        assert!(!ws.is_empty());
+        assert!(ws.point.is_some());
         assert!(ws.basis.is_none());
     }
 
     #[test]
     fn labels_are_stable() {
         assert_eq!(BackendKind::Simplex.label(), "simplex");
-        assert_eq!(WarmEvent::Hit.label(), "hit");
-        assert_eq!(WarmEvent::default().label(), "cold");
     }
 }

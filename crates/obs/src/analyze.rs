@@ -1,5 +1,5 @@
-//! Trace analysis: span-tree reconstruction, self-time attribution,
-//! critical paths, and flamegraph-compatible collapsed stacks.
+//! Trace analysis: span-tree reconstruction, self-time attribution and
+//! critical paths.
 //!
 //! The tracing layer answers *what happened*; this module answers *where
 //! the time went*. It rebuilds the span tree from finished-span records —
@@ -9,17 +9,13 @@
 //!
 //! * **self time** per span: duration minus the duration of its children
 //!   on the same thread (what the stage spent *itself*, not delegating);
-//! * **per-stage attribution** ([`SpanTree::stage_report`]): spans
+//! * **per-stage attribution** (`SpanTree::stage_report`): spans
 //!   aggregated by name with counts, total and self time;
 //! * **the critical path** ([`SpanTree::critical_path`]): from a root
 //!   span, repeatedly descend into the longest child — for ARROW's
 //!   synchronous epoch loop this names the stage chain that bounds the
 //!   epoch deadline (and must name the LP solve, which the root
-//!   crate's `tests/online.rs` asserts);
-//! * **collapsed stacks** ([`SpanTree::collapsed_stacks`]): one
-//!   `root;child;leaf <microseconds>` line per unique stack, the input
-//!   format of Brendan Gregg's `flamegraph.pl` and every compatible
-//!   viewer.
+//!   crate's `tests/online.rs` asserts).
 //!
 //! Spans that never finished (no `span_end` record) are dropped — an
 //! unfinished span has no duration to attribute. Cross-thread parentage
@@ -43,7 +39,7 @@ pub struct SpanNode {
     /// Thread the span ran on.
     pub thread: u64,
     /// Start time (nanoseconds since the trace epoch).
-    pub start_nanos: u64,
+    pub(crate) start_nanos: u64,
     /// Wall-clock duration in nanoseconds.
     pub duration_nanos: u64,
     /// Indices (into [`SpanTree::nodes`]) of this span's children, in
@@ -53,13 +49,13 @@ pub struct SpanNode {
 
 /// One aggregated row of the per-stage report.
 #[derive(Debug, Clone, PartialEq)]
-pub struct StageStat {
+pub(crate) struct StageStat {
     /// Span name the row aggregates.
     pub name: String,
     /// Number of finished spans with that name.
     pub count: usize,
     /// Summed wall-clock nanoseconds.
-    pub total_nanos: u64,
+    pub(crate) total_nanos: u64,
     /// Summed self-time nanoseconds (total minus time in child spans).
     pub self_nanos: u64,
 }
@@ -112,7 +108,7 @@ impl SpanTree {
     /// [`crate::trace::RingSubscriber::records`]). Only
     /// [`RecordKind::SpanEnd`] records contribute — they carry the
     /// duration and re-carry the start fields.
-    pub fn from_records(records: &[Record]) -> SpanTree {
+    pub(crate) fn from_records(records: &[Record]) -> SpanTree {
         let spans = records.iter().filter(|r| r.kind == RecordKind::SpanEnd).map(|r| {
             let duration = r.duration_nanos.unwrap_or(0);
             SpanNode {
@@ -205,7 +201,7 @@ impl SpanTree {
 
     /// Aggregates spans by name: count, total and self time, sorted by
     /// total time descending (ties broken by name for determinism).
-    pub fn stage_report(&self) -> Vec<StageStat> {
+    pub(crate) fn stage_report(&self) -> Vec<StageStat> {
         let mut by_name: BTreeMap<&str, StageStat> = BTreeMap::new();
         for (i, node) in self.nodes.iter().enumerate() {
             let entry = by_name.entry(&node.name).or_insert_with(|| StageStat {
@@ -252,48 +248,10 @@ impl SpanTree {
         path
     }
 
-    /// Collapsed-stack output over the whole forest: one
-    /// `name;name;... <value>` line per unique stack, value = summed self
-    /// time in integer microseconds, lines sorted lexicographically.
-    /// Feed straight into `flamegraph.pl` or any compatible renderer.
-    pub fn collapsed_stacks(&self) -> String {
-        let mut stacks: BTreeMap<String, u64> = BTreeMap::new();
-        let mut frames: Vec<&str> = Vec::new();
-        for &root in &self.roots {
-            self.collapse_into(root, &mut frames, &mut stacks);
-        }
-        let mut out = String::new();
-        for (stack, micros) in &stacks {
-            out.push_str(stack);
-            out.push(' ');
-            out.push_str(&micros.to_string());
-            out.push('\n');
-        }
-        out
-    }
-
-    fn collapse_into<'a>(
-        &'a self,
-        index: usize,
-        frames: &mut Vec<&'a str>,
-        stacks: &mut BTreeMap<String, u64>,
-    ) {
-        let Some(node) = self.nodes.get(index) else { return };
-        frames.push(&node.name);
-        let self_micros = self.self_nanos(index) / 1_000;
-        if self_micros > 0 {
-            *stacks.entry(frames.join(";")).or_insert(0) += self_micros;
-        }
-        for &child in &node.children {
-            self.collapse_into(child, frames, stacks);
-        }
-        frames.pop();
-    }
-
     /// Serializes the stage report as a JSON document (the analyzer's
     /// machine-readable output, written into every flight-recorder
     /// incident dump as `stage_report.json`).
-    pub fn stage_report_json(&self) -> String {
+    pub(crate) fn stage_report_json(&self) -> String {
         let total_root_nanos: u64 =
             self.roots.iter().filter_map(|&r| self.nodes.get(r)).map(|n| n.duration_nanos).sum();
         let mut out = String::from("{\n  \"spans\": ");
@@ -392,29 +350,6 @@ mod tests {
     }
 
     #[test]
-    fn collapsed_stacks_sum_self_time() {
-        // Durations in whole microseconds so the µs rounding is exact.
-        let records = vec![
-            span_end("lp.solve", 3, Some(2), 60_000, 50_000),
-            span_end("te.phase1", 2, Some(1), 65_000, 60_000),
-            span_end("te.phase2", 4, Some(1), 95_000, 25_000),
-            span_end("epoch", 1, None, 100_000, 100_000),
-        ];
-        let tree = SpanTree::from_records(&records);
-        let folded = tree.collapsed_stacks();
-        let lines: Vec<&str> = folded.lines().collect();
-        assert_eq!(
-            lines,
-            ["epoch 15", "epoch;te.phase1 10", "epoch;te.phase1;lp.solve 50", "epoch;te.phase2 25",]
-        );
-        // Total collapsed value equals the root duration (all time is
-        // attributed somewhere).
-        let total: u64 =
-            lines.iter().filter_map(|l| l.rsplit(' ').next()?.parse::<u64>().ok()).sum();
-        assert_eq!(total, 100);
-    }
-
-    #[test]
     fn jsonl_roundtrip_matches_in_memory_tree() {
         let records = epoch_records();
         let jsonl: String =
@@ -425,7 +360,6 @@ mod tests {
         let path_file = from_file.critical_path(from_file.roots[0]);
         let path_memory = from_memory.critical_path(from_memory.roots[0]);
         assert_eq!(path_file, path_memory);
-        assert_eq!(from_file.collapsed_stacks(), from_memory.collapsed_stacks());
     }
 
     #[test]

@@ -9,9 +9,9 @@
 //! binary can call [`spawn`] to serve the process-global metrics registry:
 //!
 //! * `GET /metrics` — Prometheus text exposition
-//!   ([`crate::metrics::Snapshot::to_prometheus`]);
+//!   (`Snapshot::to_prometheus`);
 //! * `GET /snapshot.json` — the JSON snapshot
-//!   ([`crate::metrics::Snapshot::to_json`]);
+//!   (`Snapshot::to_json`);
 //! * `GET /healthz` — `ok`, for liveness probes;
 //! * `GET /readyz` — readiness: `503` until the serving process marks
 //!   itself ready via [`set_ready`] (the daemon does so after its first

@@ -12,7 +12,7 @@
 //!   detail, and the critical-path summary;
 //! * `trace.jsonl` — the captured records, one JSON object per line
 //!   (the same format [`crate::trace::FileSubscriber`] writes, so the
-//!   analyzer and flamegraph tooling work unchanged);
+//!   analyzer reads it unchanged);
 //! * `critical_path.txt` — the offending epoch's critical path, one
 //!   `name  duration_ms` hop per line ([`crate::analyze::SpanTree`]);
 //! * `stage_report.json` — per-stage time attribution for the capture;

@@ -48,14 +48,6 @@ impl Json {
         }
     }
 
-    /// Array element by index, if this is an array.
-    pub fn at(&self, index: usize) -> Option<&Json> {
-        match self {
-            Json::Arr(items) => items.get(index),
-            _ => None,
-        }
-    }
-
     /// The value as `f64`, if it is a number.
     pub fn as_f64(&self) -> Option<f64> {
         match self {
@@ -78,14 +70,6 @@ impl Json {
     pub fn as_str(&self) -> Option<&str> {
         match self {
             Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The value as a bool, if it is one.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
             _ => None,
         }
     }
@@ -384,8 +368,8 @@ mod tests {
         assert_eq!(doc.get("a").and_then(Json::as_u64), Some(1));
         assert_eq!(doc.get("b").and_then(Json::as_f64), Some(-250.0));
         assert_eq!(doc.get("c").and_then(Json::as_str), Some("x\ny"));
-        assert_eq!(doc.get("d").and_then(|d| d.at(0)).and_then(Json::as_bool), Some(true));
-        assert_eq!(doc.get("d").and_then(|d| d.at(2)), Some(&Json::Null));
+        let d = [Json::Bool(true), Json::Bool(false), Json::Null];
+        assert_eq!(doc.get("d"), Some(&Json::Arr(d.to_vec())));
         assert_eq!(doc.get("e").and_then(Json::as_obj).map(<[_]>::len), Some(0));
     }
 

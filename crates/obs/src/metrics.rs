@@ -10,9 +10,9 @@
 //! short-lived mutex and happens once per name.
 //!
 //! [`snapshot`] serializes the whole registry — deterministically, in
-//! lexicographic name order — to JSON ([`Snapshot::to_json`]) or a
-//! Prometheus-style text exposition ([`Snapshot::to_prometheus`]) for
-//! dumping at process exit or on demand.
+//! lexicographic name order — to JSON (`Snapshot::to_json`) or a
+//! Prometheus-style text exposition (`Snapshot::to_prometheus`), which
+//! the [`crate::export`] listener serves.
 //!
 //! Deliberately omitted: labels/dimensions (encode them in the name),
 //! metric unregistration, and push-based export.
@@ -77,7 +77,7 @@ impl Counter {
     }
 
     /// Current value.
-    pub fn get(&self) -> u64 {
+    pub(crate) fn get(&self) -> u64 {
         self.cell.load(Ordering::Relaxed)
     }
 }
@@ -94,13 +94,8 @@ impl Gauge {
         self.bits.store(v.to_bits(), Ordering::Relaxed);
     }
 
-    /// Adds `d` (atomically, via compare-exchange).
-    pub fn add(&self, d: f64) {
-        f64_add(&self.bits, d);
-    }
-
     /// Current value.
-    pub fn get(&self) -> f64 {
+    pub(crate) fn get(&self) -> f64 {
         f64::from_bits(self.bits.load(Ordering::Relaxed))
     }
 }
@@ -143,43 +138,23 @@ impl Histogram {
     }
 
     /// Total observations recorded.
-    pub fn count(&self) -> u64 {
+    pub(crate) fn count(&self) -> u64 {
         self.inner.count.load(Ordering::Relaxed)
     }
 
     /// Sum of all observed values.
-    pub fn sum(&self) -> f64 {
+    pub(crate) fn sum(&self) -> f64 {
         f64::from_bits(self.inner.sum_bits.load(Ordering::Relaxed))
     }
 
     /// Bucket upper bounds (finite ones; the overflow bucket is implicit).
-    pub fn bounds(&self) -> &[f64] {
+    pub(crate) fn bounds(&self) -> &[f64] {
         &self.inner.bounds
     }
 
     /// Per-bucket counts, `bounds().len() + 1` entries (last = overflow).
-    pub fn bucket_counts(&self) -> Vec<u64> {
+    pub(crate) fn bucket_counts(&self) -> Vec<u64> {
         self.inner.buckets.iter().map(|c| c.load(Ordering::Relaxed)).collect()
-    }
-
-    /// Estimated `q`-quantile (`0 ≤ q ≤ 1`): the upper bound of the bucket
-    /// where the cumulative count first reaches `q · count`. Exact only up
-    /// to bucket resolution; observations past the last bound report
-    /// [`f64::INFINITY`]. Returns `NaN` for an empty histogram.
-    pub fn quantile(&self, q: f64) -> f64 {
-        let total = self.count();
-        if total == 0 {
-            return f64::NAN;
-        }
-        let target = (q.clamp(0.0, 1.0) * total as f64).ceil().max(1.0) as u64;
-        let mut cum = 0u64;
-        for (i, c) in self.inner.buckets.iter().enumerate() {
-            cum += c.load(Ordering::Relaxed);
-            if cum >= target {
-                return self.inner.bounds.get(i).copied().unwrap_or(f64::INFINITY);
-            }
-        }
-        f64::INFINITY
     }
 }
 
@@ -316,33 +291,13 @@ pub fn histogram(name: &'static str, bounds: &[f64]) -> Histogram {
     }
 }
 
-/// Zeroes every registered metric (handles stay valid). Intended for the
-/// start of an example or test run; concurrent updates during the reset
-/// land before or after it, never half-applied per metric value.
-pub fn reset() {
-    let reg = lock_registry();
-    for m in reg.values() {
-        match m {
-            Metric::Counter(c) => c.cell.store(0, Ordering::Relaxed),
-            Metric::Gauge(g) => g.bits.store(0f64.to_bits(), Ordering::Relaxed),
-            Metric::Histogram(h) => {
-                for b in &h.inner.buckets {
-                    b.store(0, Ordering::Relaxed);
-                }
-                h.inner.count.store(0, Ordering::Relaxed);
-                h.inner.sum_bits.store(0f64.to_bits(), Ordering::Relaxed);
-            }
-        }
-    }
-}
-
 /// Point-in-time values of one histogram.
 #[derive(Debug, Clone)]
 pub struct HistogramSnapshot {
     /// Finite bucket upper bounds.
     pub bounds: Vec<f64>,
     /// Per-bucket counts (`bounds.len() + 1` entries, last = overflow).
-    pub buckets: Vec<u64>,
+    pub(crate) buckets: Vec<u64>,
     /// Total observations.
     pub count: u64,
     /// Sum of observed values.
@@ -355,7 +310,7 @@ pub struct Snapshot {
     /// Counter values.
     pub counters: Vec<(&'static str, u64)>,
     /// Gauge values.
-    pub gauges: Vec<(&'static str, f64)>,
+    pub(crate) gauges: Vec<(&'static str, f64)>,
     /// Histogram values.
     pub histograms: Vec<(&'static str, HistogramSnapshot)>,
 }
@@ -389,7 +344,8 @@ impl Snapshot {
     }
 
     /// Gauge value by name (`None` when never registered).
-    pub fn gauge(&self, name: &str) -> Option<f64> {
+    #[cfg(test)]
+    pub(crate) fn gauge(&self, name: &str) -> Option<f64> {
         self.gauges.iter().find(|(n, _)| *n == name).map(|(_, v)| *v)
     }
 
@@ -399,7 +355,7 @@ impl Snapshot {
     }
 
     /// Serializes the snapshot as pretty-printed JSON.
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         let mut s = String::from("{\n  \"counters\": {");
         for (i, (name, v)) in self.counters.iter().enumerate() {
             if i > 0 {
@@ -441,7 +397,7 @@ impl Snapshot {
     /// Serializes the snapshot in the Prometheus text exposition format
     /// (v0.0.4): `# HELP` and `# TYPE` per family, sanitized names, and
     /// canonical cumulative `le` buckets ending in `+Inf`.
-    pub fn to_prometheus(&self) -> String {
+    pub(crate) fn to_prometheus(&self) -> String {
         let mut s = String::new();
         for (name, v) in &self.counters {
             let n = sanitize_metric_name(name);
@@ -473,7 +429,7 @@ impl Snapshot {
 /// `[a-zA-Z_:][a-zA-Z0-9_:]*`. `.` and `-` (our namespace separators)
 /// become `_`, as does any other illegal character; a leading digit gets
 /// a `_` prefix. Idempotent: sanitizing a sanitized name is a no-op.
-pub fn sanitize_metric_name(name: &str) -> String {
+pub(crate) fn sanitize_metric_name(name: &str) -> String {
     let mut out = String::with_capacity(name.len() + 1);
     for (i, c) in name.chars().enumerate() {
         let legal = c.is_ascii_alphabetic() || c == '_' || c == ':' || c.is_ascii_digit();
@@ -521,8 +477,8 @@ fn help_registry() -> &'static Mutex<BTreeMap<&'static str, &'static str>> {
     REG.get_or_init(|| Mutex::new(BTreeMap::new()))
 }
 
-/// Attaches a help text to `name`, shown as the `# HELP` line in
-/// [`Snapshot::to_prometheus`]. Last call wins; metrics without a
+/// Attaches a help text to `name`, shown as the `# HELP` line of the
+/// Prometheus exposition. Last call wins; metrics without a
 /// registered help fall back to a generic description.
 pub fn describe(name: &'static str, help: &'static str) {
     help_registry().lock().unwrap_or_else(|p| p.into_inner()).insert(name, help);
@@ -551,8 +507,7 @@ mod tests {
         assert_eq!(c.get(), before + 5);
         let g = gauge("test.metrics.gauge");
         g.set(2.5);
-        g.add(-1.0);
-        assert!((g.get() - 1.5).abs() < 1e-12);
+        assert_eq!(g.get(), 2.5);
     }
 
     #[test]
@@ -636,33 +591,6 @@ mod tests {
             "sum {} vs expected {expected_sum}",
             h.sum() - sum0
         );
-    }
-
-    #[test]
-    fn histogram_quantiles_within_bucket_resolution() {
-        let bounds: Vec<f64> = (1..=10).map(|i| i as f64).collect();
-        let h = histogram("test.metrics.quantile_hist", &bounds);
-        // 1000 observations uniform over (0, 10]: value k/100 for k=1..=1000.
-        for k in 1..=1000 {
-            h.observe(k as f64 / 100.0);
-        }
-        // True p50 = 5.0; the estimate reports a bucket upper bound, so it
-        // must land within one bucket width (1.0) of the true quantile.
-        for (q, truth) in [(0.1, 1.0), (0.5, 5.0), (0.9, 9.0), (1.0, 10.0)] {
-            let est = h.quantile(q);
-            assert!((est - truth).abs() <= 1.0 + 1e-9, "q={q}: estimate {est} vs truth {truth}");
-        }
-        // Overflow observations push the tail quantile to +inf.
-        h.observe(1e9);
-        assert!(h.quantile(1.0).is_infinite());
-    }
-
-    #[test]
-    fn empty_histogram_quantile_is_nan() {
-        let h = histogram("test.metrics.empty_hist", &[1.0]);
-        if h.count() == 0 {
-            assert!(h.quantile(0.5).is_nan());
-        }
     }
 
     #[test]

@@ -59,7 +59,7 @@ pub struct EpochVerdict {
     /// Whether the epoch met the deadline (`seconds <= budget`).
     pub met: bool,
     /// Windowed error-budget burn rate after this epoch.
-    pub burn_rate: f64,
+    pub(crate) burn_rate: f64,
 }
 
 struct SloMetrics {
@@ -118,8 +118,7 @@ fn lock_state() -> std::sync::MutexGuard<'static, SloState> {
 }
 
 /// Replaces the process-global SLO configuration and resets the rolling
-/// window (lifetime counters are kept — they are registry counters and
-/// follow [`metrics::reset`] semantics instead).
+/// window (lifetime counters are kept: they are registry counters).
 pub fn configure(config: SloConfig) {
     let mut state = lock_state();
     state.config = sanitized(config);
@@ -129,7 +128,8 @@ pub fn configure(config: SloConfig) {
 }
 
 /// The currently configured SLO parameters.
-pub fn config() -> SloConfig {
+#[cfg(test)]
+pub(crate) fn config() -> SloConfig {
     lock_state().config.clone()
 }
 

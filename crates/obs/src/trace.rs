@@ -55,7 +55,8 @@ impl FieldValue {
     }
 
     /// The value as `f64` (integers convert losslessly enough for reports).
-    pub fn as_f64(&self) -> Option<f64> {
+    #[cfg(test)]
+    pub(crate) fn as_f64(&self) -> Option<f64> {
         match self {
             FieldValue::U64(v) => Some(*v as f64),
             FieldValue::I64(v) => Some(*v as f64),
@@ -141,7 +142,7 @@ pub enum Level {
 
 impl Level {
     /// Lower-case label used in serialized output.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             Level::Info => "info",
             Level::Warn => "warn",
@@ -151,7 +152,7 @@ impl Level {
 
 /// What a [`Record`] describes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RecordKind {
+pub(crate) enum RecordKind {
     /// A span was opened.
     SpanStart,
     /// A span was closed; `duration_nanos` is set.
@@ -162,7 +163,7 @@ pub enum RecordKind {
 
 impl RecordKind {
     /// Snake-case label used in serialized output.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             RecordKind::SpanStart => "span_start",
             RecordKind::SpanEnd => "span_end",
@@ -175,7 +176,7 @@ impl RecordKind {
 #[derive(Debug, Clone)]
 pub struct Record {
     /// Record kind.
-    pub kind: RecordKind,
+    pub(crate) kind: RecordKind,
     /// Span or event name (a static string from the call site).
     pub name: &'static str,
     /// Span id (process-unique, starting at 1); 0 for events.
@@ -183,8 +184,8 @@ pub struct Record {
     /// Id of the enclosing span on the same thread, if any.
     pub parent_id: Option<u64>,
     /// Monotonic nanoseconds since the process trace epoch.
-    pub t_nanos: u64,
-    /// For [`RecordKind::SpanEnd`]: the span's wall-clock duration.
+    pub(crate) t_nanos: u64,
+    /// For a span's end record: the span's wall-clock duration.
     pub duration_nanos: Option<u64>,
     /// Severity.
     pub level: Level,
@@ -201,7 +202,7 @@ impl Record {
     }
 
     /// Serializes the record as one JSON line (no trailing newline).
-    pub fn to_json_line(&self) -> String {
+    pub(crate) fn to_json_line(&self) -> String {
         let mut s = format!(
             "{{\"kind\":\"{}\",\"name\":\"{}\",\"span\":{},\"parent\":{},\"t_nanos\":{},\"duration_nanos\":{},\"level\":\"{}\",\"thread\":{},\"fields\":{{",
             self.kind.label(),
@@ -344,8 +345,8 @@ pub fn span_enter(name: &'static str, fields: Vec<(&'static str, FieldValue)>) -
     SpanGuard { name, span_id, parent_id: parent, start_nanos: start, active: true, fields }
 }
 
-/// Closes its span on drop, emitting a [`RecordKind::SpanEnd`] record with
-/// the measured duration.
+/// Closes its span on drop, emitting a span-end record with the measured
+/// duration.
 #[must_use = "dropping the guard immediately closes the span"]
 #[derive(Debug)]
 pub struct SpanGuard {
@@ -374,11 +375,6 @@ impl SpanGuard {
             active: false,
             fields: Vec::new(),
         }
-    }
-
-    /// Whether this guard tracks a live span.
-    pub fn is_active(&self) -> bool {
-        self.active
     }
 
     /// Seconds since the guard was opened, on the clock its end record
@@ -514,8 +510,8 @@ impl RingSubscriber {
         self.buf.lock().unwrap_or_else(|p| p.into_inner()).clear();
     }
 
-    /// Buffered [`RecordKind::SpanEnd`] records named `name`, oldest
-    /// first — i.e. the completed spans with their durations.
+    /// Buffered span-end records named `name`, oldest first — i.e. the
+    /// completed spans with their durations.
     pub fn finished_spans(&self, name: &str) -> Vec<Record> {
         self.buf
             .lock()
@@ -551,15 +547,15 @@ mod counting_alloc {
     use std::cell::Cell;
 
     thread_local! {
-        pub static THREAD_ALLOCS: Cell<u64> = const { Cell::new(0) };
+        pub(crate) static THREAD_ALLOCS: Cell<u64> = const { Cell::new(0) };
     }
 
     /// Allocations observed on the current thread so far.
-    pub fn thread_allocs() -> u64 {
+    pub(crate) fn thread_allocs() -> u64 {
         THREAD_ALLOCS.with(Cell::get)
     }
 
-    pub struct CountingAllocator;
+    pub(crate) struct CountingAllocator;
 
     unsafe impl GlobalAlloc for CountingAllocator {
         unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
@@ -805,7 +801,7 @@ mod tests {
         let _guard = subscriber_lock();
         uninstall();
         let stale = crate::span!("test.stale");
-        assert!(!stale.is_active());
+        assert!(!stale.active);
         let ring = Arc::new(RingSubscriber::new(8));
         install(ring.clone());
         drop(stale); // must not emit a bogus span_end

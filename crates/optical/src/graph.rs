@@ -229,7 +229,7 @@ impl OpticalNetwork {
     }
 
     /// Validates that `path` is a contiguous walk from `src` to `dst`.
-    pub fn validate_path(
+    pub(crate) fn validate_path(
         &self,
         src: RoadmId,
         dst: RoadmId,
@@ -335,17 +335,8 @@ impl OpticalNetwork {
         added
     }
 
-    /// The band a slot belongs to, given the C-band width `c_slots`.
-    pub fn band_of(slot: usize, c_slots: usize) -> crate::spectrum::Band {
-        if slot < c_slots {
-            crate::spectrum::Band::C
-        } else {
-            crate::spectrum::Band::L
-        }
-    }
-
     /// Provisioned capacity (Gbps) riding each fiber — `W_φ` in §2.3.
-    pub fn provisioned_gbps_per_fiber(&self) -> Vec<f64> {
+    pub(crate) fn provisioned_gbps_per_fiber(&self) -> Vec<f64> {
         let mut cap = vec![0.0; self.fibers.len()];
         for lp in &self.lightpaths {
             for &fid in &lp.path {
@@ -511,8 +502,6 @@ mod tests {
             gbps_per_wavelength: 100.0,
         })
         .unwrap();
-        assert_eq!(OpticalNetwork::band_of(3, 8), crate::spectrum::Band::C);
-        assert_eq!(OpticalNetwork::band_of(12, 8), crate::spectrum::Band::L);
     }
 
     #[test]

@@ -15,6 +15,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![deny(unreachable_pub)]
 // Product policy (DESIGN.md § Static analysis): library code neither
 // panics nor touches hash-ordered or wall-clock types; tests may.
 #![cfg_attr(
@@ -40,13 +41,9 @@ pub mod spectrum;
 
 pub use graph::{Fiber, FiberId, Lightpath, LightpathId, OpticalError, OpticalNetwork, RoadmId};
 pub use ksp::{k_shortest_paths, shortest_path, FiberPath};
-pub use modulation::{ModulationRow, ModulationTable};
 pub use restoration::{
     all_single_cut_ratios, empirical_cdf, path_inflation_analysis, roadm_reconfig_count,
-    PathInflation, RestorationRatio, RoadmReconfigCount,
+    RestorationRatio,
 };
-pub use rwa::{
-    greedy_assign, is_feasible, solve_relaxed, ExactAssignment, LinkRestoration, RwaConfig,
-    RwaSolution,
-};
-pub use spectrum::{Band, SpectrumMask, DEFAULT_SLOTS};
+pub use rwa::{greedy_assign, is_feasible, solve_relaxed, RwaConfig, RwaSolution};
+pub use spectrum::SpectrumMask;

@@ -16,7 +16,7 @@ pub struct RestorationRatio {
     /// Provisioned capacity riding the fiber before the cut (Gbps), `W_φ`.
     pub provisioned_gbps: f64,
     /// Restorable capacity after the cut (Gbps), `W'_φ`.
-    pub restorable_gbps: f64,
+    pub(crate) restorable_gbps: f64,
 }
 
 impl RestorationRatio {
@@ -67,7 +67,7 @@ pub fn all_single_cut_ratios(net: &OpticalNetwork, cfg: &RwaConfig) -> Vec<Resto
 #[derive(Debug, Clone)]
 pub struct PathInflation {
     /// Primary (pre-cut) fiber path length in km.
-    pub primary_km: f64,
+    pub(crate) primary_km: f64,
     /// Shortest restoration path length in km.
     pub restoration_km: f64,
 }

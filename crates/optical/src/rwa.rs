@@ -23,7 +23,7 @@
 
 use crate::graph::{FiberId, LightpathId, OpticalNetwork};
 use crate::ksp::{k_shortest_paths, FiberPath};
-use crate::modulation::ModulationTable;
+use crate::modulation;
 use crate::spectrum::SpectrumMask;
 use arrow_lp::{LinExpr, Model, Objective, Sense, SolverConfig};
 
@@ -40,8 +40,6 @@ pub struct RwaConfig {
     /// Allow stepping down the modulation when the surrogate path exceeds
     /// the current modulation's reach (Appendix A.1).
     pub allow_modulation_change: bool,
-    /// Modulation spec sheet.
-    pub modulation: ModulationTable,
     /// LP solver settings.
     pub solver: SolverConfig,
 }
@@ -51,7 +49,6 @@ impl Default for RwaConfig {
         RwaConfig {
             allow_retuning: true,
             allow_modulation_change: false,
-            modulation: ModulationTable::default(),
             solver: SolverConfig::default(),
         }
     }
@@ -66,10 +63,8 @@ pub struct LinkRestoration {
     pub lost_wavelengths: usize,
     /// Candidate surrogate paths (possibly empty if disconnected).
     pub paths: Vec<FiberPath>,
-    /// Per-wavelength datarate usable on each candidate path.
-    pub path_gbps: Vec<f64>,
     /// Fractional restored wavelengths per path (LP relaxation output).
-    pub per_path_wavelengths: Vec<f64>,
+    pub(crate) per_path_wavelengths: Vec<f64>,
     /// Total fractional restored wavelengths, `λ_e = Σ_k λ_e^k`.
     pub wavelengths: f64,
     /// Effective per-wavelength Gbps (path-weighted average; falls back to
@@ -96,10 +91,10 @@ pub struct RwaSolution {
 /// Per-wavelength datarate usable by lightpath `lp` on a path of the given
 /// length, or `None` if no modulation reaches.
 fn usable_gbps(cfg: &RwaConfig, current_gbps: f64, length_km: f64) -> Option<f64> {
-    if cfg.modulation.supports_without_change(current_gbps, length_km) {
+    if modulation::supports_without_change(current_gbps, length_km) {
         Some(current_gbps)
     } else if cfg.allow_modulation_change {
-        cfg.modulation.max_gbps_for_length(length_km).map(|g| g.min(current_gbps))
+        modulation::max_gbps_for_length(length_km).map(|g| g.min(current_gbps))
     } else {
         None
     }
@@ -115,11 +110,10 @@ fn candidate_paths(net: &OpticalNetwork, cut: &[FiberId], cfg: &RwaConfig) -> Ve
         .map(|id| {
             let lp = net.lightpath(id);
             let reach_cap = if cfg.allow_modulation_change {
-                cfg.modulation.max_reach_km()
+                modulation::MAX_REACH_KM
             } else {
-                cfg.modulation
-                    .reach_for_gbps(lp.gbps_per_wavelength)
-                    .unwrap_or_else(|| cfg.modulation.max_reach_km())
+                modulation::reach_for_gbps(lp.gbps_per_wavelength)
+                    .unwrap_or(modulation::MAX_REACH_KM)
             };
             let paths = k_shortest_paths(net, lp.src, lp.dst, K_PATHS, cut, reach_cap);
             let mut kept = Vec::new();
@@ -337,7 +331,6 @@ impl RelaxedRwaLp {
                 lightpath: id,
                 lost_wavelengths: net.lightpath(id).wavelength_count(),
                 paths,
-                path_gbps: gbps,
                 per_path_wavelengths,
                 wavelengths,
                 gbps_per_wavelength,

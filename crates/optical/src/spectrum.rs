@@ -6,20 +6,6 @@
 //! [`SpectrumMask`] tracks which slots are occupied by provisioned
 //! wavelengths, mirroring the binary `φ.spectrum[w]` vector of Appendix A.2.
 
-/// Number of wavelength slots used by default (96-channel DWDM grid).
-pub const DEFAULT_SLOTS: usize = 96;
-
-/// Spectral band of a wavelength slot (Appendix A.10: next-generation
-/// systems extend the C band with the L band to scale capacity; ARROW's
-/// noise loading covers the new band the same way).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Band {
-    /// Conventional band (1530–1565 nm) — the first `c_slots` slots.
-    C,
-    /// Long band (1565–1625 nm) — slots appended by an L-band upgrade.
-    L,
-}
-
 /// Occupancy bitset over the wavelength slots of one fiber.
 ///
 /// Bit **set** means the slot is **occupied** by a working wavelength; clear
@@ -38,12 +24,13 @@ impl SpectrumMask {
     }
 
     /// Number of slots in the grid.
-    pub fn num_slots(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn num_slots(&self) -> usize {
         self.num_slots
     }
 
     /// Whether slot `w` is occupied.
-    pub fn is_occupied(&self, w: usize) -> bool {
+    pub(crate) fn is_occupied(&self, w: usize) -> bool {
         assert!(w < self.num_slots, "slot {w} out of range {}", self.num_slots);
         self.words[w / 64] & (1u64 << (w % 64)) != 0
     }
@@ -100,7 +87,7 @@ impl SpectrumMask {
     /// Extends the grid to `new_slots` slots; the appended slots start
     /// free. Used by the Appendix A.10 C+L upgrade. No-op if `new_slots`
     /// is not larger than the current grid.
-    pub fn extend_to(&mut self, new_slots: usize) {
+    pub(crate) fn extend_to(&mut self, new_slots: usize) {
         if new_slots <= self.num_slots {
             return;
         }

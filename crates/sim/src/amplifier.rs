@@ -19,7 +19,7 @@ use crate::event::{EventQueue, SimTime};
 pub struct AmplifierParams {
     /// Seconds of observe–analyze–act looping needed per amplifier when
     /// the channel power distribution changes (paper: ~35 s).
-    pub converge_seconds: f64,
+    pub(crate) converge_seconds: f64,
 }
 
 impl Default for AmplifierParams {
@@ -48,7 +48,7 @@ impl AmplifierChain {
     /// Simulates the sequential convergence of the cascade after a power
     /// change at `start`: returns the time each site stabilizes, last
     /// entry being the end-to-end stabilization time.
-    pub fn convergence_times(&self, start: SimTime) -> Vec<SimTime> {
+    pub(crate) fn convergence_times(&self, start: SimTime) -> Vec<SimTime> {
         #[derive(Debug)]
         struct Converged(
             /// index of the amplifier site that settled

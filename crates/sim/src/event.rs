@@ -9,7 +9,7 @@ use std::collections::BinaryHeap;
 use std::sync::OnceLock;
 
 /// Simulation timestamp in seconds.
-pub type SimTime = f64;
+pub(crate) type SimTime = f64;
 
 struct Entry<E> {
     time: SimTime,
@@ -64,7 +64,7 @@ fn queue_metrics() -> &'static QueueMetrics {
 }
 
 /// The event calendar.
-pub struct EventQueue<E> {
+pub(crate) struct EventQueue<E> {
     heap: BinaryHeap<Entry<E>>,
     seq: u64,
     now: SimTime,
@@ -78,12 +78,12 @@ impl<E> Default for EventQueue<E> {
 
 impl<E> EventQueue<E> {
     /// An empty calendar at time zero.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         EventQueue { heap: BinaryHeap::new(), seq: 0, now: 0.0 }
     }
 
     /// Current simulation time (the timestamp of the last popped event).
-    pub fn now(&self) -> SimTime {
+    pub(crate) fn now(&self) -> SimTime {
         self.now
     }
 
@@ -92,7 +92,7 @@ impl<E> EventQueue<E> {
     /// # Panics
     /// Panics if `at` lies in the past — a scheduling bug, not a runtime
     /// condition.
-    pub fn schedule(&mut self, at: SimTime, payload: E) {
+    pub(crate) fn schedule(&mut self, at: SimTime, payload: E) {
         assert!(at >= self.now, "cannot schedule into the past: {at} < {}", self.now);
         assert!(at.is_finite(), "event time must be finite");
         self.heap.push(Entry { time: at, seq: self.seq, payload });
@@ -103,13 +103,8 @@ impl<E> EventQueue<E> {
         m.horizon_seconds.observe(at - self.now);
     }
 
-    /// Schedules `payload` after a relative delay.
-    pub fn schedule_in(&mut self, delay: SimTime, payload: E) {
-        self.schedule(self.now + delay, payload);
-    }
-
     /// Pops the next event, advancing the clock.
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
+    pub(crate) fn pop(&mut self) -> Option<(SimTime, E)> {
         self.heap.pop().map(|e| {
             self.now = e.time;
             let m = queue_metrics();
@@ -117,16 +112,6 @@ impl<E> EventQueue<E> {
             m.depth.set(self.heap.len() as f64);
             (e.time, e.payload)
         })
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether the calendar is empty.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
     }
 }
 
@@ -161,7 +146,7 @@ mod tests {
         assert_eq!(q.now(), 0.0);
         q.pop();
         assert_eq!(q.now(), 5.0);
-        q.schedule_in(2.5, ());
+        q.schedule(q.now() + 2.5, ());
         let (t, _) = q.pop().unwrap();
         assert_eq!(t, 7.5);
     }
@@ -173,13 +158,5 @@ mod tests {
         q.schedule(5.0, ());
         q.pop();
         q.schedule(1.0, ());
-    }
-
-    #[test]
-    fn len_and_empty() {
-        let mut q: EventQueue<()> = EventQueue::new();
-        assert!(q.is_empty());
-        q.schedule(1.0, ());
-        assert_eq!(q.len(), 1);
     }
 }

@@ -1,8 +1,8 @@
 //! The daemon's event feed: a seeded, pre-scheduled calendar of epoch
 //! ticks, fiber cuts/repairs, and injected chaos bursts.
 //!
-//! `arrow serve` (ROADMAP item 3) is driven by the same [`EventQueue`]
-//! calendar the restoration trial uses, but over controller-scale events:
+//! `arrow serve` is driven by the same `EventQueue` calendar the
+//! restoration trial uses, but over controller-scale events:
 //! every `epoch_interval_s` of simulated time an [`FeedEvent::EpochTick`]
 //! fires with a demand-scale factor (a diurnal sinusoid times seeded
 //! telemetry jitter), and a seeded Poisson-ish process sprinkles
@@ -117,7 +117,24 @@ fn diurnal(t: SimTime) -> f64 {
 /// A drained-in-order calendar of [`FeedEvent`]s.
 pub struct EventFeed {
     queue: EventQueue<FeedEvent>,
-    config: FeedConfig,
+}
+
+/// `config` with non-finite or negative values clamped to safe ones, so
+/// they cannot panic the queue.
+fn sanitized(mut config: FeedConfig) -> FeedConfig {
+    if !config.epoch_interval_s.is_finite() || config.epoch_interval_s <= 0.0 {
+        config.epoch_interval_s = 300.0;
+    }
+    if !config.mean_cut_interval_s.is_finite() || config.mean_cut_interval_s < 0.0 {
+        config.mean_cut_interval_s = 0.0;
+    }
+    if !config.repair_after_s.is_finite() || config.repair_after_s <= 0.0 {
+        config.repair_after_s = 1800.0;
+    }
+    if !config.demand_jitter.is_finite() || config.demand_jitter < 0.0 {
+        config.demand_jitter = 0.0;
+    }
+    config
 }
 
 impl EventFeed {
@@ -125,19 +142,7 @@ impl EventFeed {
     /// from the config's seed. Non-finite or negative config values are
     /// clamped to safe ones rather than panicking the queue.
     pub fn new(config: FeedConfig) -> EventFeed {
-        let mut config = config;
-        if !config.epoch_interval_s.is_finite() || config.epoch_interval_s <= 0.0 {
-            config.epoch_interval_s = 300.0;
-        }
-        if !config.mean_cut_interval_s.is_finite() || config.mean_cut_interval_s < 0.0 {
-            config.mean_cut_interval_s = 0.0;
-        }
-        if !config.repair_after_s.is_finite() || config.repair_after_s <= 0.0 {
-            config.repair_after_s = 1800.0;
-        }
-        if !config.demand_jitter.is_finite() || config.demand_jitter < 0.0 {
-            config.demand_jitter = 0.0;
-        }
+        let config = sanitized(config);
         let mut rng = StdRng::seed_from_u64(config.seed);
         let mut queue = EventQueue::new();
         let horizon = config.epochs as f64 * config.epoch_interval_s;
@@ -173,12 +178,7 @@ impl EventFeed {
             }
         }
 
-        EventFeed { queue, config }
-    }
-
-    /// The config the feed was built from.
-    pub fn config(&self) -> &FeedConfig {
-        &self.config
+        EventFeed { queue }
     }
 
     /// Injects an extra event (chaos bursts) at simulated time `at`,
@@ -193,26 +193,6 @@ impl EventFeed {
     /// calendar is drained.
     pub fn next_event(&mut self) -> Option<(SimTime, FeedEvent)> {
         self.queue.pop()
-    }
-
-    /// Current simulated time (time of the last delivered event).
-    pub fn now(&self) -> SimTime {
-        self.queue.now()
-    }
-
-    /// Events still scheduled.
-    pub fn len(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// True when the calendar is drained.
-    pub fn is_empty(&self) -> bool {
-        self.queue.is_empty()
-    }
-
-    /// The feed's horizon in simulated seconds.
-    pub fn horizon_s(&self) -> f64 {
-        self.config.epochs as f64 * self.config.epoch_interval_s
     }
 }
 
@@ -329,7 +309,7 @@ mod tests {
 
     #[test]
     fn degenerate_configs_are_clamped_not_panicking() {
-        let feed = EventFeed::new(FeedConfig {
+        let config = FeedConfig {
             epoch_interval_s: f64::NAN,
             mean_cut_interval_s: -5.0,
             repair_after_s: 0.0,
@@ -337,10 +317,11 @@ mod tests {
             epochs: 2,
             num_fibers: 3,
             ..Default::default()
-        });
-        assert_eq!(feed.config().epoch_interval_s, 300.0);
-        assert_eq!(feed.config().mean_cut_interval_s, 0.0);
-        assert_eq!(feed.config().demand_jitter, 0.0);
-        assert_eq!(drain(feed).len(), 2, "just the two ticks");
+        };
+        let clamped = sanitized(config.clone());
+        assert_eq!(clamped.epoch_interval_s, 300.0);
+        assert_eq!(clamped.mean_cut_interval_s, 0.0);
+        assert_eq!(clamped.demand_jitter, 0.0);
+        assert_eq!(drain(EventFeed::new(config)).len(), 2, "just the two ticks");
     }
 }

@@ -12,6 +12,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![deny(unreachable_pub)]
 // Product policy (DESIGN.md § Static analysis): library code neither
 // panics nor touches hash-ordered or wall-clock types; tests may.
 #![cfg_attr(
@@ -29,15 +30,12 @@
 )]
 
 pub mod amplifier;
-pub mod event;
+mod event;
 pub mod feed;
-pub mod noise;
 pub mod roadm;
 pub mod testbed;
 
 pub use amplifier::{AmplifierChain, AmplifierParams};
-pub use event::{EventQueue, SimTime};
 pub use feed::{EventFeed, FeedConfig, FeedEvent};
-pub use noise::{ChannelState, NoiseController, NoiseLoadedFiber, Swap};
-pub use roadm::{roadm_groups, RoadmGroups, RoadmParams};
-pub use testbed::{build_testbed, restoration_trial, Testbed, TimelinePoint, TrialResult};
+pub use roadm::RoadmParams;
+pub use testbed::{build_testbed, restoration_trial, Testbed};

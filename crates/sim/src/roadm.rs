@@ -15,12 +15,12 @@ use std::collections::BTreeSet;
 #[derive(Debug, Clone, Copy)]
 pub struct RoadmParams {
     /// Seconds to reconfigure one ROADM's WSS (and its noise source).
-    pub config_seconds: f64,
+    pub(crate) config_seconds: f64,
     /// Control-plane overhead to detect the cut and fetch the
     /// pre-computed restoration plan (ARROW installs plans proactively).
-    pub detection_seconds: f64,
+    pub(crate) detection_seconds: f64,
     /// Controller dispatch overhead.
-    pub dispatch_seconds: f64,
+    pub(crate) dispatch_seconds: f64,
 }
 
 impl Default for RoadmParams {
@@ -31,7 +31,7 @@ impl Default for RoadmParams {
 
 /// The ROADMs a restoration touches, split into the two parallel groups.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RoadmGroups {
+pub(crate) struct RoadmGroups {
     /// Source/destination sites of the restored lightpaths.
     pub add_drop: Vec<RoadmId>,
     /// Pass-through sites on the surrogate paths (excluding add/drop).
@@ -40,7 +40,10 @@ pub struct RoadmGroups {
 
 /// Collects the ROADM groups for a set of restored routes
 /// `(src, dst, surrogate path)`.
-pub fn roadm_groups(net: &OpticalNetwork, routes: &[(RoadmId, RoadmId, FiberPath)]) -> RoadmGroups {
+pub(crate) fn roadm_groups(
+    net: &OpticalNetwork,
+    routes: &[(RoadmId, RoadmId, FiberPath)],
+) -> RoadmGroups {
     let mut add_drop: BTreeSet<RoadmId> = BTreeSet::new();
     let mut intermediate: BTreeSet<RoadmId> = BTreeSet::new();
     for (src, dst, path) in routes {
@@ -63,7 +66,7 @@ pub fn roadm_groups(net: &OpticalNetwork, routes: &[(RoadmId, RoadmId, FiberPath
 impl RoadmGroups {
     /// Seconds until all ROADMs are reconfigured: the two groups run
     /// sequentially, each group's members in parallel (Appendix A.6).
-    pub fn reconfig_seconds(&self, p: &RoadmParams) -> f64 {
+    pub(crate) fn reconfig_seconds(&self, p: &RoadmParams) -> f64 {
         let g1 = if self.add_drop.is_empty() { 0.0 } else { p.config_seconds };
         let g2 = if self.intermediate.is_empty() { 0.0 } else { p.config_seconds };
         g1 + g2

@@ -18,16 +18,6 @@ pub struct TeAllocation {
 }
 
 impl TeAllocation {
-    /// Allocation of tunnel `t`.
-    pub fn tunnel(&self, t: TunnelId) -> f64 {
-        self.a[t.0]
-    }
-
-    /// Admitted bandwidth of flow `f`.
-    pub fn flow(&self, f: FlowId) -> f64 {
-        self.b[f.0]
-    }
-
     /// Splitting ratios for flow `f` over its tunnels, summing to 1.
     ///
     /// Zero-allocation tunnels get weight `ε = 1e-4` before normalization

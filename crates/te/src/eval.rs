@@ -45,7 +45,7 @@ pub struct ScenarioDelivery {
     pub delivered: Vec<f64>,
     /// Directed link loads after congestion scaling, indexed by
     /// [`DirLink::index`](crate::tunnels::DirLink::index) (`2·link + forward`) over every link of the WAN.
-    pub link_loads: Vec<f64>,
+    pub(crate) link_loads: Vec<f64>,
     /// `Σ delivered / Σ demand` — the scenario's demand satisfaction.
     pub satisfaction: f64,
 }

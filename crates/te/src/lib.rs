@@ -13,6 +13,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![deny(unreachable_pub)]
 // Product policy (DESIGN.md § Static analysis): library code neither
 // panics nor touches hash-ordered or wall-clock types; tests may.
 #![cfg_attr(
@@ -41,10 +42,10 @@ pub use restoration::{RestorationTicket, TicketSet};
 pub use schemes::arrow::{Arrow, ArrowNaive, ArrowOnline, ArrowOutcome};
 pub use schemes::ecmp::Ecmp;
 pub use schemes::ffc::Ffc;
-pub use schemes::joint::{joint_formulation_size, JointSize};
+pub use schemes::joint::joint_formulation_size;
 pub use schemes::maxflow::MaxFlow;
 pub use schemes::teavar::TeaVar;
 pub use schemes::{SchemeOutput, TeScheme};
 pub use tunnels::{
-    build_instance, DirLink, DirectedHop, Flow, FlowId, TeInstance, Tunnel, TunnelConfig, TunnelId,
+    build_instance, DirLink, Flow, FlowId, TeInstance, Tunnel, TunnelConfig, TunnelId,
 };

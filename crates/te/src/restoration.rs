@@ -20,7 +20,7 @@ pub struct RestorationTicket {
 
 impl RestorationTicket {
     /// A ticket restoring nothing (the degenerate candidate).
-    pub fn empty() -> Self {
+    pub(crate) fn empty() -> Self {
         RestorationTicket { restored: Vec::new() }
     }
 
@@ -46,7 +46,7 @@ impl RestorationTicket {
     /// Tickets with equal support yield the same restorable-tunnel sets
     /// `Y_f^{z,q}`, which the Phase-I builder exploits to deduplicate
     /// constraints.
-    pub fn support(&self) -> Vec<IpLinkId> {
+    pub(crate) fn support(&self) -> Vec<IpLinkId> {
         let mut s: Vec<IpLinkId> =
             self.restored.iter().filter(|&&(_, g)| g > 0.0).map(|&(l, _)| l).collect();
         s.sort();

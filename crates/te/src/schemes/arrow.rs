@@ -353,11 +353,6 @@ impl ArrowOnline {
         ArrowOnline { arrow, phase1, phase1_warm: None, phase2: None, shape }
     }
 
-    /// The underlying scheme configuration.
-    pub fn arrow(&self) -> &Arrow {
-        &self.arrow
-    }
-
     /// One interval: patch demands, solve Phase I (warm after the first
     /// interval), pick the winners, solve Phase II.
     ///

@@ -41,12 +41,12 @@ pub struct DirLink(pub IpLinkId, pub bool);
 impl DirLink {
     /// The key's dense number, `2·link + forward` — ascending in the same
     /// order as `Ord`. Per-directed-link vectors are indexed by it.
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         2 * self.0 .0 + self.1 as usize
     }
 
     /// The key numbered `index`.
-    pub fn from_index(index: usize) -> Self {
+    pub(crate) fn from_index(index: usize) -> Self {
         DirLink(IpLinkId(index / 2), index % 2 == 1)
     }
 }
@@ -70,7 +70,7 @@ pub struct Flow {
     /// Destination site.
     pub dst: SiteId,
     /// Demand in Gbps (`d_f`).
-    pub demand_gbps: f64,
+    pub(crate) demand_gbps: f64,
     /// Tunnels serving this flow (`T_f`).
     pub tunnels: Vec<TunnelId>,
 }
@@ -228,7 +228,7 @@ pub fn build_instance(
 
 impl TeInstance {
     /// Tunnels of flow `f`.
-    pub fn flow_tunnels(&self, f: FlowId) -> &[TunnelId] {
+    pub(crate) fn flow_tunnels(&self, f: FlowId) -> &[TunnelId] {
         &self.flows[f.0].tunnels
     }
 
@@ -248,7 +248,7 @@ impl TeInstance {
     }
 
     /// All directed capacity keys that appear in some tunnel, ascending.
-    pub fn used_dir_links(&self) -> Vec<DirLink> {
+    pub(crate) fn used_dir_links(&self) -> Vec<DirLink> {
         let index = self.index();
         (0..index.num_keys())
             .filter(|&k| !index.row(k).is_empty())
@@ -260,7 +260,11 @@ impl TeInstance {
     /// [`TunnelId`] order — the column order of every per-direction
     /// capacity row, so LP builders that share it emit identical rows.
     /// Empty for a link the WAN does not have.
-    pub fn tunnels_on(&self, link: IpLinkId, forward: bool) -> impl Iterator<Item = TunnelId> + '_ {
+    pub(crate) fn tunnels_on(
+        &self,
+        link: IpLinkId,
+        forward: bool,
+    ) -> impl Iterator<Item = TunnelId> + '_ {
         self.index().tunnels_on(link, forward).iter().copied()
     }
 

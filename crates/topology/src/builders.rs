@@ -17,19 +17,18 @@
 
 use crate::distributions::discrete;
 use crate::wan::{IpLink, SiteId, Wan};
-use arrow_optical::{k_shortest_paths, Lightpath, ModulationTable, OpticalNetwork, RoadmId};
+use arrow_optical::modulation::{max_gbps_for_length, MAX_REACH_KM};
+use arrow_optical::{k_shortest_paths, Lightpath, OpticalNetwork, RoadmId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// Knobs for IP-layer generation on top of a fixed optical layer.
 #[derive(Debug, Clone)]
-pub struct IpLayerConfig {
+pub(crate) struct IpLayerConfig {
     /// Total number of IP links to provision.
-    pub target_links: usize,
+    pub(crate) target_links: usize,
     /// Histogram over wavelength counts 1..=N (Fig. 22b shape).
-    pub wavelength_weights: Vec<f64>,
-    /// Modulation spec sheet used to pick per-wavelength datarates.
-    pub modulation: ModulationTable,
+    pub(crate) wavelength_weights: Vec<f64>,
     /// RNG seed (builders are fully deterministic given the seed).
     pub seed: u64,
 }
@@ -42,7 +41,6 @@ impl Default for IpLayerConfig {
             // Fig. 22b (most IP links carry a handful of wavelengths, a few
             // carry dozens).
             wavelength_weights: vec![0.26, 0.22, 0.16, 0.12, 0.08, 0.06, 0.04, 0.03, 0.02, 0.01],
-            modulation: ModulationTable::default(),
             seed: 17,
         }
     }
@@ -88,7 +86,7 @@ fn provision_ip_layer(
             if let Some(p) =
                 arrow_optical::shortest_path(&optical, router_roadms[i], router_roadms[j], &[], &[])
             {
-                if p.length_km <= cfg.modulation.max_reach_km() {
+                if p.length_km <= MAX_REACH_KM {
                     pair_weights.push(((i, j), 1.0 / (p.length_km + 100.0)));
                 }
             }
@@ -110,7 +108,7 @@ fn provision_ip_layer(
         // Up to 3 candidate paths, tried least-loaded first so that load
         // spreads instead of piling onto the shortest central fibers (this
         // is what keeps the Fig. 5a utilization profile: 95% < 60%).
-        let mut paths = k_shortest_paths(optical, src, dst, 4, &[], cfg.modulation.max_reach_km());
+        let mut paths = k_shortest_paths(optical, src, dst, 4, &[], MAX_REACH_KM);
         // Takes the network explicitly (no capture) so the borrow ends at
         // each call and `optical.provision` below can borrow mutably.
         let load = |net: &OpticalNetwork, p: &arrow_optical::FiberPath| -> f64 {
@@ -127,7 +125,7 @@ fn provision_ip_layer(
             if strict && load(optical, &path) >= 0.58 {
                 continue;
             }
-            let Some(gbps) = cfg.modulation.max_gbps_for_length(path.length_km) else {
+            let Some(gbps) = max_gbps_for_length(path.length_km) else {
                 continue;
             };
             // Cap the port-channel so the path's hottest fiber stays under
@@ -246,7 +244,7 @@ fn provision_ip_layer(
 
 /// Whether the optical graph stays connected after removing any single
 /// fiber (2-edge-connectivity). Used by tests and the generator.
-pub fn is_two_edge_connected(net: &OpticalNetwork) -> bool {
+pub(crate) fn is_two_edge_connected(net: &OpticalNetwork) -> bool {
     let n = net.num_roadms();
     if n <= 1 {
         return true;
@@ -465,7 +463,6 @@ pub fn facebook_like(seed: u64) -> Wan {
         wavelength_weights: vec![
             0.18, 0.17, 0.14, 0.12, 0.09, 0.07, 0.06, 0.05, 0.04, 0.03, 0.02, 0.02, 0.01,
         ],
-        ..Default::default()
     };
     provision_ip_layer(optical, &router_roadms, &cfg, "Facebook")
 }

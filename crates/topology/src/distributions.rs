@@ -10,21 +10,21 @@ use rand::Rng;
 
 /// Samples a Weibull(`shape`, `scale`) variate by inverse CDF:
 /// `scale * (-ln(1 - U))^(1/shape)`.
-pub fn weibull<R: Rng + ?Sized>(rng: &mut R, shape: f64, scale: f64) -> f64 {
+pub(crate) fn weibull<R: Rng + ?Sized>(rng: &mut R, shape: f64, scale: f64) -> f64 {
     assert!(shape > 0.0 && scale > 0.0, "Weibull parameters must be positive");
     let u: f64 = rng.gen_range(0.0..1.0);
     scale * (-(1.0 - u).ln()).powf(1.0 / shape)
 }
 
 /// Samples a standard normal variate via Box–Muller.
-pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
+pub(crate) fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
     let u2: f64 = rng.gen_range(0.0..1.0);
     (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
 }
 
 /// Samples a log-normal variate `exp(mu + sigma * Z)`.
-pub fn log_normal<R: Rng + ?Sized>(rng: &mut R, mu: f64, sigma: f64) -> f64 {
+pub(crate) fn log_normal<R: Rng + ?Sized>(rng: &mut R, mu: f64, sigma: f64) -> f64 {
     (mu + sigma * standard_normal(rng)).exp()
 }
 
@@ -32,7 +32,7 @@ pub fn log_normal<R: Rng + ?Sized>(rng: &mut R, mu: f64, sigma: f64) -> f64 {
 ///
 /// # Panics
 /// Panics if the weights are empty or sum to zero.
-pub fn discrete<R: Rng + ?Sized>(rng: &mut R, weights: &[f64]) -> usize {
+pub(crate) fn discrete<R: Rng + ?Sized>(rng: &mut R, weights: &[f64]) -> usize {
     let total: f64 = weights.iter().sum();
     assert!(total > 0.0 && !weights.is_empty(), "histogram must have positive mass");
     let mut t = rng.gen_range(0.0..total);

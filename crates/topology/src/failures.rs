@@ -96,7 +96,7 @@ pub struct ScenarioId(pub u64);
 
 impl ScenarioId {
     /// Digest of a cut set (order- and duplicate-insensitive).
-    pub fn of_cut(cut: &[FiberId]) -> ScenarioId {
+    pub(crate) fn of_cut(cut: &[FiberId]) -> ScenarioId {
         let mut ids: Vec<usize> = cut.iter().map(|f| f.0).collect();
         ids.sort_unstable();
         ids.dedup();
@@ -222,10 +222,10 @@ pub struct UniverseStats {
     pub enumerated: usize,
     /// Candidates dropped because another mechanism already produced the
     /// same cut set (the higher-probability estimate wins).
-    pub deduped: usize,
+    pub(crate) deduped: usize,
     /// Candidates dropped by importance sampling or by
     /// [`generate_failures`]' most-probable cap.
-    pub sampled_out: usize,
+    pub(crate) sampled_out: usize,
     /// Scenarios in the final universe.
     pub kept: usize,
 }
@@ -243,7 +243,7 @@ pub struct UniverseStats {
 #[derive(Debug, Clone)]
 pub struct ScenarioUniverse {
     /// Per-fiber failure probability (after flapping boosts).
-    pub fiber_prob: Vec<f64>,
+    pub(crate) fiber_prob: Vec<f64>,
     /// Probability that no fiber fails.
     pub healthy_probability: f64,
     /// The compiled failure scenarios, most probable first.
@@ -269,7 +269,8 @@ impl ScenarioUniverse {
     }
 
     /// Per-scenario probabilities, parallel to the global index order.
-    pub fn probabilities(&self) -> Vec<f64> {
+    #[cfg(test)]
+    pub(crate) fn probabilities(&self) -> Vec<f64> {
         self.scenarios.iter().map(|c| c.scenario.probability).collect()
     }
 

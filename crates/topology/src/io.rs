@@ -13,8 +13,8 @@
 //! probability and source. Everything derived — spectrum occupancy, ROADM
 //! adjacency, the links a cut fails, a scenario's [`ScenarioId`] — is
 //! rebuilt on load by the constructors that enforce the invariants
-//! ([`OpticalNetwork::provision`], [`TrafficMatrix::from_row_major`],
-//! [`Wan::links_failed_by`], [`ScenarioId::of_cut`]), so a file cannot put
+//! ([`OpticalNetwork::provision`], `TrafficMatrix::from_row_major`,
+//! [`Wan::links_failed_by`], `ScenarioId::of_cut`), so a file cannot put
 //! a model into a state the builders could not. A file that is not JSON
 //! is [`IoError::Parse`]; JSON that is not a consistent snapshot is
 //! [`IoError::Invalid`], naming the JSON path of the offending value
@@ -28,7 +28,6 @@ use crate::wan::{IpLink, SiteId, Wan};
 use arrow_obs::json::{self, Json, JsonError};
 use arrow_optical::{Fiber, FiberId, Lightpath, LightpathId, OpticalNetwork, RoadmId};
 use std::fmt::Display;
-use std::path::Path;
 
 /// A self-contained experiment snapshot: one WAN with its demands and
 /// failure scenarios.
@@ -361,17 +360,6 @@ impl Snapshot {
         let failures = failures_from_json(&failures, &wan)?;
         Ok(Snapshot { wan, traffic, failures })
     }
-
-    /// Writes the snapshot to a file.
-    pub fn save(&self, path: impl AsRef<Path>) -> Result<(), IoError> {
-        std::fs::write(path, self.to_json())?;
-        Ok(())
-    }
-
-    /// Loads and validates a snapshot from a file.
-    pub fn load(path: impl AsRef<Path>) -> Result<Self, IoError> {
-        Self::from_json(&std::fs::read_to_string(path)?)
-    }
 }
 
 #[cfg(test)]
@@ -432,18 +420,6 @@ mod tests {
         assert_eq!(back.digest(), snap.failures.digest());
         assert_eq!(sources(&back), sources(&snap.failures));
         assert_eq!(back.healthy_probability.to_bits(), snap.failures.healthy_probability.to_bits());
-    }
-
-    #[test]
-    fn file_roundtrip() {
-        let snap = snapshot_of(b4(17));
-        let dir = std::env::temp_dir().join("arrow_io_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("b4.json");
-        snap.save(&path).unwrap();
-        let back = Snapshot::load(&path).unwrap();
-        assert_eq!(back.wan.summary(), snap.wan.summary());
-        std::fs::remove_file(&path).ok();
     }
 
     /// Replaces the value at `path` (written the way errors print it).

@@ -11,6 +11,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![deny(unreachable_pub)]
 // Product policy (DESIGN.md § Static analysis): library code neither
 // panics nor touches hash-ordered or wall-clock types; tests may.
 #![cfg_attr(
@@ -28,14 +29,14 @@
 )]
 
 pub mod builders;
-pub mod distributions;
+mod distributions;
 pub mod failures;
 pub mod io;
 pub mod telemetry;
 pub mod traffic;
 pub mod wan;
 
-pub use builders::{b4, facebook_like, ibm, is_two_edge_connected, IpLayerConfig};
+pub use builders::{b4, facebook_like, ibm};
 pub use failures::{
     compile_universe, generate_failures, CompiledScenario, FailureConfig, FailureScenario,
     ScenarioId, ScenarioSource, ScenarioUniverse, SrlgGroup, UniverseConfig, UniverseStats,

@@ -35,7 +35,7 @@ impl TrafficMatrix {
     /// outside the program: `demand` must hold `n × n` finite non-negative
     /// entries with a zero diagonal. Returns a description of the first
     /// entry that does not.
-    pub fn from_row_major(n: usize, demand: Vec<f64>) -> Result<Self, String> {
+    pub(crate) fn from_row_major(n: usize, demand: Vec<f64>) -> Result<Self, String> {
         if n.checked_mul(n) != Some(demand.len()) {
             return Err(format!("{} demands do not fill a {n} x {n} matrix", demand.len()));
         }
@@ -71,7 +71,8 @@ impl TrafficMatrix {
     }
 
     /// Sum of all demands in Gbps.
-    pub fn total(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn total(&self) -> f64 {
         self.demand.iter().sum()
     }
 

@@ -76,7 +76,8 @@ impl Wan {
     }
 
     /// IP links incident to a site.
-    pub fn incident_links(&self, s: SiteId) -> Vec<IpLinkId> {
+    #[cfg(test)]
+    pub(crate) fn incident_links(&self, s: SiteId) -> Vec<IpLinkId> {
         self.links
             .iter()
             .enumerate()

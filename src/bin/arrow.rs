@@ -358,7 +358,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             seed: flag(&flags, "chaos-seed", 1337u64)?,
             bursts: flag(&flags, "bursts", 3u64)?,
             stall_seconds,
-            ..Default::default()
         })
     } else {
         None

@@ -28,27 +28,23 @@ pub struct ChaosConfig {
     /// Wall-clock stall injected into each burst epoch's planning window.
     /// Size this above the SLO budget to force a deadline miss.
     pub stall_seconds: f64,
-    /// Cap on the compiled universe feeding the cut sets.
-    pub max_scenarios: usize,
-    /// Earliest epoch a burst may land in (leave the cold-start epoch and
-    /// the first warm epoch alone so the cache is primed).
-    pub first_burst_epoch: u64,
 }
+
+/// Cap on the compiled universe feeding the cut sets.
+const MAX_SCENARIOS: usize = 32;
+
+/// Earliest epoch a burst may land in (leave the cold-start epoch and the
+/// first warm epoch alone so the cache is primed).
+const FIRST_BURST_EPOCH: u64 = 2;
 
 impl Default for ChaosConfig {
     fn default() -> Self {
-        ChaosConfig {
-            seed: 1337,
-            bursts: 3,
-            stall_seconds: 3.0,
-            max_scenarios: 32,
-            first_burst_epoch: 2,
-        }
+        ChaosConfig { seed: 1337, bursts: 3, stall_seconds: 3.0 }
     }
 }
 
 /// Compiles the scenario universe and injects `cfg.bursts` correlated
-/// bursts into `feed`, spread evenly across `[first_burst_epoch, epochs)`
+/// bursts into `feed`, spread evenly across `[FIRST_BURST_EPOCH, epochs)`
 /// at mid-interval times (so a burst re-plan lands between two ticks).
 /// Returns the number of bursts injected.
 pub fn schedule_bursts(
@@ -67,7 +63,7 @@ pub fn schedule_bursts(
             seed: cfg.seed,
             max_k: 2,
             auto_srlg_size: 3,
-            max_scenarios: cfg.max_scenarios.max(1),
+            max_scenarios: MAX_SCENARIOS,
             ..Default::default()
         },
     );
@@ -91,7 +87,7 @@ pub fn schedule_bursts(
         return 0;
     }
 
-    let first = cfg.first_burst_epoch.min(epochs.saturating_sub(1));
+    let first = FIRST_BURST_EPOCH.min(epochs.saturating_sub(1));
     let span = (epochs - first).max(1);
     let mut injected = 0;
     for i in 0..cfg.bursts {

@@ -92,7 +92,7 @@ pub mod prelude {
     pub use arrow_optical::{
         all_single_cut_ratios, empirical_cdf, greedy_assign, is_feasible, k_shortest_paths,
         path_inflation_analysis, roadm_reconfig_count, solve_relaxed, FiberId, Lightpath,
-        LightpathId, ModulationTable, OpticalNetwork, RoadmId, RwaConfig, SpectrumMask,
+        LightpathId, OpticalNetwork, RoadmId, RwaConfig, SpectrumMask,
     };
     pub use arrow_sim::{
         build_testbed, restoration_trial, AmplifierChain, AmplifierParams, RoadmParams,

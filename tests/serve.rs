@@ -98,12 +98,7 @@ fn forced_slow_epoch_falls_back_to_previous_plan() {
     // epochs run well under it, so exactly one epoch may miss.
     let config = ServeConfig {
         budget_seconds: 1.0,
-        chaos: Some(ChaosConfig {
-            bursts: 1,
-            stall_seconds: 2.5,
-            first_burst_epoch: 2,
-            ..Default::default()
-        }),
+        chaos: Some(ChaosConfig { bursts: 1, stall_seconds: 2.5, ..Default::default() }),
         ..base_config("fallback")
     };
     let report = serve(b4(17), &config).expect("daemon run");
