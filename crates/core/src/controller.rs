@@ -13,13 +13,14 @@
 //! fibers) ready to install so the network reacts in seconds when a cut
 //! actually happens (§5).
 
-use crate::lottery::{generate_tickets, LotteryConfig, OfflineStats};
+use crate::lottery::{generate_parallel, LotteryConfig, OfflineStats, Targets};
 use crate::par::parallel_map;
+use arrow_obs::{Counter, Histogram};
 use arrow_optical::rwa::greedy_assign;
 use arrow_optical::FiberPath;
 use arrow_te::schemes::arrow::{Arrow, ArrowOnline, ArrowOutcome};
 use arrow_te::tunnels::{build_instance, TeInstance, TunnelConfig};
-use arrow_te::{RestorationTicket, TicketSet};
+use arrow_te::TicketSet;
 use arrow_topology::{FailureScenario, TrafficMatrix, Wan};
 
 /// Wavelength-reconfiguration rules for one failure scenario, installable
@@ -68,6 +69,9 @@ pub struct OfflineState {
     /// Measurements from the ticket-generation run that produced
     /// `tickets`.
     pub stats: OfflineStats,
+    /// Per scenario, the wavelength counts each kept ticket stands for, in
+    /// ticket order: what the ROADM rules of a winning ticket restore.
+    pub(crate) targets: Vec<Vec<Targets>>,
 }
 
 /// Why the online stage could not produce a [`TePlan`].
@@ -139,48 +143,14 @@ struct OnlineCache {
     online: ArrowOnline,
 }
 
-/// Process-global online-stage counters, flushed once per TE epoch.
-struct EpochMetrics {
-    cold: arrow_obs::Counter,
-    warm: arrow_obs::Counter,
-    seconds: arrow_obs::Histogram,
-}
-
-impl EpochMetrics {
-    fn record(&self, warm: bool, seconds: f64) -> arrow_obs::EpochVerdict {
-        if warm {
-            self.warm.inc();
-        } else {
-            self.cold.inc();
-        }
-        self.seconds.observe(seconds);
-        // Feed the SLO engine: did this epoch make its deadline budget
-        // (ARROW §5's five-minute TE epoch by default)? Misses are
-        // counted, quantiles and error-budget burn updated, and a warn
-        // event emitted on a miss.
-        arrow_obs::slo::record_epoch(seconds)
-    }
-}
-
-fn epoch_metrics() -> &'static EpochMetrics {
-    static METRICS: std::sync::OnceLock<EpochMetrics> = std::sync::OnceLock::new();
-    METRICS.get_or_init(|| {
-        arrow_obs::metrics::describe("epoch.cold", "cold-start TE epochs planned");
-        arrow_obs::metrics::describe("epoch.warm", "warm-start TE epochs planned");
-        arrow_obs::metrics::describe(
-            "epoch.seconds",
-            "wall-clock seconds per online TE epoch (cold or warm)",
-        );
-        EpochMetrics {
-            cold: arrow_obs::metrics::counter("epoch.cold"),
-            warm: arrow_obs::metrics::counter("epoch.warm"),
-            seconds: arrow_obs::metrics::histogram(
-                "epoch.seconds",
-                &[1e-2, 3e-2, 0.1, 0.3, 1.0, 3.0, 10.0, 30.0, 100.0],
-            ),
-        }
-    })
-}
+// Process-global online-stage metrics, flushed once per TE epoch.
+static COLD: Counter = Counter::new("epoch.cold", "cold-start TE epochs planned");
+static WARM: Counter = Counter::new("epoch.warm", "warm-start TE epochs planned");
+static SECONDS: Histogram = Histogram::new(
+    "epoch.seconds",
+    "wall-clock seconds per online TE epoch (cold or warm)",
+    &[1e-2, 3e-2, 0.1, 0.3, 1.0, 3.0, 10.0, 30.0, 100.0],
+);
 
 /// How one planned epoch fared against the deadline, as seen by the SLO
 /// engine — returned by [`ArrowController::plan_epoch`] so a long-lived
@@ -222,9 +192,11 @@ impl ArrowController {
     /// scenarios (see [`crate::par`]), keeping the per-scenario
     /// [`OfflineStats`] in [`OfflineState::stats`].
     pub fn new(wan: Wan, scenarios: Vec<FailureScenario>, config: ControllerConfig) -> Self {
-        let (tickets, stats) = generate_tickets(&wan, &scenarios, &config.lottery);
+        let work = scenarios.iter().enumerate().collect();
+        let (tickets, targets, stats) =
+            generate_parallel(&wan, work, &config.lottery, crate::par::default_threads());
         ArrowController {
-            offline: OfflineState { scenarios, tickets, stats },
+            offline: OfflineState { scenarios, tickets: TicketSet::full(tickets), stats, targets },
             wan,
             config,
             online: None,
@@ -284,7 +256,13 @@ impl ArrowController {
         let outcome = cache.online.solve(&instance);
         let plan = self.finish_plan(outcome, instance);
         let seconds = span.elapsed_seconds();
-        let verdict = epoch_metrics().record(warm, seconds);
+        // Both counters move every epoch, so both families are exported
+        // from the first epoch on. The SLO engine judges the epoch against
+        // its deadline budget (ARROW §5's five-minute TE epoch by default).
+        WARM.add(u64::from(warm));
+        COLD.add(u64::from(!warm));
+        SECONDS.observe(seconds);
+        let verdict = arrow_obs::slo::record_epoch(seconds);
         plan.map(|p| (p, EpochReport { warm, seconds, verdict }))
     }
 
@@ -324,42 +302,32 @@ impl ArrowController {
         let splitting_ratios = (0..instance.flows.len())
             .map(|f| outcome.output.alloc.splitting_ratios(&instance, arrow_te::FlowId(f)))
             .collect();
-        let restoration = match outcome.output.restoration.as_deref() {
-            Some(plan) => plan,
-            None if self.offline.scenarios.is_empty() => &[],
-            None => return Err(PlanError::MissingRestorationPlan),
-        };
-        let reconfig_rules = self.compile_rules(restoration);
+        if outcome.output.restoration.is_none() && !self.offline.scenarios.is_empty() {
+            return Err(PlanError::MissingRestorationPlan);
+        }
+        let reconfig_rules = self.compile_rules(&outcome.winning);
         Ok(TePlan { outcome, splitting_ratios, reconfig_rules, instance })
     }
 
-    /// Compiles winning tickets into per-scenario ROADM rules by running
-    /// the exact greedy wavelength assigner against each ticket's targets.
-    /// Every link the scenario fails gets a target, 0 where the ticket
-    /// restores nothing: the assigner leaves a link without a target
-    /// uncapped, which would restore links the winning ticket did not
-    /// budget, ahead of links it did.
+    /// Compiles winning tickets (`winning[q]` indexes scenario `q`'s
+    /// tickets) into per-scenario ROADM rules: the exact greedy wavelength
+    /// assigner runs against the counts the feasibility check accepted for
+    /// each winner, so the rules restore what Phase II planned on. Every
+    /// failed link gets a target, 0 where the ticket restores nothing: an
+    /// untargeted link is uncapped and would take spectrum ahead of the
+    /// links the ticket budgets.
     ///
     /// Scenarios are independent, so the assignment fans out over the
     /// [`crate::par`] pool; rule order matches the serial loop (scenario
     /// order, then assigner order within a scenario).
-    fn compile_rules(&self, plan: &[RestorationTicket]) -> Vec<ReconfigRule> {
-        let work: Vec<(usize, &FailureScenario, &RestorationTicket)> = self
-            .offline
-            .scenarios
-            .iter()
-            .zip(plan)
-            .enumerate()
-            .map(|(qi, (scen, ticket))| (qi, scen, ticket))
-            .collect();
-        let per_scenario = parallel_map(work, |&(qi, scen, ticket)| {
-            let targets: Vec<_> = scen
-                .failed_links
-                .iter()
+    fn compile_rules(&self, winning: &[usize]) -> Vec<ReconfigRule> {
+        let work = winning.iter().copied().enumerate().collect();
+        let per_scenario = parallel_map(work, |&(qi, w)| {
+            let (scen, accepted) = (&self.offline.scenarios[qi], &self.offline.targets[qi][w]);
+            let targets: Vec<_> = (scen.failed_links.iter())
                 .map(|&link| {
                     let lp_id = self.wan.link(link).lightpath;
-                    let per = self.wan.optical.lightpath(lp_id).gbps_per_wavelength;
-                    (lp_id, (ticket.restored_gbps(link) / per).round() as usize)
+                    (lp_id, accepted.iter().find(|&&(id, _)| id == lp_id).map_or(0, |a| a.1))
                 })
                 .collect();
             if targets.iter().all(|&(_, waves)| waves == 0) {
@@ -384,6 +352,8 @@ impl ArrowController {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lottery::fractional_seed;
+    use arrow_te::RestorationTicket;
     use arrow_topology::{b4, generate_failures, gravity_matrices, FailureConfig, TrafficConfig};
 
     fn controller() -> (ArrowController, TrafficMatrix) {
@@ -401,13 +371,6 @@ mod tests {
 
     fn plan(ctl: &mut ArrowController, tm: &TrafficMatrix) -> TePlan {
         ctl.plan_epoch(tm, None).expect("valid offline state plans cleanly").0
-    }
-
-    /// `ctl` with its offline tickets replaced by `tickets` (degenerate or
-    /// hand-built ticket sets).
-    fn with_tickets(ctl: &ArrowController, tickets: TicketSet) -> ArrowController {
-        let offline = OfflineState { tickets, ..ctl.offline().clone() };
-        ArrowController { offline, online: None, ..ctl.clone() }
     }
 
     #[test]
@@ -500,17 +463,6 @@ mod tests {
     }
 
     #[test]
-    fn rules_respect_wavelength_counts() {
-        let (mut ctl, tm) = controller();
-        let plan = plan(&mut ctl, &tm.scaled(3.0));
-        for rule in &plan.reconfig_rules {
-            let assigned: usize = rule.routes.iter().map(|(_, s)| s.len()).sum();
-            let lost = ctl.wan.optical.lightpath(rule.lightpath).wavelength_count();
-            assert!(assigned <= lost, "restored more wavelengths than lost");
-        }
-    }
-
-    #[test]
     fn offline_stats_cover_every_scenario() {
         let (ctl, _) = controller();
         let stats = &ctl.offline().stats;
@@ -523,17 +475,15 @@ mod tests {
     #[test]
     fn ticketless_scenario_is_a_typed_error() {
         let (ctl, tm) = controller();
-        // Rebuild the controller with one scenario's tickets emptied out:
-        // Phase I would have nothing to choose from there.
-        let mut tickets = ctl.offline().tickets.clone();
-        tickets.per_scenario[2].clear();
-        let mut hollow = with_tickets(&ctl, tickets);
+        // One scenario's tickets emptied out: Phase I would have nothing
+        // to choose from there.
+        let mut hollow = ctl.clone();
+        hollow.offline.tickets.per_scenario[2].clear();
         assert!(matches!(hollow.plan_epoch(&tm, None), Err(PlanError::NoTickets { scenario: 2 })));
 
-        // And with a ticket set that covers too few scenarios.
-        let mut truncated = ctl.offline().tickets.clone();
-        truncated.per_scenario.pop();
-        let mut short = with_tickets(&ctl, truncated);
+        // And a ticket set that covers too few scenarios.
+        let mut short = ctl.clone();
+        short.offline.tickets.per_scenario.pop();
         assert!(matches!(
             short.plan_epoch(&tm, None),
             Err(PlanError::ScenarioMismatch { expected: 5, actual: 4 })
@@ -542,7 +492,7 @@ mod tests {
 
     #[test]
     fn rules_restore_no_link_the_winning_ticket_budgets_at_zero() {
-        let (ctl, tm) = controller();
+        let (mut ctl, tm) = controller();
         let rwa = &ctl.config.lottery.rwa;
         let optical = &ctl.wan.optical;
         // A cut that fails several links, at least two of them restorable.
@@ -558,31 +508,80 @@ mod tests {
         // One ticket per scenario; in scenario `qi` the first restorable
         // link is budgeted at 0 and every other at what it can restore.
         let zero = restorable[0].0;
-        let per_scenario = (ctl.offline().scenarios.iter().enumerate())
+        let (tickets, targets) = (ctl.offline().scenarios.iter().enumerate())
             .map(|(q, scen)| {
-                let restored = (scen.failed_links.iter())
+                let waves: Targets = (scen.failed_links.iter())
                     .map(|&link| {
                         let lp = ctl.wan.link(link).lightpath;
                         let waves = restorable.iter().find(|&&(id, _)| id == lp).map_or(0, |w| w.1);
-                        let waves = if q != qi || lp == zero { 0 } else { waves };
-                        (link, waves as f64 * optical.lightpath(lp).gbps_per_wavelength)
+                        (lp, if q != qi || lp == zero { 0 } else { waves })
                     })
                     .collect();
-                vec![RestorationTicket { restored }]
+                let restored = (scen.failed_links.iter().zip(&waves))
+                    .map(|(&link, &(lp, n))| {
+                        (link, n as f64 * optical.lightpath(lp).gbps_per_wavelength)
+                    })
+                    .collect();
+                (vec![RestorationTicket { restored }], vec![waves])
             })
-            .collect();
-        let mut ctl = with_tickets(&ctl, TicketSet::full(per_scenario));
+            .unzip();
+        (ctl.offline.tickets, ctl.offline.targets) = (TicketSet::full(tickets), targets);
         let plan = plan(&mut ctl, &tm);
-        let ticket = &ctl.offline().tickets.for_scenario(qi)[0];
+        let budgets = &ctl.offline().targets[qi][0];
         let rules: Vec<_> = plan.reconfig_rules.iter().filter(|r| r.scenario == qi).collect();
         assert!(!rules.is_empty(), "the budgeted links are restored");
         for rule in rules {
             assert_ne!(rule.lightpath, zero, "a link budgeted at 0 got a rule");
-            let link = ctl.wan.link_of_lightpath(rule.lightpath).expect("an IP link");
-            let per = optical.lightpath(rule.lightpath).gbps_per_wavelength;
-            let budget = (ticket.restored_gbps(link) / per).round() as usize;
+            let budget = budgets.iter().find(|t| t.0 == rule.lightpath).expect("a failed link").1;
             let assigned: usize = rule.routes.iter().map(|(_, s)| s.len()).sum();
             assert!(assigned <= budget, "rule restores {assigned} wavelengths, ticket {budget}");
         }
+    }
+
+    /// The rules restore each winning ticket at the wavelength counts the
+    /// offline stage accepted, recovered here from the ticket itself: a
+    /// rounded ticket prices its counts at the fractional seed's
+    /// path-weighted rate, the naive ticket is the greedy assignment. The
+    /// primary rate is higher wherever the surrogate path steps the
+    /// modulation down, so dividing by it would restore fewer wavelengths.
+    /// No rule restores a lightpath the winner does not list, nor more
+    /// wavelengths than its lightpath lost.
+    #[test]
+    fn rules_restore_the_wavelength_counts_the_filter_accepted() {
+        let (mut ctl, tm) = controller();
+        let plan = plan(&mut ctl, &tm.scaled(3.0));
+        let (offline, rwa) = (ctl.offline(), &ctl.config.lottery.rwa);
+        let mut checked = 0;
+        for (qi, scen) in offline.scenarios.iter().enumerate() {
+            let ticket = &offline.tickets.for_scenario(qi)[plan.outcome.winning[qi]];
+            let accepted: Targets = if offline.stats.per_scenario[qi].naive_fallback {
+                (greedy_assign(&ctl.wan.optical, &scen.cut_fibers, rwa, None).iter())
+                    .map(|a| (a.lightpath, a.wavelengths()))
+                    .collect()
+            } else {
+                (fractional_seed(&ctl.wan, scen, rwa).iter())
+                    .map(|f| {
+                        let waves = ticket.restored_gbps(f.link) / f.gbps_per_wavelength;
+                        (ctl.wan.link(f.link).lightpath, waves.round() as usize)
+                    })
+                    .collect()
+            };
+            for &(lp, want) in &accepted {
+                let rules =
+                    plan.reconfig_rules.iter().filter(|r| r.scenario == qi && r.lightpath == lp);
+                let got: usize = rules.flat_map(|r| &r.routes).map(|(_, s)| s.len()).sum();
+                assert_eq!(
+                    got, want,
+                    "scenario {qi}, lightpath {lp:?}: rules restore {got} of {want}"
+                );
+                assert!(want <= ctl.wan.optical.lightpath(lp).wavelength_count());
+                checked += usize::from(want > 0);
+            }
+            let listed = |lp| accepted.iter().any(|a| a.0 == lp);
+            let stray =
+                (plan.reconfig_rules.iter()).find(|r| r.scenario == qi && !listed(r.lightpath));
+            assert!(stray.is_none(), "scenario {qi}: a rule the winner does not list: {stray:?}");
+        }
+        assert!(checked > 0, "some winning ticket restores a link");
     }
 }

@@ -15,13 +15,15 @@
 //!
 //! Randomly rounded tickets may over-ask the optical layer, so a
 //! feasibility filter (greedy exact assignment, §3.2 "Handling
-//! LotteryTickets' feasibility") drops unrealizable tickets. Every
-//! scenario additionally receives the *naive* ticket — the greedy exact
-//! realization of the RWA optimum — so at least one feasible candidate
-//! always exists (this is also exactly ARROW-Naive's plan).
+//! LotteryTickets' feasibility") drops unrealizable tickets. A scenario
+//! whose every draw is dropped receives the *naive* ticket — the greedy
+//! exact realization of the RWA optimum — so at least one feasible
+//! candidate always exists (this is also exactly ARROW-Naive's plan).
 
 use arrow_obs::hash::splitmix64;
+use arrow_obs::{Counter, Histogram};
 use arrow_optical::rwa::{greedy_assign, solve_relaxed, RwaConfig, RwaCut, RwaSolution};
+use arrow_optical::LightpathId;
 use arrow_te::restoration::{RestorationTicket, TicketSet};
 use arrow_topology::{FailureScenario, ScenarioUniverse, Wan};
 use rand::rngs::StdRng;
@@ -80,6 +82,13 @@ pub struct FractionalRestoration {
     pub gbps_per_wavelength: f64,
 }
 
+/// Per-lightpath wavelength counts one ticket stands for: the counts the
+/// feasibility filter accepted for a rounded ticket, the greedy
+/// assignment's counts for the naive one. A ticket's Gbps price the counts
+/// at the seed's path-weighted rate, so they cannot be recovered from the
+/// Gbps and the lightpath's primary rate; the ROADM rules restore these.
+pub(crate) type Targets = Vec<(LightpathId, usize)>;
+
 /// Maps an [`RwaSolution`]'s lightpath restorations onto IP links. Links
 /// whose lightpath has no surrogate path get `λ_e = 0`.
 fn restorations_from(wan: &Wan, sol: &RwaSolution) -> Vec<FractionalRestoration> {
@@ -111,21 +120,17 @@ pub fn fractional_seed(
 /// The greedy exact realization of the RWA optimum — ARROW-Naive's single
 /// restoration candidate for the scenario.
 pub fn naive_ticket(wan: &Wan, scenario: &FailureScenario, rwa: &RwaConfig) -> RestorationTicket {
-    naive_from(wan, &RwaCut::new(&wan.optical, &scenario.cut_fibers, rwa))
+    naive_from(wan, &RwaCut::new(&wan.optical, &scenario.cut_fibers, rwa)).0
 }
 
-/// [`naive_ticket`] on the scenario's view.
-fn naive_from(wan: &Wan, view: &RwaCut) -> RestorationTicket {
-    RestorationTicket {
-        restored: view
-            .greedy_assign(None)
-            .iter()
-            .filter_map(|a| {
-                let link = wan.link_of_lightpath(a.lightpath)?;
-                Some((link, a.restored_gbps()))
-            })
-            .collect(),
-    }
+/// [`naive_ticket`] on the scenario's view, with its [`Targets`].
+fn naive_from(wan: &Wan, view: &RwaCut) -> (RestorationTicket, Targets) {
+    let assigns = view.greedy_assign(None);
+    let restored = (assigns.iter())
+        .filter_map(|a| Some((wan.link_of_lightpath(a.lightpath)?, a.restored_gbps())))
+        .collect();
+    let targets = assigns.iter().map(|a| (a.lightpath, a.wavelengths())).collect();
+    (RestorationTicket { restored }, targets)
 }
 
 /// The optically-realized version of a ticket: run the exact greedy
@@ -300,12 +305,13 @@ impl OfflineStats {
 /// Owns the scenario's derived RNG stream (the rounding draws are the only
 /// consumer), so tickets depend solely on `(wan, scen, index, cfg)` —
 /// identical on whichever worker, and in whatever order, the scenario runs.
+/// Each kept ticket comes with its [`Targets`], in the same order.
 fn scenario_tickets(
     wan: &Wan,
     index: usize,
     scen: &FailureScenario,
     cfg: &LotteryConfig,
-) -> (Vec<RestorationTicket>, ScenarioStats) {
+) -> (Vec<RestorationTicket>, Vec<Targets>, ScenarioStats) {
     let span = arrow_obs::span!(
         "offline.scenario",
         "scenario" => index,
@@ -318,16 +324,15 @@ fn scenario_tickets(
     let mut rng = StdRng::seed_from_u64(derive_seed(cfg.seed, index as u64));
     let mut stats = ScenarioStats { scenario: index, ..Default::default() };
     let mut tickets: Vec<RestorationTicket> = Vec::new();
+    let mut accepted: Vec<Targets> = Vec::new();
     for _ in 0..cfg.num_tickets {
         stats.rounds += 1;
         let counts = round_once(&mut rng, &seed, cfg.delta);
-        if cfg.feasibility_filter {
-            let targets: Vec<_> =
-                seed.iter().zip(&counts).map(|(f, &c)| (wan.link(f.link).lightpath, c)).collect();
-            if !view.is_feasible(&targets) {
-                stats.infeasible += 1;
-                continue;
-            }
+        let targets: Targets =
+            seed.iter().zip(&counts).map(|(f, &c)| (wan.link(f.link).lightpath, c)).collect();
+        if cfg.feasibility_filter && !view.is_feasible(&targets) {
+            stats.infeasible += 1;
+            continue;
         }
         let ticket = RestorationTicket {
             restored: seed
@@ -340,6 +345,7 @@ fn scenario_tickets(
         // identical constraints to the LP.
         if !tickets.contains(&ticket) {
             tickets.push(ticket);
+            accepted.push(targets);
         } else {
             stats.duplicates += 1;
         }
@@ -347,55 +353,39 @@ fn scenario_tickets(
     if tickets.is_empty() {
         // Every rounded candidate was infeasible: fall back to the
         // always-realizable greedy candidate so the TE has one.
-        tickets.push(naive_from(wan, &view));
+        let (naive, targets) = naive_from(wan, &view);
+        tickets.push(naive);
+        accepted.push(targets);
         stats.naive_fallback = true;
     }
     stats.kept = tickets.len();
     stats.seconds = span.elapsed_seconds();
-    offline_metrics().record_scenario(&stats);
-    (tickets, stats)
+    SCENARIOS.inc();
+    ROUNDS.add(stats.rounds as u64);
+    KEPT.add(stats.kept as u64);
+    INFEASIBLE.add(stats.infeasible as u64);
+    DUPLICATES.add(stats.duplicates as u64);
+    NAIVE_FALLBACKS.add(u64::from(stats.naive_fallback));
+    SCENARIO_SECONDS.observe(stats.seconds);
+    (tickets, accepted, stats)
 }
 
-/// Process-global offline-stage counters, flushed once per scenario.
-struct OfflineMetrics {
-    scenarios: arrow_obs::Counter,
-    rounds: arrow_obs::Counter,
-    kept: arrow_obs::Counter,
-    infeasible: arrow_obs::Counter,
-    duplicates: arrow_obs::Counter,
-    naive_fallbacks: arrow_obs::Counter,
-    scenario_seconds: arrow_obs::Histogram,
-}
-
-impl OfflineMetrics {
-    fn record_scenario(&self, s: &ScenarioStats) {
-        self.scenarios.inc();
-        self.rounds.add(s.rounds as u64);
-        self.kept.add(s.kept as u64);
-        self.infeasible.add(s.infeasible as u64);
-        self.duplicates.add(s.duplicates as u64);
-        if s.naive_fallback {
-            self.naive_fallbacks.inc();
-        }
-        self.scenario_seconds.observe(s.seconds);
-    }
-}
-
-fn offline_metrics() -> &'static OfflineMetrics {
-    static METRICS: std::sync::OnceLock<OfflineMetrics> = std::sync::OnceLock::new();
-    METRICS.get_or_init(|| OfflineMetrics {
-        scenarios: arrow_obs::metrics::counter("offline.scenarios"),
-        rounds: arrow_obs::metrics::counter("offline.rounds"),
-        kept: arrow_obs::metrics::counter("offline.tickets.kept"),
-        infeasible: arrow_obs::metrics::counter("offline.tickets.infeasible"),
-        duplicates: arrow_obs::metrics::counter("offline.tickets.duplicates"),
-        naive_fallbacks: arrow_obs::metrics::counter("offline.naive_fallbacks"),
-        scenario_seconds: arrow_obs::metrics::histogram(
-            "offline.scenario.seconds",
-            &[1e-3, 3e-3, 1e-2, 3e-2, 0.1, 0.3, 1.0, 3.0, 10.0, 30.0],
-        ),
-    })
-}
+// Process-global offline-stage metrics, flushed once per scenario.
+static SCENARIOS: Counter =
+    Counter::new("offline.scenarios", "failure scenarios run through Algorithm 1");
+static ROUNDS: Counter = Counter::new("offline.rounds", "LotteryTicket rounding draws attempted");
+static KEPT: Counter = Counter::new("offline.tickets.kept", "LotteryTickets kept");
+static INFEASIBLE: Counter =
+    Counter::new("offline.tickets.infeasible", "draws the feasibility filter dropped");
+static DUPLICATES: Counter =
+    Counter::new("offline.tickets.duplicates", "feasible draws dropped as duplicates");
+static NAIVE_FALLBACKS: Counter =
+    Counter::new("offline.naive_fallbacks", "scenarios that kept only the naive ticket");
+static SCENARIO_SECONDS: Histogram = Histogram::new(
+    "offline.scenario.seconds",
+    "offline seconds per scenario (RWA, rounding, filter)",
+    &[1e-3, 3e-3, 1e-2, 3e-2, 0.1, 0.3, 1.0, 3.0, 10.0, 30.0],
+);
 
 /// Algorithm 1 over `(global index, scenario)` pairs on `threads` workers
 /// — the one body behind every generator except the serial oracle.
@@ -404,13 +394,15 @@ fn offline_metrics() -> &'static OfflineMetrics {
 /// the next scenario as they finish the last, so one costly scenario holds
 /// back only itself. Neither the worker count nor the order scenarios are
 /// picked up in changes ticket bytes — every RNG stream derives from the
-/// scenario's global index ([`derive_seed`]).
-fn generate_parallel(
+/// scenario's global index ([`derive_seed`]). Returns the tickets, their
+/// [`Targets`] (the controller compiles its ROADM rules from them) and the
+/// run's stats.
+pub(crate) fn generate_parallel(
     wan: &Wan,
     work: Vec<(usize, &FailureScenario)>,
     cfg: &LotteryConfig,
     threads: usize,
-) -> (Vec<Vec<RestorationTicket>>, OfflineStats) {
+) -> (Vec<Vec<RestorationTicket>>, Vec<Vec<Targets>>, OfflineStats) {
     let threads = threads.max(1);
     let span = arrow_obs::span!(
         "offline",
@@ -422,18 +414,20 @@ fn generate_parallel(
         scenario_tickets(wan, g, scen, cfg)
     });
     let mut tickets = Vec::with_capacity(per_scenario.len());
+    let mut targets = Vec::with_capacity(per_scenario.len());
     let mut stats = OfflineStats {
         per_scenario: Vec::with_capacity(per_scenario.len()),
         threads,
         ..Default::default()
     };
-    for (set, s) in per_scenario {
+    for (set, accepted, s) in per_scenario {
         stats.work_seconds += s.seconds;
         stats.per_scenario.push(s);
         tickets.push(set);
+        targets.push(accepted);
     }
     stats.wall_seconds = span.elapsed_seconds();
-    (tickets, stats)
+    (tickets, targets, stats)
 }
 
 /// Generates the LotteryTicket set for every scenario (Algorithm 1 applied
@@ -459,7 +453,7 @@ pub fn generate_tickets_with_threads(
     cfg: &LotteryConfig,
     threads: usize,
 ) -> (TicketSet, OfflineStats) {
-    let (tickets, stats) =
+    let (tickets, _, stats) =
         generate_parallel(wan, scenarios.iter().enumerate().collect(), cfg, threads);
     (TicketSet::full(tickets), stats)
 }
@@ -514,7 +508,7 @@ pub fn generate_tickets_shard(
 ) -> (TicketSet, OfflineStats) {
     let globals = shard.indices(universe.len());
     let work = globals.iter().map(|&g| (g, universe.scenario(g))).collect();
-    let (tickets, stats) = generate_parallel(wan, work, cfg, crate::par::default_threads());
+    let (tickets, _, stats) = generate_parallel(wan, work, cfg, crate::par::default_threads());
     (TicketSet::sharded(globals.into_iter().zip(tickets).collect()), stats)
 }
 
@@ -595,21 +589,16 @@ mod tests {
     fn filtered_tickets_are_realizable() {
         let (wan, scens) = setup();
         let cfg = LotteryConfig { num_tickets: 25, ..Default::default() };
-        let (set, _) = generate_tickets(&wan, &scens, &cfg);
-        for (scen, tickets) in scens.iter().zip(&set.per_scenario) {
-            for t in tickets {
-                // Re-check realizability via the same filter.
-                let targets: Vec<_> = t
-                    .restored
-                    .iter()
-                    .map(|&(l, g)| {
-                        let lp = wan.link(l).lightpath;
-                        let gbps_per_wl = wan.optical.lightpath(lp).gbps_per_wavelength;
-                        (lp, (g / gbps_per_wl).round() as usize)
-                    })
-                    .collect();
+        let (set, targets, _) =
+            generate_parallel(&wan, scens.iter().enumerate().collect(), &cfg, 2);
+        for ((scen, tickets), accepted) in scens.iter().zip(&set).zip(&targets) {
+            assert_eq!(tickets.len(), accepted.len(), "one target list per kept ticket");
+            // Re-check realizability via the same filter, at the counts it
+            // accepted (a ticket's Gbps price them at the seed's rate, not
+            // the primary one).
+            for accepted in accepted {
                 assert!(
-                    is_feasible(&wan.optical, &scen.cut_fibers, &cfg.rwa, &targets),
+                    is_feasible(&wan.optical, &scen.cut_fibers, &cfg.rwa, accepted),
                     "an infeasible ticket survived the filter"
                 );
             }

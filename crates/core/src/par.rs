@@ -46,13 +46,15 @@ pub fn default_threads() -> usize {
 /// the variable is set. Factored out so the fallback path is unit-testable
 /// without mutating the process environment.
 fn resolve_threads(raw: Option<&str>) -> usize {
+    static INVALID_THREADS: arrow_obs::Counter =
+        arrow_obs::Counter::new("par.threads.invalid", "malformed ARROW_THREADS values ignored");
     let fallback = || std::thread::available_parallelism().map(|p| p.get()).unwrap_or(4);
     match raw {
         None => fallback(),
         Some(v) => match v.trim().parse::<usize>() {
             Ok(n) if n >= 1 => n,
             _ => {
-                arrow_obs::metrics::counter("par.threads.invalid").inc();
+                INVALID_THREADS.inc();
                 arrow_obs::event!(
                     warn: "par.threads.invalid",
                     "value" => v,

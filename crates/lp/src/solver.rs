@@ -10,6 +10,7 @@ use crate::pdhg::{self, PdhgConfig};
 use crate::simplex::{self, SimplexConfig, Workspace};
 use crate::solution::{Solution, SolveStats, Status};
 use crate::warm::{BackendKind, WarmEvent, WarmStart};
+use arrow_obs::{Counter, Histogram};
 use std::borrow::Borrow;
 
 /// Which algorithm executes the solve.
@@ -96,64 +97,49 @@ fn solve_timed(
     );
     let mut sol = solve_inner(model, cfg, warm, ws);
     sol.stats.solve_seconds = span.elapsed_seconds();
-    lp_metrics().record(&sol.stats);
+    record(&sol.stats);
     sol
 }
 
-/// Process-global work counters, flushed once per solve (never per pivot —
-/// the hot loops accumulate locally in [`SolveStats`]).
-struct LpMetrics {
-    solves: arrow_obs::Counter,
-    solve_seconds: arrow_obs::Histogram,
-    simplex_iterations: arrow_obs::Counter,
-    simplex_refactors: arrow_obs::Counter,
-    pdhg_iterations: arrow_obs::Counter,
-    pdhg_restarts: arrow_obs::Counter,
-    warm_hit: arrow_obs::Counter,
-    warm_miss: arrow_obs::Counter,
-    warm_cold: arrow_obs::Counter,
-}
+// Process-global work counters, flushed once per solve (never per pivot —
+// the hot loops accumulate locally in [`SolveStats`]).
+static SOLVES: Counter = Counter::new("lp.solves", "LP solves completed, any backend");
+static SOLVE_SECONDS: Histogram = Histogram::new(
+    "lp.solve.seconds",
+    "wall-clock seconds per LP solve",
+    &[1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2, 0.1, 0.3, 1.0, 3.0, 10.0, 30.0],
+);
+static SIMPLEX_ITERATIONS: Counter =
+    Counter::new("lp.simplex.iterations", "simplex pivots, summed over solves");
+static SIMPLEX_REFACTORS: Counter =
+    Counter::new("lp.simplex.refactors", "simplex basis refactorizations");
+static PDHG_ITERATIONS: Counter =
+    Counter::new("lp.pdhg.iterations", "PDHG iterations, summed over solves");
+static PDHG_RESTARTS: Counter = Counter::new("lp.pdhg.restarts", "PDHG adaptive restarts");
+static WARM_HIT: Counter = Counter::new("lp.warm.hit", "solves that resumed from their warm start");
+static WARM_MISS: Counter = Counter::new("lp.warm.miss", "solves that rejected their warm start");
+static WARM_COLD: Counter = Counter::new("lp.warm.cold", "solves that had no usable warm start");
 
-impl LpMetrics {
-    /// One solve's flush: count, latency sample, backend work, warm event.
-    fn record(&self, stats: &SolveStats) {
-        self.solves.inc();
-        self.solve_seconds.observe(stats.solve_seconds);
-        match stats.backend {
-            BackendKind::Simplex => {
-                self.simplex_iterations.add(stats.iterations as u64);
-                self.simplex_refactors.add(stats.refactors as u64);
-            }
-            BackendKind::Pdhg => {
-                self.pdhg_iterations.add(stats.iterations as u64);
-                self.pdhg_restarts.add(stats.restarts as u64);
-            }
-            BackendKind::None => {}
+/// One solve's flush: count, latency sample, backend work, warm event.
+fn record(stats: &SolveStats) {
+    SOLVES.inc();
+    SOLVE_SECONDS.observe(stats.solve_seconds);
+    match stats.backend {
+        BackendKind::Simplex => {
+            SIMPLEX_ITERATIONS.add(stats.iterations as u64);
+            SIMPLEX_REFACTORS.add(stats.refactors as u64);
         }
-        match stats.warm {
-            WarmEvent::Hit => self.warm_hit.inc(),
-            WarmEvent::Miss => self.warm_miss.inc(),
-            WarmEvent::Cold => self.warm_cold.inc(),
+        BackendKind::Pdhg => {
+            PDHG_ITERATIONS.add(stats.iterations as u64);
+            PDHG_RESTARTS.add(stats.restarts as u64);
         }
+        BackendKind::None => {}
     }
-}
-
-fn lp_metrics() -> &'static LpMetrics {
-    static METRICS: std::sync::OnceLock<LpMetrics> = std::sync::OnceLock::new();
-    METRICS.get_or_init(|| LpMetrics {
-        solves: arrow_obs::metrics::counter("lp.solves"),
-        solve_seconds: arrow_obs::metrics::histogram(
-            "lp.solve.seconds",
-            &[1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2, 0.1, 0.3, 1.0, 3.0, 10.0, 30.0],
-        ),
-        simplex_iterations: arrow_obs::metrics::counter("lp.simplex.iterations"),
-        simplex_refactors: arrow_obs::metrics::counter("lp.simplex.refactors"),
-        pdhg_iterations: arrow_obs::metrics::counter("lp.pdhg.iterations"),
-        pdhg_restarts: arrow_obs::metrics::counter("lp.pdhg.restarts"),
-        warm_hit: arrow_obs::metrics::counter("lp.warm.hit"),
-        warm_miss: arrow_obs::metrics::counter("lp.warm.miss"),
-        warm_cold: arrow_obs::metrics::counter("lp.warm.cold"),
-    })
+    match stats.warm {
+        WarmEvent::Hit => WARM_HIT.inc(),
+        WarmEvent::Miss => WARM_MISS.inc(),
+        WarmEvent::Cold => WARM_COLD.inc(),
+    }
 }
 
 /// The backend label a solve of `rows` rows under `cfg` will use, for span

@@ -36,10 +36,10 @@
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::Duration;
 
-use crate::metrics;
+use crate::{metrics, Counter};
 
 /// Per-connection socket timeout: a scrape that cannot send its request
 /// line (or drain the response) within this window is dropped.
@@ -63,18 +63,9 @@ pub fn ready() -> bool {
     READY.load(Ordering::Acquire)
 }
 
-struct ExportMetrics {
-    requests: metrics::Counter,
-    errors: metrics::Counter,
-}
-
-fn export_metrics() -> &'static ExportMetrics {
-    static METRICS: OnceLock<ExportMetrics> = OnceLock::new();
-    METRICS.get_or_init(|| ExportMetrics {
-        requests: metrics::counter("obs.export.requests"),
-        errors: metrics::counter("obs.export.errors"),
-    })
-}
+static REQUESTS: Counter =
+    Counter::new("obs.export.requests", "HTTP requests the exporter answered");
+static ERRORS: Counter = Counter::new("obs.export.errors", "exporter connections that failed");
 
 /// A running exporter. Keep it alive for as long as the endpoints should
 /// be served; [`ExportHandle::shutdown`] (or drop) stops the listener
@@ -133,10 +124,10 @@ fn serve(listener: TcpListener, stop: &AtomicBool) {
         match conn {
             Ok(stream) => {
                 if handle_connection(stream).is_err() {
-                    export_metrics().errors.inc();
+                    ERRORS.inc();
                 }
             }
-            Err(_) => export_metrics().errors.inc(),
+            Err(_) => ERRORS.inc(),
         }
     }
 }
@@ -159,7 +150,7 @@ fn handle_connection(mut stream: TcpStream) -> std::io::Result<()> {
         }
     }
     let (status, content_type, body) = respond(&head);
-    export_metrics().requests.inc();
+    REQUESTS.inc();
     let response = format!(
         "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
         body.len(),
@@ -238,7 +229,8 @@ mod tests {
 
     #[test]
     fn serves_metrics_snapshot_and_health() {
-        metrics::counter("test.export.hits").add(3);
+        static HITS: Counter = Counter::new("test.export.hits", "test counter");
+        HITS.add(3);
         let mut handle = spawn("127.0.0.1:0").expect("bind ephemeral port");
         let addr = handle.local_addr();
 

@@ -32,8 +32,8 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 use crate::analyze::{CriticalHop, SpanTree};
-use crate::metrics;
 use crate::trace::Record;
+use crate::{metrics, Counter};
 
 /// Everything the flight recorder knows about one bad epoch.
 #[derive(Debug, Clone)]
@@ -71,17 +71,8 @@ impl IncidentDump {
     }
 }
 
-struct IncidentMetrics {
-    dumps: metrics::Counter,
-}
-
-fn incident_metrics() -> &'static IncidentMetrics {
-    static METRICS: std::sync::OnceLock<IncidentMetrics> = std::sync::OnceLock::new();
-    METRICS.get_or_init(|| {
-        metrics::describe("obs.incident.dumps", "flight-recorder incident directories written");
-        IncidentMetrics { dumps: metrics::counter("obs.incident.dumps") }
-    })
-}
+static DUMPS: Counter =
+    Counter::new("obs.incident.dumps", "flight-recorder incident dumps written");
 
 /// Milliseconds since the Unix epoch, for sortable directory names.
 /// Timestamping dumps is exactly what wall clocks are for; nothing in the
@@ -175,7 +166,7 @@ pub fn dump(base_dir: &Path, ctx: &IncidentContext<'_>) -> io::Result<IncidentDu
     manifest.push_str("]\n}\n");
     fs::write(dir.join("incident.json"), &manifest)?;
 
-    incident_metrics().dumps.inc();
+    DUMPS.inc();
     crate::event!(warn: "obs.incident.dump",
         "reason" => ctx.reason.to_string(),
         "epoch" => ctx.epoch,

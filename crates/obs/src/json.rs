@@ -377,7 +377,9 @@ mod tests {
     fn roundtrips_own_writers() {
         // The metrics snapshot writer is one of the producers this parser
         // exists for; its output must parse cleanly.
-        crate::metrics::counter("test.json.roundtrip").inc();
+        static ROUNDTRIP: crate::Counter =
+            crate::Counter::new("test.json.roundtrip", "test counter");
+        ROUNDTRIP.inc();
         let json = crate::metrics::snapshot().to_json();
         let doc = parse(&json).expect("snapshot JSON parses");
         assert!(doc.get("counters").is_some());

@@ -7,10 +7,11 @@
 //! of, instead of per-binary `Instant::now()` bookkeeping. This crate is
 //! that layer, in two halves:
 //!
-//! * [`metrics`] — a process-global registry of named counters, gauges, and
-//!   fixed-bucket histograms backed by atomics. Always on (an update is a
-//!   handful of atomic operations), snapshot on demand as JSON or
-//!   Prometheus-style text exposition.
+//! * [`metrics`] — a process-global registry of counters, gauges, and
+//!   fixed-bucket histograms, each one `static` declared where it is
+//!   emitted with its name and help text, its atomics inline. Always on
+//!   (an update is a handful of atomic operations), snapshot on demand as
+//!   JSON or Prometheus-style text exposition.
 //! * [`trace`] — structured spans and events: [`span!`]/[`event!`] with a
 //!   thread-local span stack, monotonic timestamps, and key-value fields,
 //!   delivered to an installed [`trace::Subscriber`]. Spans are also the
@@ -52,12 +53,12 @@
 //! ## Quickstart
 //!
 //! ```
-//! use arrow_obs::{event, span};
+//! use arrow_obs::{event, span, Counter};
 //! use std::sync::Arc;
 //!
-//! // Metrics are always on.
-//! let solves = arrow_obs::metrics::counter("doc.solves");
-//! solves.inc();
+//! // Metrics are always on: one static per metric, with its help text.
+//! static SOLVES: Counter = Counter::new("doc.solves", "LP solves completed");
+//! SOLVES.inc();
 //!
 //! // Traces go to an installed subscriber.
 //! let ring = Arc::new(arrow_obs::trace::RingSubscriber::new(64));

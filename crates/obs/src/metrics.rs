@@ -1,13 +1,26 @@
 //! Process-global metrics registry: counters, gauges, fixed-bucket
 //! histograms.
 //!
-//! Metrics are **always on**. Handles are registered by static name and
-//! backed by atomics, so an update is a handful of relaxed atomic
-//! operations with no locking — cheap enough for per-solve and per-event
-//! bookkeeping (per-pivot hot loops should accumulate locally and record
-//! once per solve, which is what `arrow-lp` does). Instrumented crates
-//! cache their handles in `OnceLock` statics; registration itself takes a
-//! short-lived mutex and happens once per name.
+//! Metrics are **always on**. Each metric is one `static`, declared where
+//! it is emitted, with its exported name and its `# HELP` text:
+//!
+//! ```
+//! use arrow_obs::Counter;
+//! static SOLVES: Counter = Counter::new("doc.metrics.solves", "LP solves completed");
+//! SOLVES.inc();
+//! assert_eq!(arrow_obs::metrics::snapshot().counter("doc.metrics.solves"), 1);
+//! ```
+//!
+//! The static holds its atomics inline and adds itself to the registry on
+//! its first update, so a family appears in snapshots once it has been
+//! touched. After that an update is a relaxed atomic operation plus one
+//! check of a completed `Once`, with no lock — cheap enough for per-solve
+//! and per-event bookkeeping (per-pivot hot loops should accumulate
+//! locally and record once per solve, which is what `arrow-lp` does).
+//! A [`Histogram`]'s bucket ladder is checked when its declaration is
+//! evaluated, so a bad one fails to compile. A name declared twice keeps
+//! its first declaration; the clash is a warn event and the
+//! `obs.metrics.kind_clash` counter, never a panic.
 //!
 //! [`snapshot`] serializes the whole registry — deterministically, in
 //! lexicographic name order — to JSON (`Snapshot::to_json`) or a
@@ -19,7 +32,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Mutex, MutexGuard, Once};
 
 /// Escapes `s` for inclusion in a JSON string literal.
 pub(crate) fn json_escape(s: &str) -> String {
@@ -59,279 +72,254 @@ fn f64_add(bits: &AtomicU64, d: f64) {
     }
 }
 
-/// A monotonically increasing `u64` counter.
-#[derive(Debug, Clone)]
+/// What every declaration carries besides its atomics: the name it is
+/// exported under, its `# HELP` text, and whether it is in the registry.
+struct Decl {
+    name: &'static str,
+    help: &'static str,
+    registered: Once,
+}
+
+impl Decl {
+    /// Checks `name`: lowercase letters, digits, `_` and the namespace
+    /// separator `.`, starting with a letter. With `.` read as `_` that
+    /// is a legal Prometheus name, so in a `static` an illegal one fails
+    /// to compile.
+    const fn new(name: &'static str, help: &'static str) -> Self {
+        let b = name.as_bytes();
+        assert!(!b.is_empty() && b[0].is_ascii_lowercase(), "metric names start with a-z");
+        let mut i = 0;
+        while i < b.len() {
+            let c = b[i];
+            assert!(
+                c.is_ascii_lowercase() || c.is_ascii_digit() || c == b'_' || c == b'.',
+                "metric names are a-z, 0-9, _ and ."
+            );
+            i += 1;
+        }
+        Decl { name, help, registered: Once::new() }
+    }
+
+    /// Adds the metric to the registry on its first update. Every later
+    /// update pays one check of a `Once` that has already completed.
+    fn enlist(&self, metric: impl FnOnce() -> Metric) {
+        self.registered.call_once(|| register(metric()));
+    }
+}
+
+/// A monotonically increasing `u64` counter, declared as a `static` where
+/// it is emitted.
+///
+/// A name is lowercase letters, digits, `_` and `.`, so this does not
+/// compile:
+///
+/// ```compile_fail
+/// use arrow_obs::Counter;
+/// static BAD: Counter = Counter::new("Bad-name", "not a Prometheus name");
+/// ```
 pub struct Counter {
-    cell: Arc<AtomicU64>,
+    decl: Decl,
+    value: AtomicU64,
 }
 
 impl Counter {
+    /// Declares a counter exported as `name`, with `help` as its `# HELP`.
+    pub const fn new(name: &'static str, help: &'static str) -> Self {
+        Counter { decl: Decl::new(name, help), value: AtomicU64::new(0) }
+    }
+
     /// Increments by one.
-    pub fn inc(&self) {
+    pub fn inc(&'static self) {
         self.add(1);
     }
 
     /// Increments by `n`.
-    pub fn add(&self, n: u64) {
-        self.cell.fetch_add(n, Ordering::Relaxed);
+    pub fn add(&'static self, n: u64) {
+        self.decl.enlist(|| Metric::Counter(self));
+        self.value.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Current value.
     pub(crate) fn get(&self) -> u64 {
-        self.cell.load(Ordering::Relaxed)
+        self.value.load(Ordering::Relaxed)
     }
 }
 
-/// A settable `f64` gauge (last write wins).
-#[derive(Debug, Clone)]
+/// A settable `f64` gauge (last write wins), declared as a `static` where
+/// it is emitted.
 pub struct Gauge {
-    bits: Arc<AtomicU64>,
+    decl: Decl,
+    bits: AtomicU64,
 }
 
 impl Gauge {
+    /// Declares a gauge exported as `name`, with `help` as its `# HELP`.
+    pub const fn new(name: &'static str, help: &'static str) -> Self {
+        Gauge { decl: Decl::new(name, help), bits: AtomicU64::new(0) }
+    }
+
     /// Sets the gauge to `v`.
-    pub fn set(&self, v: f64) {
+    pub fn set(&'static self, v: f64) {
+        self.decl.enlist(|| Metric::Gauge(self));
         self.bits.store(v.to_bits(), Ordering::Relaxed);
     }
 
     /// Current value.
-    pub(crate) fn get(&self) -> f64 {
+    fn get(&self) -> f64 {
         f64::from_bits(self.bits.load(Ordering::Relaxed))
     }
 }
 
-struct HistogramInner {
-    /// Finite bucket upper bounds, strictly increasing; an implicit
-    /// overflow bucket (`+inf`) follows the last one.
-    bounds: Vec<f64>,
-    /// Per-bucket observation counts, `bounds.len() + 1` entries.
-    buckets: Vec<AtomicU64>,
+/// Most finite bucket bounds a histogram may declare; the overflow bucket
+/// takes the slot after the last one.
+const MAX_BOUNDS: usize = 15;
+
+/// A fixed-bucket histogram, declared as a `static` where it is emitted:
+/// observations land in the first bucket whose upper bound is `>= value`,
+/// or in the implicit overflow bucket.
+///
+/// The bounds are checked when the declaration is evaluated, so in a
+/// `static` a bad ladder is a compile error:
+///
+/// ```compile_fail
+/// use arrow_obs::Histogram;
+/// static BAD: Histogram = Histogram::new("doc.bad", "not increasing", &[5.0, 1.0]);
+/// ```
+pub struct Histogram {
+    decl: Decl,
+    /// Finite bucket upper bounds, strictly increasing.
+    bounds: &'static [f64],
+    /// Per-bucket observation counts; the first `bounds.len() + 1` are used.
+    buckets: [AtomicU64; MAX_BOUNDS + 1],
     /// Total observations.
     count: AtomicU64,
     /// Sum of observed values, stored as `f64` bits.
     sum_bits: AtomicU64,
 }
 
-/// A fixed-bucket histogram: observations land in the first bucket whose
-/// upper bound is `>= value`, or in the implicit overflow bucket.
-#[derive(Clone)]
-pub struct Histogram {
-    inner: Arc<HistogramInner>,
-}
-
-impl std::fmt::Debug for Histogram {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Histogram")
-            .field("bounds", &self.inner.bounds)
-            .field("count", &self.count())
-            .finish()
-    }
-}
-
 impl Histogram {
+    /// Declares a histogram exported as `name`, with `help` as its
+    /// `# HELP` and `bounds` as its finite bucket upper bounds: between 1
+    /// and 15 of them, finite and strictly increasing.
+    pub const fn new(name: &'static str, help: &'static str, bounds: &'static [f64]) -> Self {
+        assert!(!bounds.is_empty() && bounds.len() <= MAX_BOUNDS, "1 to 15 bucket bounds");
+        let mut i = 0;
+        while i < bounds.len() {
+            assert!(bounds[i].is_finite(), "bucket bounds must be finite");
+            assert!(i == 0 || bounds[i - 1] < bounds[i], "bucket bounds must increase");
+            i += 1;
+        }
+        Histogram {
+            decl: Decl::new(name, help),
+            bounds,
+            buckets: [const { AtomicU64::new(0) }; MAX_BOUNDS + 1],
+            count: AtomicU64::new(0),
+            sum_bits: AtomicU64::new(0),
+        }
+    }
+
     /// Records one observation.
-    pub fn observe(&self, v: f64) {
-        let i = self.inner.bounds.iter().position(|&b| v <= b).unwrap_or(self.inner.bounds.len());
-        self.inner.buckets[i].fetch_add(1, Ordering::Relaxed);
-        self.inner.count.fetch_add(1, Ordering::Relaxed);
-        f64_add(&self.inner.sum_bits, v);
+    pub fn observe(&'static self, v: f64) {
+        self.decl.enlist(|| Metric::Histogram(self));
+        let i = self.bounds.iter().position(|&b| v <= b).unwrap_or(self.bounds.len());
+        self.buckets[i].fetch_add(1, Ordering::Relaxed);
+        self.count.fetch_add(1, Ordering::Relaxed);
+        f64_add(&self.sum_bits, v);
     }
 
-    /// Total observations recorded.
-    pub(crate) fn count(&self) -> u64 {
-        self.inner.count.load(Ordering::Relaxed)
-    }
-
-    /// Sum of all observed values.
-    pub(crate) fn sum(&self) -> f64 {
-        f64::from_bits(self.inner.sum_bits.load(Ordering::Relaxed))
-    }
-
-    /// Bucket upper bounds (finite ones; the overflow bucket is implicit).
-    pub(crate) fn bounds(&self) -> &[f64] {
-        &self.inner.bounds
-    }
-
-    /// Per-bucket counts, `bounds().len() + 1` entries (last = overflow).
-    pub(crate) fn bucket_counts(&self) -> Vec<u64> {
-        self.inner.buckets.iter().map(|c| c.load(Ordering::Relaxed)).collect()
+    /// The current values.
+    fn read(&self) -> HistogramSnapshot {
+        HistogramSnapshot {
+            buckets: self.buckets[..=self.bounds.len()]
+                .iter()
+                .map(|c| c.load(Ordering::Relaxed))
+                .collect(),
+            count: self.count.load(Ordering::Relaxed),
+            sum: f64::from_bits(self.sum_bits.load(Ordering::Relaxed)),
+        }
     }
 }
 
-/// One registered metric.
-#[derive(Clone)]
+/// One registered declaration.
+#[derive(Clone, Copy)]
 enum Metric {
-    Counter(Counter),
-    Gauge(Gauge),
-    Histogram(Histogram),
+    Counter(&'static Counter),
+    Gauge(&'static Gauge),
+    Histogram(&'static Histogram),
 }
 
 impl Metric {
-    fn kind(&self) -> &'static str {
+    fn decl(self) -> &'static Decl {
         match self {
-            Metric::Counter(_) => "counter",
-            Metric::Gauge(_) => "gauge",
-            Metric::Histogram(_) => "histogram",
+            Metric::Counter(c) => &c.decl,
+            Metric::Gauge(g) => &g.decl,
+            Metric::Histogram(h) => &h.decl,
         }
     }
 }
 
-/// `BTreeMap` keeps snapshots in deterministic (lexicographic) order — the
-/// same hash-order discipline the offline stage follows (see DESIGN.md).
-fn registry() -> &'static Mutex<BTreeMap<&'static str, Metric>> {
-    static REG: OnceLock<Mutex<BTreeMap<&'static str, Metric>>> = OnceLock::new();
-    REG.get_or_init(|| Mutex::new(BTreeMap::new()))
+/// Every declaration updated so far, by name. `BTreeMap` keeps snapshots
+/// in deterministic (lexicographic) order — the same hash-order discipline
+/// the offline stage follows (see DESIGN.md).
+static REGISTRY: Mutex<BTreeMap<&'static str, Metric>> = Mutex::new(BTreeMap::new());
+
+/// Locks the registry, recovering from poisoning: every mutation is one
+/// `insert`, so a panic elsewhere must not take the telemetry plane down
+/// with it.
+fn lock_registry() -> MutexGuard<'static, BTreeMap<&'static str, Metric>> {
+    REGISTRY.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-/// Locks the registry, recovering from poisoning: the map's invariants
-/// hold after any partial mutation (entries are inserted atomically via
-/// `entry().or_insert_with`), so a panic elsewhere must not take the
-/// telemetry plane down with it.
-fn lock_registry() -> std::sync::MutexGuard<'static, BTreeMap<&'static str, Metric>> {
-    registry().lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-}
+/// Counts declarations whose name another declaration already holds.
+static NAME_CLASHES: Counter =
+    Counter::new("obs.metrics.kind_clash", "metric declarations whose name was taken");
 
-fn register(name: &'static str, make: impl FnOnce() -> Metric) -> Metric {
-    let mut reg = lock_registry();
-    let entry = reg.entry(name).or_insert_with(make);
-    entry.clone()
-}
-
-/// Counts kind-clash registrations (see [`kind_clash`]); also the one name
-/// that must not recurse into itself from the clash path.
-const KIND_CLASH_COUNTER: &str = "obs.metrics.kind_clash";
-
-/// A name was re-registered as a different metric kind. Telemetry must
-/// never panic the process it observes, so this records the clash (warn
-/// event + counter) and the caller hands back a *detached* metric: a live
-/// handle of the requested kind that is not in the registry, so updates
-/// through it are accepted but invisible to snapshots.
-fn kind_clash(name: &'static str, existing: &'static str, requested: &'static str) {
-    if name != KIND_CLASH_COUNTER {
-        counter(KIND_CLASH_COUNTER).inc();
+/// Adds `metric` under its name. Telemetry must never panic the process it
+/// observes, so a name that is already taken keeps its first declaration
+/// and the clash is recorded (warn event + counter): the second
+/// declaration still accepts updates, but snapshots never show them.
+fn register(metric: Metric) {
+    let name = metric.decl().name;
+    let held = lock_registry().entry(name).or_insert(metric).decl();
+    if std::ptr::eq(held, metric.decl()) {
+        return;
     }
-    crate::event!(
-        warn: "obs.metrics.kind_clash",
-        "name" => name,
-        "existing" => existing,
-        "requested" => requested
-    );
-}
-
-/// Returns the counter registered under `name`, creating it on first use.
-///
-/// If `name` is already registered as a different kind, the clash is
-/// recorded (`obs.metrics.kind_clash` counter plus a warn event) and a
-/// detached counter is returned — live, but excluded from snapshots.
-pub fn counter(name: &'static str) -> Counter {
-    match register(name, || Metric::Counter(Counter { cell: Arc::new(AtomicU64::new(0)) })) {
-        Metric::Counter(c) => c,
-        other => {
-            kind_clash(name, other.kind(), "counter");
-            Counter { cell: Arc::new(AtomicU64::new(0)) }
-        }
+    // The clash counter's own first update may be the clash.
+    if name != NAME_CLASHES.decl.name {
+        NAME_CLASHES.inc();
     }
-}
-
-/// Returns the gauge registered under `name`, creating it on first use.
-///
-/// If `name` is already registered as a different kind, the clash is
-/// recorded (`obs.metrics.kind_clash` counter plus a warn event) and a
-/// detached gauge is returned — live, but excluded from snapshots.
-pub fn gauge(name: &'static str) -> Gauge {
-    match register(name, || Metric::Gauge(Gauge { bits: Arc::new(AtomicU64::new(0)) })) {
-        Metric::Gauge(g) => g,
-        other => {
-            kind_clash(name, other.kind(), "gauge");
-            Gauge { bits: Arc::new(AtomicU64::new(0)) }
-        }
-    }
-}
-
-fn make_histogram(bounds: &[f64]) -> Histogram {
-    let buckets = (0..bounds.len() + 1).map(|_| AtomicU64::new(0)).collect();
-    Histogram {
-        inner: Arc::new(HistogramInner {
-            bounds: bounds.to_vec(),
-            buckets,
-            count: AtomicU64::new(0),
-            sum_bits: AtomicU64::new(0),
-        }),
-    }
-}
-
-/// Fallback bounds when a histogram is registered with an unusable bound
-/// list: decade buckets wide enough for any duration-like metric.
-const DEFAULT_BOUNDS: &[f64] = &[1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0, 1e3];
-
-/// Returns the histogram registered under `name`, creating it with the
-/// given finite bucket upper bounds on first use (later registrations keep
-/// the first bounds).
-///
-/// Bounds must be finite and strictly increasing; an unusable bound list
-/// is replaced by decade buckets and recorded as a warn event rather than
-/// panicking. A kind clash is handled like [`counter`]: recorded, and a
-/// detached histogram is returned.
-pub fn histogram(name: &'static str, bounds: &[f64]) -> Histogram {
-    let usable = !bounds.is_empty()
-        && bounds.windows(2).all(|w| w[0] < w[1])
-        && bounds.iter().all(|b| b.is_finite());
-    let made = register(name, || {
-        if !usable {
-            crate::event!(warn: "obs.metrics.bad_bounds", "name" => name);
-        }
-        Metric::Histogram(make_histogram(if usable { bounds } else { DEFAULT_BOUNDS }))
-    });
-    match made {
-        Metric::Histogram(h) => h,
-        other => {
-            kind_clash(name, other.kind(), "histogram");
-            make_histogram(if usable { bounds } else { DEFAULT_BOUNDS })
-        }
-    }
+    crate::event!(warn: "obs.metrics.kind_clash", "name" => name);
 }
 
 /// Point-in-time values of one histogram.
 #[derive(Debug, Clone)]
 pub struct HistogramSnapshot {
-    /// Finite bucket upper bounds.
-    pub bounds: Vec<f64>,
     /// Per-bucket counts (`bounds.len() + 1` entries, last = overflow).
     pub(crate) buckets: Vec<u64>,
     /// Total observations.
     pub count: u64,
     /// Sum of observed values.
-    pub sum: f64,
+    pub(crate) sum: f64,
 }
 
-/// A point-in-time copy of the whole registry, in name order.
-#[derive(Debug, Clone, Default)]
+/// A point-in-time copy of the whole registry, in name order. Each value
+/// sits beside the declaration it was read from.
+#[derive(Default)]
 pub struct Snapshot {
-    /// Counter values.
-    pub counters: Vec<(&'static str, u64)>,
-    /// Gauge values.
-    pub(crate) gauges: Vec<(&'static str, f64)>,
-    /// Histogram values.
-    pub histograms: Vec<(&'static str, HistogramSnapshot)>,
+    counters: Vec<(&'static Counter, u64)>,
+    gauges: Vec<(&'static Gauge, f64)>,
+    histograms: Vec<(&'static Histogram, HistogramSnapshot)>,
 }
 
 /// Takes a snapshot of every registered metric.
 pub fn snapshot() -> Snapshot {
     let reg = lock_registry();
     let mut snap = Snapshot::default();
-    for (&name, m) in reg.iter() {
+    for &m in reg.values() {
         match m {
-            Metric::Counter(c) => snap.counters.push((name, c.get())),
-            Metric::Gauge(g) => snap.gauges.push((name, g.get())),
-            Metric::Histogram(h) => snap.histograms.push((
-                name,
-                HistogramSnapshot {
-                    bounds: h.bounds().to_vec(),
-                    buckets: h.bucket_counts(),
-                    count: h.count(),
-                    sum: h.sum(),
-                },
-            )),
+            Metric::Counter(c) => snap.counters.push((c, c.get())),
+            Metric::Gauge(g) => snap.gauges.push((g, g.get())),
+            Metric::Histogram(h) => snap.histograms.push((h, h.read())),
         }
     }
     snap
@@ -340,83 +328,64 @@ pub fn snapshot() -> Snapshot {
 impl Snapshot {
     /// Counter value by name (0 when absent — counters default to zero).
     pub fn counter(&self, name: &str) -> u64 {
-        self.counters.iter().find(|(n, _)| *n == name).map_or(0, |(_, v)| *v)
+        self.counters.iter().find(|(c, _)| c.decl.name == name).map_or(0, |(_, v)| *v)
     }
 
-    /// Gauge value by name (`None` when never registered).
+    /// Gauge value by name (`None` when never set).
     #[cfg(test)]
     pub(crate) fn gauge(&self, name: &str) -> Option<f64> {
-        self.gauges.iter().find(|(n, _)| *n == name).map(|(_, v)| *v)
+        self.gauges.iter().find(|(g, _)| g.decl.name == name).map(|(_, v)| *v)
     }
 
-    /// Histogram values by name (`None` when never registered).
+    /// Histogram values by name (`None` when never observed).
     pub fn histogram(&self, name: &str) -> Option<&HistogramSnapshot> {
-        self.histograms.iter().find(|(n, _)| *n == name).map(|(_, h)| h)
+        self.histograms.iter().find(|(h, _)| h.decl.name == name).map(|(_, h)| h)
     }
 
     /// Serializes the snapshot as pretty-printed JSON.
     pub(crate) fn to_json(&self) -> String {
-        let mut s = String::from("{\n  \"counters\": {");
-        for (i, (name, v)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!("\n    \"{}\": {v}", json_escape(name)));
-        }
-        s.push_str("\n  },\n  \"gauges\": {");
-        for (i, (name, v)) in self.gauges.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!("\n    \"{}\": {}", json_escape(name), json_f64(*v)));
-        }
-        s.push_str("\n  },\n  \"histograms\": {");
-        for (i, (name, h)) in self.histograms.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "\n    \"{}\": {{\"count\": {}, \"sum\": {}, \"buckets\": [",
-                json_escape(name),
-                h.count,
-                json_f64(h.sum)
-            ));
-            for (j, &c) in h.buckets.iter().enumerate() {
-                if j > 0 {
-                    s.push_str(", ");
-                }
-                let le = h.bounds.get(j).map_or("\"+inf\"".to_string(), |b| json_f64(*b));
-                s.push_str(&format!("{{\"le\": {le}, \"count\": {c}}}"));
-            }
-            s.push_str("]}");
-        }
-        s.push_str("\n  }\n}\n");
-        s
+        let counters = self.counters.iter().map(|(c, v)| (c.decl.name, v.to_string()));
+        let gauges = self.gauges.iter().map(|(g, v)| (g.decl.name, json_f64(*v)));
+        let histograms = self.histograms.iter().map(|(hist, h)| {
+            let buckets: Vec<String> = (h.buckets.iter().enumerate())
+                .map(|(j, c)| {
+                    let le = hist.bounds.get(j).map_or("\"+inf\"".to_string(), |b| json_f64(*b));
+                    format!("{{\"le\": {le}, \"count\": {c}}}")
+                })
+                .collect();
+            let (count, sum, buckets) = (h.count, json_f64(h.sum), buckets.join(", "));
+            (
+                hist.decl.name,
+                format!("{{\"count\": {count}, \"sum\": {sum}, \"buckets\": [{buckets}]}}"),
+            )
+        });
+        format!(
+            "{{\n  \"counters\": {},\n  \"gauges\": {},\n  \"histograms\": {}\n}}\n",
+            json_members(counters),
+            json_members(gauges),
+            json_members(histograms)
+        )
     }
 
     /// Serializes the snapshot in the Prometheus text exposition format
-    /// (v0.0.4): `# HELP` and `# TYPE` per family, sanitized names, and
+    /// (v0.0.4): `# HELP` and `# TYPE` per family, names with `.` as `_`, and
     /// canonical cumulative `le` buckets ending in `+Inf`.
     pub(crate) fn to_prometheus(&self) -> String {
         let mut s = String::new();
-        for (name, v) in &self.counters {
-            let n = sanitize_metric_name(name);
-            s.push_str(&format!("# HELP {n} {}\n", help_line(name, "counter")));
-            s.push_str(&format!("# TYPE {n} counter\n{n} {v}\n"));
+        for (c, v) in &self.counters {
+            let n = family_header(&mut s, &c.decl, "counter");
+            s.push_str(&format!("{n} {v}\n"));
         }
-        for (name, v) in &self.gauges {
-            let n = sanitize_metric_name(name);
-            s.push_str(&format!("# HELP {n} {}\n", help_line(name, "gauge")));
-            s.push_str(&format!("# TYPE {n} gauge\n{n} {}\n", prom_f64(*v)));
+        for (g, v) in &self.gauges {
+            let n = family_header(&mut s, &g.decl, "gauge");
+            s.push_str(&format!("{n} {}\n", prom_f64(*v)));
         }
-        for (name, h) in &self.histograms {
-            let n = sanitize_metric_name(name);
-            s.push_str(&format!("# HELP {n} {}\n", help_line(name, "histogram")));
-            s.push_str(&format!("# TYPE {n} histogram\n"));
+        for (hist, h) in &self.histograms {
+            let n = family_header(&mut s, &hist.decl, "histogram");
             let mut cum = 0u64;
             for (j, &c) in h.buckets.iter().enumerate() {
                 cum += c;
-                let le = h.bounds.get(j).map_or("+Inf".to_string(), |b| prom_le(*b));
+                let le = hist.bounds.get(j).map_or("+Inf".to_string(), |b| prom_le(*b));
                 s.push_str(&format!("{n}_bucket{{le=\"{le}\"}} {cum}\n"));
             }
             s.push_str(&format!("{n}_sum {}\n{n}_count {}\n", prom_f64(h.sum), h.count));
@@ -425,23 +394,21 @@ impl Snapshot {
     }
 }
 
-/// Sanitizes a registry name into a legal Prometheus metric name:
-/// `[a-zA-Z_:][a-zA-Z0-9_:]*`. `.` and `-` (our namespace separators)
-/// become `_`, as does any other illegal character; a leading digit gets
-/// a `_` prefix. Idempotent: sanitizing a sanitized name is a no-op.
-pub(crate) fn sanitize_metric_name(name: &str) -> String {
-    let mut out = String::with_capacity(name.len() + 1);
-    for (i, c) in name.chars().enumerate() {
-        let legal = c.is_ascii_alphabetic() || c == '_' || c == ':' || c.is_ascii_digit();
-        if i == 0 && c.is_ascii_digit() {
-            out.push('_');
-        }
-        out.push(if legal { c } else { '_' });
-    }
-    if out.is_empty() {
-        out.push('_');
-    }
-    out
+/// One object of the JSON snapshot, a member per line: `name: value`.
+fn json_members(members: impl Iterator<Item = (&'static str, String)>) -> String {
+    let lines: Vec<String> =
+        members.map(|(name, v)| format!("\n    \"{}\": {v}", json_escape(name))).collect();
+    format!("{{{}\n  }}", lines.join(","))
+}
+
+/// Writes a family's `# HELP` (the declared text, escaped per the
+/// exposition format: `\` and newline) and `# TYPE` lines, and returns
+/// its exported name (`.` read as `_`).
+fn family_header(s: &mut String, decl: &Decl, kind: &str) -> String {
+    let n = decl.name.replace('.', "_");
+    let help = decl.help.replace('\\', "\\\\").replace('\n', "\\n");
+    s.push_str(&format!("# HELP {n} {help}\n# TYPE {n} {kind}\n"));
+    n
 }
 
 /// Canonical `le` label value for a finite bucket bound: shortest-roundtrip
@@ -470,149 +437,105 @@ fn prom_f64(v: f64) -> String {
     }
 }
 
-/// Registered help texts for `# HELP` lines, keyed by the *unsanitized*
-/// registry name.
-fn help_registry() -> &'static Mutex<BTreeMap<&'static str, &'static str>> {
-    static REG: OnceLock<Mutex<BTreeMap<&'static str, &'static str>>> = OnceLock::new();
-    REG.get_or_init(|| Mutex::new(BTreeMap::new()))
-}
-
-/// Attaches a help text to `name`, shown as the `# HELP` line of the
-/// Prometheus exposition. Last call wins; metrics without a
-/// registered help fall back to a generic description.
-pub fn describe(name: &'static str, help: &'static str) {
-    help_registry().lock().unwrap_or_else(|p| p.into_inner()).insert(name, help);
-}
-
-/// The `# HELP` payload for `name`: the registered description (escaped
-/// per the exposition format: `\` and newline) or a generic fallback.
-fn help_line(name: &str, kind: &str) -> String {
-    let reg = help_registry().lock().unwrap_or_else(|p| p.into_inner());
-    match reg.get(name) {
-        Some(help) => help.replace('\\', "\\\\").replace('\n', "\\n"),
-        None => format!("arrow-obs {kind} {name}"),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn counter_and_gauge_roundtrip() {
-        let c = counter("test.metrics.counter");
-        let before = c.get();
-        c.inc();
-        c.add(4);
-        assert_eq!(c.get(), before + 5);
-        let g = gauge("test.metrics.gauge");
-        g.set(2.5);
-        assert_eq!(g.get(), 2.5);
-    }
-
-    #[test]
-    fn same_name_returns_same_instance() {
-        let a = counter("test.metrics.shared");
-        let b = counter("test.metrics.shared");
-        a.inc();
-        b.inc();
-        assert_eq!(a.get(), b.get());
-    }
-
-    #[test]
-    fn kind_mismatch_returns_detached_handle() {
-        let c = counter("test.metrics.kind_clash");
-        c.add(7);
+    fn a_name_declared_twice_is_recorded_once() {
+        static FIRST: Counter = Counter::new("test.metrics.twice", "first declaration");
+        static SECOND: Gauge = Gauge::new("test.metrics.twice", "second declaration");
+        static THIRD: Counter = Counter::new("test.metrics.twice", "third declaration");
+        FIRST.add(7);
         let clashes_before = snapshot().counter("obs.metrics.kind_clash");
-        // Same name, wrong kind: no panic, a live-but-detached gauge.
-        let g = gauge("test.metrics.kind_clash");
-        g.set(3.25);
-        assert_eq!(g.get(), 3.25, "detached handle still works locally");
-        // The registry still holds the original counter, untouched.
-        assert_eq!(snapshot().counter("test.metrics.kind_clash"), 7);
-        assert_eq!(snapshot().gauge("test.metrics.kind_clash"), None);
-        // And the clash itself was counted.
-        assert_eq!(snapshot().counter("obs.metrics.kind_clash"), clashes_before + 1);
-    }
-
-    #[test]
-    fn bad_histogram_bounds_fall_back_to_decades() {
-        // Not strictly increasing: unusable, replaced by decade buckets.
-        let h = histogram("test.metrics.bad_bounds", &[5.0, 1.0]);
-        assert_eq!(h.bounds(), DEFAULT_BOUNDS);
-        h.observe(0.5);
-        assert_eq!(h.count(), 1);
+        // Same name, another kind and the same kind: no panic, and each
+        // late declaration still accepts updates locally.
+        SECOND.set(3.25);
+        THIRD.add(2);
+        assert_eq!((SECOND.get(), THIRD.get()), (3.25, 2));
+        // The registry holds the first declaration alone, untouched.
+        let snap = snapshot();
+        assert_eq!(snap.counter("test.metrics.twice"), 7);
+        assert_eq!(snap.gauge("test.metrics.twice"), None);
+        let help = snap.to_prometheus();
+        assert_eq!(help.matches("# HELP test_metrics_twice ").count(), 1);
+        assert!(help.contains("# HELP test_metrics_twice first declaration\n"));
+        // And each clash was counted.
+        assert!(snap.counter("obs.metrics.kind_clash") >= clashes_before + 2);
     }
 
     #[test]
     fn concurrent_counter_updates_are_lossless() {
-        let c = counter("test.metrics.concurrent_counter");
-        let start = c.get();
+        static C: Counter = Counter::new("test.metrics.concurrent_counter", "test counter");
         const THREADS: usize = 8;
         const PER_THREAD: u64 = 10_000;
         std::thread::scope(|scope| {
             for _ in 0..THREADS {
-                let c = c.clone();
-                scope.spawn(move || {
+                scope.spawn(|| {
                     for _ in 0..PER_THREAD {
-                        c.inc();
+                        C.inc();
                     }
                 });
             }
         });
-        assert_eq!(c.get() - start, THREADS as u64 * PER_THREAD);
+        assert_eq!(C.get(), THREADS as u64 * PER_THREAD);
     }
 
     #[test]
     fn concurrent_histogram_updates_are_lossless() {
-        let h = histogram("test.metrics.concurrent_hist", &[1.0, 2.0, 4.0, 8.0]);
-        let (count0, sum0) = (h.count(), h.sum());
+        static H: Histogram =
+            Histogram::new("test.metrics.concurrent_hist", "test histogram", &[1.0, 2.0, 4.0, 8.0]);
         const THREADS: usize = 8;
         const PER_THREAD: usize = 5_000;
         std::thread::scope(|scope| {
             for t in 0..THREADS {
-                let h = h.clone();
                 scope.spawn(move || {
                     for i in 0..PER_THREAD {
                         // Deterministic spread over all buckets incl. overflow.
-                        h.observe(((t + i) % 10) as f64);
+                        H.observe(((t + i) % 10) as f64);
                     }
                 });
             }
         });
-        let observed = (THREADS * PER_THREAD) as u64;
-        assert_eq!(h.count() - count0, observed);
-        assert_eq!(h.bucket_counts().iter().sum::<u64>(), h.count());
+        let h = H.read();
+        assert_eq!(h.count, (THREADS * PER_THREAD) as u64);
+        assert_eq!(h.buckets.len(), 5);
+        assert_eq!(h.buckets.iter().sum::<u64>(), h.count);
         // Sum is an exact integer total here, so float CAS must be lossless.
         let expected_sum: f64 =
             (0..THREADS).flat_map(|t| (0..PER_THREAD).map(move |i| ((t + i) % 10) as f64)).sum();
-        assert!(
-            ((h.sum() - sum0) - expected_sum).abs() < 1e-6,
-            "sum {} vs expected {expected_sum}",
-            h.sum() - sum0
-        );
+        assert!((h.sum - expected_sum).abs() < 1e-6, "sum {} vs expected {expected_sum}", h.sum);
     }
 
     #[test]
     fn snapshot_serializes_both_formats() {
-        counter("test.metrics.snap_counter").add(3);
-        gauge("test.metrics.snap_gauge").set(1.25);
-        histogram("test.metrics.snap_hist", &[0.5, 1.5]).observe(1.0);
+        static C: Counter = Counter::new("test.metrics.snap_counter", "test counter");
+        static G: Gauge = Gauge::new("test.metrics.snap_gauge", "test gauge");
+        static H: Histogram =
+            Histogram::new("test.metrics.snap_hist", "test histogram", &[0.5, 1.5]);
+        static IDLE: Counter = Counter::new("test.metrics.idle", "never updated");
+        C.inc();
+        C.add(2);
+        G.set(f64::INFINITY);
+        H.observe(1.0);
         let snap = snapshot();
-        assert!(snap.counter("test.metrics.snap_counter") >= 3);
-        assert_eq!(snap.gauge("test.metrics.snap_gauge"), Some(1.25));
-        assert!(snap.histogram("test.metrics.snap_hist").is_some_and(|h| h.count >= 1));
+        assert_eq!(snap.counter("test.metrics.snap_counter"), 3);
+        assert_eq!(snap.gauge("test.metrics.snap_gauge"), Some(f64::INFINITY));
+        assert_eq!(snap.histogram("test.metrics.snap_hist").map(|h| h.count), Some(1));
+        // A declaration enters the registry on its first update.
+        assert!(snap.counters.iter().all(|(c, _)| c.decl.name != IDLE.decl.name));
         let json = snap.to_json();
-        assert!(json.contains("\"test.metrics.snap_counter\""));
+        assert!(json.contains("\"test.metrics.snap_counter\": 3"));
         assert!(json.contains("\"le\": \"+inf\""));
         let prom = snap.to_prometheus();
-        assert!(prom.contains("# TYPE test_metrics_snap_counter counter"));
+        assert!(prom
+            .contains("# TYPE test_metrics_snap_counter counter\ntest_metrics_snap_counter 3\n"));
         assert!(prom.contains("test_metrics_snap_hist_bucket{le=\"+Inf\"}"));
+        // Non-finite values use the exposition's spellings.
+        assert!(prom.contains("test_metrics_snap_gauge +Inf"));
+        assert_eq!([prom_f64(f64::NAN), prom_f64(f64::NEG_INFINITY)], ["NaN", "-Inf"]);
         // Names are in deterministic lexicographic order.
-        let names: Vec<_> = snap.counters.iter().map(|(n, _)| *n).collect();
-        let mut sorted = names.clone();
-        sorted.sort_unstable();
-        assert_eq!(names, sorted);
+        assert!(snap.counters.iter().map(|(c, _)| c.decl.name).is_sorted());
     }
 
     #[test]
@@ -624,9 +547,10 @@ mod tests {
 
     #[test]
     fn prometheus_histogram_buckets_are_cumulative_and_end_at_inf() {
-        let h = histogram("test.metrics.prom_hist", &[0.01, 0.1, 1.0, 10.0]);
+        static H: Histogram =
+            Histogram::new("test.metrics.prom_hist", "test histogram", &[0.01, 0.1, 1.0, 10.0]);
         for v in [0.005, 0.05, 0.05, 0.5, 5.0, 50.0] {
-            h.observe(v);
+            H.observe(v);
         }
         let prom = snapshot().to_prometheus();
         let buckets: Vec<(String, u64)> = prom
@@ -653,52 +577,19 @@ mod tests {
 
     #[test]
     fn prometheus_help_lines_precede_every_family() {
-        describe("test.metrics.helped", "observed widget total");
-        counter("test.metrics.helped").inc();
-        counter("test.metrics.unhelped").inc();
+        static HELPED: Counter = Counter::new("test.metrics.helped", "observed widget total");
+        static ESCAPED: Gauge = Gauge::new("test.metrics.escaped", "a \\ b\nc");
+        HELPED.inc();
+        ESCAPED.set(1.0);
         let prom = snapshot().to_prometheus();
+        // The declared text, `\` and newline escaped per the exposition.
         assert!(prom.contains("# HELP test_metrics_helped observed widget total\n"));
-        // Undescribed metrics still get a generic HELP line.
-        assert!(prom.contains("# HELP test_metrics_unhelped arrow-obs counter"));
+        assert!(prom.contains("# HELP test_metrics_escaped a \\\\ b\\nc\n"));
         // HELP always directly precedes TYPE for the same family.
-        for (i, line) in prom.lines().collect::<Vec<_>>().windows(2).enumerate() {
-            let _ = i;
-            if line[1].starts_with("# TYPE ") {
-                let family = line[1].split_ascii_whitespace().nth(2).unwrap_or("");
-                assert!(
-                    line[0].starts_with(&format!("# HELP {family} ")),
-                    "TYPE for {family} not preceded by its HELP: {:?}",
-                    line
-                );
-            }
+        let lines: Vec<&str> = prom.lines().collect();
+        for pair in lines.windows(2).filter(|p| p[1].starts_with("# TYPE ")) {
+            let family = pair[1].split(' ').nth(2).unwrap_or("");
+            assert!(pair[0].starts_with(&format!("# HELP {family} ")), "{pair:?}");
         }
-    }
-
-    #[test]
-    fn metric_name_sanitization_round_trips() {
-        assert_eq!(sanitize_metric_name("epoch.seconds"), "epoch_seconds");
-        assert_eq!(sanitize_metric_name("lp.solve-batch.lanes"), "lp_solve_batch_lanes");
-        assert_eq!(sanitize_metric_name("9lives"), "_9lives");
-        assert_eq!(sanitize_metric_name("weird name+unit"), "weird_name_unit");
-        // Idempotent: a sanitized name survives a second pass unchanged.
-        for name in ["epoch.seconds", "a-b.c", "9x", "ok_name:sub"] {
-            let once = sanitize_metric_name(name);
-            assert_eq!(sanitize_metric_name(&once), once, "not idempotent for {name:?}");
-            // And is a legal Prometheus name.
-            let mut chars = once.chars();
-            let first = chars.next().expect("non-empty");
-            assert!(first.is_ascii_alphabetic() || first == '_' || first == ':');
-            assert!(chars.all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':'));
-        }
-    }
-
-    #[test]
-    fn prometheus_nonfinite_values_use_exposition_spellings() {
-        gauge("test.metrics.inf_gauge").set(f64::INFINITY);
-        let prom = snapshot().to_prometheus();
-        assert!(prom.contains("test_metrics_inf_gauge +Inf"));
-        assert_eq!(prom_f64(f64::NAN), "NaN");
-        assert_eq!(prom_f64(f64::NEG_INFINITY), "-Inf");
-        gauge("test.metrics.inf_gauge").set(0.0);
     }
 }

@@ -7,10 +7,10 @@
 //!
 //! * counters `slo.epoch.met` / `slo.epoch.missed` — per-epoch deadline
 //!   verdicts against the configured budget (default 300 s);
-//! * gauges `slo.epoch.p50.seconds` / `slo.epoch.p99.seconds` — rolling
-//!   latency quantiles read back from the existing `epoch.seconds`
-//!   histogram (bucket resolution) and sharpened by an exact sliding
-//!   window of recent epochs;
+//! * gauges `slo.epoch.p50.seconds` / `slo.epoch.p99.seconds` — exact
+//!   latency quantiles over a sliding window of recent epochs (the
+//!   controller's `epoch.seconds` histogram keeps the lifetime picture at
+//!   bucket resolution);
 //! * gauges `slo.error_budget.burn_rate` / `slo.error_budget.remaining` —
 //!   how fast the windowed miss rate is consuming the error budget implied
 //!   by the objective (default 99% of epochs on time), and the fraction of
@@ -25,9 +25,9 @@
 //! metrics registry it feeds is too.
 
 use std::collections::VecDeque;
-use std::sync::{Mutex, OnceLock};
+use std::sync::Mutex;
 
-use crate::metrics;
+use crate::{Counter, Gauge};
 
 /// Epoch-deadline SLO parameters.
 #[derive(Debug, Clone, PartialEq)]
@@ -45,9 +45,12 @@ pub struct SloConfig {
 
 impl Default for SloConfig {
     fn default() -> Self {
-        SloConfig { budget_seconds: 300.0, objective: 0.99, window: 128 }
+        DEFAULT_CONFIG
     }
 }
+
+/// [`SloConfig::default`], as a constant the engine's `static` can hold.
+const DEFAULT_CONFIG: SloConfig = SloConfig { budget_seconds: 300.0, objective: 0.99, window: 128 };
 
 /// The verdict for one recorded epoch.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -62,15 +65,15 @@ pub struct EpochVerdict {
     pub(crate) burn_rate: f64,
 }
 
-struct SloMetrics {
-    met: metrics::Counter,
-    missed: metrics::Counter,
-    budget: metrics::Gauge,
-    p50: metrics::Gauge,
-    p99: metrics::Gauge,
-    burn_rate: metrics::Gauge,
-    remaining: metrics::Gauge,
-}
+static MET: Counter = Counter::new("slo.epoch.met", "epochs planned within the SLO budget");
+static MISSED: Counter = Counter::new("slo.epoch.missed", "epochs that overran the SLO budget");
+static BUDGET: Gauge = Gauge::new("slo.budget.seconds", "per-epoch SLO deadline in seconds");
+static P50: Gauge = Gauge::new("slo.epoch.p50.seconds", "windowed median epoch seconds");
+static P99: Gauge = Gauge::new("slo.epoch.p99.seconds", "windowed p99 epoch seconds");
+static BURN_RATE: Gauge =
+    Gauge::new("slo.error_budget.burn_rate", "windowed miss rate over the allowed rate");
+static REMAINING: Gauge =
+    Gauge::new("slo.error_budget.remaining", "unspent share of the lifetime error budget");
 
 struct SloState {
     config: SloConfig,
@@ -78,43 +81,15 @@ struct SloState {
     recent: VecDeque<f64>,
     /// Deadline misses within `recent`.
     recent_missed: usize,
-    /// Lifetime totals (also available as counters; kept here so the
-    /// remaining-budget gauge needs no registry read-back).
-    total: u64,
-    missed: u64,
 }
 
-struct Engine {
-    metrics: SloMetrics,
-    state: Mutex<SloState>,
-}
-
-fn engine() -> &'static Engine {
-    static ENGINE: OnceLock<Engine> = OnceLock::new();
-    ENGINE.get_or_init(|| Engine {
-        metrics: SloMetrics {
-            met: metrics::counter("slo.epoch.met"),
-            missed: metrics::counter("slo.epoch.missed"),
-            budget: metrics::gauge("slo.budget.seconds"),
-            p50: metrics::gauge("slo.epoch.p50.seconds"),
-            p99: metrics::gauge("slo.epoch.p99.seconds"),
-            burn_rate: metrics::gauge("slo.error_budget.burn_rate"),
-            remaining: metrics::gauge("slo.error_budget.remaining"),
-        },
-        state: Mutex::new(SloState {
-            config: SloConfig::default(),
-            recent: VecDeque::new(),
-            recent_missed: 0,
-            total: 0,
-            missed: 0,
-        }),
-    })
-}
+static STATE: Mutex<SloState> =
+    Mutex::new(SloState { config: DEFAULT_CONFIG, recent: VecDeque::new(), recent_missed: 0 });
 
 fn lock_state() -> std::sync::MutexGuard<'static, SloState> {
     // A panic while holding the lock leaves consistent (if stale) state;
     // recover rather than poison every later epoch.
-    engine().state.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+    STATE.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
 /// Replaces the process-global SLO configuration and resets the rolling
@@ -124,7 +99,7 @@ pub fn configure(config: SloConfig) {
     state.config = sanitized(config);
     state.recent.clear();
     state.recent_missed = 0;
-    engine().metrics.budget.set(state.config.budget_seconds);
+    BUDGET.set(state.config.budget_seconds);
 }
 
 /// The currently configured SLO parameters.
@@ -163,20 +138,16 @@ pub fn exact_quantile(samples: &[f64], q: f64) -> f64 {
 /// updating every SLO metric, and returns the verdict. Called by the
 /// controller once per `plan_epoch`.
 pub fn record_epoch(seconds: f64) -> EpochVerdict {
-    let engine = engine();
     let mut state = lock_state();
     let budget = state.config.budget_seconds;
     // A non-finite duration can only come from a clock bug; count it as a
     // miss so it is visible rather than silently dropped.
     let met = seconds.is_finite() && seconds <= budget;
 
-    state.total += 1;
-    if met {
-        engine.metrics.met.inc();
-    } else {
-        state.missed += 1;
-        engine.metrics.missed.inc();
-    }
+    // Both counters move every epoch, so both families are exported from
+    // the first epoch on, a zero miss count included.
+    MET.add(u64::from(met));
+    MISSED.add(u64::from(!met));
     if state.recent.len() == state.config.window {
         if let Some(evicted) = state.recent.pop_front() {
             if !(evicted.is_finite() && evicted <= budget) {
@@ -189,9 +160,7 @@ pub fn record_epoch(seconds: f64) -> EpochVerdict {
         state.recent_missed += 1;
     }
 
-    // Rolling quantiles: the epoch.seconds histogram gives the cumulative
-    // picture at bucket resolution; the exact window sharpens it for the
-    // gauges (and works even if the histogram was reset mid-run).
+    // Rolling quantiles, exact over the window.
     let recent = state.recent.make_contiguous();
     let (p50, p99) = (exact_quantile(recent, 0.50), exact_quantile(recent, 0.99));
 
@@ -202,14 +171,14 @@ pub fn record_epoch(seconds: f64) -> EpochVerdict {
     let allowance = 1.0 - state.config.objective;
     let window_miss_fraction = state.recent_missed as f64 / state.recent.len() as f64;
     let burn_rate = window_miss_fraction / allowance;
-    let lifetime_miss_fraction = state.missed as f64 / state.total as f64;
+    let lifetime_miss_fraction = MISSED.get() as f64 / (MET.get() + MISSED.get()) as f64;
     let remaining = (1.0 - lifetime_miss_fraction / allowance).max(0.0);
 
-    engine.metrics.budget.set(budget);
-    engine.metrics.p50.set(p50);
-    engine.metrics.p99.set(p99);
-    engine.metrics.burn_rate.set(burn_rate);
-    engine.metrics.remaining.set(remaining);
+    BUDGET.set(budget);
+    P50.set(p50);
+    P99.set(p99);
+    BURN_RATE.set(burn_rate);
+    REMAINING.set(remaining);
     drop(state);
 
     if !met {
@@ -226,6 +195,7 @@ pub fn record_epoch(seconds: f64) -> EpochVerdict {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics;
 
     /// The engine is process-global; tests that reconfigure it must not
     /// interleave.

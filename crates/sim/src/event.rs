@@ -4,9 +4,9 @@
 //! simultaneous events. Event payloads are a caller-defined type; the
 //! engine only orders time.
 
+use arrow_obs::{Counter, Gauge, Histogram};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::sync::OnceLock;
 
 /// Simulation timestamp in seconds.
 pub(crate) type SimTime = f64;
@@ -40,28 +40,16 @@ impl<E> Ord for Entry<E> {
     }
 }
 
-/// Process-global event-loop health metrics, shared by every queue
-/// instance: current depth, total pops, and the distribution of how far
-/// ahead of `now` events are scheduled (the calendar horizon).
-struct QueueMetrics {
-    depth: arrow_obs::Gauge,
-    scheduled: arrow_obs::Counter,
-    popped: arrow_obs::Counter,
-    horizon_seconds: arrow_obs::Histogram,
-}
-
-fn queue_metrics() -> &'static QueueMetrics {
-    static METRICS: OnceLock<QueueMetrics> = OnceLock::new();
-    METRICS.get_or_init(|| QueueMetrics {
-        depth: arrow_obs::metrics::gauge("sim.queue.depth"),
-        scheduled: arrow_obs::metrics::counter("sim.queue.scheduled"),
-        popped: arrow_obs::metrics::counter("sim.queue.popped"),
-        horizon_seconds: arrow_obs::metrics::histogram(
-            "sim.queue.horizon.seconds",
-            &[1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0],
-        ),
-    })
-}
+// Process-global event-loop health, shared by every queue instance.
+static DEPTH: Gauge = Gauge::new("sim.queue.depth", "events pending in the sim calendar");
+static SCHEDULED: Counter =
+    Counter::new("sim.queue.scheduled", "events scheduled in the sim calendar");
+static POPPED: Counter = Counter::new("sim.queue.popped", "events popped from the sim calendar");
+static HORIZON_SECONDS: Histogram = Histogram::new(
+    "sim.queue.horizon.seconds",
+    "how far ahead events are scheduled, sim seconds",
+    &[1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0],
+);
 
 /// The event calendar.
 pub(crate) struct EventQueue<E> {
@@ -97,19 +85,17 @@ impl<E> EventQueue<E> {
         assert!(at.is_finite(), "event time must be finite");
         self.heap.push(Entry { time: at, seq: self.seq, payload });
         self.seq += 1;
-        let m = queue_metrics();
-        m.scheduled.inc();
-        m.depth.set(self.heap.len() as f64);
-        m.horizon_seconds.observe(at - self.now);
+        SCHEDULED.inc();
+        DEPTH.set(self.heap.len() as f64);
+        HORIZON_SECONDS.observe(at - self.now);
     }
 
     /// Pops the next event, advancing the clock.
     pub(crate) fn pop(&mut self) -> Option<(SimTime, E)> {
         self.heap.pop().map(|e| {
             self.now = e.time;
-            let m = queue_metrics();
-            m.popped.inc();
-            m.depth.set(self.heap.len() as f64);
+            POPPED.inc();
+            DEPTH.set(self.heap.len() as f64);
             (e.time, e.payload)
         })
     }

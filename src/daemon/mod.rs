@@ -37,7 +37,7 @@ use arrow_core::{ArrowController, ControllerConfig, EpochHook, LotteryConfig, Te
 use arrow_obs::hash::{fnv1a_word, FNV1A_OFFSET};
 use arrow_obs::incident::IncidentDump;
 use arrow_obs::slo::SloConfig;
-use arrow_obs::{event, export, metrics, slo};
+use arrow_obs::{event, export, slo, Counter};
 use arrow_sim::{EventFeed, FeedConfig, FeedEvent};
 use arrow_te::TunnelConfig;
 use arrow_topology::{generate_failures, gravity_matrices, FailureConfig, TrafficConfig, Wan};
@@ -194,37 +194,15 @@ impl ServeReport {
     }
 }
 
-struct DaemonMetrics {
-    epochs: metrics::Counter,
-    fallback: metrics::Counter,
-    plan_errors: metrics::Counter,
-    cut_replans: metrics::Counter,
-    bursts: metrics::Counter,
-    scrapes: metrics::Counter,
-}
-
-fn daemon_metrics() -> &'static DaemonMetrics {
-    static METRICS: std::sync::OnceLock<DaemonMetrics> = std::sync::OnceLock::new();
-    METRICS.get_or_init(|| {
-        metrics::describe("daemon.epochs", "epochs planned by the serve loop");
-        metrics::describe(
-            "daemon.fallback",
-            "deadline-missed epochs that reused the previous installed plan",
-        );
-        metrics::describe("daemon.plan_errors", "epochs that failed with a typed PlanError");
-        metrics::describe("daemon.replan.cut", "re-plans triggered by fiber cut/repair events");
-        metrics::describe("daemon.chaos.bursts", "chaos bursts delivered to the epoch loop");
-        metrics::describe("daemon.scrapes", "successful live self-scrapes of /metrics");
-        DaemonMetrics {
-            epochs: metrics::counter("daemon.epochs"),
-            fallback: metrics::counter("daemon.fallback"),
-            plan_errors: metrics::counter("daemon.plan_errors"),
-            cut_replans: metrics::counter("daemon.replan.cut"),
-            bursts: metrics::counter("daemon.chaos.bursts"),
-            scrapes: metrics::counter("daemon.scrapes"),
-        }
-    })
-}
+static EPOCHS: Counter = Counter::new("daemon.epochs", "epochs planned by the serve loop");
+static FALLBACK: Counter =
+    Counter::new("daemon.fallback", "late epochs that kept the installed plan");
+static PLAN_ERRORS: Counter =
+    Counter::new("daemon.plan_errors", "epochs that failed with a PlanError");
+static CUT_REPLANS: Counter =
+    Counter::new("daemon.replan.cut", "re-plans on fiber cut or repair events");
+static BURSTS: Counter = Counter::new("daemon.chaos.bursts", "chaos bursts delivered to the loop");
+static SCRAPES: Counter = Counter::new("daemon.scrapes", "successful self-scrapes of /metrics");
 
 /// HTTP status code of a raw response string (0 when unparseable).
 fn status_of(response: &str) -> u16 {
@@ -323,7 +301,6 @@ pub fn serve(wan: Wan, config: &ServeConfig) -> Result<ServeReport, ServeError> 
     }
 
     let recorder = FlightRecorder::install(config.recorder_capacity, &config.incident_dir);
-    let dm = daemon_metrics();
 
     let mut report = ServeReport {
         epochs_planned: 0,
@@ -362,17 +339,17 @@ pub fn serve(wan: Wan, config: &ServeConfig) -> Result<ServeReport, ServeError> 
             }
             FeedEvent::FiberCut { .. } => {
                 report.cut_replans += 1;
-                dm.cut_replans.inc();
+                CUT_REPLANS.inc();
                 ("fiber-cut", 0.0)
             }
             FeedEvent::FiberRepair { .. } => {
                 report.cut_replans += 1;
-                dm.cut_replans.inc();
+                CUT_REPLANS.inc();
                 ("fiber-repair", 0.0)
             }
             FeedEvent::ChaosBurst { stall_seconds, .. } => {
                 report.chaos_bursts += 1;
-                dm.bursts.inc();
+                BURSTS.inc();
                 ("chaos-burst", *stall_seconds)
             }
         };
@@ -392,7 +369,7 @@ pub fn serve(wan: Wan, config: &ServeConfig) -> Result<ServeReport, ServeError> 
         match controller.plan_epoch(&tm, hook) {
             Ok((plan, epoch_report)) => {
                 report.epochs_planned += 1;
-                dm.epochs.inc();
+                EPOCHS.inc();
                 report.epoch_seconds.push(epoch_report.seconds);
                 // Digest the *computed* plan: deterministic under a fixed
                 // seed regardless of how the wall clock judged it.
@@ -413,7 +390,7 @@ pub fn serve(wan: Wan, config: &ServeConfig) -> Result<ServeReport, ServeError> 
                     // Deadline miss with a previous plan to fall back on:
                     // keep it installed, discard the late plan.
                     report.fallbacks += 1;
-                    dm.fallback.inc();
+                    FALLBACK.inc();
                     let detail = format!(
                         "epoch took {:.3}s against a {:.3}s budget; reusing plan from epoch {}",
                         epoch_report.seconds,
@@ -450,9 +427,9 @@ pub fn serve(wan: Wan, config: &ServeConfig) -> Result<ServeReport, ServeError> 
             }
             Err(e) => {
                 report.epochs_planned += 1;
-                dm.epochs.inc();
+                EPOCHS.inc();
                 report.plan_errors += 1;
-                dm.plan_errors.inc();
+                PLAN_ERRORS.inc();
                 event!(warn: "daemon.plan.error", "epoch" => epoch_idx, "error" => e.to_string());
                 let dump = recorder
                     .capture("plan-error", epoch_idx, &trigger_label, &e.to_string())
@@ -474,7 +451,7 @@ pub fn serve(wan: Wan, config: &ServeConfig) -> Result<ServeReport, ServeError> 
                 export::http_get(addr, "/readyz").map(|r| status_of(&r) == 200).unwrap_or(false);
             if metrics_ok && readyz_ok {
                 report.scrapes_ok += 1;
-                dm.scrapes.inc();
+                SCRAPES.inc();
             }
         }
     }

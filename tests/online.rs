@@ -145,6 +145,18 @@ fn observed_diurnal_replay_is_scraped_traced_and_attributed() {
     ] {
         assert!(body.contains(needle), "/metrics body is missing {needle:?}");
     }
+    // Every family is documented where it is declared: a `# HELP` line
+    // whose text is more than the family's own name or a generic
+    // `arrow-obs <kind> <name>` placeholder.
+    let families: Vec<&str> =
+        body.lines().filter_map(|l| l.strip_prefix("# TYPE ")?.split(' ').next()).collect();
+    assert!(families.len() >= 20, "only {} families exported", families.len());
+    for family in families {
+        let help = body.lines().find_map(|l| l.strip_prefix(&format!("# HELP {family} ")));
+        let help = help.unwrap_or_else(|| panic!("{family} has no # HELP line"));
+        let generic = help.trim().is_empty() || help == family || help.starts_with("arrow-obs ");
+        assert!(!generic, "{family} has no help text: {help:?}");
+    }
     exporter.shutdown();
     let slo_met = metrics::snapshot().counter("slo.epoch.met") - slo_met_before;
     assert_eq!(slo_met as usize, DIURNAL.len(), "every diurnal epoch beats the five-minute budget");
