@@ -42,8 +42,7 @@ pub enum Sense {
     Eq,
 }
 
-/// A linear expression: a sum of `coefficient * variable` terms plus a
-/// constant offset.
+/// A linear expression: a sum of `coefficient * variable` terms.
 ///
 /// Duplicate variables are allowed while building; they are merged when the
 /// model is lowered to standard form.
@@ -51,19 +50,17 @@ pub enum Sense {
 pub struct LinExpr {
     /// `(variable, coefficient)` terms, in insertion order.
     pub terms: Vec<(VarId, f64)>,
-    /// Constant offset.
-    pub constant: f64,
 }
 
 impl LinExpr {
-    /// The empty expression (constant zero).
+    /// The empty expression (zero).
     pub fn new() -> Self {
         Self::default()
     }
 
     /// An expression consisting of a single `coeff * var` term.
     pub fn term(var: VarId, coeff: f64) -> Self {
-        LinExpr { terms: vec![(var, coeff)], constant: 0.0 }
+        LinExpr { terms: vec![(var, coeff)] }
     }
 
     /// Adds `coeff * var` to the expression; returns `self` for chaining.
@@ -79,12 +76,12 @@ impl LinExpr {
 
     /// Sums `coeff * var` over an iterator of terms.
     pub fn sum(terms: impl IntoIterator<Item = (VarId, f64)>) -> Self {
-        LinExpr { terms: terms.into_iter().collect(), constant: 0.0 }
+        LinExpr { terms: terms.into_iter().collect() }
     }
 
     /// Sums a set of variables with unit coefficients.
     pub fn sum_vars(vars: impl IntoIterator<Item = VarId>) -> Self {
-        LinExpr { terms: vars.into_iter().map(|v| (v, 1.0)).collect(), constant: 0.0 }
+        LinExpr { terms: vars.into_iter().map(|v| (v, 1.0)).collect() }
     }
 }
 
@@ -152,10 +149,8 @@ impl Model {
     }
 
     /// Posts the constraint `expr (sense) rhs`.
-    ///
-    /// Any constant inside `expr` is folded into the right-hand side.
     pub fn add_con(&mut self, expr: LinExpr, sense: Sense, rhs: f64) {
-        self.cons.push(ConDef { rhs: rhs - expr.constant, terms: expr.terms, sense });
+        self.cons.push(ConDef { rhs, terms: expr.terms, sense });
     }
 
     /// Sets the objective expression and direction.
@@ -240,13 +235,12 @@ impl Model {
             lb: self.vars.iter().map(|v| v.lb).collect(),
             ub: self.vars.iter().map(|v| v.ub).collect(),
             obj,
-            obj_offset: sign * self.objective.constant,
             obj_sign: sign,
         }
     }
 }
 
-/// Standard computational form: minimize `obj . x + obj_offset` subject to
+/// Standard computational form: minimize `obj . x` subject to
 /// `A x (senses) rhs` and `lb <= x <= ub`.
 ///
 /// `obj_sign` records whether the original model maximized (`-1.0`) so that
@@ -265,8 +259,6 @@ pub struct StandardLp {
     pub ub: Vec<f64>,
     /// Minimization objective coefficients.
     pub obj: Vec<f64>,
-    /// Constant added to the minimization objective.
-    pub obj_offset: f64,
     /// `1.0` if the original model minimized, `-1.0` if it maximized.
     pub(crate) obj_sign: f64,
 }
@@ -319,17 +311,6 @@ mod tests {
         assert_eq!(s.obj, vec![-3.0, -1.0]); // negated for maximization
         assert_eq!(s.rhs, vec![14.0]);
         assert_eq!(s.user_objective(-7.0), 7.0);
-    }
-
-    #[test]
-    fn constant_folds_into_rhs() {
-        let mut m = Model::new();
-        let x = m.add_nonneg();
-        let mut e = LinExpr::term(x, 1.0);
-        e.constant = 5.0;
-        m.add_con(e, Sense::Le, 12.0);
-        let s = m.to_standard();
-        assert_eq!(s.rhs, vec![7.0]);
     }
 
     #[test]

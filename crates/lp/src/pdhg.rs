@@ -377,7 +377,7 @@ pub(crate) fn solve_warm(
 
     // Map back to user space.
     let x_user: Vec<f64> = (0..n).map(|j| x[j] * s.col_scale[j]).collect();
-    let min_obj: f64 = lp.obj_offset + x_user.iter().zip(&lp.obj).map(|(a, b)| a * b).sum::<f64>();
+    let min_obj: f64 = x_user.iter().zip(&lp.obj).map(|(a, b)| a * b).sum::<f64>();
     let duals: Vec<f64> =
         (0..m).map(|i| lp.obj_sign * s.row_sign[i] * y[i] * s.row_scale[i]).collect();
     Solution {

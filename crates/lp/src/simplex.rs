@@ -957,7 +957,7 @@ fn solve_unscaled(
                 return Solution::failed(Status::Unbounded, n);
             }
         }
-        let obj: f64 = lp.obj_offset + x.iter().zip(&lp.obj).map(|(a, b)| a * b).sum::<f64>();
+        let obj: f64 = x.iter().zip(&lp.obj).map(|(a, b)| a * b).sum::<f64>();
         return Solution {
             status: Status::Optimal,
             x,
@@ -1060,8 +1060,7 @@ fn solve_prepared(mut s: Simplex<'_>, max_iters: usize) -> Solution {
         // meaningful answer; other failures return no point.
         let mut sol = if matches!(status, Status::IterationLimit) {
             let x: Vec<f64> = s.x[..n].to_vec();
-            let min_obj: f64 =
-                lp.obj_offset + x.iter().zip(&lp.obj).map(|(a, b)| a * b).sum::<f64>();
+            let min_obj: f64 = x.iter().zip(&lp.obj).map(|(a, b)| a * b).sum::<f64>();
             Solution {
                 status,
                 objective: lp.user_objective(min_obj),
@@ -1086,7 +1085,7 @@ fn solve_prepared(mut s: Simplex<'_>, max_iters: usize) -> Solution {
     }
     s.compute_duals();
     let x: Vec<f64> = s.x[..n].to_vec();
-    let min_obj: f64 = lp.obj_offset + x.iter().zip(&lp.obj).map(|(a, b)| a * b).sum::<f64>();
+    let min_obj: f64 = x.iter().zip(&lp.obj).map(|(a, b)| a * b).sum::<f64>();
     Solution {
         status: Status::Optimal,
         objective: lp.user_objective(min_obj),

@@ -202,7 +202,7 @@ fn solve_inner(
 fn data_defect(lp: &StandardLp) -> Option<Status> {
     let finite = |v: &[f64]| v.iter().all(|x| x.is_finite());
     let coefficients = (0..lp.num_cons()).all(|i| lp.a.row(i).all(|(_, v)| v.is_finite()));
-    if !(coefficients && finite(&lp.rhs) && finite(&lp.obj) && lp.obj_offset.is_finite()) {
+    if !(coefficients && finite(&lp.rhs) && finite(&lp.obj)) {
         return Some(Status::NumericalTrouble);
     }
     for (&l, &u) in lp.lb.iter().zip(&lp.ub) {
@@ -568,7 +568,6 @@ mod validation_tests {
             lb: vec![lb],
             ub: vec![ub],
             obj: vec![1.0],
-            obj_offset: 0.0,
             obj_sign: 1.0,
         };
         assert_eq!(data_defect(&with_bounds(0.0, 1.0)), None);

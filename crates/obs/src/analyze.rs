@@ -2,30 +2,27 @@
 //! critical paths.
 //!
 //! The tracing layer answers *what happened*; this module answers *where
-//! the time went*. It rebuilds the span tree from finished-span records —
-//! either live [`crate::trace::Record`]s out of a
-//! [`crate::trace::RingSubscriber`] or a `trace.jsonl` file written by a
-//! [`crate::trace::FileSubscriber`] — and computes:
+//! the time went*. It has one reader: [`SpanTree::from_jsonl`] rebuilds
+//! the span tree from `trace.jsonl` text, as [`crate::trace::to_jsonl`]
+//! writes it from a [`crate::trace::RingSubscriber`]'s records, and
+//! computes:
 //!
 //! * **self time** per span: duration minus the duration of its children
 //!   on the same thread (what the stage spent *itself*, not delegating);
-//! * **per-stage attribution** (`SpanTree::stage_report`): spans
-//!   aggregated by name with counts, total and self time;
 //! * **the critical path** ([`SpanTree::critical_path`]): from a root
 //!   span, repeatedly descend into the longest child — for ARROW's
 //!   synchronous epoch loop this names the stage chain that bounds the
 //!   epoch deadline (and must name the LP solve, which the root
 //!   crate's `tests/online.rs` asserts).
 //!
-//! Spans that never finished (no `span_end` record) are dropped — an
-//! unfinished span has no duration to attribute. Cross-thread parentage
-//! does not exist in this tracer (worker spans are roots on their own
-//! thread), so a tree per root is exactly a tree per synchronous stage.
+//! A span that never finished left no record, so it has no duration to
+//! attribute and no node. Cross-thread parentage does not exist in this
+//! tracer (worker spans are roots on their own thread), so a tree per
+//! root is exactly a tree per synchronous stage.
 
 use std::collections::BTreeMap;
 
 use crate::json::{self, Json};
-use crate::trace::{Record, RecordKind};
 
 /// One reconstructed (finished) span.
 #[derive(Debug, Clone)]
@@ -45,19 +42,6 @@ pub struct SpanNode {
     /// Indices (into [`SpanTree::nodes`]) of this span's children, in
     /// start order.
     pub children: Vec<usize>,
-}
-
-/// One aggregated row of the per-stage report.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct StageStat {
-    /// Span name the row aggregates.
-    pub name: String,
-    /// Number of finished spans with that name.
-    pub count: usize,
-    /// Summed wall-clock nanoseconds.
-    pub(crate) total_nanos: u64,
-    /// Summed self-time nanoseconds (total minus time in child spans).
-    pub self_nanos: u64,
 }
 
 /// One hop of a critical path.
@@ -104,28 +88,9 @@ pub struct SpanTree {
 }
 
 impl SpanTree {
-    /// Builds the tree from in-memory trace records (e.g.
-    /// [`crate::trace::RingSubscriber::records`]). Only
-    /// [`RecordKind::SpanEnd`] records contribute — they carry the
-    /// duration and re-carry the start fields.
-    pub(crate) fn from_records(records: &[Record]) -> SpanTree {
-        let spans = records.iter().filter(|r| r.kind == RecordKind::SpanEnd).map(|r| {
-            let duration = r.duration_nanos.unwrap_or(0);
-            SpanNode {
-                name: r.name.to_string(),
-                span_id: r.span_id,
-                parent_id: r.parent_id,
-                thread: r.thread,
-                start_nanos: r.t_nanos.saturating_sub(duration),
-                duration_nanos: duration,
-                children: Vec::new(),
-            }
-        });
-        Self::assemble(spans.collect())
-    }
-
-    /// Parses a `trace.jsonl` document (one record per line, the
-    /// [`crate::trace::FileSubscriber`] format) and builds the tree.
+    /// Parses a `trace.jsonl` document (one record per line, as
+    /// [`crate::trace::to_jsonl`] writes it) and builds the tree from its
+    /// span records; event lines are skipped.
     pub fn from_jsonl(text: &str) -> Result<SpanTree, AnalyzeError> {
         let mut spans = Vec::new();
         for (i, line) in text.lines().enumerate() {
@@ -199,26 +164,6 @@ impl SpanTree {
         (0..self.nodes.len()).filter(|&i| self.nodes[i].name == name).collect()
     }
 
-    /// Aggregates spans by name: count, total and self time, sorted by
-    /// total time descending (ties broken by name for determinism).
-    pub(crate) fn stage_report(&self) -> Vec<StageStat> {
-        let mut by_name: BTreeMap<&str, StageStat> = BTreeMap::new();
-        for (i, node) in self.nodes.iter().enumerate() {
-            let entry = by_name.entry(&node.name).or_insert_with(|| StageStat {
-                name: node.name.clone(),
-                count: 0,
-                total_nanos: 0,
-                self_nanos: 0,
-            });
-            entry.count += 1;
-            entry.total_nanos += node.duration_nanos;
-            entry.self_nanos += self.self_nanos(i);
-        }
-        let mut rows: Vec<StageStat> = by_name.into_values().collect();
-        rows.sort_by(|a, b| b.total_nanos.cmp(&a.total_nanos).then(a.name.cmp(&b.name)));
-        rows
-    }
-
     /// The critical path from the span at `root_index`: the chain formed
     /// by repeatedly descending into the longest-duration child. For a
     /// synchronous stage tree this is the sequence of stages an epoch's
@@ -247,48 +192,15 @@ impl SpanTree {
         }
         path
     }
-
-    /// Serializes the stage report as a JSON document (the analyzer's
-    /// machine-readable output, written into every flight-recorder
-    /// incident dump as `stage_report.json`).
-    pub(crate) fn stage_report_json(&self) -> String {
-        let total_root_nanos: u64 =
-            self.roots.iter().filter_map(|&r| self.nodes.get(r)).map(|n| n.duration_nanos).sum();
-        let mut out = String::from("{\n  \"spans\": ");
-        out.push_str(&self.nodes.len().to_string());
-        out.push_str(",\n  \"roots\": ");
-        out.push_str(&self.roots.len().to_string());
-        out.push_str(",\n  \"root_wall_nanos\": ");
-        out.push_str(&total_root_nanos.to_string());
-        out.push_str(",\n  \"stages\": [\n");
-        let rows = self.stage_report();
-        for (i, row) in rows.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"name\": \"{}\", \"count\": {}, \"total_nanos\": {}, \
-                 \"self_nanos\": {}, \"mean_seconds\": {}}}{}\n",
-                crate::metrics::json_escape(&row.name),
-                row.count,
-                row.total_nanos,
-                row.self_nanos,
-                crate::metrics::json_f64(if row.count == 0 {
-                    0.0
-                } else {
-                    row.total_nanos as f64 / row.count as f64 / 1e9
-                }),
-                if i + 1 < rows.len() { "," } else { "" }
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        out
-    }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::trace::{to_jsonl, Record};
 
-    /// A hand-built record: `(name, id, parent, end_nanos, duration)`.
-    fn span_end(
+    /// A hand-built span record: `(name, id, parent, end_nanos, duration)`.
+    fn span(
         name: &'static str,
         span_id: u64,
         parent_id: Option<u64>,
@@ -296,7 +208,6 @@ mod tests {
         duration_nanos: u64,
     ) -> Record {
         Record {
-            kind: RecordKind::SpanEnd,
             name,
             span_id,
             parent_id,
@@ -308,19 +219,24 @@ mod tests {
         }
     }
 
-    /// epoch(100) { phase1(60) { solve(50) } phase2(25) } — 15 self.
-    fn epoch_records() -> Vec<Record> {
+    /// epoch(100) { phase1(60) { solve(50) } phase2(25) } — 15 self; the
+    /// daemon's shape, in close order.
+    pub(crate) fn epoch_records() -> Vec<Record> {
         vec![
-            span_end("lp.solve", 3, Some(2), 60, 50),
-            span_end("te.phase1", 2, Some(1), 65, 60),
-            span_end("te.phase2", 4, Some(1), 95, 25),
-            span_end("epoch", 1, None, 100, 100),
+            span("lp.solve", 3, Some(2), 60, 50),
+            span("te.phase1", 2, Some(1), 65, 60),
+            span("te.phase2", 4, Some(1), 95, 25),
+            span("epoch", 1, None, 100, 100),
         ]
+    }
+
+    fn tree(records: &[Record]) -> SpanTree {
+        SpanTree::from_jsonl(&to_jsonl(records)).expect("the writer's output parses")
     }
 
     #[test]
     fn tree_links_children_and_roots() {
-        let tree = SpanTree::from_records(&epoch_records());
+        let tree = tree(&epoch_records());
         assert_eq!(tree.nodes.len(), 4);
         assert_eq!(tree.roots.len(), 1);
         let root = tree.roots[0];
@@ -332,7 +248,7 @@ mod tests {
 
     #[test]
     fn self_time_subtracts_children() {
-        let tree = SpanTree::from_records(&epoch_records());
+        let tree = tree(&epoch_records());
         let root = tree.roots[0];
         assert_eq!(tree.self_nanos(root), 15); // 100 - 60 - 25
         let phase1 = tree.spans_named("te.phase1")[0];
@@ -343,23 +259,11 @@ mod tests {
 
     #[test]
     fn critical_path_descends_longest_child() {
-        let tree = SpanTree::from_records(&epoch_records());
+        let tree = tree(&epoch_records());
         let path = tree.critical_path(tree.roots[0]);
-        let names: Vec<&str> = path.iter().map(|h| h.name.as_str()).collect();
-        assert_eq!(names, ["epoch", "te.phase1", "lp.solve"]);
-    }
-
-    #[test]
-    fn jsonl_roundtrip_matches_in_memory_tree() {
-        let records = epoch_records();
-        let jsonl: String =
-            records.iter().map(|r| r.to_json_line() + "\n").collect::<Vec<_>>().join("");
-        let from_file = SpanTree::from_jsonl(&jsonl).expect("valid trace.jsonl");
-        let from_memory = SpanTree::from_records(&records);
-        assert_eq!(from_file.nodes.len(), from_memory.nodes.len());
-        let path_file = from_file.critical_path(from_file.roots[0]);
-        let path_memory = from_memory.critical_path(from_memory.roots[0]);
-        assert_eq!(path_file, path_memory);
+        let hops: Vec<(&str, u64)> =
+            path.iter().map(|h| (h.name.as_str(), h.duration_nanos)).collect();
+        assert_eq!(hops, [("epoch", 100), ("te.phase1", 60), ("lp.solve", 50)]);
     }
 
     #[test]
@@ -383,28 +287,7 @@ mod tests {
     #[test]
     fn unfinished_parent_promotes_children_to_roots() {
         // Child references span 99 which never ended.
-        let records = vec![span_end("orphan", 5, Some(99), 10, 10)];
-        let tree = SpanTree::from_records(&records);
+        let tree = tree(&[span("orphan", 5, Some(99), 10, 10)]);
         assert_eq!(tree.roots, vec![0]);
-    }
-
-    #[test]
-    fn stage_report_aggregates_and_sorts() {
-        let records = vec![
-            span_end("solve", 2, Some(1), 30, 20),
-            span_end("solve", 3, Some(1), 60, 25),
-            span_end("epoch", 1, None, 100, 100),
-        ];
-        let tree = SpanTree::from_records(&records);
-        let report = tree.stage_report();
-        assert_eq!(report[0].name, "epoch");
-        assert_eq!(report[1].name, "solve");
-        assert_eq!(report[1].count, 2);
-        assert_eq!(report[1].total_nanos, 45);
-        assert_eq!(report[1].self_nanos, 45);
-        assert_eq!(report[0].self_nanos, 55);
-        let json = tree.stage_report_json();
-        let doc = crate::json::parse(&json).expect("stage report is valid JSON");
-        assert_eq!(doc.get("spans").and_then(Json::as_u64), Some(3));
     }
 }

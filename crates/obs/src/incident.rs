@@ -8,15 +8,17 @@
 //! which freezes everything an investigation needs into a timestamped
 //! incident directory:
 //!
+//! * `trace.jsonl` — the captured records, one JSON object per line, as
+//!   [`crate::trace::to_jsonl`] writes them;
+//! * `metrics.json` — the full metrics-registry snapshot at dump time;
 //! * `incident.json` — reason, epoch index, the triggering event, free
-//!   detail, and the critical-path summary;
-//! * `trace.jsonl` — the captured records, one JSON object per line
-//!   (the same format [`crate::trace::FileSubscriber`] writes, so the
-//!   analyzer reads it unchanged);
-//! * `critical_path.txt` — the offending epoch's critical path, one
-//!   `name  duration_ms` hop per line ([`crate::analyze::SpanTree`]);
-//! * `stage_report.json` — per-stage time attribution for the capture;
-//! * `metrics.json` — the full metrics-registry snapshot at dump time.
+//!   detail, and the offending epoch's critical path as
+//!   `[{"name", "duration_nanos"}]` hops.
+//!
+//! The critical path is computed by [`crate::analyze::SpanTree::from_jsonl`]
+//! from the `trace.jsonl` text the dump has just written, so it is the
+//! file's by construction; anything else the analyzer derives (self time,
+//! per-stage totals) is read from that file, not written beside it.
 //!
 //! Directory names sort chronologically (`incident-<unix_ms>-ep<N>-<reason>`)
 //! and collide-proof themselves with a numeric suffix, so chaos soaks
@@ -32,7 +34,8 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 use crate::analyze::{CriticalHop, SpanTree};
-use crate::trace::Record;
+use crate::json::Json;
+use crate::trace::{self, Record};
 use crate::{metrics, Counter};
 
 /// Everything the flight recorder knows about one bad epoch.
@@ -122,49 +125,35 @@ pub fn dump(base_dir: &Path, ctx: &IncidentContext<'_>) -> io::Result<IncidentDu
     }
     fs::create_dir(&dir)?;
 
-    // trace.jsonl — the raw capture, FileSubscriber-compatible.
-    let mut jsonl = String::new();
-    for record in ctx.records {
-        jsonl.push_str(&record.to_json_line());
-        jsonl.push('\n');
-    }
+    let jsonl = trace::to_jsonl(ctx.records);
     fs::write(dir.join("trace.jsonl"), &jsonl)?;
-
-    // Analyzer products: critical path + per-stage attribution.
-    let tree = SpanTree::from_records(ctx.records);
+    let tree =
+        SpanTree::from_jsonl(&jsonl).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
     let critical_path = pick_root(&tree).map(|r| tree.critical_path(r)).unwrap_or_default();
-    let mut path_txt = String::new();
-    for hop in &critical_path {
-        path_txt.push_str(&format!(
-            "{:<16} {:>12.3} ms\n",
-            hop.name,
-            hop.duration_nanos as f64 / 1e6
-        ));
-    }
-    fs::write(dir.join("critical_path.txt"), &path_txt)?;
-    fs::write(dir.join("stage_report.json"), tree.stage_report_json())?;
 
-    // The full metrics snapshot at dump time.
     fs::write(dir.join("metrics.json"), metrics::snapshot().to_json())?;
 
-    // incident.json — the manifest tying it all together.
-    let mut manifest = String::from("{\n");
-    manifest.push_str(&format!("  \"reason\": \"{}\",\n", metrics::json_escape(ctx.reason)));
-    manifest.push_str(&format!("  \"epoch\": {},\n", ctx.epoch));
-    manifest.push_str(&format!("  \"trigger\": \"{}\",\n", metrics::json_escape(ctx.trigger)));
-    manifest.push_str(&format!("  \"detail\": \"{}\",\n", metrics::json_escape(ctx.detail)));
-    manifest.push_str(&format!("  \"unix_millis\": {stamp},\n"));
-    manifest.push_str(&format!("  \"captured_records\": {},\n", ctx.records.len()));
-    manifest.push_str(&format!("  \"finished_spans\": {},\n", tree.nodes.len()));
-    manifest.push_str("  \"critical_path\": [");
-    for (i, hop) in critical_path.iter().enumerate() {
-        if i > 0 {
-            manifest.push_str(", ");
-        }
-        manifest.push_str(&format!("\"{}\"", metrics::json_escape(&hop.name)));
+    fn obj(members: Vec<(&str, Json)>) -> Json {
+        Json::Obj(members.into_iter().map(|(key, value)| (key.to_string(), value)).collect())
     }
-    manifest.push_str("]\n}\n");
-    fs::write(dir.join("incident.json"), &manifest)?;
+    let text = |s: &str| Json::Str(s.to_string());
+    let hops = critical_path.iter().map(|hop| {
+        obj(vec![
+            ("name", text(&hop.name)),
+            ("duration_nanos", Json::Num(hop.duration_nanos as f64)),
+        ])
+    });
+    let manifest = obj(vec![
+        ("reason", text(ctx.reason)),
+        ("epoch", Json::Num(ctx.epoch as f64)),
+        ("trigger", text(ctx.trigger)),
+        ("detail", text(ctx.detail)),
+        ("unix_millis", Json::Num(stamp as f64)),
+        ("captured_records", Json::Num(ctx.records.len() as f64)),
+        ("finished_spans", Json::Num(tree.nodes.len() as f64)),
+        ("critical_path", Json::Arr(hops.collect())),
+    ]);
+    fs::write(dir.join("incident.json"), manifest.to_pretty() + "\n")?;
 
     DUMPS.inc();
     crate::event!(warn: "obs.incident.dump",
@@ -178,38 +167,8 @@ pub fn dump(base_dir: &Path, ctx: &IncidentContext<'_>) -> io::Result<IncidentDu
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analyze::tests::epoch_records;
     use crate::json::{self, Json};
-    use crate::trace::RecordKind;
-
-    fn span_end(
-        name: &'static str,
-        span_id: u64,
-        parent_id: Option<u64>,
-        t_nanos: u64,
-        duration_nanos: u64,
-    ) -> Record {
-        Record {
-            kind: RecordKind::SpanEnd,
-            name,
-            span_id,
-            parent_id,
-            t_nanos,
-            duration_nanos: Some(duration_nanos),
-            level: crate::Level::Info,
-            thread: 1,
-            fields: Vec::new(),
-        }
-    }
-
-    /// epoch { te.phase1 { lp.solve } te.phase2 } — the daemon's shape.
-    fn epoch_capture() -> Vec<Record> {
-        vec![
-            span_end("lp.solve", 3, Some(2), 60, 50),
-            span_end("te.phase1", 2, Some(1), 65, 60),
-            span_end("te.phase2", 4, Some(1), 95, 25),
-            span_end("epoch", 1, None, 100, 100),
-        ]
-    }
 
     fn scratch_dir(tag: &str) -> PathBuf {
         let dir =
@@ -221,7 +180,7 @@ mod tests {
     #[test]
     fn dump_writes_all_artifacts() {
         let base = scratch_dir("all");
-        let records = epoch_capture();
+        let records = epoch_records();
         let ctx = IncidentContext {
             reason: "deadline-miss",
             epoch: 7,
@@ -231,16 +190,15 @@ mod tests {
         };
         let dump = dump(&base, &ctx).expect("incident dump succeeds");
         assert!(dump.dir.starts_with(&base));
-        for file in [
-            "incident.json",
-            "trace.jsonl",
-            "critical_path.txt",
-            "stage_report.json",
-            "metrics.json",
-        ] {
-            let path = dump.dir.join(file);
-            assert!(path.is_file(), "missing {file}");
-            assert!(fs::metadata(&path).map(|m| m.len()).unwrap_or(0) > 0, "{file} is empty");
+        let mut files: Vec<String> = fs::read_dir(&dump.dir)
+            .expect("list incident dir")
+            .map(|e| e.expect("dir entry").file_name().to_string_lossy().into_owned())
+            .collect();
+        files.sort();
+        assert_eq!(files, ["incident.json", "metrics.json", "trace.jsonl"]);
+        for file in &files {
+            let len = fs::metadata(dump.dir.join(file)).map(|m| m.len()).unwrap_or(0);
+            assert!(len > 0, "{file} is empty");
         }
 
         // The critical path walks epoch -> te.phase1 -> lp.solve.
@@ -255,27 +213,36 @@ mod tests {
         assert_eq!(doc.get("reason").and_then(Json::as_str), Some("deadline-miss"));
         assert_eq!(doc.get("epoch").and_then(Json::as_u64), Some(7));
         assert_eq!(doc.get("trigger").and_then(Json::as_str), Some("chaos-burst"));
+        assert_eq!(doc.get("captured_records").and_then(Json::as_u64), Some(4));
         assert_eq!(doc.get("finished_spans").and_then(Json::as_u64), Some(4));
 
-        // The dumped trace re-analyzes to the same critical path.
+        // Its critical path, names and durations, is the one the analyzer
+        // computes from the dumped trace.jsonl.
+        let written: Vec<(&str, u64)> = doc
+            .get("critical_path")
+            .and_then(Json::as_arr)
+            .expect("critical_path array")
+            .iter()
+            .map(|hop| {
+                let name = hop.get("name").and_then(Json::as_str).expect("hop name");
+                (name, hop.get("duration_nanos").and_then(Json::as_u64).expect("hop duration"))
+            })
+            .collect();
         let jsonl = fs::read_to_string(dump.dir.join("trace.jsonl")).expect("read trace");
         let tree = SpanTree::from_jsonl(&jsonl).expect("dumped trace parses");
-        let root = tree
-            .roots
-            .iter()
-            .copied()
-            .find(|&r| tree.nodes[r].name == "epoch")
-            .expect("epoch root");
-        let reparsed: Vec<String> =
-            tree.critical_path(root).iter().map(|h| h.name.clone()).collect();
-        assert_eq!(reparsed, ["epoch", "te.phase1", "lp.solve"]);
+        let root = tree.roots.iter().copied().find(|&r| tree.nodes[r].name == "epoch");
+        let reparsed = tree.critical_path(root.expect("epoch root"));
+        let reparsed: Vec<(&str, u64)> =
+            reparsed.iter().map(|h| (h.name.as_str(), h.duration_nanos)).collect();
+        assert_eq!(written, reparsed);
+        assert_eq!(written, [("epoch", 100), ("te.phase1", 60), ("lp.solve", 50)]);
         let _ = fs::remove_dir_all(&base);
     }
 
     #[test]
     fn dump_names_collide_proof_and_sanitized() {
         let base = scratch_dir("collide");
-        let records = epoch_capture();
+        let records = epoch_records();
         let ctx = IncidentContext {
             reason: "Plan Error!",
             epoch: 1,

@@ -7,8 +7,9 @@
 //! every writer in this crate check their output parses), and
 //! `arrow_topology::io` decodes experiment snapshots from it — the one
 //! place a file from outside the program is decoded. [`Json::to_pretty`]
-//! is the writer, used by that snapshot module; the telemetry writers
-//! format their fixed shapes directly and share its string escaper.
+//! is the writer, used by that snapshot module and by the incident
+//! manifest; the trace and metrics writers format their fixed shapes
+//! directly and share its string escaper.
 //!
 //! This is a small recursive-descent parser covering objects, arrays,
 //! strings, numbers, booleans and null — not a general-purpose library:

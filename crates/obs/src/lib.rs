@@ -14,16 +14,19 @@
 //!   JSON or Prometheus-style text exposition.
 //! * [`trace`] — structured spans and events: [`span!`]/[`event!`] with a
 //!   thread-local span stack, monotonic timestamps, and key-value fields,
-//!   delivered to an installed [`trace::Subscriber`]. Spans are also the
+//!   recorded into an installed [`trace::RingSubscriber`]. A span is one
+//!   record, emitted when it closes with its start fields, parentage and
+//!   duration; an event is one record. Spans are also the
 //!   one clock product code reads: [`trace::SpanGuard::elapsed_seconds`]
 //!   times the region a span brackets. With no subscriber installed a
 //!   span is one relaxed atomic load plus one monotonic clock read —
 //!   fields are not even evaluated and nothing allocates — so
 //!   instrumentation is effectively free when off.
 //!
-//! Subscribers shipped: [`trace::FileSubscriber`] (JSONL, one record per
-//! line, for run reports) and [`trace::RingSubscriber`] (bounded in-memory
-//! buffer, for tests and sweeps).
+//! The ring is the one subscriber: a bounded in-memory buffer that tests
+//! and sweeps read, the daemon's flight recorder dumps, and
+//! [`trace::to_jsonl`] writes as a `trace.jsonl` file (one record per
+//! line), which [`SpanTree::from_jsonl`] reads back.
 //!
 //! On top of the two halves sits the **telemetry plane**:
 //!
@@ -31,13 +34,13 @@
 //!   (Prometheus text), `/snapshot.json`, `/healthz`, and `/readyz`
 //!   (readiness, flipped by the controller daemon) from any binary;
 //! * [`incident`] — flight-recorder incident dumps: freeze a bad epoch's
-//!   span tree, critical path, and metrics snapshot into a timestamped
-//!   directory for post-mortems;
+//!   trace, metrics snapshot, and a manifest naming its critical path into
+//!   a timestamped directory for post-mortems;
 //! * [`slo`] — the epoch-deadline SLO engine (deadline-miss counters,
 //!   rolling p50/p99, error-budget burn rate), fed by the controller once
 //!   per epoch;
-//! * [`analyze`] — span-tree reconstruction from trace records: per-stage
-//!   self-time attribution and the critical path through an epoch;
+//! * [`analyze`] — span-tree reconstruction from `trace.jsonl`: self time
+//!   per span and the critical path through an epoch;
 //! * [`json`] — the workspace's one std-only JSON value tree, parser and
 //!   writer: reads the crate's own writers back, and carries
 //!   `arrow-topology`'s experiment snapshots;
@@ -108,4 +111,4 @@ pub use export::http_get;
 pub use incident::{IncidentContext, IncidentDump};
 pub use metrics::{Counter, Gauge, Histogram, Snapshot};
 pub use slo::{EpochVerdict, SloConfig};
-pub use trace::{FieldValue, FileSubscriber, Level, Record, RingSubscriber, SpanGuard};
+pub use trace::{FieldValue, Level, Record, RingSubscriber, SpanGuard};

@@ -1,15 +1,17 @@
-//! Structured tracing: spans and events delivered to an installed
-//! [`Subscriber`].
+//! Structured tracing: spans and events recorded into an installed
+//! [`RingSubscriber`].
 //!
 //! A span brackets a stage of work ([`crate::span!`] returns a
-//! [`SpanGuard`]; dropping it closes the span and records its duration);
-//! an event ([`crate::event!`]) is a point-in-time record. Both carry
+//! [`SpanGuard`]; dropping it closes the span and emits its one record,
+//! with its start fields and its duration); an event ([`crate::event!`])
+//! is a point-in-time record. Both carry
 //! key-value [`FieldValue`] fields, a monotonic timestamp relative to the
 //! process's first read of the trace clock, and the id of the enclosing
 //! span on the *same thread* (a thread-local span stack provides parentage;
 //! cross-thread parentage is deliberately omitted — a span opened on a
 //! worker thread is a root on that thread, and every record carries a
-//! small per-thread id instead).
+//! small per-thread id instead). A trace file is a ring's records written
+//! by [`to_jsonl`], one JSON object per line.
 //!
 //! Spans are also the product's one clock: a guard stamps its start live
 //! or not, and [`SpanGuard::elapsed_seconds`] reads a region's time off
@@ -21,9 +23,6 @@
 
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
-use std::fs::File;
-use std::io::{BufWriter, Write as _};
-use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
 use std::time::Instant;
@@ -150,48 +149,25 @@ impl Level {
     }
 }
 
-/// What a [`Record`] describes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum RecordKind {
-    /// A span was opened.
-    SpanStart,
-    /// A span was closed; `duration_nanos` is set.
-    SpanEnd,
-    /// A point-in-time event.
-    Event,
-}
-
-impl RecordKind {
-    /// Snake-case label used in serialized output.
-    pub(crate) fn label(self) -> &'static str {
-        match self {
-            RecordKind::SpanStart => "span_start",
-            RecordKind::SpanEnd => "span_end",
-            RecordKind::Event => "event",
-        }
-    }
-}
-
-/// One trace record, as delivered to a [`Subscriber`].
+/// One trace record: a closed span (`duration_nanos` is set) or an event.
 #[derive(Debug, Clone)]
 pub struct Record {
-    /// Record kind.
-    pub(crate) kind: RecordKind,
     /// Span or event name (a static string from the call site).
     pub name: &'static str,
     /// Span id (process-unique, starting at 1); 0 for events.
     pub span_id: u64,
     /// Id of the enclosing span on the same thread, if any.
     pub parent_id: Option<u64>,
-    /// Monotonic nanoseconds since the process trace epoch.
+    /// Monotonic nanoseconds since the process trace epoch: when the span
+    /// closed, or when the event fired.
     pub(crate) t_nanos: u64,
-    /// For a span's end record: the span's wall-clock duration.
+    /// For a span: its wall-clock duration. `None` for an event.
     pub duration_nanos: Option<u64>,
     /// Severity.
     pub level: Level,
     /// Small per-thread id (assigned in first-trace order, starting at 1).
     pub thread: u64,
-    /// Key-value payload.
+    /// Key-value payload (for a span, the fields it was opened with).
     pub fields: Vec<(&'static str, FieldValue)>,
 }
 
@@ -202,10 +178,10 @@ impl Record {
     }
 
     /// Serializes the record as one JSON line (no trailing newline).
-    pub(crate) fn to_json_line(&self) -> String {
+    fn to_json_line(&self) -> String {
+        let kind = if self.duration_nanos.is_some() { "span_end" } else { "event" };
         let mut s = format!(
-            "{{\"kind\":\"{}\",\"name\":\"{}\",\"span\":{},\"parent\":{},\"t_nanos\":{},\"duration_nanos\":{},\"level\":\"{}\",\"thread\":{},\"fields\":{{",
-            self.kind.label(),
+            "{{\"kind\":\"{kind}\",\"name\":\"{}\",\"span\":{},\"parent\":{},\"t_nanos\":{},\"duration_nanos\":{},\"level\":\"{}\",\"thread\":{},\"fields\":{{",
             json_escape(self.name),
             self.span_id,
             self.parent_id.map_or("null".to_string(), |p| p.to_string()),
@@ -225,20 +201,18 @@ impl Record {
     }
 }
 
-/// Receives every trace record while installed. Implementations must be
-/// cheap or buffered: `record` is called inline on the traced thread.
-pub trait Subscriber: Send + Sync {
-    /// Called once per span start, span end, and event.
-    fn record(&self, record: &Record);
+/// Writes records as JSONL: one JSON object per line, each line ending in
+/// a newline. This is the `trace.jsonl` format
+/// [`crate::analyze::SpanTree::from_jsonl`] reads.
+pub fn to_jsonl(records: &[Record]) -> String {
+    records.iter().map(|r| r.to_json_line() + "\n").collect()
 }
 
 /// Fast-path switch: true iff a subscriber is installed.
 static ENABLED: AtomicBool = AtomicBool::new(false);
 
-fn subscriber_slot() -> &'static RwLock<Option<Arc<dyn Subscriber>>> {
-    static SLOT: OnceLock<RwLock<Option<Arc<dyn Subscriber>>>> = OnceLock::new();
-    SLOT.get_or_init(|| RwLock::new(None))
-}
+/// The installed ring, if any.
+static SUBSCRIBER: RwLock<Option<Arc<RingSubscriber>>> = RwLock::new(None);
 
 /// Whether tracing is live. One relaxed atomic load — the macros call this
 /// before evaluating any field expression, so instrumentation costs
@@ -248,17 +222,17 @@ pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
-/// Installs `sub` as the process-global subscriber, replacing any previous
+/// Installs `ring` as the process-global subscriber, replacing any previous
 /// one, and turns tracing on.
-pub fn install(sub: Arc<dyn Subscriber>) {
-    *subscriber_slot().write().unwrap_or_else(|p| p.into_inner()) = Some(sub);
+pub fn install(ring: Arc<RingSubscriber>) {
+    *SUBSCRIBER.write().unwrap_or_else(|p| p.into_inner()) = Some(ring);
     ENABLED.store(true, Ordering::Release);
 }
 
 /// Turns tracing off and drops the installed subscriber, if any.
 pub fn uninstall() {
     ENABLED.store(false, Ordering::Release);
-    *subscriber_slot().write().unwrap_or_else(|p| p.into_inner()) = None;
+    *SUBSCRIBER.write().unwrap_or_else(|p| p.into_inner()) = None;
 }
 
 /// Monotonic process trace epoch (set at the first clock read).
@@ -290,9 +264,9 @@ fn thread_id() -> u64 {
     })
 }
 
-fn dispatch(record: &Record) {
-    if let Some(sub) = subscriber_slot().read().unwrap_or_else(|p| p.into_inner()).as_ref() {
-        sub.record(record);
+fn dispatch(record: Record) {
+    if let Some(ring) = SUBSCRIBER.read().unwrap_or_else(|p| p.into_inner()).as_ref() {
+        ring.push(record);
     }
 }
 
@@ -303,8 +277,7 @@ pub fn dispatch_event(name: &'static str, level: Level, fields: Vec<(&'static st
         return;
     }
     let parent = SPAN_STACK.with(|s| s.borrow().last().copied());
-    dispatch(&Record {
-        kind: RecordKind::Event,
+    dispatch(Record {
         name,
         span_id: 0,
         parent_id: parent,
@@ -330,23 +303,11 @@ pub fn span_enter(name: &'static str, fields: Vec<(&'static str, FieldValue)>) -
         stack.push(span_id);
         parent
     });
-    let start = now_nanos();
-    dispatch(&Record {
-        kind: RecordKind::SpanStart,
-        name,
-        span_id,
-        parent_id: parent,
-        t_nanos: start,
-        duration_nanos: None,
-        level: Level::Info,
-        thread: thread_id(),
-        fields: fields.clone(),
-    });
-    SpanGuard { name, span_id, parent_id: parent, start_nanos: start, active: true, fields }
+    SpanGuard { name, span_id, parent_id: parent, start_nanos: now_nanos(), active: true, fields }
 }
 
-/// Closes its span on drop, emitting a span-end record with the measured
-/// duration.
+/// Closes its span on drop, emitting the span's one record with the
+/// measured duration.
 #[must_use = "dropping the guard immediately closes the span"]
 #[derive(Debug)]
 pub struct SpanGuard {
@@ -355,8 +316,8 @@ pub struct SpanGuard {
     parent_id: Option<u64>,
     start_nanos: u64,
     active: bool,
-    /// The start fields, re-emitted on the end record so a span's duration
-    /// and its labels land on one line.
+    /// The start fields, carried to the record the span emits when it
+    /// closes, so its duration and its labels land on one line.
     fields: Vec<(&'static str, FieldValue)>,
 }
 
@@ -377,9 +338,8 @@ impl SpanGuard {
         }
     }
 
-    /// Seconds since the guard was opened, on the clock its end record
-    /// uses, so a value read inside the span is at most its recorded
-    /// duration.
+    /// Seconds since the guard was opened, on the clock its record uses,
+    /// so a value read inside the span is at most its recorded duration.
     pub fn elapsed_seconds(&self) -> f64 {
         now_nanos().saturating_sub(self.start_nanos) as f64 / 1e9
     }
@@ -403,8 +363,7 @@ impl Drop for SpanGuard {
             }
         });
         let end = now_nanos();
-        dispatch(&Record {
-            kind: RecordKind::SpanEnd,
+        dispatch(Record {
             name: self.name,
             span_id: self.span_id,
             parent_id: self.parent_id,
@@ -459,36 +418,9 @@ macro_rules! event {
     };
 }
 
-/// Writes every record as one JSON line to a buffered file (JSONL).
-pub struct FileSubscriber {
-    writer: Mutex<BufWriter<File>>,
-}
-
-impl FileSubscriber {
-    /// Creates (truncating) the file at `path`.
-    pub fn create(path: impl AsRef<Path>) -> std::io::Result<Self> {
-        let file = File::create(path)?;
-        Ok(FileSubscriber { writer: Mutex::new(BufWriter::new(file)) })
-    }
-
-    /// Flushes buffered records to disk.
-    pub fn flush(&self) -> std::io::Result<()> {
-        self.writer.lock().unwrap_or_else(|p| p.into_inner()).flush()
-    }
-}
-
-impl Subscriber for FileSubscriber {
-    fn record(&self, record: &Record) {
-        let mut line = record.to_json_line();
-        line.push('\n');
-        // Inline on the traced thread; swallow I/O errors rather than
-        // panic mid-pipeline (the final flush() surfaces them).
-        let _ = self.writer.lock().unwrap_or_else(|p| p.into_inner()).write_all(line.as_bytes());
-    }
-}
-
-/// Keeps the most recent `capacity` records in memory, for tests and
-/// sweeps that read durations back out.
+/// The one subscriber: keeps the most recent `capacity` records in
+/// memory. Tests and sweeps read durations back out of it, the daemon's
+/// flight recorder dumps it, and [`to_jsonl`] writes it to a trace file.
 pub struct RingSubscriber {
     buf: Mutex<VecDeque<Record>>,
     capacity: usize,
@@ -510,21 +442,21 @@ impl RingSubscriber {
         self.buf.lock().unwrap_or_else(|p| p.into_inner()).clear();
     }
 
-    /// Buffered span-end records named `name`, oldest first — i.e. the
+    /// Buffered span records named `name`, oldest first — i.e. the
     /// completed spans with their durations.
     pub fn finished_spans(&self, name: &str) -> Vec<Record> {
         self.buf
             .lock()
             .unwrap_or_else(|p| p.into_inner())
             .iter()
-            .filter(|r| r.kind == RecordKind::SpanEnd && r.name == name)
+            .filter(|r| r.duration_nanos.is_some() && r.name == name)
             .cloned()
             .collect()
     }
-}
 
-impl Subscriber for RingSubscriber {
-    fn record(&self, record: &Record) {
+    /// Appends `record`, evicting the oldest when full. Called inline on
+    /// the traced thread.
+    fn push(&self, record: Record) {
         // A zero-capacity ring keeps nothing (and must not grow without
         // bound, which an equality check here once allowed).
         if self.capacity == 0 {
@@ -534,7 +466,7 @@ impl Subscriber for RingSubscriber {
         while buf.len() >= self.capacity {
             buf.pop_front();
         }
-        buf.push_back(record.clone());
+        buf.push_back(record);
     }
 }
 
@@ -627,35 +559,60 @@ mod tests {
         }
         uninstall();
 
+        let outer = ring.finished_spans("test.outer");
+        assert_eq!(outer.len(), 1);
+        assert_eq!(outer[0].parent_id, None);
+        assert_eq!(outer[0].field("epoch").and_then(FieldValue::as_u64), Some(7));
+
+        let inner = ring.finished_spans("test.inner");
+        assert_eq!(inner.len(), 1);
+        assert_eq!(inner[0].parent_id, Some(outer[0].span_id));
+
         let records = ring.records();
-        let outer_start = records
-            .iter()
-            .find(|r| r.kind == RecordKind::SpanStart && r.name == "test.outer")
-            .expect("outer span start");
-        assert_eq!(outer_start.parent_id, None);
-        assert_eq!(outer_start.field("epoch").and_then(FieldValue::as_u64), Some(7));
-
-        let inner_start = records
-            .iter()
-            .find(|r| r.kind == RecordKind::SpanStart && r.name == "test.inner")
-            .expect("inner span start");
-        assert_eq!(inner_start.parent_id, Some(outer_start.span_id));
-
-        let note = records
-            .iter()
-            .find(|r| r.kind == RecordKind::Event && r.name == "test.note")
-            .expect("event");
-        assert_eq!(note.parent_id, Some(inner_start.span_id));
+        let note = records.iter().find(|r| r.name == "test.note").expect("event");
+        assert_eq!(note.duration_nanos, None);
+        assert_eq!(note.parent_id, Some(inner[0].span_id));
         assert_eq!(note.field("msg").and_then(FieldValue::as_str), Some("hello"));
 
-        // Inner closes before outer; durations nest. The end record
-        // re-carries the start fields alongside the duration.
-        let ends = ring.finished_spans("test.outer");
-        assert_eq!(ends.len(), 1);
-        assert_eq!(ends[0].field("epoch").and_then(FieldValue::as_u64), Some(7));
-        let outer_dur = ends[0].duration_nanos.expect("duration");
-        let inner_dur = ring.finished_spans("test.inner")[0].duration_nanos.expect("duration");
+        // Inner closes before outer; durations nest.
+        let outer_dur = outer[0].duration_nanos.expect("duration");
+        let inner_dur = inner[0].duration_nanos.expect("duration");
         assert!(outer_dur >= inner_dur);
+    }
+
+    #[test]
+    fn a_span_is_one_record() {
+        let _guard = subscriber_lock();
+        let ring = Arc::new(RingSubscriber::new(64));
+        install(ring.clone());
+        {
+            let _outer = crate::span!("test.one.outer", "epoch" => 3_u64);
+            crate::event!("test.one.event", "k" => 1_u64);
+            {
+                let _first = crate::span!("test.one.inner", "i" => 0_u64);
+            }
+            {
+                let _second = crate::span!("test.one.inner", "i" => 1_u64);
+            }
+        }
+        uninstall();
+
+        // Three spans and one event: four records, in close order.
+        let records = ring.records();
+        let names: Vec<&str> = records.iter().map(|r| r.name).collect();
+        assert_eq!(names, ["test.one.event", "test.one.inner", "test.one.inner", "test.one.outer"]);
+        let [event, first, second, outer] = &records[..] else { panic!("{names:?}") };
+        assert_eq!(event.duration_nanos, None);
+        assert_eq!(event.parent_id, Some(outer.span_id));
+        assert_eq!(outer.parent_id, None);
+        assert_eq!(outer.field("epoch").and_then(FieldValue::as_u64), Some(3));
+        for (i, inner) in [first, second].into_iter().enumerate() {
+            assert_eq!(inner.parent_id, Some(outer.span_id));
+            assert_eq!(inner.field("i").and_then(FieldValue::as_u64), Some(i as u64));
+            let duration = inner.duration_nanos.expect("a span record carries its duration");
+            assert!(Some(duration) <= outer.duration_nanos);
+        }
+        assert_ne!(first.span_id, second.span_id);
     }
 
     #[test]
@@ -690,10 +647,8 @@ mod tests {
         let _guard = subscriber_lock();
         let ring = Arc::new(RingSubscriber::new(64));
         install(ring.clone());
-        let main_thread;
         {
             let _offline = crate::span!("test.offline");
-            main_thread = ring.records().last().expect("span start").thread;
             std::thread::scope(|scope| {
                 scope.spawn(|| {
                     let _worker = crate::span!("test.worker");
@@ -701,21 +656,17 @@ mod tests {
             });
         }
         uninstall();
-        let worker_start = ring
-            .records()
-            .into_iter()
-            .find(|r| r.kind == RecordKind::SpanStart && r.name == "test.worker")
-            .expect("worker span");
+        let offline = &ring.finished_spans("test.offline")[0];
+        let worker = &ring.finished_spans("test.worker")[0];
         // No cross-thread parentage: the worker span is a root on its
         // own thread, distinguished by thread id.
-        assert_eq!(worker_start.parent_id, None);
-        assert_ne!(worker_start.thread, main_thread);
+        assert_eq!(worker.parent_id, None);
+        assert_ne!(worker.thread, offline.thread);
     }
 
     #[test]
     fn json_line_is_well_formed() {
-        let record = Record {
-            kind: RecordKind::SpanEnd,
+        let span = Record {
             name: "test.json",
             span_id: 42,
             parent_id: Some(7),
@@ -725,32 +676,47 @@ mod tests {
             thread: 1,
             fields: vec![("mode", FieldValue::from("warm")), ("n", FieldValue::from(3_u64))],
         };
+        let event = Record { span_id: 0, duration_nanos: None, fields: Vec::new(), ..span.clone() };
         assert_eq!(
-            record.to_json_line(),
+            to_jsonl(&[span, event]),
             "{\"kind\":\"span_end\",\"name\":\"test.json\",\"span\":42,\"parent\":7,\
              \"t_nanos\":1000,\"duration_nanos\":500,\"level\":\"info\",\"thread\":1,\
-             \"fields\":{\"mode\":\"warm\",\"n\":3}}"
+             \"fields\":{\"mode\":\"warm\",\"n\":3}}\n\
+             {\"kind\":\"event\",\"name\":\"test.json\",\"span\":0,\"parent\":7,\
+             \"t_nanos\":1000,\"duration_nanos\":null,\"level\":\"info\",\"thread\":1,\
+             \"fields\":{}}\n"
         );
     }
 
     #[test]
-    fn file_subscriber_writes_jsonl() {
+    fn jsonl_writer_round_trips_through_the_span_tree() {
         let _guard = subscriber_lock();
-        let path = std::env::temp_dir().join("arrow_obs_trace_test.jsonl");
-        let file = Arc::new(FileSubscriber::create(&path).expect("create trace file"));
-        install(file.clone());
+        let ring = Arc::new(RingSubscriber::new(64));
+        install(ring.clone());
         {
-            let _s = crate::span!("test.file_span", "k" => 1_u64);
+            let _outer = crate::span!("test.file_outer", "k" => 1_u64);
+            let _inner = crate::span!("test.file_inner");
+            crate::event!("test.file_event");
         }
         uninstall();
-        file.flush().expect("flush");
-        let text = std::fs::read_to_string(&path).expect("read back");
-        let _ = std::fs::remove_file(&path);
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 2, "span start + span end");
-        assert!(lines[0].contains("\"kind\":\"span_start\""));
-        assert!(lines[1].contains("\"kind\":\"span_end\""));
-        assert!(lines[1].contains("\"name\":\"test.file_span\""));
+        let records = ring.records();
+        let text = to_jsonl(&records);
+        assert_eq!(text.lines().count(), 3, "two spans and an event, one line each");
+        assert!(!text.contains("span_start"));
+
+        let tree = crate::SpanTree::from_jsonl(&text).expect("the writer's output parses");
+        let spans: Vec<&Record> = records.iter().filter(|r| r.duration_nanos.is_some()).collect();
+        assert_eq!(tree.nodes.len(), spans.len());
+        for (node, record) in tree.nodes.iter().zip(spans) {
+            assert_eq!(node.name, record.name);
+            assert_eq!(node.span_id, record.span_id);
+            assert_eq!(node.parent_id, record.parent_id);
+            assert_eq!(node.thread, record.thread);
+            assert_eq!(Some(node.duration_nanos), record.duration_nanos);
+        }
+        let outer = tree.roots[0];
+        assert_eq!(tree.nodes[outer].name, "test.file_outer");
+        assert_eq!(tree.nodes[tree.nodes[outer].children[0]].name, "test.file_inner");
     }
 
     #[test]
@@ -804,7 +770,7 @@ mod tests {
         assert!(!stale.active);
         let ring = Arc::new(RingSubscriber::new(8));
         install(ring.clone());
-        drop(stale); // must not emit a bogus span_end
+        drop(stale); // must not emit a bogus span record
         uninstall();
         assert!(ring.records().is_empty());
     }

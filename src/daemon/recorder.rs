@@ -1,15 +1,15 @@
 //! The flight recorder: a per-epoch ring capture with incident dumps.
 //!
-//! The daemon cannot afford a `FileSubscriber` writing every span of a
-//! soak to disk — hundreds of epochs of healthy traces are noise. Instead
-//! it keeps one bounded [`RingSubscriber`] installed for the whole run and
-//! clears it at the top of every epoch, so the ring always holds exactly
-//! the *current* epoch's spans and events. When an epoch misses its SLO
+//! The daemon does not write every span of a soak to disk — hundreds of
+//! epochs of healthy traces are noise. Instead it keeps one bounded
+//! [`RingSubscriber`] installed for the whole run and clears it at the top
+//! of every epoch, so the ring always holds exactly the *current* epoch's
+//! spans (one record each) and events. When an epoch misses its SLO
 //! deadline or errors out, [`FlightRecorder::capture`] freezes the ring
 //! into a timestamped incident directory via [`arrow_obs::incident`]:
-//! span tree, critical path, per-stage attribution, metrics snapshot, and
-//! the triggering feed event. Healthy epochs cost two atomic ring resets
-//! and nothing else.
+//! `trace.jsonl`, `metrics.json`, and `incident.json`, which names the
+//! triggering feed event and the epoch's critical path. Healthy epochs
+//! cost one ring reset and nothing else.
 
 use std::io;
 use std::path::PathBuf;

@@ -6,7 +6,7 @@
 //! so they serialize on one mutex.
 
 use arrow_wan::obs::{export, metrics, slo, trace};
-use arrow_wan::obs::{FieldValue, FileSubscriber, RingSubscriber, SloConfig, SpanTree};
+use arrow_wan::obs::{FieldValue, RingSubscriber, SloConfig, SpanTree};
 use arrow_wan::prelude::*;
 use std::sync::{Arc, Mutex};
 
@@ -104,11 +104,10 @@ fn warm_epochs_plan_what_cold_epochs_plan_with_less_phase1_work() {
 #[test]
 fn observed_diurnal_replay_is_scraped_traced_and_attributed() {
     let _guard = TRACE_LOCK.lock().expect("trace lock");
-    let dir = std::env::temp_dir().join(format!("arrow-online-test-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("create scratch dir");
-    let trace_path = dir.join("trace.jsonl");
-    let file = Arc::new(FileSubscriber::create(&trace_path).expect("create trace.jsonl"));
-    trace::install(file.clone());
+    // Sized to hold the whole run (≈ 70 records): a ring that evicted
+    // would lose the offline span, and the exact counts below would fail.
+    let ring = Arc::new(RingSubscriber::new(4096));
+    trace::install(ring.clone());
     // The five-minute TE epoch (§5) is the default budget; configuring
     // also resets the rolling window.
     slo::configure(SloConfig::default());
@@ -122,7 +121,10 @@ fn observed_diurnal_replay_is_scraped_traced_and_attributed() {
         reported.push(report.seconds);
     }
     trace::uninstall();
-    file.flush().expect("flush trace.jsonl");
+    let dir = std::env::temp_dir().join(format!("arrow-online-test-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    let trace_path = dir.join("trace.jsonl");
+    std::fs::write(&trace_path, trace::to_jsonl(&ring.records())).expect("write trace.jsonl");
 
     // Scrape over a real socket, the curl-equivalent GET: the exposition
     // carries the epoch histogram and the SLO series the epochs just fed.
@@ -162,9 +164,10 @@ fn observed_diurnal_replay_is_scraped_traced_and_attributed() {
     assert_eq!(slo_met as usize, DIURNAL.len(), "every diurnal epoch beats the five-minute budget");
 
     // The written file, read back the way an offline investigation reads
-    // it: one offline stage, one epoch per interval.
+    // it: a span is one line, one offline stage, one epoch per interval.
     let text = std::fs::read_to_string(&trace_path).expect("read trace.jsonl back");
     std::fs::remove_dir_all(&dir).ok();
+    assert!(!text.contains("\"kind\":\"span_start\""), "a span is one record");
     for (name, spans) in [("offline", 1), ("epoch", DIURNAL.len())] {
         let needle = format!("\"kind\":\"span_end\",\"name\":\"{name}\",");
         let ends = text.lines().filter(|line| line.contains(&needle)).count();

@@ -6,6 +6,7 @@
 //! CLI's answers to the same bad values are process tests in `tests/cli.rs`.
 
 use arrow_wan::daemon::{serve, ChaosConfig, ServeConfig, ServeError};
+use arrow_wan::obs::json::{self, Json};
 use arrow_wan::prelude::b4;
 use std::path::PathBuf;
 use std::sync::Mutex;
@@ -199,12 +200,20 @@ fn soak(epochs: u64, bursts: u64) {
     // the LP solve. Checked before the aggregate flag below, so a failure
     // names the dump and prints its path.
     for inc in &report.incidents {
-        for artifact in ["trace.jsonl", "critical_path.txt", "metrics.json", "incident.json"] {
+        for artifact in ["trace.jsonl", "metrics.json", "incident.json"] {
             assert!(inc.dir.join(artifact).exists(), "{} lacks {artifact}", inc.dir.display());
         }
-        let path = std::fs::read_to_string(inc.dir.join("critical_path.txt"))
-            .expect("read critical_path.txt");
-        assert!(path.contains("lp.solve"), "{}: critical path {path:?}", inc.dir.display());
+        let manifest =
+            std::fs::read_to_string(inc.dir.join("incident.json")).expect("read incident.json");
+        let manifest = json::parse(&manifest).expect("incident.json parses");
+        let path: Vec<&str> = manifest
+            .get("critical_path")
+            .and_then(Json::as_arr)
+            .unwrap_or_default()
+            .iter()
+            .filter_map(|hop| hop.get("name").and_then(Json::as_str))
+            .collect();
+        assert!(path.contains(&"lp.solve"), "{}: critical path {path:?}", inc.dir.display());
     }
     assert!(
         report.incidents_reach_lp_solve,
