@@ -21,7 +21,6 @@
 //! candidate always exists (this is also exactly ARROW-Naive's plan).
 
 use arrow_obs::hash::splitmix64;
-use arrow_obs::{Counter, Histogram};
 use arrow_optical::rwa::{greedy_assign, solve_relaxed, RwaConfig, RwaCut, RwaSolution};
 use arrow_optical::LightpathId;
 use arrow_te::restoration::{RestorationTicket, TicketSet};
@@ -217,6 +216,10 @@ pub fn derive_seed(seed: u64, scenario_index: u64) -> u64 {
 
 /// Per-scenario offline-stage measurements (one entry of
 /// [`OfflineStats`]).
+///
+/// These fields are the stage's one record of what each scenario did:
+/// no metric copies them, and its seconds are its `offline.scenario`
+/// span's. Callers read them off the returned [`OfflineStats`].
 #[derive(Debug, Clone, Default)]
 pub struct ScenarioStats {
     /// Index of the scenario in the input slice.
@@ -360,32 +363,8 @@ fn scenario_tickets(
     }
     stats.kept = tickets.len();
     stats.seconds = span.elapsed_seconds();
-    SCENARIOS.inc();
-    ROUNDS.add(stats.rounds as u64);
-    KEPT.add(stats.kept as u64);
-    INFEASIBLE.add(stats.infeasible as u64);
-    DUPLICATES.add(stats.duplicates as u64);
-    NAIVE_FALLBACKS.add(u64::from(stats.naive_fallback));
-    SCENARIO_SECONDS.observe(stats.seconds);
     (tickets, accepted, stats)
 }
-
-// Process-global offline-stage metrics, flushed once per scenario.
-static SCENARIOS: Counter =
-    Counter::new("offline.scenarios", "failure scenarios run through Algorithm 1");
-static ROUNDS: Counter = Counter::new("offline.rounds", "LotteryTicket rounding draws attempted");
-static KEPT: Counter = Counter::new("offline.tickets.kept", "LotteryTickets kept");
-static INFEASIBLE: Counter =
-    Counter::new("offline.tickets.infeasible", "draws the feasibility filter dropped");
-static DUPLICATES: Counter =
-    Counter::new("offline.tickets.duplicates", "feasible draws dropped as duplicates");
-static NAIVE_FALLBACKS: Counter =
-    Counter::new("offline.naive_fallbacks", "scenarios that kept only the naive ticket");
-static SCENARIO_SECONDS: Histogram = Histogram::new(
-    "offline.scenario.seconds",
-    "offline seconds per scenario (RWA, rounding, filter)",
-    &[1e-3, 3e-3, 1e-2, 3e-2, 0.1, 0.3, 1.0, 3.0, 10.0, 30.0],
-);
 
 /// Algorithm 1 over `(global index, scenario)` pairs on `threads` workers
 /// — the one body behind every generator except the serial oracle.

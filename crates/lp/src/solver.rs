@@ -312,19 +312,35 @@ mod tests {
     #[test]
     fn solve_flushes_obs_counters() {
         let before = arrow_obs::metrics::snapshot();
-        let s = solve(&tiny_model(), &SolverConfig::exact());
+        let cold = solve(&tiny_model(), &SolverConfig::exact());
+        let pdhg = solve(&tiny_model(), &SolverConfig::first_order(1e-8));
+        let hit = solve_with(&tiny_model(), &SolverConfig::exact(), cold.warm_start().as_ref());
+        let bogus = WarmStart::from_basis(crate::warm::Basis {
+            cols: vec![crate::warm::ColStatus::Basic; 7],
+        });
+        let miss = solve_with(&tiny_model(), &SolverConfig::exact(), Some(&bogus));
         let after = arrow_obs::metrics::snapshot();
+        assert_eq!([hit.stats.warm, miss.stats.warm], [WarmEvent::Hit, WarmEvent::Miss]);
         // An optimal simplex solve refactorizes at least once (the final
         // cleanup that refreshes the basic values).
-        assert!(s.stats.refactors >= 1);
-        assert!(after.counter("lp.solves") > before.counter("lp.solves"));
-        assert!(after.counter("lp.warm.cold") > before.counter("lp.warm.cold"));
-        assert!(
-            after.counter("lp.simplex.refactors")
-                >= before.counter("lp.simplex.refactors") + s.stats.refactors as u64
-        );
+        assert!(cold.stats.refactors >= 1 && pdhg.stats.iterations >= 1);
+        // Other tests solve concurrently: each counter moves by at least
+        // what these four solves flushed.
+        let moved = |name: &str, by: usize| {
+            let (then, now) = (before.counter(name), after.counter(name));
+            assert!(now >= then + by as u64, "{name}: {then} -> {now}, expected +{by}");
+        };
+        moved("lp.solves", 4);
+        moved("lp.warm.cold", 2);
+        moved("lp.warm.hit", 1);
+        moved("lp.warm.miss", 1);
+        let simplex = [&cold, &hit, &miss];
+        moved("lp.simplex.iterations", simplex.iter().map(|s| s.stats.iterations).sum());
+        moved("lp.simplex.refactors", simplex.iter().map(|s| s.stats.refactors).sum());
+        moved("lp.pdhg.iterations", pdhg.stats.iterations);
+        moved("lp.pdhg.restarts", pdhg.stats.restarts);
         let hist = after.histogram("lp.solve.seconds").expect("registered");
-        assert!(hist.count > before.histogram("lp.solve.seconds").map_or(0, |h| h.count));
+        assert!(hist.count >= before.histogram("lp.solve.seconds").map_or(0, |h| h.count) + 4);
     }
 }
 #[cfg(test)]

@@ -322,4 +322,19 @@ mod tests {
         let _ = http_get(handle.local_addr(), "/metrics").expect("GET");
         assert!(metrics::snapshot().counter("obs.export.requests") >= before + 2);
     }
+
+    #[test]
+    fn a_connection_that_sends_nothing_counts_as_an_error() {
+        let before = metrics::snapshot();
+        let handle = spawn("127.0.0.1:0").expect("bind");
+        let silent = TcpStream::connect(handle.local_addr()).expect("connect");
+        std::thread::sleep(2 * IO_TIMEOUT);
+        // Connections are served in order: this one is answered only after
+        // the silent one timed out and was counted.
+        let ok = http_get(handle.local_addr(), "/healthz").expect("GET");
+        assert!(ok.starts_with("HTTP/1.1 200 OK"), "{ok}");
+        let after = metrics::snapshot();
+        assert!(after.counter("obs.export.errors") > before.counter("obs.export.errors"));
+        drop(silent);
+    }
 }

@@ -133,17 +133,14 @@ pub fn dump(base_dir: &Path, ctx: &IncidentContext<'_>) -> io::Result<IncidentDu
 
     fs::write(dir.join("metrics.json"), metrics::snapshot().to_json())?;
 
-    fn obj(members: Vec<(&str, Json)>) -> Json {
-        Json::Obj(members.into_iter().map(|(key, value)| (key.to_string(), value)).collect())
-    }
     let text = |s: &str| Json::Str(s.to_string());
     let hops = critical_path.iter().map(|hop| {
-        obj(vec![
+        Json::obj([
             ("name", text(&hop.name)),
             ("duration_nanos", Json::Num(hop.duration_nanos as f64)),
         ])
     });
-    let manifest = obj(vec![
+    let manifest = Json::obj([
         ("reason", text(ctx.reason)),
         ("epoch", Json::Num(ctx.epoch as f64)),
         ("trigger", text(ctx.trigger)),
@@ -188,7 +185,11 @@ mod tests {
             detail: "epoch took 3.1s against a 2.0s budget",
             records: &records,
         };
+        let before = metrics::snapshot();
         let dump = dump(&base, &ctx).expect("incident dump succeeds");
+        // Other tests dump concurrently: the count moves by at least ours.
+        let after = metrics::snapshot();
+        assert!(after.counter("obs.incident.dumps") > before.counter("obs.incident.dumps"));
         assert!(dump.dir.starts_with(&base));
         let mut files: Vec<String> = fs::read_dir(&dump.dir)
             .expect("list incident dir")

@@ -7,9 +7,10 @@
 //! every writer in this crate check their output parses), and
 //! `arrow_topology::io` decodes experiment snapshots from it — the one
 //! place a file from outside the program is decoded. [`Json::to_pretty`]
-//! is the writer, used by that snapshot module and by the incident
-//! manifest; the trace and metrics writers format their fixed shapes
-//! directly and share its string escaper.
+//! is the document writer, used by that snapshot module, the metrics
+//! snapshot (`metrics.json`, `/snapshot.json`) and the incident manifest.
+//! The one line-per-record writer, `trace::to_jsonl`, formats its fixed
+//! shape directly with this module's string and number formatters.
 //!
 //! This is a small recursive-descent parser covering objects, arrays,
 //! strings, numbers, booleans and null — not a general-purpose library:
@@ -19,8 +20,6 @@
 //! Parsing never panics; malformed input returns a [`JsonError`] carrying
 //! the byte offset of the problem, and nesting deeper than a fixed cap is
 //! malformed.
-
-use crate::metrics::{json_escape, json_f64};
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -41,6 +40,11 @@ pub enum Json {
 }
 
 impl Json {
+    /// An object of `members`, in the order given.
+    pub fn obj<'a>(members: impl IntoIterator<Item = (&'a str, Json)>) -> Json {
+        Json::Obj(members.into_iter().map(|(key, value)| (key.to_string(), value)).collect())
+    }
+
     /// Object member by key (first match), if this is an object.
     pub fn get(&self, key: &str) -> Option<&Json> {
         match self {
@@ -133,6 +137,32 @@ impl Json {
                 out.push('}');
             }
         }
+    }
+}
+
+/// Escapes `s` for inclusion in a JSON string literal.
+pub(crate) fn json_escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out
+}
+
+/// Formats a float as a JSON value (`null` for non-finite).
+pub(crate) fn json_f64(v: f64) -> String {
+    if v.is_finite() {
+        format!("{v}")
+    } else {
+        "null".to_string()
     }
 }
 
@@ -372,6 +402,13 @@ mod tests {
         let d = [Json::Bool(true), Json::Bool(false), Json::Null];
         assert_eq!(doc.get("d"), Some(&Json::Arr(d.to_vec())));
         assert_eq!(doc.get("e").and_then(Json::as_obj).map(<[_]>::len), Some(0));
+    }
+
+    #[test]
+    fn escaping_handles_specials() {
+        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+        assert_eq!(json_f64(f64::NAN), "null");
+        assert_eq!(json_f64(2.5), "2.5");
     }
 
     #[test]

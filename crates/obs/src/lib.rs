@@ -109,6 +109,6 @@ pub mod trace;
 pub use analyze::SpanTree;
 pub use export::http_get;
 pub use incident::{IncidentContext, IncidentDump};
-pub use metrics::{Counter, Gauge, Histogram, Snapshot};
+pub use metrics::{Counter, Histogram, Snapshot};
 pub use slo::{EpochVerdict, SloConfig};
 pub use trace::{FieldValue, Level, Record, RingSubscriber, SpanGuard};

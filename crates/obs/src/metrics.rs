@@ -34,31 +34,7 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, Once};
 
-/// Escapes `s` for inclusion in a JSON string literal.
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Formats a float as a JSON value (`null` for non-finite).
-pub(crate) fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
+use crate::json::Json;
 
 /// Adds `d` to an `f64` stored as bits in an [`AtomicU64`].
 fn f64_add(bits: &AtomicU64, d: f64) {
@@ -147,19 +123,19 @@ impl Counter {
 
 /// A settable `f64` gauge (last write wins), declared as a `static` where
 /// it is emitted.
-pub struct Gauge {
+pub(crate) struct Gauge {
     decl: Decl,
     bits: AtomicU64,
 }
 
 impl Gauge {
     /// Declares a gauge exported as `name`, with `help` as its `# HELP`.
-    pub const fn new(name: &'static str, help: &'static str) -> Self {
+    pub(crate) const fn new(name: &'static str, help: &'static str) -> Self {
         Gauge { decl: Decl::new(name, help), bits: AtomicU64::new(0) }
     }
 
     /// Sets the gauge to `v`.
-    pub fn set(&'static self, v: f64) {
+    pub(crate) fn set(&'static self, v: f64) {
         self.decl.enlist(|| Metric::Gauge(self));
         self.bits.store(v.to_bits(), Ordering::Relaxed);
     }
@@ -342,29 +318,33 @@ impl Snapshot {
         self.histograms.iter().find(|(h, _)| h.decl.name == name).map(|(_, h)| h)
     }
 
-    /// Serializes the snapshot as pretty-printed JSON.
+    /// Serializes the snapshot as pretty-printed JSON: `counters`,
+    /// `gauges` and `histograms` objects keyed by name, a histogram as
+    /// `{"count", "sum", "buckets": [{"le", "count"}]}` with its last `le`
+    /// the string `"+inf"`.
     pub(crate) fn to_json(&self) -> String {
-        let counters = self.counters.iter().map(|(c, v)| (c.decl.name, v.to_string()));
-        let gauges = self.gauges.iter().map(|(g, v)| (g.decl.name, json_f64(*v)));
+        let count = |n: u64| Json::Num(n as f64);
+        let counters = self.counters.iter().map(|(c, v)| (c.decl.name, count(*v)));
+        let gauges = self.gauges.iter().map(|(g, v)| (g.decl.name, Json::Num(*v)));
         let histograms = self.histograms.iter().map(|(hist, h)| {
-            let buckets: Vec<String> = (h.buckets.iter().enumerate())
-                .map(|(j, c)| {
-                    let le = hist.bounds.get(j).map_or("\"+inf\"".to_string(), |b| json_f64(*b));
-                    format!("{{\"le\": {le}, \"count\": {c}}}")
-                })
-                .collect();
-            let (count, sum, buckets) = (h.count, json_f64(h.sum), buckets.join(", "));
-            (
-                hist.decl.name,
-                format!("{{\"count\": {count}, \"sum\": {sum}, \"buckets\": [{buckets}]}}"),
-            )
+            let buckets = h.buckets.iter().enumerate().map(|(j, &c)| {
+                let le =
+                    hist.bounds.get(j).map_or(Json::Str("+inf".to_string()), |&b| Json::Num(b));
+                Json::obj([("le", le), ("count", count(c))])
+            });
+            let members = [
+                ("count", count(h.count)),
+                ("sum", Json::Num(h.sum)),
+                ("buckets", Json::Arr(buckets.collect())),
+            ];
+            (hist.decl.name, Json::obj(members))
         });
-        format!(
-            "{{\n  \"counters\": {},\n  \"gauges\": {},\n  \"histograms\": {}\n}}\n",
-            json_members(counters),
-            json_members(gauges),
-            json_members(histograms)
-        )
+        let doc = [
+            ("counters", Json::obj(counters)),
+            ("gauges", Json::obj(gauges)),
+            ("histograms", Json::obj(histograms)),
+        ];
+        Json::obj(doc).to_pretty() + "\n"
     }
 
     /// Serializes the snapshot in the Prometheus text exposition format
@@ -392,13 +372,6 @@ impl Snapshot {
         }
         s
     }
-}
-
-/// One object of the JSON snapshot, a member per line: `name: value`.
-fn json_members(members: impl Iterator<Item = (&'static str, String)>) -> String {
-    let lines: Vec<String> =
-        members.map(|(name, v)| format!("\n    \"{}\": {v}", json_escape(name))).collect();
-    format!("{{{}\n  }}", lines.join(","))
 }
 
 /// Writes a family's `# HELP` (the declared text, escaped per the
@@ -527,6 +500,19 @@ mod tests {
         let json = snap.to_json();
         assert!(json.contains("\"test.metrics.snap_counter\": 3"));
         assert!(json.contains("\"le\": \"+inf\""));
+        // It reads back: the counter, the non-finite gauge as null, and
+        // the histogram's buckets with their `+inf` overflow.
+        let doc = crate::json::parse(&json).expect("snapshot JSON parses");
+        let member = |kind: &str, name: &str| doc.get(kind).and_then(|m| m.get(name)).cloned();
+        assert_eq!(member("counters", "test.metrics.snap_counter"), Some(Json::Num(3.0)));
+        assert_eq!(member("gauges", "test.metrics.snap_gauge"), Some(Json::Null));
+        let hist = member("histograms", "test.metrics.snap_hist").expect("histogram member");
+        assert_eq!(hist.get("count").and_then(Json::as_u64), Some(1));
+        let les: Vec<Json> = (hist.get("buckets").and_then(Json::as_arr).unwrap_or_default())
+            .iter()
+            .filter_map(|b| b.get("le").cloned())
+            .collect();
+        assert_eq!(les, [Json::Num(0.5), Json::Num(1.5), Json::Str("+inf".to_string())]);
         let prom = snap.to_prometheus();
         assert!(prom
             .contains("# TYPE test_metrics_snap_counter counter\ntest_metrics_snap_counter 3\n"));
@@ -536,13 +522,6 @@ mod tests {
         assert_eq!([prom_f64(f64::NAN), prom_f64(f64::NEG_INFINITY)], ["NaN", "-Inf"]);
         // Names are in deterministic lexicographic order.
         assert!(snap.counters.iter().map(|(c, _)| c.decl.name).is_sorted());
-    }
-
-    #[test]
-    fn json_escaping_handles_specials() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_f64(f64::NAN), "null");
-        assert_eq!(json_f64(2.5), "2.5");
     }
 
     #[test]

@@ -27,7 +27,7 @@
 use std::collections::VecDeque;
 use std::sync::Mutex;
 
-use crate::{Counter, Gauge};
+use crate::metrics::{Counter, Gauge};
 
 /// Epoch-deadline SLO parameters.
 #[derive(Debug, Clone, PartialEq)]
@@ -207,15 +207,20 @@ mod tests {
     #[test]
     fn verdicts_split_on_the_budget() {
         let _guard = engine_lock();
-        configure(SloConfig { budget_seconds: 1.0, ..Default::default() });
+        configure(SloConfig { budget_seconds: 1.0, objective: 0.5, ..Default::default() });
         let before = metrics::snapshot();
         assert!(record_epoch(0.5).met);
         assert!(!record_epoch(2.0).met);
         assert!(record_epoch(1.0).met, "exactly on budget meets the deadline");
         let after = metrics::snapshot();
-        assert_eq!(after.counter("slo.epoch.met") - before.counter("slo.epoch.met"), 2);
-        assert_eq!(after.counter("slo.epoch.missed") - before.counter("slo.epoch.missed"), 1);
+        let (met, missed) = (after.counter("slo.epoch.met"), after.counter("slo.epoch.missed"));
+        assert_eq!(met - before.counter("slo.epoch.met"), 2);
+        assert_eq!(missed - before.counter("slo.epoch.missed"), 1);
         assert_eq!(after.gauge("slo.budget.seconds"), Some(1.0));
+        // Remaining is the unspent share of the lifetime allowance: a 0.5
+        // objective lets half of every epoch this process judged miss.
+        let spent = missed as f64 / (met + missed) as f64 / 0.5;
+        assert_eq!(after.gauge("slo.error_budget.remaining"), Some((1.0 - spent).max(0.0)));
     }
 
     #[test]

@@ -27,7 +27,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
 use std::time::Instant;
 
-use crate::metrics::{json_escape, json_f64};
+use crate::json::{json_escape, json_f64};
 
 /// A field value attached to a span or event.
 #[derive(Debug, Clone, PartialEq)]

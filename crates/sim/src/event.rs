@@ -2,9 +2,9 @@
 //!
 //! A binary-heap calendar queue with deterministic FIFO tie-breaking for
 //! simultaneous events. Event payloads are a caller-defined type; the
-//! engine only orders time.
+//! engine only orders time. It exports no metrics: the loop that pops its
+//! events counts what they cause (`daemon.*`).
 
-use arrow_obs::{Counter, Gauge, Histogram};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
@@ -40,17 +40,6 @@ impl<E> Ord for Entry<E> {
     }
 }
 
-// Process-global event-loop health, shared by every queue instance.
-static DEPTH: Gauge = Gauge::new("sim.queue.depth", "events pending in the sim calendar");
-static SCHEDULED: Counter =
-    Counter::new("sim.queue.scheduled", "events scheduled in the sim calendar");
-static POPPED: Counter = Counter::new("sim.queue.popped", "events popped from the sim calendar");
-static HORIZON_SECONDS: Histogram = Histogram::new(
-    "sim.queue.horizon.seconds",
-    "how far ahead events are scheduled, sim seconds",
-    &[1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0],
-);
-
 /// The event calendar.
 pub(crate) struct EventQueue<E> {
     heap: BinaryHeap<Entry<E>>,
@@ -85,17 +74,12 @@ impl<E> EventQueue<E> {
         assert!(at.is_finite(), "event time must be finite");
         self.heap.push(Entry { time: at, seq: self.seq, payload });
         self.seq += 1;
-        SCHEDULED.inc();
-        DEPTH.set(self.heap.len() as f64);
-        HORIZON_SECONDS.observe(at - self.now);
     }
 
     /// Pops the next event, advancing the clock.
     pub(crate) fn pop(&mut self) -> Option<(SimTime, E)> {
         self.heap.pop().map(|e| {
             self.now = e.time;
-            POPPED.inc();
-            DEPTH.set(self.heap.len() as f64);
             (e.time, e.payload)
         })
     }

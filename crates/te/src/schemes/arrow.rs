@@ -572,12 +572,10 @@ mod tests {
     }
 
     /// `structure_digest`, and a [`word_fold`] of the lb/ub/rhs/obj bit
-    /// patterns: together every number a solver reads from the model. The
-    /// trailing `-0.0` is the objective offset a maximizing model's
-    /// standard form once carried; it stays in the fold so the pins hold.
+    /// patterns: together every number a solver reads from the model.
     fn model_digests(model: &arrow_lp::Model) -> [u64; 2] {
         let lp = model.to_standard();
-        let values = lp.lb.iter().chain(&lp.ub).chain(&lp.rhs).chain(&lp.obj).chain([&-0.0]);
+        let values = lp.lb.iter().chain(&lp.ub).chain(&lp.rhs).chain(&lp.obj);
         [lp.structure_digest(), values.fold(FNV1A_OFFSET, |h, v| word_fold(h, v.to_bits()))]
     }
 

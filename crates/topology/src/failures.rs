@@ -15,7 +15,6 @@
 use crate::distributions::weibull;
 use crate::wan::{IpLinkId, Wan};
 use arrow_obs::hash::{fnv1a_word, splitmix64, FNV1A_OFFSET};
-use arrow_obs::Counter;
 use arrow_optical::FiberId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -50,14 +49,11 @@ impl Default for FailureConfig {
 }
 
 /// Clamps an accumulated probability mass to `[.., 1.0]`, surfacing any
-/// real overflow (duplicate scenarios) as a warn event + counter rather
-/// than silently returning an impossible mass. Tolerates float roundoff.
+/// real overflow (duplicate scenarios) as a warn event rather than
+/// silently returning an impossible mass. Tolerates float roundoff.
 fn clamp_covered(sum: f64) -> f64 {
-    static OVERFLOWS: Counter =
-        Counter::new("scenario.prob.overflow", "probability sums above 1, clamped");
     if sum > 1.0 + 1e-9 {
         arrow_obs::event!(warn: "failures.covered_probability.overflow", "sum" => sum);
-        OVERFLOWS.inc();
     }
     sum.min(1.0)
 }
@@ -71,14 +67,15 @@ fn clamp_covered(sum: f64) -> f64 {
 /// [`UniverseConfig::max_scenarios`]'s importance sampling; the scenarios
 /// it drops count in `stats.sampled_out`.
 pub fn generate_failures(wan: &Wan, cfg: &FailureConfig) -> ScenarioUniverse {
-    let mut universe =
-        compile(wan, &UniverseConfig { max_k: 2, cutoff: cfg.cutoff, ..Default::default() });
+    let mut universe = compile_universe(
+        wan,
+        &UniverseConfig { max_k: 2, cutoff: cfg.cutoff, ..Default::default() },
+    );
     if cfg.max_scenarios > 0 && universe.len() > cfg.max_scenarios {
         universe.stats.sampled_out += universe.len() - cfg.max_scenarios;
         universe.scenarios.truncate(cfg.max_scenarios);
         universe.stats.kept = universe.len();
     }
-    record_stats(&universe.stats);
     universe
 }
 
@@ -371,41 +368,10 @@ impl KCutDfs<'_> {
 /// boosts applied first), explicit + auto SRLG conduit groups, rolling
 /// maintenance windows; then content dedup by [`ScenarioId`] (highest
 /// probability estimate wins), a descending-probability sort, and
-/// optional importance sampling down to `max_scenarios`. Obs: one
-/// `scenario.compile` span, a `scenario.compile.done` event, and one
-/// `scenario.<field>` counter per [`UniverseStats`] field.
+/// optional importance sampling down to `max_scenarios`, all inside one
+/// `scenario.compile` span. What each step kept and dropped is the
+/// returned [`UniverseStats`]; no metric copies it.
 pub fn compile_universe(wan: &Wan, cfg: &UniverseConfig) -> ScenarioUniverse {
-    let universe = compile(wan, cfg);
-    record_stats(&universe.stats);
-    universe
-}
-
-static ENUMERATED: Counter =
-    Counter::new("scenario.enumerated", "candidate scenarios before dedup");
-static DEDUPED: Counter =
-    Counter::new("scenario.deduped", "candidates dropped as duplicate cut sets");
-static SAMPLED_OUT: Counter =
-    Counter::new("scenario.sampled_out", "scenarios dropped by sampling or the cap");
-static KEPT: Counter = Counter::new("scenario.kept", "scenarios in compiled universes");
-
-/// Emits a finished universe's [`UniverseStats`], one counter per field.
-fn record_stats(stats: &UniverseStats) {
-    ENUMERATED.add(stats.enumerated as u64);
-    DEDUPED.add(stats.deduped as u64);
-    SAMPLED_OUT.add(stats.sampled_out as u64);
-    KEPT.add(stats.kept as u64);
-    arrow_obs::event!(
-        "scenario.compile.done",
-        "enumerated" => stats.enumerated,
-        "deduped" => stats.deduped,
-        "sampled_out" => stats.sampled_out,
-        "kept" => stats.kept,
-    );
-}
-
-/// [`compile_universe`] without the stats emission, so that
-/// [`generate_failures`] emits the stats after its cap.
-fn compile(wan: &Wan, cfg: &UniverseConfig) -> ScenarioUniverse {
     let nf = wan.optical.num_fibers();
     let _span = arrow_obs::span!(
         "scenario.compile",

@@ -86,10 +86,6 @@ const MAX_ROADMS: usize = 1 << 20;
 /// Cap on a length (km) or capacity (Gbps); finite, so sums stay finite.
 const MAX_QUANTITY: f64 = 1e12;
 
-fn obj<const N: usize>(members: [(&str, Json); N]) -> Json {
-    Json::Obj(members.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
-}
-
 fn arr<T>(items: impl IntoIterator<Item = T>, f: impl Fn(T) -> Json) -> Json {
     Json::Arr(items.into_iter().map(f).collect())
 }
@@ -171,10 +167,10 @@ impl<'a> Node<'a> {
 
 fn wan_to_json(wan: &Wan) -> Json {
     let fiber = |f: &Fiber| {
-        obj([("a", int(f.a.0)), ("b", int(f.b.0)), ("length_km", Json::Num(f.length_km))])
+        Json::obj([("a", int(f.a.0)), ("b", int(f.b.0)), ("length_km", Json::Num(f.length_km))])
     };
     let lightpath = |lp: &Lightpath| {
-        obj([
+        Json::obj([
             ("src", int(lp.src.0)),
             ("dst", int(lp.dst.0)),
             ("path", arr(&lp.path, |f| int(f.0))),
@@ -183,14 +179,14 @@ fn wan_to_json(wan: &Wan) -> Json {
         ])
     };
     let link = |l: &IpLink| {
-        obj([
+        Json::obj([
             ("a", int(l.a.0)),
             ("b", int(l.b.0)),
             ("lightpath", int(l.lightpath.0)),
             ("capacity_gbps", Json::Num(l.capacity_gbps)),
         ])
     };
-    obj([
+    Json::obj([
         ("name", Json::Str(wan.name.clone())),
         ("num_slots", int(wan.optical.num_slots())),
         ("num_roadms", int(wan.optical.num_roadms())),
@@ -248,7 +244,7 @@ fn wan_from_json(node: &Node) -> Result<Wan, IoError> {
 fn matrix_to_json(tm: &TrafficMatrix) -> Json {
     let sites = || (0..tm.num_sites()).map(SiteId);
     let demand = sites().flat_map(|s| sites().map(move |d| Json::Num(tm.demand(s, d))));
-    obj([("n", int(tm.num_sites())), ("demand", Json::Arr(demand.collect()))])
+    Json::obj([("n", int(tm.num_sites())), ("demand", Json::Arr(demand.collect()))])
 }
 
 fn matrix_from_json(node: &Node, wan: &Wan) -> Result<TrafficMatrix, IoError> {
@@ -279,13 +275,13 @@ fn source_name(source: ScenarioSource) -> &'static str {
 
 fn failures_to_json(universe: &ScenarioUniverse) -> Json {
     let scenario = |c: &CompiledScenario| {
-        obj([
+        Json::obj([
             ("cut_fibers", arr(&c.scenario.cut_fibers, |f| int(f.0))),
             ("probability", Json::Num(c.scenario.probability)),
             ("source", Json::Str(source_name(c.source).to_string())),
         ])
     };
-    obj([
+    Json::obj([
         ("fiber_prob", arr(&universe.fiber_prob, |&p| Json::Num(p))),
         ("healthy_probability", Json::Num(universe.healthy_probability)),
         ("scenarios", arr(&universe.scenarios, scenario)),
@@ -339,7 +335,7 @@ impl Snapshot {
     /// produces one) is written as `null`, which [`Self::from_json`]
     /// rejects.
     pub fn to_json(&self) -> String {
-        obj([
+        Json::obj([
             ("wan", wan_to_json(&self.wan)),
             ("traffic", arr(&self.traffic, matrix_to_json)),
             ("failures", failures_to_json(&self.failures)),

@@ -380,48 +380,40 @@ pub fn serve(wan: Wan, config: &ServeConfig) -> Result<ServeReport, ServeError> 
                 if plan.outcome.phase1_stats.warm == arrow_lp::WarmEvent::Hit {
                     report.warm_hits += 1;
                 }
-                if epoch_report.verdict.met {
+                let late = !epoch_report.verdict.met;
+                if late {
+                    // A deadline miss is an incident. With a previous plan
+                    // to fall back on, that plan stays installed and the
+                    // late one is discarded.
+                    let verdict = format!(
+                        "epoch took {:.3}s against a {:.3}s budget",
+                        epoch_report.seconds, epoch_report.verdict.budget_seconds,
+                    );
+                    let detail = if let Some((previous, _)) = &installed {
+                        report.fallbacks += 1;
+                        FALLBACK.inc();
+                        event!(warn: "daemon.fallback",
+                            "epoch" => epoch_idx,
+                            "seconds" => epoch_report.seconds,
+                            "budget" => epoch_report.verdict.budget_seconds);
+                        format!("{verdict}; reusing plan from epoch {previous}")
+                    } else {
+                        format!("{verdict}; no previous plan, installing late")
+                    };
+                    let dump = recorder
+                        .capture("deadline-miss", epoch_idx, &trigger_label, &detail)
+                        .map_err(ServeError::Io)?;
+                    report.incidents_reach_lp_solve &= dump.critical_path_contains("lp.solve");
+                    report.incidents.push(dump);
+                }
+                // A plan within budget is installed, and so is a late one
+                // with nothing to fall back on (cold start on a slow
+                // machine): a late plan beats no plan.
+                if !late || installed.is_none() {
                     installed = Some((epoch_idx, plan));
                     if !export::ready() {
                         export::set_ready(true);
                         event!("daemon.ready", "epoch" => epoch_idx);
-                    }
-                } else if installed.is_some() {
-                    // Deadline miss with a previous plan to fall back on:
-                    // keep it installed, discard the late plan.
-                    report.fallbacks += 1;
-                    FALLBACK.inc();
-                    let detail = format!(
-                        "epoch took {:.3}s against a {:.3}s budget; reusing plan from epoch {}",
-                        epoch_report.seconds,
-                        epoch_report.verdict.budget_seconds,
-                        installed.as_ref().map(|(i, _)| *i).unwrap_or(0),
-                    );
-                    event!(warn: "daemon.fallback",
-                        "epoch" => epoch_idx,
-                        "seconds" => epoch_report.seconds,
-                        "budget" => epoch_report.verdict.budget_seconds);
-                    let dump = recorder
-                        .capture("deadline-miss", epoch_idx, &trigger_label, &detail)
-                        .map_err(ServeError::Io)?;
-                    report.incidents_reach_lp_solve &= dump.critical_path_contains("lp.solve");
-                    report.incidents.push(dump);
-                } else {
-                    // Miss with nothing to fall back on (cold start on a
-                    // slow machine): install the late plan — a late plan
-                    // beats no plan — but record the incident.
-                    let detail = format!(
-                        "epoch took {:.3}s against a {:.3}s budget; no previous plan, installing late",
-                        epoch_report.seconds, epoch_report.verdict.budget_seconds,
-                    );
-                    let dump = recorder
-                        .capture("deadline-miss", epoch_idx, &trigger_label, &detail)
-                        .map_err(ServeError::Io)?;
-                    report.incidents_reach_lp_solve &= dump.critical_path_contains("lp.solve");
-                    report.incidents.push(dump);
-                    installed = Some((epoch_idx, plan));
-                    if !export::ready() {
-                        export::set_ready(true);
                     }
                 }
             }

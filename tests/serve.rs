@@ -179,7 +179,21 @@ fn soak(epochs: u64, bursts: u64) {
         chaos: Some(ChaosConfig { bursts, stall_seconds: 3.0, ..Default::default() }),
         ..Default::default()
     };
+    let before = arrow_wan::obs::metrics::snapshot();
     let report = serve(b4(17), &config).expect("daemon run");
+    let after = arrow_wan::obs::metrics::snapshot();
+
+    // Only `serve` moves the `daemon.*` counters, and every run in this
+    // binary holds SERVE_LOCK: each moved by exactly its report field.
+    for (name, field) in [
+        ("daemon.epochs", report.epochs_planned),
+        ("daemon.plan_errors", report.plan_errors),
+        ("daemon.replan.cut", report.cut_replans),
+        ("daemon.chaos.bursts", report.chaos_bursts),
+        ("daemon.scrapes", report.scrapes_ok),
+    ] {
+        assert_eq!(after.counter(name) - before.counter(name), field, "{name}");
+    }
 
     assert!(
         report.warm_hit_ratio >= 0.925,
