@@ -405,7 +405,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     println!(
         "warm-hit ratio {:.3} | p99 epoch {:.3}s | {} fallbacks | {} plan errors | {} live scrapes",
         report.warm_hit_ratio,
-        report.p99_epoch_seconds(),
+        arrow_wan::obs::slo::exact_quantile(&report.epoch_seconds, 0.99),
         report.fallbacks,
         report.plan_errors,
         report.scrapes_ok

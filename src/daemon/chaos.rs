@@ -1,22 +1,17 @@
 //! Chaos mode: deterministic correlated-failure bursts for the daemon.
 //!
-//! `arrow serve --chaos` injects [`FeedEvent::ChaosBurst`]s into the
-//! event feed: correlated multi-fiber cut sets drawn from the same
-//! [`compile_universe`] sources the offline sharding pipeline uses
-//! (k-combinations and auto-SRLGs), paired with a planning *stall* that
-//! burns wall-clock time inside the epoch's deadline window. The stall
-//! models controller overload — the exact failure mode the flight
-//! recorder exists to capture — and is sized above the SLO budget so
-//! every burst forces a deadline miss, a previous-plan fallback, and an
-//! incident dump, on demand and deterministically.
-//!
-//! Determinism: burst cut sets come from a seeded universe compile and
-//! burst times are a pure function of the config (mid-interval slots
-//! spread evenly across the horizon), so two runs with the same seed
-//! inject byte-identical bursts. No wall clock, no extra RNG state.
+//! `arrow serve --chaos` injects [`FeedEvent::ChaosBurst`]s into the event
+//! feed: multi-fiber cut sets from a seeded [`compile_universe`]
+//! (k-combinations and auto-SRLGs), each with a planning *stall* that
+//! models controller overload. Sized above the SLO budget, a stall forces
+//! a deadline miss, a fallback and an incident dump on demand. Burst times
+//! are a pure function of the config (mid-interval slots spread evenly
+//! across the horizon), so the same seed injects byte-identical bursts.
 
 use arrow_sim::{EventFeed, FeedEvent};
 use arrow_topology::{compile_universe, UniverseConfig, Wan};
+
+use super::ServeConfig;
 
 /// Chaos-mode settings.
 #[derive(Debug, Clone, PartialEq)]
@@ -43,19 +38,14 @@ impl Default for ChaosConfig {
     }
 }
 
-/// Compiles the scenario universe and injects `cfg.bursts` correlated
+/// In chaos mode, compiles the scenario universe and injects the config's
 /// bursts into `feed`, spread evenly across `[FIRST_BURST_EPOCH, epochs)`
 /// at mid-interval times (so a burst re-plan lands between two ticks).
-/// Returns the number of bursts injected.
-pub fn schedule_bursts(
-    wan: &Wan,
-    feed: &mut EventFeed,
-    cfg: &ChaosConfig,
-    epochs: u64,
-    epoch_interval_s: f64,
-) -> u64 {
+pub(super) fn schedule_bursts(wan: &Wan, feed: &mut EventFeed, config: &ServeConfig) {
+    let Some(cfg) = &config.chaos else { return };
+    let epochs = config.epochs;
     if cfg.bursts == 0 || epochs == 0 {
-        return 0;
+        return;
     }
     let universe = compile_universe(
         wan,
@@ -72,38 +62,30 @@ pub fn schedule_bursts(
     let mut cut_sets: Vec<Vec<usize>> = universe
         .scenarios
         .iter()
-        .filter(|s| s.scenario.cut_fibers.len() >= 2)
-        .map(|s| s.scenario.cut_fibers.iter().map(|f| f.0).collect())
+        .map(|s| s.scenario.cut_fibers.iter().map(|f| f.0).collect::<Vec<_>>())
+        .filter(|cut| !cut.is_empty())
         .collect();
-    if cut_sets.is_empty() {
-        cut_sets = universe
-            .scenarios
-            .iter()
-            .filter(|s| !s.scenario.cut_fibers.is_empty())
-            .map(|s| s.scenario.cut_fibers.iter().map(|f| f.0).collect())
-            .collect();
+    if cut_sets.iter().any(|cut| cut.len() >= 2) {
+        cut_sets.retain(|cut| cut.len() >= 2);
     }
     if cut_sets.is_empty() {
-        return 0;
+        return;
     }
 
     let first = FIRST_BURST_EPOCH.min(epochs.saturating_sub(1));
     let span = (epochs - first).max(1);
-    let mut injected = 0;
     for i in 0..cfg.bursts {
         let fibers = cut_sets[(i as usize) % cut_sets.len()].clone();
         // Even spread: burst i sits at fraction (i + 0.5)/bursts of the
         // remaining horizon, at the middle of its epoch interval.
         let frac = (i as f64 + 0.5) / cfg.bursts as f64;
         let epoch = first + ((frac * span as f64) as u64).min(span - 1);
-        let at = (epoch as f64 + 0.5) * epoch_interval_s;
+        let at = (epoch as f64 + 0.5) * config.epoch_interval_s;
         feed.inject(at, FeedEvent::ChaosBurst { fibers, stall_seconds: cfg.stall_seconds });
-        injected += 1;
     }
     arrow_obs::event!(
         "daemon.chaos.scheduled",
-        "bursts" => injected,
+        "bursts" => cfg.bursts,
         "stall_seconds" => cfg.stall_seconds
     );
-    injected
 }

@@ -5,36 +5,30 @@
 //! epoch against live failure and demand telemetry. This module is that
 //! loop: a seeded [`arrow_sim::EventFeed`] drives it — epoch ticks with
 //! diurnal-plus-jitter demand perturbation, fiber cut/repair events that
-//! trigger immediate re-plans — and every epoch runs through
+//! trigger immediate re-plans, and (in chaos mode, [`ChaosConfig`])
+//! correlated bursts with a planning stall — and every epoch runs through
 //! [`ArrowController::plan_epoch`], reusing the warm-start cache across
 //! hundreds of epochs while the [`arrow_obs::export`] listener serves
 //! `/metrics`, `/snapshot.json`, `/healthz`, and `/readyz` live.
 //!
-//! Three observability behaviours are the point:
-//!
-//! * **flight recorder** ([`recorder::FlightRecorder`]): a per-epoch ring
-//!   capture; an SLO deadline miss or plan error freezes the offending
-//!   epoch's span tree, critical path, metrics snapshot, and triggering
-//!   event into a timestamped incident directory;
-//! * **deadline-miss fallback**: a plan computed past the budget is *not*
-//!   installed — the previous epoch's plan keeps serving (counted by
-//!   `slo.epoch.missed` and the `daemon.fallback` counter, with a warn
-//!   event attached), because installing a stale-demand plan late is
-//!   worse than keeping the one the network is already converged on;
-//! * **chaos mode** ([`chaos`]): seeded, deterministic correlated bursts
-//!   from `compile_universe` cut sets, each with a planning stall sized
-//!   to force the above two paths on demand.
-//!
-//! Readiness: `/readyz` stays 503 through offline ticket generation and
-//! flips to 200 after the first successfully installed plan.
+//! The loop is a pure step in a thin shell. `step` decides, from the feed
+//! event and the epoch's outcome (its measured seconds and verdict
+//! included), what is counted, whether the plan is installed or the
+//! previous one keeps serving (a deadline-miss fallback: installing a
+//! stale-demand plan late is worse than keeping the one the network has
+//! converged on), how the winners fold into the digest, and which
+//! incident to dump. [`serve`] does the I/O: it plans, has the flight
+//! recorder (a per-epoch trace ring) dump the incident, flips `/readyz`
+//! from 503 to 200 on the first installed plan, and scrapes itself.
 
-pub mod chaos;
-pub mod recorder;
+mod chaos;
+mod recorder;
+mod step;
 
+use std::net::SocketAddr;
 use std::path::PathBuf;
 
-use arrow_core::{ArrowController, ControllerConfig, EpochHook, LotteryConfig, TePlan};
-use arrow_obs::hash::{fnv1a_word, FNV1A_OFFSET};
+use arrow_core::{ArrowController, ControllerConfig, EpochHook, LotteryConfig};
 use arrow_obs::incident::IncidentDump;
 use arrow_obs::slo::SloConfig;
 use arrow_obs::{event, export, slo, Counter};
@@ -43,7 +37,8 @@ use arrow_te::TunnelConfig;
 use arrow_topology::{generate_failures, gravity_matrices, FailureConfig, TrafficConfig, Wan};
 
 pub use chaos::ChaosConfig;
-pub use recorder::FlightRecorder;
+use recorder::FlightRecorder;
+use step::{LoopState, Planned};
 
 /// Everything that determines a daemon run. Same config + same topology
 /// seed ⇒ the same event sequence and the same computed plans.
@@ -123,8 +118,8 @@ pub enum ServeError {
     /// The exporter could not bind, or an incident dump failed to write.
     Io(std::io::Error),
     /// The [`ServeConfig`] cannot be served (e.g. a negative or non-finite
-    /// `demand_scale` or chaos `stall_seconds`, or a `demand_jitter`
-    /// outside `[0, 1]`); nothing was started.
+    /// `demand_scale`, feed duration or chaos `stall_seconds`, or a
+    /// `demand_jitter` outside `[0, 1]`); nothing was started.
     Config(String),
 }
 
@@ -140,7 +135,7 @@ impl std::fmt::Display for ServeError {
 impl std::error::Error for ServeError {}
 
 /// What one daemon run did, for the CLI summary and the soak's assertions.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct ServeReport {
     /// Total epochs planned (ticks + cut/repair re-plans + chaos bursts).
     pub epochs_planned: u64,
@@ -154,9 +149,8 @@ pub struct ServeReport {
     pub fallbacks: u64,
     /// Epochs whose solve returned a typed `PlanError`.
     pub plan_errors: u64,
-    /// Epochs whose Phase-I LP warm start was an exact cache hit.
-    pub warm_hits: u64,
-    /// `warm_hits / epochs_planned`.
+    /// Share of planned epochs whose Phase-I LP warm start was an exact
+    /// cache hit.
     pub warm_hit_ratio: f64,
     /// After each planned epoch: which epoch's plan was installed (None
     /// until the first successful epoch). A fallback shows up as the
@@ -164,8 +158,6 @@ pub struct ServeReport {
     pub installed_history: Vec<Option<u64>>,
     /// Incident dumps written (deadline misses + plan errors).
     pub incidents: Vec<IncidentDump>,
-    /// True when every incident dump's critical path reached `lp.solve`.
-    pub incidents_reach_lp_solve: bool,
     /// The deterministic event log: `t=<sim s> <label>` per feed event.
     pub event_log: Vec<String>,
     /// FNV-1a digest over every *computed* epoch's winning tickets
@@ -187,78 +179,71 @@ pub struct ServeReport {
     pub metrics_addr: String,
 }
 
-impl ServeReport {
-    /// Exact p99 over the per-epoch wall clocks (0.0 when empty).
-    pub fn p99_epoch_seconds(&self) -> f64 {
-        slo::exact_quantile(&self.epoch_seconds, 0.99)
-    }
-}
-
-static EPOCHS: Counter = Counter::new("daemon.epochs", "epochs planned by the serve loop");
-static FALLBACK: Counter =
-    Counter::new("daemon.fallback", "late epochs that kept the installed plan");
-static PLAN_ERRORS: Counter =
-    Counter::new("daemon.plan_errors", "epochs that failed with a PlanError");
-static CUT_REPLANS: Counter =
-    Counter::new("daemon.replan.cut", "re-plans on fiber cut or repair events");
-static BURSTS: Counter = Counter::new("daemon.chaos.bursts", "chaos bursts delivered to the loop");
 static SCRAPES: Counter = Counter::new("daemon.scrapes", "successful self-scrapes of /metrics");
 
-/// HTTP status code of a raw response string (0 when unparseable).
-fn status_of(response: &str) -> u16 {
-    response.split_whitespace().nth(1).and_then(|s| s.parse::<u16>().ok()).unwrap_or(0)
+/// `GET path` from the exporter: the HTTP status (0 when the request or
+/// its status line fails) and the raw response.
+fn get(addr: SocketAddr, path: &str) -> (u16, String) {
+    let response = export::http_get(addr, path).unwrap_or_default();
+    (response.split_whitespace().nth(1).and_then(|s| s.parse().ok()).unwrap_or(0), response)
 }
 
-/// Runs the daemon to feed exhaustion and reports what happened.
-///
-/// The loop: drain the seeded event feed; every tick re-plans with the
-/// tick's perturbed demand, every cut/repair re-plans immediately with
-/// the current demand, every chaos burst re-plans under an injected
-/// stall. A plan computed within budget is installed (and flips
-/// `/readyz` on first success); a late plan is discarded in favour of
-/// the previous one (fallback + incident dump); a `PlanError` keeps the
-/// previous plan too (incident dump, no fallback count).
-pub fn serve(wan: Wan, config: &ServeConfig) -> Result<ServeReport, ServeError> {
-    if !(config.demand_scale.is_finite() && config.demand_scale >= 0.0) {
-        return Err(ServeError::Config(format!(
-            "demand_scale must be finite and >= 0, got {}",
-            config.demand_scale
-        )));
-    }
-    // Each tick scales demand by a draw from [1 - j, 1 + j]: past 1 a tick
-    // can go negative, which `TrafficMatrix::scaled` asserts against.
-    if !(0.0..=1.0).contains(&config.demand_jitter) {
-        return Err(ServeError::Config(format!(
-            "demand_jitter must be in [0, 1], got {}",
-            config.demand_jitter
-        )));
-    }
-    if !(config.budget_seconds.is_finite() && config.budget_seconds > 0.0) {
-        return Err(ServeError::Config(format!(
-            "budget_seconds must be finite and > 0, got {}",
-            config.budget_seconds
-        )));
+/// Rejects a [`ServeConfig`] that cannot be served, before anything starts.
+fn check(c: &ServeConfig) -> Result<(), ServeError> {
+    let (gt0, ge0) = ("finite and > 0", "finite and >= 0");
+    let rules = [
+        ("demand_scale", c.demand_scale, ge0, c.demand_scale >= 0.0),
+        // Each tick scales demand by a draw from [1 - j, 1 + j]: past 1 a
+        // tick can go negative, which `TrafficMatrix::scaled` asserts against.
+        ("demand_jitter", c.demand_jitter, "in [0, 1]", (0.0..=1.0).contains(&c.demand_jitter)),
+        ("budget_seconds", c.budget_seconds, gt0, c.budget_seconds > 0.0),
+        // The feed would replace these quietly, and chaos bursts are timed
+        // off the raw interval: a NaN one put every burst at t = 0.
+        ("epoch_interval_s", c.epoch_interval_s, gt0, c.epoch_interval_s > 0.0),
+        ("mean_cut_interval_s", c.mean_cut_interval_s, ge0, c.mean_cut_interval_s >= 0.0),
+        ("repair_after_s", c.repair_after_s, gt0, c.repair_after_s > 0.0),
+    ];
+    let bad = rules.into_iter().find(|&(_, value, _, ok)| !(ok && value.is_finite()));
+    if let Some((name, value, rule, _)) = bad {
+        return Err(ServeError::Config(format!("{name} must be {rule}, got {value}")));
     }
     // One test for NaN, infinite, negative and too large to sleep for.
-    if let Some(stall) = config.chaos.as_ref().map(|c| c.stall_seconds) {
-        if std::time::Duration::try_from_secs_f64(stall).is_err() {
-            return Err(ServeError::Config(format!(
-                "chaos stall_seconds must be a number of seconds from 0 to u64::MAX, got {stall}"
-            )));
-        }
+    let stall = c.chaos.as_ref().map_or(0.0, |chaos| chaos.stall_seconds);
+    if std::time::Duration::try_from_secs_f64(stall).is_err() {
+        return Err(ServeError::Config(format!(
+            "chaos stall_seconds must be a number of seconds from 0 to u64::MAX, got {stall}"
+        )));
     }
+    Ok(())
+}
+
+/// Runs the daemon to feed exhaustion and reports what happened: every
+/// tick re-plans at the tick's perturbed demand, every cut/repair at the
+/// current demand, every chaos burst under an injected stall.
+pub fn serve(wan: Wan, config: &ServeConfig) -> Result<ServeReport, ServeError> {
+    check(config)?;
     // SLO budget for this run; also resets the rolling window so the
     // verdicts below start clean.
     slo::configure(SloConfig { budget_seconds: config.budget_seconds, ..SloConfig::default() });
 
     export::set_ready(false);
-    let mut exporter = export::spawn(config.addr.as_str()).map_err(ServeError::Io)?;
+    let exporter = export::spawn(config.addr.as_str()).map_err(ServeError::Io)?;
     let addr = exporter.local_addr();
-    let readyz_before = export::http_get(addr, "/readyz").map(|r| status_of(&r)).unwrap_or(0);
+    let readyz_before = get(addr, "/readyz").0;
+
+    // The calendar: ticks + cuts from the seed, bursts from chaos mode.
+    let mut feed = EventFeed::new(FeedConfig {
+        seed: config.seed,
+        epoch_interval_s: config.epoch_interval_s,
+        epochs: config.epochs,
+        num_fibers: wan.optical.num_fibers(),
+        mean_cut_interval_s: config.mean_cut_interval_s,
+        repair_after_s: config.repair_after_s,
+        demand_jitter: config.demand_jitter,
+    });
+    chaos::schedule_bursts(&wan, &mut feed, config);
 
     // Offline stage: scenarios, demand, LotteryTickets.
-    let num_fibers = wan.optical.num_fibers();
-    let chaos_wan = config.chaos.as_ref().map(|_| wan.clone());
     let failures = generate_failures(
         &wan,
         &FailureConfig { max_scenarios: config.scenarios.max(1), ..Default::default() },
@@ -280,182 +265,64 @@ pub fn serve(wan: Wan, config: &ServeConfig) -> Result<ServeReport, ServeError> 
         },
     );
 
-    // The calendar: ticks + cuts from the seed, bursts from chaos mode.
-    let mut feed = EventFeed::new(FeedConfig {
-        seed: config.seed,
-        epoch_interval_s: config.epoch_interval_s,
-        epochs: config.epochs,
-        num_fibers,
-        mean_cut_interval_s: config.mean_cut_interval_s,
-        repair_after_s: config.repair_after_s,
-        demand_jitter: config.demand_jitter,
-    });
-    if let (Some(chaos_cfg), Some(chaos_wan)) = (config.chaos.as_ref(), chaos_wan.as_ref()) {
-        chaos::schedule_bursts(
-            chaos_wan,
-            &mut feed,
-            chaos_cfg,
-            config.epochs,
-            config.epoch_interval_s,
-        );
-    }
-
     let recorder = FlightRecorder::install(config.recorder_capacity, &config.incident_dir);
 
-    let mut report = ServeReport {
-        epochs_planned: 0,
-        ticks: 0,
-        cut_replans: 0,
-        chaos_bursts: 0,
-        fallbacks: 0,
-        plan_errors: 0,
-        warm_hits: 0,
-        warm_hit_ratio: 0.0,
-        installed_history: Vec::new(),
-        incidents: Vec::new(),
-        incidents_reach_lp_solve: true,
-        event_log: Vec::new(),
-        winning_digest: FNV1A_OFFSET,
-        epoch_seconds: Vec::new(),
-        wall_seconds: 0.0,
-        scrapes_ok: 0,
-        readyz_before,
-        readyz_after: 0,
-        metrics_addr: addr.to_string(),
-    };
-    let mut installed: Option<(u64, TePlan)> = None;
-    let mut last_scale = 1.0_f64;
+    let mut state = LoopState::new();
     // A bare stopwatch, not a span: a `daemon.loop` span would become
     // every epoch's parent in the flight recorder's captures.
     let loop_clock = arrow_obs::SpanGuard::disabled();
 
     while let Some((t, ev)) = feed.next_event() {
-        report.event_log.push(format!("t={t:.1} {}", ev.label()));
-        let (trigger, stall_seconds) = match &ev {
-            FeedEvent::EpochTick { demand_scale, .. } => {
-                report.ticks += 1;
-                last_scale = *demand_scale;
-                ("tick", 0.0)
-            }
-            FeedEvent::FiberCut { .. } => {
-                report.cut_replans += 1;
-                CUT_REPLANS.inc();
-                ("fiber-cut", 0.0)
-            }
-            FeedEvent::FiberRepair { .. } => {
-                report.cut_replans += 1;
-                CUT_REPLANS.inc();
-                ("fiber-repair", 0.0)
-            }
-            FeedEvent::ChaosBurst { stall_seconds, .. } => {
-                report.chaos_bursts += 1;
-                BURSTS.inc();
-                ("chaos-burst", *stall_seconds)
-            }
+        let stall_seconds = match &ev {
+            FeedEvent::ChaosBurst { stall_seconds, .. } => *stall_seconds,
+            _ => 0.0,
         };
-        let trigger_label =
-            format!("{trigger}: {}", report.event_log.last().map(String::as_str).unwrap_or(""));
-        let epoch_idx = report.epochs_planned;
-        let tm = base_tm.scaled(last_scale);
+        let tm = base_tm.scaled(state.scale_for(&ev));
 
         recorder.begin_epoch();
         let stall_hook = move || {
             event!(warn: "daemon.chaos.stall", "seconds" => stall_seconds);
             std::thread::sleep(std::time::Duration::from_secs_f64(stall_seconds));
         };
-        let hook: Option<EpochHook<'_>> =
-            if stall_seconds > 0.0 { Some(&stall_hook) } else { None };
+        let hook = (stall_seconds > 0.0).then_some(&stall_hook as EpochHook<'_>);
+        let planned = controller.plan_epoch(&tm, hook);
+        let outcome = match &planned {
+            Ok((plan, epoch)) => Ok(Planned {
+                winning: &plan.outcome.winning,
+                warm_hit: plan.outcome.phase1_stats.warm == arrow_lp::WarmEvent::Hit,
+                seconds: epoch.seconds,
+                budget_seconds: epoch.verdict.budget_seconds,
+                met: epoch.verdict.met,
+            }),
+            Err(e) => Err(e.to_string()),
+        };
 
-        match controller.plan_epoch(&tm, hook) {
-            Ok((plan, epoch_report)) => {
-                report.epochs_planned += 1;
-                EPOCHS.inc();
-                report.epoch_seconds.push(epoch_report.seconds);
-                // Digest the *computed* plan: deterministic under a fixed
-                // seed regardless of how the wall clock judged it.
-                report.winning_digest = fnv1a_word(report.winning_digest, epoch_idx);
-                for &w in &plan.outcome.winning {
-                    report.winning_digest = fnv1a_word(report.winning_digest, w as u64);
-                }
-                if plan.outcome.phase1_stats.warm == arrow_lp::WarmEvent::Hit {
-                    report.warm_hits += 1;
-                }
-                let late = !epoch_report.verdict.met;
-                if late {
-                    // A deadline miss is an incident. With a previous plan
-                    // to fall back on, that plan stays installed and the
-                    // late one is discarded.
-                    let verdict = format!(
-                        "epoch took {:.3}s against a {:.3}s budget",
-                        epoch_report.seconds, epoch_report.verdict.budget_seconds,
-                    );
-                    let detail = if let Some((previous, _)) = &installed {
-                        report.fallbacks += 1;
-                        FALLBACK.inc();
-                        event!(warn: "daemon.fallback",
-                            "epoch" => epoch_idx,
-                            "seconds" => epoch_report.seconds,
-                            "budget" => epoch_report.verdict.budget_seconds);
-                        format!("{verdict}; reusing plan from epoch {previous}")
-                    } else {
-                        format!("{verdict}; no previous plan, installing late")
-                    };
-                    let dump = recorder
-                        .capture("deadline-miss", epoch_idx, &trigger_label, &detail)
-                        .map_err(ServeError::Io)?;
-                    report.incidents_reach_lp_solve &= dump.critical_path_contains("lp.solve");
-                    report.incidents.push(dump);
-                }
-                // A plan within budget is installed, and so is a late one
-                // with nothing to fall back on (cold start on a slow
-                // machine): a late plan beats no plan.
-                if !late || installed.is_none() {
-                    installed = Some((epoch_idx, plan));
-                    if !export::ready() {
-                        export::set_ready(true);
-                        event!("daemon.ready", "epoch" => epoch_idx);
-                    }
-                }
-            }
-            Err(e) => {
-                report.epochs_planned += 1;
-                EPOCHS.inc();
-                report.plan_errors += 1;
-                PLAN_ERRORS.inc();
-                event!(warn: "daemon.plan.error", "epoch" => epoch_idx, "error" => e.to_string());
-                let dump = recorder
-                    .capture("plan-error", epoch_idx, &trigger_label, &e.to_string())
-                    .map_err(ServeError::Io)?;
-                // A plan error dies before the LP; its critical path is
-                // whatever the capture holds, so no lp.solve expectation.
-                report.incidents.push(dump);
-            }
+        if let Some(incident) = state.step(t, &ev, outcome) {
+            state.report.incidents.push(recorder.capture(&incident).map_err(ServeError::Io)?);
         }
-        report.installed_history.push(installed.as_ref().map(|(i, _)| *i));
+        if let (Some(epoch), false) = (state.installed, export::ready()) {
+            export::set_ready(true);
+            event!("daemon.ready", "epoch" => epoch);
+        }
 
         // Live self-scrape over the real socket: the daemon is its own
         // first Prometheus client.
+        let report = &mut state.report;
         if config.scrape_every > 0 && report.epochs_planned.is_multiple_of(config.scrape_every) {
-            let metrics_ok = export::http_get(addr, "/metrics")
-                .map(|r| status_of(&r) == 200 && r.contains("epoch_seconds"))
-                .unwrap_or(false);
-            let readyz_ok =
-                export::http_get(addr, "/readyz").map(|r| status_of(&r) == 200).unwrap_or(false);
-            if metrics_ok && readyz_ok {
+            let (status, metrics) = get(addr, "/metrics");
+            let metrics_ok = status == 200 && metrics.contains("epoch_seconds");
+            if metrics_ok && get(addr, "/readyz").0 == 200 {
                 report.scrapes_ok += 1;
                 SCRAPES.inc();
             }
         }
     }
 
+    let mut report = state.report;
     report.wall_seconds = loop_clock.elapsed_seconds();
-    report.warm_hit_ratio = if report.epochs_planned > 0 {
-        report.warm_hits as f64 / report.epochs_planned as f64
-    } else {
-        0.0
-    };
-    report.readyz_after = export::http_get(addr, "/readyz").map(|r| status_of(&r)).unwrap_or(0);
-    drop(recorder);
-    exporter.shutdown();
+    report.readyz_before = readyz_before;
+    report.readyz_after = get(addr, "/readyz").0;
+    report.metrics_addr = addr.to_string();
+    // Dropping `recorder` uninstalls the tracer, then `exporter` stops.
     Ok(report)
 }

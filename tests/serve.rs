@@ -35,17 +35,22 @@ fn base_config(tag: &str) -> ServeConfig {
     }
 }
 
+/// Asserts `serve` refuses each config with a typed error, starting nothing.
+fn assert_rejected(configs: impl IntoIterator<Item = ServeConfig>) {
+    let _guard = SERVE_LOCK.lock().expect("serve lock");
+    for config in configs {
+        let err = serve(b4(17), &config).expect_err("a bad config must be rejected");
+        assert!(matches!(err, ServeError::Config(_)), "{err}");
+    }
+}
+
 /// A negative or non-finite demand scale is user input, not a bug: the
 /// daemon answers with a typed error and never reaches
 /// `TrafficMatrix::scaled`'s assertion.
 #[test]
 fn bad_demand_scale_is_rejected_without_a_panic() {
-    let _guard = SERVE_LOCK.lock().expect("serve lock");
-    for scale in [-1.0, f64::NAN, f64::INFINITY] {
-        let config = ServeConfig { demand_scale: scale, ..base_config("bad-scale") };
-        let err = serve(b4(17), &config).expect_err("bad demand_scale must be rejected");
-        assert!(matches!(err, ServeError::Config(_)), "scale {scale}: {err}");
-    }
+    let bad = |demand_scale| ServeConfig { demand_scale, ..base_config("bad-scale") };
+    assert_rejected([-1.0, f64::NAN, f64::INFINITY].map(bad));
 }
 
 /// A demand jitter outside `[0, 1]` is rejected the same way. Past 1 a
@@ -54,24 +59,28 @@ fn bad_demand_scale_is_rejected_without_a_panic() {
 /// NaN and negative values used to run silently as 0.
 #[test]
 fn bad_demand_jitter_is_rejected_without_a_panic() {
-    let _guard = SERVE_LOCK.lock().expect("serve lock");
-    for jitter in [f64::NAN, -0.1, f64::INFINITY, 1.5] {
-        let config = ServeConfig { demand_jitter: jitter, ..base_config("bad-jitter") };
-        let err = serve(b4(17), &config).expect_err("bad demand_jitter must be rejected");
-        assert!(matches!(err, ServeError::Config(_)), "jitter {jitter}: {err}");
-    }
+    let bad = |demand_jitter| ServeConfig { demand_jitter, ..base_config("bad-jitter") };
+    assert_rejected([f64::NAN, -0.1, f64::INFINITY, 1.5].map(bad));
 }
 
-/// A deadline that is not a positive number of seconds is rejected the same
-/// way; it used to be swapped for 300 s while the CLI printed what was typed.
+/// A duration that is not a positive number of seconds is rejected, not
+/// replaced: the budget used to become 300 s while the CLI printed what was
+/// typed, and the feed swapped bad intervals for defaults (a bad mean cut
+/// interval for 0) while chaos bursts were timed off the raw interval.
 #[test]
 fn bad_budget_is_rejected_not_replaced() {
-    let _guard = SERVE_LOCK.lock().expect("serve lock");
-    for budget in [f64::NAN, -1.0, 0.0, f64::INFINITY] {
-        let config = ServeConfig { budget_seconds: budget, ..base_config("bad-budget") };
-        let err = serve(b4(17), &config).expect_err("bad budget_seconds must be rejected");
-        assert!(matches!(err, ServeError::Config(_)), "budget {budget}: {err}");
-    }
+    let base = base_config("bad-duration");
+    assert_rejected([f64::NAN, -1.0, 0.0, f64::INFINITY].into_iter().flat_map(|v| {
+        // A 0 mean cut interval turns random cuts off.
+        let cuts = (v != 0.0).then(|| ServeConfig { mean_cut_interval_s: v, ..base.clone() });
+        [
+            ServeConfig { budget_seconds: v, ..base.clone() },
+            ServeConfig { epoch_interval_s: v, ..base.clone() },
+            ServeConfig { repair_after_s: v, ..base.clone() },
+        ]
+        .into_iter()
+        .chain(cuts)
+    }));
 }
 
 /// A chaos stall no thread can sleep for — NaN, negative, infinite, or past
@@ -79,68 +88,21 @@ fn bad_budget_is_rejected_not_replaced() {
 /// `Duration::from_secs_f64` at the first burst, `nan` and `-1` to run as 0 s.
 #[test]
 fn bad_chaos_stall_is_rejected_without_a_panic() {
-    let _guard = SERVE_LOCK.lock().expect("serve lock");
-    for stall in [f64::INFINITY, 1e30, f64::NAN, -1.0] {
-        let config = ServeConfig {
-            chaos: Some(ChaosConfig { bursts: 1, stall_seconds: stall, ..Default::default() }),
-            ..base_config("bad-stall")
-        };
-        let err = serve(b4(17), &config).expect_err("bad stall_seconds must be rejected");
-        assert!(matches!(err, ServeError::Config(_)), "stall {stall}: {err}");
-    }
-}
-
-#[test]
-fn forced_slow_epoch_falls_back_to_previous_plan() {
-    let _guard = SERVE_LOCK.lock().expect("serve lock");
-    let fallbacks_before = arrow_wan::obs::metrics::snapshot().counter("daemon.fallback");
-
-    // One burst whose stall (2.5 s) blows a 1 s budget; healthy warm
-    // epochs run well under it, so exactly one epoch may miss.
-    let config = ServeConfig {
-        budget_seconds: 1.0,
-        chaos: Some(ChaosConfig { bursts: 1, stall_seconds: 2.5, ..Default::default() }),
-        ..base_config("fallback")
+    let bad = |stall_seconds| ServeConfig {
+        chaos: Some(ChaosConfig { bursts: 1, stall_seconds, ..Default::default() }),
+        ..base_config("bad-stall")
     };
-    let report = serve(b4(17), &config).expect("daemon run");
-
-    assert_eq!(report.chaos_bursts, 1, "the scheduled burst must be delivered");
-    assert_eq!(report.fallbacks, 1, "the stalled epoch must fall back");
-    assert_eq!(report.plan_errors, 0);
-    let fallbacks_after = arrow_wan::obs::metrics::snapshot().counter("daemon.fallback");
-    assert_eq!(fallbacks_after - fallbacks_before, 1, "daemon.fallback must count the miss");
-
-    // The installed plan did not advance on the missed epoch: the last
-    // history entry repeats the previous one.
-    let h = &report.installed_history;
-    assert!(h.len() >= 2);
-    assert_eq!(
-        h[h.len() - 1],
-        h[h.len() - 2],
-        "deadline miss must keep the previous epoch's plan installed"
-    );
-    assert!(h[h.len() - 1].is_some(), "a plan must have been installed before the miss");
-
-    // And the miss left a complete flight-recorder incident behind.
-    assert_eq!(report.incidents.len(), 1);
-    let inc = &report.incidents[0];
-    assert!(
-        inc.critical_path_contains("lp.solve"),
-        "incident critical path must reach lp.solve, got {:?}",
-        inc.critical_path.iter().map(|h| h.name.as_str()).collect::<Vec<_>>()
-    );
-    assert!(inc.dir.join("trace.jsonl").exists());
-    assert!(inc.dir.join("incident.json").exists());
-    std::fs::remove_dir_all(&config.incident_dir).ok();
+    assert_rejected([f64::INFINITY, 1e30, f64::NAN, -1.0].map(bad));
 }
 
 #[test]
 fn same_seed_chaos_soaks_are_byte_identical() {
     let _guard = SERVE_LOCK.lock().expect("serve lock");
 
-    // Zero-stall bursts: the chaos *schedule* is exercised without any
-    // wall-clock dependence, so the whole run is a pure function of the
-    // seed — event sequence and computed plans alike.
+    // Zero-stall bursts under the 300 s default budget: the chaos
+    // *schedule* is exercised without any wall-clock dependence, so the
+    // whole run is a pure function of the seed — event sequence, computed
+    // plans and install decisions alike.
     let config = ServeConfig {
         chaos: Some(ChaosConfig { bursts: 2, stall_seconds: 0.0, ..Default::default() }),
         ..base_config("determinism")
@@ -153,6 +115,8 @@ fn same_seed_chaos_soaks_are_byte_identical() {
         a.winning_digest, b.winning_digest,
         "same seed must compute the same winning tickets every epoch"
     );
+    assert_eq!(a.installed_history, b.installed_history, "same seed must install the same plans");
+    assert_eq!(a.incidents.len(), b.incidents.len());
     assert_eq!(a.chaos_bursts, 2);
     assert_eq!(a.fallbacks, 0, "zero-stall bursts must not miss the deadline");
 
@@ -187,6 +151,7 @@ fn soak(epochs: u64, bursts: u64) {
     // binary holds SERVE_LOCK: each moved by exactly its report field.
     for (name, field) in [
         ("daemon.epochs", report.epochs_planned),
+        ("daemon.fallback", report.fallbacks),
         ("daemon.plan_errors", report.plan_errors),
         ("daemon.replan.cut", report.cut_replans),
         ("daemon.chaos.bursts", report.chaos_bursts),
@@ -211,8 +176,8 @@ fn soak(epochs: u64, bursts: u64) {
         "every deadline miss must produce an incident dump"
     );
     // Each dump on disk is complete, and its written critical path names
-    // the LP solve. Checked before the aggregate flag below, so a failure
-    // names the dump and prints its path.
+    // the LP solve. A failure names the dump and prints its path.
+    let history = &report.installed_history;
     for inc in &report.incidents {
         for artifact in ["trace.jsonl", "metrics.json", "incident.json"] {
             assert!(inc.dir.join(artifact).exists(), "{} lacks {artifact}", inc.dir.display());
@@ -228,11 +193,11 @@ fn soak(epochs: u64, bursts: u64) {
             .filter_map(|hop| hop.get("name").and_then(Json::as_str))
             .collect();
         assert!(path.contains(&"lp.solve"), "{}: critical path {path:?}", inc.dir.display());
+        // Every miss here is a fallback: the installed plan must not move.
+        let epoch = manifest.get("epoch").and_then(Json::as_u64).expect("epoch") as usize;
+        assert!(epoch > 0 && history[epoch - 1].is_some(), "epoch {epoch} had nothing installed");
+        assert_eq!(history[epoch], history[epoch - 1], "epoch {epoch} must keep the plan");
     }
-    assert!(
-        report.incidents_reach_lp_solve,
-        "an incident dump's critical path failed to reach lp.solve"
-    );
     assert_eq!(report.plan_errors, 0, "soak must plan every epoch");
     assert_eq!(report.readyz_before, 503, "/readyz must be 503 before the first plan");
     assert_eq!(report.readyz_after, 200, "/readyz must be 200 once a plan is installed");
