@@ -10,12 +10,17 @@
 //! one of those LPs, cold, into one digest per topology (≈ 2.5 s release).
 //! `rwa_models_are_pinned_bit_for_bit` holds the LPs themselves: the
 //! lowered standard form `build_relaxed` hands to the solver.
+//! `bland_and_refactor_paths_are_pinned_bit_for_bit` holds the two paths
+//! the default settings never reach on these LPs: Bland's rule and a
+//! refactorization mid-solve.
 //!
 //! The digests live in `tests/pins.txt` (groups `rwa_simplex`,
-//! `rwa_universe`, `rwa_model`, `rwa_pdhg`). The first sixteen B4 and four
-//! IBM LP pins were recorded before the slack-aware basis kernel landed, the
-//! others before row-wise pricing and the packed inverse did; none may be
-//! re-recorded by a change that claims to keep the bits.
+//! `rwa_simplex_bland`, `rwa_simplex_refactor1`, `rwa_universe`,
+//! `rwa_model`, `rwa_pdhg`). The first sixteen B4 and four IBM LP pins were
+//! recorded before the slack-aware basis kernel landed, the others before
+//! row-wise pricing and the packed inverse did, and the Bland and refactor
+//! pins before the branch-free pricing kernel did; none may be re-recorded
+//! by a change that claims to keep the bits.
 //!
 //! The PDHG pin does the same for the first-order backend on the largest of
 //! those B4 LPs, cold and warm-started from the returned point; it was
@@ -23,7 +28,8 @@
 //! the one-LP path.
 
 use arrow_wan::lp::model::StandardLp;
-use arrow_wan::lp::{solve, solve_with, SolverConfig};
+use arrow_wan::lp::simplex::SimplexConfig;
+use arrow_wan::lp::{solve, solve_with, SolverConfig, Status};
 use arrow_wan::obs::hash::{check_pins, word_fold, FNV1A_OFFSET};
 use arrow_wan::optical::rwa::build_relaxed;
 use arrow_wan::prelude::*;
@@ -150,6 +156,32 @@ fn largest_b4_rwa_lp_is_pinned_bit_for_bit_under_pdhg() {
         ("rwa_pdhg.b4_largest.warm", warm.digest()),
     ])
     .unwrap();
+}
+
+/// The two paths the default configuration never takes on these LPs:
+/// Bland's rule from the first pivot (`rwa_simplex_bland`) and a
+/// refactorization after every pivot (`rwa_simplex_refactor1`), each on
+/// B4 `s000`–`s003` and IBM `s000`, cold.
+#[test]
+fn bland_and_refactor_paths_are_pinned_bit_for_bit() {
+    let (mut bland, mut refactor1) = (SimplexConfig::default(), SimplexConfig::default());
+    bland.degenerate_before_bland = 0;
+    refactor1.refactor_every = 1;
+    let variants = [("bland", bland), ("refactor1", refactor1)];
+    let (b4, ibm) = (b4(17), ibm(17));
+    let lps = [("b4", &b4, universe(&b4, 0), 0..4), ("ibm", &ibm, universe(&ibm, 32), 0..1)];
+    let mut pins = Vec::new();
+    for (variant, simplex) in variants {
+        let cfg = SolverConfig { simplex, ..SolverConfig::exact() };
+        for (topology, wan, universe, scenarios) in &lps {
+            for i in scenarios.clone() {
+                let sol = solve(&rwa_model(wan, universe, i), &cfg);
+                assert_eq!(sol.status, Status::Optimal, "{variant} {topology} s{i:03}");
+                pins.push((format!("rwa_simplex_{variant}.{topology}.s{i:03}"), sol.digest()));
+            }
+        }
+    }
+    check_pins(&pins).unwrap();
 }
 
 #[test]
