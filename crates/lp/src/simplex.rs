@@ -19,8 +19,10 @@
 //! (Gauss–Jordan with partial pivoting) builds the packed form directly:
 //! a basis column that is a lone untouched entry never gets a slot unless
 //! an elimination fills it in, and undoing the row exchanges relabels
-//! slots. After a warm start from a recorded basis nearly every column is
-//! active, and the same loops run dense.
+//! slots. Each elimination visits only the rows that a per-slot bit set
+//! marks as possibly nonzero in its pivot slot, not all `m`. After a warm
+//! start from a recorded basis nearly every column is active, and the same
+//! loops run dense.
 //!
 //! **Row-wise pricing.** Reduced costs need `Aᵀy`, and `y` is mostly zero,
 //! so it is scattered from the CSR rows with `yᵢ ≠ 0` in ascending row
@@ -29,6 +31,24 @@
 //! pivots, iterates and duals are those of a dense kernel bit for bit (up
 //! to the sign of zero). It is intended for problems up to a few thousand
 //! rows; larger instances should use [`crate::pdhg`].
+//!
+//! **Branch-free pricing.** Every column has a one-byte class for the
+//! running phase: may not move (basic, or boxed too tightly to improve
+//! anything), at its lower bound, at its upper bound, or free. It is set
+//! when a phase loads and updated at each enter, leave and bound flip, and
+//! it is all the scan reads of a column's state. Dantzig's rule reads the
+//! class, cost and price (`Aᵀy`, or `y` for a slack) arrays front to back
+//! in four lanes, each keeping its first strict maximum (`FirstMax`); the
+//! lowest column among the lanes at the overall maximum is the one a
+//! single strict-`>` scan keeps, and its reduced cost is recomputed, so the
+//! entering column and its bits are the one-pass scan's (a test-only copy
+//! of that scan checks every pivot of the unit tests). Bland's rule takes
+//! the first eligible column. The ratio test runs the same lanes over
+//! basis-position arrays (the value and bounds of the basic column at each
+//! position) for the first strict minimum step, and the step updates those
+//! values in place; `x` holds basic values only where it is read, after a
+//! phase. Every value compared or stored equals a one-pass scalar scan's,
+//! bit for bit.
 //!
 //! Implemented: Dantzig pricing with a Bland anti-cycling fallback, bound
 //! flips, periodic basis refactorization, infeasibility/unboundedness
@@ -39,6 +59,7 @@ use crate::model::{Sense, StandardLp};
 use crate::solution::{Solution, SolveStats, Status};
 use crate::sparse::CscMatrix;
 use crate::warm::{BackendKind, Basis, ColStatus, WarmEvent};
+use std::array::from_fn;
 
 /// Reduced-cost optimality tolerance.
 const OPT_TOL: f64 = 1e-7;
@@ -72,6 +93,127 @@ enum VarState {
     AtUpper,
     /// Free variable currently parked at zero.
     FreeAtZero,
+}
+
+/// Pricing class of a column for the running phase, as two bits: which
+/// way it may move. Basic columns and columns boxed too tightly to ever
+/// improve the objective may not move at all.
+const NEVER: u8 = 0;
+/// Nonbasic at its lower bound: it may rise, so it prices `-d`.
+const AT_LOWER: u8 = 1;
+/// Nonbasic at its upper bound: it may fall, so it prices `d`.
+const AT_UPPER: u8 = 2;
+/// Free and parked at zero: it may move either way, so it prices `|d|`.
+const FREE: u8 = AT_LOWER | AT_UPPER;
+
+/// The pricing class of a column in state `st` with bounds `l ≤ x ≤ u`.
+fn class_of(st: VarState, l: f64, u: f64) -> u8 {
+    match st {
+        VarState::Basic(_) => NEVER,
+        _ if u - l <= FEAS_TOL && u.is_finite() => NEVER,
+        VarState::AtLower => AT_LOWER,
+        VarState::AtUpper => AT_UPPER,
+        VarState::FreeAtZero => FREE,
+    }
+}
+
+/// What a unit step of a column of class `class` at reduced cost `d` gains:
+/// `-d` if it may rise, `d` if it may fall, the larger if both, and `0` for
+/// [`NEVER`]. A column is eligible to enter when this exceeds `OPT_TOL`, and
+/// a NaN `d` never is. Branch-free, so the scan over all columns is too.
+#[inline(always)]
+fn score(class: u8, d: f64) -> f64 {
+    // All ones where the class has `bit`: masks `±d` to `+0.0` otherwise.
+    let mask = |bit: u8| 0u64.wrapping_sub(u64::from(class & bit != 0));
+    let rise = f64::from_bits((-d).to_bits() & mask(AT_LOWER));
+    let fall = f64::from_bits(d.to_bits() & mask(AT_UPPER));
+    if rise > fall {
+        rise
+    } else {
+        fall
+    }
+}
+
+/// The negated step at which a basic column with value `x`, bounds
+/// `l ≤ x ≤ u` and direction entry `w` (the entering column's sign folded
+/// in) reaches the bound it moves toward: `-(x - l) / w` falling, `-(u - x)
+/// / -w` rising. An infinite bound gives `-∞`, and a `|w|` not above
+/// `PIVOT_TOL` gives NaN; [`FirstMax`] keeps neither. Branch-free, like
+/// [`score`].
+#[inline(always)]
+fn neg_step(w: f64, x: f64, l: f64, u: f64) -> f64 {
+    // `(b - x) / w` is `-(x - l) / w` or `-(u - x) / -w` bit for bit: IEEE
+    // subtraction and division are exactly antisymmetric. A NaN divisor
+    // makes a NaN step, which no comparison keeps; dividing every entry
+    // keeps the loop free of branches.
+    let b = if w > 0.0 { l } else { u };
+    let divisor = if w.abs() > PIVOT_TOL { w } else { f64::NAN };
+    (b - x) / divisor
+}
+
+/// Lanes of [`FirstMax`].
+const LANES: usize = 4;
+
+/// The first strict maximum of a sequence of scores, found in `LANES`
+/// independent lanes so a scan carries no dependence from one column to
+/// the next. Each lane keeps the first index at which its own maximum
+/// appears (a strict `>` replaces it); the lowest of those indices among
+/// the lanes that reach the overall maximum is exactly the index a single
+/// strict-`>` scan in ascending order would keep. That holds for any
+/// assignment of indices to lanes as long as each lane sees its indices in
+/// ascending order. Only scores above `floor` count.
+#[derive(Clone, Copy)]
+struct FirstMax {
+    best: [f64; LANES],
+    index: [usize; LANES],
+}
+
+impl FirstMax {
+    fn new(floor: f64) -> Self {
+        FirstMax { best: [floor; LANES], index: [NONE; LANES] }
+    }
+
+    /// Offers `score[l]` as index `first + l` to lane `l`; every lane at
+    /// once, so the compiler keeps the lanes in one vector register.
+    #[inline(always)]
+    fn offer_chunk(&mut self, first: usize, score: [f64; LANES]) {
+        let better: [bool; LANES] = from_fn(|l| score[l] > self.best[l]);
+        self.best = from_fn(|l| if better[l] { score[l] } else { self.best[l] });
+        self.index = from_fn(|l| if better[l] { first + l } else { self.index[l] });
+    }
+
+    #[inline(always)]
+    fn offer(&mut self, lane: usize, index: usize, score: f64) {
+        let better = score > self.best[lane];
+        self.best[lane] = if better { score } else { self.best[lane] };
+        self.index[lane] = if better { index } else { self.index[lane] };
+    }
+
+    /// Offers the columns `first..first + class.len()`, whose reduced costs
+    /// are `cost - price` entry by entry.
+    fn scan(&mut self, first: usize, class: &[u8], cost: &[f64], price: &[f64]) {
+        let len = class.len();
+        let (cost, price) = (&cost[..len], &price[..len]);
+        let mut lanes = *self;
+        let chunks = class.chunks_exact(LANES).zip(cost.chunks_exact(LANES));
+        for (k, ((cl, c), p)) in chunks.zip(price.chunks_exact(LANES)).enumerate() {
+            lanes.offer_chunk(first + k * LANES, from_fn(|l| score(cl[l], c[l] - p[l])));
+        }
+        *self = lanes;
+        let body = len - len % LANES;
+        for k in body..len {
+            self.offer(k - body, first + k, score(class[k], cost[k] - price[k]));
+        }
+    }
+
+    /// The winning index and its score, or `None` if no score beat `floor`.
+    fn winner(&self) -> Option<(usize, f64)> {
+        let top = self.best.iter().fold(f64::NEG_INFINITY, |a, &b| a.max(b));
+        (0..LANES)
+            .filter(|&l| self.best[l] == top && self.index[l] != NONE)
+            .min_by_key(|&l| self.index[l])
+            .map(|l| (self.index[l], self.best[l]))
+    }
 }
 
 /// Column classes: structurals come from the model, slacks encode row
@@ -199,6 +341,76 @@ impl Inverse {
     }
 }
 
+/// For each slot of the packed inverse during a refactorization, a bit set
+/// of rows that holds every row with a nonzero in that slot (and perhaps
+/// some rows without one: an entry may cancel, and fill-in is recorded for
+/// every row a step visits).
+#[derive(Debug, Default)]
+struct RowSets {
+    /// 64-row words per slot.
+    words: usize,
+    bits: Vec<u64>,
+}
+
+impl RowSets {
+    /// No slot yet, for `m` rows.
+    fn reset(&mut self, m: usize) {
+        self.words = m.div_ceil(64);
+        self.bits.clear();
+    }
+
+    /// Empties slot `s`'s set, growing the table to hold it.
+    fn open(&mut self, s: usize) {
+        let (start, end) = (s * self.words, (s + 1) * self.words);
+        if self.bits.len() < end {
+            self.bits.resize(end, 0);
+        }
+        self.bits[start..end].fill(0);
+    }
+
+    fn insert(&mut self, s: usize, r: usize) {
+        self.bits[s * self.words + r / 64] |= 1 << (r % 64);
+    }
+
+    fn contains(&self, s: usize, r: usize) -> bool {
+        self.bits[s * self.words + r / 64] & (1 << (r % 64)) != 0
+    }
+
+    /// Adds every row of slot `from` to slot `to`.
+    fn union(&mut self, to: usize, from: usize) {
+        for k in 0..self.words {
+            self.bits[to * self.words + k] |= self.bits[from * self.words + k];
+        }
+    }
+
+    /// Exchanges rows `a` and `b` in slots `..width`.
+    fn swap_rows(&mut self, width: usize, a: usize, b: usize) {
+        for s in 0..width {
+            let (in_a, in_b) = (self.contains(s, a), self.contains(s, b));
+            if in_a != in_b {
+                self.bits[s * self.words + a / 64] ^= 1 << (a % 64);
+                self.bits[s * self.words + b / 64] ^= 1 << (b % 64);
+            }
+        }
+    }
+
+    /// The rows of slot `s` from row `first` on, ascending.
+    fn rows_from(&self, s: usize, first: usize) -> impl Iterator<Item = usize> + '_ {
+        let set = &self.bits[s * self.words..(s + 1) * self.words];
+        (first / 64..self.words).flat_map(move |k| {
+            let below = if k == first / 64 { first % 64 } else { 0 };
+            let mut word = set[k] & (u64::MAX << below);
+            std::iter::from_fn(move || {
+                (word != 0).then(|| {
+                    let r = k * 64 + word.trailing_zeros() as usize;
+                    word &= word - 1;
+                    r
+                })
+            })
+        })
+    }
+}
+
 /// Every buffer of a solve whose size follows the problem, kept between
 /// solves so [`crate::solve_batch`]'s lanes allocate them once.
 /// Each solve overwrites all of it; nothing is read across solves.
@@ -214,10 +426,16 @@ pub(crate) struct Workspace {
     /// A row of the slots: the pivot row of an update, or the duals of the
     /// active columns while they accumulate.
     packed: Vec<f64>,
-    /// Cost and "can never improve" flag of every column for the running
-    /// phase (bounds are fixed while a phase runs).
+    /// Cost and pricing class of every column for the running phase
+    /// (bounds are fixed while a phase runs).
     cost: Vec<f64>,
-    fixed: Vec<bool>,
+    class: Vec<u8>,
+    /// The value of the basic column at each basis position (the value of
+    /// record: `x` holds it only after [`Simplex::sync_x`]), and that
+    /// column's bounds for the running phase.
+    basic_x: Vec<f64>,
+    basic_lb: Vec<f64>,
+    basic_ub: Vec<f64>,
     /// The `(slot, value)` nonzeros of the pivot row an elimination step
     /// subtracts from the other rows.
     pivot_row: Vec<(usize, f64)>,
@@ -228,6 +446,9 @@ pub(crate) struct Workspace {
     row_of: Vec<usize>,
     home: Vec<usize>,
     swaps: Vec<(usize, usize)>,
+    /// Refactorization scratch: the rows of each slot that may hold a
+    /// nonzero.
+    nonzero: RowSets,
     /// The active columns ascending, each with its slot: the order of the
     /// basic-value sums.
     ordered: Vec<(usize, usize)>,
@@ -241,7 +462,8 @@ struct Simplex<'a> {
     /// Lower/upper bounds for every column (structural, slack, artificial).
     lb: Vec<f64>,
     ub: Vec<f64>,
-    /// Current value of every column.
+    /// Value of every column: current for nonbasic columns, and for basic
+    /// ones as of the last [`Simplex::sync_x`].
     x: Vec<f64>,
     state: Vec<VarState>,
     /// Basis: column index occupying each of the `m` basis positions.
@@ -293,7 +515,7 @@ impl<'a> Simplex<'a> {
         ws.cols.m = m;
         ws.cols.art_rows.clear();
         ws.cols.art_signs.clear();
-        for (v, len) in [(&mut ws.y, m), (&mut ws.w, m), (&mut ws.aty, n)] {
+        for (v, len) in [(&mut ws.y, m), (&mut ws.w, m), (&mut ws.basic_x, m), (&mut ws.aty, n)] {
             v.clear();
             v.resize(len, 0.0);
         }
@@ -341,6 +563,7 @@ impl<'a> Simplex<'a> {
             let clamped = resid[i].clamp(lb[sj], ub[sj]);
             if (clamped - resid[i]).abs() <= FEAS_TOL {
                 x[sj] = resid[i];
+                ws.basic_x[i] = resid[i];
                 state[sj] = VarState::Basic(i);
                 basis[i] = sj;
             } else {
@@ -362,6 +585,7 @@ impl<'a> Simplex<'a> {
             ws.cols.art_rows.push(i);
             ws.cols.art_signs.push(gap.signum());
             x[j] = gap.abs();
+            ws.basic_x[i] = x[j];
             state[j] = VarState::Basic(i);
             basis[i] = j;
             ws.inv.lone[i] = 1.0 / gap.signum();
@@ -483,16 +707,26 @@ impl<'a> Simplex<'a> {
         Basis { cols: status }
     }
 
-    /// Fixes the column costs for the phase about to run, and which
-    /// columns are boxed too tightly to ever improve the objective.
+    /// Fixes the column costs and pricing classes for the phase about to
+    /// run, and the bounds of the basic column at each position.
     fn load_phase(&mut self, cost: impl Fn(usize) -> f64) {
         let total = self.ws.cols.total();
-        self.ws.cost.clear();
-        self.ws.cost.extend((0..total).map(cost));
-        self.ws.fixed.clear();
-        self.ws
-            .fixed
-            .extend(self.lb.iter().zip(&self.ub).map(|(l, u)| u - l <= FEAS_TOL && u.is_finite()));
+        let Workspace { cost: c, class, basic_lb, basic_ub, .. } = &mut *self.ws;
+        c.clear();
+        c.extend((0..total).map(cost));
+        class.clear();
+        class.extend((0..total).map(|j| class_of(self.state[j], self.lb[j], self.ub[j])));
+        for (at, bound) in [(basic_lb, &self.lb), (basic_ub, &self.ub)] {
+            at.clear();
+            at.extend(self.basis.iter().map(|&j| bound[j]));
+        }
+    }
+
+    /// Writes the basic values into `x`, for the readers outside a phase.
+    fn sync_x(&mut self) {
+        for (&j, &v) in self.basis.iter().zip(&self.ws.basic_x) {
+            self.x[j] = v;
+        }
     }
 
     /// `y = Binv' c_B` — dual prices for the running phase's basic costs.
@@ -542,22 +776,27 @@ impl<'a> Simplex<'a> {
     /// at the end yields `B⁻¹`; every stored entry goes through the same
     /// divisions and subtractions in the same order either way.
     ///
-    /// Work is skipped only where an operand is exactly zero. A column
-    /// whose single nonzero no elimination has touched (`row_of`) stays
-    /// lone: it gets no slot and needs no column scan, and no elimination
-    /// at all when its turn comes; most columns of a basis grown from the
-    /// slack start stay that way. A lone column moved off the diagonal by
-    /// the final exchanges is the one that needs a slot after all.
+    /// Work is skipped only where an operand is exactly zero. A step reads
+    /// only the rows in `nonzero`'s set for its pivot slot, in row order,
+    /// not all `m` (the others hold exact zeros there); that set then joins
+    /// the sets of the pivot row's nonzero slots, where fill-in may appear.
+    /// A column whose single nonzero no elimination has touched (`row_of`)
+    /// stays lone: it gets no slot and needs no column scan, and no
+    /// elimination at all when its turn comes; most columns of a basis grown
+    /// from the slack start stay that way. A lone column moved off the
+    /// diagonal by the final exchanges is the one that needs a slot after
+    /// all.
     fn refactorize(&mut self) -> bool {
         self.refactors += 1;
         let m = self.m;
-        let Workspace { inv, cols, pivot_row, row_of, home, swaps, .. } = &mut *self.ws;
+        let Workspace { inv, cols, pivot_row, row_of, home, swaps, nonzero, .. } = &mut *self.ws;
         inv.reset(m);
         row_of.clear();
         row_of.resize(m, NONE);
         home.clear();
         home.resize(m, NONE);
         swaps.clear();
+        nonzero.reset(m);
         for (pos, &j) in self.basis.iter().enumerate() {
             let (mut entries, mut row, mut value) = (0, NONE, 0.0);
             cols.for_each_entry(j, |i, v| {
@@ -571,7 +810,11 @@ impl<'a> Simplex<'a> {
                 inv.lone[pos] = value;
             } else {
                 let s = inv.add_slot(pos);
-                cols.for_each_entry(j, |i, v| *inv.at(i, s) = v);
+                nonzero.open(s);
+                cols.for_each_entry(j, |i, v| {
+                    *inv.at(i, s) = v;
+                    nonzero.insert(s, i);
+                });
             }
         }
         for c in 0..m {
@@ -582,10 +825,11 @@ impl<'a> Simplex<'a> {
             if best == NONE {
                 best = c;
                 let mut best_val = inv.at(c, sc).abs();
-                for (r, v) in inv.slot(sc).enumerate().skip(c + 1) {
-                    if v.abs() > best_val {
+                for r in nonzero.rows_from(sc, c + 1) {
+                    let v = inv.at(r, sc).abs();
+                    if v > best_val {
                         best = r;
-                        best_val = v.abs();
+                        best_val = v;
                     }
                 }
             }
@@ -596,6 +840,7 @@ impl<'a> Simplex<'a> {
             }
             if best != c {
                 inv.swap_rows(c, best);
+                nonzero.swap_rows(inv.width(), c, best);
                 home.swap(c, best);
                 for r in [c, best] {
                     if home[r] != NONE {
@@ -619,6 +864,8 @@ impl<'a> Simplex<'a> {
                 row_of[k] = NONE;
                 let s = inv.add_slot(k);
                 *inv.at(c, s) = inv.lone[k];
+                nonzero.open(s);
+                nonzero.insert(s, c);
             }
             *inv.at(c, sc) = 1.0;
             pivot_row.clear();
@@ -628,7 +875,7 @@ impl<'a> Simplex<'a> {
                     pivot_row.push((s, *v));
                 }
             }
-            for r in (0..m).filter(|&r| r != c) {
+            for r in nonzero.rows_from(sc, 0).filter(|&r| r != c) {
                 let row = inv.row_mut(r);
                 let f = row[sc];
                 if f == 0.0 {
@@ -638,6 +885,9 @@ impl<'a> Simplex<'a> {
                 for &(s, p) in pivot_row.iter() {
                     row[s] -= f * p;
                 }
+            }
+            for &(s, _) in pivot_row.iter() {
+                nonzero.union(s, sc);
             }
         }
         // Undo the exchanges: column `k` of `B⁻¹` is the elimination's
@@ -674,7 +924,7 @@ impl<'a> Simplex<'a> {
     /// Recomputes basic values `x_B = Binv (rhs - N x_N)` from scratch; each
     /// row's sum runs over its nonzero columns in ascending order.
     fn refresh_basic_values(&mut self) {
-        let Workspace { inv, cols, ordered, .. } = &mut *self.ws;
+        let Workspace { inv, cols, ordered, basic_x, .. } = &mut *self.ws;
         let mut resid = self.lp.rhs.clone();
         for j in 0..cols.total() {
             if matches!(self.state[j], VarState::Basic(_)) {
@@ -700,15 +950,14 @@ impl<'a> Simplex<'a> {
             if lone {
                 acc += inv.lone[pos] * resid[pos];
             }
-            self.x[self.basis[pos]] = dot(acc, &ordered[split..]);
+            basic_x[pos] = dot(acc, &ordered[split..]);
         }
     }
 
     /// Total bound violation of basic variables (phase-1 objective).
     fn infeasibility(&self) -> f64 {
         let mut total = 0.0;
-        for &j in &self.basis {
-            let v = self.x[j];
+        for (&j, &v) in self.basis.iter().zip(&self.ws.basic_x) {
             if v < self.lb[j] {
                 total += self.lb[j] - v;
             } else if v > self.ub[j] {
@@ -719,8 +968,14 @@ impl<'a> Simplex<'a> {
     }
 
     /// Runs one simplex phase to optimality under the costs
-    /// [`Simplex::load_phase`] fixed.
+    /// [`Simplex::load_phase`] fixed, and leaves `x` in sync.
     fn run_phase(&mut self, max_iters: usize) -> PhaseEnd {
+        let end = self.iterate(max_iters);
+        self.sync_x();
+        end
+    }
+
+    fn iterate(&mut self, max_iters: usize) -> PhaseEnd {
         loop {
             if self.iterations >= max_iters {
                 return PhaseEnd::IterLimit;
@@ -731,39 +986,11 @@ impl<'a> Simplex<'a> {
             }
             self.compute_duals();
             let use_bland = self.degenerate_streak >= self.cfg.degenerate_before_bland;
-            // --- Pricing: pick the entering column. ---
-            let mut enter: Option<(usize, f64, f64)> = None; // (col, reduced cost, score)
-            let Workspace { cols, y, aty, cost, fixed, .. } = &mut *self.ws;
-            self.lp.a.mul_transpose_vec(y, aty);
-            let (n, nm) = (cols.n, cols.n + cols.m);
-            for j in 0..cols.total() {
-                let st = self.state[j];
-                if matches!(st, VarState::Basic(_)) || fixed[j] {
-                    continue;
-                }
-                let d = cost[j]
-                    - if j < n {
-                        aty[j]
-                    } else if j < nm {
-                        y[j - n]
-                    } else {
-                        cols.art_signs[j - nm] * y[cols.art_rows[j - nm]]
-                    };
-                let score = match st {
-                    VarState::AtLower if d < -OPT_TOL => -d,
-                    VarState::AtUpper if d > OPT_TOL => d,
-                    VarState::FreeAtZero if d.abs() > OPT_TOL => d.abs(),
-                    _ => continue,
-                };
-                if use_bland {
-                    enter = Some((j, d, score));
-                    break;
-                }
-                if enter.is_none_or(|(_, _, s)| score > s) {
-                    enter = Some((j, d, score));
-                }
-            }
-            let Some((j_enter, d_enter, _)) = enter else {
+            self.lp.a.mul_transpose_vec(&self.ws.y, &mut self.ws.aty);
+            let enter = self.price(use_bland);
+            #[cfg(test)]
+            tests::check_pricing(self, use_bland, enter);
+            let Some((j_enter, d_enter)) = enter else {
                 return PhaseEnd::Optimal;
             };
             // Direction: increasing if at lower bound (or free with d<0).
@@ -786,41 +1013,17 @@ impl<'a> Simplex<'a> {
             // --- Ratio test. ---
             // Entering variable's own range allows a bound flip.
             let own_range = self.ub[j_enter] - self.lb[j_enter];
-            let mut t_max = if own_range.is_finite() { own_range } else { f64::INFINITY };
-            let mut leave: Option<(usize, bool)> = None; // (basis pos, hits_upper)
-            for pos in 0..self.m {
-                let wj = sigma * self.ws.w[pos];
-                let bj = self.basis[pos];
-                let xb = self.x[bj];
-                if wj > PIVOT_TOL {
-                    // Basic value decreases toward its lower bound.
-                    if self.lb[bj].is_finite() {
-                        let t = (xb - self.lb[bj]) / wj;
-                        if t < t_max {
-                            t_max = t;
-                            leave = Some((pos, false));
-                        }
-                    }
-                } else if wj < -PIVOT_TOL {
-                    // Basic value increases toward its upper bound.
-                    if self.ub[bj].is_finite() {
-                        let t = (self.ub[bj] - xb) / (-wj);
-                        if t < t_max {
-                            t_max = t;
-                            leave = Some((pos, true));
-                        }
-                    }
-                }
-            }
+            let t_own = if own_range.is_finite() { own_range } else { f64::INFINITY };
+            let (leave, t_max) = self.ratio_test(sigma, t_own);
             if t_max.is_infinite() {
                 return PhaseEnd::Unbounded;
             }
             let t = t_max.max(0.0);
             self.degenerate_streak = if t <= FEAS_TOL { self.degenerate_streak + 1 } else { 0 };
             // --- Apply the step. ---
-            for pos in 0..self.m {
-                let bj = self.basis[pos];
-                self.x[bj] -= sigma * t * self.ws.w[pos];
+            let Workspace { w, basic_x, class, basic_lb, basic_ub, .. } = &mut *self.ws;
+            for (xb, wk) in basic_x.iter_mut().zip(w.iter()) {
+                *xb -= sigma * t * wk;
             }
             match leave {
                 None => {
@@ -831,9 +1034,11 @@ impl<'a> Simplex<'a> {
                         VarState::AtUpper => VarState::AtLower,
                         other => other,
                     };
+                    class[j_enter] =
+                        class_of(self.state[j_enter], self.lb[j_enter], self.ub[j_enter]);
                 }
                 Some((pos, hits_upper)) => {
-                    let piv = self.ws.w[pos];
+                    let piv = w[pos];
                     if piv.abs() < PIVOT_TOL {
                         // Numerically unusable pivot: refactorize and retry.
                         if !self.refactorize() {
@@ -845,15 +1050,91 @@ impl<'a> Simplex<'a> {
                     // Entering becomes basic at its new value.
                     self.x[j_enter] += sigma * t;
                     self.state[j_enter] = VarState::Basic(pos);
+                    class[j_enter] = NEVER;
+                    basic_x[pos] = self.x[j_enter];
+                    basic_lb[pos] = self.lb[j_enter];
+                    basic_ub[pos] = self.ub[j_enter];
                     // Leaving variable lands exactly on a bound.
                     self.x[j_leave] = if hits_upper { self.ub[j_leave] } else { self.lb[j_leave] };
                     self.state[j_leave] =
                         if hits_upper { VarState::AtUpper } else { VarState::AtLower };
+                    class[j_leave] =
+                        class_of(self.state[j_leave], self.lb[j_leave], self.ub[j_leave]);
                     self.basis[pos] = j_enter;
                     self.update_inverse(pos, piv);
                     self.pivots_since_refactor += 1;
                 }
             }
+        }
+    }
+
+    /// Column `j`'s reduced cost `c_j - a_jᵀy` under the running phase's
+    /// costs, from the `Aᵀy` of the structurals and `y` itself otherwise.
+    fn reduced_cost(&self, j: usize) -> f64 {
+        let Workspace { cols, y, aty, cost, .. } = &*self.ws;
+        let (n, nm) = (cols.n, cols.n + cols.m);
+        cost[j]
+            - if j < n {
+                aty[j]
+            } else if j < nm {
+                y[j - n]
+            } else {
+                cols.art_signs[j - nm] * y[cols.art_rows[j - nm]]
+            }
+    }
+
+    /// Pricing: the entering column and its reduced cost, or `None` at
+    /// optimality. Dantzig's rule takes the largest [`score`], the first
+    /// column of a tie; Bland's takes the first eligible column. Either way
+    /// the scan reads the class, cost and price arrays front to back, the
+    /// structurals' price being `Aᵀy` and the slacks' `y`.
+    fn price(&self, use_bland: bool) -> Option<(usize, f64)> {
+        let Workspace { cols, y, aty, cost, class, .. } = &*self.ws;
+        let (n, nm, total) = (cols.n, cols.n + cols.m, cols.total());
+        let j = if use_bland {
+            (0..total).find(|&j| score(class[j], self.reduced_cost(j)) > OPT_TOL)?
+        } else {
+            let mut first = FirstMax::new(OPT_TOL);
+            first.scan(0, &class[..n], cost, aty);
+            first.scan(n, &class[n..nm], &cost[n..], y);
+            for (j, &class) in class.iter().enumerate().skip(nm) {
+                first.offer(j % LANES, j, score(class, self.reduced_cost(j)));
+            }
+            first.winner()?.0
+        };
+        Some((j, self.reduced_cost(j)))
+    }
+
+    /// Ratio test for a step along `-sigma w` with the entering column's own
+    /// range `t_own`: the basis position that leaves first and whether it
+    /// hits its upper bound (`None`: the entering column flips bounds), and
+    /// the step length. A position whose `|sigma wₖ|` exceeds `PIVOT_TOL`
+    /// offers `(xₖ - lₖ) / wₖ` as it falls or `(uₖ - xₖ) / -wₖ` as it rises
+    /// (an infinite bound offers `∞`); the first strict minimum below
+    /// `t_own` leaves. [`FirstMax`] finds it as the maximum of the negated
+    /// steps, over the basis-position arrays.
+    #[inline(never)]
+    fn ratio_test(&self, sigma: f64, t_own: f64) -> (Option<(usize, bool)>, f64) {
+        let Workspace { w, basic_x, basic_lb, basic_ub, .. } = &*self.ws;
+        let m = w.len();
+        let (x, l, u) = (&basic_x[..m], &basic_lb[..m], &basic_ub[..m]);
+        let mut first = FirstMax::new(-t_own);
+        let ((w4, _), (x4, _)) = (w.as_chunks::<LANES>(), x.as_chunks::<LANES>());
+        let ((l4, _), (u4, _)) = (l.as_chunks::<LANES>(), u.as_chunks::<LANES>());
+        for (k, ((w, x), (l, u))) in w4.iter().zip(x4).zip(l4.iter().zip(u4)).enumerate() {
+            let mut steps = [0.0; LANES];
+            for i in 0..LANES {
+                steps[i] = neg_step(sigma * w[i], x[i], l[i], u[i]);
+            }
+            first.offer_chunk(k * LANES, steps);
+        }
+        let body = m - m % LANES;
+        for k in body..m {
+            first.offer(k - body, k, neg_step(sigma * w[k], x[k], l[k], u[k]));
+        }
+        match first.winner() {
+            Some((pos, neg)) => (Some((pos, sigma * w[pos] < 0.0)), -neg),
+            None => (None, t_own),
         }
     }
 
@@ -1083,6 +1364,7 @@ fn solve_prepared(mut s: Simplex<'_>, max_iters: usize) -> Solution {
         sol.stats = stats(&s);
         return sol;
     }
+    s.sync_x();
     s.compute_duals();
     let x: Vec<f64> = s.x[..n].to_vec();
     let min_obj: f64 = x.iter().zip(&lp.obj).map(|(a, b)| a * b).sum::<f64>();
@@ -1100,6 +1382,141 @@ fn solve_prepared(mut s: Simplex<'_>, max_iters: usize) -> Solution {
 mod tests {
     use super::*;
     use crate::model::{LinExpr, Model, Objective, Sense, INF};
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Pivots [`check_pricing`] compared on this thread: Dantzig with one
+        /// column at the top score, Dantzig with a tie at the top, Bland.
+        static PRICED: Cell<[usize; 3]> = const { Cell::new([0; 3]) };
+    }
+
+    /// The one-pass scan [`Simplex::price`] replaced, kept as its
+    /// reference: every nonbasic column that is not fixed, matched on its
+    /// state; the first strict maximum (Dantzig) or the first eligible
+    /// column (Bland). Also counts the columns at the top score.
+    fn price_reference(s: &Simplex<'_>, use_bland: bool) -> (Option<(usize, f64)>, usize) {
+        let Workspace { cols, y, aty, cost, .. } = &*s.ws;
+        let (n, nm) = (cols.n, cols.n + cols.m);
+        let mut enter: Option<(usize, f64, f64)> = None; // (col, reduced cost, score)
+        let mut scores = Vec::new();
+        for j in 0..cols.total() {
+            let st = s.state[j];
+            let fixed = s.ub[j] - s.lb[j] <= FEAS_TOL && s.ub[j].is_finite();
+            if matches!(st, VarState::Basic(_)) || fixed {
+                continue;
+            }
+            let d = cost[j]
+                - if j < n {
+                    aty[j]
+                } else if j < nm {
+                    y[j - n]
+                } else {
+                    cols.art_signs[j - nm] * y[cols.art_rows[j - nm]]
+                };
+            let score = match st {
+                VarState::AtLower if d < -OPT_TOL => -d,
+                VarState::AtUpper if d > OPT_TOL => d,
+                VarState::FreeAtZero if d.abs() > OPT_TOL => d.abs(),
+                _ => continue,
+            };
+            scores.push(score);
+            if use_bland {
+                enter = Some((j, d, score));
+                break;
+            }
+            if enter.is_none_or(|(_, _, s)| score > s) {
+                enter = Some((j, d, score));
+            }
+        }
+        let ties = enter.map_or(0, |(_, _, top)| scores.iter().filter(|&&s| s == top).count());
+        (enter.map(|(j, d, _)| (j, d)), ties)
+    }
+
+    /// Run by [`Simplex::iterate`] at every pivot of every solve in these
+    /// tests: the pricing it took must be the reference scan's, column and
+    /// reduced-cost bits.
+    pub(super) fn check_pricing(s: &Simplex<'_>, use_bland: bool, got: Option<(usize, f64)>) {
+        let (want, ties) = price_reference(s, use_bland);
+        let bits = |e: Option<(usize, f64)>| e.map(|(j, d)| (j, d.to_bits()));
+        assert_eq!(bits(got), bits(want), "pricing (Bland: {use_bland}) left the reference scan");
+        let kind = if use_bland { 2 } else { usize::from(ties > 1) };
+        PRICED.with(|c| {
+            let mut counts = c.get();
+            counts[kind] += 1;
+            c.set(counts);
+        });
+    }
+
+    /// A seeded LP where pricing ties are the rule: every column repeats
+    /// one of a few templates (same entries, same cost), and the copies
+    /// cycle through nonnegative, boxed, free and fixed bounds. Rows mix
+    /// senses, so phase 1 has artificials to price too.
+    fn tie_heavy_lp(seed: u64) -> Model {
+        let mut state = seed;
+        let mut draw = move |k: u64| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (state >> 33) % k
+        };
+        let mut m = Model::new();
+        let rows = 3 + draw(6) as usize;
+        let mut row_exprs = vec![LinExpr::new(); rows];
+        let mut obj = LinExpr::new();
+        for t in 0..3 + draw(4) {
+            let mut entries = Vec::new();
+            for r in 0..rows {
+                if draw(3) != 0 {
+                    entries.push((r, if draw(4) == 0 { -1.0 } else { 1.0 + draw(2) as f64 }));
+                }
+            }
+            let cost = draw(5) as f64 - 3.0;
+            for copy in 0..2 + draw(3) {
+                let (lb, ub) = match (t + copy) % 4 {
+                    0 => (0.0, INF),
+                    1 => (0.0, 1.0 + draw(2) as f64),
+                    2 => (-INF, INF),
+                    _ => (1.0, 1.0),
+                };
+                let v = m.add_var(lb, ub);
+                for &(r, a) in &entries {
+                    row_exprs[r].add_term(v, a);
+                }
+                obj.add_term(v, cost);
+            }
+        }
+        for (r, expr) in row_exprs.into_iter().enumerate() {
+            let sense = [Sense::Le, Sense::Le, Sense::Ge, Sense::Eq][r % 4];
+            m.add_con(expr, sense, 2.0 + draw(6) as f64);
+        }
+        m.set_objective(obj, Objective::Minimize);
+        m
+    }
+
+    #[test]
+    fn lane_pricing_matches_the_one_pass_scan_at_every_pivot() {
+        let (dantzig, bland) = (
+            SimplexConfig::default(),
+            SimplexConfig { degenerate_before_bland: 0, ..Default::default() },
+        );
+        // Ten unit boxes under one loose row, all at the same cost: every
+        // pivot is a tie, and every entering column flips to its upper
+        // bound, after which it may not price again.
+        let mut flips = Model::new();
+        let boxes: Vec<_> = (0..10).map(|_| flips.add_var(0.0, 1.0)).collect();
+        flips.add_con(LinExpr::sum_vars(boxes.iter().copied()), Sense::Le, 100.0);
+        flips.set_objective(LinExpr::sum_vars(boxes), Objective::Maximize);
+        PRICED.with(|c| c.set([0; 3]));
+        for cfg in [&dantzig, &bland] {
+            let s = solve(&flips.to_standard(), cfg);
+            assert_eq!(s.status, Status::Optimal);
+            assert_eq!(s.objective, 10.0);
+            assert_eq!(s.stats.iterations, 11, "ten flips and the optimality check");
+            for seed in 0..40 {
+                solve(&tie_heavy_lp(seed).to_standard(), cfg);
+            }
+        }
+        let [single, tied, bland] = PRICED.with(Cell::get);
+        assert!(single >= 100 && tied >= 100 && bland >= 100, "{single} / {tied} / {bland}");
+    }
 
     fn solve_model(m: &Model) -> Solution {
         solve(&m.to_standard(), &SimplexConfig::default())
