@@ -3,24 +3,35 @@
 //! `lottery::round_once` rounds a fractional λ up or down on a one-sided
 //! `frac > 1e-9` test, so an LP answer that moves by one ulp can send a
 //! ticket down the other branch. These pins hold the simplex to its exact
-//! pivot path and output bits on the LPs the offline stage really solves:
-//! the first scenarios of the B4 and IBM correlated universes and a stride
-//! through the rest of B4's, cold and warm-started from the returned basis
-//! (the `from_basis` path). The `#[ignore]`d whole-universe pin folds every
-//! one of those LPs, cold, into one digest per topology (≈ 2.5 s release).
-//! `rwa_models_are_pinned_bit_for_bit` holds the LPs themselves: the
-//! lowered standard form `build_relaxed` hands to the solver.
-//! `bland_and_refactor_paths_are_pinned_bit_for_bit` holds the two paths
-//! the default settings never reach on these LPs: Bland's rule and a
+//! pivot path and output bits on relaxed RWA LPs of the B4 and IBM
+//! correlated universes, in two configurations:
+//!
+//! - `RwaConfig::default()` (no modulation change): the first scenarios of
+//!   both universes and a stride through the rest of B4's, cold and
+//!   warm-started from the returned basis (the `from_basis` path), and the
+//!   `#[ignore]`d whole-universe fold of every one of those LPs, cold, into
+//!   one digest per topology. These average ≈ 70 (B4) and ≈ 104 (IBM)
+//!   pivots.
+//! - `LotteryConfig::default().rwa` (modulation change allowed): the LPs
+//!   the offline stage really solves, and the benchmark's `offline_b4` /
+//!   `offline_ibm` time, at ≈ 145 and ≈ 372 pivots. `rwa_offline.*` holds
+//!   B4 `s000`–`s003` and IBM `s000` cold and warm, and the `#[ignore]`d
+//!   fold of all 484 B4 and 32 IBM of them.
+//!
+//! `rwa_models_are_pinned_bit_for_bit` holds the default-configuration LPs
+//! themselves: the lowered standard form `build_relaxed` hands to the
+//! solver. `bland_and_refactor_paths_are_pinned_bit_for_bit` holds the two
+//! paths the default settings never reach on them: Bland's rule and a
 //! refactorization mid-solve.
 //!
 //! The digests live in `tests/pins.txt` (groups `rwa_simplex`,
 //! `rwa_simplex_bland`, `rwa_simplex_refactor1`, `rwa_universe`,
-//! `rwa_model`, `rwa_pdhg`). The first sixteen B4 and four IBM LP pins were
-//! recorded before the slack-aware basis kernel landed, the others before
-//! row-wise pricing and the packed inverse did, and the Bland and refactor
-//! pins before the branch-free pricing kernel did; none may be re-recorded
-//! by a change that claims to keep the bits.
+//! `rwa_offline`, `rwa_model`, `rwa_pdhg`). The first sixteen B4 and four
+//! IBM LP pins were recorded before the slack-aware basis kernel landed,
+//! the others before row-wise pricing and the packed inverse did, the
+//! Bland and refactor pins before the branch-free pricing kernel did, and
+//! the `rwa_offline` pins before the sparse pivot passes did; none may be
+//! re-recorded by a change that claims to keep the bits.
 //!
 //! The PDHG pin does the same for the first-order backend on the largest of
 //! those B4 LPs, cold and warm-started from the returned point; it was
@@ -53,9 +64,19 @@ fn universe(wan: &Wan, max_scenarios: usize) -> ScenarioUniverse {
     )
 }
 
-/// The relaxed RWA model of scenario `i`, as the offline stage builds it.
+/// The relaxed RWA model of scenario `i` under `RwaConfig::default()`.
 fn rwa_model(wan: &Wan, universe: &ScenarioUniverse, i: usize) -> Model {
-    build_relaxed(&wan.optical, &universe.scenario(i).cut_fibers, &RwaConfig::default()).model
+    rwa_model_with(wan, universe, i, &RwaConfig::default())
+}
+
+/// The relaxed RWA model of scenario `i` under `rwa`.
+fn rwa_model_with(wan: &Wan, universe: &ScenarioUniverse, i: usize, rwa: &RwaConfig) -> Model {
+    build_relaxed(&wan.optical, &universe.scenario(i).cut_fibers, rwa).model
+}
+
+/// The RWA settings the offline stage solves its scenario LPs with.
+fn offline_rwa() -> RwaConfig {
+    LotteryConfig::default().rwa
 }
 
 /// `rwa_simplex.<topology>.s<i>.{cold,warm}` of each of `scenarios` under
@@ -66,13 +87,26 @@ fn rwa_pins(
     universe: &ScenarioUniverse,
     scenarios: impl Iterator<Item = usize>,
 ) -> Vec<(String, u64)> {
+    solve_pins("rwa_simplex", &RwaConfig::default(), topology, wan, universe, scenarios)
+}
+
+/// `<group>.<topology>.s<i>.{cold,warm}` of each of `scenarios`' LP built
+/// under `rwa`, as [`rwa_pins`] solves them.
+fn solve_pins(
+    group: &str,
+    rwa: &RwaConfig,
+    topology: &str,
+    wan: &Wan,
+    universe: &ScenarioUniverse,
+    scenarios: impl Iterator<Item = usize>,
+) -> Vec<(String, u64)> {
     let cfg = SolverConfig::exact();
     let mut pins = Vec::new();
     for i in scenarios {
-        let model = rwa_model(wan, universe, i);
+        let model = rwa_model_with(wan, universe, i, rwa);
         let cold = solve(&model, &cfg);
         let warm = solve_with(&model, &cfg, cold.warm_start().as_ref());
-        let name = |run| format!("rwa_simplex.{topology}.s{i:03}.{run}");
+        let name = |run| format!("{group}.{topology}.s{i:03}.{run}");
         pins.extend([(name("cold"), cold.digest()), (name("warm"), warm.digest())]);
     }
     pins
@@ -120,24 +154,44 @@ fn rwa_models_are_pinned_bit_for_bit() {
     check_pins(&got.concat()).unwrap();
 }
 
-/// Every B4 (484) and IBM (32) scenario LP the benchmark's offline
-/// workloads solve, cold, folded into one digest per topology. Too slow for
-/// the debug `cargo test`; CI runs it `--release -- --ignored`.
+/// Every scenario LP of the B4 (484) and IBM (32) universes the
+/// benchmark's offline workloads compile, cold, folded into one digest per
+/// topology and configuration: `rwa_universe.*` under `RwaConfig::default()`
+/// and `rwa_offline.universe.*` under the offline stage's own settings,
+/// the LPs `offline_b4` / `offline_ibm` time. Too slow for the debug
+/// `cargo test`; CI runs it `--release -- --ignored`.
 #[test]
 #[ignore = "whole universe: run with --release -- --ignored"]
 fn whole_universe_rwa_lps_are_pinned_bit_for_bit() {
     let cfg = SolverConfig::exact();
-    let fold_all = |wan: &Wan, universe: &ScenarioUniverse| {
+    let fold_all = |wan: &Wan, universe: &ScenarioUniverse, rwa: &RwaConfig| {
         (0..universe.len()).fold(word_fold(FNV1A_OFFSET, universe.len() as u64), |h, i| {
-            word_fold(h, solve(&rwa_model(wan, universe, i), &cfg).digest())
+            word_fold(h, solve(&rwa_model_with(wan, universe, i, rwa), &cfg).digest())
         })
     };
     let (b4, ibm) = (b4(17), ibm(17));
+    let (b4_universe, ibm_universe) = (universe(&b4, 0), universe(&ibm, 32));
+    let (default, offline) = (RwaConfig::default(), offline_rwa());
     check_pins(&[
-        ("rwa_universe.b4", fold_all(&b4, &universe(&b4, 0))),
-        ("rwa_universe.ibm", fold_all(&ibm, &universe(&ibm, 32))),
+        ("rwa_universe.b4", fold_all(&b4, &b4_universe, &default)),
+        ("rwa_universe.ibm", fold_all(&ibm, &ibm_universe, &default)),
+        ("rwa_offline.universe.b4", fold_all(&b4, &b4_universe, &offline)),
+        ("rwa_offline.universe.ibm", fold_all(&ibm, &ibm_universe, &offline)),
     ])
     .unwrap();
+}
+
+/// The LPs the offline stage solves (`LotteryConfig::default().rwa`): B4
+/// `s000`–`s003` and IBM `s000`, cold and warm from the cold basis.
+#[test]
+fn offline_rwa_lps_are_pinned_bit_for_bit() {
+    let (b4, ibm) = (b4(17), ibm(17));
+    let rwa = offline_rwa();
+    let pins = [
+        solve_pins("rwa_offline", &rwa, "b4", &b4, &universe(&b4, 0), 0..4),
+        solve_pins("rwa_offline", &rwa, "ibm", &ibm, &universe(&ibm, 32), 0..1),
+    ];
+    check_pins(&pins.concat()).unwrap();
 }
 
 #[test]
