@@ -173,13 +173,13 @@ impl FirstMax {
         FirstMax { best: [floor; LANES], index: [NONE; LANES] }
     }
 
-    /// Offers `score[l]` as index `first + l` to lane `l`; every lane at
-    /// once, so the compiler keeps the lanes in one vector register.
+    /// Offers `score[l]` as `index[l]` to lane `l`; every lane at once, so
+    /// the compiler keeps the lanes in one vector register.
     #[inline(always)]
-    fn offer_chunk(&mut self, first: usize, score: [f64; LANES]) {
+    fn offer_chunk(&mut self, index: [usize; LANES], score: [f64; LANES]) {
         let better: [bool; LANES] = from_fn(|l| score[l] > self.best[l]);
         self.best = from_fn(|l| if better[l] { score[l] } else { self.best[l] });
-        self.index = from_fn(|l| if better[l] { first + l } else { self.index[l] });
+        self.index = from_fn(|l| if better[l] { index[l] } else { self.index[l] });
     }
 
     #[inline(always)]
@@ -197,7 +197,8 @@ impl FirstMax {
         let mut lanes = *self;
         let chunks = class.chunks_exact(LANES).zip(cost.chunks_exact(LANES));
         for (k, ((cl, c), p)) in chunks.zip(price.chunks_exact(LANES)).enumerate() {
-            lanes.offer_chunk(first + k * LANES, from_fn(|l| score(cl[l], c[l] - p[l])));
+            let index = from_fn(|l| first + k * LANES + l);
+            lanes.offer_chunk(index, from_fn(|l| score(cl[l], c[l] - p[l])));
         }
         *self = lanes;
         let body = len - len % LANES;
@@ -262,7 +263,7 @@ const MIN_SLOTS: usize = 16;
 /// each row's first `slot_col.len()` entries are in use. Slots are numbered
 /// in the order their columns became active; nothing outside the slots in
 /// use and the lone entries of lone columns is ever read.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 struct Inverse {
     m: usize,
     cap: usize,
@@ -307,6 +308,7 @@ impl Inverse {
     }
 
     /// Column `s` of the slots, one entry per row.
+    #[cfg(test)]
     fn slot(&self, s: usize) -> impl Iterator<Item = &f64> {
         self.slots[s..].iter().step_by(self.cap)
     }
@@ -341,11 +343,50 @@ impl Inverse {
     }
 }
 
-/// For each slot of the packed inverse during a refactorization, a bit set
-/// of rows that holds every row with a nonzero in that slot (and perhaps
-/// some rows without one: an entry may cancel, and fill-in is recorded for
-/// every row a step visits).
-#[derive(Debug, Default)]
+/// The members of the bit set `words` from `first` on, ascending.
+fn ones(words: &[u64], first: usize) -> impl Iterator<Item = usize> + '_ {
+    (first / 64..words.len()).flat_map(move |k| {
+        let below = if k == first / 64 { first % 64 } else { 0 };
+        let mut word = words[k] & (u64::MAX << below);
+        std::iter::from_fn(move || {
+            (word != 0).then(|| {
+                let r = k * 64 + word.trailing_zeros() as usize;
+                word &= word - 1;
+                r
+            })
+        })
+    })
+}
+
+/// Calls `f` on each member of the bit set `words`, ascending: [`ones`]
+/// as a plain loop, for the per-pivot passes.
+#[inline(always)]
+fn each_one(words: &[u64], mut f: impl FnMut(usize)) {
+    for (k, &word) in words.iter().enumerate() {
+        let mut word = word;
+        while word != 0 {
+            f(k * 64 + word.trailing_zeros() as usize);
+            word &= word - 1;
+        }
+    }
+}
+
+fn has(words: &[u64], r: usize) -> bool {
+    words[r / 64] & (1 << (r % 64)) != 0
+}
+
+/// Puts `r` in the bit set `words` or takes it out.
+fn put(words: &mut [u64], r: usize, member: bool) {
+    let bit = 1 << (r % 64);
+    words[r / 64] = if member { words[r / 64] | bit } else { words[r / 64] & !bit };
+}
+
+/// For each slot of the packed inverse, a bit set of rows that holds every
+/// row with a nonzero in that slot (and perhaps some rows without one: an
+/// entry may cancel, and fill-in is recorded for every row a step visits).
+/// A refactorization builds them as it eliminates, and each product-form
+/// update adds the rows it may fill in.
+#[derive(Debug, Default, Clone)]
 struct RowSets {
     /// 64-row words per slot.
     words: usize,
@@ -368,12 +409,17 @@ impl RowSets {
         self.bits[start..end].fill(0);
     }
 
+    /// Slot `s`'s set.
+    fn set(&self, s: usize) -> &[u64] {
+        &self.bits[s * self.words..(s + 1) * self.words]
+    }
+
     fn insert(&mut self, s: usize, r: usize) {
         self.bits[s * self.words + r / 64] |= 1 << (r % 64);
     }
 
     fn contains(&self, s: usize, r: usize) -> bool {
-        self.bits[s * self.words + r / 64] & (1 << (r % 64)) != 0
+        has(self.set(s), r)
     }
 
     /// Adds every row of slot `from` to slot `to`.
@@ -381,6 +427,12 @@ impl RowSets {
         for k in 0..self.words {
             self.bits[to * self.words + k] |= self.bits[from * self.words + k];
         }
+    }
+
+    /// Adds every row of the bit set `rows` to slot `to`.
+    fn add_rows(&mut self, to: usize, rows: &[u64]) {
+        let set = &mut self.bits[to * self.words..(to + 1) * self.words];
+        set.iter_mut().zip(rows).for_each(|(a, b)| *a |= b);
     }
 
     /// Exchanges rows `a` and `b` in slots `..width`.
@@ -396,19 +448,22 @@ impl RowSets {
 
     /// The rows of slot `s` from row `first` on, ascending.
     fn rows_from(&self, s: usize, first: usize) -> impl Iterator<Item = usize> + '_ {
-        let set = &self.bits[s * self.words..(s + 1) * self.words];
-        (first / 64..self.words).flat_map(move |k| {
-            let below = if k == first / 64 { first % 64 } else { 0 };
-            let mut word = set[k] & (u64::MAX << below);
-            std::iter::from_fn(move || {
-                (word != 0).then(|| {
-                    let r = k * 64 + word.trailing_zeros() as usize;
-                    word &= word - 1;
-                    r
-                })
-            })
-        })
+        ones(self.set(s), first)
     }
+}
+
+/// How much of the pricing input is current for the basis and the costs.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+enum Duals {
+    /// Nothing: a refactorization or a new phase came since it was priced.
+    #[default]
+    Stale,
+    /// The active slots' dual sums (`Workspace::sums`), which the last
+    /// update accumulated; `y` and `Aᵀy` are not.
+    Summed,
+    /// `y` and `Aᵀy`. A bound flip keeps them: it changes neither the basis,
+    /// the inverse nor the costs.
+    Priced,
 }
 
 /// Every buffer of a solve whose size follows the problem, kept between
@@ -423,19 +478,29 @@ pub(crate) struct Workspace {
     y: Vec<f64>,
     w: Vec<f64>,
     aty: Vec<f64>,
-    /// A row of the slots: the pivot row of an update, or the duals of the
-    /// active columns while they accumulate.
+    /// What `y`, `Aᵀy` and `sums` hold.
+    duals: Duals,
+    /// The rows where `w` is nonzero: ascending, and as a bit set.
+    w_rows: Vec<usize>,
+    w_set: Vec<u64>,
+    /// The pivot row of an update, in slot order.
     packed: Vec<f64>,
+    /// The duals of the active columns, in slot order:
+    /// `Σ basic_cost[r] · row r` over the cost rows ascending.
+    sums: Vec<f64>,
     /// Cost and pricing class of every column for the running phase
     /// (bounds are fixed while a phase runs).
     cost: Vec<f64>,
     class: Vec<u8>,
     /// The value of the basic column at each basis position (the value of
-    /// record: `x` holds it only after [`Simplex::sync_x`]), and that
-    /// column's bounds for the running phase.
+    /// record: `x` holds it only after [`Simplex::sync_x`]), that column's
+    /// bounds and cost for the running phase, and the bit set of positions
+    /// whose cost is nonzero (the cost rows).
     basic_x: Vec<f64>,
     basic_lb: Vec<f64>,
     basic_ub: Vec<f64>,
+    basic_cost: Vec<f64>,
+    cost_rows: Vec<u64>,
     /// The `(slot, value)` nonzeros of the pivot row an elimination step
     /// subtracts from the other rows.
     pivot_row: Vec<(usize, f64)>,
@@ -446,8 +511,7 @@ pub(crate) struct Workspace {
     row_of: Vec<usize>,
     home: Vec<usize>,
     swaps: Vec<(usize, usize)>,
-    /// Refactorization scratch: the rows of each slot that may hold a
-    /// nonzero.
+    /// The rows of each slot that may hold a nonzero.
     nonzero: RowSets,
     /// The active columns ascending, each with its slot: the order of the
     /// basic-value sums.
@@ -519,6 +583,10 @@ impl<'a> Simplex<'a> {
             v.clear();
             v.resize(len, 0.0);
         }
+        for set in [&mut ws.w_set, &mut ws.cost_rows] {
+            set.clear();
+            set.resize(m.div_ceil(64), 0);
+        }
     }
 
     fn new(lp: &'a StandardLp, cfg: &'a SimplexConfig, ws: &'a mut Workspace) -> Self {
@@ -580,6 +648,7 @@ impl<'a> Simplex<'a> {
         // Initial basis matrix is diagonal (±1), so its inverse is too, and
         // no column is active yet.
         ws.inv.reset(m);
+        ws.nonzero.reset(m);
         for (k, &(i, gap)) in gaps.iter().enumerate() {
             let j = n + m + k;
             ws.cols.art_rows.push(i);
@@ -708,18 +777,28 @@ impl<'a> Simplex<'a> {
     }
 
     /// Fixes the column costs and pricing classes for the phase about to
-    /// run, and the bounds of the basic column at each position.
+    /// run, and the bounds and cost of the basic column at each position.
     fn load_phase(&mut self, cost: impl Fn(usize) -> f64) {
         let total = self.ws.cols.total();
-        let Workspace { cost: c, class, basic_lb, basic_ub, .. } = &mut *self.ws;
+        let Workspace { cost: c, class, basic_lb, basic_ub, basic_cost, .. } = &mut *self.ws;
         c.clear();
         c.extend((0..total).map(cost));
         class.clear();
         class.extend((0..total).map(|j| class_of(self.state[j], self.lb[j], self.ub[j])));
-        for (at, bound) in [(basic_lb, &self.lb), (basic_ub, &self.ub)] {
+        for (at, by_col) in [(basic_lb, &self.lb), (basic_ub, &self.ub), (basic_cost, &*c)] {
             at.clear();
-            at.extend(self.basis.iter().map(|&j| bound[j]));
+            at.extend(self.basis.iter().map(|&j| by_col[j]));
         }
+        for pos in 0..self.m {
+            self.set_basic_cost(pos);
+        }
+        self.ws.duals = Duals::Stale;
+    }
+
+    /// Marks position `pos` a cost row or not, by its `basic_cost`.
+    fn set_basic_cost(&mut self, pos: usize) {
+        let Workspace { basic_cost, cost_rows, .. } = &mut *self.ws;
+        put(cost_rows, pos, basic_cost[pos] != 0.0);
     }
 
     /// Writes the basic values into `x`, for the readers outside a phase.
@@ -730,38 +809,61 @@ impl<'a> Simplex<'a> {
     }
 
     /// `y = Binv' c_B` — dual prices for the running phase's basic costs.
-    /// An active column's price sums over the rows in ascending order, a
-    /// lone column's is its own row's term alone.
+    /// An active column's price sums over the cost rows in ascending order
+    /// (unless the last update already did: [`Duals::Summed`]), a lone
+    /// column's is its own row's term alone, and every other price is zero.
     fn compute_duals(&mut self) {
-        let Workspace { inv, y, cost, packed, .. } = &mut *self.ws;
-        packed.clear();
-        packed.resize(inv.width(), 0.0);
-        for (i, &j) in self.basis.iter().enumerate() {
-            let cb = cost[j];
-            if cb == 0.0 {
-                continue;
-            }
-            packed.iter_mut().zip(inv.row(i)).for_each(|(yk, b)| *yk += cb * b);
+        let Workspace { inv, y, duals, sums, basic_cost, cost_rows, .. } = &mut *self.ws;
+        if *duals == Duals::Stale {
+            sums.clear();
+            sums.resize(inv.width(), 0.0);
+            each_one(cost_rows, |i| {
+                let cb = basic_cost[i];
+                sums.iter_mut().zip(inv.row(i)).for_each(|(yk, b)| *yk += cb * b);
+            });
         }
-        for (k, yk) in y.iter_mut().enumerate() {
-            let cb = cost[self.basis[k]];
-            *yk = match inv.slot_of[k] {
-                NONE if cb == 0.0 => 0.0,
-                NONE => 0.0 + cb * inv.lone[k],
-                s => packed[s],
-            };
+        y.fill(0.0);
+        each_one(cost_rows, |i| {
+            if inv.slot_of[i] == NONE {
+                y[i] = 0.0 + basic_cost[i] * inv.lone[i];
+            }
+        });
+        for (&k, &sum) in inv.slot_col.iter().zip(sums.iter()) {
+            y[k] = sum;
         }
     }
 
-    /// `w = Binv a_j` for the entering column. A lone column of the inverse
-    /// is its diagonal entry alone.
+    /// `w = Binv a_j` for the entering column, and the rows where it is
+    /// nonzero. A lone column of the inverse is its diagonal entry alone, an
+    /// active one is read in the rows of its set only.
     fn compute_direction(&mut self, j: usize) {
-        let Workspace { inv, w, cols, .. } = &mut *self.ws;
+        let Workspace { inv, w, cols, nonzero, w_rows, w_set, .. } = &mut *self.ws;
         w.fill(0.0);
+        w_set.fill(0);
         cols.for_each_entry(j, |i, v| match inv.slot_of[i] {
-            NONE => w[i] += v * inv.lone[i],
-            s => w.iter_mut().zip(inv.slot(s)).for_each(|(wk, b)| *wk += v * b),
+            NONE => {
+                w[i] += v * inv.lone[i];
+                put(w_set, i, true);
+            }
+            s => {
+                let set = nonzero.set(s);
+                each_one(set, |r| w[r] += v * inv.slots[r * inv.cap + s]);
+                w_set.iter_mut().zip(set).for_each(|(a, b)| *a |= b);
+            }
         });
+        w_rows.clear();
+        for (k, word) in w_set.iter_mut().enumerate() {
+            let mut rest = *word;
+            while rest != 0 {
+                let bit = rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                if w[k * 64 + bit] == 0.0 {
+                    *word &= !(1 << bit);
+                } else {
+                    w_rows.push(k * 64 + bit);
+                }
+            }
+        }
     }
 
     /// Recomputes the inverse by Gauss–Jordan elimination of the current
@@ -915,7 +1017,10 @@ impl<'a> Simplex<'a> {
         for &(k, c) in swaps.iter() {
             let s = inv.add_slot(k);
             *inv.at(c, s) = inv.lone[c];
+            nonzero.open(s);
+            nonzero.insert(s, c);
         }
+        self.ws.duals = Duals::Stale;
         self.refresh_basic_values();
         self.pivots_since_refactor = 0;
         true
@@ -984,9 +1089,12 @@ impl<'a> Simplex<'a> {
             if self.pivots_since_refactor >= self.cfg.refactor_every && !self.refactorize() {
                 return PhaseEnd::Stalled;
             }
-            self.compute_duals();
+            if self.ws.duals != Duals::Priced {
+                self.compute_duals();
+                self.lp.a.mul_transpose_vec(&self.ws.y, &mut self.ws.aty);
+                self.ws.duals = Duals::Priced;
+            }
             let use_bland = self.degenerate_streak >= self.cfg.degenerate_before_bland;
-            self.lp.a.mul_transpose_vec(&self.ws.y, &mut self.ws.aty);
             let enter = self.price(use_bland);
             #[cfg(test)]
             tests::check_pricing(self, use_bland, enter);
@@ -1015,6 +1123,8 @@ impl<'a> Simplex<'a> {
             let own_range = self.ub[j_enter] - self.lb[j_enter];
             let t_own = if own_range.is_finite() { own_range } else { f64::INFINITY };
             let (leave, t_max) = self.ratio_test(sigma, t_own);
+            #[cfg(test)]
+            let reference = tests::Reference::new(self, j_enter, sigma, t_own, (leave, t_max));
             if t_max.is_infinite() {
                 return PhaseEnd::Unbounded;
             }
@@ -1061,10 +1171,14 @@ impl<'a> Simplex<'a> {
                     class[j_leave] =
                         class_of(self.state[j_leave], self.lb[j_leave], self.ub[j_leave]);
                     self.basis[pos] = j_enter;
+                    self.ws.basic_cost[pos] = self.ws.cost[j_enter];
+                    self.set_basic_cost(pos);
                     self.update_inverse(pos, piv);
                     self.pivots_since_refactor += 1;
                 }
             }
+            #[cfg(test)]
+            reference.check(self);
         }
     }
 
@@ -1112,25 +1226,20 @@ impl<'a> Simplex<'a> {
     /// offers `(xₖ - lₖ) / wₖ` as it falls or `(uₖ - xₖ) / -wₖ` as it rises
     /// (an infinite bound offers `∞`); the first strict minimum below
     /// `t_own` leaves. [`FirstMax`] finds it as the maximum of the negated
-    /// steps, over the basis-position arrays.
+    /// steps, over the basis-position arrays at the rows where `w` is
+    /// nonzero (a zero `w` offers NaN, which never wins), each lane seeing
+    /// its rows in ascending order.
     #[inline(never)]
     fn ratio_test(&self, sigma: f64, t_own: f64) -> (Option<(usize, bool)>, f64) {
-        let Workspace { w, basic_x, basic_lb, basic_ub, .. } = &*self.ws;
-        let m = w.len();
-        let (x, l, u) = (&basic_x[..m], &basic_lb[..m], &basic_ub[..m]);
+        let Workspace { w, w_rows, basic_x, basic_lb, basic_ub, .. } = &*self.ws;
+        let step = |k: usize| neg_step(sigma * w[k], basic_x[k], basic_lb[k], basic_ub[k]);
         let mut first = FirstMax::new(-t_own);
-        let ((w4, _), (x4, _)) = (w.as_chunks::<LANES>(), x.as_chunks::<LANES>());
-        let ((l4, _), (u4, _)) = (l.as_chunks::<LANES>(), u.as_chunks::<LANES>());
-        for (k, ((w, x), (l, u))) in w4.iter().zip(x4).zip(l4.iter().zip(u4)).enumerate() {
-            let mut steps = [0.0; LANES];
-            for i in 0..LANES {
-                steps[i] = neg_step(sigma * w[i], x[i], l[i], u[i]);
-            }
-            first.offer_chunk(k * LANES, steps);
+        let (chunks, rest) = w_rows.as_chunks::<LANES>();
+        for &rows in chunks {
+            first.offer_chunk(rows, rows.map(step));
         }
-        let body = m - m % LANES;
-        for k in body..m {
-            first.offer(k - body, k, neg_step(sigma * w[k], x[k], l[k], u[k]));
+        for (lane, &k) in rest.iter().enumerate() {
+            first.offer(lane, k, step(k));
         }
         match first.winner() {
             Some((pos, neg)) => (Some((pos, sigma * w[pos] < 0.0)), -neg),
@@ -1138,24 +1247,50 @@ impl<'a> Simplex<'a> {
         }
     }
 
-    /// Product-form update of the inverse for a pivot at `pos`. Row `pos`
-    /// is zero outside the active columns and its own diagonal, so once
-    /// column `pos` is active the update writes active slots only.
+    /// Product-form update of the inverse for a pivot at `pos`, fused with
+    /// the next iteration's dual sums. Row `pos` is zero outside the active
+    /// columns and its own diagonal, so once column `pos` is active the
+    /// update writes active slots only, and only in the rows where `w` is
+    /// nonzero; those rows join the set of every slot the pivot row holds a
+    /// nonzero in. The same ascending pass adds each cost row, updated, to
+    /// the sums, as [`Simplex::compute_duals`] would next.
     fn update_inverse(&mut self, pos: usize, piv: f64) {
-        let Workspace { inv, w, packed, .. } = &mut *self.ws;
+        let Workspace { inv, w, packed, nonzero, w_set, sums, basic_cost, cost_rows, .. } =
+            &mut *self.ws;
         if inv.slot_of[pos] == NONE {
             let s = inv.add_slot(pos);
             *inv.at(pos, s) = inv.lone[pos];
+            nonzero.open(s);
+            nonzero.insert(s, pos);
         }
         inv.row_mut(pos).iter_mut().for_each(|v| *v /= piv);
         packed.clear();
         packed.extend_from_slice(inv.row(pos));
-        for (r, &f) in w.iter().enumerate() {
-            if r == pos || f == 0.0 {
-                continue;
+        for (s, &p) in packed.iter().enumerate() {
+            if p != 0.0 {
+                nonzero.add_rows(s, w_set);
             }
-            inv.row_mut(r).iter_mut().zip(packed.iter()).for_each(|(b, p)| *b -= f * p);
         }
+        sums.clear();
+        sums.resize(inv.width(), 0.0);
+        for (k, (&in_w, &costed)) in w_set.iter().zip(cost_rows.iter()).enumerate() {
+            let mut rest = in_w | costed;
+            while rest != 0 {
+                let r = k * 64 + rest.trailing_zeros() as usize;
+                let bit = rest & rest.wrapping_neg();
+                rest &= rest - 1;
+                let row = inv.row_mut(r);
+                if in_w & bit != 0 && r != pos {
+                    let f = w[r];
+                    row.iter_mut().zip(packed.iter()).for_each(|(b, p)| *b -= f * p);
+                }
+                if costed & bit != 0 {
+                    let cb = basic_cost[r];
+                    sums.iter_mut().zip(row.iter()).for_each(|(yk, b)| *yk += cb * *b);
+                }
+            }
+        }
+        self.ws.duals = Duals::Summed;
     }
 }
 
@@ -1388,6 +1523,156 @@ mod tests {
         /// Pivots [`check_pricing`] compared on this thread: Dantzig with one
         /// column at the top score, Dantzig with a tie at the top, Bland.
         static PRICED: Cell<[usize; 3]> = const { Cell::new([0; 3]) };
+        /// Iterations [`Reference::check`] compared on this thread: bound
+        /// flips, basis changes, and steps from a `-0.0` basic value.
+        static STEPPED: Cell<[usize; 3]> = const { Cell::new([0; 3]) };
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    fn bump(counter: &'static std::thread::LocalKey<Cell<[usize; 3]>>, kind: usize) {
+        counter.with(|c| {
+            let mut counts = c.get();
+            counts[kind] += 1;
+            c.set(counts);
+        });
+    }
+
+    /// The dense `y = Binv' c_B` the cost-row pass replaced: every basis
+    /// position's cost gathered, every row visited.
+    fn duals_reference(s: &Simplex<'_>) -> Vec<f64> {
+        let Workspace { inv, cost, .. } = &*s.ws;
+        let mut packed = vec![0.0; inv.width()];
+        for (i, &j) in s.basis.iter().enumerate() {
+            let cb = cost[j];
+            if cb == 0.0 {
+                continue;
+            }
+            packed.iter_mut().zip(inv.row(i)).for_each(|(yk, b)| *yk += cb * b);
+        }
+        (0..s.m)
+            .map(|k| {
+                let cb = cost[s.basis[k]];
+                match inv.slot_of[k] {
+                    NONE if cb == 0.0 => 0.0,
+                    NONE => 0.0 + cb * inv.lone[k],
+                    slot => packed[slot],
+                }
+            })
+            .collect()
+    }
+
+    /// The dense `w = Binv a_j`: an active column read in every row.
+    fn direction_reference(s: &Simplex<'_>, j: usize) -> Vec<f64> {
+        let Workspace { inv, cols, .. } = &*s.ws;
+        let mut w = vec![0.0; s.m];
+        cols.for_each_entry(j, |i, v| match inv.slot_of[i] {
+            NONE => w[i] += v * inv.lone[i],
+            slot => w.iter_mut().zip(inv.slot(slot)).for_each(|(wk, b)| *wk += v * b),
+        });
+        w
+    }
+
+    /// The dense ratio test: every basis position, in [`FirstMax`]'s lanes.
+    fn ratio_reference(
+        s: &Simplex<'_>,
+        w: &[f64],
+        sigma: f64,
+        t_own: f64,
+    ) -> (Option<(usize, bool)>, f64) {
+        let Workspace { basic_x: x, basic_lb: l, basic_ub: u, .. } = &*s.ws;
+        let mut first = FirstMax::new(-t_own);
+        for k in 0..s.m {
+            first.offer(k % LANES, k, neg_step(sigma * w[k], x[k], l[k], u[k]));
+        }
+        match first.winner() {
+            Some((pos, neg)) => (Some((pos, sigma * w[pos] < 0.0)), -neg),
+            None => (None, t_own),
+        }
+    }
+
+    /// The dense product-form update: every row with a nonzero `w`.
+    fn update_reference(inv: &mut Inverse, w: &[f64], pos: usize, piv: f64) {
+        if inv.slot_of[pos] == NONE {
+            let slot = inv.add_slot(pos);
+            *inv.at(pos, slot) = inv.lone[pos];
+        }
+        inv.row_mut(pos).iter_mut().for_each(|v| *v /= piv);
+        let packed = inv.row(pos).to_vec();
+        for (r, &f) in w.iter().enumerate() {
+            if r == pos || f == 0.0 {
+                continue;
+            }
+            inv.row_mut(r).iter_mut().zip(packed.iter()).for_each(|(b, p)| *b -= f * p);
+        }
+    }
+
+    /// What one iteration's sparse passes must reproduce, computed by the
+    /// dense passes they replaced before the step: the direction, the ratio
+    /// test, the stepped basic values and the updated inverse.
+    pub(super) struct Reference {
+        leave: Option<usize>,
+        basic_x: Vec<f64>,
+        inv: Inverse,
+    }
+
+    impl Reference {
+        /// Checks `w`, its nonzero rows and the ratio test `got` against the
+        /// dense passes, and records what the step and update must leave.
+        pub(super) fn new(
+            s: &Simplex<'_>,
+            j: usize,
+            sigma: f64,
+            t_own: f64,
+            got: (Option<(usize, bool)>, f64),
+        ) -> Self {
+            let w = direction_reference(s, j);
+            assert_eq!(bits(&s.ws.w), bits(&w), "direction left the dense pass");
+            let nonzero: Vec<usize> = (0..s.m).filter(|&r| w[r] != 0.0).collect();
+            assert_eq!(s.ws.w_rows, nonzero, "the rows of w are not its nonzeros");
+            let want = ratio_reference(s, &w, sigma, t_own);
+            let key = |(leave, t): (Option<(usize, bool)>, f64)| (leave, t.to_bits());
+            assert_eq!(key(got), key(want), "ratio test left the dense pass");
+            let (leave, t_max) = want;
+            let t = t_max.max(0.0);
+            if s.ws.basic_x.iter().any(|x| x.to_bits() == (-0.0f64).to_bits()) {
+                bump(&STEPPED, 2);
+            }
+            let basic_x = s.ws.basic_x.iter().zip(&w).map(|(xb, wk)| xb - sigma * t * wk).collect();
+            let mut inv = s.ws.inv.clone();
+            let leave = leave.map(|(pos, _)| pos);
+            if let Some(pos) = leave {
+                update_reference(&mut inv, &w, pos, w[pos]);
+            }
+            Reference { leave, basic_x, inv }
+        }
+
+        /// After the step: every basic value but the entering one's, and
+        /// every active entry of the inverse, bit for bit; each slot's row
+        /// set holds its nonzeros.
+        pub(super) fn check(self, s: &Simplex<'_>) {
+            let mut basic_x = bits(&s.ws.basic_x);
+            let mut want = bits(&self.basic_x);
+            if let Some(pos) = self.leave {
+                (basic_x[pos], want[pos]) = (0, 0);
+            }
+            assert_eq!(basic_x, want, "the step left the dense pass");
+            let inv = &s.ws.inv;
+            assert_eq!(inv.slot_col, self.inv.slot_col, "the update opened other slots");
+            for r in 0..s.m {
+                assert_eq!(bits(inv.row(r)), bits(self.inv.row(r)), "update left row {r}");
+                if inv.slot_of[r] == NONE {
+                    assert_eq!(inv.lone[r].to_bits(), self.inv.lone[r].to_bits());
+                }
+                for (slot, &b) in inv.row(r).iter().enumerate() {
+                    let held = b == 0.0 || s.ws.nonzero.contains(slot, r);
+                    assert!(held, "row {r} of slot {slot} is nonzero outside its set");
+                }
+            }
+            bump(&STEPPED, usize::from(self.leave.is_some()));
+        }
     }
 
     /// The one-pass scan [`Simplex::price`] replaced, kept as its
@@ -1433,18 +1718,18 @@ mod tests {
     }
 
     /// Run by [`Simplex::iterate`] at every pivot of every solve in these
-    /// tests: the pricing it took must be the reference scan's, column and
-    /// reduced-cost bits.
+    /// tests: the duals and `Aᵀy` it priced with must be the dense pass's
+    /// (fresh, or kept from before a bound flip), and the pricing it took
+    /// the reference scan's, column and reduced-cost bits.
     pub(super) fn check_pricing(s: &Simplex<'_>, use_bland: bool, got: Option<(usize, f64)>) {
+        assert_eq!(bits(&s.ws.y), bits(&duals_reference(s)), "duals left the dense pass");
+        let mut aty = vec![0.0; s.ws.aty.len()];
+        s.lp.a.mul_transpose_vec(&duals_reference(s), &mut aty);
+        assert_eq!(bits(&s.ws.aty), bits(&aty), "Aᵀy is not the duals'");
         let (want, ties) = price_reference(s, use_bland);
         let bits = |e: Option<(usize, f64)>| e.map(|(j, d)| (j, d.to_bits()));
         assert_eq!(bits(got), bits(want), "pricing (Bland: {use_bland}) left the reference scan");
-        let kind = if use_bland { 2 } else { usize::from(ties > 1) };
-        PRICED.with(|c| {
-            let mut counts = c.get();
-            counts[kind] += 1;
-            c.set(counts);
-        });
+        bump(&PRICED, if use_bland { 2 } else { usize::from(ties > 1) });
     }
 
     /// A seeded LP where pricing ties are the rule: every column repeats
@@ -1516,6 +1801,51 @@ mod tests {
         }
         let [single, tied, bland] = PRICED.with(Cell::get);
         assert!(single >= 100 && tied >= 100 && bland >= 100, "{single} / {tied} / {bland}");
+    }
+
+    /// `min 2z - x` over `z ∈ [-5, 0]` with `z ≥ -3`, and a row `x ≤ -0.0`
+    /// whose slack starts basic at `-0.0`: `z` enters first, falling (`σ =
+    /// -1`), with a direction that is zero in that row, and only the dense
+    /// step turns the slack's `-0.0` into `+0.0` (`-0.0 - (-1 · 3 · 0)`).
+    fn negative_zero_rhs_lp() -> Model {
+        let mut m = Model::new();
+        let (x, z) = (m.add_nonneg(), m.add_var(-5.0, 0.0));
+        m.add_con(LinExpr::term(x, 1.0), Sense::Le, -0.0);
+        m.add_con(LinExpr::term(z, 1.0), Sense::Ge, -3.0);
+        m.set_objective(LinExpr::new().add(z, 2.0).add(x, -1.0), Objective::Minimize);
+        m
+    }
+
+    /// Every iteration of these solves runs [`Reference`] and
+    /// [`check_pricing`]'s dual check: the cost-row duals, the prices kept
+    /// across a bound flip, the sums fused into the update, the direction
+    /// over row sets and the ratio test and update over `w`'s nonzeros
+    /// must all be the dense passes' bits.
+    #[test]
+    fn sparse_passes_match_the_dense_passes_at_every_pivot() {
+        let refactor1 = SimplexConfig { refactor_every: 1, ..Default::default() };
+        STEPPED.with(|c| c.set([0; 3]));
+        let (mut warm_pivots, mut fresh) = (0, 0);
+        for cfg in [&SimplexConfig::default(), &refactor1] {
+            for seed in 0..40 {
+                let mut lp = tie_heavy_lp(seed).to_standard();
+                let Some(basis) = solve(&lp, cfg).basis else { continue };
+                // Move the objective: the recorded basis stays feasible and
+                // needs pivots from the refactorization `from_basis` made.
+                lp.obj.iter_mut().step_by(2).for_each(|c| *c = -*c);
+                let warm = solve_warm(&lp, cfg, Some(&basis));
+                if warm.stats.warm == crate::warm::WarmEvent::Hit {
+                    warm_pivots += warm.stats.iterations - 1;
+                }
+            }
+            let sol = solve_model(&negative_zero_rhs_lp());
+            assert_eq!((sol.status, sol.objective), (Status::Optimal, -6.0));
+            fresh += sol.stats.iterations;
+        }
+        let [flips, pivots, negative_zero] = STEPPED.with(Cell::get);
+        assert!(flips >= 40 && pivots >= 400, "{flips} flips, {pivots} pivots");
+        assert!(warm_pivots >= 30, "{warm_pivots} pivots after a warm start");
+        assert!(negative_zero >= 2 && fresh >= 4, "{negative_zero} steps from -0.0 of {fresh}");
     }
 
     fn solve_model(m: &Model) -> Solution {
