@@ -14,15 +14,44 @@
 //! `m`-vector holds those entries. The others are *active*, each stored
 //! whole in a slot of a row-major `m × cap` matrix (`cap ≤ m` grows with
 //! the active count `a`). The duals and the product-form update run over a
-//! row's `a` contiguous slots, so an iteration costs `O(m · a)`, and no
-//! solve or refactorization writes or scans `m²` entries. Refactorization
-//! (Gauss–Jordan with partial pivoting) builds the packed form directly:
-//! a basis column that is a lone untouched entry never gets a slot unless
-//! an elimination fills it in, and undoing the row exchanges relabels
-//! slots. Each elimination visits only the rows that a per-slot bit set
-//! marks as possibly nonzero in its pivot slot, not all `m`. After a warm
-//! start from a recorded basis nearly every column is active, and the same
-//! loops run dense.
+//! row's `a` contiguous slots, and no solve or refactorization writes or
+//! scans `m²` entries. Refactorization (Gauss–Jordan with partial
+//! pivoting) builds the packed form directly: a basis column that is a
+//! lone untouched entry never gets a slot unless an elimination fills it
+//! in, and undoing the row exchanges relabels slots. Each slot keeps a bit
+//! set of the rows that may be nonzero in it; each elimination visits only
+//! its pivot slot's rows, not all `m`. After a warm start from a recorded
+//! basis nearly every column is active, and the same loops run dense.
+//!
+//! **Sparse pivot passes.** A pivot touches few rows: the nonzeros of the
+//! direction `w` (≈ 13 of B4's 709 basis rows on the offline stage's LPs)
+//! and the rows whose basic column has a cost (≈ 32). Every per-pivot pass
+//! visits only those, in ascending order:
+//! - the duals sum `cost · row` over the *cost rows*, a bit set kept
+//!   beside a per-position `basic_cost` array;
+//! - the inverse update rewrites the rows of `w` and, in the same pass,
+//!   adds each cost row (updated) to the next iteration's dual sums, so a
+//!   pivot leaves the duals summed, not stale;
+//! - the direction reads each active column in the rows of its set only,
+//!   and yields `w`'s nonzero rows; the ratio test offers only those, each
+//!   `FirstMax` lane seeing its rows in ascending order. An update adds
+//!   the rows of `w` to the set of every slot its pivot row is nonzero in
+//!   (where it can fill in); a new slot starts as its own row.
+//! - A bound flip changes neither the basis, the inverse nor the costs, so
+//!   the next iteration prices with the duals and `Aᵀy` it already has. A
+//!   pivot, a refactorization and a new phase are what make them stale.
+//!
+//! Skipping is exact. `w` and every dual sum start at `+0.0`, and a sum
+//! that starts at `+0.0` is never `-0.0` (`+0 + -0 = +0`, an exact
+//! cancellation rounds to `+0`), so adding a zero product to it changes no
+//! bit; a zero `w` gives the ratio test a NaN step, which no comparison
+//! keeps; and the update already skipped rows where `w` is zero. The step
+//! `x_B -= σ·t·w` stays dense: a basic value can be `-0.0` (a `-0.0`
+//! right-hand side or bound puts one there before the first
+//! refactorization), and `-0.0 - (-1 · t · 0)` is `+0.0`, which a skip
+//! would miss. A test-only copy of each dense pass checks every pivot of
+//! the unit tests: the duals, `Aᵀy`, `w`, the ratio test, the step and
+//! every active entry of the updated inverse, bit for bit.
 //!
 //! **Row-wise pricing.** Reduced costs need `Aᵀy`, and `y` is mostly zero,
 //! so it is scattered from the CSR rows with `yᵢ ≠ 0` in ascending row

@@ -40,7 +40,7 @@
 
 use arrow_wan::lp::model::StandardLp;
 use arrow_wan::lp::simplex::SimplexConfig;
-use arrow_wan::lp::{solve, solve_with, SolverConfig, Status};
+use arrow_wan::lp::{solve, solve_batch, solve_with, Solution, SolverConfig, Status};
 use arrow_wan::obs::hash::{check_pins, word_fold, FNV1A_OFFSET};
 use arrow_wan::optical::rwa::build_relaxed;
 use arrow_wan::prelude::*;
@@ -236,6 +236,30 @@ fn bland_and_refactor_paths_are_pinned_bit_for_bit() {
         }
     }
     check_pins(&pins).unwrap();
+}
+
+/// `solve_batch` hands one simplex workspace from lane to lane. A solve
+/// must not depend on what the one before it left there: every fourth B4
+/// LP the offline stage solves, batched forward, then in reverse order with
+/// IBM's first (larger) LP before each, give the digests of solving each
+/// alone.
+#[test]
+fn reused_workspace_leaves_offline_lps_unchanged() {
+    let (b4, ibm) = (b4(17), ibm(17));
+    let (b4_universe, rwa, cfg) = (universe(&b4, 0), offline_rwa(), SolverConfig::exact());
+    let models: Vec<Model> = (0..b4_universe.len())
+        .step_by(4)
+        .map(|i| rwa_model_with(&b4, &b4_universe, i, &rwa))
+        .collect();
+    let ibm_model = rwa_model_with(&ibm, &universe(&ibm, 32), 0, &rwa);
+    let alone: Vec<u64> = models.iter().map(|m| solve(m, &cfg).digest()).collect();
+    let forward: Vec<u64> = solve_batch(&models, &cfg).iter().map(Solution::digest).collect();
+    let backward: Vec<&Model> = models.iter().rev().flat_map(|m| [&ibm_model, m]).collect();
+    let mut backward: Vec<u64> =
+        solve_batch(&backward, &cfg).iter().skip(1).step_by(2).map(Solution::digest).collect();
+    backward.reverse();
+    assert_eq!(forward, alone);
+    assert_eq!(backward, alone);
 }
 
 #[test]
