@@ -372,36 +372,18 @@ impl Inverse {
     }
 }
 
-/// The members of the bit set `words` from `first` on, ascending.
-fn ones(words: &[u64], first: usize) -> impl Iterator<Item = usize> + '_ {
-    (first / 64..words.len()).flat_map(move |k| {
-        let below = if k == first / 64 { first % 64 } else { 0 };
-        let mut word = words[k] & (u64::MAX << below);
-        std::iter::from_fn(move || {
-            (word != 0).then(|| {
-                let r = k * 64 + word.trailing_zeros() as usize;
-                word &= word - 1;
-                r
-            })
-        })
-    })
-}
-
-/// Calls `f` on each member of the bit set `words`, ascending: [`ones`]
-/// as a plain loop, for the per-pivot passes.
+/// Calls `f` on each member of the bit set `words` from `first` on, in
+/// ascending order.
 #[inline(always)]
-fn each_one(words: &[u64], mut f: impl FnMut(usize)) {
-    for (k, &word) in words.iter().enumerate() {
-        let mut word = word;
+fn each_one(words: &[u64], first: usize, mut f: impl FnMut(usize)) {
+    for (k, &word) in words.iter().enumerate().skip(first / 64) {
+        let below = if k == first / 64 { first % 64 } else { 0 };
+        let mut word = word & (u64::MAX << below);
         while word != 0 {
             f(k * 64 + word.trailing_zeros() as usize);
             word &= word - 1;
         }
     }
-}
-
-fn has(words: &[u64], r: usize) -> bool {
-    words[r / 64] & (1 << (r % 64)) != 0
 }
 
 /// Puts `r` in the bit set `words` or takes it out.
@@ -448,7 +430,7 @@ impl RowSets {
     }
 
     fn contains(&self, s: usize, r: usize) -> bool {
-        has(self.set(s), r)
+        self.set(s)[r / 64] & (1 << (r % 64)) != 0
     }
 
     /// Adds every row of slot `from` to slot `to`.
@@ -473,11 +455,6 @@ impl RowSets {
                 self.bits[s * self.words + b / 64] ^= 1 << (b % 64);
             }
         }
-    }
-
-    /// The rows of slot `s` from row `first` on, ascending.
-    fn rows_from(&self, s: usize, first: usize) -> impl Iterator<Item = usize> + '_ {
-        ones(self.set(s), first)
     }
 }
 
@@ -814,20 +791,23 @@ impl<'a> Simplex<'a> {
         c.extend((0..total).map(cost));
         class.clear();
         class.extend((0..total).map(|j| class_of(self.state[j], self.lb[j], self.ub[j])));
-        for (at, by_col) in [(basic_lb, &self.lb), (basic_ub, &self.ub), (basic_cost, &*c)] {
+        for (at, by_col) in [(basic_lb, &self.lb), (basic_ub, &self.ub)] {
             at.clear();
             at.extend(self.basis.iter().map(|&j| by_col[j]));
         }
+        basic_cost.resize(self.m, 0.0);
         for pos in 0..self.m {
-            self.set_basic_cost(pos);
+            self.set_basic_cost(pos, self.ws.cost[self.basis[pos]]);
         }
         self.ws.duals = Duals::Stale;
     }
 
-    /// Marks position `pos` a cost row or not, by its `basic_cost`.
-    fn set_basic_cost(&mut self, pos: usize) {
+    /// Gives basis position `pos` the cost `cost`, and with it a place
+    /// among the cost rows or none.
+    fn set_basic_cost(&mut self, pos: usize, cost: f64) {
         let Workspace { basic_cost, cost_rows, .. } = &mut *self.ws;
-        put(cost_rows, pos, basic_cost[pos] != 0.0);
+        basic_cost[pos] = cost;
+        put(cost_rows, pos, cost != 0.0);
     }
 
     /// Writes the basic values into `x`, for the readers outside a phase.
@@ -846,13 +826,13 @@ impl<'a> Simplex<'a> {
         if *duals == Duals::Stale {
             sums.clear();
             sums.resize(inv.width(), 0.0);
-            each_one(cost_rows, |i| {
+            each_one(cost_rows, 0, |i| {
                 let cb = basic_cost[i];
                 sums.iter_mut().zip(inv.row(i)).for_each(|(yk, b)| *yk += cb * b);
             });
         }
         y.fill(0.0);
-        each_one(cost_rows, |i| {
+        each_one(cost_rows, 0, |i| {
             if inv.slot_of[i] == NONE {
                 y[i] = 0.0 + basic_cost[i] * inv.lone[i];
             }
@@ -876,7 +856,7 @@ impl<'a> Simplex<'a> {
             }
             s => {
                 let set = nonzero.set(s);
-                each_one(set, |r| w[r] += v * inv.slots[r * inv.cap + s]);
+                each_one(set, 0, |r| w[r] += v * inv.slots[r * inv.cap + s]);
                 w_set.iter_mut().zip(set).for_each(|(a, b)| *a |= b);
             }
         });
@@ -956,13 +936,13 @@ impl<'a> Simplex<'a> {
             if best == NONE {
                 best = c;
                 let mut best_val = inv.at(c, sc).abs();
-                for r in nonzero.rows_from(sc, c + 1) {
+                each_one(nonzero.set(sc), c + 1, |r| {
                     let v = inv.at(r, sc).abs();
                     if v > best_val {
                         best = r;
                         best_val = v;
                     }
-                }
+                });
             }
             debug_assert!(best >= c, "a lone entry above the diagonal was never eliminated");
             let piv = if sc == NONE { inv.lone[c] } else { *inv.at(best, sc) };
@@ -1006,17 +986,17 @@ impl<'a> Simplex<'a> {
                     pivot_row.push((s, *v));
                 }
             }
-            for r in nonzero.rows_from(sc, 0).filter(|&r| r != c) {
+            each_one(nonzero.set(sc), 0, |r| {
                 let row = inv.row_mut(r);
                 let f = row[sc];
-                if f == 0.0 {
-                    continue;
+                if r == c || f == 0.0 {
+                    return;
                 }
                 row[sc] = 0.0;
                 for &(s, p) in pivot_row.iter() {
                     row[s] -= f * p;
                 }
-            }
+            });
             for &(s, _) in pivot_row.iter() {
                 nonzero.union(s, sc);
             }
@@ -1200,8 +1180,7 @@ impl<'a> Simplex<'a> {
                     class[j_leave] =
                         class_of(self.state[j_leave], self.lb[j_leave], self.ub[j_leave]);
                     self.basis[pos] = j_enter;
-                    self.ws.basic_cost[pos] = self.ws.cost[j_enter];
-                    self.set_basic_cost(pos);
+                    self.set_basic_cost(pos, self.ws.cost[j_enter]);
                     self.update_inverse(pos, piv);
                     self.pivots_since_refactor += 1;
                 }
