@@ -397,7 +397,7 @@ fn put(words: &mut [u64], r: usize, member: bool) {
 /// entry may cancel, and fill-in is recorded for every row a step visits).
 /// A refactorization builds them as it eliminates, and each product-form
 /// update adds the rows it may fill in.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default)]
 struct RowSets {
     /// 64-row words per slot.
     words: usize,
@@ -860,19 +860,15 @@ impl<'a> Simplex<'a> {
                 w_set.iter_mut().zip(set).for_each(|(a, b)| *a |= b);
             }
         });
+        // The sets may hold rows where `w` cancelled to zero: drop them.
         w_rows.clear();
-        for (k, word) in w_set.iter_mut().enumerate() {
-            let mut rest = *word;
-            while rest != 0 {
-                let bit = rest.trailing_zeros() as usize;
-                rest &= rest - 1;
-                if w[k * 64 + bit] == 0.0 {
-                    *word &= !(1 << bit);
-                } else {
-                    w_rows.push(k * 64 + bit);
-                }
+        each_one(w_set, 0, |r| {
+            if w[r] != 0.0 {
+                w_rows.push(r);
             }
-        }
+        });
+        w_set.fill(0);
+        w_rows.iter().for_each(|&r| put(w_set, r, true));
     }
 
     /// Recomputes the inverse by Gauss–Jordan elimination of the current
