@@ -1726,9 +1726,10 @@ mod tests {
     /// (fresh, or kept from before a bound flip), and the pricing it took
     /// the reference scan's, column and reduced-cost bits.
     pub(super) fn check_pricing(s: &Simplex<'_>, use_bland: bool, got: Option<(usize, f64)>) {
-        assert_eq!(bits(&s.ws.y), bits(&duals_reference(s)), "duals left the dense pass");
+        let y = duals_reference(s);
+        assert_eq!(bits(&s.ws.y), bits(&y), "duals left the dense pass");
         let mut aty = vec![0.0; s.ws.aty.len()];
-        s.lp.a.mul_transpose_vec(&duals_reference(s), &mut aty);
+        s.lp.a.mul_transpose_vec(&y, &mut aty);
         assert_eq!(bits(&s.ws.aty), bits(&aty), "Aᵀy is not the duals'");
         let (want, ties) = price_reference(s, use_bland);
         let bits = |e: Option<(usize, f64)>| e.map(|(j, d)| (j, d.to_bits()));
