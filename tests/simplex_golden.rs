@@ -20,7 +20,10 @@
 //!
 //! `rwa_models_are_pinned_bit_for_bit` holds the default-configuration LPs
 //! themselves: the lowered standard form `build_relaxed` hands to the
-//! solver. `bland_and_refactor_paths_are_pinned_bit_for_bit` holds the two
+//! solver, and `rwa_variant_models_are_pinned_bit_for_bit` the same form
+//! under the offline stage's settings and Fig. 17's `allow_retuning:
+//! false`, recorded before flat model rows and the counting-sort RWA build
+//! landed. `bland_and_refactor_paths_are_pinned_bit_for_bit` holds the two
 //! paths the default settings never reach on them: Bland's rule and a
 //! refactorization mid-solve.
 //!
@@ -152,6 +155,34 @@ fn rwa_models_are_pinned_bit_for_bit() {
     let got =
         [models("b4", &b4, &universe(&b4, 0), 16), models("ibm", &ibm, &universe(&ibm, 32), 4)];
     check_pins(&got.concat()).unwrap();
+}
+
+/// The lowered form under the two other configurations `build_relaxed`
+/// serves: the offline stage's own (`rwa_model.offline.*`, modulation
+/// change allowed) and Fig. 17's fixed-slot variant
+/// (`rwa_model.no_retuning.*`, `allow_retuning: false`), each on B4
+/// `s000`–`s003` and IBM `s000`, and folded over every scenario of both
+/// universes (`*.universe.*`): without retuning the first scenarios'
+/// LPs have at most three rows.
+#[test]
+fn rwa_variant_models_are_pinned_bit_for_bit() {
+    let no_retuning = RwaConfig { allow_retuning: false, ..Default::default() };
+    let variants = [("offline", offline_rwa()), ("no_retuning", no_retuning)];
+    let (b4, ibm) = (b4(17), ibm(17));
+    let lps = [("b4", &b4, universe(&b4, 0), 4), ("ibm", &ibm, universe(&ibm, 32), 1)];
+    let mut pins = Vec::new();
+    for (variant, rwa) in &variants {
+        for (topology, wan, universe, first) in &lps {
+            let digest = |i| standard_digest(&rwa_model_with(wan, universe, i, rwa).to_standard());
+            let all = (0..universe.len()).map(digest);
+            let fold = all.fold(word_fold(FNV1A_OFFSET, universe.len() as u64), word_fold);
+            pins.push((format!("rwa_model.{variant}.universe.{topology}"), fold));
+            for i in 0..*first {
+                pins.push((format!("rwa_model.{variant}.{topology}.s{i:03}"), digest(i)));
+            }
+        }
+    }
+    check_pins(&pins).unwrap();
 }
 
 /// Every scenario LP of the B4 (484) and IBM (32) universes the
