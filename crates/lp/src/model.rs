@@ -45,7 +45,8 @@ pub enum Sense {
 /// A linear expression: a sum of `coefficient * variable` terms.
 ///
 /// Duplicate variables are allowed while building; they are merged when the
-/// model is lowered to standard form.
+/// model is lowered to standard form. An expression is one of the term
+/// sequences [`Model::add_con`] takes.
 #[derive(Debug, Clone, Default)]
 pub struct LinExpr {
     /// `(variable, coefficient)` terms, in insertion order.
@@ -85,17 +86,13 @@ impl LinExpr {
     }
 }
 
-#[derive(Debug, Clone)]
-struct VarDef {
-    lb: f64,
-    ub: f64,
-}
+impl IntoIterator for LinExpr {
+    type Item = (VarId, f64);
+    type IntoIter = std::vec::IntoIter<(VarId, f64)>;
 
-#[derive(Debug, Clone)]
-struct ConDef {
-    terms: Vec<(VarId, f64)>,
-    sense: Sense,
-    rhs: f64,
+    fn into_iter(self) -> Self::IntoIter {
+        self.terms.into_iter()
+    }
 }
 
 /// Objective direction.
@@ -108,10 +105,17 @@ pub enum Objective {
 }
 
 /// An LP model under construction.
+///
+/// Rows are kept flat: row `i`'s `(column, coefficient)` terms are
+/// `terms[row_ptr[i]..row_ptr[i + 1]]`, in the order they were posted.
 #[derive(Debug, Clone)]
 pub struct Model {
-    vars: Vec<VarDef>,
-    cons: Vec<ConDef>,
+    lb: Vec<f64>,
+    ub: Vec<f64>,
+    row_ptr: Vec<usize>,
+    terms: Vec<(usize, f64)>,
+    senses: Vec<Sense>,
+    rhs: Vec<f64>,
     objective: LinExpr,
     direction: Objective,
 }
@@ -126,8 +130,12 @@ impl Model {
     /// Creates an empty model (minimization by default).
     pub fn new() -> Self {
         Model {
-            vars: Vec::new(),
-            cons: Vec::new(),
+            lb: Vec::new(),
+            ub: Vec::new(),
+            row_ptr: vec![0],
+            terms: Vec::new(),
+            senses: Vec::new(),
+            rhs: Vec::new(),
             objective: LinExpr::new(),
             direction: Objective::Minimize,
         }
@@ -138,9 +146,9 @@ impl Model {
     /// Use [`INF`] / `-INF` for unbounded sides.
     pub fn add_var(&mut self, lb: f64, ub: f64) -> VarId {
         assert!(lb <= ub, "variable bounds crossed: [{lb}, {ub}]");
-        let id = VarId(self.vars.len());
-        self.vars.push(VarDef { lb, ub });
-        id
+        self.lb.push(lb);
+        self.ub.push(ub);
+        VarId(self.lb.len() - 1)
     }
 
     /// Adds a continuous variable with bounds `[0, +inf)`.
@@ -148,9 +156,19 @@ impl Model {
         self.add_var(0.0, INF)
     }
 
-    /// Posts the constraint `expr (sense) rhs`.
-    pub fn add_con(&mut self, expr: LinExpr, sense: Sense, rhs: f64) {
-        self.cons.push(ConDef { rhs, terms: expr.terms, sense });
+    /// Posts the constraint `Σ coefficient · variable (sense) rhs` over
+    /// `terms` (a [`LinExpr`], or any sequence of terms, so a builder need
+    /// not collect a row first).
+    pub fn add_con(
+        &mut self,
+        terms: impl IntoIterator<Item = (VarId, f64)>,
+        sense: Sense,
+        rhs: f64,
+    ) {
+        self.terms.extend(terms.into_iter().map(|(v, c)| (v.0, c)));
+        self.row_ptr.push(self.terms.len());
+        self.senses.push(sense);
+        self.rhs.push(rhs);
     }
 
     /// Sets the objective expression and direction.
@@ -161,20 +179,20 @@ impl Model {
 
     /// Number of variables.
     pub fn num_vars(&self) -> usize {
-        self.vars.len()
+        self.lb.len()
     }
 
     /// Number of constraints.
     pub fn num_cons(&self) -> usize {
-        self.cons.len()
+        self.senses.len()
     }
 
     /// Replaces the bounds of an existing variable: the online stage moves a
     /// flow's demand bound between epochs.
     pub fn set_bounds(&mut self, v: VarId, lb: f64, ub: f64) {
         assert!(lb <= ub, "variable bounds crossed: [{lb}, {ub}]");
-        self.vars[v.0].lb = lb;
-        self.vars[v.0].ub = ub;
+        self.lb[v.0] = lb;
+        self.ub[v.0] = ub;
     }
 
     /// Objective direction.
@@ -193,15 +211,16 @@ impl Model {
     /// Returns the worst absolute violation found; `0.0` means feasible.
     pub(crate) fn max_violation(&self, x: &[f64]) -> f64 {
         let mut worst: f64 = 0.0;
-        for (i, v) in self.vars.iter().enumerate() {
-            worst = worst.max(v.lb - x[i]).max(x[i] - v.ub);
+        for ((&lb, &ub), &xi) in self.lb.iter().zip(&self.ub).zip(x) {
+            worst = worst.max(lb - xi).max(xi - ub);
         }
-        for c in &self.cons {
-            let lhs: f64 = c.terms.iter().map(|&(v, co)| co * x[v.0]).sum();
-            let viol = match c.sense {
-                Sense::Le => lhs - c.rhs,
-                Sense::Ge => c.rhs - lhs,
-                Sense::Eq => (lhs - c.rhs).abs(),
+        for (i, (&sense, &rhs)) in self.senses.iter().zip(&self.rhs).enumerate() {
+            let row = &self.terms[self.row_ptr[i]..self.row_ptr[i + 1]];
+            let lhs: f64 = row.iter().map(|&(v, co)| co * x[v]).sum();
+            let viol = match sense {
+                Sense::Le => lhs - rhs,
+                Sense::Ge => rhs - lhs,
+                Sense::Eq => (lhs - rhs).abs(),
             };
             worst = worst.max(viol);
         }
@@ -211,29 +230,26 @@ impl Model {
     /// Lowers the model to the standard computational form used by solvers:
     /// minimize `c'x + offset` subject to sparse rows with senses and
     /// variable bounds. Maximization is handled by negating the objective.
+    ///
+    /// Each row goes through one row step in the order its terms were
+    /// posted: sorted by column (skipped when already strictly ascending)
+    /// and repeated columns summed in the order the sort leaves them.
+    /// Repeated objective terms add up in order.
     pub fn to_standard(&self) -> StandardLp {
-        let n = self.vars.len();
-        let m = self.cons.len();
         let sign = match self.direction {
             Objective::Minimize => 1.0,
             Objective::Maximize => -1.0,
         };
-        let mut obj = vec![0.0; n];
+        let mut obj = vec![0.0; self.num_vars()];
         for &(v, c) in &self.objective.terms {
             obj[v.0] += sign * c;
         }
-        let mut triplets = Vec::with_capacity(self.cons.iter().map(|c| c.terms.len()).sum());
-        for (i, con) in self.cons.iter().enumerate() {
-            for &(v, c) in &con.terms {
-                triplets.push((i, v.0, c));
-            }
-        }
         StandardLp {
-            a: CsrMatrix::from_triplets(m, n, &triplets),
-            senses: self.cons.iter().map(|c| c.sense).collect(),
-            rhs: self.cons.iter().map(|c| c.rhs).collect(),
-            lb: self.vars.iter().map(|v| v.lb).collect(),
-            ub: self.vars.iter().map(|v| v.ub).collect(),
+            a: CsrMatrix::from_rows(self.num_vars(), &self.row_ptr, &self.terms),
+            senses: self.senses.clone(),
+            rhs: self.rhs.clone(),
+            lb: self.lb.clone(),
+            ub: self.ub.clone(),
             obj,
             obj_sign: sign,
         }
@@ -321,6 +337,113 @@ mod tests {
         let s = m.to_standard();
         let row: Vec<_> = s.a.row(0).collect();
         assert_eq!(row, vec![(0, 3.0)]);
+    }
+
+    /// Today's lowering before flat rows, kept as the parity reference:
+    /// every term a `(row, column, value)` triplet in posting order, and
+    /// the matrix built by the triplet bucket pass.
+    fn triplet_lowering(m: &Model) -> StandardLp {
+        let sign = match m.direction {
+            Objective::Minimize => 1.0,
+            Objective::Maximize => -1.0,
+        };
+        let mut obj = vec![0.0; m.num_vars()];
+        for &(v, c) in &m.objective.terms {
+            obj[v.0] += sign * c;
+        }
+        let mut triplets = Vec::new();
+        for (i, ends) in m.row_ptr.windows(2).enumerate() {
+            triplets.extend(m.terms[ends[0]..ends[1]].iter().map(|&(v, c)| (i, v, c)));
+        }
+        StandardLp {
+            a: CsrMatrix::from_triplets(m.num_cons(), m.num_vars(), &triplets),
+            senses: m.senses.clone(),
+            rhs: m.rhs.clone(),
+            lb: m.lb.clone(),
+            ub: m.ub.clone(),
+            obj,
+            obj_sign: sign,
+        }
+    }
+
+    /// A seeded model whose rows are empty, strictly ascending, or
+    /// scattered with repeated columns; repeats either cancel to zero or
+    /// add values whose sum depends on the order they are added in
+    /// (`0.1 + 0.2 + 0.3` is not `0.3 + 0.2 + 0.1`). The objective repeats
+    /// variables too. Returns the model and how many rows were empty,
+    /// ascending and repeating.
+    fn seeded_model(seed: u64) -> (Model, [usize; 3]) {
+        let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+        let mut draw = move |below: usize| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (state >> 33) as usize % below
+        };
+        const VALUES: [f64; 8] = [0.1, 0.2, 0.3, -0.7, 1e16, 1.0, -0.0, 2.5];
+        let mut m = Model::new();
+        let n = 1 + draw(12);
+        let vars: Vec<_> = (0..n)
+            .map(|_| m.add_var([0.0, -1.5, -INF][draw(3)], [1.0, 10.0, INF][draw(3)]))
+            .collect();
+        let mut kinds = [0; 3];
+        for _ in 0..draw(14) {
+            let mut row = LinExpr::new();
+            match draw(4) {
+                0 => kinds[0] += 1,
+                1 => {
+                    kinds[1] += 1;
+                    for &v in &vars {
+                        if draw(2) == 0 {
+                            row.add_term(v, VALUES[draw(8)]);
+                        }
+                    }
+                }
+                _ => {
+                    kinds[2] += 1;
+                    for _ in 0..2 + draw(9) {
+                        let (v, c) = (vars[draw(n.min(4))], VALUES[draw(8)]);
+                        row.add_term(v, c);
+                        if draw(3) == 0 {
+                            row.add_term(v, -c);
+                        }
+                    }
+                }
+            }
+            m.add_con(row, [Sense::Le, Sense::Ge, Sense::Eq][draw(3)], VALUES[draw(8)]);
+        }
+        let mut obj = LinExpr::new();
+        for _ in 0..draw(2 * n + 1) {
+            obj.add_term(vars[draw(n)], VALUES[draw(8)]);
+        }
+        m.set_objective(obj, [Objective::Minimize, Objective::Maximize][draw(2)]);
+        (m, kinds)
+    }
+
+    /// The flat rows lower to the triplet lowering's standard form bit for
+    /// bit: the same rows, entries and value bits, senses, right-hand
+    /// sides, bounds and objective.
+    #[test]
+    fn flat_rows_lower_as_the_triplets_did_bit_for_bit() {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut kinds = [0; 3];
+        for seed in 0..400 {
+            let (m, k) = seeded_model(seed);
+            (0..3).for_each(|i| kinds[i] += k[i]);
+            let (got, want) = (m.to_standard(), triplet_lowering(&m));
+            assert_eq!(got.structure_digest(), want.structure_digest(), "seed {seed}");
+            for i in 0..want.num_cons() {
+                let row = |lp: &StandardLp| -> Vec<_> {
+                    lp.a.row(i).map(|(c, v)| (c, v.to_bits())).collect()
+                };
+                assert_eq!(row(&got), row(&want), "seed {seed} row {i}");
+            }
+            assert_eq!(got.senses, want.senses, "seed {seed}");
+            for (g, w) in [(&got.rhs, &want.rhs), (&got.lb, &want.lb), (&got.ub, &want.ub)] {
+                assert_eq!(bits(g), bits(w), "seed {seed}");
+            }
+            assert_eq!(bits(&got.obj), bits(&want.obj), "seed {seed}");
+            assert_eq!(got.obj_sign.to_bits(), want.obj_sign.to_bits(), "seed {seed}");
+        }
+        assert!(kinds.iter().all(|&k| k >= 200), "empty, ascending, repeating rows: {kinds:?}");
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Minimal sparse-matrix support for the LP solvers.
 //!
 //! Only the operations the solvers actually need are implemented: building a
-//! matrix from triplets, row-major (CSR) and column-major (CSC) storage,
+//! matrix from a model's flat rows, row-major (CSR) and column-major (CSC) storage,
 //! matrix–vector products in both orientations, and infinity-norm row/column
 //! scaling used by the Ruiz preconditioner in [`crate::pdhg`].
 //!
@@ -23,67 +23,61 @@ pub struct CsrMatrix {
 }
 
 impl CsrMatrix {
-    /// Builds a CSR matrix from `(row, col, value)` triplets.
-    ///
-    /// Triplets may arrive in any order; entries with the same coordinates
-    /// are summed. Explicit zeros produced by cancellation are kept (they are
-    /// harmless and rare in LP models).
+    /// Builds a CSR matrix of `cols` columns from flat rows: row `i` is
+    /// `terms[row_ptr[i]..row_ptr[i + 1]]`, `(column, value)` pairs in any
+    /// order, each row through [`CsrMatrix::push_row`].
     ///
     /// # Panics
-    /// Panics if any triplet is out of bounds — models are constructed by
-    /// this crate's own code, so an out-of-bounds triplet is a logic error.
-    pub fn from_triplets(rows: usize, cols: usize, triplets: &[(usize, usize, f64)]) -> Self {
-        for &(r, c, _) in triplets {
-            assert!(r < rows && c < cols, "triplet ({r},{c}) out of {rows}x{cols}");
+    /// Panics if a column is out of bounds — models are constructed by
+    /// this crate's own code, so an out-of-bounds term is a logic error.
+    pub(crate) fn from_rows(cols: usize, row_ptr: &[usize], terms: &[(usize, f64)]) -> Self {
+        let rows = row_ptr.len() - 1;
+        let mut out = CsrMatrix {
+            rows,
+            cols,
+            row_ptr: Vec::with_capacity(rows + 1),
+            col_idx: Vec::with_capacity(terms.len()),
+            values: Vec::with_capacity(terms.len()),
+        };
+        out.row_ptr.push(0);
+        let mut scratch = Vec::new();
+        for ends in row_ptr.windows(2) {
+            out.push_row(&terms[ends[0]..ends[1]], &mut scratch);
         }
-        // Count entries per row, then bucket-sort triplets into place.
-        let mut counts = vec![0usize; rows + 1];
-        for &(r, _, _) in triplets {
-            counts[r + 1] += 1;
+        out
+    }
+
+    /// Appends one row: its terms sorted by column (`sort_unstable_by_key`)
+    /// and the terms of one column summed in the order the sort leaves
+    /// them. Explicit zeros produced by cancellation are kept (they are
+    /// harmless and rare in LP models). A row already strictly ascending is
+    /// merged as it stands: that is the one order any sort gives it, and it
+    /// has nothing to sum. `scratch` holds the copy an unsorted row is
+    /// sorted in.
+    fn push_row(&mut self, row: &[(usize, f64)], scratch: &mut Vec<(usize, f64)>) {
+        let sorted = if row.windows(2).all(|p| p[0].0 < p[1].0) {
+            row
+        } else {
+            scratch.clear();
+            scratch.extend_from_slice(row);
+            scratch.sort_unstable_by_key(|&(c, _)| c);
+            scratch
+        };
+        if let Some(&(c, _)) = sorted.last() {
+            assert!(c < self.cols, "column {c} out of {}", self.cols);
         }
-        for i in 0..rows {
-            counts[i + 1] += counts[i];
-        }
-        let mut col_idx = vec![0usize; triplets.len()];
-        let mut values = vec![0f64; triplets.len()];
-        let mut cursor = counts.clone();
-        for &(r, c, v) in triplets {
-            let p = cursor[r];
-            col_idx[p] = c;
-            values[p] = v;
-            cursor[r] += 1;
-        }
-        // Within each row: sort by column and combine duplicates, which are
-        // summed in the order the unstable sort leaves them. One buffer
-        // serves every row.
-        let mut out_col = Vec::with_capacity(triplets.len());
-        let mut out_val = Vec::with_capacity(triplets.len());
-        let mut out_ptr = Vec::with_capacity(rows + 1);
-        out_ptr.push(0);
-        let mut entries: Vec<(usize, f64)> = Vec::new();
-        for i in 0..rows {
-            let (start, end) = (counts[i], counts[i + 1]);
-            entries.clear();
-            entries.extend(
-                col_idx[start..end].iter().copied().zip(values[start..end].iter().copied()),
-            );
-            entries.sort_unstable_by_key(|&(c, _)| c);
-            let mut k = 0;
-            while k < entries.len() {
-                let c = entries[k].0;
-                let mut v = entries[k].1;
-                let mut j = k + 1;
-                while j < entries.len() && entries[j].0 == c {
-                    v += entries[j].1;
-                    j += 1;
-                }
-                out_col.push(c);
-                out_val.push(v);
-                k = j;
+        let mut k = 0;
+        while k < sorted.len() {
+            let (c, mut v) = sorted[k];
+            k += 1;
+            while k < sorted.len() && sorted[k].0 == c {
+                v += sorted[k].1;
+                k += 1;
             }
-            out_ptr.push(out_col.len());
+            self.col_idx.push(c);
+            self.values.push(v);
         }
-        CsrMatrix { rows, cols, row_ptr: out_ptr, col_idx: out_col, values: out_val }
+        self.row_ptr.push(self.col_idx.len());
     }
 
     /// Number of rows.
@@ -257,6 +251,78 @@ impl CsrMatrix {
                 cursor[c] += 1;
             }
         }
+    }
+}
+
+/// The lowering before flat rows, kept as the reference the parity test
+/// in `model.rs` holds [`CsrMatrix::from_rows`] to.
+#[cfg(test)]
+impl CsrMatrix {
+    /// Builds a CSR matrix from `(row, col, value)` triplets.
+    ///
+    /// Triplets may arrive in any order; entries with the same coordinates
+    /// are summed. Explicit zeros produced by cancellation are kept (they are
+    /// harmless and rare in LP models).
+    ///
+    /// # Panics
+    /// Panics if any triplet is out of bounds — models are constructed by
+    /// this crate's own code, so an out-of-bounds triplet is a logic error.
+    pub(crate) fn from_triplets(
+        rows: usize,
+        cols: usize,
+        triplets: &[(usize, usize, f64)],
+    ) -> Self {
+        for &(r, c, _) in triplets {
+            assert!(r < rows && c < cols, "triplet ({r},{c}) out of {rows}x{cols}");
+        }
+        // Count entries per row, then bucket-sort triplets into place.
+        let mut counts = vec![0usize; rows + 1];
+        for &(r, _, _) in triplets {
+            counts[r + 1] += 1;
+        }
+        for i in 0..rows {
+            counts[i + 1] += counts[i];
+        }
+        let mut col_idx = vec![0usize; triplets.len()];
+        let mut values = vec![0f64; triplets.len()];
+        let mut cursor = counts.clone();
+        for &(r, c, v) in triplets {
+            let p = cursor[r];
+            col_idx[p] = c;
+            values[p] = v;
+            cursor[r] += 1;
+        }
+        // Within each row: sort by column and combine duplicates, which are
+        // summed in the order the unstable sort leaves them. One buffer
+        // serves every row.
+        let mut out_col = Vec::with_capacity(triplets.len());
+        let mut out_val = Vec::with_capacity(triplets.len());
+        let mut out_ptr = Vec::with_capacity(rows + 1);
+        out_ptr.push(0);
+        let mut entries: Vec<(usize, f64)> = Vec::new();
+        for i in 0..rows {
+            let (start, end) = (counts[i], counts[i + 1]);
+            entries.clear();
+            entries.extend(
+                col_idx[start..end].iter().copied().zip(values[start..end].iter().copied()),
+            );
+            entries.sort_unstable_by_key(|&(c, _)| c);
+            let mut k = 0;
+            while k < entries.len() {
+                let c = entries[k].0;
+                let mut v = entries[k].1;
+                let mut j = k + 1;
+                while j < entries.len() && entries[j].0 == c {
+                    v += entries[j].1;
+                    j += 1;
+                }
+                out_col.push(c);
+                out_val.push(v);
+                k = j;
+            }
+            out_ptr.push(out_col.len());
+        }
+        CsrMatrix { rows, cols, row_ptr: out_ptr, col_idx: out_col, values: out_val }
     }
 }
 

@@ -1,7 +1,6 @@
 //! Property-based tests of the LP toolkit on randomly generated programs.
 
 use arrow_lp::model::{LinExpr, Model, Objective, Sense};
-use arrow_lp::sparse::CsrMatrix;
 use arrow_lp::{ColStatus, Solution, SolverConfig, Status, WarmStart};
 use proptest::prelude::*;
 
@@ -343,7 +342,14 @@ proptest! {
         if with_full_row && rows > 0 {
             triplets.extend(full_row.iter().enumerate().map(|(c, &v)| (rows / 2, c, v)));
         }
-        let k = CsrMatrix::from_triplets(rows, 24, &triplets);
+        // Row by row through a model, each row's terms in triplet order.
+        let mut model = Model::new();
+        let vars: Vec<_> = (0..24).map(|_| model.add_nonneg()).collect();
+        for r in 0..rows {
+            let row = triplets.iter().filter(|t| t.0 == r).map(|&(_, c, v)| (vars[c], v));
+            model.add_con(row, Sense::Le, 0.0);
+        }
+        let k = model.to_standard().a;
         let mut x = seed_x;
         for (at, which) in specials {
             x[at] = [-0.0, 0.0, f64::INFINITY, f64::NEG_INFINITY, f64::NAN][which];

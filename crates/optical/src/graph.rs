@@ -17,6 +17,13 @@ pub struct RoadmId(pub usize);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct FiberId(pub usize);
 
+/// A fiber's dense index: how a path search keeps its bans as bit sets.
+impl From<FiberId> for usize {
+    fn from(f: FiberId) -> usize {
+        f.0
+    }
+}
+
 /// Identifier of a provisioned lightpath.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct LightpathId(pub usize);
@@ -293,13 +300,18 @@ impl OpticalNetwork {
             .collect()
     }
 
-    /// Spectrum availability for restoration after cutting `cut`:
-    /// per-fiber masks where the failed lightpaths' own slots (on surviving
-    /// fibers) have been released — their transponders go idle, freeing the
+    /// Spectrum availability for restoration after cutting `cut`, whose
+    /// [`OpticalNetwork::affected_lightpaths`] are `affected`: per-fiber
+    /// masks where the failed lightpaths' own slots (on surviving fibers)
+    /// have been released — their transponders go idle, freeing the
     /// spectrum they occupied.
-    pub fn restoration_spectrum(&self, cut: &[FiberId]) -> Vec<SpectrumMask> {
+    pub fn restoration_spectrum(
+        &self,
+        cut: &[FiberId],
+        affected: &[LightpathId],
+    ) -> Vec<SpectrumMask> {
         let mut masks: Vec<SpectrumMask> = self.fibers.iter().map(|f| f.spectrum.clone()).collect();
-        for lp_id in self.affected_lightpaths(cut) {
+        for &lp_id in affected {
             let lp = &self.lightpaths[lp_id.0];
             for &fid in &lp.path {
                 if cut.contains(&fid) {
@@ -470,7 +482,7 @@ mod tests {
         let affected = net.affected_lightpaths(&[f[1]]);
         assert_eq!(affected, vec![LightpathId(0)]);
         // After cutting f1, the failed lightpath's slot on f0 is released.
-        let masks = net.restoration_spectrum(&[f[1]]);
+        let masks = net.restoration_spectrum(&[f[1]], &affected);
         assert!(masks[f[0].0].is_free(0));
         // The healthy lightpath on f2 keeps its slot.
         assert!(masks[f[2].0].is_occupied(1));

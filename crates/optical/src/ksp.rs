@@ -44,11 +44,111 @@ impl From<Route<FiberId>> for FiberPath {
     }
 }
 
+/// A set of small indices (nodes, edge ids), one bit each, grown on demand.
+#[derive(Debug, Default)]
+struct Bits(Vec<u64>);
+
+impl Bits {
+    fn contains(&self, i: usize) -> bool {
+        self.0.get(i / 64).is_some_and(|w| w >> (i % 64) & 1 == 1)
+    }
+
+    /// Puts `i` in the set (`on`) or out of it; returns whether it was in.
+    fn set(&mut self, i: usize, on: bool) -> bool {
+        let was = self.contains(i);
+        if self.0.len() <= i / 64 {
+            self.0.resize(i / 64 + 1, 0);
+        }
+        self.0[i / 64] ^= u64::from(was != on) << (i % 64);
+        was
+    }
+}
+
+/// The buffers of a shortest-path search and its bans (edges by index,
+/// nodes), reused by every spur search of a [`yen`] call.
+struct Search<E> {
+    dist: Vec<f64>,
+    prev: Vec<Option<(usize, E, f64)>>,
+    done: Bits,
+    heap: BinaryHeap<Reverse<(u64, usize)>>,
+    banned: Bits,
+    banned_nodes: Bits,
+}
+
+impl<E: Copy + Into<usize>> Search<E> {
+    fn new(n: usize, banned: &[E], banned_nodes: &[usize]) -> Self {
+        let mut search = Search {
+            dist: vec![f64::INFINITY; n],
+            prev: vec![None; n],
+            done: Bits::default(),
+            heap: BinaryHeap::new(),
+            banned: Bits::default(),
+            banned_nodes: Bits::default(),
+        };
+        banned.iter().for_each(|&e| _ = search.banned.set(e.into(), true));
+        banned_nodes.iter().for_each(|&v| _ = search.banned_nodes.set(v, true));
+        search
+    }
+
+    /// [`dijkstra`] on these buffers: returns the length of the route it
+    /// leaves in `prev`, or `None` if `dst` is out of reach. `prev` is not
+    /// cleared: a route only reads entries this search wrote.
+    fn run<I>(&mut self, adjacency: impl Fn(usize) -> I, src: usize, dst: usize) -> Option<f64>
+    where
+        I: IntoIterator<Item = Step<E>>,
+    {
+        if self.banned_nodes.contains(src) || self.banned_nodes.contains(dst) {
+            return None;
+        }
+        self.dist.fill(f64::INFINITY);
+        self.done.0.fill(0);
+        self.dist[src] = 0.0;
+        // A min-heap on (distance, node): distances are non-negative, and
+        // non-negative f64s order as their bit patterns do.
+        self.heap.clear();
+        self.heap.push(Reverse((0.0f64.to_bits(), src)));
+        while let Some(Reverse((_, node))) = self.heap.pop() {
+            if self.done.set(node, true) {
+                continue;
+            }
+            if node == dst {
+                break;
+            }
+            // A node's first pop carries its final distance; later ones are stale.
+            let d = self.dist[node];
+            for (edge, next, weight) in adjacency(node) {
+                let (banned, done) = (self.banned.contains(edge.into()), self.done.contains(next));
+                if banned || done || self.banned_nodes.contains(next) {
+                    continue;
+                }
+                let nd = d + weight;
+                if nd < self.dist[next] {
+                    self.dist[next] = nd;
+                    self.prev[next] = Some((node, edge, weight));
+                    self.heap.push(Reverse((nd.to_bits(), next)));
+                }
+            }
+        }
+        self.dist[dst].is_finite().then_some(self.dist[dst])
+    }
+
+    /// Appends the steps of the route [`Search::run`] found to `steps`, in
+    /// order from `src`.
+    fn append_route(&self, src: usize, dst: usize, steps: &mut Vec<Step<E>>) {
+        let (start, mut at) = (steps.len(), dst);
+        while let (false, Some((p, edge, weight))) = (at == src, self.prev[at]) {
+            steps.push((edge, at, weight));
+            at = p;
+        }
+        steps[start..].reverse();
+    }
+}
+
 /// Shortest route from `src` to `dst` over the graph of `n` nodes whose
 /// steps out of node `v` are `adjacency(v)`, avoiding the edges in
-/// `banned` and the nodes in `banned_nodes`. Relaxation is strict, so of
-/// two equally short ways into a node the first one found stands. Returns
-/// `None` if disconnected.
+/// `banned` (known by their index, `E: Into<usize>`) and the nodes in
+/// `banned_nodes`. Relaxation is strict, so of two equally short ways into
+/// a node the first one found stands. Returns `None` if disconnected.
 pub fn dijkstra<E, I>(
     n: usize,
     adjacency: impl Fn(usize) -> I,
@@ -58,59 +158,19 @@ pub fn dijkstra<E, I>(
     banned_nodes: &[usize],
 ) -> Option<Route<E>>
 where
-    E: Copy + PartialEq,
+    E: Copy + Into<usize>,
     I: IntoIterator<Item = Step<E>>,
 {
-    if banned_nodes.contains(&src) || banned_nodes.contains(&dst) {
-        return None;
-    }
-    let mut dist = vec![f64::INFINITY; n];
-    let mut prev: Vec<Option<(usize, E, f64)>> = vec![None; n];
-    let mut done = vec![false; n];
-    dist[src] = 0.0;
-    // A min-heap on (distance, node): distances are non-negative, and
-    // non-negative f64s order as their bit patterns do.
-    let mut heap = BinaryHeap::from([Reverse((0.0f64.to_bits(), src))]);
-    while let Some(Reverse((_, node))) = heap.pop() {
-        if done[node] {
-            continue;
-        }
-        done[node] = true;
-        if node == dst {
-            break;
-        }
-        // A node's first pop carries its final distance; later ones are stale.
-        let d = dist[node];
-        for (edge, next, weight) in adjacency(node) {
-            if banned.contains(&edge) || banned_nodes.contains(&next) || done[next] {
-                continue;
-            }
-            let nd = d + weight;
-            if nd < dist[next] {
-                dist[next] = nd;
-                prev[next] = Some((node, edge, weight));
-                heap.push(Reverse((nd.to_bits(), next)));
-            }
-        }
-    }
-    if !dist[dst].is_finite() {
-        return None;
-    }
+    let mut search = Search::new(n, banned, banned_nodes);
+    let length = search.run(adjacency, src, dst)?;
     let mut steps = Vec::new();
-    let mut at = dst;
-    while at != src {
-        // Finite distance implies an unbroken predecessor chain to src.
-        let (p, edge, weight) = prev[at]?;
-        steps.push((edge, at, weight));
-        at = p;
-    }
-    steps.reverse();
-    Some(Route { steps, length: dist[dst] })
+    search.append_route(src, dst, &mut steps);
+    Some(Route { steps, length })
 }
 
 /// Yen's k-shortest loop-free routes from `src` to `dst` over the graph of
 /// [`dijkstra`], avoiding `banned` edges, with a length cap (`max_length`,
-/// inclusive).
+/// inclusive). One set of search buffers serves every spur search.
 ///
 /// Returns up to `k` routes sorted by ascending length; fewer if the graph
 /// does not contain that many distinct routes within the cap.
@@ -124,41 +184,47 @@ pub fn yen<E, I>(
     max_length: f64,
 ) -> Vec<Route<E>>
 where
-    E: Copy + PartialEq,
+    E: Copy + PartialEq + Into<usize>,
     I: IntoIterator<Item = Step<E>>,
 {
-    let mut accepted: Vec<Route<E>> = Vec::new();
-    match dijkstra(n, &adjacency, src, dst, banned, &[]) {
-        Some(first) if k > 0 && first.length <= max_length => accepted.push(first),
-        _ => return accepted,
-    }
+    let mut search = Search::new(n, banned, &[]);
+    let first = search.run(&adjacency, src, dst).filter(|&length| k > 0 && length <= max_length);
+    let Some(length) = first else { return Vec::new() };
+    let (mut steps, mut spur_bans) = (Vec::new(), Vec::new());
+    search.append_route(src, dst, &mut steps);
+    let mut accepted = vec![Route { steps: steps.clone(), length }];
     let mut candidates: Vec<Route<E>> = Vec::new();
     while accepted.len() < k {
         let last = &accepted[accepted.len() - 1];
         // Root nodes are banned (loop-freedom); they grow one spur at a time.
-        let mut node_ban = Vec::new();
+        search.banned_nodes.0.fill(0);
         let mut spur_node = src;
         // Branch at every spur node of the previous route.
         for (spur_idx, &(_, reached, _)) in last.steps.iter().enumerate() {
             let root = &last.steps[..spur_idx];
-            // Ban edges that would recreate an already-accepted route with
-            // the same root.
-            let mut edge_ban = banned.to_vec();
+            // Ban, for this spur search only, the edges that would recreate
+            // an already-accepted route with the same root.
             for p in &accepted {
                 if p.steps.len() > spur_idx && p.steps[..spur_idx] == *root {
-                    edge_ban.push(p.steps[spur_idx].0);
+                    let edge = p.steps[spur_idx].0.into();
+                    if !search.banned.set(edge, true) {
+                        spur_bans.push(edge);
+                    }
                 }
             }
-            if let Some(spur) = dijkstra(n, &adjacency, spur_node, dst, &edge_ban, &node_ban) {
-                let steps = [root, &spur.steps].concat();
+            if search.run(&adjacency, spur_node, dst).is_some() {
+                steps.clear();
+                steps.extend_from_slice(root);
+                search.append_route(spur_node, dst, &mut steps);
                 let length = steps.iter().map(|s| s.2).sum();
                 if length <= max_length
                     && !accepted.iter().chain(&candidates).any(|p| p.steps == steps)
                 {
-                    candidates.push(Route { steps, length });
+                    candidates.push(Route { steps: steps.clone(), length });
                 }
             }
-            node_ban.push(spur_node);
+            spur_bans.drain(..).for_each(|e| _ = search.banned.set(e, false));
+            search.banned_nodes.set(spur_node, true);
             spur_node = reached;
         }
         // Promote the shortest candidate.

@@ -25,7 +25,7 @@ use crate::graph::{FiberId, LightpathId, OpticalNetwork};
 use crate::ksp::{k_shortest_paths, FiberPath};
 use crate::modulation;
 use crate::spectrum::SpectrumMask;
-use arrow_lp::{LinExpr, Model, Objective, Sense, SolverConfig};
+use arrow_lp::{LinExpr, Model, Objective, Sense, SolverConfig, VarId};
 
 /// Number of candidate surrogate paths per failed IP link.
 const K_PATHS: usize = 3;
@@ -100,14 +100,23 @@ fn usable_gbps(cfg: &RwaConfig, current_gbps: f64, length_km: f64) -> Option<f64
     }
 }
 
-/// `(lightpath, candidate surrogate paths, per-wavelength Gbps per path)`.
-type Candidates = (LightpathId, Vec<FiberPath>, Vec<f64>);
+/// `(lightpath, candidate surrogate paths, per-wavelength Gbps per path,
+/// first-fit slot order)`.
+type Candidates = (LightpathId, Vec<FiberPath>, Vec<f64>, Vec<usize>);
 
-/// Computes candidate surrogate paths for every lightpath affected by `cut`.
-fn candidate_paths(net: &OpticalNetwork, cut: &[FiberId], cfg: &RwaConfig) -> Vec<Candidates> {
-    net.affected_lightpaths(cut)
-        .into_iter()
-        .map(|id| {
+/// Computes candidate surrogate paths and the first-fit slot order (its
+/// original slots, then the rest ascending if it may retune) of every
+/// lightpath affected by `cut` (`affected`, in
+/// [`OpticalNetwork::affected_lightpaths`] order).
+fn candidate_paths(
+    net: &OpticalNetwork,
+    cut: &[FiberId],
+    affected: &[LightpathId],
+    cfg: &RwaConfig,
+) -> Vec<Candidates> {
+    affected
+        .iter()
+        .map(|&id| {
             let lp = net.lightpath(id);
             let reach_cap = if cfg.allow_modulation_change {
                 modulation::MAX_REACH_KM
@@ -115,114 +124,116 @@ fn candidate_paths(net: &OpticalNetwork, cut: &[FiberId], cfg: &RwaConfig) -> Ve
                 modulation::reach_for_gbps(lp.gbps_per_wavelength)
                     .unwrap_or(modulation::MAX_REACH_KM)
             };
-            let paths = k_shortest_paths(net, lp.src, lp.dst, K_PATHS, cut, reach_cap);
-            let mut kept = Vec::new();
-            let mut gbps = Vec::new();
-            for p in paths {
+            let (mut kept, mut gbps) = (Vec::new(), Vec::new());
+            for p in k_shortest_paths(net, lp.src, lp.dst, K_PATHS, cut, reach_cap) {
                 if let Some(g) = usable_gbps(cfg, lp.gbps_per_wavelength, p.length_km) {
                     kept.push(p);
                     gbps.push(g);
                 }
             }
-            (id, kept, gbps)
+            // The other slots are those a mask of the original ones leaves free.
+            let mut own = SpectrumMask::new(net.num_slots());
+            lp.slots.iter().for_each(|&w| _ = own.occupy(w));
+            let rest = own.free_slots().filter(|_| cfg.allow_retuning);
+            (id, kept, gbps, lp.slots.iter().copied().chain(rest).collect())
         })
         .collect()
 }
 
-/// The RWA view of one cut, computed once: the restoration spectrum, each
-/// affected lightpath's candidate paths (in `affected_lightpaths` order)
-/// and its first-fit slot order (original slots, then the rest if it may
-/// retune). A greedy call works on its own copy of the masks, so a reused
-/// view answers exactly as a fresh one.
+/// The RWA view of one cut, computed once: the restoration spectrum and,
+/// in `affected_lightpaths` order, each affected lightpath's candidate
+/// paths and first-fit slot order (original slots, then the rest if it
+/// may retune). A greedy call works on its own copy of the masks, so a
+/// reused view answers exactly as a fresh one.
 #[derive(Debug, Clone)]
 pub struct RwaCut<'a> {
     net: &'a OpticalNetwork,
     cfg: &'a RwaConfig,
     masks: Vec<SpectrumMask>,
     cands: Vec<Candidates>,
-    slot_orders: Vec<Vec<usize>>,
 }
 
 impl<'a> RwaCut<'a> {
     /// Computes the view of `cut`.
     pub fn new(net: &'a OpticalNetwork, cut: &[FiberId], cfg: &'a RwaConfig) -> Self {
-        let cands = candidate_paths(net, cut, cfg);
-        let slot_order = |id: &LightpathId| {
-            let own = &net.lightpath(*id).slots;
-            let rest = (0..net.num_slots()).filter(|w| cfg.allow_retuning && !own.contains(w));
-            own.iter().copied().chain(rest).collect()
-        };
-        let slot_orders = cands.iter().map(|(id, _, _)| slot_order(id)).collect();
-        RwaCut { net, cfg, masks: net.restoration_spectrum(cut), cands, slot_orders }
+        let affected = net.affected_lightpaths(cut);
+        let cands = candidate_paths(net, cut, &affected, cfg);
+        RwaCut { net, cfg, masks: net.restoration_spectrum(cut, &affected), cands }
     }
 
     /// Builds the relaxed wavelength-assignment LP (Appendix A.2,
     /// constraints 14–17 with ξ relaxed to `[0, 1]`) without solving it.
+    ///
+    /// Variables are created link by link, path by path, slot ascending.
+    /// Constraint (14) has one row per `(fiber, slot)` that two or more of
+    /// them would occupy, in the order of the key `fiber * slots + slot`
+    /// (by fiber, then slot), each row's variables in creation order: a
+    /// counting sort of the occupancies by key. The LP's resolution of
+    /// degenerate ties follows row order, so the offline stage's
+    /// determinism contract rests on it.
     pub fn build_relaxed(&self) -> RelaxedRwaLp {
-        let (net, masks) = (self.net, &self.masks);
+        let (net, slots) = (self.net, self.net.num_slots());
         let mut model = Model::new();
-        // var_index[(link_idx, path_idx)] -> per-slot variables (slot, VarId)
-        let mut slot_vars: Vec<Vec<Vec<(usize, arrow_lp::VarId)>>> = Vec::new();
-        // Per (fiber, slot), at `fiber * num_slots + slot`: variables that
-        // would occupy it. Constraint (14) rows are emitted in index order, by
-        // fiber, then slot; the LP's resolution of degenerate ties follows row
-        // order, so the offline stage's determinism contract rests on it.
-        let slots = net.num_slots();
-        let mut usage: Vec<Vec<arrow_lp::VarId>> = vec![Vec::new(); masks.len() * slots];
-
-        for (id, paths, _) in &self.cands {
-            let lp = net.lightpath(*id);
-            let mut per_path = Vec::new();
-            for path in paths {
-                let mut vars = Vec::new();
-                for w in 0..slots {
-                    if !self.cfg.allow_retuning && !lp.slots.contains(&w) {
-                        continue;
-                    }
-                    // Wavelength continuity: slot must be free on every fiber.
-                    if path.fibers.iter().any(|&f| masks[f.0].is_occupied(w)) {
+        let mut obj = LinExpr::new();
+        // The variables, where each link's and (link, path)'s run of them
+        // ends, and the key of every fiber each one occupies.
+        let (mut vars, mut link_ends, mut path_ends) = (Vec::new(), Vec::new(), Vec::new());
+        let mut occupancy: Vec<(usize, VarId)> = Vec::new();
+        let mut free = SpectrumMask::new(slots);
+        for (id, paths, gbps, _) in &self.cands {
+            let own = &net.lightpath(*id).slots;
+            for (path, &g) in paths.iter().zip(gbps) {
+                // Wavelength continuity: a slot must be free on every fiber.
+                free.union_of(path.fibers.iter().map(|f| &self.masks[f.0]));
+                for w in free.free_slots() {
+                    if !self.cfg.allow_retuning && !own.contains(&w) {
                         continue;
                     }
                     let v = model.add_var(0.0, 1.0);
-                    vars.push((w, v));
-                    for &f in &path.fibers {
-                        usage[f.0 * slots + w].push(v);
-                    }
+                    vars.push(v);
+                    // The paper maximizes the restored wavelength count; with
+                    // per-path modulations each is weighted by its path's
+                    // datarate, or pure count could pick low-rate paths.
+                    obj.add_term(v, g.max(1.0));
+                    occupancy.extend(path.fibers.iter().map(|f| (f.0 * slots + w, v)));
                 }
-                per_path.push(vars);
+                path_ends.push(vars.len());
             }
-            slot_vars.push(per_path);
+            link_ends.push(vars.len());
         }
         // Constraint (14): each free slot on each fiber used at most once.
         // Rows with a single variable are implied by the [0, 1] bound — skip.
-        for vars in usage {
-            if vars.len() >= 2 {
-                model.add_con(LinExpr::sum_vars(vars), Sense::Le, 1.0);
+        // `ends[key]` counts up to where the key's run ends.
+        let mut ends = vec![0usize; self.masks.len() * slots + 1];
+        for &(key, _) in &occupancy {
+            ends[key + 1] += 1;
+        }
+        for key in 1..ends.len() {
+            ends[key] += ends[key - 1];
+        }
+        let mut by_key: Vec<VarId> = occupancy.iter().map(|&(_, v)| v).collect();
+        for &(key, v) in &occupancy {
+            by_key[ends[key]] = v;
+            ends[key] += 1;
+        }
+        let mut begin = 0;
+        for &end in &ends[..ends.len() - 1] {
+            if end - begin >= 2 {
+                model.add_con(by_key[begin..end].iter().map(|&v| (v, 1.0)), Sense::Le, 1.0);
             }
+            begin = end;
         }
         // Constraint (17): restored wavelengths per link ≤ lost wavelengths.
-        for (e, (id, _, _)) in self.cands.iter().enumerate() {
-            let gamma = net.lightpath(*id).wavelength_count() as f64;
-            let all: Vec<_> = slot_vars[e].iter().flatten().map(|&(_, v)| v).collect();
-            if !all.is_empty() {
-                model.add_con(LinExpr::sum_vars(all), Sense::Le, gamma);
+        let mut begin = 0;
+        for ((id, ..), &end) in self.cands.iter().zip(&link_ends) {
+            if end > begin {
+                let gamma = net.lightpath(*id).wavelength_count() as f64;
+                model.add_con(vars[begin..end].iter().map(|&v| (v, 1.0)), Sense::Le, gamma);
             }
-        }
-        // Objective: the paper maximizes the restored wavelength count
-        // Σ_e Σ_k λ_e^k; with per-path modulations a wavelength restored on a
-        // short 400G-capable path is worth more than one forced onto a long
-        // 100G path, so each wavelength is weighted by its path's datarate
-        // (pure count would be indifferent and could pick low-rate paths).
-        let mut obj = LinExpr::new();
-        for (e, (_, _, gbps)) in self.cands.iter().enumerate() {
-            for (k, vars) in slot_vars[e].iter().enumerate() {
-                for &(_, v) in vars {
-                    obj.add_term(v, gbps[k].max(1.0));
-                }
-            }
+            begin = end;
         }
         model.set_objective(obj, Objective::Maximize);
-        RelaxedRwaLp { model, cands: self.cands.clone(), slot_vars }
+        RelaxedRwaLp { model, cands: self.cands.clone(), path_ends }
     }
 
     /// Solves the relaxed wavelength-assignment LP.
@@ -238,41 +249,8 @@ impl<'a> RwaCut<'a> {
     /// link's count; `None` or no entry means as many as it lost. Returns
     /// one assignment per affected link (possibly restoring fewer).
     pub fn greedy_assign(&self, targets: Option<&[(LightpathId, usize)]>) -> Vec<ExactAssignment> {
-        let mut masks = self.masks.clone();
         let mut out = Vec::with_capacity(self.cands.len());
-        for ((id, paths, gbps), order) in self.cands.iter().zip(&self.slot_orders) {
-            let lost = self.net.lightpath(*id).wavelength_count();
-            let want = targets
-                .and_then(|t| t.iter().find(|(tid, _)| tid == id).map(|&(_, n)| n))
-                .unwrap_or(lost)
-                .min(lost);
-            let mut assigned = 0usize;
-            let mut routes: Vec<(FiberPath, Vec<usize>)> = Vec::new();
-            let mut route_gbps = Vec::new();
-            for (path, &g) in paths.iter().zip(gbps) {
-                if assigned >= want {
-                    break;
-                }
-                let mut slots = Vec::new();
-                for &w in order {
-                    if assigned >= want {
-                        break;
-                    }
-                    if path.fibers.iter().all(|&f| masks[f.0].is_free(w)) {
-                        for &f in &path.fibers {
-                            masks[f.0].occupy(w);
-                        }
-                        slots.push(w);
-                        assigned += 1;
-                    }
-                }
-                if !slots.is_empty() {
-                    routes.push((path.clone(), slots));
-                    route_gbps.push(g);
-                }
-            }
-            out.push(ExactAssignment { lightpath: *id, routes, route_gbps });
-        }
+        self.greedy(targets.unwrap_or(&[]), Some(&mut out));
         out
     }
 
@@ -282,10 +260,57 @@ impl<'a> RwaCut<'a> {
     /// Conservative: a `true` answer is always realizable, a `false` answer
     /// may occasionally reject a realizable ticket.
     pub fn is_feasible(&self, targets: &[(LightpathId, usize)]) -> bool {
-        let assignments = self.greedy_assign(Some(targets));
-        targets.iter().all(|&(id, want)| {
-            assignments.iter().find(|a| a.lightpath == id).is_some_and(|a| a.wavelengths() >= want)
-        })
+        self.greedy(targets, None)
+    }
+
+    /// The one greedy pass of [`RwaCut::greedy_assign`] and
+    /// [`RwaCut::is_feasible`], each link capped at its first entry of
+    /// `targets` (or at what it lost). With `record`, it pushes every
+    /// link's assignment there. Without, it only counts, and returns
+    /// whether every entry of `targets` names an affected link that got at
+    /// least its count; it stops at the first link that falls short, since
+    /// links are served in order and a later one cannot change the answer.
+    fn greedy(
+        &self,
+        targets: &[(LightpathId, usize)],
+        mut record: Option<&mut Vec<ExactAssignment>>,
+    ) -> bool {
+        let (mut masks, mut met) = (self.masks.clone(), 0);
+        let mut free = SpectrumMask::new(self.net.num_slots());
+        for (id, paths, gbps, order) in &self.cands {
+            let lost = self.net.lightpath(*id).wavelength_count();
+            let mut asks = targets.iter().filter(|(t, _)| t == id).map(|&(_, n)| n);
+            let want = asks.clone().next().unwrap_or(lost).min(lost);
+            let (mut assigned, mut routes, mut route_gbps) = (0, Vec::new(), Vec::new());
+            for (path, &g) in paths.iter().zip(gbps) {
+                // `free` is the union of the path's fibers, kept as it fills.
+                free.union_of(path.fibers.iter().map(|f| &masks[f.0]));
+                let mut slots = Vec::new();
+                for &w in order {
+                    if assigned >= want {
+                        break;
+                    }
+                    if free.occupy(w) {
+                        path.fibers.iter().for_each(|f| _ = masks[f.0].occupy(w));
+                        slots.extend(record.is_some().then_some(w));
+                        assigned += 1;
+                    }
+                }
+                if !slots.is_empty() {
+                    routes.push((path.clone(), slots));
+                    route_gbps.push(g);
+                }
+            }
+            let Some(out) = record.as_deref_mut() else {
+                met += asks.clone().count();
+                if asks.any(|n| n > assigned) {
+                    return false;
+                }
+                continue;
+            };
+            out.push(ExactAssignment { lightpath: *id, routes, route_gbps });
+        }
+        met == targets.len()
     }
 }
 
@@ -299,8 +324,9 @@ pub struct RelaxedRwaLp {
     pub model: Model,
     /// The view's candidates, one entry per affected link.
     cands: Vec<Candidates>,
-    /// `slot_vars[e][k]` = `(slot, var)` pairs for link `e`, path `k`.
-    slot_vars: Vec<Vec<Vec<(usize, arrow_lp::VarId)>>>,
+    /// Where each (link, path) pair's slot variables end: the model's
+    /// variables are those runs, link by link, path by path.
+    path_ends: Vec<usize>,
 }
 
 /// [`RwaCut::build_relaxed`] on a fresh view of `cut`.
@@ -314,10 +340,13 @@ impl RelaxedRwaLp {
     pub fn extract(self, net: &OpticalNetwork, sol: &arrow_lp::Solution) -> RwaSolution {
         let mut links = Vec::new();
         let mut total = 0.0;
-        for (e, (id, paths, gbps)) in self.cands.into_iter().enumerate() {
-            let per_path_wavelengths: Vec<f64> = self.slot_vars[e]
-                .iter()
-                .map(|vars| vars.iter().map(|&(_, v)| sol.value(v).clamp(0.0, 1.0)).sum())
+        let (mut ends, mut begin) = (self.path_ends.iter(), 0);
+        for (id, paths, gbps, _) in self.cands {
+            let per_path_wavelengths: Vec<f64> = (ends.by_ref().take(paths.len()))
+                .map(|&end| {
+                    let run = &sol.x[std::mem::replace(&mut begin, end)..end];
+                    run.iter().map(|x| x.clamp(0.0, 1.0)).sum()
+                })
                 .collect();
             let wavelengths: f64 = per_path_wavelengths.iter().sum();
             let gbps_per_wavelength = if wavelengths > 1e-9 {

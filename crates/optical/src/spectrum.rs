@@ -76,7 +76,17 @@ impl SpectrumMask {
 
     /// Iterates over the indices of free slots, ascending.
     pub fn free_slots(&self) -> impl Iterator<Item = usize> + '_ {
-        (0..self.num_slots).filter(move |&w| self.is_free(w))
+        let words = self.words.iter().enumerate();
+        let free = words.flat_map(|(i, &word)| {
+            let mut free = !word;
+            std::iter::from_fn(move || {
+                let bit = (free != 0).then(|| free.trailing_zeros() as usize)?;
+                free &= free - 1;
+                Some(i * 64 + bit)
+            })
+        });
+        // Bits past the last slot are never set, so they read free.
+        free.take_while(|&w| w < self.num_slots)
     }
 
     /// Iterates over the indices of occupied slots, ascending.
@@ -93,6 +103,19 @@ impl SpectrumMask {
         }
         self.num_slots = new_slots;
         self.words.resize(new_slots.div_ceil(64), 0);
+    }
+
+    /// Makes this mask the union of `masks`' occupied slots: a slot is
+    /// free here iff it is free on every one of them (all free if there
+    /// are none). All grids must be this one's.
+    pub(crate) fn union_of<'a>(&mut self, masks: impl IntoIterator<Item = &'a SpectrumMask>) {
+        self.words.fill(0);
+        for mask in masks {
+            debug_assert_eq!(mask.num_slots, self.num_slots, "grids differ");
+            for (w, &m) in self.words.iter_mut().zip(&mask.words) {
+                *w |= m;
+            }
+        }
     }
 
     /// The slots free in *both* masks — the usable spectrum across two

@@ -16,6 +16,13 @@ pub struct SiteId(pub usize);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct IpLinkId(pub usize);
 
+/// A link's dense index: how a path search keeps its bans as bit sets.
+impl From<IpLinkId> for usize {
+    fn from(l: IpLinkId) -> usize {
+        l.0
+    }
+}
+
 /// An IP link between two sites, realized by one lightpath.
 #[derive(Debug, Clone)]
 pub struct IpLink {

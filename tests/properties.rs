@@ -124,10 +124,11 @@ proptest! {
     fn greedy_rwa_never_double_books(seed in 0u64..30, fiber in 0usize..19) {
         let wan = b4(seed);
         let cut = [FiberId(fiber)];
-        if wan.optical.affected_lightpaths(&cut).is_empty() {
+        let affected = wan.optical.affected_lightpaths(&cut);
+        if affected.is_empty() {
             return Ok(());
         }
-        let masks = wan.optical.restoration_spectrum(&cut);
+        let masks = wan.optical.restoration_spectrum(&cut, &affected);
         let assigns = greedy_assign(&wan.optical, &cut, &RwaConfig::default(), None);
         let mut used: std::collections::HashSet<(usize, usize)> = Default::default();
         for a in &assigns {
