@@ -211,6 +211,7 @@ impl<'a> RwaCut<'a> {
         for key in 1..ends.len() {
             ends[key] += ends[key - 1];
         }
+        // Every entry of `by_key` is overwritten: it starts as a copy.
         let mut by_key: Vec<VarId> = occupancy.iter().map(|&(_, v)| v).collect();
         for &(key, v) in &occupancy {
             by_key[ends[key]] = v;
@@ -283,6 +284,9 @@ impl<'a> RwaCut<'a> {
             let want = asks.clone().next().unwrap_or(lost).min(lost);
             let (mut assigned, mut routes, mut route_gbps) = (0, Vec::new(), Vec::new());
             for (path, &g) in paths.iter().zip(gbps) {
+                if assigned >= want {
+                    break;
+                }
                 // `free` is the union of the path's fibers, kept as it fills.
                 free.union_of(path.fibers.iter().map(|f| &masks[f.0]));
                 let mut slots = Vec::new();
