@@ -45,8 +45,7 @@ pub enum Sense {
 /// A linear expression: a sum of `coefficient * variable` terms.
 ///
 /// Duplicate variables are allowed while building; they are merged when the
-/// model is lowered to standard form. An expression is one of the term
-/// sequences [`Model::add_con`] takes.
+/// model is lowered to standard form.
 #[derive(Debug, Clone, Default)]
 pub struct LinExpr {
     /// `(variable, coefficient)` terms, in insertion order.
@@ -231,10 +230,8 @@ impl Model {
     /// minimize `c'x + offset` subject to sparse rows with senses and
     /// variable bounds. Maximization is handled by negating the objective.
     ///
-    /// Each row goes through one row step in the order its terms were
-    /// posted: sorted by column (skipped when already strictly ascending)
-    /// and repeated columns summed in the order the sort leaves them.
-    /// Repeated objective terms add up in order.
+    /// Each row is sorted by column (unless already strictly ascending)
+    /// and its repeated columns summed in the order the sort leaves them.
     pub fn to_standard(&self) -> StandardLp {
         let sign = match self.direction {
             Objective::Minimize => 1.0,
